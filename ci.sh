@@ -54,6 +54,14 @@ cargo test -q -p geo2c-serve --test fault_recovery
 say "durable checkpoint/journal (crash-point recovery proptests)"
 cargo test -q -p geo2c-serve --test crash_recovery
 
+# The repo benchmark's self-test at tiny scale (~3 s once built): every
+# BENCHMARK.json workload in both modes, with the benchmark's own
+# correctness checks — recovered state byte-equal to the crashed engine,
+# the journaled engine equal to its plain twin, load conservation —
+# which exercise exactly the durable checkpoint/journal path.
+say "benchmark self-test (perfbench/selftest.py, tiny scale)"
+python3 perfbench/selftest.py
+
 # The timing wheel replaced the departure heap on the serving hot path;
 # the heap stays on as the oracle. The wheel must be observationally
 # equal to it under arbitrary op scripts (queue level) and produce

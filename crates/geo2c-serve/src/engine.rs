@@ -23,6 +23,7 @@ use geo2c_core::strategy::Strategy;
 use geo2c_util::hist::Histogram;
 use geo2c_util::rng::{EventLanes, LaneSource as _};
 use rand::RngCore as _;
+use std::fmt;
 
 /// Load sentinel marking a failed server: live loads are bounded far
 /// below this, so a live probe always beats a failed one.
@@ -139,6 +140,122 @@ pub struct EngineState {
     /// Highest load any server reached while live.
     pub peak_load: u32,
 }
+
+/// Why [`ServeEngine::try_restore_with_scheduler`] rejected a checkpoint.
+/// Every state the engine produces satisfies each of these invariants,
+/// so a violation marks a corrupt or foreign image: input to reject, not
+/// a reason to abort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The load or failure vector is sized for a different space.
+    SpaceSize {
+        /// Servers in the engine's space.
+        expected: usize,
+        /// Entries in the checkpoint's vector.
+        found: usize,
+    },
+    /// The retry histogram was taken under a different retry budget.
+    RetryBudget {
+        /// The engine's retry budget.
+        expected: usize,
+        /// The checkpoint's histogram length.
+        found: usize,
+    },
+    /// The shed counter differs from its capacity/unavailable split.
+    ShedSplit,
+    /// The counters book more exits (departed + shed + evicted) than
+    /// arrivals.
+    ExitsExceedArrivals,
+    /// The live loads do not sum to `arrivals − departed − shed −
+    /// evicted`.
+    Conservation {
+        /// Σ live loads.
+        live_sum: u64,
+        /// In-service sessions the counters book.
+        in_service: u64,
+    },
+    /// The departure map does not hold exactly one entry per in-service
+    /// session.
+    DepartureCount {
+        /// Departure entries in the checkpoint.
+        entries: u64,
+        /// In-service sessions the counters book.
+        in_service: u64,
+    },
+    /// A failed server does not hold the failed-load sentinel.
+    MissingSentinel {
+        /// The failed server.
+        server: usize,
+    },
+    /// A departure entry names a server outside the space.
+    DepartureOutsideSpace {
+        /// The entry's server.
+        server: u32,
+    },
+    /// A departure entry sits on a failed server.
+    DepartureOnFailedServer {
+        /// The entry's server.
+        server: u32,
+    },
+    /// A departure entry was already due before the checkpoint clock.
+    DepartureBeforeClock {
+        /// The entry's deadline.
+        when: u64,
+    },
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::SpaceSize { expected, found } => write!(
+                f,
+                "checkpoint sized for another space ({found} servers, the engine has {expected})"
+            ),
+            Self::RetryBudget { expected, found } => write!(
+                f,
+                "checkpoint taken under a different retry budget ({found}, the engine has {expected})"
+            ),
+            Self::ShedSplit => write!(
+                f,
+                "shed counter must equal its capacity/unavailable split"
+            ),
+            Self::ExitsExceedArrivals => {
+                write!(f, "checkpoint counters book more exits than arrivals")
+            }
+            Self::Conservation {
+                live_sum,
+                in_service,
+            } => write!(
+                f,
+                "checkpoint violates session conservation (live loads sum to {live_sum}, \
+                 arrivals - departed - shed - evicted = {in_service})"
+            ),
+            Self::DepartureCount {
+                entries,
+                in_service,
+            } => write!(
+                f,
+                "checkpoint must hold exactly one departure entry per in-service session \
+                 ({entries} entries, {in_service} sessions)"
+            ),
+            Self::MissingSentinel { server } => {
+                write!(f, "failed server {server} without the failed-load sentinel")
+            }
+            Self::DepartureOutsideSpace { server } => {
+                write!(f, "departure entry on server {server}, outside the space")
+            }
+            Self::DepartureOnFailedServer { server } => {
+                write!(f, "departure entry on failed server {server}")
+            }
+            Self::DepartureBeforeClock { when } => write!(
+                f,
+                "departure entry at event {when}, already due before the checkpoint clock"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
 
 /// The long-running placement engine. See the crate docs for the event
 /// model and the stream contract.
@@ -294,19 +411,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         }
     }
 
-    /// [`ServeEngine::restore_with_load_state`] with an explicit
-    /// [`DepartureQueue`] implementation.
+    /// [`ServeEngine::try_restore_with_scheduler`] for a checkpoint this
+    /// process took itself, where a rejection can only be a bug.
     ///
     /// # Panics
-    /// As [`ServeEngine::with_load_state`], plus if the checkpoint is
-    /// sized for a different space, was taken under a different retry
-    /// budget, is internally inconsistent (shed counter differing from
-    /// its capacity/unavailable split, a failed server not holding the
-    /// sentinel, live loads violating session conservation
-    /// `Σ live = arrivals − departed − shed − evicted`, or a departure
-    /// count differing from the in-service session count), or carries a
-    /// departure entry on a failed server or one already due before the
-    /// checkpoint clock.
+    /// As [`ServeEngine::with_load_state`], plus on any [`RestoreError`].
     #[must_use]
     pub fn restore_with_scheduler(
         space: S,
@@ -315,29 +424,65 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         state: &EngineState,
         loads: L,
     ) -> Self {
+        Self::try_restore_with_scheduler(space, config, root, state, loads)
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// [`ServeEngine::restore_with_load_state`] with an explicit
+    /// [`DepartureQueue`] implementation, returning an error instead of
+    /// panicking on a checkpoint no engine could have produced — the
+    /// entry point for checkpoints read from outside the process.
+    ///
+    /// # Errors
+    /// [`RestoreError`] when the checkpoint is sized for a different
+    /// space, was taken under a different retry budget, is internally
+    /// inconsistent (shed counter differing from its capacity/unavailable
+    /// split, more exits than arrivals, a failed server not holding the
+    /// sentinel, live loads violating session conservation
+    /// `Σ live = arrivals − departed − shed − evicted`, or a departure
+    /// count differing from the in-service session count), or carries a
+    /// departure entry outside the space, on a failed server, or already
+    /// due before the checkpoint clock.
+    ///
+    /// # Panics
+    /// As [`ServeEngine::with_load_state`]: `config` and `loads` are the
+    /// caller's inputs, not the checkpoint's.
+    pub fn try_restore_with_scheduler(
+        space: S,
+        config: ServeConfig,
+        root: u64,
+        state: &EngineState,
+        loads: L,
+    ) -> Result<Self, RestoreError> {
         let mut engine = Self::with_scheduler(space, config, root, loads);
         let n = engine.space.num_servers();
-        assert_eq!(state.loads.len(), n, "checkpoint sized for another space");
-        assert_eq!(state.failed.len(), n, "checkpoint sized for another space");
-        assert_eq!(
-            state.retry.by_attempt.len(),
-            config.retries as usize,
-            "checkpoint taken under a different retry budget"
-        );
-        assert_eq!(
-            state.counters.shed,
-            state.retry.shed_capacity + state.retry.shed_unavailable,
-            "shed counter must equal its capacity/unavailable split"
-        );
+        for found in [state.loads.len(), state.failed.len()] {
+            if found != n {
+                return Err(RestoreError::SpaceSize { expected: n, found });
+            }
+        }
+        let budget = config.retries as usize;
+        if state.retry.by_attempt.len() != budget {
+            return Err(RestoreError::RetryBudget {
+                expected: budget,
+                found: state.retry.by_attempt.len(),
+            });
+        }
+        let split = (state.retry.shed_capacity).checked_add(state.retry.shed_unavailable);
+        if split != Some(state.counters.shed) {
+            return Err(RestoreError::ShedSplit);
+        }
         // Session conservation: every admitted session is in service,
         // departed, or evicted, so the live loads must sum to exactly
         // arrivals − departed − shed − evicted — and each in-service
         // session holds exactly one departure entry. A checkpoint that
         // books sessions nowhere (or twice) is corrupt, not restorable.
         let c = &state.counters;
-        let in_service = (c.arrivals)
-            .checked_sub(c.departed + c.shed + c.evicted)
-            .expect("checkpoint counters book more exits than arrivals");
+        let in_service = (c.departed)
+            .checked_add(c.shed)
+            .and_then(|exits| exits.checked_add(c.evicted))
+            .and_then(|exits| c.arrivals.checked_sub(exits))
+            .ok_or(RestoreError::ExitsExceedArrivals)?;
         let live_sum: u64 = state
             .loads
             .iter()
@@ -345,19 +490,22 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             .filter(|&(_, &down)| !down)
             .map(|(&load, _)| u64::from(load))
             .sum();
-        assert_eq!(
-            live_sum, in_service,
-            "checkpoint violates session conservation \
-             (live loads != arrivals - departed - shed - evicted)"
-        );
-        assert_eq!(
-            state.departures.len() as u64,
-            in_service,
-            "checkpoint must hold exactly one departure entry per in-service session"
-        );
+        if live_sum != in_service {
+            return Err(RestoreError::Conservation {
+                live_sum,
+                in_service,
+            });
+        }
+        let entries = state.departures.len() as u64;
+        if entries != in_service {
+            return Err(RestoreError::DepartureCount {
+                entries,
+                in_service,
+            });
+        }
         for (s, (&load, &down)) in state.loads.iter().zip(&state.failed).enumerate() {
-            if down {
-                assert_eq!(load, FAILED_LOAD, "failed server without sentinel");
+            if down && load != FAILED_LOAD {
+                return Err(RestoreError::MissingSentinel { server: s });
             }
             if load != 0 {
                 engine.loads.set(s, load);
@@ -370,12 +518,15 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         engine.departures = Q::with_origin(n, state.counters.arrivals);
         for &(when, server) in &state.departures {
             let s = server as usize;
-            assert!(s < n, "departure entry outside the space");
-            assert!(!state.failed[s], "departure entry on a failed server");
-            assert!(
-                when >= state.counters.arrivals,
-                "departure entry already due before the checkpoint clock"
-            );
+            if s >= n {
+                return Err(RestoreError::DepartureOutsideSpace { server });
+            }
+            if state.failed[s] {
+                return Err(RestoreError::DepartureOnFailedServer { server });
+            }
+            if when < state.counters.arrivals {
+                return Err(RestoreError::DepartureBeforeClock { when });
+            }
             engine.departures.schedule(when, server);
         }
         engine.clock = state.counters.arrivals;
@@ -388,7 +539,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             .retry_by_attempt
             .copy_from_slice(&state.retry.by_attempt);
         engine.peak_load = state.peak_load;
-        engine
+        Ok(engine)
     }
 
     /// Processes one arrival event: sessions due to depart leave first,
@@ -476,7 +627,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         let new_load = self.loads.bump(dest);
         self.peak_load = self.peak_load.max(new_load);
         let life = self.sample_life(t);
-        self.departures.schedule(t + life, dest as u32);
+        // A huge lifetime (a `Fixed(u64::MAX)`, or an exponential mean so
+        // large the draw saturates) ends at the end of time rather than
+        // wrapping into a deadline in the past.
+        self.departures
+            .schedule(t.saturating_add(life), dest as u32);
         Placement::Admitted(dest)
     }
 
@@ -998,19 +1153,20 @@ mod tests {
         (space, cfg, engine.state())
     }
 
-    fn restore_rejects(state: EngineState, needle: &str) {
+    /// The error the fallible restore returns for a tampered `state`.
+    fn restore_error(state: EngineState) -> RestoreError {
         let (space, cfg, _) = tamper_base();
-        let err = std::panic::catch_unwind(|| ServeEngine::restore(space, cfg, 77, &state))
-            .expect_err("tampered checkpoint must be rejected");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_default();
-        assert!(
-            msg.contains(needle),
-            "panic {msg:?} must mention {needle:?}"
+        let restored = ServeEngine::<_, Vec<u32>, DepartureWheel>::try_restore_with_scheduler(
+            space,
+            cfg,
+            77,
+            &state,
+            vec![0; 16],
         );
+        match restored {
+            Ok(_) => panic!("tampered checkpoint must be rejected"),
+            Err(err) => err,
+        }
     }
 
     #[test]
@@ -1018,14 +1174,25 @@ mod tests {
         let (_, _, mut state) = tamper_base();
         let live = state.failed.iter().position(|&down| !down).unwrap();
         state.loads[live] += 1; // books a session that never arrived
-        restore_rejects(state, "session conservation");
+        assert!(matches!(
+            restore_error(state),
+            RestoreError::Conservation { .. }
+        ));
     }
 
     #[test]
     fn restore_rejects_counters_that_book_more_exits_than_arrivals() {
-        let (_, _, mut state) = tamper_base();
+        let (space, cfg, mut state) = tamper_base();
         state.counters.departed = state.counters.arrivals + 1;
-        restore_rejects(state, "more exits than arrivals");
+        assert_eq!(
+            restore_error(state.clone()),
+            RestoreError::ExitsExceedArrivals
+        );
+        // The infallible restore reports the same reason in its panic.
+        let err = std::panic::catch_unwind(|| ServeEngine::restore(space, cfg, 77, &state))
+            .expect_err("the panicking restore must reject it too");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("more exits than arrivals"), "{msg:?}");
     }
 
     #[test]
@@ -1033,7 +1200,10 @@ mod tests {
         let (_, _, mut state) = tamper_base();
         // Loads and counters stay conserved; only the entry is gone.
         state.departures.pop().unwrap();
-        restore_rejects(state, "one departure entry per in-service session");
+        assert!(matches!(
+            restore_error(state),
+            RestoreError::DepartureCount { .. }
+        ));
     }
 
     #[test]
@@ -1044,14 +1214,42 @@ mod tests {
         // failed-server check.
         let (when, _) = state.departures[0];
         state.departures[0] = (when, 2);
-        restore_rejects(state, "failed server");
+        assert_eq!(
+            restore_error(state),
+            RestoreError::DepartureOnFailedServer { server: 2 }
+        );
     }
 
     #[test]
     fn restore_rejects_a_failed_server_without_the_sentinel() {
         let (_, _, mut state) = tamper_base();
         state.loads[2] = 0; // failed in the checkpoint, sentinel cleared
-        restore_rejects(state, "sentinel");
+        assert_eq!(
+            restore_error(state),
+            RestoreError::MissingSentinel { server: 2 }
+        );
+    }
+
+    #[test]
+    fn huge_lifetimes_saturate_the_deadline_instead_of_wrapping() {
+        // A mean of 1e300 saturates every ⌈Exp(mean)⌉ draw at u64::MAX,
+        // as does a fixed u64::MAX lifetime: from event 1 on, `t + life`
+        // would wrap into a deadline in the past.
+        for life in [
+            SessionLife::Exponential { mean: 1e300 },
+            SessionLife::Fixed(u64::MAX),
+        ] {
+            let cfg = config(None, life);
+            let mut engine = ServeEngine::new(UniformSpace::new(4), cfg, 3);
+            engine.run(100);
+            assert_eq!(engine.in_service(), 100, "no session ever departs");
+            let state = engine.state();
+            assert!(state.departures.iter().all(|&(when, _)| when == u64::MAX));
+            let mut resumed = ServeEngine::restore(UniformSpace::new(4), cfg, 3, &state);
+            resumed.run(50);
+            engine.run(50);
+            assert_eq!(resumed.state(), engine.state());
+        }
     }
 
     #[test]

@@ -27,23 +27,46 @@
 //!   durable checkpoint the journal is truncated back to its header
 //!   (compaction): the checkpoint subsumes it.
 //!
+//! ## Write discipline
+//!
+//! A [`DurableEngine`] opens `journal.bin` once, in append mode, and
+//! holds that handle for its whole life. Each progress frame is exactly
+//! one `write(2)` on it, issued before [`DurableEngine::run_journaled`]
+//! returns, with no userspace buffer in between: once `run_journaled`
+//! reports a chunk, its frame belongs to the kernel. Compaction truncates
+//! through the same handle, and append mode lands the next frame right
+//! after the header. [`Resumed::into_durable`] opens the handle only
+//! after [`Recovery::resume`] has cut any torn tail, so continued frames
+//! follow the last intact one.
+//!
+//! ## Crash model
+//!
+//! The failure this layer survives — and the one
+//! `tests/crash_recovery.rs` injects — is **process death**: every
+//! completed `write(2)` and `rename(2)` stays in the kernel and reaches
+//! the disk later. Nothing here calls `fsync`, so an OS crash or power
+//! loss can lose recent frames or the latest checkpoint rename, and is
+//! **not** covered; that needs a sync policy that flushes the files and
+//! the directory.
+//!
 //! ## Crash semantics
 //!
 //! [`Recovery::resume`] scans the journal with
 //! [`frame::scan_frames`], truncates a torn tail (the residue of a crash
 //! mid-append), restores the checkpoint through
-//! [`ServeEngine::restore_with_scheduler`], skips any journal frames the
-//! checkpoint already covers (the residue of a crash between the
-//! checkpoint rename and the journal truncation), and replays
-//! deterministically up to the last durable marker. A frame that fails
-//! its CRC *with durable frames after it* is real corruption, not a
-//! crash artifact, and fails loudly ([`JournalError::Corrupt`]). The
-//! `tests/crash_recovery.rs` suite drives arbitrary byte truncations,
-//! tail bit flips, and mid-rename crashes through this path and pins
-//! `resume + replay ≡ uninterrupted run` across load backings and
-//! schedulers.
+//! [`ServeEngine::try_restore_with_scheduler`] (a CRC-valid image that
+//! breaks the engine's invariants is [`JournalError::Restore`], never a
+//! panic), skips any journal frames the checkpoint already covers (the
+//! residue of a crash between the checkpoint rename and the journal
+//! truncation), and replays deterministically up to the last durable
+//! marker. A frame that fails its CRC *with durable frames after it* is
+//! real corruption, not a crash artifact, and fails loudly
+//! ([`JournalError::Corrupt`]). The `tests/crash_recovery.rs` suite
+//! drives arbitrary byte truncations, tail bit flips, and mid-rename
+//! crashes through this path and pins `resume + replay ≡ uninterrupted
+//! run` across load backings and schedulers.
 
-use crate::engine::{Counters, EngineState, RetryStats, ServeConfig, ServeEngine};
+use crate::engine::{Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine};
 use crate::fault::FaultPlan;
 use crate::wheel::{DepartureQueue, DepartureWheel};
 use geo2c_core::load::LoadState;
@@ -51,7 +74,7 @@ use geo2c_core::space::Space;
 use geo2c_util::frame::{self, append_frame, scan_frames, Header, HeaderError, Tail};
 use geo2c_util::rng::mix;
 use std::fmt;
-use std::fs;
+use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -105,6 +128,9 @@ pub enum JournalError {
     },
     /// A CRC-valid frame held an undecodable record or state image.
     Codec(&'static str),
+    /// A CRC-valid, decodable checkpoint that no engine could have
+    /// written: it breaks an invariant the restore path checks.
+    Restore(RestoreError),
 }
 
 impl fmt::Display for JournalError {
@@ -128,6 +154,7 @@ impl fmt::Display for JournalError {
                 file.display()
             ),
             Self::Codec(what) => write!(f, "undecodable journal payload: {what}"),
+            Self::Restore(err) => write!(f, "checkpoint cannot be restored: {err}"),
         }
     }
 }
@@ -137,6 +164,7 @@ impl std::error::Error for JournalError {
         match self {
             Self::Io(err) => Some(err),
             Self::Header { source, .. } => Some(source),
+            Self::Restore(err) => Some(err),
             _ => None,
         }
     }
@@ -145,6 +173,12 @@ impl std::error::Error for JournalError {
 impl From<io::Error> for JournalError {
     fn from(err: io::Error) -> Self {
         Self::Io(err)
+    }
+}
+
+impl From<RestoreError> for JournalError {
+    fn from(err: RestoreError) -> Self {
+        Self::Restore(err)
     }
 }
 
@@ -165,6 +199,30 @@ pub fn fingerprint(num_servers: usize, config: &ServeConfig) -> u64 {
         h = mix(h ^ u64::from_le_bytes(word));
     }
     h
+}
+
+/// The binding words of every file an engine writes: its lane root and
+/// the [`fingerprint`] of its shape.
+fn binding_words(root: u64, num_servers: usize, config: &ServeConfig) -> [u64; 2] {
+    [root, fingerprint(num_servers, config)]
+}
+
+/// A file header under this format version, encoded.
+fn encoded_header(magic: [u8; 8], binds: [u64; 2]) -> [u8; Header::LEN] {
+    Header {
+        magic,
+        version: FORMAT_VERSION,
+        binds,
+    }
+    .encode()
+}
+
+/// Opens `dir`'s journal in append mode: the handle a [`DurableEngine`]
+/// holds for its whole life.
+fn open_journal(dir: &Path) -> io::Result<File> {
+    fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(JOURNAL_FILE))
 }
 
 /// Encodes an [`EngineState`] into the versioned checkpoint codec.
@@ -240,7 +298,7 @@ fn put_var(out: &mut Vec<u8>, mut value: u64) {
 /// [`JournalError::Codec`] when the version byte is unknown or the
 /// payload is shorter or longer than its own counts declare. (Semantic
 /// validity — conservation, sentinels, the departure map — is the
-/// restore path's job; see [`ServeEngine::restore_with_scheduler`].)
+/// restore path's job; see [`ServeEngine::try_restore_with_scheduler`].)
 pub fn decode_state(bytes: &[u8]) -> Result<EngineState, JournalError> {
     let mut r = Reader { buf: bytes, at: 0 };
     if r.u8()? != STATE_VERSION {
@@ -347,16 +405,21 @@ impl<'a> Reader<'a> {
 }
 
 /// A [`ServeEngine`] wrapped with the durability discipline: chunked
-/// runs append a progress frame per chunk, and every
-/// [`checkpoint interval`](DurableEngine::create) events the full state
-/// is checkpointed (temp file + atomic rename) and the journal
-/// compacted. Construction inputs are bound into both file headers.
+/// runs append a progress frame per chunk to the journal handle it
+/// holds, and every [`checkpoint interval`](DurableEngine::create) events
+/// the full state is checkpointed (temp file + atomic rename) and the
+/// journal compacted. Construction inputs are bound into both file
+/// headers.
 #[derive(Debug)]
 pub struct DurableEngine<S: Space, L: LoadState = Vec<u32>, Q: DepartureQueue = DepartureWheel> {
     engine: ServeEngine<S, L, Q>,
     dir: PathBuf,
-    root: u64,
     every: u64,
+    /// `journal.bin`, open in append mode for the engine's whole life.
+    journal: File,
+    /// `checkpoint.bin`'s header, encoded once: its fingerprint renders
+    /// the whole configuration.
+    checkpoint_header: [u8; Header::LEN],
     /// Event count of the last durable checkpoint.
     checkpoint_event: u64,
     /// Journal bytes appended since this handle opened (frames only).
@@ -409,35 +472,22 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         assert!(every >= 1, "checkpoint interval must be at least 1 event");
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        let binds = binding_words(root, space.num_servers(), &config);
         let engine = ServeEngine::with_scheduler(space, config, root, loads);
+        fs::write(dir.join(JOURNAL_FILE), encoded_header(JOURNAL_MAGIC, binds))?;
         let mut durable = Self {
             engine,
+            journal: open_journal(&dir)?,
+            checkpoint_header: encoded_header(CHECKPOINT_MAGIC, binds),
             dir,
-            root,
             every,
             checkpoint_event: 0,
             journal_bytes: 0,
             checkpoints: 0,
         };
-        fs::write(
-            durable.dir.join(JOURNAL_FILE),
-            durable.header(JOURNAL_MAGIC).encode(),
-        )?;
         durable.write_checkpoint()?;
         durable.checkpoints = 0; // the seed image is not a progress stat
         Ok(durable)
-    }
-
-    /// The file header binding this engine's identity.
-    fn header(&self, magic: [u8; 8]) -> Header {
-        Header {
-            magic,
-            version: FORMAT_VERSION,
-            binds: [
-                self.root,
-                fingerprint(self.engine.space().num_servers(), self.engine.config()),
-            ],
-        }
     }
 
     /// Runs `events` arrival events under `plan`, journaled: the run is
@@ -476,10 +526,9 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         record.extend_from_slice(&self.engine.arrivals().to_le_bytes());
         let mut framed = Vec::with_capacity(record.len() + frame::FRAME_OVERHEAD);
         append_frame(&mut framed, &record);
-        let mut file = fs::OpenOptions::new()
-            .append(true)
-            .open(self.dir.join(JOURNAL_FILE))?;
-        file.write_all(&framed)?;
+        // One write(2) on the held append-mode handle, no userspace
+        // buffer: the frame is the kernel's before this returns.
+        self.journal.write_all(&framed)?;
         self.journal_bytes += framed.len() as u64;
         Ok(())
     }
@@ -487,18 +536,17 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     /// Writes the current state as a durable checkpoint (temp file +
     /// atomic rename), then compacts the journal back to its header.
     fn write_checkpoint(&mut self) -> Result<(), JournalError> {
-        let mut bytes = self.header(CHECKPOINT_MAGIC).encode().to_vec();
+        let mut bytes = self.checkpoint_header.to_vec();
         append_frame(&mut bytes, &encode_state(&self.engine.state()));
         let tmp = self.dir.join(CHECKPOINT_TMP);
         fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
-        // The checkpoint subsumes every journal frame: compact. A crash
-        // between the rename and this truncation leaves frames at or
-        // before the checkpoint event, which recovery skips.
-        let journal = fs::OpenOptions::new()
-            .write(true)
-            .open(self.dir.join(JOURNAL_FILE))?;
-        journal.set_len(Header::LEN as u64)?;
+        // The checkpoint subsumes every journal frame: compact through
+        // the held handle (append mode puts the next frame right after
+        // the header). A crash between the rename and this truncation
+        // leaves frames at or before the checkpoint event, which
+        // recovery skips.
+        self.journal.set_len(Header::LEN as u64)?;
         self.checkpoint_event = self.engine.arrivals();
         self.checkpoints += 1;
         Ok(())
@@ -557,24 +605,38 @@ pub struct Resumed<S: Space, L: LoadState, Q: DepartureQueue> {
 impl<S: Space, L: LoadState, Q: DepartureQueue> Resumed<S, L, Q> {
     /// Continues the resumed engine under the durability discipline,
     /// journaling to the same directory with checkpoint interval
-    /// `every`.
-    #[must_use]
+    /// `every`. Opens the journal handle the engine then holds; the
+    /// resume already cut any torn tail, so new frames follow the last
+    /// intact one.
+    ///
+    /// # Errors
+    /// Any filesystem failure opening `dir`'s journal.
+    ///
+    /// # Panics
+    /// If `every` is zero.
     pub fn into_durable(
         self,
         dir: impl Into<PathBuf>,
         root: u64,
         every: u64,
-    ) -> DurableEngine<S, L, Q> {
+    ) -> Result<DurableEngine<S, L, Q>, JournalError> {
         assert!(every >= 1, "checkpoint interval must be at least 1 event");
-        DurableEngine {
-            engine: self.engine,
-            dir: dir.into(),
+        let dir = dir.into();
+        let binds = binding_words(
             root,
+            self.engine.space().num_servers(),
+            self.engine.config(),
+        );
+        Ok(DurableEngine {
+            journal: open_journal(&dir)?,
+            checkpoint_header: encoded_header(CHECKPOINT_MAGIC, binds),
+            engine: self.engine,
+            dir,
             every,
             checkpoint_event: self.checkpoint_event,
             journal_bytes: 0,
             checkpoints: 0,
-        }
+        })
     }
 }
 
@@ -593,13 +655,13 @@ impl Recovery {
     ///
     /// # Errors
     /// [`JournalError`] on filesystem failure, a missing checkpoint, a
-    /// header/binding mismatch, real (non-tail) corruption, or an
-    /// undecodable payload.
+    /// header/binding mismatch, real (non-tail) corruption, an
+    /// undecodable payload, or a CRC-valid checkpoint that fails the
+    /// restore path's validation ([`JournalError::Restore`]).
     ///
     /// # Panics
-    /// As [`ServeEngine::restore_with_scheduler`] — a CRC-valid
-    /// checkpoint that still violates the engine's invariants is a bug,
-    /// not a crash artifact.
+    /// As [`ServeEngine::with_scheduler`] on a `config` or `loads` the
+    /// engine rejects — the caller's inputs, never bytes read from disk.
     pub fn resume<S: Space, L: LoadState, Q: DepartureQueue>(
         dir: impl AsRef<Path>,
         space: S,
@@ -609,7 +671,7 @@ impl Recovery {
         loads: L,
     ) -> Result<Resumed<S, L, Q>, JournalError> {
         let dir = dir.as_ref();
-        let binds = [root, fingerprint(space.num_servers(), &config)];
+        let binds = binding_words(root, space.num_servers(), &config);
 
         // A stale temp file is the residue of a crash between the
         // checkpoint write and its rename; the real checkpoint is intact.
@@ -624,7 +686,12 @@ impl Recovery {
             Err(err) => return Err(err.into()),
         };
         let state = decode_state(checked_body(&ckpt_path, &ckpt, CHECKPOINT_MAGIC, binds)?)?;
-        let engine = ServeEngine::restore_with_scheduler(space, config, root, &state, loads);
+        drop(ckpt);
+        let engine = ServeEngine::try_restore_with_scheduler(space, config, root, &state, loads)?;
+        // The engine now holds everything the image did: free the image
+        // before the journal scan and the replay allocate.
+        let checkpoint_event = state.counters.arrivals;
+        drop(state);
 
         let journal_path = dir.join(JOURNAL_FILE);
         let journal = fs::read(&journal_path)?;
@@ -655,7 +722,7 @@ impl Recovery {
         };
         // The last durable marker wins; markers at or before the
         // checkpoint are residue of a crash before journal compaction.
-        let mut target = state.counters.arrivals;
+        let mut target = checkpoint_event;
         for payload in frames.payloads {
             if payload.len() != 9 || payload[0] != RECORD_ADVANCE {
                 return Err(JournalError::Codec("unknown journal record"));
@@ -668,7 +735,7 @@ impl Recovery {
         engine.run_with_faults(replayed, plan);
         Ok(Resumed {
             engine,
-            checkpoint_event: state.counters.arrivals,
+            checkpoint_event,
             replayed,
             torn_bytes,
         })
@@ -881,6 +948,30 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_crc_valid_checkpoint_that_breaks_the_invariants() {
+        // The image decodes and passes its CRC, but books more exits
+        // than arrivals: an error to return, not a process to abort.
+        let dir = temp_dir("invalid");
+        let plan = FaultPlan::empty();
+        let mut durable = DurableEngine::create(&dir, space(16, 4), config(), 5, 1_000).unwrap();
+        durable.run_journaled(200, &plan).unwrap();
+        let mut state = durable.engine().state();
+        drop(durable);
+        state.counters.departed = state.counters.arrivals + 1;
+        let path = dir.join(CHECKPOINT_FILE);
+        let mut bytes = fs::read(&path).unwrap()[..Header::LEN].to_vec();
+        append_frame(&mut bytes, &encode_state(&state));
+        fs::write(&path, &bytes).unwrap();
+        let result: Result<Resumed<_, Vec<u32>, DepartureWheel>, _> =
+            Recovery::resume(&dir, space(16, 4), config(), 5, &plan, vec![0; 16]);
+        assert!(matches!(
+            result,
+            Err(JournalError::Restore(RestoreError::ExitsExceedArrivals))
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn errors_render_their_file_and_cause() {
         let err = JournalError::Corrupt {
             file: PathBuf::from("/tmp/j/journal.bin"),
@@ -891,5 +982,8 @@ mod tests {
         assert!(JournalError::MissingCheckpoint(PathBuf::from("/tmp/j"))
             .to_string()
             .contains("nothing to resume"));
+        assert!(JournalError::Restore(RestoreError::ShedSplit)
+            .to_string()
+            .contains("shed counter"));
     }
 }

@@ -85,7 +85,8 @@ pub mod journal;
 pub mod wheel;
 
 pub use engine::{
-    Counters, EngineState, LoadStats, Placement, RetryStats, ServeConfig, ServeEngine, SessionLife,
+    Counters, EngineState, LoadStats, Placement, RestoreError, RetryStats, ServeConfig,
+    ServeEngine, SessionLife,
 };
 pub use fault::{FaultAction, FaultPlan};
 pub use journal::{DurableEngine, JournalError, Recovery, Resumed};

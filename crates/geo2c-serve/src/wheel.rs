@@ -32,6 +32,12 @@
 //! epoch compare per drained entry instead of threading every node onto
 //! a per-server purge list.
 //!
+//! The checkpoint image, [`DepartureQueue::entries`], is an LSD radix
+//! sort over `(deadline − now, server)`. Every filed deadline is at
+//! least the clock, so each field is cut into balanced digits of at most
+//! 11 bits over exactly the bits it uses: four passes for 2^16 servers
+//! whose lifetimes average 2^16 events.
+//!
 //! Nodes live in a slab arena with an internal free list, so steady
 //! state schedule/drain churn allocates nothing. Same-deadline drain
 //! order differs from the heap's (LIFO slot lists vs server-number
@@ -301,19 +307,94 @@ impl DepartureQueue for DepartureWheel {
     }
 
     fn entries(&self) -> Vec<(u64, u32)> {
-        let mut out: Vec<(u64, u32)> = self
-            .nodes
+        let now = self.now;
+        let nodes = &self.nodes;
+        // Sort arena indices, not pairs: the two index buffers cost 8
+        // bytes an entry and are freed before the image is built, so the
+        // sort adds nothing to the checkpoint's transient peak.
+        let mut order = Vec::with_capacity(self.live);
+        let mut span = 0;
+        for (idx, node) in nodes.iter().enumerate() {
+            if node.server != NONE && node.epoch == self.meta[node.server as usize].epoch {
+                order.push(idx as u32);
+                span = span.max(node.deadline - now);
+            }
+        }
+        // LSD radix sort by (deadline − now, server): the server is the
+        // minor key, so its digits go first. Every filed deadline is at
+        // least the clock, so the offset orders like the deadline and
+        // only its used bits need passes.
+        let server_bits = bit_len(self.meta.len().saturating_sub(1) as u64);
+        let mut scratch = vec![0u32; order.len()];
+        for (shift, width) in radix_digits(server_bits) {
+            radix_pass(&mut order, &mut scratch, width, |idx| {
+                u64::from(nodes[idx as usize].server) >> shift
+            });
+        }
+        for (shift, width) in radix_digits(bit_len(span)) {
+            radix_pass(&mut order, &mut scratch, width, |idx| {
+                (nodes[idx as usize].deadline - now) >> shift
+            });
+        }
+        drop(scratch);
+        order
             .iter()
-            .filter(|node| {
-                node.server != NONE && node.epoch == self.meta[node.server as usize].epoch
+            .map(|&idx| {
+                let node = &nodes[idx as usize];
+                (node.deadline, node.server)
             })
-            .map(|node| (node.deadline, node.server))
-            .collect();
-        // One-word key: same order as the tuple comparator (deadline,
-        // then server), noticeably faster on the checkpoint path.
-        out.sort_unstable_by_key(|&(when, server)| (u128::from(when) << 32) | u128::from(server));
-        out
+            .collect()
     }
+}
+
+/// Widest digit of the [`DepartureWheel::entries`] radix sort: 2^11
+/// bucket counters stay cache-resident.
+const RADIX_BITS: u32 = 11;
+
+/// Bits needed to write `x` (0 for 0).
+fn bit_len(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// `(shift, width)` of the fewest balanced digits of at most
+/// [`RADIX_BITS`] covering a `bits`-bit field, least significant first.
+fn radix_digits(bits: u32) -> impl Iterator<Item = (u32, u32)> {
+    // (a + b - 1) / b: `div_ceil` is newer than the MSRV.
+    let passes = (bits + RADIX_BITS - 1) / RADIX_BITS;
+    let divisor = passes.max(1);
+    let width = (bits + divisor - 1) / divisor;
+    (0..passes).map(move |pass| (pass * width, width))
+}
+
+/// One stable counting-sort pass of the arena indices `src` by the digit
+/// `key(idx) & (2^width − 1)` into `dst`, after which the buffers swap so
+/// `src` holds the result. A digit every entry shares would move nothing
+/// and is skipped.
+fn radix_pass(src: &mut Vec<u32>, dst: &mut Vec<u32>, width: u32, key: impl Fn(u32) -> u64) {
+    let Some(&first) = src.first() else {
+        return;
+    };
+    let mask = (1u64 << width) - 1;
+    let digit = |idx: u32| (key(idx) & mask) as usize;
+    let mut starts = [0usize; 1 << RADIX_BITS];
+    for &idx in src.iter() {
+        starts[digit(idx)] += 1;
+    }
+    if starts[digit(first)] == src.len() {
+        return;
+    }
+    let mut next = 0;
+    for start in &mut starts[..1 << width] {
+        let count = *start;
+        *start = next;
+        next += count;
+    }
+    for &idx in src.iter() {
+        let d = digit(idx);
+        dst[starts[d]] = idx;
+        starts[d] += 1;
+    }
+    std::mem::swap(src, dst);
 }
 
 /// The binary-heap scheduler the wheel replaced, kept as the proptest
@@ -500,6 +581,91 @@ mod tests {
         let mut wheel = DepartureWheel::with_origin(1, 0);
         wheel.drain_due(10, |_| {});
         wheel.schedule(5, 0);
+    }
+
+    /// `wheel.entries()` against a plain sort of the pairs it must hold.
+    fn assert_entries_match_a_plain_sort(wheel: &DepartureWheel, mut expected: Vec<(u64, u32)>) {
+        expected.sort_unstable();
+        assert_eq!(wheel.entries(), expected);
+    }
+
+    #[test]
+    fn entries_of_empty_and_all_stale_wheels_are_empty() {
+        assert_entries_match_a_plain_sort(&DepartureWheel::with_origin(4, 0), Vec::new());
+        // Purged entries stay filed (stale) until the drain reaches them,
+        // but never enter the image.
+        let mut wheel = DepartureWheel::with_origin(3, 0);
+        for (when, server) in [(5, 0), (9, 1), (5, 2), (WHEEL_SPAN + 3, 1)] {
+            wheel.schedule(when, server);
+        }
+        for server in 0..3 {
+            wheel.purge_server(server);
+        }
+        assert_eq!(wheel.filed, 4);
+        assert_entries_match_a_plain_sort(&wheel, Vec::new());
+    }
+
+    #[test]
+    fn entries_order_a_shared_deadline_by_server() {
+        // Scheduled in descending server order, so both the LIFO slot
+        // lists and the arena hold them out of order.
+        let n = 3000;
+        let mut wheel = DepartureWheel::with_origin(n, 100);
+        let mut expected = Vec::new();
+        for server in (0..n as u32).rev() {
+            for when in [777, 778] {
+                wheel.schedule(when, server);
+                expected.push((when, server));
+            }
+        }
+        assert_entries_match_a_plain_sort(&wheel, expected);
+    }
+
+    #[test]
+    fn entries_sort_overflow_deadlines_against_a_moving_clock() {
+        // Deltas across level 0, level 1 and the overflow list (≥ 2^20
+        // ahead), then a drain that moves the clock under them.
+        let origin = 3_000_000;
+        let mut wheel = DepartureWheel::with_origin(64, origin);
+        let mut expected = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..3000u64 {
+            x = x
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x1405_7B7E_F767_814F);
+            let delta = match i % 3 {
+                0 => x >> 54,
+                1 => x >> 44,
+                _ => WHEEL_SPAN + (x >> 30),
+            };
+            let server = (x >> 20) as u32 % 64;
+            wheel.schedule(origin + delta, server);
+            expected.push((origin + delta, server));
+        }
+        assert_entries_match_a_plain_sort(&wheel, expected.clone());
+        let t = origin + 5_000;
+        wheel.drain_due(t, |_| {});
+        expected.retain(|&(when, _)| when > t);
+        assert_entries_match_a_plain_sort(&wheel, expected);
+    }
+
+    #[test]
+    fn entries_cover_a_span_up_to_the_end_of_the_clock() {
+        // Offsets near u64::MAX − now put all 64 offset bits in play.
+        let mut wheel = DepartureWheel::with_origin(3, 7);
+        let expected = vec![
+            (u64::MAX, 1),
+            (u64::MAX, 0),
+            (7, 2),
+            (1 << 63, 0),
+            (u64::MAX - 1, 1),
+            (8, 0),
+            (u64::MAX, 1),
+        ];
+        for &(when, server) in &expected {
+            wheel.schedule(when, server);
+        }
+        assert_entries_match_a_plain_sort(&wheel, expected);
     }
 
     #[test]

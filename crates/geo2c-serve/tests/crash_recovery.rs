@@ -38,6 +38,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 use rand::RngCore;
 use std::fs;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -473,7 +474,7 @@ fn resumed_engines_continue_journaled_and_stay_byte_identical() {
     let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
         Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
     let recovered_to = resumed.engine.arrivals();
-    let mut durable = resumed.into_durable(&dir, root, 64);
+    let mut durable = resumed.into_durable(&dir, root, 64).unwrap();
     durable.run_journaled(800 - recovered_to, &plan).unwrap();
 
     let mut reference = ServeEngine::new(space.clone(), config, root);
@@ -483,6 +484,68 @@ fn resumed_engines_continue_journaled_and_stay_byte_identical() {
     // And the continued directory is itself recoverable.
     let again: Resumed<_, PackedLoads, DepartureWheel> =
         Recovery::resume(&dir, space, config, root, &plan, PackedLoads::byte(n)).unwrap();
+    assert_eq!(again.engine.state(), reference.state());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The held journal handle appends at the *repaired* tail: after
+/// `resume` truncates a torn append, the continued engine's frames must
+/// follow the last intact frame directly — garbage left in between would
+/// make the second resume fail loudly, and a frame lost to a stale
+/// offset would make it replay short.
+#[test]
+fn continued_journal_appends_at_the_repaired_tail() {
+    let mut rng = Xoshiro256pp::from_u64(97);
+    let n = 20;
+    let space = RingSpace::random(n, &mut rng);
+    let config = ServeConfig {
+        strategy: Strategy::two_choice(),
+        capacity: Some(5),
+        life: SessionLife::Exponential { mean: 40.0 },
+        retries: 1,
+    };
+    let root = rng.next_u64();
+    let plan = FaultPlan::random_churn(root ^ 0xD0, n, 900, 3, 50);
+    let dir = temp_dir("repaired");
+
+    // An interval past the horizon keeps every frame of both runs in the
+    // journal: no compaction can hide a misplaced append.
+    drop(journaled_to(
+        &dir, &space, config, root, 10_000, &plan, 400, 50,
+    ));
+    let path = dir.join(JOURNAL_FILE);
+    let intact = fs::metadata(&path).unwrap().len();
+    // Crash mid-append: a frame header promising 9 payload bytes, then 3.
+    fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap()
+        .write_all(&[9, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF, 1, 0, 0])
+        .unwrap();
+
+    let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
+        Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
+    assert_eq!((resumed.torn_bytes, resumed.engine.arrivals()), (11, 400));
+    let mut durable = resumed.into_durable(&dir, root, 10_000).unwrap();
+    for _ in 0..10 {
+        durable.run_journaled(50, &plan).unwrap();
+    }
+    assert_eq!(
+        fs::metadata(&path).unwrap().len(),
+        intact + 10 * 17,
+        "continued frames follow the last intact one"
+    );
+    let mut reference = ServeEngine::new(space.clone(), config, root);
+    reference.run_with_faults(900, &plan);
+    assert_eq!(durable.engine().state(), reference.state());
+    drop(durable);
+
+    let again: Resumed<_, PackedLoads, HeapQueue> =
+        Recovery::resume(&dir, space, config, root, &plan, PackedLoads::byte(n)).unwrap();
+    assert_eq!(
+        (again.checkpoint_event, again.replayed, again.torn_bytes),
+        (0, 900, 0)
+    );
     assert_eq!(again.engine.state(), reference.state());
     fs::remove_dir_all(&dir).ok();
 }

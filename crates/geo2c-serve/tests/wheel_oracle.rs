@@ -117,6 +117,33 @@ proptest! {
         prop_assert!(wheel.is_empty() && heap.is_empty());
     }
 
+    /// The wheel's radix-sorted checkpoint image equals the heap's plain
+    /// sort at spans the lockstep script never reaches: any origin,
+    /// offsets up to `u64::MAX − origin`, runs of shared deadlines,
+    /// duplicate pairs and purged servers.
+    #[test]
+    fn wheel_entries_match_a_plain_sort_at_any_span(
+        n in 1usize..40,
+        origin_shift in 0u32..64,
+        origin_raw in any::<u64>(),
+        ops in proptest::collection::vec((any::<u64>(), 0u32..64, 0usize..40, 0u8..16), 0..300),
+    ) {
+        let origin = origin_raw >> origin_shift;
+        let mut wheel = DepartureWheel::with_origin(n, origin);
+        let mut heap = HeapQueue::with_origin(n, origin);
+        for &(raw, shift, s, kind) in &ops {
+            let server = (s % n) as u32;
+            if kind == 0 {
+                prop_assert_eq!(wheel.purge_server(server), heap.purge_server(server));
+            } else {
+                let when = origin + (raw >> shift).min(u64::MAX - origin);
+                wheel.schedule(when, server);
+                heap.schedule(when, server);
+            }
+        }
+        prop_assert_eq!(wheel.entries(), heap.entries());
+    }
+
     /// Engine-level lockstep: the wheel-backed and heap-backed engines
     /// are byte-identical at every cut of a faulted run — including the
     /// same-deadline batches where their internal drain orders differ.
