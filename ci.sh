@@ -15,44 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 say "build (release)"
 cargo build --release
 
+# Every crate is a default member, so this one run covers the pinning
+# property suites too: the serving engine's conservation and replay
+# identity, packed/sharded == flat load states, the fault-injection
+# chaos suite, crash-point recovery, and the wheel-vs-heap oracle. A
+# failure names its suite and test, so none of them is re-run by name.
 say "tests (workspace unit + integration + doctests)"
 cargo test -q
-
-# The serving engine's property layer (conservation, prefix-replay
-# byte-identity, event-sequential reference equality) is the contract
-# the serving experiment family rests on; run it by name so a failure
-# is attributed to the engine rather than to a drifted expectation.
-say "serving engine (geo2c-serve unit + property tests)"
-cargo test -q -p geo2c-serve
-
-# The packed/sharded load states are byte-for-byte replacements for the
-# flat Vec<u32> — every committed number rests on that equivalence. Run
-# the pinning proptest layers by name (the offline batch engine across
-# all spaces x d x tie policies, and the serving engine with departures,
-# failures, and spill/un-spill churn) so a divergence is attributed to
-# the load-state layer, not to a drifted expectation downstream.
-say "load-state equivalence (packed/sharded == flat, offline + serving)"
-cargo test -q -p geo2c-core --test loadvec_equivalence
-cargo test -q -p geo2c-serve --test packed_equivalence
-
-# The resilience layer's chaos suite: fault plans replay byte-identically
-# (one-shot == chunked == resumed), arrivals are conserved under
-# arbitrary fail/recover churn, recovery restores availability, the
-# departure heap stays bounded (the leak fix's oracle), and
-# checkpoint/restore resumes byte-identically on flat, packed, and
-# sharded backings. Run by name so a failure is attributed to the fault
-# path rather than to a drifted expectation downstream.
-say "fault injection & recovery (chaos proptests incl. checkpoint/restore)"
-cargo test -q -p geo2c-serve --test fault_recovery
-
-# The durability layer's crash suite: checkpoint/journal round trips,
-# torn-tail truncation vs loud corruption, mid-rename crash residue, and
-# the headline pin — resume + replay is byte-identical to the
-# uninterrupted run at arbitrary crash points, across load backings and
-# both schedulers. Run by name so a failure is attributed to the
-# journal/recovery path itself.
-say "durable checkpoint/journal (crash-point recovery proptests)"
-cargo test -q -p geo2c-serve --test crash_recovery
 
 # The repo benchmark's self-test at tiny scale (~3 s once built): every
 # BENCHMARK.json workload in both modes, with the benchmark's own
@@ -62,22 +31,8 @@ cargo test -q -p geo2c-serve --test crash_recovery
 say "benchmark self-test (perfbench/selftest.py, tiny scale)"
 python3 perfbench/selftest.py
 
-# The timing wheel replaced the departure heap on the serving hot path;
-# the heap stays on as the oracle. The wheel must be observationally
-# equal to it under arbitrary op scripts (queue level) and produce
-# byte-identical engine checkpoints under faults (engine level). Run by
-# name so a failure is attributed to the scheduler swap itself.
-say "departure wheel vs heap oracle (queue-level + engine-level proptests)"
-cargo test -q -p geo2c-serve --test wheel_oracle
-
 say "docs (no warnings allowed)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
-
-say "benches compile"
-cargo bench -p geo2c-bench --no-run
-
-say "bench smoke (substrate ablation bench, incl. the K-d orthant path; ~4 s)"
-cargo bench -p geo2c-bench --bench substrate
 
 # The committed baseline records absolute ns/iter from one reference
 # machine, so this cross-machine gate is a catastrophe catch (accidental
@@ -137,49 +92,13 @@ cargo run --release -q -p geo2c-bench --bin run_benches -- \
 say "EXPERIMENTS.md renders byte-identically from the committed results/*.json"
 cargo run --release -q -p geo2c-bench --bin run_tables -- --render
 
+# Scalar-metric cells (serving, resilience, churn, replication, dht,
+# scaling, durability, the lemma validations, non-uniformity, profile)
+# are compared exactly; the scaling, durability and lemma8_9 members assert
+# their invariants inside the experiment. On failure the drift summary
+# names each drifted experiment and its expectation file.
 say "table expectations (quick scale vs results/quick/, statistical tolerance)"
 cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check
-
-# The serving + churn + scaling cells are exact-compared scalar metrics
-# (fully deterministic in the seed; scaling's ~balls_per_s wall-clock
-# column is excluded by its ~ prefix), so this subset gate re-verifies
-# them via the --only path — which also keeps that flag itself exercised
-# in CI. The scaling member additionally asserts, inside the experiment,
-# that every packed/sharded backing places identically to flat.
-say "serving + churn + scaling expectations (quick scale, --only subset)"
-cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check --only serving,churn,scaling
-
-# The resilience and replication families are exact-compared too; their
-# own subset gate keeps the fault-injection numbers (availability, shed
-# split, retry rescues) pinned even when the full quick check is what
-# drifted — a resilience-only failure points straight at the fault path.
-say "resilience + replication expectations (quick scale, --only subset)"
-cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check --only resilience,replication
-
-# The heavily-loaded (m != n) family joined the gated suite in PR-9
-# (previously an ungated orphan binary); its cells are exact-compared
-# scalar metrics plus a max-load distribution, so its own subset gate
-# keeps the §2-remark-3 numbers pinned and attributable.
-say "heavily-loaded expectations (quick scale, --only subset)"
-cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check --only heavy
-
-# The DHT family (the §1.1 Chord application, folded in from its orphan
-# binary) and the durability family (journal/recovery cost, which also
-# asserts recovered == uninterrupted inside every trial) are exact-
-# compared scalar metrics; their own subset gate keeps them pinned and
-# attributable.
-say "dht + durability expectations (quick scale, --only subset)"
-cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check --only dht,durability
-
-# A freshly written quick-scale suite must accept itself under --check:
-# this round-trips the current specs (notably the resized paper-scale
-# dimension sweep) through write mode and the tolerance diff, in a temp
-# dir so the committed expectations stay untouched.
-say "spec round-trip (quick scale write then --check in a temp dir)"
-roundtrip_dir="$(mktemp -d)"
-trap 'rm -rf "$roundtrip_dir"' EXIT
-cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --dir "$roundtrip_dir"
-cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check --dir "$roundtrip_dir"
 
 say "table expectations (reference scale vs results/ + EXPERIMENTS.md; ~1.5 min single-core)"
 cargo run --release -q -p geo2c-bench --bin run_tables -- --check

@@ -10,6 +10,10 @@
 //! run_benches --ratio FILE.json NUM_NAME DEN_NAME MAX
 //! ```
 //!
+//! Bad input (an unknown flag, a missing value, an unparsable number,
+//! contradictory modes) prints the usage line to stderr and exits with
+//! status 2.
+//!
 //! `--repeats` / `--window-ms` override the measurement methodology
 //! (default 3 × ~20 ms best-of windows) — raise repeats on a noisy
 //! host. Both are recorded in the persisted spec (`trials` and the
@@ -74,7 +78,20 @@ struct Args {
     window_ms: u64,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: run_benches [--quick] [--check] [--tolerance PCT] [--seed S] \
+                     [--dir DIR] [--out PATH] [--against PATH] [--archive [LABEL]] \
+                     [--only SUBSTR[,SUBSTR]] [--repeats N] [--window-ms MS] \
+                     | --diff AFTER BEFORE [--min-speedup R --only SUBSTR[,SUBSTR]] \
+                     | --ratio FILE NUM_NAME DEN_NAME MAX";
+
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{text}' as a number"))
+}
+
+/// Parses the command line; `Err` carries the message to print above
+/// the usage line.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         scale: &FULL,
         check: false,
@@ -91,100 +108,64 @@ fn parse_args() -> Args {
         repeats: perf::REPEATS,
         window_ms: perf::MEASURE_WINDOW.as_millis() as u64,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let take = |argv: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| panic!("{flag} requires a value"))
-            .clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut rest = argv.iter().peekable();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag.as_str() {
             "--quick" => args.scale = &QUICK,
             "--check" => args.check = true,
-            "--tolerance" => {
-                args.tolerance_pct = take(&argv, &mut i, "--tolerance")
-                    .parse()
-                    .expect("tolerance percent");
-            }
-            "--seed" => args.seed = take(&argv, &mut i, "--seed").parse().expect("seed"),
-            "--dir" => args.dir = PathBuf::from(take(&argv, &mut i, "--dir")),
-            "--out" => args.out = Some(PathBuf::from(take(&argv, &mut i, "--out"))),
-            "--against" => args.against = Some(PathBuf::from(take(&argv, &mut i, "--against"))),
-            "--diff" => {
-                let a = PathBuf::from(take(&argv, &mut i, "--diff"));
-                let b = PathBuf::from(take(&argv, &mut i, "--diff"));
-                args.diff = Some((a, b));
-            }
+            "--tolerance" => args.tolerance_pct = number(flag, &value()?)?,
+            "--seed" => args.seed = number(flag, &value()?)?,
+            "--dir" => args.dir = PathBuf::from(value()?),
+            "--out" => args.out = Some(PathBuf::from(value()?)),
+            "--against" => args.against = Some(PathBuf::from(value()?)),
+            "--diff" => args.diff = Some((PathBuf::from(value()?), PathBuf::from(value()?))),
             "--ratio" => {
-                let file = PathBuf::from(take(&argv, &mut i, "--ratio"));
-                let num = take(&argv, &mut i, "--ratio");
-                let den = take(&argv, &mut i, "--ratio");
-                let max: f64 = take(&argv, &mut i, "--ratio").parse().expect("max ratio");
-                assert!(max > 0.0, "--ratio limit must be positive");
+                let file = PathBuf::from(value()?);
+                let num = value()?;
+                let den = value()?;
+                let max: f64 = number(flag, &value()?)?;
+                if max <= 0.0 {
+                    return Err("--ratio limit must be positive".into());
+                }
                 args.ratio = Some((file, num, den, max));
             }
+            // The label is optional: consume the next token only if it
+            // is not a flag.
             "--archive" => {
-                // The label is optional: consume the next token only if it
-                // is not a flag.
-                match argv.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        args.archive = Some(Some(next.clone()));
-                        i += 1;
-                    }
-                    _ => args.archive = Some(None),
-                }
+                args.archive = Some(rest.next_if(|next| !next.starts_with("--")).cloned())
             }
-            "--min-speedup" => {
-                args.min_speedup = Some(
-                    take(&argv, &mut i, "--min-speedup")
-                        .parse()
-                        .expect("speedup ratio"),
-                );
-            }
-            "--only" => args.only = Some(take(&argv, &mut i, "--only")),
-            "--repeats" => {
-                args.repeats = take(&argv, &mut i, "--repeats")
-                    .parse()
-                    .expect("repeat count");
-            }
-            "--window-ms" => {
-                args.window_ms = take(&argv, &mut i, "--window-ms")
-                    .parse()
-                    .expect("window millis");
-            }
-            other => panic!(
-                "unknown flag '{other}'\nusage: run_benches [--quick] [--check] \
-                 [--tolerance PCT] [--seed S] [--dir DIR] [--out PATH] [--against PATH] \
-                 [--archive [LABEL]] [--only SUBSTR[,SUBSTR]] [--repeats N] [--window-ms MS] \
-                 | --diff AFTER BEFORE [--min-speedup R --only SUBSTR[,SUBSTR]] \
-                 | --ratio FILE NUM_NAME DEN_NAME MAX"
-            ),
+            "--min-speedup" => args.min_speedup = Some(number(flag, &value()?)?),
+            "--only" => args.only = Some(value()?),
+            "--repeats" => args.repeats = number(flag, &value()?)?,
+            "--window-ms" => args.window_ms = number(flag, &value()?)?,
+            other => return Err(format!("unknown flag '{other}'")),
         }
-        i += 1;
     }
     // Contradictory destinations/modes are rejected rather than silently
     // resolved: --check writes nothing (an --archive capture would be
     // skipped), and --archive has its own output-naming scheme.
-    assert!(
-        !(args.archive.is_some() && args.check),
-        "--archive runs write an archive; --check writes nothing — pick one"
-    );
-    assert!(
-        !(args.archive.is_some() && args.out.is_some()),
-        "--archive names its own output (before_<LABEL>.json); drop --out"
-    );
+    if args.archive.is_some() && args.check {
+        return Err("--archive runs write an archive; --check writes nothing — pick one".into());
+    }
+    if args.archive.is_some() && args.out.is_some() {
+        return Err("--archive names its own output (before_<LABEL>.json); drop --out".into());
+    }
     // A filtered measurement is a subset of the suite: letting it land in
     // baseline/archive/check paths would shrink the committed coverage.
-    if args.only.is_some() && args.diff.is_none() {
-        assert!(
-            !args.check && args.archive.is_none() && args.out.is_some(),
-            "--only runs a subset; write it to an explicit --out \
-             (not a baseline, archive, or --check)"
-        );
+    if args.only.is_some()
+        && args.diff.is_none()
+        && (args.check || args.archive.is_some() || args.out.is_none())
+    {
+        return Err("--only runs a subset; write it to an explicit --out \
+                    (not a baseline, archive, or --check)"
+            .into());
     }
-    args
+    Ok(args)
 }
 
 fn bench_dir(args: &Args) -> PathBuf {
@@ -371,17 +352,14 @@ fn ratio(path: &Path, num: &str, den: &str, max: f64) -> ExitCode {
                 .iter()
                 .any(|(k, v)| k == "name" && v.as_str() == Some(name))
         });
-        let first = hits.next();
-        assert!(
-            hits.next().is_none(),
-            "bench name {name:?} is ambiguous in {}",
-            path.display()
-        );
-        first.and_then(|c| perf::metric_f64(c, "ns_per_iter"))
+        match (hits.next(), hits.next()) {
+            (Some(cell), None) => perf::metric_f64(cell, "ns_per_iter"),
+            _ => None,
+        }
     };
     let (Some(num_ns), Some(den_ns)) = (find(num), find(den)) else {
         eprintln!(
-            "ratio gate FAILED: {} must hold both benches {num:?} and {den:?}",
+            "ratio gate FAILED: {} must hold exactly one bench named {num:?} and one named {den:?}",
             path.display()
         );
         return ExitCode::from(2);
@@ -465,7 +443,14 @@ fn check(
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("run_benches: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     if let Some((after, before)) = &args.diff {
         return diff(after, before, args.min_speedup, args.only.as_deref());
     }

@@ -1,18 +1,25 @@
-//! The unified table driver: runs the paper's table suite (Tables 1–3
-//! plus the higher-dimension sweep), persists every run as a
-//! provenance-stamped `geo2c_report::ResultSet` under `results/`, and
-//! renders `EXPERIMENTS.md` — the committed expectations every doc
-//! comment in the workspace refers to. Normally invoked as `./tables.sh`
-//! from the repository root.
+//! The experiment driver and the only way to run one: runs the gated
+//! suite (`experiments::SUITE_IDS`: the paper's tables, lemma
+//! validations, open-question probes and the serving/DHT/durability
+//! families), persists every run as a provenance-stamped
+//! `geo2c_report::ResultSet` under `results/`, and renders
+//! `EXPERIMENTS.md` — the committed expectations every doc comment in
+//! the workspace refers to. Normally invoked as `./tables.sh` from the
+//! repository root; `./tables.sh --full --only table1` reproduces one
+//! paper table at the paper's own scale.
 //!
 //! ```text
 //! run_tables [--quick | --full] [--check [--against DIR]] [--render]
 //!            [--only ID,ID] [--dir DIR] [--seed S] [--threads T]
 //! ```
 //!
+//! Bad input (an unknown flag or experiment id, a missing value, an
+//! unparsable number) prints the usage line to stderr and exits with
+//! status 2.
+//!
 //! * *(no flags)* — run the **reference** scale (the committed
-//!   `EXPERIMENTS.md` numbers, ≈1 minute single-core), write
-//!   `results/{table1,table2,table3,dimension}.json` and regenerate
+//!   `EXPERIMENTS.md` numbers, ≈1.5 minutes single-core), write
+//!   `results/<id>.json` per suite member and regenerate
 //!   `EXPERIMENTS.md` byte-identically.
 //! * `--quick` — the CI / smoke scale (seconds); writes
 //!   `results/quick/*.json` and leaves `EXPERIMENTS.md` alone.
@@ -44,6 +51,9 @@ use geo2c_report::{compare_sets, ExperimentResult, Provenance, ResultSet, Tolera
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: run_tables [--quick | --full] [--check [--against DIR]] [--render] \
+                     [--only ID,ID] [--dir DIR] [--seed S] [--threads T]";
+
 struct Args {
     scale: &'static Scale,
     check: bool,
@@ -55,7 +65,9 @@ struct Args {
     threads: usize,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line; `Err` carries the message to print above
+/// the usage line.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         scale: &REFERENCE,
         check: false,
@@ -66,49 +78,44 @@ fn parse_args() -> Args {
         seed: 0,
         threads: geo2c_util::parallel::num_threads(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let take = |argv: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| panic!("{flag} requires a value"))
-            .clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut rest = argv.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag.as_str() {
             "--quick" => args.scale = &QUICK,
             "--full" => args.scale = &FULL,
             "--check" => args.check = true,
             "--render" => args.render = true,
-            "--against" => args.against = Some(PathBuf::from(take(&argv, &mut i, "--against"))),
+            "--against" => args.against = Some(PathBuf::from(value()?)),
             "--only" => {
-                let ids: Vec<String> = take(&argv, &mut i, "--only")
-                    .split(',')
-                    .map(str::to_string)
-                    .collect();
-                for id in &ids {
-                    assert!(
-                        experiments::SUITE_IDS.contains(&id.as_str()),
+                let ids: Vec<String> = value()?.split(',').map(str::to_string).collect();
+                if let Some(id) = ids
+                    .iter()
+                    .find(|id| !experiments::SUITE_IDS.contains(&id.as_str()))
+                {
+                    return Err(format!(
                         "--only: unknown experiment '{id}' (suite: {})",
                         experiments::SUITE_IDS.join(", ")
-                    );
+                    ));
                 }
                 args.only = Some(ids);
             }
-            "--dir" => args.dir = PathBuf::from(take(&argv, &mut i, "--dir")),
-            "--seed" => args.seed = take(&argv, &mut i, "--seed").parse().expect("seed"),
-            "--threads" => {
-                args.threads = take(&argv, &mut i, "--threads").parse().expect("threads");
-            }
-            other => panic!(
-                "unknown flag '{other}'\nusage: run_tables [--quick | --full] \
-                 [--check [--against DIR]] [--render] [--only ID,ID] [--dir DIR] \
-                 [--seed S] [--threads T]"
-            ),
+            "--dir" => args.dir = PathBuf::from(value()?),
+            "--seed" => args.seed = number(flag, &value()?)?,
+            "--threads" => args.threads = number(flag, &value()?)?,
+            other => return Err(format!("unknown flag '{other}'")),
         }
-        i += 1;
     }
-    args
+    Ok(args)
+}
+
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{text}' as a number"))
 }
 
 /// `results/` for the reference scale, `results/<scale>/` otherwise.
@@ -127,113 +134,71 @@ fn run_suite(
     threads: usize,
     only: Option<&[String]>,
 ) -> Vec<ExperimentResult> {
-    let wanted = |id: &str| only.map_or(true, |ids| ids.iter().any(|want| want == id));
-    let config = |trials: usize| SweepConfig {
-        trials,
-        threads,
-        seed,
-    };
-    let ring = config(scale.ring_trials);
-    let torus = config(scale.torus_trials);
-    let dim = config(scale.dim_trials);
-    let chart = config(scale.chart_trials);
-    let tab = config(scale.tab_trials);
-    let heavy = config(scale.heavy_trials);
-    let serve = config(scale.serve_trials);
-    let resil = config(scale.resil_trials);
-    let churn = config(scale.churn_trials);
-    let repl = config(scale.repl_trials);
-    let dht = config(scale.dht_trials);
-    let scaling = config(scale.scaling_trials);
-    let durability = config(scale.durability_trials);
-    let provenance_line = |label: &str, config: &SweepConfig| {
-        let pairs: Vec<String> = config
-            .describe()
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        eprintln!("  {label}: {}", pairs.join(" "));
-    };
-    eprintln!(
-        "running the {} scale (ring n = {:?}, torus n = {:?}, dimension n = 2^{}, \
-         ring chart n = 2^{}, heavy n = 2^{}, serving n = 2^{}, resilience n = 2^{}, \
-         churn n = 2^{}, replication n = 2^{}, dht n = 2^{}, scaling n = 2^{}, \
-         durability n = 2^{})",
-        scale.name,
-        scale.ring_sizes(),
-        scale.torus_sizes(),
-        scale.dim_exp,
-        scale.chart_exp,
-        scale.heavy_exp,
-        scale.serve_exp,
-        scale.resil_exp,
-        scale.churn_exp,
-        scale.repl_exp,
-        scale.dht_exp,
-        scale.scaling_exp,
-        scale.durability_exp,
-    );
-    if let Some(ids) = only {
-        eprintln!("  only: {}", ids.join(", "));
-    }
-    provenance_line("ring", &ring);
-    provenance_line("torus", &torus);
-    provenance_line("dimension", &dim);
-    provenance_line("ring_chart", &chart);
-    provenance_line("tabulation", &tab);
-    provenance_line("heavy", &heavy);
-    provenance_line("serving", &serve);
-    provenance_line("resilience", &resil);
-    provenance_line("churn", &churn);
-    provenance_line("replication", &repl);
-    provenance_line("dht", &dht);
-    provenance_line("scaling", &scaling);
-    provenance_line("durability", &durability);
+    eprintln!("running the {} scale", scale.name);
+    let n = |exp: u32| 1usize << exp;
     let mut results = Vec::new();
-    if wanted("table1") {
-        results.push(experiments::table1(&scale.ring_sizes(), &ring));
-    }
-    if wanted("table2") {
-        results.push(experiments::table2(&scale.torus_sizes(), &torus));
-    }
-    if wanted("table3") {
-        results.push(experiments::table3(&scale.ring_sizes(), &ring, true));
-    }
-    if wanted("dimension") {
-        results.push(experiments::dimension(1usize << scale.dim_exp, &dim));
-    }
-    if wanted("ring_chart") {
-        results.push(experiments::ring_chart(1usize << scale.chart_exp, &chart));
-    }
-    if wanted("tabulation") {
-        results.push(experiments::tabulation(1usize << scale.tab_exp, &tab));
-    }
-    if wanted("heavy") {
-        results.push(experiments::heavy(1usize << scale.heavy_exp, &heavy));
-    }
-    if wanted("serving") {
-        results.push(experiments::serving(1usize << scale.serve_exp, &serve));
-    }
-    if wanted("resilience") {
-        results.push(experiments::resilience(1usize << scale.resil_exp, &resil));
-    }
-    if wanted("churn") {
-        results.push(experiments::churn(1usize << scale.churn_exp, &churn));
-    }
-    if wanted("replication") {
-        results.push(experiments::replication(1usize << scale.repl_exp, &repl));
-    }
-    if wanted("dht") {
-        results.push(experiments::dht(1usize << scale.dht_exp, &dht));
-    }
-    if wanted("scaling") {
-        results.push(experiments::scaling(1usize << scale.scaling_exp, &scaling));
-    }
-    if wanted("durability") {
-        results.push(experiments::durability(
-            1usize << scale.durability_exp,
-            &durability,
-        ));
+    for &id in &experiments::SUITE_IDS {
+        if !only.map_or(true, |ids| ids.iter().any(|want| want == id)) {
+            continue;
+        }
+        // The member's sweep configuration, echoed to stderr as run
+        // provenance.
+        let config = |trials: usize| {
+            let config = SweepConfig {
+                trials,
+                threads,
+                seed,
+            };
+            let pairs: Vec<String> = config
+                .describe()
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            eprintln!("  {id}: {}", pairs.join(" "));
+            config
+        };
+        results.push(match id {
+            "table1" => experiments::table1(&scale.ring_sizes(), &config(scale.ring_trials)),
+            "table2" => experiments::table2(&scale.torus_sizes(), &config(scale.torus_trials)),
+            "table3" => experiments::table3(&scale.ring_sizes(), &config(scale.ring_trials)),
+            "dimension" => experiments::dimension(n(scale.dim_exp), &config(scale.dim_trials)),
+            "ring_chart" => {
+                experiments::ring_chart(n(scale.chart_exp), &config(scale.chart_trials))
+            }
+            "tabulation" => experiments::tabulation(n(scale.tab_exp), &config(scale.tab_trials)),
+            "heavy" => experiments::heavy(n(scale.heavy_exp), &config(scale.heavy_trials)),
+            "serving" => experiments::serving(n(scale.serve_exp), &config(scale.serve_trials)),
+            "resilience" => {
+                experiments::resilience(n(scale.resil_exp), &config(scale.resil_trials))
+            }
+            "churn" => experiments::churn(n(scale.churn_exp), &config(scale.churn_trials)),
+            "replication" => {
+                experiments::replication(n(scale.repl_exp), &config(scale.repl_trials))
+            }
+            "dht" => experiments::dht(n(scale.dht_exp), &config(scale.dht_trials)),
+            "scaling" => experiments::scaling(n(scale.scaling_exp), &config(scale.scaling_trials)),
+            "durability" => {
+                experiments::durability(n(scale.durability_exp), &config(scale.durability_trials))
+            }
+            "lemma3" => experiments::lemma3(n(scale.lemma3_exp), &config(scale.lemma3_trials)),
+            "lemma4_5" => {
+                experiments::lemma4_5(n(scale.lemma4_5_exp), &config(scale.lemma4_5_trials))
+            }
+            "lemma6" => experiments::lemma6(n(scale.lemma6_exp), &config(scale.lemma6_trials)),
+            "lemma8_9" => {
+                experiments::lemma8_9(n(scale.lemma8_9_exp), &config(scale.lemma8_9_trials))
+            }
+            "nonuniform_servers" => experiments::nonuniform_servers(
+                n(scale.nu_servers_exp),
+                &config(scale.nu_servers_trials),
+            ),
+            "nonuniform_probes" => experiments::nonuniform_probes(
+                n(scale.nu_probes_exp),
+                &config(scale.nu_probes_trials),
+            ),
+            "profile" => experiments::profile(n(scale.profile_exp), &config(scale.profile_trials)),
+            other => unreachable!("suite member {other} has no driver arm"),
+        });
     }
     results
 }
@@ -414,7 +379,14 @@ fn write(set: &ResultSet, args: &Args, dir: &Path) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("run_tables: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     if args.render {
         // No suite run: EXPERIMENTS.md must be the exact rendering of
         // the committed reference results.

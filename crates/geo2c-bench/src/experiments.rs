@@ -1,14 +1,12 @@
-//! Spec-declared experiment constructors shared by the table binaries
-//! and the `run_tables` driver.
+//! Spec-declared experiment constructors behind the `run_tables` driver.
 //!
-//! Each function here runs one of the paper's headline experiments and
-//! returns a [`geo2c_report::ExperimentResult`]: the spec (id, trials,
-//! seed, parameters) plus one cell per sweep configuration. The table
-//! binaries (`table1`, `table2`, `table3`, `dimension`) render these to
-//! stdout; `run_tables` persists them under `results/` and renders
-//! `EXPERIMENTS.md` from them. Keeping construction in one place is what
-//! makes the committed expectations and the ad-hoc CLI runs provably the
-//! same computation.
+//! Each function here runs one experiment of the gated suite and returns
+//! a [`geo2c_report::ExperimentResult`]: the spec (id, trials, seed,
+//! parameters) plus one cell per sweep configuration. `run_tables`
+//! persists them under `results/`, checks fresh runs against the
+//! committed files, and renders `EXPERIMENTS.md` from them, so the
+//! committed expectations and any ad-hoc `run_tables --only ID` run are
+//! provably the same computation.
 //!
 //! [`Scale`] pins the three named parameter sets: `quick` (CI / smoke),
 //! `reference` (the committed `EXPERIMENTS.md` numbers; sized so the
@@ -17,17 +15,20 @@
 //! deliberately).
 
 use geo2c_core::experiment::{
-    heavy_load_sweep, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
+    heavy_load_sweep, mean_load_profile, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
 };
 use geo2c_core::load::{LoadState as _, PackedLoads, ShardedLoads};
+use geo2c_core::nonuniform::{ClusteredRingModel, MixRingSpace, RingMix};
 use geo2c_core::sim::{run_trial, run_trial_into, run_trial_with_lanes};
-use geo2c_core::space::{KdTorusSpace, RingSpace, SpaceKind, UniformSpace};
+use geo2c_core::space::{KdTorusSpace, RingSpace, SpaceKind, TorusSpace, UniformSpace};
 use geo2c_core::strategy::{Strategy, TieBreak};
+use geo2c_core::theory::fluid_limit_profile;
 use geo2c_dht::chord::ChordRing;
 use geo2c_dht::churn::churn_experiment;
 use geo2c_dht::placement::{evaluate, PlacementPolicy};
 use geo2c_dht::replication::{availability_after_failures, place_replicated};
 use geo2c_report::{Cell, ExperimentResult, ExperimentSpec, Json};
+use geo2c_ring::{Ownership, RingPartition};
 use geo2c_serve::{
     DepartureWheel, DurableEngine, FaultPlan, Recovery, Resumed, ServeConfig, ServeEngine,
     SessionLife,
@@ -41,7 +42,7 @@ use rand::RngCore as _;
 
 /// Spec ids of the experiments `run_tables` drives, in suite order —
 /// also the basenames of the committed files under `results/`.
-pub const SUITE_IDS: [&str; 14] = [
+pub const SUITE_IDS: [&str; 21] = [
     "table1",
     "table2",
     "table3",
@@ -56,6 +57,13 @@ pub const SUITE_IDS: [&str; 14] = [
     "dht",
     "scaling",
     "durability",
+    "lemma3",
+    "lemma4_5",
+    "lemma6",
+    "lemma8_9",
+    "nonuniform_servers",
+    "nonuniform_probes",
+    "profile",
 ];
 
 /// A named parameter set for the table suite.
@@ -115,6 +123,34 @@ pub struct Scale {
     pub durability_exp: u32,
     /// Trials per durability checkpoint-interval cell.
     pub durability_trials: usize,
+    /// `n = 2^k` exponent for the Lemma 3 negative-dependence check.
+    pub lemma3_exp: u32,
+    /// Trials for the Lemma 3 check (joint events are rare: many).
+    pub lemma3_trials: usize,
+    /// `n = 2^k` exponent for the Lemma 4/5 long-arc tail.
+    pub lemma4_5_exp: u32,
+    /// Trials for the Lemma 4/5 tail.
+    pub lemma4_5_trials: usize,
+    /// `n = 2^k` exponent for the Lemma 6 longest-arcs sum.
+    pub lemma6_exp: u32,
+    /// Trials for the Lemma 6 sum.
+    pub lemma6_trials: usize,
+    /// `n = 2^k` exponent for the Lemma 8/9 Voronoi cell-area tail.
+    pub lemma8_9_exp: u32,
+    /// Trials for the Lemma 8/9 tail.
+    pub lemma8_9_trials: usize,
+    /// `n = 2^k` exponent for the clustered-servers sweep.
+    pub nu_servers_exp: u32,
+    /// Trials per clustered-servers cell.
+    pub nu_servers_trials: usize,
+    /// `n = 2^k` exponent for the clustered-probes sweep.
+    pub nu_probes_exp: u32,
+    /// Trials per clustered-probes cell.
+    pub nu_probes_trials: usize,
+    /// `n = 2^k` exponent for the load profile vs the fluid limit.
+    pub profile_exp: u32,
+    /// Trials per load-profile space.
+    pub profile_trials: usize,
 }
 
 /// CI / smoke-test scale: regenerates in seconds, even unoptimized.
@@ -146,6 +182,20 @@ pub const QUICK: Scale = Scale {
     scaling_trials: 3,
     durability_exp: 8,
     durability_trials: 3,
+    lemma3_exp: 10,
+    lemma3_trials: 1000,
+    lemma4_5_exp: 10,
+    lemma4_5_trials: 20,
+    lemma6_exp: 10,
+    lemma6_trials: 20,
+    lemma8_9_exp: 10,
+    lemma8_9_trials: 20,
+    nu_servers_exp: 10,
+    nu_servers_trials: 20,
+    nu_probes_exp: 10,
+    nu_probes_trials: 20,
+    profile_exp: 10,
+    profile_trials: 20,
 };
 
 /// The committed-expectation scale behind `EXPERIMENTS.md` (~1.5
@@ -215,6 +265,27 @@ pub const REFERENCE: Scale = Scale {
     // keeps the family around the serving table's cost.
     durability_exp: 10,
     durability_trials: 10,
+    // The lemma validations run at the sizes their former standalone
+    // binary defaulted to: the arc tails at 2^14, the Voronoi tail at
+    // 2^12 (cell construction dominates), and the negative-dependence
+    // check at 2^10 with many trials, since its joint events are rare.
+    // Together they cost about five seconds single-core.
+    lemma3_exp: 10,
+    lemma3_trials: 2000,
+    lemma4_5_exp: 14,
+    lemma4_5_trials: 200,
+    lemma6_exp: 14,
+    lemma6_trials: 200,
+    lemma8_9_exp: 12,
+    lemma8_9_trials: 100,
+    // The conclusion's two open questions, at their former binaries'
+    // defaults (about a second together).
+    nu_servers_exp: 12,
+    nu_servers_trials: 100,
+    nu_probes_exp: 12,
+    nu_probes_trials: 100,
+    profile_exp: 12,
+    profile_trials: 100,
 };
 
 /// The paper's own scale (1000 trials, `n` up to `2^24` / `2^20`).
@@ -247,6 +318,20 @@ pub const FULL: Scale = Scale {
     scaling_trials: 5,
     durability_exp: 12,
     durability_trials: 30,
+    lemma3_exp: 10,
+    lemma3_trials: 10_000,
+    lemma4_5_exp: 16,
+    lemma4_5_trials: 1000,
+    lemma6_exp: 16,
+    lemma6_trials: 1000,
+    lemma8_9_exp: 14,
+    lemma8_9_trials: 400,
+    nu_servers_exp: 16,
+    nu_servers_trials: 1000,
+    nu_probes_exp: 16,
+    nu_probes_trials: 1000,
+    profile_exp: 16,
+    profile_trials: 1000,
 };
 
 impl Scale {
@@ -371,10 +456,10 @@ pub fn table2(ns: &[usize], config: &SweepConfig) -> ExperimentResult {
 }
 
 /// The tie-break strategies of **Table 3**, in paper column order, plus
-/// (optionally) Vöcking's split always-go-left scheme.
+/// Vöcking's split always-go-left scheme.
 #[must_use]
-pub fn table3_strategies(with_voecking: bool) -> Vec<(&'static str, Strategy)> {
-    let mut out = vec![
+pub fn table3_strategies() -> [(&'static str, Strategy); 5] {
+    [
         (
             "arc-larger",
             Strategy::with_tie_break(2, TieBreak::LargerRegion),
@@ -385,18 +470,15 @@ pub fn table3_strategies(with_voecking: bool) -> Vec<(&'static str, Strategy)> {
             "arc-smaller",
             Strategy::with_tie_break(2, TieBreak::SmallerRegion),
         ),
-    ];
-    if with_voecking {
-        out.push(("voecking", Strategy::voecking(2)));
-    }
-    out
+        ("voecking", Strategy::voecking(2)),
+    ]
 }
 
 /// The paper's **Table 3**: max load by tie-breaking strategy with
 /// random arcs, `d = 2`, `m = n`.
 #[must_use]
-pub fn table3(ns: &[usize], config: &SweepConfig, with_voecking: bool) -> ExperimentResult {
-    let strategies = table3_strategies(with_voecking);
+pub fn table3(ns: &[usize], config: &SweepConfig) -> ExperimentResult {
+    let strategies = table3_strategies();
     let spec = ExperimentSpec::new(
         "table3",
         "Table 3: maximum load by tie-breaking strategy on random arcs (d = 2, m = n)",
@@ -1364,6 +1446,348 @@ pub fn durability(n: usize, config: &SweepConfig) -> ExperimentResult {
     result
 }
 
+/// **Lemma 3** (negative dependence): for the indicators `Z_i` that arc
+/// `i` is at least `c/n` long, the joint probability that `k` given arcs
+/// are all long never exceeds the product of the marginals,
+/// `E[Z_1⋯Z_k] ≤ E[Z]^k`. Each cell reports both sides and their ratio
+/// (≤ 1 up to sampling noise) for `c ∈ {1, 2, 3}` and `k ∈ {2, 3}`.
+/// The seeder paths of the lemma and non-uniformity members are those
+/// of their former standalone binaries, so historical runs reproduce.
+#[must_use]
+pub fn lemma3(n: usize, config: &SweepConfig) -> ExperimentResult {
+    let rows = geo2c_ring::negdep::negative_dependence_experiment(
+        n,
+        &[1.0, 2.0, 3.0],
+        &[2, 3],
+        config.trials,
+        &StreamSeeder::new(config.seed).child("lemma3"),
+        config.threads,
+    );
+    let spec = ExperimentSpec::new(
+        "lemma3",
+        "Lemma 3: negative dependence of long-arc indicators",
+    )
+    .paper_ref("Lemma 3")
+    .trials(config.trials)
+    .seed(config.seed)
+    .param("n", Json::from_usize(n))
+    .param("claim", Json::str("E[Z_1..Z_k] <= E[Z]^k"));
+    let mut result = ExperimentResult::new(spec);
+    for r in &rows {
+        result.push(
+            Cell::new()
+                .coord("c", Json::num(r.c))
+                .coord("k", Json::from_usize(r.k))
+                .metric("marginal_product", Json::num(r.product_of_marginals))
+                .metric("joint_observed", Json::num(r.joint))
+                .metric("ratio", Json::num(r.ratio))
+                .metric("samples", Json::from_u64(r.samples)),
+        );
+    }
+    progress("lemma3 done");
+    result
+}
+
+/// **Lemmas 4 and 5** (long-arc count tail): the observed rate of
+/// `N_c ≥ 2n e^{−c}`, where `N_c` counts arcs of length at least `c/n`,
+/// next to the analytic bounds `e^{−n e^{−c}/3}` (Lemma 4, negative
+/// dependence) and `e^{−n e^{−2c}/8}` (Lemma 5, martingale).
+#[must_use]
+pub fn lemma4_5(n: usize, config: &SweepConfig) -> ExperimentResult {
+    let rows = geo2c_ring::tail::long_arc_tail_experiment(
+        n,
+        &[2.0, 3.0, 4.0, 6.0, 8.0, 10.0],
+        config.trials,
+        &StreamSeeder::new(config.seed).child("lemma4"),
+        config.threads,
+    );
+    let spec = ExperimentSpec::new("lemma4_5", "Lemmas 4/5: long-arc count tail on the ring")
+        .paper_ref("Lemmas 4 and 5")
+        .trials(config.trials)
+        .seed(config.seed)
+        .param("n", Json::from_usize(n))
+        .param("threshold", Json::str("N_c >= 2 n e^-c"));
+    let mut result = ExperimentResult::new(spec);
+    for r in &rows {
+        result.push(
+            Cell::new()
+                .coord("c", Json::num(r.c))
+                .metric("expected_count", Json::num(r.expected))
+                .metric("mean_count", Json::num(r.mean_count))
+                .metric("max_count", Json::num(r.max_count))
+                .metric("threshold", Json::num(r.threshold))
+                .metric("violation_rate", Json::num(r.violation_rate))
+                .metric("lemma4_bound", Json::num(r.lemma4_bound))
+                .metric("lemma5_bound", Json::num(r.lemma5_bound)),
+        );
+    }
+    progress("lemma4_5 done");
+    result
+}
+
+/// **Lemma 6** (longest arcs): the sum of the `a` longest arcs against
+/// the bound `2(a/n) ln(n/a)`, and the single longest arc (`a = 1`)
+/// against `4 ln n / n`. The `exact_expected_sum` column is the exact
+/// expectation from the Rényi spacings representation, which shows the
+/// slack the paper's bound carries (about 2×).
+#[must_use]
+pub fn lemma6(n: usize, config: &SweepConfig) -> ExperimentResult {
+    let lnn = (n as f64).ln();
+    let a_floor = (lnn * lnn) as usize;
+    let mut sizes = vec![
+        1usize,
+        a_floor.max(2),
+        (2 * a_floor).max(4),
+        n / 256,
+        n / 64,
+    ];
+    sizes.sort_unstable();
+    sizes.dedup();
+    let rows = geo2c_ring::tail::longest_arcs_experiment(
+        n,
+        &sizes,
+        config.trials,
+        &StreamSeeder::new(config.seed).child("lemma6"),
+        config.threads,
+    );
+    let spec = ExperimentSpec::new("lemma6", "Lemma 6: sum of the a longest arcs")
+        .paper_ref("Lemma 6")
+        .trials(config.trials)
+        .seed(config.seed)
+        .param("n", Json::from_usize(n))
+        .param("bound", Json::str("2 (a/n) ln(n/a); a = 1 row: 4 ln n / n"));
+    let mut result = ExperimentResult::new(spec);
+    for r in &rows {
+        let exact = geo2c_ring::spacings::expected_top_a_sum(n, r.a);
+        result.push(
+            Cell::new()
+                .coord("a", Json::from_usize(r.a))
+                .metric("bound", Json::num(r.bound))
+                .metric("exact_expected_sum", Json::num(exact))
+                .metric("mean_sum", Json::num(r.mean_sum))
+                .metric("max_sum", Json::num(r.max_sum))
+                .metric("violation_rate", Json::num(r.violation_rate)),
+        );
+    }
+    progress("lemma6 done");
+    result
+}
+
+/// **Lemmas 8 and 9** (Voronoi cell-area tail on the torus): the number
+/// of cells of area at least `c/n` against the `12 n e^{−c/6}` threshold,
+/// and the empty-sector count `Z` against its expectation
+/// `6n(1 − c/6n)^{n−1}`. The formal Lemma 9 range is `12 ≤ c ≤ ln n`,
+/// where the empirical tail is already all zeros, so small `c` rows keep
+/// the observed counts non-trivial.
+///
+/// Lemma 8 is deterministic (every cell of area at least `c/n` has an
+/// empty sector), so the constructor **asserts** zero violations across
+/// all trials, the same way [`scaling`] asserts placement equality.
+#[must_use]
+pub fn lemma8_9(n: usize, config: &SweepConfig) -> ExperimentResult {
+    let rows = geo2c_torus::sector::voronoi_tail_experiment(
+        n,
+        &[2.0, 3.0, 4.0, 6.0, 12.0, (n as f64).ln()],
+        config.trials,
+        &StreamSeeder::new(config.seed).child("lemma9"),
+        config.threads,
+    );
+    let violations: u64 = rows.iter().map(|r| r.lemma8_violations).sum();
+    assert_eq!(violations, 0, "Lemma 8 violated at n = {n}");
+    let spec = ExperimentSpec::new(
+        "lemma8_9",
+        "Lemmas 8/9: Voronoi cell-area tail on the torus",
+    )
+    .paper_ref("Lemmas 8 and 9")
+    .trials(config.trials)
+    .seed(config.seed)
+    .param("n", Json::from_usize(n))
+    .param(
+        "threshold",
+        Json::str("#cells(area >= c/n) vs 12 n e^{-c/6}"),
+    );
+    let mut result = ExperimentResult::new(spec);
+    for r in &rows {
+        result.push(
+            Cell::new()
+                .coord("c", Json::num(r.c))
+                .metric("expected_z", Json::num(r.expected_z))
+                .metric("mean_z", Json::num(r.mean_z))
+                .metric("mean_large_cells", Json::num(r.mean_large_cells))
+                .metric("threshold", Json::num(r.threshold))
+                .metric("violation_rate", Json::num(r.violation_rate))
+                .metric("lemma8_violations", Json::from_u64(r.lemma8_violations)),
+        );
+    }
+    progress("lemma8_9 done");
+    result
+}
+
+/// Cluster probabilities `q` the non-uniform sweeps cover, in cell order;
+/// `q = 0` is Theorem 1's uniform setting.
+pub const NONUNIFORM_QS: [f64; 4] = [0.0, 0.5, 0.9, 0.99];
+
+/// Width of the ring interval the non-uniform cluster occupies.
+const NONUNIFORM_WIDTH: f64 = 0.1;
+
+/// One non-uniformity axis: per cluster probability `q`, the mean max
+/// load at `d = 1`, `d = 2`, and `d = 2` with smaller-region tie-breaking,
+/// plus the `d = 2` max-load distribution. `make_factory(q)` builds the
+/// per-`q` space factory.
+fn nonuniform_axis<S, F, G>(
+    id: &str,
+    title: &str,
+    label_prefix: &str,
+    n: usize,
+    config: &SweepConfig,
+    make_factory: G,
+) -> ExperimentResult
+where
+    S: geo2c_core::space::Space,
+    F: Fn(&mut Xoshiro256pp) -> S + Sync,
+    G: Fn(f64) -> F,
+{
+    let spec = ExperimentSpec::new(id, title)
+        .paper_ref("conclusion / footnote 2")
+        .trials(config.trials)
+        .seed(config.seed)
+        .param("n", Json::from_usize(n))
+        .param("m", Json::str("n"))
+        .param("cluster_width", Json::num(NONUNIFORM_WIDTH))
+        .param(
+            "q",
+            Json::Arr(NONUNIFORM_QS.iter().map(|&q| Json::num(q)).collect()),
+        );
+    let mut result = ExperimentResult::new(spec);
+    for q in NONUNIFORM_QS {
+        let factory = make_factory(q);
+        let sweep = |strategy: Strategy, tag: &str| {
+            let label = format!("{label_prefix}/q{q}/{tag}");
+            sweep_max_load(&factory, strategy, n, n, &label, config)
+        };
+        let one = sweep(Strategy::one_choice(), "d1");
+        let two = sweep(Strategy::two_choice(), "d2");
+        let smaller = sweep(Strategy::with_tie_break(2, TieBreak::SmallerRegion), "d2s");
+        result.push(
+            Cell::new()
+                .coord("q", Json::num(q))
+                .metric("mean_d1", Json::num(one.stats.mean()))
+                .metric("mean_d2", Json::num(two.stats.mean()))
+                .metric("mean_d2_smaller", Json::num(smaller.stats.mean()))
+                .dist(two.distribution),
+        );
+        progress(&format!("{id}: q = {q} done"));
+    }
+    result
+}
+
+/// The conclusion's open question, server side: how much non-uniformity
+/// among bins can two choices stand? With probability `q` a server lands
+/// in a cluster of width 0.1, so the few servers outside it own huge
+/// arcs; probes stay uniform. Even `d = 2` grows with `q`, but it keeps a
+/// constant-factor edge over `d = 1` throughout.
+#[must_use]
+pub fn nonuniform_servers(n: usize, config: &SweepConfig) -> ExperimentResult {
+    nonuniform_axis(
+        "nonuniform_servers",
+        "E15a: clustered servers, uniform probes (ring)",
+        "nonuniform/server",
+        n,
+        config,
+        |q| {
+            move |rng: &mut Xoshiro256pp| {
+                RingSpace::with_ownership(
+                    ClusteredRingModel::new(q, 0.0, NONUNIFORM_WIDTH).build_partition(n, rng),
+                    Ownership::Successor,
+                )
+            }
+        },
+    )
+}
+
+/// The conclusion's open question, probe side (footnote 2: customers are
+/// not uniform): servers uniform, probes drawn from a uniform-plus-
+/// cluster mixture, so about `q` of the balls land on about `0.1·n`
+/// servers and the max-load floor is `q/0.1` times the average.
+/// Region-size tie-breaking uses each arc's exact probe mass. Two choices
+/// stay within about 2× of that floor while `d = 1` overshoots it
+/// several-fold.
+#[must_use]
+pub fn nonuniform_probes(n: usize, config: &SweepConfig) -> ExperimentResult {
+    nonuniform_axis(
+        "nonuniform_probes",
+        "E15b: uniform servers, clustered probes (ring)",
+        "nonuniform/probe",
+        n,
+        config,
+        |q| {
+            move |rng: &mut Xoshiro256pp| {
+                MixRingSpace::new(
+                    RingPartition::random(n, rng),
+                    RingMix::new(q, 0.0, NONUNIFORM_WIDTH),
+                )
+            }
+        },
+    )
+}
+
+/// The conclusion's other open question: does the fluid limit (the
+/// differential-equation method, exact for uniform bins) predict the load
+/// distribution in the geometric settings? Each cell is one load level
+/// `i`: the mean number of servers with load at least `i` for uniform
+/// bins, the ring and the torus (`d = 2`, `m = n`), next to the fluid
+/// prediction `n·s_i`. The uniform column tracks the prediction; the
+/// geometric columns leave more servers empty but carry a heavier tail
+/// from load 2 up.
+#[must_use]
+pub fn profile(n: usize, config: &SweepConfig) -> ExperimentResult {
+    let two = Strategy::two_choice();
+    let uniform = mean_load_profile(
+        move |_: &mut Xoshiro256pp| UniformSpace::new(n),
+        two,
+        n,
+        "profile/uniform",
+        config,
+    );
+    let ring = mean_load_profile(
+        move |rng: &mut Xoshiro256pp| RingSpace::random(n, rng),
+        two,
+        n,
+        "profile/ring",
+        config,
+    );
+    let torus = mean_load_profile(
+        move |rng: &mut Xoshiro256pp| TorusSpace::random(n, rng),
+        two,
+        n,
+        "profile/torus",
+        config,
+    );
+    let depth = uniform.len().max(ring.len()).max(torus.len()).max(6);
+    let fluid = fluid_limit_profile(2, 1.0, depth);
+    let spec = ExperimentSpec::new("profile", "E14: mean load profile vs the fluid limit")
+        .paper_ref("conclusion (open question)")
+        .trials(config.trials)
+        .seed(config.seed)
+        .param("n", Json::from_usize(n))
+        .param("d", Json::from_usize(2))
+        .param("m", Json::str("n"));
+    let mut result = ExperimentResult::new(spec);
+    let get = |v: &[f64], i: usize| v.get(i).copied().unwrap_or(0.0);
+    for (i, &fluid_share) in fluid.iter().enumerate().take(depth) {
+        result.push(
+            Cell::new()
+                .coord("load_at_least", Json::from_usize(i + 1))
+                .metric("fluid_n_si", Json::num(n as f64 * fluid_share))
+                .metric("uniform", Json::num(get(&uniform, i)))
+                .metric("ring", Json::num(get(&ring, i)))
+                .metric("torus", Json::num(get(&torus, i))),
+        );
+    }
+    progress("profile done");
+    result
+}
+
 /// Renders `EXPERIMENTS.md` from the reference result set.
 ///
 /// The output is a pure function of the results (no timestamps, no git
@@ -1444,12 +1868,42 @@ excluded from `--check`'s exact compare.\n\n",
         "dht",
         "scaling",
         "durability",
+        "lemma3",
+        "lemma4_5",
+        "lemma6",
+        "lemma8_9",
+        "nonuniform_servers",
+        "nonuniform_probes",
+        "profile",
     ] {
         if let Some(result) = set.experiment(id) {
             out.push_str(&render_markdown(result));
             out.push('\n');
         }
     }
+    out.push_str(
+        "## Reading the lemma and open-question tables\n\n\
+* **Lemmas 3–6 (ring) and 8–9 (torus)** check the probabilistic tools \
+behind Theorem 1 directly. Lemma 3's `ratio` column (joint over product of \
+marginals) should sit at or below 1 up to sampling noise. The \
+`violation_rate` columns of Lemmas 4–6 and 9 should stay below their \
+analytic bounds, and Lemma 6's `exact_expected_sum` shows the roughly 2× \
+slack in the paper's bound. Lemma 8 is deterministic: the suite \
+**asserts** `lemma8_violations == 0` in every trial before it writes the \
+table.\n\
+* **E15 (non-uniformity)** answers the conclusion's question of how much \
+non-uniformity two choices can stand. Clustered servers (E15a) leave 90% of \
+the circle to a vanishing share of the servers, so even `d = 2` grows with \
+`q`, but it keeps a constant-factor edge over `d = 1` throughout. \
+Clustered probes (E15b) send about `q` of the balls to about `0.1·n` \
+servers, so the max-load floor is `q/0.1` times the average. Two choices \
+stay within about 2× of that floor while `d = 1` overshoots it several-fold \
+(footnote 2's claim).\n\
+* **E14 (load profile)** asks whether the fluid limit predicts geometric \
+load profiles. The fluid prediction `n·s_i` matches the uniform column. \
+The ring and torus columns leave more servers empty but carry a heavier \
+tail from load 2 up, the ring most of all.\n\n",
+    );
 
     out.push_str(
         "## RNG stream contract v2 (per-ball lanes)\n\n\
@@ -1500,8 +1954,8 @@ K ∈ {3, 4}, the least-of-`d` load-read micro-benches \
 `substrate/min_load_{flat,packed}`, end-to-end random-tie-break \
 `run_trial` insertions on each geometry — `trial/*_random` — the \
 arc-left ablation `trial/kd3_d2_left`, and the serving-engine steady \
-state and faulted-run trials `trial/serving_*`) with the criterion \
-shim's technique — adaptive \
+state and faulted-run trials `trial/serving_*`) with criterion's \
+technique — adaptive \
 ~20 ms windows, best of N (`--repeats N`, default 3), ns/iter — and \
 writes `results/bench/baseline.json` (`--quick` for the CI scale, \
 `results/bench/quick.json`). Each file is a normal \
@@ -1528,10 +1982,13 @@ the captures just before the contract-v2 lane engine \
 back-to-back on the reference core), `before_pr4.json` those before the \
 K-d owner port, and `before_pr3.json` those before PR 3's ring/torus \
 overhaul — the committed tree carries its own before/after trajectory.\n\
-* **Ablations:** `cargo bench -p geo2c-bench --bench substrate` compares \
-the shipped owner paths against their oracles (CSR grid vs brute force, \
-bucket-accelerated successor vs binary search, K-d orthant fast path vs \
-brute force) without persisting anything.\n\n\
+* **Ablations:** the oracles the shipped owner paths replaced (brute-force \
+nearest site for the CSR grid and the K-d orthant fast path, binary search \
+for the bucket-accelerated successor) stay in the tree as the references of \
+the owner-equivalence proptests, which pin every fast path to them. Their \
+speed side is archived evidence, not a live bench: `before_pr3.json` and \
+`before_pr4.json` hold the owner rows measured just before the fast paths \
+replaced them.\n\n\
 Hot-path refactors must not move the tables: under stream contract v2 \
 the batched engine is byte-equal to the lane-sequential reference (the \
 `lane_equivalence` suite), so `./tables.sh --check` passing with \
@@ -1660,6 +2117,28 @@ mod tests {
             assert!(pair[0].scaling_trials <= pair[1].scaling_trials);
             assert!(pair[0].durability_exp <= pair[1].durability_exp);
             assert!(pair[0].durability_trials <= pair[1].durability_trials);
+            for (lo, hi) in [
+                (pair[0].lemma3_exp, pair[1].lemma3_exp),
+                (pair[0].lemma4_5_exp, pair[1].lemma4_5_exp),
+                (pair[0].lemma6_exp, pair[1].lemma6_exp),
+                (pair[0].lemma8_9_exp, pair[1].lemma8_9_exp),
+                (pair[0].nu_servers_exp, pair[1].nu_servers_exp),
+                (pair[0].nu_probes_exp, pair[1].nu_probes_exp),
+                (pair[0].profile_exp, pair[1].profile_exp),
+            ] {
+                assert!(lo <= hi);
+            }
+            for (lo, hi) in [
+                (pair[0].lemma3_trials, pair[1].lemma3_trials),
+                (pair[0].lemma4_5_trials, pair[1].lemma4_5_trials),
+                (pair[0].lemma6_trials, pair[1].lemma6_trials),
+                (pair[0].lemma8_9_trials, pair[1].lemma8_9_trials),
+                (pair[0].nu_servers_trials, pair[1].nu_servers_trials),
+                (pair[0].nu_probes_trials, pair[1].nu_probes_trials),
+                (pair[0].profile_trials, pair[1].profile_trials),
+            ] {
+                assert!(lo <= hi);
+            }
         }
         // The K-torus sweep runs at paper-scale n from the reference
         // scale up (the K-d owner port made this a ~0.5 s/trial sweep).
@@ -1684,10 +2163,7 @@ mod tests {
 
     #[test]
     fn table3_orders_strategies_like_the_paper() {
-        let names: Vec<&str> = table3_strategies(true)
-            .iter()
-            .map(|(name, _)| *name)
-            .collect();
+        let names: Vec<&str> = table3_strategies().iter().map(|(name, _)| *name).collect();
         assert_eq!(
             names,
             [
@@ -1698,8 +2174,8 @@ mod tests {
                 "voecking"
             ]
         );
-        let result = table3(&[32], &tiny_config(), false);
-        assert_eq!(result.cells.len(), 4);
+        let result = table3(&[32], &tiny_config());
+        assert_eq!(result.cells.len(), 5);
     }
 
     #[test]
@@ -2035,6 +2511,79 @@ mod tests {
         assert_eq!(durability(32, &config), result);
     }
 
+    fn metric(cell: &Cell, key: &str) -> f64 {
+        cell.metrics
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_f64())
+            .unwrap_or_else(|| panic!("missing metric {key}"))
+    }
+
+    #[test]
+    fn lemma_validations_cover_their_grids_and_hold() {
+        let config = tiny_config();
+        // Lemma 3: c ∈ {1, 2, 3} × k ∈ {2, 3}.
+        let l3 = lemma3(64, &config);
+        assert_eq!(l3.cells.len(), 6);
+        // Lemmas 4/5: six values of c; the observed mean tracks n e^{-c}.
+        let l45 = lemma4_5(256, &config);
+        assert_eq!(l45.cells.len(), 6);
+        for cell in &l45.cells {
+            assert!(metric(cell, "mean_count") <= metric(cell, "max_count"));
+        }
+        // Lemma 6: a = 1 first, the bound dominating the mean sum.
+        let l6 = lemma6(256, &config);
+        assert!(l6.cells[0]
+            .coords
+            .iter()
+            .any(|(k, v)| k == "a" && v.as_u64() == Some(1)));
+        for cell in &l6.cells {
+            assert!(metric(cell, "exact_expected_sum") <= metric(cell, "bound"));
+        }
+        // Lemmas 8/9: the constructor asserts zero Lemma 8 violations.
+        let l89 = lemma8_9(64, &config);
+        assert_eq!(l89.cells.len(), 6);
+        for result in [&l3, &l45, &l6, &l89] {
+            assert!(result.cells.iter().all(|c| c.distribution.is_none()));
+        }
+        assert_eq!(lemma3(64, &config), l3);
+        assert_eq!(lemma8_9(64, &config), l89);
+    }
+
+    #[test]
+    fn nonuniform_axes_sweep_q_and_keep_the_two_choice_edge() {
+        let config = tiny_config();
+        for result in [
+            nonuniform_servers(128, &config),
+            nonuniform_probes(128, &config),
+        ] {
+            assert_eq!(result.cells.len(), NONUNIFORM_QS.len());
+            for cell in &result.cells {
+                let dist = cell.distribution.as_ref().expect("d = 2 distribution");
+                assert_eq!(dist.total(), 5);
+                assert!(metric(cell, "mean_d2") <= metric(cell, "mean_d1"));
+            }
+        }
+        assert_eq!(
+            nonuniform_probes(64, &config),
+            nonuniform_probes(64, &config)
+        );
+    }
+
+    #[test]
+    fn profile_levels_are_monotone_and_start_at_n() {
+        let n = 64;
+        let result = profile(n, &tiny_config());
+        assert!(result.cells.len() >= 6);
+        // Every server has load ≥ 0, and m = n balls leave at most n
+        // servers with load ≥ 1.
+        for column in ["fluid_n_si", "uniform", "ring", "torus"] {
+            let values: Vec<f64> = result.cells.iter().map(|c| metric(c, column)).collect();
+            assert!(values[0] <= n as f64, "{column}");
+            assert!(values.windows(2).all(|w| w[1] <= w[0]), "{column}");
+        }
+    }
+
     /// Strips the `~`-prefixed informational metrics (wall-clock
     /// throughput) so the rest of the result can be compared exactly.
     fn strip_informational(mut result: ExperimentResult) -> ExperimentResult {
@@ -2101,7 +2650,7 @@ mod tests {
         });
         set.push(table1(&[32], &config));
         set.push(table2(&[32], &config));
-        set.push(table3(&[32], &config, true));
+        set.push(table3(&[32], &config));
         set.push(dimension(32, &config));
         set.push(ring_chart(32, &config));
         set.push(tabulation(32, &config));
@@ -2113,6 +2662,13 @@ mod tests {
         set.push(dht(16, &config));
         set.push(scaling(64, &config));
         set.push(durability(16, &config));
+        set.push(lemma3(64, &config));
+        set.push(lemma4_5(64, &config));
+        set.push(lemma6(256, &config));
+        set.push(lemma8_9(64, &config));
+        set.push(nonuniform_servers(32, &config));
+        set.push(nonuniform_probes(32, &config));
+        set.push(profile(32, &config));
         let md = experiments_markdown(&set);
         assert!(md.starts_with("# EXPERIMENTS"));
         for heading in [
@@ -2130,6 +2686,14 @@ mod tests {
             "## E11: Chord DHT",
             "## Streaming scale",
             "## Durability",
+            "## Lemma 3",
+            "## Lemmas 4/5",
+            "## Lemma 6",
+            "## Lemmas 8/9",
+            "## E15a",
+            "## E15b",
+            "## E14",
+            "## Reading the lemma and open-question tables",
             "## RNG stream contract v2",
             "## Performance methodology",
             "### Memory: packed and sharded load states",
@@ -2151,6 +2715,8 @@ mod tests {
         assert!(pos("## Replication") < pos("## E11: Chord DHT"));
         assert!(pos("## E11: Chord DHT") < pos("## Streaming scale"));
         assert!(pos("## Streaming scale") < pos("## Durability"));
+        assert!(pos("## Durability") < pos("## Lemma 3"));
+        assert!(pos("## E14") < pos("## RNG stream contract v2"));
         assert!(md.contains("RETRY_TAG") && md.contains("FAULT_TAG"));
         assert!(md.contains("`./tables.sh --check`"));
         assert!(md.contains("seed (`3`)"));

@@ -1,57 +1,28 @@
-//! The benchmark and table-regeneration harness.
+//! The experiment and benchmark drivers.
 //!
-//! Two kinds of targets live in this crate:
+//! This crate builds exactly two binaries, run from the repository root:
 //!
-//! * **Table binaries** (`src/bin/*.rs`, run with
-//!   `cargo run -p geo2c-bench --release --bin <name>`): regenerate the
-//!   paper's tables and lemma validations in the paper's own format.
-//!   Every binary accepts `--trials`, `--seed`, `--threads`,
-//!   `--min-exp`/`--max-exp` (the `n = 2^k` sweep range) and `--full`
-//!   (paper-scale parameters: 1000 trials, `n` up to `2^24`/`2^20`).
+//! * **`run_tables`** (normally via `./tables.sh`) is the only way to run
+//!   an experiment. It drives the gated suite ([`experiments::SUITE_IDS`]):
+//!   the paper's Tables 1–3, the Lemma 3–6 and 8–9 validations, the
+//!   conclusion's open questions (non-uniform servers and probes, load
+//!   profiles against the fluid limit), and the serving, DHT, scaling and
+//!   durability families. It persists every run under `results/`, checks
+//!   fresh runs against the committed numbers, and renders
+//!   `EXPERIMENTS.md`. `--quick`/`--full` pick the scale, `--only ID,ID`
+//!   a subset: `./tables.sh --full --only table1` reproduces Table 1 at
+//!   the paper's own 1000-trial scale.
+//! * **`run_benches`** is the only bench harness. It times the hot-path
+//!   suite ([`perf`]), maintains the committed baselines under
+//!   `results/bench/`, and gates perf regressions and speedup claims.
 //!
-//!   | binary | paper artifact |
-//!   |--------|----------------|
-//!   | `table1` | Table 1 — max load, random arcs, `d = 1..4` |
-//!   | `table2` | Table 2 — max load, torus Voronoi cells |
-//!   | `table3` | Table 3 — tie-break strategies on arcs, `d = 2` |
-//!   | `lemmas` | Lemmas 4–6 (arcs) and 8–9 (Voronoi) tail bounds |
-//!   | `scaling` | Theorem 1 scaling vs. `log log n / log d` (E8) |
-//!   | `heavy` | the `m ≠ n` remark (E9) |
-//!   | `dht` | §1.1 Chord application (E11) |
-//!
-//! * **Criterion benches** (`benches/*.rs`, run with `cargo bench`):
-//!   performance benchmarks for the substrate (per-insertion cost per
-//!   space, grid vs brute-force NN, Voronoi cell construction, DHT
-//!   lookups) and per-table micro-runs that time one trial of each
-//!   configuration.
-//!
-//! Every binary declares an experiment spec and emits its numbers
-//! through `geo2c-report` ([`experiments`] hosts the shared
-//! constructors); pass `--json PATH` to any of them to persist the run
-//! as a provenance-stamped `ResultSet`. The `run_tables` driver (see
-//! `./tables.sh` at the repository root) runs the whole table suite,
-//! maintains the committed expectations under `results/`, and renders
-//! `EXPERIMENTS.md`.
-//!
-//! This library hosts the shared CLI parser, the experiment
-//! constructors, and small formatting helpers.
+//! [`experiments`] hosts the experiment constructors and the named
+//! [`experiments::Scale`]s; [`perf`] hosts the bench suite.
 //!
 //! ```
-//! use geo2c_bench::Cli;
-//!
-//! // The shared sweep CLI: n = 2^8..2^16 stepping exponents by 4, as in
-//! // the paper's tables.
-//! let cli = Cli {
-//!     trials: 100,
-//!     seed: 0,
-//!     threads: 1,
-//!     min_exp: 8,
-//!     max_exp: 16,
-//!     json: None,
-//!     extra: vec![],
-//! };
-//! assert_eq!(cli.sweep_sizes(), vec![256, 4096, 65536]);
+//! // Row labels in the paper's `2^k` format.
 //! assert_eq!(geo2c_bench::pow2_label(65536), "2^16");
+//! assert_eq!(geo2c_bench::pow2_label(100), "100");
 //! ```
 
 #![warn(missing_docs)]
@@ -59,134 +30,6 @@
 
 pub mod experiments;
 pub mod perf;
-
-use geo2c_core::experiment::SweepConfig;
-use geo2c_report::{ExperimentResult, Provenance, ResultSet};
-
-/// Shared command-line options for the table binaries.
-#[derive(Debug, Clone)]
-pub struct Cli {
-    /// Trials per table cell.
-    pub trials: usize,
-    /// Root seed.
-    pub seed: u64,
-    /// Worker threads.
-    pub threads: usize,
-    /// Smallest `n = 2^k` exponent in the sweep.
-    pub min_exp: u32,
-    /// Largest `n = 2^k` exponent in the sweep.
-    pub max_exp: u32,
-    /// Where to persist the run as a `geo2c-report` JSON `ResultSet`
-    /// (`--json PATH`), if requested.
-    pub json: Option<String>,
-    /// Extra flags not consumed by the common parser.
-    pub extra: Vec<String>,
-}
-
-impl Cli {
-    /// Parses `std::env::args`, with per-binary defaults.
-    ///
-    /// `default_trials` and the exponent range are the laptop-scale
-    /// defaults; `--full` switches to the paper-scale parameters
-    /// (1000 trials and `full_max_exp`).
-    ///
-    /// # Panics
-    /// Panics (with a usage message) on malformed arguments.
-    #[must_use]
-    pub fn parse(default_trials: usize, default_range: (u32, u32), full_max_exp: u32) -> Self {
-        let mut cli = Self {
-            trials: default_trials,
-            seed: 0,
-            threads: geo2c_util::parallel::num_threads(),
-            min_exp: default_range.0,
-            max_exp: default_range.1,
-            json: None,
-            extra: Vec::new(),
-        };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        let take = |args: &[String], i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args.get(*i)
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
-                .clone()
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--trials" => cli.trials = take(&args, &mut i, "--trials").parse().expect("trials"),
-                "--seed" => cli.seed = take(&args, &mut i, "--seed").parse().expect("seed"),
-                "--threads" => {
-                    cli.threads = take(&args, &mut i, "--threads").parse().expect("threads");
-                }
-                "--min-exp" => {
-                    cli.min_exp = take(&args, &mut i, "--min-exp").parse().expect("min-exp");
-                }
-                "--max-exp" => {
-                    cli.max_exp = take(&args, &mut i, "--max-exp").parse().expect("max-exp");
-                }
-                "--json" => cli.json = Some(take(&args, &mut i, "--json")),
-                "--full" => {
-                    cli.trials = 1000;
-                    cli.max_exp = full_max_exp;
-                }
-                other => cli.extra.push(other.to_string()),
-            }
-            i += 1;
-        }
-        // A lone `--max-exp` below the default minimum should just shrink
-        // the sweep to that single size.
-        cli.min_exp = cli.min_exp.min(cli.max_exp);
-        cli
-    }
-
-    /// The sweep sizes `2^min_exp, 2^(min_exp+4)…`? No — the paper steps
-    /// exponents by 4 (2^8, 2^12, …); we mirror that, always including
-    /// `max_exp`.
-    #[must_use]
-    pub fn sweep_sizes(&self) -> Vec<usize> {
-        let mut exps: Vec<u32> = (self.min_exp..=self.max_exp).step_by(4).collect();
-        if *exps.last().expect("nonempty range") != self.max_exp {
-            exps.push(self.max_exp);
-        }
-        exps.into_iter().map(|e| 1usize << e).collect()
-    }
-
-    /// The sweep configuration for `geo2c-core` experiments.
-    #[must_use]
-    pub fn sweep_config(&self) -> SweepConfig {
-        SweepConfig {
-            trials: self.trials,
-            threads: self.threads,
-            seed: self.seed,
-        }
-    }
-
-    /// True if `flag` was passed (consumes nothing).
-    #[must_use]
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.extra.iter().any(|f| f == flag)
-    }
-
-    /// Persists `results` to the `--json` path (if one was given) as a
-    /// provenance-stamped [`ResultSet`], and reports where they went.
-    ///
-    /// # Panics
-    /// Panics if the file cannot be written (a bench binary has no
-    /// recovery path — surface the error loudly).
-    pub fn write_results(&self, results: &[ExperimentResult]) {
-        let Some(path) = &self.json else {
-            return;
-        };
-        let mut set = ResultSet::new(Provenance::capture(self.seed));
-        for result in results {
-            set.push(result.clone());
-        }
-        let path = std::path::Path::new(path);
-        set.save(path)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        println!("results written to {}", path.display());
-    }
-}
 
 /// Formats `n` as `2^k` when `n` is a power of two (the paper's row
 /// labels), else decimal.
@@ -199,16 +42,6 @@ pub fn pow2_label(n: usize) -> String {
     }
 }
 
-/// Prints a standard experiment banner with the run parameters.
-pub fn banner(title: &str, cli: &Cli) {
-    println!("== {title} ==");
-    println!(
-        "trials={} seed={} threads={} n=2^{}..2^{}",
-        cli.trials, cli.seed, cli.threads, cli.min_exp, cli.max_exp
-    );
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,36 +51,5 @@ mod tests {
         assert_eq!(pow2_label(256), "2^8");
         assert_eq!(pow2_label(1 << 20), "2^20");
         assert_eq!(pow2_label(100), "100");
-    }
-
-    #[test]
-    fn sweep_sizes_step_by_four_and_include_max() {
-        let cli = Cli {
-            trials: 1,
-            seed: 0,
-            threads: 1,
-            min_exp: 8,
-            max_exp: 18,
-            json: None,
-            extra: vec![],
-        };
-        assert_eq!(cli.sweep_sizes(), vec![1 << 8, 1 << 12, 1 << 16, 1 << 18]);
-        let cli2 = Cli { max_exp: 16, ..cli };
-        assert_eq!(cli2.sweep_sizes(), vec![1 << 8, 1 << 12, 1 << 16]);
-    }
-
-    #[test]
-    fn flags() {
-        let cli = Cli {
-            trials: 1,
-            seed: 0,
-            threads: 1,
-            min_exp: 8,
-            max_exp: 8,
-            json: None,
-            extra: vec!["--with-voecking".into()],
-        };
-        assert!(cli.has_flag("--with-voecking"));
-        assert!(!cli.has_flag("--nope"));
     }
 }

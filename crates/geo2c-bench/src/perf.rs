@@ -1,23 +1,24 @@
-//! Persisted performance benchmarks: the hot-path micro-benches behind
-//! `results/bench/`.
+//! The hot-path bench suite behind `results/bench/`, driven by the
+//! `run_benches` binary — the workspace's only bench harness.
 //!
-//! The criterion shim prints ns/iter to stdout and forgets it; this
-//! module measures the same way (adaptive doubling until a ~20 ms window,
-//! best of three windows) but returns the numbers and persists them as a
-//! provenance-stamped [`geo2c_report::ResultSet`], so a perf PR can prove
-//! a speedup against a committed baseline instead of asserting it.
+//! Each bench is timed the way criterion does it (adaptive doubling
+//! until a ~20 ms window, best of three windows), and the numbers are
+//! persisted as a provenance-stamped [`geo2c_report::ResultSet`], so a
+//! perf PR proves a speedup against a committed baseline instead of
+//! asserting it.
 //!
 //! The suite deliberately benches only *public, stable* entry points
 //! (`RingPartition::owner` via [`geo2c_core::space::RingSpace`],
 //! `TorusSites::owner`, `sim::run_trial`) so a baseline captured before a
 //! refactor stays comparable with one captured after: same ids, same
 //! workloads, different implementation. Implementation-level ablations
-//! (grid vs brute force, fast successor vs binary search) live in the
-//! criterion benches (`cargo bench -p geo2c-bench --bench substrate`),
-//! which are free to reach into internals.
+//! (grid vs brute force, fast successor vs binary search) are not
+//! benched live: the oracles stay as the references of the
+//! owner-equivalence proptests, and their speed evidence is archived in
+//! `results/bench/before_pr3.json` and `before_pr4.json`.
 //!
-//! Driven by the `run_benches` binary; see the "Performance methodology"
-//! section of the README for the workflow and the regression gate.
+//! See the "Performance methodology" section of the README for the
+//! workflow and the regression gate.
 
 use geo2c_core::load::{LoadRead, LoadState, PackedLoads, ShardedLoads};
 use geo2c_core::sim::{run_trial, run_trial_into};
@@ -32,7 +33,7 @@ use geo2c_util::rng::{BallLanes, Xoshiro256pp};
 use rand::RngCore as _;
 use std::time::{Duration, Instant};
 
-/// Target measurement window per repeat (mirrors the criterion shim).
+/// Target measurement window per repeat (criterion's default scale).
 pub const MEASURE_WINDOW: Duration = Duration::from_millis(20);
 
 /// Timed windows per benchmark; the best (lowest ns/iter) wins, which is

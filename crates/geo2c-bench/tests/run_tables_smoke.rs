@@ -43,6 +43,20 @@ fn quick_run_produces_parseable_result_sets_and_check_works() {
                 "replication cells are metric-only"
             ),
             "dht" => assert!(cell.distribution.is_none(), "dht cells are metric-only"),
+            "lemma3" | "lemma4_5" | "lemma6" | "lemma8_9" | "profile" => {
+                assert!(cell.distribution.is_none(), "{id} cells are metric-only");
+                assert!(!cell.metrics.is_empty(), "{id} cells carry metrics");
+            }
+            "nonuniform_servers" | "nonuniform_probes" => {
+                // The d = 2 max-load distribution, one entry per trial,
+                // next to the d = 1 / d = 2 / smaller-region means.
+                let dist = cell.distribution.as_ref().expect("distribution");
+                assert_eq!(dist.total(), experiment.spec.trials as u64);
+                assert!(
+                    cell.metrics.iter().any(|(k, _)| k == "mean_d1"),
+                    "{id} cells carry the one-choice mean"
+                );
+            }
             "durability" => {
                 assert!(
                     cell.distribution.is_none(),
@@ -139,16 +153,40 @@ fn quick_run_produces_parseable_result_sets_and_check_works() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs the driver `bin` with `args`, asserts it rejected them as bad
+/// input (exit status 2, the usage line, no panic) and returns its
+/// stderr.
+fn rejected_by(bin: &str, args: &[&str]) -> String {
+    let output = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("driver executes");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage: run_"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
+}
+
+fn rejected(args: &[&str]) -> String {
+    rejected_by(env!("CARGO_BIN_EXE_run_tables"), args)
+}
+
+#[test]
+fn run_benches_rejects_bad_input_without_panicking() {
+    let bench = |args: &[&str]| rejected_by(env!("CARGO_BIN_EXE_run_benches"), args);
+    assert!(bench(&["--quick", "--bogus"]).contains("unknown flag '--bogus'"));
+    assert!(bench(&["--repeats", "x"]).contains("cannot parse 'x'"));
+    assert!(bench(&["--ratio", "f.json", "a"]).contains("--ratio requires a value"));
+    assert!(bench(&["--check", "--archive"]).contains("pick one"));
+    assert!(bench(&["--quick", "--only", "ring"]).contains("explicit --out"));
+}
+
 #[test]
 fn only_flag_rejects_unknown_experiment_ids() {
     // `--only` must fail fast on a typo'd id — before any suite work —
     // and name the valid suite members in the error.
-    let output = Command::new(env!("CARGO_BIN_EXE_run_tables"))
-        .args(["--quick", "--only", "bogus"])
-        .output()
-        .expect("run_tables executes");
-    assert!(!output.status.success(), "--only bogus must exit non-zero");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let stderr = rejected(&["--quick", "--only", "bogus"]);
     assert!(
         stderr.contains("unknown experiment 'bogus'"),
         "stderr: {stderr}"
@@ -159,6 +197,11 @@ fn only_flag_rejects_unknown_experiment_ids() {
             "error must name suite id {id}: {stderr}"
         );
     }
+    // Unknown flags, missing values and unparsable numbers are bad input
+    // too: reported, never a panic, never a silently ignored typo.
+    assert!(rejected(&["--quick", "--trials", "5"]).contains("unknown flag '--trials'"));
+    assert!(rejected(&["--seed", "x"]).contains("cannot parse 'x'"));
+    assert!(rejected(&["--quick", "--dir"]).contains("--dir requires a value"));
 }
 
 #[test]
@@ -191,6 +234,13 @@ fn quick_expectations_in_the_repository_match_the_current_scale() {
             "dht" => scale.dht_trials,
             "scaling" => scale.scaling_trials,
             "durability" => scale.durability_trials,
+            "lemma3" => scale.lemma3_trials,
+            "lemma4_5" => scale.lemma4_5_trials,
+            "lemma6" => scale.lemma6_trials,
+            "lemma8_9" => scale.lemma8_9_trials,
+            "nonuniform_servers" => scale.nu_servers_trials,
+            "nonuniform_probes" => scale.nu_probes_trials,
+            "profile" => scale.profile_trials,
             _ => scale.ring_trials,
         };
         assert_eq!(spec.trials, expected_trials, "{id}: stale trials");

@@ -16,7 +16,8 @@
 //! * [`tail`] — executable versions of the paper's Lemmas 4, 5 and 6:
 //!   tail bounds on the number of long arcs and on the total length of the
 //!   `a` longest arcs. These are the load-bearing probabilistic facts behind
-//!   Theorem 1, and `geo2c-bench --bin lemmas` validates them empirically.
+//!   Theorem 1, and the `lemma4_5` and `lemma6` members of the `run_tables`
+//!   suite validate them empirically.
 //!
 //! The same structure doubles as the consistent-hashing ring for the
 //! Chord-style DHT application crate (`geo2c-dht`).

@@ -157,7 +157,7 @@ pub fn negative_dependence_experiment(
 }
 
 /// Direct check that a single uniform point's forward gap has the exact
-/// marginal: used by tests and the lemmas binary's self-check.
+/// marginal, used by the tests as a self-check.
 ///
 /// Note the subtlety this guards against: the marginal applies to the
 /// forward gap of a *placed point* (any fixed placement index, by
@@ -179,8 +179,8 @@ pub fn marginal_self_check<R: Rng + ?Sized>(n: usize, c: f64, trials: usize, rng
 }
 
 /// The size-biased tail: probability that the arc containing a fixed
-/// location (the origin) has length ≥ `c/n`. Exposed so the lemmas binary
-/// can demonstrate the distinction explicitly.
+/// location (the origin) has length ≥ `c/n`. Exposed so the distinction
+/// from [`marginal_self_check`] can be demonstrated explicitly.
 #[must_use]
 pub fn size_biased_self_check<R: Rng + ?Sized>(
     n: usize,

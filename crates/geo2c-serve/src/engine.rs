@@ -202,6 +202,16 @@ pub enum RestoreError {
         /// The entry's deadline.
         when: u64,
     },
+    /// A live server's departure entries do not number exactly its load,
+    /// so replay would drive some server's load below zero.
+    DeparturesDisagreeWithLoad {
+        /// The live server.
+        server: usize,
+        /// Departure entries on it.
+        entries: u32,
+        /// Its checkpointed load.
+        load: u32,
+    },
 }
 
 impl fmt::Display for RestoreError {
@@ -250,6 +260,14 @@ impl fmt::Display for RestoreError {
             Self::DepartureBeforeClock { when } => write!(
                 f,
                 "departure entry at event {when}, already due before the checkpoint clock"
+            ),
+            Self::DeparturesDisagreeWithLoad {
+                server,
+                entries,
+                load,
+            } => write!(
+                f,
+                "server {server} holds {entries} departure entries but a load of {load}"
             ),
         }
     }
@@ -440,9 +458,10 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// split, more exits than arrivals, a failed server not holding the
     /// sentinel, live loads violating session conservation
     /// `Σ live = arrivals − departed − shed − evicted`, or a departure
-    /// count differing from the in-service session count), or carries a
+    /// count differing from the in-service session count), carries a
     /// departure entry outside the space, on a failed server, or already
-    /// due before the checkpoint clock.
+    /// due before the checkpoint clock, or gives some live server a
+    /// departure-entry count different from its load.
     ///
     /// # Panics
     /// As [`ServeEngine::with_load_state`]: `config` and `loads` are the
@@ -516,6 +535,10 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         // every outstanding deadline is ≥ arrivals (earlier ones already
         // drained), and a wheel origined mid-stream files by delta.
         engine.departures = Q::with_origin(n, state.counters.arrivals);
+        // Per-server bookkeeping: the totals above can balance while one
+        // server holds another's entry, and replay would then decrement
+        // the receiving server past zero.
+        let mut entries_on = vec![0u32; n];
         for &(when, server) in &state.departures {
             let s = server as usize;
             if s >= n {
@@ -527,8 +550,18 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             if when < state.counters.arrivals {
                 return Err(RestoreError::DepartureBeforeClock { when });
             }
+            entries_on[s] = entries_on[s].saturating_add(1);
             engine.departures.schedule(when, server);
         }
+        let disagreeing = (0..n).find(|&s| !state.failed[s] && entries_on[s] != state.loads[s]);
+        if let Some(server) = disagreeing {
+            return Err(RestoreError::DeparturesDisagreeWithLoad {
+                server,
+                entries: entries_on[server],
+                load: state.loads[server],
+            });
+        }
+        drop(entries_on);
         engine.clock = state.counters.arrivals;
         engine.departed = state.counters.departed;
         engine.evicted = state.counters.evicted;
@@ -1217,6 +1250,36 @@ mod tests {
         assert_eq!(
             restore_error(state),
             RestoreError::DepartureOnFailedServer { server: 2 }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_departure_entries_moved_between_live_servers() {
+        let (_, _, mut state) = tamper_base();
+        // Move one entry from server a to another live server b: every
+        // total (conservation, entry count) still balances, but replay
+        // would take b's load below zero once b's extra session departs.
+        let (when, a) = state.departures[0];
+        let b = (0..16u32)
+            .find(|&b| b != a && !state.failed[b as usize])
+            .unwrap();
+        state.departures[0] = (when, b);
+        let (a, b) = (a as usize, b as usize);
+        // The lower-numbered of the two is reported: a lost an entry, b
+        // gained one.
+        let (server, entries) = if a < b {
+            (a, state.loads[a] - 1)
+        } else {
+            (b, state.loads[b] + 1)
+        };
+        let load = state.loads[server];
+        assert_eq!(
+            restore_error(state),
+            RestoreError::DeparturesDisagreeWithLoad {
+                server,
+                entries,
+                load
+            }
         );
     }
 

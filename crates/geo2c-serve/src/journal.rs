@@ -313,20 +313,20 @@ pub fn decode_state(bytes: &[u8]) -> Result<EngineState, JournalError> {
     let shed_capacity = r.var()?;
     let shed_unavailable = r.var()?;
     let admitted_on_retry = r.var()?;
-    let attempts = r.len()?;
+    let attempts = r.count()?;
     let mut by_attempt = Vec::with_capacity(attempts);
     for _ in 0..attempts {
         by_attempt.push(r.var()?);
     }
     let peak_load = r.var_u32()?;
-    let n = r.len()?;
+    let n = r.count()?;
     let mut loads = Vec::with_capacity(n);
     for _ in 0..n {
         loads.push(r.var_u32()?);
     }
     let bits = r.bytes((n + 7) / 8)?;
     let failed = (0..n).map(|s| bits[s / 8] & (1 << (s % 8)) != 0).collect();
-    let entries = r.len()?;
+    let entries = r.count()?;
     let mut departures = Vec::with_capacity(entries);
     let mut prev_when = 0u64;
     for _ in 0..entries {
@@ -399,8 +399,17 @@ impl<'a> Reader<'a> {
         u32::try_from(self.var()?).map_err(|_| JournalError::Codec("varint overflows u32"))
     }
 
-    fn len(&mut self) -> Result<usize, JournalError> {
-        usize::try_from(self.var()?).map_err(|_| JournalError::Codec("varint overflows usize"))
+    /// An element count read from the payload. Every element takes at
+    /// least one byte, so a count larger than the bytes that remain is
+    /// rejected before anything is allocated for it.
+    fn count(&mut self) -> Result<usize, JournalError> {
+        let count = self.var()?;
+        if count > (self.buf.len() - self.at) as u64 {
+            return Err(JournalError::Codec(
+                "element count exceeds the bytes that remain",
+            ));
+        }
+        Ok(count as usize)
     }
 }
 
@@ -843,6 +852,32 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(matches!(decode_state(&padded), Err(JournalError::Codec(_))));
+    }
+
+    #[test]
+    fn state_codec_rejects_counts_larger_than_the_payload() {
+        // Version, seven zero counters, then 2^62 retry attempts: a
+        // count no payload this short can hold must be refused before
+        // anything is sized from it.
+        let mut bytes = vec![STATE_VERSION, 0, 0, 0, 0, 0, 0, 0];
+        put_var(&mut bytes, 1 << 62);
+        assert!(bytes.len() < 20);
+        assert!(matches!(decode_state(&bytes), Err(JournalError::Codec(_))));
+        // The same for the server and departure counts of a real image.
+        let state = ServeEngine::new(space(8, 5), config(), 9).state();
+        let good = encode_state(&state);
+        // Version, seven counters, the one-attempt histogram, peak load.
+        let n_at = 1 + 7 + 2 + 1;
+        assert_eq!(good[n_at], 8);
+        let mut huge_n = good[..n_at].to_vec();
+        put_var(&mut huge_n, u64::MAX >> 1);
+        assert!(matches!(decode_state(&huge_n), Err(JournalError::Codec(_))));
+        let mut huge_entries = good[..good.len() - 1].to_vec();
+        put_var(&mut huge_entries, 1 << 40);
+        assert!(matches!(
+            decode_state(&huge_entries),
+            Err(JournalError::Codec(_))
+        ));
     }
 
     #[test]
