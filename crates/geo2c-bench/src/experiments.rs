@@ -17,7 +17,7 @@
 use geo2c_core::experiment::{
     heavy_load_sweep, mean_load_profile, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
 };
-use geo2c_core::load::{LoadState as _, PackedLoads, ShardedLoads};
+use geo2c_core::load::{LoadState as _, PackedLoads};
 use geo2c_core::nonuniform::{ClusteredRingModel, MixRingSpace, RingMix};
 use geo2c_core::sim::{run_trial, run_trial_into, run_trial_with_lanes};
 use geo2c_core::space::{KdTorusSpace, RingSpace, SpaceKind, TorusSpace, UniformSpace};
@@ -1200,10 +1200,8 @@ pub fn dht(n: usize, config: &SweepConfig) -> ExperimentResult {
 }
 
 /// The load-state backings the `scaling` experiment compares, in cell
-/// order: the flat `Vec<u32>` reference, the two packed widths, and the
-/// sharded default (independently allocated 64 KB byte shards).
-pub const SCALING_BACKINGS: [&str; 4] =
-    ["flat-u32", "packed-nibble", "packed-byte", "sharded-byte"];
+/// order: the flat `Vec<u32>` reference and the two packed widths.
+pub const SCALING_BACKINGS: [&str; 3] = ["flat-u32", "packed-nibble", "packed-byte"];
 
 /// The streaming-scale backing comparison (the former stdout-only
 /// `scaling` binary, promoted into the gated suite): `m = n` random-tie
@@ -1261,21 +1259,13 @@ pub fn scaling(n: usize, config: &SweepConfig) -> ExperimentResult {
                         let r = run_trial(&space, &strategy, n, &mut rng);
                         (r.max_load, r.loads.heap_bytes())
                     }
-                    "packed-nibble" => {
+                    packed => {
                         let lanes = BallLanes::new(rng.next_u64());
-                        let mut loads = PackedLoads::nibble(n);
-                        let max = run_trial_into(&space, &strategy, n, &lanes, &mut loads);
-                        (max, loads.heap_bytes())
-                    }
-                    "packed-byte" => {
-                        let lanes = BallLanes::new(rng.next_u64());
-                        let mut loads = PackedLoads::byte(n);
-                        let max = run_trial_into(&space, &strategy, n, &lanes, &mut loads);
-                        (max, loads.heap_bytes())
-                    }
-                    _ => {
-                        let lanes = BallLanes::new(rng.next_u64());
-                        let mut loads = ShardedLoads::byte(n);
+                        let mut loads = if packed == "packed-nibble" {
+                            PackedLoads::nibble(n)
+                        } else {
+                            PackedLoads::byte(n)
+                        };
                         let max = run_trial_into(&space, &strategy, n, &lanes, &mut loads);
                         (max, loads.heap_bytes())
                     }
@@ -1390,9 +1380,15 @@ pub fn durability(n: usize, config: &SweepConfig) -> ExperimentResult {
                     std::process::id(),
                     UNIQUE.fetch_add(1, Ordering::Relaxed)
                 ));
-                let mut durable =
-                    DurableEngine::create(&dir, space.clone(), serve_config, root, every)
-                        .expect("create journal dir");
+                let mut durable: DurableEngine<_> = DurableEngine::create_with(
+                    &dir,
+                    space.clone(),
+                    serve_config,
+                    root,
+                    every,
+                    vec![0; n],
+                )
+                .expect("create journal dir");
                 while durable.engine().arrivals() < crash_at {
                     let step = chunk.min(crash_at - durable.engine().arrivals());
                     durable.run_journaled(step, &plan).expect("journaled run");
@@ -1995,7 +1991,7 @@ the batched engine is byte-equal to the lane-sequential reference (the \
 *unchanged* committed JSON remains part of any perf PR's evidence — the \
 one exception was the v1→v2 contract migration itself, documented in the \
 section above.\n\n\
-### Memory: packed and sharded load states\n\n\
+### Memory: packed load states\n\n\
 The streaming-scale table above tracks **bytes/bin** alongside \
 throughput: the insertion engine is generic over its \
 `geo2c_core::load::LoadState` backing, and the packed backings store a \
@@ -2003,14 +1999,10 @@ bin's load in 4 or 8 bits in-line (loads above the in-line cap — 14 for \
 nibbles, 254 for bytes — spill to a sparse side table behind a sentinel, \
 so arbitrary loads still read exactly). That takes the live working set \
 for 10^8 bins from 400 MB (flat `u32`) to ~50 MB (nibble), which is the \
-difference between streaming from DRAM and fitting hot shards in cache. \
-The sharded variant splits the packed array into independently allocated \
-64 KB blocks whose bumps never touch another shard's cache lines — on \
-this single-core reference box it is *asserted byte-identical* to the \
-flat engine (the `loadvec_equivalence` and `packed_equivalence` proptest \
-suites, plus the in-experiment max-load equality assert), and the \
-shard-independence is what a multi-core build would exploit; only the \
-determinism, not the concurrency win, is claimable here. Every backing \
+difference between streaming from DRAM and fitting the hot region in \
+cache. Both packed widths are *asserted byte-identical* to the flat \
+engine (the `loadvec_equivalence` and `packed_equivalence` proptest \
+suites, plus the in-experiment max-load equality assert): every backing \
 replays the same RNG streams as the flat vector, so the committed tables \
 are unchanged by construction; the `trial/scaling_*` benches and the \
 `before_pr7.json` diff pin the *no slower* half of the claim.\n\n\
@@ -2696,7 +2688,7 @@ mod tests {
             "## Reading the lemma and open-question tables",
             "## RNG stream contract v2",
             "## Performance methodology",
-            "### Memory: packed and sharded load states",
+            "### Memory: packed load states",
             "### Scheduling: the departure timing wheel",
             "### Durability: checkpoints and the write-ahead journal",
         ] {

@@ -20,7 +20,7 @@
 //! See the "Performance methodology" section of the README for the
 //! workflow and the regression gate.
 
-use geo2c_core::load::{LoadRead, LoadState, PackedLoads, ShardedLoads};
+use geo2c_core::load::{LoadRead, LoadState, PackedLoads};
 use geo2c_core::sim::{run_trial, run_trial_into};
 use geo2c_core::space::{KdTorusSpace, RingSpace, TorusSpace, UniformSpace};
 use geo2c_core::strategy::{Strategy, TieBreak};
@@ -132,7 +132,7 @@ enum BenchKind {
     TrialServeJournaled { d: usize },
     /// One full laned trial on uniform bins against an alternative
     /// load-state backing (`run_trial_into`): the `TrialUniform` workload
-    /// with the flat `Vec<u32>` swapped for a packed/sharded backing.
+    /// with the flat `Vec<u32>` swapped for a packed backing.
     TrialScaling { d: usize, backing: ScalingBacking },
 }
 
@@ -151,12 +151,11 @@ fn min_load_queries<S: LoadRead>(state: &S, probes: &[usize]) -> u64 {
 
 /// Which load-state backing a `TrialScaling` bench drives. `Flat` runs
 /// the same `Vec<u32>` engine as `uniform_d2_random` so the `scaling_*`
-/// trio diffs self-contained.
+/// pair diffs self-contained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScalingBacking {
     Flat,
     PackedNibble,
-    Sharded,
 }
 
 /// Owner-lookup workload on the `K`-torus (monomorphized per dimension).
@@ -363,9 +362,15 @@ impl BenchDef {
                     std::process::id()
                 ));
                 let timing = time_with(window, repeats, || {
-                    let mut engine =
-                        DurableEngine::create(&dir, space.clone(), config, root, every)
-                            .expect("journal dir");
+                    let mut engine: DurableEngine<_> = DurableEngine::create_with(
+                        &dir,
+                        space.clone(),
+                        config,
+                        root,
+                        every,
+                        vec![0; n],
+                    )
+                    .expect("journal dir");
                     engine
                         .run_journaled(events, &FaultPlan::empty())
                         .expect("journaled run");
@@ -384,11 +389,6 @@ impl BenchDef {
                     ScalingBacking::PackedNibble => time_with(window, repeats, || {
                         let lanes = BallLanes::new(rng.next_u64());
                         let mut loads = PackedLoads::nibble(n);
-                        run_trial_into(&space, &strategy, n, &lanes, &mut loads)
-                    }),
-                    ScalingBacking::Sharded => time_with(window, repeats, || {
-                        let lanes = BallLanes::new(rng.next_u64());
-                        let mut loads = ShardedLoads::byte(n);
                         run_trial_into(&space, &strategy, n, &lanes, &mut loads)
                     }),
                 }
@@ -541,7 +541,7 @@ impl BenchScale {
                 elems: 1u64 << self.trial_ring_exp,
                 kind: BenchKind::TrialUniform { d: 2 },
             },
-            // The load-state backing trio at the same n as
+            // The load-state backing pair at the same n as
             // `uniform_d2_random`, so flat-vs-packed diffs directly.
             BenchDef {
                 group: "trial",
@@ -561,16 +561,6 @@ impl BenchScale {
                 kind: BenchKind::TrialScaling {
                     d: 2,
                     backing: ScalingBacking::PackedNibble,
-                },
-            },
-            BenchDef {
-                group: "trial",
-                name: "scaling_sharded",
-                exp: self.trial_ring_exp,
-                elems: 1u64 << self.trial_ring_exp,
-                kind: BenchKind::TrialScaling {
-                    d: 2,
-                    backing: ScalingBacking::Sharded,
                 },
             },
             BenchDef {
@@ -823,7 +813,6 @@ mod tests {
         assert!(ids.contains(&"trial/serving_d2_journaled/2^14".to_string()));
         assert!(ids.contains(&"trial/scaling_flat/2^20".to_string()));
         assert!(ids.contains(&"trial/scaling_packed/2^20".to_string()));
-        assert!(ids.contains(&"trial/scaling_sharded/2^20".to_string()));
         assert_eq!(BenchScale::by_name("quick"), Some(&QUICK));
         assert_eq!(BenchScale::by_name("full"), Some(&FULL));
         assert_eq!(BenchScale::by_name("nope"), None);

@@ -26,9 +26,8 @@
 //! * [`load`] — pluggable load-state backings behind the
 //!   [`load::LoadRead`]/[`load::LoadState`] traits: the flat `Vec<u32>`
 //!   reference plus packed nibble/byte arrays with overflow spill
-//!   ([`load::PackedLoads`]) and a cache-line-independent sharded
-//!   variant ([`load::ShardedLoads`]) for streaming-scale trials —
-//!   all placement-identical by construction and by proptest.
+//!   ([`load::PackedLoads`]) for streaming-scale trials — all
+//!   placement-identical by construction and by proptest.
 //! * [`experiment`] — parallel multi-trial sweeps producing the paper's
 //!   max-load distributions (Tables 1–3) and the `m ≠ n` extension (E9).
 //! * [`theory`] — closed-form predictors: the `log log n / log d` band,
@@ -72,7 +71,7 @@ pub mod strategy;
 pub mod theory;
 
 pub use experiment::{sweep_max_load, SweepConfig};
-pub use load::{LoadRead, LoadState, PackedLoads, ShardedLoads};
+pub use load::{LoadRead, LoadState, PackedLoads};
 pub use sim::{run_trial, TrialResult};
 pub use space::{AnySpace, KdTorusSpace, RingSpace, Space, SpaceKind, TorusSpace, UniformSpace};
 pub use strategy::{Strategy, TieBreak};

@@ -14,13 +14,6 @@
 //!   table, so the common case is 0.5–1 byte/bin while arbitrary `u32`
 //!   values (the serving engine's failed-server sentinel included) still
 //!   round-trip exactly.
-//! * [`ShardedLoads`] — a power-of-two partition of [`PackedLoads`]
-//!   shards with independent allocations, so concurrent committers (the
-//!   64-ball blocks of [`crate::sim`], or future per-shard worker
-//!   threads) never share a cache line across shards. This box is
-//!   single-core: what is *asserted* here is that sharding is placement-
-//!   identical; the multicore win it is shaped for is documented in
-//!   EXPERIMENTS.md.
 //!
 //! Every backing is pinned placement-identical to the flat `Vec<u32>`
 //! reference by the `loadvec_equivalence` proptest suite: same loads,
@@ -476,172 +469,6 @@ impl LoadState for PackedLoads {
     }
 }
 
-/// Bins per shard: 2^16 byte-packed bins is one 64 KiB block — big
-/// enough that shard dispatch is noise, small enough that a shard's hot
-/// region lives in L1/L2 while a block commits against it.
-const DEFAULT_SHARD_BITS: u32 = 16;
-
-/// A load vector partitioned into independently allocated
-/// [`PackedLoads`] shards of `2^shard_bits` bins each.
-///
-/// Bin `s` lives in shard `s >> shard_bits` at offset
-/// `s & (2^shard_bits − 1)`; every operation is a shard dispatch plus
-/// the packed operation. Because shards are separate allocations, two
-/// committers touching different shards can never share a cache line —
-/// the layout the PR-5 `parallel_map` routing anticipates for multicore
-/// block commits. On this single-core box the dispatch is pure overhead,
-/// which is exactly what the `scaling` experiment measures; what is
-/// *asserted* (by the equivalence proptests) is that sharding never
-/// changes a placement.
-///
-/// ```
-/// use geo2c_core::load::{LoadState, ShardedLoads};
-///
-/// let mut loads = ShardedLoads::byte(100_000);
-/// loads.bump(99_999);
-/// assert_eq!(loads.to_vec().iter().sum::<u32>(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedLoads {
-    shards: Vec<PackedLoads>,
-    shard_bits: u32,
-    n: usize,
-    sentinel: u8,
-}
-
-impl ShardedLoads {
-    /// An all-zero sharded vector of `n` bins: `2^shard_bits` bins per
-    /// shard (the last shard takes the remainder), each shard packed at
-    /// `width`.
-    ///
-    /// # Panics
-    /// Panics if `shard_bits` is 0 (a bin must fit its shard) or
-    /// exceeds `usize` indexing.
-    #[must_use]
-    pub fn new(n: usize, width: PackedWidth, shard_bits: u32) -> Self {
-        assert!(
-            (1..usize::BITS).contains(&shard_bits),
-            "shard_bits must be in 1..{}",
-            usize::BITS
-        );
-        let per_shard = 1usize << shard_bits;
-        // (n + per_shard - 1) / per_shard, MSRV 1.70 (no `div_ceil`).
-        let num_shards = ((n + per_shard - 1) >> shard_bits).max(1);
-        let shards: Vec<PackedLoads> = (0..num_shards)
-            .map(|i| PackedLoads::new(per_shard.min(n - i * per_shard), width))
-            .collect();
-        Self {
-            shards,
-            shard_bits,
-            n,
-            sentinel: width.max_inline() as u8 + 1,
-        }
-    }
-
-    /// Byte-packed shards of the default `2^16` bins.
-    #[must_use]
-    pub fn byte(n: usize) -> Self {
-        Self::new(n, PackedWidth::Byte, DEFAULT_SHARD_BITS)
-    }
-
-    /// Nibble-packed shards of the default `2^16` bins.
-    #[must_use]
-    pub fn nibble(n: usize) -> Self {
-        Self::new(n, PackedWidth::Nibble, DEFAULT_SHARD_BITS)
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn split(&self, server: usize) -> (usize, usize) {
-        (
-            server >> self.shard_bits,
-            server & ((1 << self.shard_bits) - 1),
-        )
-    }
-}
-
-impl LoadRead for ShardedLoads {
-    #[inline]
-    fn num_servers(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn load(&self, server: usize) -> u32 {
-        let (shard, offset) = self.split(server);
-        self.shards[shard].load(offset)
-    }
-
-    /// The same lane-gather fold as [`PackedLoads::min_load_of`], with
-    /// the gather crossing shard boundaries (all shards share one
-    /// width, hence one sentinel).
-    fn min_load_of(&self, servers: &[usize]) -> u32 {
-        let mut min_raw = u8::MAX;
-        for chunk in servers.chunks(MIN_LANES) {
-            let mut lanes = [u8::MAX; MIN_LANES];
-            for (lane, &s) in lanes.iter_mut().zip(chunk) {
-                let (shard, offset) = self.split(s);
-                *lane = self.shards[shard].raw_cell(offset);
-            }
-            let folded = lanes.iter().fold(u8::MAX, |m, &v| m.min(v));
-            min_raw = min_raw.min(folded);
-        }
-        if min_raw < self.sentinel {
-            u32::from(min_raw)
-        } else if servers.is_empty() {
-            u32::MAX
-        } else {
-            let mut min = u32::MAX;
-            for &s in servers {
-                min = min.min(self.load(s));
-            }
-            min
-        }
-    }
-
-    #[inline]
-    fn warm(&self, server: usize) -> u32 {
-        let (shard, offset) = self.split(server);
-        self.shards[shard].warm(offset)
-    }
-}
-
-impl LoadState for ShardedLoads {
-    #[inline]
-    fn bump(&mut self, server: usize) -> u32 {
-        let (shard, offset) = self.split(server);
-        self.shards[shard].bump(offset)
-    }
-
-    #[inline]
-    fn dec(&mut self, server: usize) -> u32 {
-        let (shard, offset) = self.split(server);
-        self.shards[shard].dec(offset)
-    }
-
-    fn set(&mut self, server: usize, value: u32) {
-        let (shard, offset) = self.split(server);
-        self.shards[shard].set(offset, value);
-    }
-
-    fn to_vec(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.n);
-        for shard in &self.shards {
-            out.extend(shard.to_vec());
-        }
-        out
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.shards.iter().map(PackedLoads::heap_bytes).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,14 +478,6 @@ mod tests {
             ("flat", Box::new(vec![0u32; n])),
             ("nibble", Box::new(PackedLoads::nibble(n))),
             ("byte", Box::new(PackedLoads::byte(n))),
-            (
-                "sharded-byte",
-                Box::new(ShardedLoads::new(n, PackedWidth::Byte, 3)),
-            ),
-            (
-                "sharded-nibble",
-                Box::new(ShardedLoads::new(n, PackedWidth::Nibble, 3)),
-            ),
         ]
     }
 
@@ -755,30 +574,9 @@ mod tests {
         assert_eq!(vec![0u32; n].heap_bytes(), 4 * n);
         assert_eq!(PackedLoads::byte(n).heap_bytes(), n);
         assert_eq!(PackedLoads::nibble(n).heap_bytes(), n / 2);
-        // Sharded storage packs identically; spill entries are charged.
-        assert_eq!(ShardedLoads::byte(n).heap_bytes(), n);
+        // Spill entries are charged.
         let mut spilled = PackedLoads::nibble(n);
         spilled.set(0, 1000);
         assert_eq!(spilled.heap_bytes(), n / 2 + SPILL_RECORD_BYTES);
-    }
-
-    #[test]
-    fn sharded_layout_covers_ragged_and_degenerate_sizes() {
-        for n in [1usize, 7, 8, 9, 64, 100] {
-            let loads = ShardedLoads::new(n, PackedWidth::Byte, 3);
-            assert_eq!(loads.num_servers(), n);
-            assert_eq!(loads.num_shards(), n.div_ceil(8).max(1));
-            assert_eq!(loads.to_vec(), vec![0u32; n]);
-        }
-        // n = 0: a single empty shard, no bins.
-        let empty = ShardedLoads::byte(0);
-        assert_eq!(empty.num_servers(), 0);
-        assert_eq!(empty.to_vec(), Vec::<u32>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard_bits")]
-    fn zero_shard_bits_rejected() {
-        let _ = ShardedLoads::new(8, PackedWidth::Byte, 0);
     }
 }

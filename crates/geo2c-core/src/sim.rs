@@ -103,8 +103,8 @@ fn insert_balls<S: Space, R: Rng + ?Sized, LS: LoadState + ?Sized>(
 /// the load vector far exceeds L2.
 ///
 /// The loop is generic over the [`LoadState`] backing: the flat
-/// `Vec<u32>` reference the committed tables run on, or the packed and
-/// sharded backings of [`crate::load`] for streaming-scale trials —
+/// `Vec<u32>` reference the committed tables run on, or the packed
+/// backings of [`crate::load`] for streaming-scale trials —
 /// placement-identical by the `loadvec_equivalence` proptest suite.
 ///
 /// # Panics

@@ -228,7 +228,7 @@ impl Strategy {
     }
 
     /// [`Strategy::place_from_owners`] over any [`LoadRead`] backing —
-    /// the entry point the packed/sharded load states run. The minimum
+    /// the entry point the packed load states run. The minimum
     /// scan goes through [`LoadRead::min_load_of`] (a register-wide lane
     /// compare on packed backings) and tie filtering through
     /// [`LoadRead::load`]; both agree exactly with the flat reference,

@@ -1,4 +1,4 @@
-//! Property tests pinning every packed/sharded [`LoadState`] backing to
+//! Property tests pinning every packed [`LoadState`] backing to
 //! the flat `Vec<u32>` reference — **exactly**, not statistically.
 //!
 //! The insertion engine is generic over its load state
@@ -12,11 +12,11 @@
 //!
 //! Coverage: all spaces (uniform bins, ring arcs, 2-D Voronoi torus,
 //! K-torus for K ∈ {1, 2, 3}, and the non-uniform probe mixture) ×
-//! d ∈ {1, 2, 3} × every tie policy × four packed/sharded backings —
+//! d ∈ {1, 2, 3} × every tie policy × both packed widths —
 //! plus heavy-load cases that force nibble saturation, byte saturation,
 //! and spill/un-spill churn, and the n = 1 degenerate layout.
 
-use geo2c_core::load::{LoadState, PackedLoads, PackedWidth, ShardedLoads};
+use geo2c_core::load::{LoadState, PackedLoads};
 use geo2c_core::nonuniform::{MixRingSpace, RingMix};
 use geo2c_core::sim::{run_trial_into, run_trial_with_lanes};
 use geo2c_core::space::{KdTorusSpace, RingSpace, Space, TorusSpace, UniformSpace};
@@ -33,21 +33,11 @@ const TIES: [TieBreak; 5] = [
     TieBreak::LowestIndex,
 ];
 
-/// The packed and sharded backings under test, all-zero over `n` bins.
-/// Shard sizes of 2^2 and 2^3 bins force many-shard layouts (with a
-/// ragged final shard) even at property-test `n`.
+/// The packed backings under test, all-zero over `n` bins.
 fn backings(n: usize) -> Vec<(&'static str, Box<dyn LoadState>)> {
     vec![
         ("packed-nibble", Box::new(PackedLoads::nibble(n))),
         ("packed-byte", Box::new(PackedLoads::byte(n))),
-        (
-            "sharded-byte",
-            Box::new(ShardedLoads::new(n, PackedWidth::Byte, 3)),
-        ),
-        (
-            "sharded-nibble",
-            Box::new(ShardedLoads::new(n, PackedWidth::Nibble, 2)),
-        ),
     ]
 }
 

@@ -14,8 +14,8 @@
 //! * [`tolerance`] — statistical diffing between a fresh run and the
 //!   committed expectations (`run_tables --check`), built on the
 //!   two-sample statistics in [`geo2c_util::stats`].
-//! * [`markdown`] — flat and paper-layout (pivot) rendering to plain
-//!   text for stdout and markdown for `EXPERIMENTS.md`.
+//! * [`markdown`] — flat and paper-layout (pivot) rendering to markdown
+//!   for `EXPERIMENTS.md`.
 //!
 //! Every `geo2c-bench` binary declares a spec and emits its numbers
 //! through these types; the `run_tables` driver persists them and keeps

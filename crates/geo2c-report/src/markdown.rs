@@ -1,5 +1,5 @@
-//! Rendering [`ExperimentResult`]s for humans: plain-text tables for
-//! stdout and markdown tables for `EXPERIMENTS.md`.
+//! Rendering [`ExperimentResult`]s for humans: the markdown tables of
+//! `EXPERIMENTS.md`.
 //!
 //! Two layouts cover every experiment in the workspace:
 //!
@@ -18,7 +18,6 @@
 use crate::json::Json;
 use crate::spec::{Cell, ExperimentResult};
 use geo2c_util::hist::Counter;
-use geo2c_util::table::TextTable;
 use std::fmt::Write as _;
 
 /// Formats a JSON scalar for table cells: integers plainly, floats with
@@ -131,24 +130,6 @@ fn flat_row(cell: &Cell, keys: &[String], has_dist: bool) -> Vec<String> {
     row
 }
 
-/// Renders the flat plain-text table for stdout.
-#[must_use]
-pub fn render_text(result: &ExperimentResult) -> String {
-    let (keys, has_dist) = flat_columns(result);
-    let mut header = keys.clone();
-    if has_dist {
-        header.push("distribution".to_string());
-    }
-    let mut table = TextTable::new(header);
-    for cell in &result.cells {
-        table.push_row(flat_row(cell, &keys, has_dist));
-    }
-    format!(
-        "== {} ==\n({}; trials={} seed={})\n\n{}",
-        result.spec.title, result.spec.paper_ref, result.spec.trials, result.spec.seed, table
-    )
-}
-
 /// The distinct values of a coordinate, in first-appearance order.
 fn coord_values(result: &ExperimentResult, key: &str) -> Vec<Json> {
     let mut values = Vec::new();
@@ -175,42 +156,17 @@ fn find_cell<'a>(
     })
 }
 
-fn pivot_cell_text(cell: Option<&Cell>, sep: &str) -> String {
+/// A pivot cell: its distribution lines and mean, `<br>`-separated.
+fn pivot_cell_text(cell: Option<&Cell>) -> String {
     match cell.and_then(|c| c.distribution.as_ref().map(|d| (c, d))) {
         Some((cell, dist)) => {
             let mut lines = dist_lines(dist);
             let stats = cell.dist_stats();
             lines.push(format!("(mean {:.2})", stats.mean()));
-            lines.join(sep)
+            lines.join("<br>")
         }
         None => "-".to_string(),
     }
-}
-
-/// Renders the paper-layout plain-text table: rows by `row_key`,
-/// columns by `col_key`, multi-line distribution cells.
-#[must_use]
-pub fn render_text_pivot(result: &ExperimentResult, row_key: &str, col_key: &str) -> String {
-    let rows = coord_values(result, row_key);
-    let cols = coord_values(result, col_key);
-    let mut table = TextTable::new(
-        std::iter::once(row_key.to_string())
-            .chain(cols.iter().map(|c| format!("{col_key}={}", fmt_json(c)))),
-    );
-    for row in &rows {
-        let mut cells = vec![fmt_coord(row)];
-        for col in &cols {
-            cells.push(pivot_cell_text(
-                find_cell(result, row_key, row, col_key, col),
-                "\n",
-            ));
-        }
-        table.push_row(cells);
-    }
-    format!(
-        "== {} ==\n({}; trials={} seed={})\n\n{}",
-        result.spec.title, result.spec.paper_ref, result.spec.trials, result.spec.seed, table
-    )
 }
 
 fn markdown_escape(s: &str) -> String {
@@ -299,9 +255,10 @@ pub fn render_markdown_pivot(result: &ExperimentResult, row_key: &str, col_key: 
         .iter()
         .map(|row| {
             std::iter::once(fmt_coord(row))
-                .chain(cols.iter().map(|col| {
-                    pivot_cell_text(find_cell(result, row_key, row, col_key, col), "<br>")
-                }))
+                .chain(
+                    cols.iter()
+                        .map(|col| pivot_cell_text(find_cell(result, row_key, row, col_key, col))),
+                )
                 .collect()
         })
         .collect();
@@ -344,22 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_text_contains_everything() {
-        let text = render_text(&sample());
-        assert!(text.contains("Table 1 sample"));
-        assert!(text.contains("2^12"), "{text}");
-        assert!(text.contains("4: 88.1% · 5: 11.9%"), "{text}");
-        assert!(text.contains("4.119"));
-        assert!(text.contains("trials=1000"));
-    }
-
-    #[test]
     fn pivot_layouts_place_cells_by_coords() {
-        let result = sample();
-        let text = render_text_pivot(&result, "n", "d");
-        assert!(text.contains("d=2"));
-        assert!(text.contains("(mean 4.12)"), "{text}");
-        let md = render_markdown_pivot(&result, "n", "d");
+        let md = render_markdown_pivot(&sample(), "n", "d");
         assert!(md.contains("| n | d = 2 | d = 1 |"), "{md}");
         assert!(md.contains("4: 88.1%<br>5: 11.9%<br>(mean 4.12)"), "{md}");
         // The d=1 cell has no distribution.
@@ -397,9 +340,9 @@ mod tests {
         }
         let mut result = ExperimentResult::new(ExperimentSpec::new("wide", "Wide").trials(29));
         result.push(Cell::new().coord("q", Json::num(0.99)).dist(dist));
-        let text = render_text(&result);
-        assert!(text.contains("5..24 (mode 9)"), "{text}");
-        assert!(!text.contains(" · "), "{text}");
+        let md = render_markdown(&result);
+        assert!(md.contains("| 0.99 | 5..24 (mode 9) |"), "{md}");
+        assert!(!md.contains("5: "), "{md}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! departs at the start of event `t + l`. A failed server
 //! ([`ServeEngine::fail_server`]) has its sessions evicted, its pending
 //! departure entries purged from the schedule (the wheel does this
-//! lazily by bumping the server's epoch), and its load pinned
-//! at a sentinel so that any live probed server always wins the
+//! lazily by bumping the server's epoch), and its load pinned at
+//! [`FAILED_LOAD`] so that any live probed server always wins the
 //! least-loaded comparison; [`ServeEngine::recover_server`] clears the
 //! sentinel and re-admits the server to placement at load zero. An
 //! arrival whose probes all land on failed or at-capacity servers may
@@ -25,9 +25,11 @@ use geo2c_util::rng::{EventLanes, LaneSource as _};
 use rand::RngCore as _;
 use std::fmt;
 
-/// Load sentinel marking a failed server: live loads are bounded far
-/// below this, so a live probe always beats a failed one.
-const FAILED_LOAD: u32 = u32::MAX;
+/// Load sentinel marking a failed server, and the only record of the
+/// failure: a server is failed exactly when its load is this value. Live
+/// loads are bounded far below it, so a live probe always beats a
+/// failed one.
+pub const FAILED_LOAD: u32 = u32::MAX;
 
 /// How long an admitted session holds a slot, in arrival events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,14 +123,13 @@ pub struct RetryStats {
 /// of the replay-prefix byte-identity contract: two engines with equal
 /// construction inputs that have processed the same event prefix (and
 /// the same fault schedule) have equal `EngineState`s. Also the
-/// checkpoint format: [`ServeEngine::restore`] rebuilds an engine that
-/// continues byte-identically to one that never stopped.
+/// checkpoint format: [`ServeEngine::try_restore_with_scheduler`]
+/// rebuilds an engine that continues byte-identically to one that never
+/// stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineState {
-    /// Per-server loads; failed servers hold the sentinel.
+    /// Per-server loads; a failed server holds [`FAILED_LOAD`].
     pub loads: Vec<u32>,
-    /// Per-server failure flags.
-    pub failed: Vec<bool>,
     /// Outstanding departures as sorted `(event, server)` pairs. Every
     /// entry references a live server: a failing server's entries are
     /// purged with its sessions (and never appear in a checkpoint).
@@ -147,7 +148,7 @@ pub struct EngineState {
 /// a reason to abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreError {
-    /// The load or failure vector is sized for a different space.
+    /// The load vector is sized for a different space.
     SpaceSize {
         /// Servers in the engine's space.
         expected: usize,
@@ -182,11 +183,6 @@ pub enum RestoreError {
         /// In-service sessions the counters book.
         in_service: u64,
     },
-    /// A failed server does not hold the failed-load sentinel.
-    MissingSentinel {
-        /// The failed server.
-        server: usize,
-    },
     /// A departure entry names a server outside the space.
     DepartureOutsideSpace {
         /// The entry's server.
@@ -211,6 +207,13 @@ pub enum RestoreError {
         entries: u32,
         /// Its checkpointed load.
         load: u32,
+    },
+    /// The recorded peak load is below a live server's current load.
+    PeakBelowLiveLoad {
+        /// The checkpoint's peak load.
+        peak: u32,
+        /// Its largest live load.
+        live: u32,
     },
 }
 
@@ -248,9 +251,6 @@ impl fmt::Display for RestoreError {
                 "checkpoint must hold exactly one departure entry per in-service session \
                  ({entries} entries, {in_service} sessions)"
             ),
-            Self::MissingSentinel { server } => {
-                write!(f, "failed server {server} without the failed-load sentinel")
-            }
             Self::DepartureOutsideSpace { server } => {
                 write!(f, "departure entry on server {server}, outside the space")
             }
@@ -269,6 +269,10 @@ impl fmt::Display for RestoreError {
                 f,
                 "server {server} holds {entries} departure entries but a load of {load}"
             ),
+            Self::PeakBelowLiveLoad { peak, live } => write!(
+                f,
+                "checkpoint peak load {peak} is below its largest live load {live}"
+            ),
         }
     }
 }
@@ -282,7 +286,7 @@ impl std::error::Error for RestoreError {}
 /// default `Vec<u32>` is the committed-results reference, and the packed
 /// backings of [`geo2c_core::load`] serve the same event stream
 /// byte-identically at a fraction of the memory
-/// ([`ServeEngine::with_load_state`]; pinned by the `packed_equivalence`
+/// ([`ServeEngine::with_scheduler`]; pinned by the `packed_equivalence`
 /// property suite). Also generic over the [`DepartureQueue`] scheduler:
 /// the default [`DepartureWheel`] is the production timing wheel, and
 /// [`crate::wheel::HeapQueue`] is the binary-heap oracle the
@@ -293,18 +297,14 @@ pub struct ServeEngine<S: Space, L: LoadState = Vec<u32>, Q: DepartureQueue = De
     config: ServeConfig,
     lanes: EventLanes,
     blocks: EventOwnerBlocks,
+    /// Per-server loads; [`FAILED_LOAD`] marks a failed server.
     loads: L,
-    failed: Vec<bool>,
     /// Pending `(departure event, server)` entries.
     departures: Q,
-    clock: u64,
-    departed: u64,
-    shed_capacity: u64,
-    shed_unavailable: u64,
-    evicted: u64,
-    admitted_on_retry: u64,
-    /// `retry_by_attempt[j]` admissions on retry attempt `j + 1`.
-    retry_by_attempt: Vec<u64>,
+    /// Session-flow counters; `counters.arrivals` is the event clock.
+    counters: Counters,
+    /// Shed split and retry histogram.
+    retry: RetryStats,
     peak_load: u32,
     /// Reusable probe buffer for the retry path (d entries).
     retry_scratch: Vec<usize>,
@@ -327,58 +327,15 @@ impl<S: Space> ServeEngine<S> {
     #[must_use]
     pub fn new(space: S, config: ServeConfig, root: u64) -> Self {
         let n = space.num_servers();
-        Self::with_load_state(space, config, root, vec![0; n])
-    }
-
-    /// Rebuilds an engine from a checkpoint taken with
-    /// [`ServeEngine::state`], on the flat reference backing. The
-    /// restored engine continues byte-identically to one that processed
-    /// the whole stream uninterrupted, provided `space`, `config`, and
-    /// `root` equal the checkpointed engine's construction inputs.
-    ///
-    /// # Panics
-    /// As [`ServeEngine::restore_with_load_state`].
-    #[must_use]
-    pub fn restore(space: S, config: ServeConfig, root: u64, state: &EngineState) -> Self {
-        let n = space.num_servers();
-        Self::restore_with_load_state(space, config, root, state, vec![0; n])
-    }
-}
-
-impl<S: Space, L: LoadState> ServeEngine<S, L> {
-    /// [`ServeEngine::new`] with an explicit all-zero [`LoadState`]
-    /// backing, e.g. [`geo2c_core::load::PackedLoads`] for large `n`.
-    ///
-    /// # Panics
-    /// As [`ServeEngine::new`], plus if `loads` is sized for a different
-    /// space or not all-zero (the engine's counters assume an empty
-    /// start).
-    #[must_use]
-    pub fn with_load_state(space: S, config: ServeConfig, root: u64, loads: L) -> Self {
-        Self::with_scheduler(space, config, root, loads)
-    }
-
-    /// [`ServeEngine::restore`] with an explicit all-zero [`LoadState`]
-    /// backing (the checkpointed loads are written into it).
-    ///
-    /// # Panics
-    /// As [`ServeEngine::restore_with_scheduler`].
-    #[must_use]
-    pub fn restore_with_load_state(
-        space: S,
-        config: ServeConfig,
-        root: u64,
-        state: &EngineState,
-        loads: L,
-    ) -> Self {
-        Self::restore_with_scheduler(space, config, root, state, loads)
+        Self::with_scheduler(space, config, root, vec![0; n])
     }
 }
 
 impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
-    /// [`ServeEngine::with_load_state`] with an explicit
-    /// [`DepartureQueue`] implementation — how the `wheel_oracle` suite
-    /// runs whole engines on the [`crate::wheel::HeapQueue`] oracle.
+    /// [`ServeEngine::new`] on an explicit all-zero [`LoadState`]
+    /// backing (e.g. [`geo2c_core::load::PackedLoads`] for large `n`)
+    /// and [`DepartureQueue`] type — how the `wheel_oracle` suite runs
+    /// whole engines on the [`crate::wheel::HeapQueue`] oracle.
     ///
     /// # Panics
     /// As [`ServeEngine::new`], plus if `loads` is sized for a different
@@ -413,15 +370,12 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             blocks: EventOwnerBlocks::new(config.strategy.d()),
             lanes: EventLanes::new(root),
             loads,
-            failed: vec![false; n],
             departures: Q::with_origin(n, 0),
-            clock: 0,
-            departed: 0,
-            shed_capacity: 0,
-            shed_unavailable: 0,
-            evicted: 0,
-            admitted_on_retry: 0,
-            retry_by_attempt: vec![0; config.retries as usize],
+            counters: Counters::default(),
+            retry: RetryStats {
+                by_attempt: vec![0; config.retries as usize],
+                ..RetryStats::default()
+            },
             peak_load: 0,
             retry_scratch: vec![0; config.strategy.d()],
             space,
@@ -429,11 +383,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         }
     }
 
-    /// [`ServeEngine::try_restore_with_scheduler`] for a checkpoint this
-    /// process took itself, where a rejection can only be a bug.
+    /// [`ServeEngine::try_restore_with_scheduler`], panicking on a
+    /// rejected checkpoint. It exists only because the repo benchmark
+    /// (`perfbench/src/serve.rs`) calls it; everything else restores
+    /// through the fallible form.
     ///
     /// # Panics
-    /// As [`ServeEngine::with_load_state`], plus on any [`RestoreError`].
+    /// As [`ServeEngine::with_scheduler`], plus on any [`RestoreError`].
     #[must_use]
     pub fn restore_with_scheduler(
         space: S,
@@ -446,25 +402,30 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             .unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// [`ServeEngine::restore_with_load_state`] with an explicit
-    /// [`DepartureQueue`] implementation, returning an error instead of
-    /// panicking on a checkpoint no engine could have produced — the
-    /// entry point for checkpoints read from outside the process.
+    /// Rebuilds an engine from a checkpoint taken with
+    /// [`ServeEngine::state`] onto an all-zero `loads` backing (the
+    /// checkpointed loads are written into it) and the scheduler `Q`.
+    /// The restored engine continues byte-identically to one that
+    /// processed the whole stream uninterrupted, provided `space`,
+    /// `config`, and `root` equal the checkpointed engine's construction
+    /// inputs. Returns an error instead of panicking on a checkpoint no
+    /// engine could have produced — the entry point for checkpoints read
+    /// from outside the process.
     ///
     /// # Errors
     /// [`RestoreError`] when the checkpoint is sized for a different
     /// space, was taken under a different retry budget, is internally
     /// inconsistent (shed counter differing from its capacity/unavailable
-    /// split, more exits than arrivals, a failed server not holding the
-    /// sentinel, live loads violating session conservation
-    /// `Σ live = arrivals − departed − shed − evicted`, or a departure
-    /// count differing from the in-service session count), carries a
-    /// departure entry outside the space, on a failed server, or already
-    /// due before the checkpoint clock, or gives some live server a
-    /// departure-entry count different from its load.
+    /// split, more exits than arrivals, live loads violating session
+    /// conservation `Σ live = arrivals − departed − shed − evicted`, a
+    /// departure count differing from the in-service session count, or
+    /// a peak load below some live load), carries a departure entry
+    /// outside the space, on a failed server, or already due before the
+    /// checkpoint clock, or gives some live server a departure-entry
+    /// count different from its load.
     ///
     /// # Panics
-    /// As [`ServeEngine::with_load_state`]: `config` and `loads` are the
+    /// As [`ServeEngine::with_scheduler`]: `config` and `loads` are the
     /// caller's inputs, not the checkpoint's.
     pub fn try_restore_with_scheduler(
         space: S,
@@ -475,10 +436,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     ) -> Result<Self, RestoreError> {
         let mut engine = Self::with_scheduler(space, config, root, loads);
         let n = engine.space.num_servers();
-        for found in [state.loads.len(), state.failed.len()] {
-            if found != n {
-                return Err(RestoreError::SpaceSize { expected: n, found });
-            }
+        if state.loads.len() != n {
+            return Err(RestoreError::SpaceSize {
+                expected: n,
+                found: state.loads.len(),
+            });
         }
         let budget = config.retries as usize;
         if state.retry.by_attempt.len() != budget {
@@ -502,13 +464,8 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             .and_then(|exits| exits.checked_add(c.evicted))
             .and_then(|exits| c.arrivals.checked_sub(exits))
             .ok_or(RestoreError::ExitsExceedArrivals)?;
-        let live_sum: u64 = state
-            .loads
-            .iter()
-            .zip(&state.failed)
-            .filter(|&(_, &down)| !down)
-            .map(|(&load, _)| u64::from(load))
-            .sum();
+        let live = || state.loads.iter().copied().filter(|&l| l != FAILED_LOAD);
+        let live_sum: u64 = live().map(u64::from).sum();
         if live_sum != in_service {
             return Err(RestoreError::Conservation {
                 live_sum,
@@ -522,15 +479,18 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
                 in_service,
             });
         }
-        for (s, (&load, &down)) in state.loads.iter().zip(&state.failed).enumerate() {
-            if down && load != FAILED_LOAD {
-                return Err(RestoreError::MissingSentinel { server: s });
-            }
+        let max_live = live().max().unwrap_or(0);
+        if state.peak_load < max_live {
+            return Err(RestoreError::PeakBelowLiveLoad {
+                peak: state.peak_load,
+                live: max_live,
+            });
+        }
+        for (s, &load) in state.loads.iter().enumerate() {
             if load != 0 {
                 engine.loads.set(s, load);
             }
         }
-        engine.failed.copy_from_slice(&state.failed);
         // Re-key the queue to the checkpoint clock before re-filing:
         // every outstanding deadline is ≥ arrivals (earlier ones already
         // drained), and a wheel origined mid-stream files by delta.
@@ -544,7 +504,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             if s >= n {
                 return Err(RestoreError::DepartureOutsideSpace { server });
             }
-            if state.failed[s] {
+            if state.loads[s] == FAILED_LOAD {
                 return Err(RestoreError::DepartureOnFailedServer { server });
             }
             if when < state.counters.arrivals {
@@ -553,7 +513,8 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             entries_on[s] = entries_on[s].saturating_add(1);
             engine.departures.schedule(when, server);
         }
-        let disagreeing = (0..n).find(|&s| !state.failed[s] && entries_on[s] != state.loads[s]);
+        let disagreeing =
+            (0..n).find(|&s| state.loads[s] != FAILED_LOAD && entries_on[s] != state.loads[s]);
         if let Some(server) = disagreeing {
             return Err(RestoreError::DeparturesDisagreeWithLoad {
                 server,
@@ -562,15 +523,8 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             });
         }
         drop(entries_on);
-        engine.clock = state.counters.arrivals;
-        engine.departed = state.counters.departed;
-        engine.evicted = state.counters.evicted;
-        engine.shed_capacity = state.retry.shed_capacity;
-        engine.shed_unavailable = state.retry.shed_unavailable;
-        engine.admitted_on_retry = state.retry.admitted_on_retry;
-        engine
-            .retry_by_attempt
-            .copy_from_slice(&state.retry.by_attempt);
+        engine.counters = state.counters;
+        engine.retry.clone_from(&state.retry);
         engine.peak_load = state.peak_load;
         Ok(engine)
     }
@@ -581,15 +535,17 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// to [`ServeConfig::retries`] redrawn probe sets are exhausted,
     /// shed by admission control.
     pub fn step(&mut self) -> Placement {
-        let t = self.clock;
-        self.clock += 1;
+        let t = self.counters.arrivals;
+        self.counters.arrivals += 1;
         {
             let loads = &mut self.loads;
-            let failed = &self.failed;
-            let departed = &mut self.departed;
+            let departed = &mut self.counters.departed;
             self.departures.drain_due(t, |server| {
                 let server = server as usize;
-                debug_assert!(!failed[server], "purged entries never reach the drain");
+                debug_assert!(
+                    loads.load(server) != FAILED_LOAD,
+                    "purged entries never reach the drain"
+                );
                 loads.dec(server);
                 *departed += 1;
             });
@@ -621,8 +577,8 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
                 );
                 match self.shed_verdict(dest) {
                     None => {
-                        self.admitted_on_retry += 1;
-                        self.retry_by_attempt[(attempt - 1) as usize] += 1;
+                        self.retry.admitted_on_retry += 1;
+                        self.retry.by_attempt[(attempt - 1) as usize] += 1;
                         return self.admit(dest, t);
                     }
                     Some(kind) => verdict = kind,
@@ -630,29 +586,30 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
             }
         }
         // Shed, classified by the final attempt's destination.
+        self.counters.shed += 1;
         match verdict {
             ShedKind::Capacity(dest) => {
-                self.shed_capacity += 1;
+                self.retry.shed_capacity += 1;
                 Placement::ShedCapacity(dest)
             }
             ShedKind::Unavailable => {
-                self.shed_unavailable += 1;
+                self.retry.shed_unavailable += 1;
                 Placement::ShedUnavailable
             }
         }
     }
 
-    /// Why `dest` cannot admit, or `None` if it can.
+    /// Why `dest` cannot admit, or `None` if it can: one load read
+    /// answers both the failure and the capacity test.
     fn shed_verdict(&self, dest: usize) -> Option<ShedKind> {
-        if self.failed[dest] {
+        let load = self.loads.load(dest);
+        if load == FAILED_LOAD {
             return Some(ShedKind::Unavailable);
         }
-        if let Some(cap) = self.config.capacity {
-            if self.loads.load(dest) >= cap {
-                return Some(ShedKind::Capacity(dest));
-            }
+        match self.config.capacity {
+            Some(cap) if load >= cap => Some(ShedKind::Capacity(dest)),
+            _ => None,
         }
-        None
     }
 
     /// Admits event `t`'s session to `dest` and schedules its departure.
@@ -675,21 +632,22 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// untouched) before stepping through its drain-then-place events.
     /// Byte-identical to calling [`ServeEngine::step`] `events` times.
     pub fn run(&mut self, events: u64) {
-        let end = self.clock + events;
-        while self.clock < end {
+        let end = self.counters.arrivals + events;
+        while self.counters.arrivals < end {
+            let clock = self.counters.arrivals;
             let block = EventOwnerBlocks::BLOCK_EVENTS;
-            let start = self.clock - self.clock % block;
+            let start = clock - clock % block;
             let run_end = (start + block).min(end);
             let d = self.blocks.d();
-            let lo = (self.clock - start) as usize * d;
+            let lo = (clock - start) as usize * d;
             let hi = (run_end - start) as usize * d;
-            let owners = self.blocks.block(&self.space, &self.lanes, self.clock);
+            let owners = self.blocks.block(&self.space, &self.lanes, clock);
             let mut warm = 0u32;
             for &owner in &owners[lo..hi] {
                 warm = warm.wrapping_add(self.loads.warm(owner));
             }
             std::hint::black_box(warm);
-            let steps = run_end - self.clock;
+            let steps = run_end - clock;
             for _ in 0..steps {
                 self.step();
             }
@@ -704,12 +662,12 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// on it lose to any live alternative (until
     /// [`ServeEngine::recover_server`]). Idempotent.
     pub fn fail_server(&mut self, server: usize) {
-        if self.failed[server] {
+        let load = self.loads.load(server);
+        if load == FAILED_LOAD {
             return;
         }
-        self.evicted += u64::from(self.loads.load(server));
+        self.counters.evicted += u64::from(load);
         self.loads.set(server, FAILED_LOAD);
-        self.failed[server] = true;
         self.departures.purge_server(server as u32);
     }
 
@@ -717,11 +675,9 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// to placement at load zero (its evicted sessions are gone for
     /// good). No-op on a live server.
     pub fn recover_server(&mut self, server: usize) {
-        if !self.failed[server] {
-            return;
+        if self.is_failed(server) {
+            self.loads.set(server, 0);
         }
-        self.failed[server] = false;
-        self.loads.set(server, 0);
     }
 
     /// The event `t`'s session lifetime, drawn on its private life lane.
@@ -745,72 +701,72 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// Arrival events processed so far.
     #[must_use]
     pub fn arrivals(&self) -> u64 {
-        self.clock
+        self.counters.arrivals
     }
 
     /// Sessions that ran to completion and departed.
     #[must_use]
     pub fn departed(&self) -> u64 {
-        self.departed
+        self.counters.departed
     }
 
     /// Arrivals rejected by admission control (capacity or unavailable).
     #[must_use]
     pub fn shed(&self) -> u64 {
-        self.shed_capacity + self.shed_unavailable
+        self.counters.shed
     }
 
     /// Sheds whose final attempt found a live server at capacity.
     #[must_use]
     pub fn shed_capacity(&self) -> u64 {
-        self.shed_capacity
+        self.retry.shed_capacity
     }
 
     /// Sheds whose final attempt landed every probe on a failed server.
     #[must_use]
     pub fn shed_unavailable(&self) -> u64 {
-        self.shed_unavailable
+        self.retry.shed_unavailable
     }
 
     /// Arrivals admitted on a retry attempt (primary probes exhausted).
     #[must_use]
     pub fn admitted_on_retry(&self) -> u64 {
-        self.admitted_on_retry
+        self.retry.admitted_on_retry
     }
 
     /// Retry histogram: entry `j` counts admissions on retry attempt
     /// `j + 1`. Length equals [`ServeConfig::retries`].
     #[must_use]
     pub fn retry_by_attempt(&self) -> &[u64] {
-        &self.retry_by_attempt
+        &self.retry.by_attempt
     }
 
     /// Sessions killed by server failures.
     #[must_use]
     pub fn evicted(&self) -> u64 {
-        self.evicted
+        self.counters.evicted
     }
 
     /// Arrivals admitted: `arrivals − shed`.
     #[must_use]
     pub fn admitted(&self) -> u64 {
-        self.clock - self.shed()
+        self.counters.arrivals - self.counters.shed
     }
 
     /// Sessions currently occupying a live server:
     /// `admitted − departed − evicted`.
     #[must_use]
     pub fn in_service(&self) -> u64 {
-        self.admitted() - self.departed - self.evicted
+        self.admitted() - self.counters.departed - self.counters.evicted
     }
 
     /// Fraction of arrivals shed (`0` before the first event).
     #[must_use]
     pub fn shed_rate(&self) -> f64 {
-        if self.clock == 0 {
+        if self.counters.arrivals == 0 {
             0.0
         } else {
-            self.shed() as f64 / self.clock as f64
+            self.counters.shed as f64 / self.counters.arrivals as f64
         }
     }
 
@@ -820,19 +776,17 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         self.peak_load
     }
 
-    /// Whether `server` has failed.
+    /// Whether `server` has failed (its load is [`FAILED_LOAD`]).
     #[must_use]
     pub fn is_failed(&self, server: usize) -> bool {
-        self.failed[server]
+        self.loads.load(server) == FAILED_LOAD
     }
 
     /// The loads of the live servers, in server order.
     pub fn live_loads(&self) -> impl Iterator<Item = u32> + '_ {
-        self.failed
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| !f)
-            .map(|(s, _)| self.loads.load(s))
+        (0..self.loads.num_servers())
+            .map(|s| self.loads.load(s))
+            .filter(|&load| load != FAILED_LOAD)
     }
 
     /// The substrate the engine routes on.
@@ -848,15 +802,15 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     }
 
     /// Point-in-time statistics over the live loads: one counting pass
-    /// into a dense [`Histogram`] (live loads are bounded by
-    /// [`ServeEngine::peak_load`], so the bucket array is tiny) instead
-    /// of the old clone-and-sort — no O(n log n), and the max/p99/mean
-    /// read straight off the counts. The mean is *exactly* the
-    /// sorted-sum mean: both are integer sums below 2^53, each exactly
-    /// representable in an `f64`.
+    /// into a dense [`Histogram`] instead of the old clone-and-sort — no
+    /// O(n log n), and the max/p99/mean read straight off the counts.
+    /// The bucket array grows to the largest load it records, never to
+    /// a size taken from elsewhere, so it stays tiny. The mean is
+    /// *exactly* the sorted-sum mean: both are integer sums below 2^53,
+    /// each exactly representable in an `f64`.
     #[must_use]
     pub fn load_stats(&self) -> LoadStats {
-        let mut hist = Histogram::with_max(self.peak_load);
+        let mut hist = Histogram::new();
         for load in self.live_loads() {
             hist.record(load);
         }
@@ -879,26 +833,15 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     }
 
     /// A comparable image of the full mutable state (replay tests), and
-    /// the checkpoint format [`ServeEngine::restore`] accepts.
+    /// the checkpoint format [`ServeEngine::try_restore_with_scheduler`]
+    /// accepts.
     #[must_use]
     pub fn state(&self) -> EngineState {
-        let departures = self.departures.entries();
         EngineState {
             loads: self.loads.to_vec(),
-            failed: self.failed.clone(),
-            departures,
-            counters: Counters {
-                arrivals: self.clock,
-                departed: self.departed,
-                shed: self.shed(),
-                evicted: self.evicted,
-            },
-            retry: RetryStats {
-                shed_capacity: self.shed_capacity,
-                shed_unavailable: self.shed_unavailable,
-                admitted_on_retry: self.admitted_on_retry,
-                by_attempt: self.retry_by_attempt.clone(),
-            },
+            departures: self.departures.entries(),
+            counters: self.counters,
+            retry: self.retry.clone(),
             peak_load: self.peak_load,
         }
     }
@@ -1205,7 +1148,7 @@ mod tests {
     #[test]
     fn restore_rejects_loads_that_violate_session_conservation() {
         let (_, _, mut state) = tamper_base();
-        let live = state.failed.iter().position(|&down| !down).unwrap();
+        let live = state.loads.iter().position(|&l| l != FAILED_LOAD).unwrap();
         state.loads[live] += 1; // books a session that never arrived
         assert!(matches!(
             restore_error(state),
@@ -1222,8 +1165,11 @@ mod tests {
             RestoreError::ExitsExceedArrivals
         );
         // The infallible restore reports the same reason in its panic.
-        let err = std::panic::catch_unwind(|| ServeEngine::restore(space, cfg, 77, &state))
-            .expect_err("the panicking restore must reject it too");
+        let err = std::panic::catch_unwind(|| {
+            let _: ServeEngine<_> =
+                ServeEngine::restore_with_scheduler(space, cfg, 77, &state, vec![0; 16]);
+        })
+        .expect_err("the panicking restore must reject it too");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("more exits than arrivals"), "{msg:?}");
     }
@@ -1261,7 +1207,7 @@ mod tests {
         // would take b's load below zero once b's extra session departs.
         let (when, a) = state.departures[0];
         let b = (0..16u32)
-            .find(|&b| b != a && !state.failed[b as usize])
+            .find(|&b| b != a && state.loads[b as usize] != FAILED_LOAD)
             .unwrap();
         state.departures[0] = (when, b);
         let (a, b) = (a as usize, b as usize);
@@ -1284,12 +1230,36 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_a_failed_server_without_the_sentinel() {
+    fn restore_rejects_a_peak_load_below_a_live_load() {
         let (_, _, mut state) = tamper_base();
-        state.loads[2] = 0; // failed in the checkpoint, sentinel cleared
+        let live = state.loads.iter().copied().filter(|&l| l != FAILED_LOAD);
+        let max_live = live.max().unwrap();
+        assert!(max_live > 0, "the base image must hold sessions");
+        state.peak_load = max_live - 1;
         assert_eq!(
             restore_error(state),
-            RestoreError::MissingSentinel { server: 2 }
+            RestoreError::PeakBelowLiveLoad {
+                peak: max_live - 1,
+                live: max_live
+            }
+        );
+    }
+
+    #[test]
+    fn load_stats_sizes_its_histogram_from_the_live_loads() {
+        // A peak near u32::MAX is a valid checkpoint (the peak bounds the
+        // live loads only from above); sizing the histogram from it would
+        // ask for 32 GiB of buckets.
+        let (space, cfg, mut state) = tamper_base();
+        state.peak_load = FAILED_LOAD - 1;
+        let engine: ServeEngine<_> =
+            ServeEngine::try_restore_with_scheduler(space, cfg, 77, &state, vec![0; 16])
+                .expect("a high peak is restorable");
+        let stats = engine.load_stats();
+        assert_eq!(stats.live_servers, 15, "server 2 failed");
+        assert_eq!(
+            u64::from(stats.max),
+            engine.live_loads().map(u64::from).max().unwrap()
         );
     }
 
@@ -1308,7 +1278,13 @@ mod tests {
             assert_eq!(engine.in_service(), 100, "no session ever departs");
             let state = engine.state();
             assert!(state.departures.iter().all(|&(when, _)| when == u64::MAX));
-            let mut resumed = ServeEngine::restore(UniformSpace::new(4), cfg, 3, &state);
+            let mut resumed: ServeEngine<_> = ServeEngine::restore_with_scheduler(
+                UniformSpace::new(4),
+                cfg,
+                3,
+                &state,
+                vec![0; 4],
+            );
             resumed.run(50);
             engine.run(50);
             assert_eq!(resumed.state(), engine.state());
@@ -1330,7 +1306,8 @@ mod tests {
         full.fail_server(5);
         full.run(100);
         let checkpoint = first.state();
-        let mut resumed = ServeEngine::restore(space, cfg, 900, &checkpoint);
+        let mut resumed: ServeEngine<_> =
+            ServeEngine::restore_with_scheduler(space, cfg, 900, &checkpoint, vec![0; 16]);
         assert_eq!(resumed.state(), checkpoint, "restore is lossless");
         resumed.recover_server(5);
         full.recover_server(5);

@@ -66,7 +66,9 @@
 //! crashes through this path and pins `resume + replay ≡ uninterrupted
 //! run` across load backings and schedulers.
 
-use crate::engine::{Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine};
+use crate::engine::{
+    Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine, FAILED_LOAD,
+};
 use crate::fault::FaultPlan;
 use crate::wheel::{DepartureQueue, DepartureWheel};
 use geo2c_core::load::LoadState;
@@ -258,10 +260,11 @@ pub fn encode_state(state: &EngineState) -> Vec<u8> {
     for &load in &state.loads {
         put_var(&mut out, u64::from(load));
     }
-    // Failure flags as a bitset: bit s of byte s / 8.
+    // Failure flags as a bitset, bit s of byte s / 8: redundant with the
+    // sentinel loads, and kept so the image format stays unchanged.
     let mut bits = vec![0u8; (n + 7) / 8];
-    for (s, &down) in state.failed.iter().enumerate() {
-        if down {
+    for (s, &load) in state.loads.iter().enumerate() {
+        if load == FAILED_LOAD {
             bits[s / 8] |= 1 << (s % 8);
         }
     }
@@ -295,9 +298,10 @@ fn put_var(out: &mut Vec<u8>, mut value: u64) {
 /// Decodes the versioned checkpoint codec back into an [`EngineState`].
 ///
 /// # Errors
-/// [`JournalError::Codec`] when the version byte is unknown or the
-/// payload is shorter or longer than its own counts declare. (Semantic
-/// validity — conservation, sentinels, the departure map — is the
+/// [`JournalError::Codec`] when the version byte is unknown, the payload
+/// is shorter or longer than its own counts declare, or the failure
+/// bitset disagrees with the [`FAILED_LOAD`] sentinels in the loads.
+/// (Semantic validity — conservation, the departure map — is the
 /// restore path's job; see [`ServeEngine::try_restore_with_scheduler`].)
 pub fn decode_state(bytes: &[u8]) -> Result<EngineState, JournalError> {
     let mut r = Reader { buf: bytes, at: 0 };
@@ -325,7 +329,12 @@ pub fn decode_state(bytes: &[u8]) -> Result<EngineState, JournalError> {
         loads.push(r.var_u32()?);
     }
     let bits = r.bytes((n + 7) / 8)?;
-    let failed = (0..n).map(|s| bits[s / 8] & (1 << (s % 8)) != 0).collect();
+    let flagged = |s: usize| bits[s / 8] & (1 << (s % 8)) != 0;
+    if (0..n).any(|s| flagged(s) != (loads[s] == FAILED_LOAD)) {
+        return Err(JournalError::Codec(
+            "failure bitset disagrees with the sentinel loads",
+        ));
+    }
     let entries = r.count()?;
     let mut departures = Vec::with_capacity(entries);
     let mut prev_when = 0u64;
@@ -342,7 +351,6 @@ pub fn decode_state(bytes: &[u8]) -> Result<EngineState, JournalError> {
     }
     Ok(EngineState {
         loads,
-        failed,
         departures,
         counters,
         retry: RetryStats {
@@ -415,7 +423,7 @@ impl<'a> Reader<'a> {
 
 /// A [`ServeEngine`] wrapped with the durability discipline: chunked
 /// runs append a progress frame per chunk to the journal handle it
-/// holds, and every [`checkpoint interval`](DurableEngine::create) events
+/// holds, and every [`checkpoint interval`](DurableEngine::create_with) events
 /// the full state is checkpointed (temp file + atomic rename) and the
 /// journal compacted. Construction inputs are bound into both file
 /// headers.
@@ -437,33 +445,12 @@ pub struct DurableEngine<S: Space, L: LoadState = Vec<u32>, Q: DepartureQueue = 
     checkpoints: u64,
 }
 
-impl<S: Space> DurableEngine<S> {
-    /// Creates a journal directory for a fresh engine on the default
-    /// flat load backing and timing-wheel scheduler, checkpointing every
-    /// `every` events. Writes the initial (event-0) checkpoint and an
-    /// empty journal before returning, so a crash at any later point
-    /// has something durable to resume from.
-    ///
-    /// # Errors
-    /// Any filesystem failure creating the directory or its files.
-    ///
-    /// # Panics
-    /// As [`ServeEngine::new`], plus if `every` is zero.
-    pub fn create(
-        dir: impl Into<PathBuf>,
-        space: S,
-        config: ServeConfig,
-        root: u64,
-        every: u64,
-    ) -> Result<Self, JournalError> {
-        let n = space.num_servers();
-        Self::create_with(dir, space, config, root, every, vec![0u32; n])
-    }
-}
-
 impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
-    /// [`DurableEngine::create`] with explicit load-state backing and
-    /// scheduler type parameters.
+    /// Creates a journal directory for a fresh engine on the all-zero
+    /// `loads` backing and the scheduler `Q`, checkpointing every `every`
+    /// events. Writes the initial (event-0) checkpoint and an empty
+    /// journal before returning, so a crash at any later point has
+    /// something durable to resume from.
     ///
     /// # Errors
     /// Any filesystem failure creating the directory or its files.
@@ -609,38 +596,31 @@ pub struct Resumed<S: Space, L: LoadState, Q: DepartureQueue> {
     pub replayed: u64,
     /// Bytes of torn journal tail truncated during the scan.
     pub torn_bytes: u64,
+    /// The directory the engine was resumed from.
+    dir: PathBuf,
+    /// The binding words both of its files carry.
+    binds: [u64; 2],
 }
 
 impl<S: Space, L: LoadState, Q: DepartureQueue> Resumed<S, L, Q> {
     /// Continues the resumed engine under the durability discipline,
-    /// journaling to the same directory with checkpoint interval
-    /// `every`. Opens the journal handle the engine then holds; the
-    /// resume already cut any torn tail, so new frames follow the last
-    /// intact one.
+    /// journaling to the directory it was resumed from, under the same
+    /// binding words, with checkpoint interval `every`. Opens the
+    /// journal handle the engine then holds; the resume already cut any
+    /// torn tail, so new frames follow the last intact one.
     ///
     /// # Errors
-    /// Any filesystem failure opening `dir`'s journal.
+    /// Any filesystem failure opening the directory's journal.
     ///
     /// # Panics
     /// If `every` is zero.
-    pub fn into_durable(
-        self,
-        dir: impl Into<PathBuf>,
-        root: u64,
-        every: u64,
-    ) -> Result<DurableEngine<S, L, Q>, JournalError> {
+    pub fn into_durable(self, every: u64) -> Result<DurableEngine<S, L, Q>, JournalError> {
         assert!(every >= 1, "checkpoint interval must be at least 1 event");
-        let dir = dir.into();
-        let binds = binding_words(
-            root,
-            self.engine.space().num_servers(),
-            self.engine.config(),
-        );
         Ok(DurableEngine {
-            journal: open_journal(&dir)?,
-            checkpoint_header: encoded_header(CHECKPOINT_MAGIC, binds),
+            journal: open_journal(&self.dir)?,
+            checkpoint_header: encoded_header(CHECKPOINT_MAGIC, self.binds),
             engine: self.engine,
-            dir,
+            dir: self.dir,
             every,
             checkpoint_event: self.checkpoint_event,
             journal_bytes: 0,
@@ -747,6 +727,8 @@ impl Recovery {
             checkpoint_event,
             replayed,
             torn_bytes,
+            dir: dir.to_path_buf(),
+            binds,
         })
     }
 }
@@ -821,6 +803,11 @@ mod tests {
         RingSpace::random(n, &mut Xoshiro256pp::from_u64(seed))
     }
 
+    /// A durable engine over `space(n, seed)` on the flat backing.
+    fn create(dir: &Path, n: usize, seed: u64, root: u64, every: u64) -> DurableEngine<RingSpace> {
+        DurableEngine::create_with(dir, space(n, seed), config(), root, every, vec![0; n]).unwrap()
+    }
+
     #[test]
     fn state_codec_round_trips_exactly() {
         let mut engine = ServeEngine::new(space(32, 3), config(), 500);
@@ -833,6 +820,53 @@ mod tests {
         // And the trivial image round-trips too.
         let fresh = ServeEngine::new(space(32, 3), config(), 500).state();
         assert_eq!(decode_state(&encode_state(&fresh)).unwrap(), fresh);
+    }
+
+    #[test]
+    fn checkpoint_image_bytes_are_pinned() {
+        // Failed servers, capacity sheds, unavailable sheds and retry
+        // rescues on a fixed seed. The length and CRC were recorded when
+        // the engine still kept a failure vector beside the sentinel
+        // loads, so they pin that deriving the bitset from the sentinels
+        // left the on-disk format unchanged.
+        let config = ServeConfig {
+            strategy: Strategy::two_choice(),
+            capacity: Some(3),
+            life: SessionLife::Exponential { mean: 40.0 },
+            retries: 2,
+        };
+        let mut engine = ServeEngine::new(space(16, 21), config, 1234);
+        engine.run(600);
+        engine.fail_server(3);
+        engine.fail_server(11);
+        engine.run(300);
+        engine.fail_server(9);
+        engine.recover_server(3);
+        engine.run(100);
+        assert_eq!(
+            (engine.shed_capacity(), engine.shed_unavailable()),
+            (206, 4)
+        );
+        assert_eq!(engine.retry_by_attempt(), &[181, 94]);
+        let image = encode_state(&engine.state());
+        assert_eq!((image.len(), frame::crc32(&image)), (103, 0x5616_746E));
+    }
+
+    #[test]
+    fn state_codec_rejects_a_failure_bitset_that_disagrees_with_the_sentinels() {
+        // No sessions, so the image ends with the 2-byte failure bitset
+        // of the 12 servers and a zero departure count.
+        let mut engine = ServeEngine::new(space(12, 7), config(), 3);
+        engine.fail_server(5);
+        let good = encode_state(&engine.state());
+        let at = good.len() - 3;
+        assert_eq!(good[at..], [1 << 5, 0, 0]);
+        // A set bit over a live load, and a sentinel load without its bit.
+        for bit in [2, 5] {
+            let mut bad = good.clone();
+            bad[at] ^= 1 << bit;
+            assert!(matches!(decode_state(&bad), Err(JournalError::Codec(_))));
+        }
     }
 
     #[test]
@@ -923,7 +957,7 @@ mod tests {
     fn journaled_runs_match_plain_runs_and_resume_cleanly() {
         let dir = temp_dir("clean");
         let plan = FaultPlan::random_churn(7, 24, 900, 3, 60);
-        let mut durable = DurableEngine::create(&dir, space(24, 11), config(), 42, 256).unwrap();
+        let mut durable = create(&dir, 24, 11, 42, 256);
         durable.run_journaled(900, &plan).unwrap();
         assert_eq!(durable.checkpoints(), 3, "900 events / 256 interval");
         assert!(durable.journal_bytes() > 0);
@@ -946,7 +980,7 @@ mod tests {
     fn resume_rejects_the_wrong_root_or_config() {
         let dir = temp_dir("binding");
         let plan = FaultPlan::empty();
-        let mut durable = DurableEngine::create(&dir, space(16, 2), config(), 9, 128).unwrap();
+        let mut durable = create(&dir, 16, 2, 9, 128);
         durable.run_journaled(300, &plan).unwrap();
         let wrong_root: Result<Resumed<_, Vec<u32>, DepartureWheel>, _> =
             Recovery::resume(&dir, space(16, 2), config(), 10, &plan, vec![0; 16]);
@@ -988,7 +1022,7 @@ mod tests {
         // than arrivals: an error to return, not a process to abort.
         let dir = temp_dir("invalid");
         let plan = FaultPlan::empty();
-        let mut durable = DurableEngine::create(&dir, space(16, 4), config(), 5, 1_000).unwrap();
+        let mut durable = create(&dir, 16, 4, 5, 1_000);
         durable.run_journaled(200, &plan).unwrap();
         let mut state = durable.engine().state();
         drop(durable);

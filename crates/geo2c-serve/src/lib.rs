@@ -38,10 +38,14 @@
 //! and come back ([`engine::ServeEngine::recover_server`]); the
 //! [`fault`] module schedules such events deterministically on the
 //! `FAULT_TAG` lane so a whole outage scenario replays byte-identically,
-//! and [`engine::ServeEngine::restore`] resumes a checkpointed engine as
-//! if it had never stopped. The `tests/fault_recovery.rs` chaos suite
-//! pins prefix replay, conservation, recovery, and checkpoint/restore
-//! under arbitrary fault schedules.
+//! and [`engine::ServeEngine::try_restore_with_scheduler`] resumes a
+//! checkpointed engine as if it had never stopped. The engine holds each
+//! piece of state once: a server is failed exactly when its load is
+//! [`engine::FAILED_LOAD`], and its [`engine::Counters`] and
+//! [`engine::RetryStats`] are the ones a checkpoint carries. The
+//! `tests/fault_recovery.rs` chaos suite pins prefix replay,
+//! conservation, recovery, and checkpoint/restore under arbitrary fault
+//! schedules.
 //!
 //! **Durability.** The [`journal`] module puts checkpoints on disk: a
 //! [`journal::DurableEngine`] periodically writes the versioned

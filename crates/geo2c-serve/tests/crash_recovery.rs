@@ -8,7 +8,7 @@
 //! checkpoint temp-file write and its rename (and between the rename
 //! and the journal compaction) — then drives
 //! [`Recovery::resume`] and replays to the reference horizon. Pinned
-//! across the flat/packed/sharded load backings and both schedulers
+//! across the flat and packed load backings and both schedulers
 //! (timing wheel and heap oracle):
 //!
 //! 1. **Truncation crashes.** Cutting the journal anywhere past its
@@ -23,7 +23,7 @@
 //!    frames* — or any damage to the atomically-renamed checkpoint —
 //!    returns [`JournalError::Corrupt`] instead of silently truncating.
 
-use geo2c_core::load::{PackedLoads, PackedWidth, ShardedLoads};
+use geo2c_core::load::PackedLoads;
 use geo2c_core::space::{RingSpace, Space as _};
 use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{ServeConfig, ServeEngine, SessionLife};
@@ -85,6 +85,18 @@ fn plan_from(raw: &[(u64, usize, u8)], n: usize) -> FaultPlan {
     )
 }
 
+/// A fresh journal directory for an engine on the flat backing.
+fn create(
+    dir: &PathBuf,
+    space: &RingSpace,
+    config: ServeConfig,
+    root: u64,
+    every: u64,
+) -> DurableEngine<RingSpace> {
+    let loads = vec![0; space.num_servers()];
+    DurableEngine::create_with(dir, space.clone(), config, root, every, loads).unwrap()
+}
+
 /// Runs the journaled engine to `p` events in `chunk`-sized calls (each
 /// call appends at least one progress frame), as a long-running service
 /// would.
@@ -99,7 +111,7 @@ fn journaled_to(
     p: u64,
     chunk: u64,
 ) -> DurableEngine<RingSpace> {
-    let mut durable = DurableEngine::create(dir, space.clone(), config, root, every).unwrap();
+    let mut durable = create(dir, space, config, root, every);
     let mut left = p;
     while left > 0 {
         let step = chunk.min(left);
@@ -251,7 +263,7 @@ fn empty_and_checkpoint_only_journals_resume_with_zero_replay() {
     let plan = FaultPlan::empty();
     let dir = temp_dir("empty");
 
-    let mut durable = DurableEngine::create(&dir, space.clone(), config, root, 128).unwrap();
+    let mut durable = create(&dir, &space, config, root, 128);
     let fresh: Resumed<_, Vec<u32>, DepartureWheel> =
         Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; 16]).unwrap();
     assert_eq!(fresh.engine.arrivals(), 0, "nothing ran yet");
@@ -266,20 +278,20 @@ fn empty_and_checkpoint_only_journals_resume_with_zero_replay() {
         Header::LEN as u64,
         "compaction must leave a header-only journal"
     );
-    let resumed: Resumed<_, ShardedLoads, HeapQueue> = Recovery::resume(
+    let resumed: Resumed<_, PackedLoads, HeapQueue> = Recovery::resume(
         &dir,
         space.clone(),
         config,
         root,
         &plan,
-        ShardedLoads::new(16, PackedWidth::Byte, 2),
+        PackedLoads::nibble(16),
     )
     .unwrap();
     assert_eq!(resumed.checkpoint_event, 256);
     assert_eq!(resumed.replayed, 0);
     let mut plain = ServeEngine::new(space, config, root);
     plain.run(256);
-    assert_eq!(resumed.engine.state(), plain.state(), "sharded+heap resume");
+    assert_eq!(resumed.engine.state(), plain.state(), "nibble+heap resume");
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -303,7 +315,7 @@ fn crash_between_checkpoint_write_and_rename_resumes_from_the_old_checkpoint() {
 
     // Interval beyond the horizon: checkpoint.bin stays the event-0 seed
     // image while the journal accumulates frames.
-    let mut durable = DurableEngine::create(&dir, space.clone(), config, root, 10_000).unwrap();
+    let mut durable = create(&dir, &space, config, root, 10_000);
     for _ in 0..5 {
         durable.run_journaled(100, &plan).unwrap();
     }
@@ -351,7 +363,7 @@ fn crash_between_rename_and_compaction_skips_stale_frames() {
     let plan = FaultPlan::empty();
     let dir = temp_dir("midcompact");
 
-    let mut durable = DurableEngine::create(&dir, space.clone(), config, root, 10_000).unwrap();
+    let mut durable = create(&dir, &space, config, root, 10_000);
     for _ in 0..4 {
         durable.run_journaled(75, &plan).unwrap();
     }
@@ -390,7 +402,7 @@ fn corrupt_non_tail_frames_and_checkpoints_fail_loudly() {
     let plan = FaultPlan::empty();
     let dir = temp_dir("loud");
 
-    let mut durable = DurableEngine::create(&dir, space.clone(), config, root, 10_000).unwrap();
+    let mut durable = create(&dir, &space, config, root, 10_000);
     for _ in 0..4 {
         durable.run_journaled(50, &plan).unwrap();
     }
@@ -474,7 +486,7 @@ fn resumed_engines_continue_journaled_and_stay_byte_identical() {
     let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
         Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
     let recovered_to = resumed.engine.arrivals();
-    let mut durable = resumed.into_durable(&dir, root, 64).unwrap();
+    let mut durable = resumed.into_durable(64).unwrap();
     durable.run_journaled(800 - recovered_to, &plan).unwrap();
 
     let mut reference = ServeEngine::new(space.clone(), config, root);
@@ -526,7 +538,7 @@ fn continued_journal_appends_at_the_repaired_tail() {
     let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
         Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
     assert_eq!((resumed.torn_bytes, resumed.engine.arrivals()), (11, 400));
-    let mut durable = resumed.into_durable(&dir, root, 10_000).unwrap();
+    let mut durable = resumed.into_durable(10_000).unwrap();
     for _ in 0..10 {
         durable.run_journaled(50, &plan).unwrap();
     }

@@ -19,7 +19,7 @@
 //!    [`ServeEngine::state`] — onto the flat or a packed backing —
 //!    continues byte-identically to one that never stopped.
 
-use geo2c_core::load::{PackedLoads, PackedWidth, ShardedLoads};
+use geo2c_core::load::PackedLoads;
 use geo2c_core::space::{RingSpace, UniformSpace};
 use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{Placement, ServeConfig, ServeEngine, SessionLife};
@@ -178,13 +178,14 @@ proptest! {
         first.run_with_faults(p, &plan);
         let checkpoint = first.state();
 
-        let mut flat = ServeEngine::restore(space.clone(), config, root, &checkpoint);
+        let mut flat: ServeEngine<_> = ServeEngine::restore_with_scheduler(
+            space.clone(), config, root, &checkpoint, vec![0; n]);
         prop_assert_eq!(flat.state(), checkpoint.clone(), "restore must be lossless");
         flat.run_with_faults(q, &plan);
         prop_assert_eq!(flat.state(), uninterrupted.state(), "flat resume diverged");
 
-        let mut packed = ServeEngine::restore_with_load_state(
-            space.clone(), config, root, &checkpoint.clone(), PackedLoads::byte(n));
+        let mut packed: ServeEngine<_, PackedLoads> = ServeEngine::restore_with_scheduler(
+            space.clone(), config, root, &checkpoint, PackedLoads::byte(n));
         prop_assert_eq!(packed.state(), checkpoint.clone(), "packed restore must be lossless");
         packed.run_with_faults(q, &plan);
         prop_assert_eq!(packed.state(), uninterrupted.state(), "packed resume diverged");
@@ -309,7 +310,7 @@ fn departure_heap_stays_bounded_under_repeated_fail_recover_churn() {
     assert!(engine.evicted() > 0, "cycles must evict in-flight sessions");
 }
 
-/// Restoring onto a sharded backing and mid-heap timestamps: a session
+/// Restoring onto a packed backing and mid-heap timestamps: a session
 /// admitted before the checkpoint departs on schedule after restore.
 #[test]
 fn restored_sessions_depart_on_their_original_schedule() {
@@ -324,12 +325,12 @@ fn restored_sessions_depart_on_their_original_schedule() {
     engine.run(5);
     let checkpoint = engine.state();
     assert_eq!(checkpoint.departures.len(), 5);
-    let mut resumed = ServeEngine::restore_with_load_state(
+    let mut resumed: ServeEngine<_, PackedLoads> = ServeEngine::restore_with_scheduler(
         UniformSpace::new(4),
         config,
         3,
         &checkpoint,
-        ShardedLoads::new(4, PackedWidth::Nibble, 2),
+        PackedLoads::nibble(4),
     );
     // Events 5..12: the five held sessions depart at events 7..11.
     for _ in 0..7 {

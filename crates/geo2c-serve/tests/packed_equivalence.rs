@@ -10,15 +10,15 @@
 //!    state equality at event `t` *is* the replay contract.
 //! 2. **Conservation on the packed path.** live = arrivals − departed −
 //!    shed − evicted, with every live load under the admission capacity.
-//! 3. **`FAILED_LOAD` exclusion.** Failed servers carry the `u32::MAX`
-//!    sentinel (spilled, in a packed backing) yet never appear in
+//! 3. **`FAILED_LOAD` exclusion.** Failed servers carry the
+//!    [`FAILED_LOAD`] sentinel (spilled, in a packed backing) yet never appear in
 //!    `live_loads()` and always lose the least-loaded comparison to any
 //!    live probe.
 
-use geo2c_core::load::{LoadState, PackedLoads, PackedWidth, ShardedLoads};
+use geo2c_core::load::{LoadState, PackedLoads};
 use geo2c_core::space::{RingSpace, Space, UniformSpace};
 use geo2c_core::strategy::Strategy;
-use geo2c_serve::engine::{Placement, ServeConfig, ServeEngine, SessionLife};
+use geo2c_serve::engine::{Placement, ServeConfig, ServeEngine, SessionLife, FAILED_LOAD};
 use geo2c_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -73,7 +73,8 @@ fn check_backing<S: Space + Clone, L: LoadState>(
     name: &str,
 ) {
     let mut flat = ServeEngine::new(space.clone(), config, root);
-    let mut packed = ServeEngine::with_load_state(space.clone(), config, root, loads);
+    let mut packed: ServeEngine<S, L> =
+        ServeEngine::with_scheduler(space.clone(), config, root, loads);
     for t in 0..events {
         for &(when, server, recover) in schedule {
             if when == t {
@@ -103,13 +104,13 @@ fn check_backing<S: Space + Clone, L: LoadState>(
     }
     assert_eq!(packed.state(), flat.state(), "{name}: final state");
     check_conservation(&packed, config.capacity);
-    // Sentinel exclusion: failed servers are spilled at u32::MAX in the
-    // packed backing but never surface as live loads.
+    // Sentinel exclusion: failed servers are spilled at FAILED_LOAD in
+    // the packed backing but never surface as live loads.
     let n = space.num_servers();
     let image = packed.state().loads;
     for (s, &load) in image.iter().enumerate() {
         if packed.is_failed(s) {
-            assert_eq!(load, u32::MAX, "{name}: failed sentinel");
+            assert_eq!(load, FAILED_LOAD, "{name}: failed sentinel");
         }
     }
     assert_eq!(
@@ -117,7 +118,7 @@ fn check_backing<S: Space + Clone, L: LoadState>(
         (0..n).filter(|&s| !packed.is_failed(s)).count(),
         "{name}: live_loads must exclude exactly the failed servers"
     );
-    assert!(packed.live_loads().all(|l| l < u32::MAX));
+    assert!(packed.live_loads().all(|l| l < FAILED_LOAD));
 }
 
 proptest! {
@@ -145,8 +146,6 @@ proptest! {
             PackedLoads::nibble(n), "packed-nibble");
         check_backing(&space, config, root, events, &schedule,
             PackedLoads::byte(n), "packed-byte");
-        check_backing(&space, config, root, events, &schedule,
-            ShardedLoads::new(n, PackedWidth::Byte, 3), "sharded-byte");
     }
 
     /// Unbounded capacity + long lifetimes on a tiny space: live loads
@@ -170,7 +169,5 @@ proptest! {
         };
         check_backing(&space, config, root, events, &Vec::new(),
             PackedLoads::nibble(n), "packed-nibble");
-        check_backing(&space, config, root, events, &Vec::new(),
-            ShardedLoads::new(n, PackedWidth::Nibble, 2), "sharded-nibble");
     }
 }

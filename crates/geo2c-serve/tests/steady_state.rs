@@ -24,6 +24,7 @@ use geo2c_core::space::{RingSpace, Space, UniformSpace};
 use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{
     Counters, EngineState, Placement, RetryStats, ServeConfig, ServeEngine, SessionLife,
+    FAILED_LOAD,
 };
 use geo2c_util::rng::{EventLanes, LaneSource, SplitMix64, Xoshiro256pp};
 use proptest::prelude::*;
@@ -116,7 +117,7 @@ impl Reference {
     fn fail_server(&mut self, server: usize) {
         if !self.failed[server] {
             self.evicted += u64::from(self.loads[server]);
-            self.loads[server] = u32::MAX;
+            self.loads[server] = FAILED_LOAD;
             self.failed[server] = true;
             // Eager purge, mirroring the engine's heap discipline.
             self.pending.retain(|&(_, s)| s as usize != server);
@@ -230,7 +231,6 @@ impl Reference {
     fn state(&self) -> EngineState {
         EngineState {
             loads: self.loads.clone(),
-            failed: self.failed.clone(),
             departures: self.pending.clone(),
             counters: Counters {
                 arrivals: self.clock,

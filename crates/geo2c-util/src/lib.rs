@@ -17,8 +17,6 @@
 //! * [`hist`] — integer-valued distributions. The paper reports *maximum
 //!   load* as a percentage distribution over trials (Tables 1–3); this module
 //!   reproduces that presentation.
-//! * [`table`] — plain-text table rendering for the paper-style output of the
-//!   `geo2c-bench` binaries.
 //! * [`bounds`] — executable concentration bounds (Chernoff / Lemma 2,
 //!   Chernoff–Hoeffding KL form, Azuma, exact binomial tails) so lemma
 //!   experiments print *bound vs observed* from one source of truth.
@@ -56,10 +54,8 @@ pub mod hist;
 pub mod parallel;
 pub mod rng;
 pub mod stats;
-pub mod table;
 
 pub use hist::Counter;
 pub use parallel::{num_threads, parallel_map};
 pub use rng::{SplitMix64, StreamSeeder, Xoshiro256pp};
 pub use stats::{OrderStats, RunningStats};
-pub use table::TextTable;
