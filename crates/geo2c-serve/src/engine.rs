@@ -122,10 +122,13 @@ pub struct RetryStats {
 /// A complete, comparable image of the engine's mutable state — the unit
 /// of the replay-prefix byte-identity contract: two engines with equal
 /// construction inputs that have processed the same event prefix (and
-/// the same fault schedule) have equal `EngineState`s. Also the
-/// checkpoint format: [`ServeEngine::try_restore_with_scheduler`]
-/// rebuilds an engine that continues byte-identically to one that never
-/// stopped.
+/// the same fault schedule) have equal `EngineState`s. It is the test
+/// and codec view of a checkpoint: [`encode_state`](crate::journal::encode_state)
+/// and [`decode_state`](crate::journal::decode_state) map it to the
+/// image bytes, and [`ServeEngine::try_restore_with_scheduler`] rebuilds
+/// an engine from it that continues byte-identically to one that never
+/// stopped. A durable checkpoint never builds one: the writer encodes
+/// the same bytes straight from the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineState {
     /// Per-server loads; a failed server holds [`FAILED_LOAD`].
@@ -837,13 +840,31 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// accepts.
     #[must_use]
     pub fn state(&self) -> EngineState {
+        // Departures first: the wheel's sort scratch is freed before the
+        // loads are copied, so the copy can reuse that memory.
+        let departures = self.departures.entries();
         EngineState {
             loads: self.loads.to_vec(),
-            departures: self.departures.entries(),
+            departures,
             counters: self.counters,
             retry: self.retry.clone(),
             peak_load: self.peak_load,
         }
+    }
+
+    /// Appends the checkpoint image of the full mutable state to `out`,
+    /// read straight from the load backing and the departure queue: the
+    /// bytes [`encode_state`](crate::journal::encode_state) returns for
+    /// [`ServeEngine::state`], without building the [`EngineState`].
+    pub(crate) fn write_image(&self, out: &mut Vec<u8>) {
+        crate::journal::write_image(
+            out,
+            &self.counters,
+            &self.retry,
+            self.peak_load,
+            &self.loads,
+            &self.departures,
+        );
     }
 }
 

@@ -39,6 +39,15 @@
 //! after [`Recovery::resume`] has cut any torn tail, so continued frames
 //! follow the last intact one.
 //!
+//! A checkpoint is built in one buffer: the header, an
+//! [`frame::FRAME_OVERHEAD`]-byte placeholder, then the state image
+//! encoded straight from the engine's load backing and the departure
+//! queue's [`DepartureQueue::for_each_sorted`] visit — no
+//! [`EngineState`] is built. [`frame::seal_frame`] then fills in the
+//! frame's length and CRC, and the buffer goes to `checkpoint.tmp` in one
+//! `fs::write` before the rename. [`encode_state`] runs the same writer
+//! over an [`EngineState`], so the two produce identical bytes.
+//!
 //! ## Crash model
 //!
 //! The failure this layer survives — and the one
@@ -71,7 +80,7 @@ use crate::engine::{
 };
 use crate::fault::FaultPlan;
 use crate::wheel::{DepartureQueue, DepartureWheel};
-use geo2c_core::load::LoadState;
+use geo2c_core::load::{LoadRead, LoadState};
 use geo2c_core::space::Space;
 use geo2c_util::frame::{self, append_frame, scan_frames, Header, HeaderError, Tail};
 use geo2c_util::rng::mix;
@@ -234,65 +243,187 @@ fn open_journal(dir: &Path) -> io::Result<File> {
 /// steady-state checkpoint is dominated by small loads (≈ 1 byte each)
 /// and near-adjacent deadlines (≈ 1-byte deltas), so the image is
 /// roughly a third the size of fixed-width fields — which is most of
-/// the checkpoint's write cost at scale.
+/// the checkpoint's write cost at scale. The bytes are exactly those a
+/// [`DurableEngine`] checkpoint frames, which it encodes straight from
+/// the engine through the same writer.
+///
+/// # Panics
+/// If `state.departures` is not sorted ascending.
 #[must_use]
 pub fn encode_state(state: &EngineState) -> Vec<u8> {
-    let n = state.loads.len();
-    let mut out = Vec::with_capacity(32 + 2 * n + n / 8 + 4 * state.departures.len());
-    out.push(STATE_VERSION);
+    let mut out = Vec::new();
+    write_image(
+        &mut out,
+        &state.counters,
+        &state.retry,
+        state.peak_load,
+        &state.loads[..],
+        &state.departures[..],
+    );
+    out
+}
+
+/// The departure map as the image writer reads it: an entry count and
+/// a visit in ascending `(deadline, server)` order. A live queue and an
+/// [`EngineState`]'s sorted vector both provide one.
+pub(crate) trait SortedDepartures {
+    /// Entries the visit delivers.
+    fn count(&self) -> usize;
+
+    /// Calls `f(deadline, server)` for every entry, in ascending order.
+    fn visit(&self, f: impl FnMut(u64, u32));
+}
+
+impl<Q: DepartureQueue> SortedDepartures for Q {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn visit(&self, f: impl FnMut(u64, u32)) {
+        self.for_each_sorted(f);
+    }
+}
+
+impl SortedDepartures for [(u64, u32)] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn visit(&self, mut f: impl FnMut(u64, u32)) {
+        for &(when, server) in self {
+            f(when, server);
+        }
+    }
+}
+
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VAR: usize = 10;
+/// Longest LEB128 encoding of a `u32`.
+const MAX_VAR_U32: usize = 5;
+
+/// Appends the state image to `out` — the one encoder behind
+/// [`encode_state`] and the checkpoint writer. Every field goes through a
+/// [`Cursor`] that keeps room for its longest encoding.
+///
+/// # Panics
+/// If `departures` visits deadlines out of ascending order.
+pub(crate) fn write_image<L: LoadRead + ?Sized, D: SortedDepartures + ?Sized>(
+    out: &mut Vec<u8>,
+    counters: &Counters,
+    retry: &RetryStats,
+    peak_load: u32,
+    loads: &L,
+    departures: &D,
+) {
+    let n = loads.num_servers();
+    let entries = departures.count();
+    // One allocation for a typical image: small loads and near-adjacent
+    // deadlines take a byte or two each, servers up to three.
+    out.reserve(32 + 2 * n + n / 8 + 4 * entries);
+    let mut w = Cursor::at_end(out);
+    // Version; seven counters and the histogram length; the histogram;
+    // the peak and the server count.
+    w.room(1 + MAX_VAR * (8 + retry.by_attempt.len()) + MAX_VAR_U32 + MAX_VAR);
+    w.bytes(&[STATE_VERSION]);
     for word in [
-        state.counters.arrivals,
-        state.counters.departed,
-        state.counters.shed,
-        state.counters.evicted,
-        state.retry.shed_capacity,
-        state.retry.shed_unavailable,
-        state.retry.admitted_on_retry,
+        counters.arrivals,
+        counters.departed,
+        counters.shed,
+        counters.evicted,
+        retry.shed_capacity,
+        retry.shed_unavailable,
+        retry.admitted_on_retry,
     ] {
-        put_var(&mut out, word);
+        w.var(word);
     }
-    put_var(&mut out, state.retry.by_attempt.len() as u64);
-    for &count in &state.retry.by_attempt {
-        put_var(&mut out, count);
+    w.var(retry.by_attempt.len() as u64);
+    for &count in &retry.by_attempt {
+        w.var(count);
     }
-    put_var(&mut out, u64::from(state.peak_load));
-    put_var(&mut out, n as u64);
-    for &load in &state.loads {
-        put_var(&mut out, u64::from(load));
-    }
+    w.var(u64::from(peak_load));
+    w.var(n as u64);
     // Failure flags as a bitset, bit s of byte s / 8: redundant with the
     // sentinel loads, and kept so the image format stays unchanged.
     let mut bits = vec![0u8; (n + 7) / 8];
-    for (s, &load) in state.loads.iter().enumerate() {
+    for s in 0..n {
+        let load = loads.load(s);
+        w.room(MAX_VAR_U32);
+        w.var(u64::from(load));
         if load == FAILED_LOAD {
             bits[s / 8] |= 1 << (s % 8);
         }
     }
-    out.extend_from_slice(&bits);
-    put_var(&mut out, state.departures.len() as u64);
+    w.room(bits.len() + MAX_VAR);
+    w.bytes(&bits);
+    w.var(entries as u64);
     let mut prev_when = 0u64;
-    for &(when, server) in &state.departures {
-        // `state.departures` is sorted ascending, so the delta is
-        // non-negative; an unsorted vector would be rejected by the
-        // restore path anyway, but fail loudly here rather than encode
-        // an undecodable wrap.
+    let mut visited = 0;
+    departures.visit(|when, server| {
+        // The visit is ascending, so the delta is non-negative; an
+        // unsorted `EngineState` would be rejected by the restore path
+        // anyway, but fail loudly here rather than encode an
+        // undecodable wrap.
         let delta = when
             .checked_sub(prev_when)
-            .expect("EngineState::departures must be sorted ascending");
-        put_var(&mut out, delta);
-        put_var(&mut out, u64::from(server));
+            .expect("departures must be visited in ascending order");
+        w.room(MAX_VAR + MAX_VAR_U32);
+        w.var(delta);
+        w.var(u64::from(server));
         prev_when = when;
-    }
-    out
+        visited += 1;
+    });
+    debug_assert_eq!(visited, entries, "departure visit disagrees with its count");
+    w.finish();
 }
 
-/// LEB128: 7 value bits per byte, high bit = continuation.
-fn put_var(out: &mut Vec<u8>, mut value: u64) {
-    while value >= 0x80 {
-        out.push((value as u8) | 0x80);
-        value >>= 7;
+/// A write cursor into a `Vec` that keeps zeroed room ahead of itself:
+/// the writer asks for room once per field, for the field's longest
+/// encoding, and then stores each byte by index instead of pushing it.
+/// The room is the buffer's whole capacity, so it is zeroed once per
+/// allocation, and [`Cursor::finish`] cuts off what was not written.
+struct Cursor<'a> {
+    out: &'a mut Vec<u8>,
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor appending to `out`.
+    fn at_end(out: &'a mut Vec<u8>) -> Self {
+        let at = out.len();
+        Self { out, at }
     }
-    out.push(value as u8);
+
+    /// Makes sure `len` bytes can be written from the cursor.
+    #[inline]
+    fn room(&mut self, len: usize) {
+        if self.out.len() - self.at < len {
+            let room = (self.at + len).max(self.out.capacity());
+            self.out.resize(room, 0);
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        let end = self.at + bytes.len();
+        self.out[self.at..end].copy_from_slice(bytes);
+        self.at = end;
+    }
+
+    /// LEB128: 7 value bits per byte, high bit = continuation.
+    #[inline]
+    fn var(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.out[self.at] = (value as u8) | 0x80;
+            self.at += 1;
+            value >>= 7;
+        }
+        self.out[self.at] = value as u8;
+        self.at += 1;
+    }
+
+    /// Cuts the buffer back to what was written.
+    fn finish(self) {
+        self.out.truncate(self.at);
+    }
 }
 
 /// Decodes the versioned checkpoint codec back into an [`EngineState`].
@@ -385,9 +516,17 @@ impl<'a> Reader<'a> {
         Ok(self.bytes(1)?[0])
     }
 
-    /// LEB128 varint, the inverse of [`put_var`]. Rejects encodings
+    /// LEB128 varint, the inverse of [`Cursor::var`]. Rejects encodings
     /// that overflow a `u64` (including over-long paddings).
     fn var(&mut self) -> Result<u64, JournalError> {
+        // One-byte fast path: small loads, servers and near-adjacent
+        // deadline deltas make most of an image's varints a single byte.
+        if let Some(&byte) = self.buf.get(self.at) {
+            if byte < 0x80 {
+                self.at += 1;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;
@@ -532,8 +671,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     /// Writes the current state as a durable checkpoint (temp file +
     /// atomic rename), then compacts the journal back to its header.
     fn write_checkpoint(&mut self) -> Result<(), JournalError> {
+        // Header, frame placeholder and payload in one buffer: the image
+        // is encoded straight from the engine, then the frame sealed in
+        // place.
         let mut bytes = self.checkpoint_header.to_vec();
-        append_frame(&mut bytes, &encode_state(&self.engine.state()));
+        bytes.resize(Header::LEN + frame::FRAME_OVERHEAD, 0);
+        self.engine.write_image(&mut bytes);
+        frame::seal_frame(&mut bytes[Header::LEN..]);
         let tmp = self.dir.join(CHECKPOINT_TMP);
         fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
@@ -788,6 +932,15 @@ mod tests {
         static UNIQUE: AtomicU64 = AtomicU64::new(0);
         let id = UNIQUE.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("geo2c-journal-{}-{tag}-{id}", std::process::id()))
+    }
+
+    /// Appends `value` as a LEB128 varint, for hand-built payloads.
+    fn put_var(out: &mut Vec<u8>, mut value: u64) {
+        while value >= 0x80 {
+            out.push((value as u8) | 0x80);
+            value >>= 7;
+        }
+        out.push(value as u8);
     }
 
     fn config() -> ServeConfig {

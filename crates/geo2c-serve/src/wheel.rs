@@ -32,11 +32,19 @@
 //! epoch compare per drained entry instead of threading every node onto
 //! a per-server purge list.
 //!
-//! The checkpoint image, [`DepartureQueue::entries`], is an LSD radix
-//! sort over `(deadline − now, server)`. Every filed deadline is at
-//! least the clock, so each field is cut into balanced digits of at most
-//! 11 bits over exactly the bits it uses: four passes for 2^16 servers
-//! whose lifetimes average 2^16 events.
+//! The checkpoint image, [`DepartureQueue::for_each_sorted`], sorts
+//! packed `u64` keys `(deadline − now) << server_bits | server`, gathered
+//! in one sequential pass over the arena. Every filed deadline is at
+//! least the clock, so the key orders like `(deadline, server)`. An LSD
+//! radix sort cuts the offset bits into balanced digits of at most 11
+//! bits over exactly the bits they use — two passes for lifetimes that
+//! average 2^16 events — each a sequential sweep over the keys with no
+//! node reads. One arrival per event keeps shared deadlines rare and
+//! short, so a final compare sweep puts each shared deadline's servers
+//! in order. An offset too wide to sit beside the server bits (only a
+//! deadline saturated near the end of the clock) goes to a side list,
+//! sorted by comparison and emitted last, since it orders after every
+//! packed key.
 //!
 //! Nodes live in a slab arena with an internal free list, so steady
 //! state schedule/drain churn allocates nothing. Same-deadline drain
@@ -45,7 +53,7 @@
 //! only decrements its own server's load), which is exactly the
 //! heap-order-invariance contract the `wheel_oracle` proptests pin:
 //! wheel and heap drain the same multiset per deadline and agree on
-//! [`DepartureQueue::entries`] bit-for-bit.
+//! [`DepartureQueue::for_each_sorted`] bit-for-bit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -87,10 +95,19 @@ pub trait DepartureQueue {
         self.len() == 0
     }
 
-    /// Every outstanding `(deadline, server)` pair, sorted — the
-    /// checkpoint image, identical across implementations.
+    /// Calls `f(deadline, server)` for every outstanding entry in
+    /// ascending `(deadline, server)` order — the checkpoint image,
+    /// identical across implementations.
+    fn for_each_sorted(&self, f: impl FnMut(u64, u32));
+
+    /// Every outstanding `(deadline, server)` pair, sorted: the
+    /// [`DepartureQueue::for_each_sorted`] image, collected.
     #[must_use]
-    fn entries(&self) -> Vec<(u64, u32)>;
+    fn entries(&self) -> Vec<(u64, u32)> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_sorted(|when, server| out.push((when, server)));
+        out
+    }
 }
 
 /// Null link in the wheel's intrusive lists.
@@ -306,48 +323,50 @@ impl DepartureQueue for DepartureWheel {
         self.live
     }
 
-    fn entries(&self) -> Vec<(u64, u32)> {
+    fn for_each_sorted(&self, mut f: impl FnMut(u64, u32)) {
         let now = self.now;
-        let nodes = &self.nodes;
-        // Sort arena indices, not pairs: the two index buffers cost 8
-        // bytes an entry and are freed before the image is built, so the
-        // sort adds nothing to the checkpoint's transient peak.
-        let mut order = Vec::with_capacity(self.live);
+        let server_bits = bit_len(self.meta.len().saturating_sub(1) as u64);
+        let max_offset = u64::MAX >> server_bits;
+        // One sequential arena pass packs each live entry into a key that
+        // orders like (deadline, server): the offset from the clock is
+        // never negative, so it orders like the deadline.
+        let mut keys = Vec::with_capacity(self.live);
+        let mut far = Vec::new();
         let mut span = 0;
-        for (idx, node) in nodes.iter().enumerate() {
-            if node.server != NONE && node.epoch == self.meta[node.server as usize].epoch {
-                order.push(idx as u32);
-                span = span.max(node.deadline - now);
+        for node in &self.nodes {
+            if node.server == NONE || node.epoch != self.meta[node.server as usize].epoch {
+                continue;
+            }
+            let offset = node.deadline - now;
+            if offset <= max_offset {
+                let key = offset << server_bits | u64::from(node.server);
+                keys.push(key);
+                span |= key;
+            } else {
+                far.push((node.deadline, node.server));
             }
         }
-        // LSD radix sort by (deadline − now, server): the server is the
-        // minor key, so its digits go first. Every filed deadline is at
-        // least the clock, so the offset orders like the deadline and
-        // only its used bits need passes.
-        let server_bits = bit_len(self.meta.len().saturating_sub(1) as u64);
-        let mut scratch = vec![0u32; order.len()];
-        for (shift, width) in radix_digits(server_bits) {
-            radix_pass(&mut order, &mut scratch, width, |idx| {
-                u64::from(nodes[idx as usize].server) >> shift
-            });
-        }
-        for (shift, width) in radix_digits(bit_len(span)) {
-            radix_pass(&mut order, &mut scratch, width, |idx| {
-                (nodes[idx as usize].deadline - now) >> shift
-            });
+        // Radix passes cover only the offset bits; the server bits ride
+        // along below them and order each shared offset afterwards.
+        let mut scratch = vec![0u64; keys.len()];
+        for (shift, width) in radix_digits(bit_len(span >> server_bits)) {
+            radix_pass(&mut keys, &mut scratch, server_bits + shift, width);
         }
         drop(scratch);
-        order
-            .iter()
-            .map(|&idx| {
-                let node = &nodes[idx as usize];
-                (node.deadline, node.server)
-            })
-            .collect()
+        sort_shared_offsets(&mut keys, server_bits);
+        let server_mask = (1u64 << server_bits) - 1;
+        for key in keys {
+            f(now + (key >> server_bits), (key & server_mask) as u32);
+        }
+        // A far offset exceeds every packed one.
+        far.sort_unstable();
+        for (when, server) in far {
+            f(when, server);
+        }
     }
 }
 
-/// Widest digit of the [`DepartureWheel::entries`] radix sort: 2^11
+/// Widest digit of the [`DepartureWheel`] image's radix sort: 2^11
 /// bucket counters stay cache-resident.
 const RADIX_BITS: u32 = 11;
 
@@ -366,19 +385,19 @@ fn radix_digits(bits: u32) -> impl Iterator<Item = (u32, u32)> {
     (0..passes).map(move |pass| (pass * width, width))
 }
 
-/// One stable counting-sort pass of the arena indices `src` by the digit
-/// `key(idx) & (2^width − 1)` into `dst`, after which the buffers swap so
-/// `src` holds the result. A digit every entry shares would move nothing
-/// and is skipped.
-fn radix_pass(src: &mut Vec<u32>, dst: &mut Vec<u32>, width: u32, key: impl Fn(u32) -> u64) {
+/// One stable counting-sort pass of the keys `src` by the digit
+/// `(key >> shift) & (2^width − 1)` into `dst`, after which the buffers
+/// swap so `src` holds the result. A digit every key shares would move
+/// nothing and is skipped.
+fn radix_pass(src: &mut Vec<u64>, dst: &mut Vec<u64>, shift: u32, width: u32) {
     let Some(&first) = src.first() else {
         return;
     };
     let mask = (1u64 << width) - 1;
-    let digit = |idx: u32| (key(idx) & mask) as usize;
+    let digit = |key: u64| ((key >> shift) & mask) as usize;
     let mut starts = [0usize; 1 << RADIX_BITS];
-    for &idx in src.iter() {
-        starts[digit(idx)] += 1;
+    for &key in src.iter() {
+        starts[digit(key)] += 1;
     }
     if starts[digit(first)] == src.len() {
         return;
@@ -389,12 +408,40 @@ fn radix_pass(src: &mut Vec<u32>, dst: &mut Vec<u32>, width: u32, key: impl Fn(u
         *start = next;
         next += count;
     }
-    for &idx in src.iter() {
-        let d = digit(idx);
-        dst[starts[d]] = idx;
+    for &key in src.iter() {
+        let d = digit(key);
+        dst[starts[d]] = key;
         starts[d] += 1;
     }
     std::mem::swap(src, dst);
+}
+
+/// Finishes a sort of `keys` that so far orders only their offsets (the
+/// bits above `server_bits`): each run of keys sharing an offset is put
+/// in server order. Only a run holding an out-of-order pair is touched,
+/// and each such run is sorted once, so a wheel of distinct deadlines
+/// costs one compare per key and a run of any length stays
+/// `O(r log r)`.
+fn sort_shared_offsets(keys: &mut [u64], server_bits: u32) {
+    let mut i = 1;
+    while i < keys.len() {
+        if keys[i] >= keys[i - 1] {
+            i += 1;
+            continue;
+        }
+        let offset = keys[i] >> server_bits;
+        let shared = |key: &u64| key >> server_bits == offset;
+        let start = keys[..i]
+            .iter()
+            .rposition(|k| !shared(k))
+            .map_or(0, |p| p + 1);
+        let end = keys[i..]
+            .iter()
+            .position(|k| !shared(k))
+            .map_or(keys.len(), |p| i + p);
+        keys[start..end].sort_unstable();
+        i = end;
+    }
 }
 
 /// The binary-heap scheduler the wheel replaced, kept as the proptest
@@ -440,10 +487,12 @@ impl DepartureQueue for HeapQueue {
         self.heap.len()
     }
 
-    fn entries(&self) -> Vec<(u64, u32)> {
+    fn for_each_sorted(&self, mut f: impl FnMut(u64, u32)) {
         let mut out: Vec<(u64, u32)> = self.heap.iter().map(|&Reverse(pair)| pair).collect();
         out.sort_unstable();
-        out
+        for (when, server) in out {
+            f(when, server);
+        }
     }
 }
 

@@ -12,6 +12,10 @@
 //!    drain must deliver the same server multiset. (Within one deadline
 //!    the order may differ — LIFO slot lists vs heap order — which is
 //!    exactly the commuting-departures contract the engine relies on.)
+//!    Further scripts pin the wheel's packed-key sort where it is
+//!    fragile: offsets up to the end of the clock, and offsets on either
+//!    side of the widest one that packs beside the server bits, for
+//!    server counts that are not powers of two.
 //! 2. **Engine-level.** A [`ServeEngine`] running on the wheel and one
 //!    running on the heap, fed the same root and fault plan, must
 //!    produce byte-identical [`ServeEngine::state`] checkpoints at
@@ -142,6 +146,64 @@ proptest! {
             }
         }
         prop_assert_eq!(wheel.entries(), heap.entries());
+    }
+
+    /// The sorted visit stays exact at the packing boundary: server
+    /// counts that are not powers of two, deadlines on either side of
+    /// the widest offset that packs beside the server bits
+    /// (`2^(64 − server_bits)`) and at the end of the clock, under
+    /// arbitrary schedule/drain/purge interleavings. After every op the
+    /// wheel's `for_each_sorted` and `entries` equal the heap's sort.
+    #[test]
+    fn wheel_visit_matches_heap_past_the_packing_boundary(
+        n_pick in 0usize..8,
+        origin in 0u64..3_000_000,
+        ops in proptest::collection::vec((0u8..10, any::<u64>(), 0usize..70_000), 1..60),
+    ) {
+        let n = [1, 3, 5, 6, 7, 100, 1000, 65_537][n_pick];
+        let server_bits = u64::BITS - ((n - 1) as u64).leading_zeros();
+        let widest = u64::MAX >> server_bits;
+        let mut wheel = DepartureWheel::with_origin(n, origin);
+        let mut heap = HeapQueue::with_origin(n, origin);
+        let mut now = origin;
+        for &(kind, a, b) in &ops {
+            let server = (b % n) as u32;
+            let room = u64::MAX - now;
+            match kind {
+                // Short, cross-level and overflow offsets.
+                0 => {
+                    let delta = a % (1 << 22);
+                    wheel.schedule(now + delta, server);
+                    heap.schedule(now + delta, server);
+                }
+                // Offsets within a few events of the packing boundary,
+                // on either side.
+                1..=3 => {
+                    let delta = (widest - 3).saturating_add(a % 7).min(room);
+                    wheel.schedule(now + delta, server);
+                    heap.schedule(now + delta, server);
+                }
+                // Deadlines at the end of the clock.
+                4 | 5 => {
+                    let delta = room - (a % 4).min(room);
+                    wheel.schedule(now + delta, server);
+                    heap.schedule(now + delta, server);
+                }
+                6 | 7 => {
+                    let t = now + a % 4096;
+                    drain_both(&mut wheel, &mut heap, t);
+                    now = t + 1;
+                }
+                _ => {
+                    prop_assert_eq!(wheel.purge_server(server), heap.purge_server(server));
+                }
+            }
+            let expected = heap.entries();
+            let mut visited = Vec::new();
+            wheel.for_each_sorted(|when, s| visited.push((when, s)));
+            prop_assert_eq!(&visited, &expected, "sorted visit diverged");
+            prop_assert_eq!(wheel.entries(), expected, "entry image diverged");
+        }
     }
 
     /// Engine-level lockstep: the wheel-backed and heap-backed engines

@@ -113,10 +113,25 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// # Panics
 /// Panics if the payload exceeds `u32::MAX` bytes.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).expect("frame payload over 4 GiB");
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let at = out.len();
+    out.resize(at + FRAME_OVERHEAD, 0);
     out.extend_from_slice(payload);
+    seal_frame(&mut out[at..]);
+}
+
+/// Seals a frame whose payload was written in place: `frame` is
+/// [`FRAME_OVERHEAD`] placeholder bytes followed by the payload, and the
+/// placeholder becomes its `[len][crc]`. The in-place form of
+/// [`append_frame`], for writers that encode straight into the buffer.
+///
+/// # Panics
+/// Panics if `frame` is shorter than [`FRAME_OVERHEAD`] or the payload
+/// exceeds `u32::MAX` bytes.
+pub fn seal_frame(frame: &mut [u8]) {
+    let (prefix, payload) = frame.split_at_mut(FRAME_OVERHEAD);
+    let len = u32::try_from(payload.len()).expect("frame payload over 4 GiB");
+    prefix[..4].copy_from_slice(&len.to_le_bytes());
+    prefix[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// How a frame scan reached the end of its buffer.

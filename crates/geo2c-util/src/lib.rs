@@ -17,9 +17,6 @@
 //! * [`hist`] — integer-valued distributions. The paper reports *maximum
 //!   load* as a percentage distribution over trials (Tables 1–3); this module
 //!   reproduces that presentation.
-//! * [`bounds`] — executable concentration bounds (Chernoff / Lemma 2,
-//!   Chernoff–Hoeffding KL form, Azuma, exact binomial tails) so lemma
-//!   experiments print *bound vs observed* from one source of truth.
 //! * [`frame`] — length-prefixed, CRC-guarded binary framing (plus
 //!   magic/version file headers) for the serving engine's durable
 //!   checkpoint and journal files, with torn-tail vs real-corruption
@@ -48,7 +45,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bounds;
 pub mod frame;
 pub mod hist;
 pub mod parallel;

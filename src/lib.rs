@@ -19,7 +19,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`util`] | deterministic RNG streams, parallel trial runner, statistics, table rendering |
+//! | [`util`] | deterministic RNG streams, parallel trial runner, statistics, histograms, CRC-guarded framing |
 //! | [`ring`] | the 1-D ring substrate: arc partition, ownership queries, Lemma 4–6 tail bounds |
 //! | [`torus`] | the k-D torus substrate: exact nearest neighbour, Voronoi cells, Lemma 8–9 |
 //! | [`core`] | the allocation framework: spaces, `d`-choice strategies, tie-breaking, simulation engine, theory predictors, uniform baselines |

@@ -1,13 +1,161 @@
 //! Cross-module consistency between the three analytic layers — exact
-//! spacings theory (`geo2c-ring::spacings`), concentration bounds
-//! (`geo2c-util::bounds`), and the Monte-Carlo substrate — the relations
-//! the paper's proofs implicitly rely on.
+//! spacings theory (`geo2c-ring::spacings`), concentration bounds (the
+//! [`bounds`] module below), and the Monte-Carlo substrate — the
+//! relations the paper's proofs implicitly rely on.
 
 use two_choices::ring::spacings;
 use two_choices::ring::tail;
 use two_choices::ring::RingPartition;
-use two_choices::util::bounds;
 use two_choices::util::rng::Xoshiro256pp;
+
+/// The concentration bounds the paper's proofs lean on, in executable
+/// form: its Lemma 2 Chernoff bound, the sharper Chernoff–Hoeffding KL
+/// form, and the exact binomial tail as ground truth.
+mod bounds {
+    /// Multiplicative Chernoff bound, the paper's Lemma 2 (δ = 1 case):
+    /// `Pr(B(n,p) ≥ (1+δ)np) ≤ exp(−np·δ²/(2+δ))`.
+    pub fn chernoff_upper(n: u64, p: f64, delta: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "p must be a probability");
+        assert!(delta >= 0.0, "delta must be nonnegative");
+        let np = n as f64 * p;
+        (-np * delta * delta / (2.0 + delta)).exp().min(1.0)
+    }
+
+    /// Binary Kullback–Leibler divergence `KL(a ‖ p)` in nats.
+    pub fn kl_divergence(a: f64, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&a) && (0.0..=1.0).contains(&p));
+        let term = |x: f64, y: f64| -> f64 {
+            if x == 0.0 {
+                0.0
+            } else if y == 0.0 {
+                f64::INFINITY
+            } else {
+                x * (x / y).ln()
+            }
+        };
+        term(a, p) + term(1.0 - a, 1.0 - p)
+    }
+
+    /// Sharp Chernoff–Hoeffding upper tail: `Pr(B(n,p) ≥ na) ≤
+    /// e^{−n KL(a‖p)}` for `a ≥ p` (1 when `a < p`: vacuous there).
+    pub fn chernoff_kl(n: u64, p: f64, a: f64) -> f64 {
+        if a < p {
+            return 1.0;
+        }
+        (-(n as f64) * kl_divergence(a, p)).exp().min(1.0)
+    }
+
+    /// `ln C(n, k)` by exact summation of `ln((n − j + i) / i)` over
+    /// `i ≤ j = min(k, n − k)`.
+    pub fn ln_choose(n: u64, k: u64) -> f64 {
+        if k > n {
+            return f64::NEG_INFINITY;
+        }
+        let j = k.min(n - k);
+        (1..=j).map(|i| ((n - j + i) as f64 / i as f64).ln()).sum()
+    }
+
+    /// Exact upper tail `Pr(B(n,p) ≥ k)` by stable forward summation of
+    /// the pmf (ratios, no factorials).
+    pub fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
+        assert!((0.0..=1.0).contains(&p));
+        if k == 0 {
+            return 1.0;
+        }
+        if k > n || p == 0.0 {
+            return 0.0;
+        }
+        if p == 1.0 {
+            return 1.0; // k <= n here
+        }
+        let ln_pmf_k = ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (1.0 - p).ln();
+        let mut pmf = ln_pmf_k.exp();
+        let mut total = 0.0;
+        for i in k..=n {
+            total += pmf;
+            if pmf < 1e-300 && total > 0.0 {
+                break;
+            }
+            // pmf(i+1)/pmf(i) = (n−i)/(i+1) · p/(1−p)
+            pmf *= (n - i) as f64 / (i + 1) as f64 * (p / (1.0 - p));
+        }
+        total.min(1.0)
+    }
+}
+
+#[test]
+fn chernoff_matches_paper_lemma2_form() {
+    // Pr(B(n,p) >= 2np) <= e^{-np/3}.
+    let n = 10_000;
+    let p = 0.01;
+    let bound = bounds::chernoff_upper(n, p, 1.0);
+    let expected = (-(n as f64) * p / 3.0).exp();
+    assert!((bound - expected).abs() < 1e-12);
+}
+
+#[test]
+fn chernoff_caps_at_one() {
+    assert_eq!(bounds::chernoff_upper(1, 0.0, 1.0), 1.0);
+    assert_eq!(bounds::chernoff_upper(0, 0.5, 2.0), 1.0);
+}
+
+#[test]
+fn kl_properties() {
+    assert_eq!(bounds::kl_divergence(0.3, 0.3), 0.0);
+    assert!(bounds::kl_divergence(0.6, 0.3) > 0.0);
+    assert_eq!(bounds::kl_divergence(0.5, 0.0), f64::INFINITY);
+    // KL(0 || p) = ln(1/(1-p)).
+    assert!((bounds::kl_divergence(0.0, 0.5) - (2.0f64).ln()).abs() < 1e-12);
+}
+
+#[test]
+fn kl_bound_dominates_lemma2_and_truth() {
+    let n = 2000;
+    let p = 0.02;
+    let k = (2.0 * n as f64 * p) as u64; // the 2np point
+    let exact = bounds::binomial_tail(n, p, k);
+    let kl = bounds::chernoff_kl(n, p, k as f64 / n as f64);
+    let lemma2 = bounds::chernoff_upper(n, p, 1.0);
+    assert!(exact <= kl + 1e-12, "exact {exact} vs KL {kl}");
+    assert!(kl <= lemma2 + 1e-12, "KL {kl} vs Lemma 2 {lemma2}");
+}
+
+#[test]
+fn binomial_tail_exact_small_cases() {
+    // B(3, 1/2): Pr(>=2) = 4/8 = 0.5; Pr(>=3) = 1/8.
+    assert!((bounds::binomial_tail(3, 0.5, 2) - 0.5).abs() < 1e-12);
+    assert!((bounds::binomial_tail(3, 0.5, 3) - 0.125).abs() < 1e-12);
+    assert_eq!(bounds::binomial_tail(5, 0.3, 0), 1.0);
+    assert_eq!(bounds::binomial_tail(5, 0.3, 6), 0.0);
+    assert_eq!(bounds::binomial_tail(5, 0.0, 1), 0.0);
+    assert_eq!(bounds::binomial_tail(5, 1.0, 5), 1.0);
+}
+
+#[test]
+fn binomial_tail_matches_normal_regime() {
+    // n = 10^4, p = 0.5: Pr(B >= n/2 + 2σ) ≈ 0.0228 (normal approx).
+    let n = 10_000u64;
+    let sigma = (n as f64 * 0.25).sqrt();
+    let k = (n as f64 / 2.0 + 2.0 * sigma).round() as u64;
+    let tail = bounds::binomial_tail(n, 0.5, k);
+    assert!((tail - 0.0228).abs() < 0.004, "tail {tail}");
+}
+
+#[test]
+fn ln_choose_symmetry_and_pascal() {
+    assert!((bounds::ln_choose(10, 3) - 120.0f64.ln()).abs() < 1e-10);
+    assert!((bounds::ln_choose(10, 3) - bounds::ln_choose(10, 7)).abs() < 1e-10);
+    assert_eq!(bounds::ln_choose(10, 0), 0.0);
+    assert_eq!(bounds::ln_choose(5, 9), f64::NEG_INFINITY);
+    // Pascal: C(n,k) = C(n-1,k-1) + C(n-1,k) — check in linear space.
+    let c = |n: u64, k: u64| bounds::ln_choose(n, k).exp();
+    assert!((c(20, 8) - (c(19, 7) + c(19, 8))).abs() < 1e-6);
+    // Large arguments stay exact: ln C(300, 150) from the summation
+    // against the log-factorial sums it abbreviates.
+    let ln_fact = |m: u64| (2..=m).map(|i| (i as f64).ln()).sum::<f64>();
+    let direct = ln_fact(300) - 2.0 * ln_fact(150);
+    assert!((bounds::ln_choose(300, 150) - direct).abs() < 1e-8);
+}
 
 /// Lemma 4's Chernoff step concretely: the count N_c is (stochastically
 /// below) a Binomial(n, e^{−c}); the exact binomial tail at the 2ne^{−c}
