@@ -150,11 +150,18 @@ fn ln_choose_symmetry_and_pascal() {
     // Pascal: C(n,k) = C(n-1,k-1) + C(n-1,k) — check in linear space.
     let c = |n: u64, k: u64| bounds::ln_choose(n, k).exp();
     assert!((c(20, 8) - (c(19, 7) + c(19, 8))).abs() < 1e-6);
+}
+
+#[test]
+fn ln_choose_exact_at_large_arguments() {
     // Large arguments stay exact: ln C(300, 150) from the summation
     // against the log-factorial sums it abbreviates.
     let ln_fact = |m: u64| (2..=m).map(|i| (i as f64).ln()).sum::<f64>();
     let direct = ln_fact(300) - 2.0 * ln_fact(150);
     assert!((bounds::ln_choose(300, 150) - direct).abs() < 1e-8);
+    assert_eq!(bounds::ln_choose(0, 0), 0.0);
+    assert_eq!(bounds::ln_choose(1, 1), 0.0);
+    assert!((bounds::ln_choose(5, 2) - 10.0f64.ln()).abs() < 1e-12);
 }
 
 /// Lemma 4's Chernoff step concretely: the count N_c is (stochastically
