@@ -93,10 +93,10 @@ cargo run --release -q -p geo2c-bench --bin run_benches -- \
 say "EXPERIMENTS.md renders byte-identically from the committed results/*.json"
 cargo run --release -q -p geo2c-bench --bin run_tables -- --render
 
-# Scalar-metric cells (serving, resilience, churn, replication, dht,
-# scaling, durability, the lemma validations, non-uniformity, profile)
-# are compared exactly; the scaling, durability and lemma8_9 members assert
-# their invariants inside the experiment. On failure the drift summary
+# Every member of geo2c_bench::experiments::SUITE runs; scalar-metric
+# cells (the members with a Flat layout) are compared exactly, and the
+# scaling, durability and lemma8_9 members assert their invariants
+# inside the experiment. On failure the drift summary
 # names each drifted experiment and its expectation file.
 say "table expectations (quick scale vs results/quick/, statistical tolerance)"
 cargo run --release -q -p geo2c-bench --bin run_tables -- --quick --check

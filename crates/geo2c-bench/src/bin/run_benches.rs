@@ -10,7 +10,8 @@
 //! run_benches --ratio FILE.json NUM_NAME DEN_NAME MAX
 //! ```
 //!
-//! Bad input (an unknown flag, a missing value, an unparsable number,
+//! Bad input (an unknown flag, a missing value, an unparsable number, a
+//! NaN or infinite threshold, a non-positive speedup or ratio limit,
 //! contradictory modes) prints the usage line to stderr and exits with
 //! status 2.
 //!
@@ -118,7 +119,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--quick" => args.scale = &QUICK,
             "--check" => args.check = true,
-            "--tolerance" => args.tolerance_pct = number(flag, &value()?)?,
+            "--tolerance" => {
+                args.tolerance_pct = number(flag, &value()?)?;
+                // NaN compares false against every bench, so it would
+                // turn the regression gate into a silent pass.
+                if !args.tolerance_pct.is_finite() {
+                    return Err("--tolerance must be a finite percentage".into());
+                }
+            }
             "--seed" => args.seed = number(flag, &value()?)?,
             "--dir" => args.dir = PathBuf::from(value()?),
             "--out" => args.out = Some(PathBuf::from(value()?)),
@@ -129,8 +137,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let num = value()?;
                 let den = value()?;
                 let max: f64 = number(flag, &value()?)?;
-                if max <= 0.0 {
-                    return Err("--ratio limit must be positive".into());
+                if !(max.is_finite() && max > 0.0) {
+                    return Err("--ratio limit must be finite and positive".into());
                 }
                 args.ratio = Some((file, num, den, max));
             }
@@ -139,7 +147,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--archive" => {
                 args.archive = Some(rest.next_if(|next| !next.starts_with("--")).cloned())
             }
-            "--min-speedup" => args.min_speedup = Some(number(flag, &value()?)?),
+            "--min-speedup" => {
+                let min: f64 = number(flag, &value()?)?;
+                if !(min.is_finite() && min > 0.0) {
+                    return Err("--min-speedup must be finite and positive".into());
+                }
+                args.min_speedup = Some(min);
+            }
             "--only" => args.only = Some(value()?),
             "--repeats" => args.repeats = number(flag, &value()?)?,
             "--window-ms" => args.window_ms = number(flag, &value()?)?,

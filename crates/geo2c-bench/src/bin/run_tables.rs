@@ -1,5 +1,5 @@
 //! The experiment driver and the only way to run one: runs the gated
-//! suite (`experiments::SUITE_IDS`: the paper's tables, lemma
+//! suite (`experiments::SUITE`: the paper's tables, lemma
 //! validations, open-question probes and the serving/DHT/durability
 //! families), persists every run as a provenance-stamped
 //! `geo2c_report::ResultSet` under `results/`, and renders
@@ -45,7 +45,7 @@
 //!   rendering check/write is skipped (the document is a function of
 //!   the *whole* committed set).
 
-use geo2c_bench::experiments::{self, Scale, FULL, QUICK, REFERENCE};
+use geo2c_bench::experiments::{self, Member, Scale, SUITE};
 use geo2c_core::experiment::SweepConfig;
 use geo2c_report::{compare_sets, ExperimentResult, Provenance, ResultSet, Tolerance};
 use std::path::{Path, PathBuf};
@@ -55,7 +55,7 @@ const USAGE: &str = "usage: run_tables [--quick | --full] [--check [--against DI
                      [--only ID,ID] [--dir DIR] [--seed S] [--threads T]";
 
 struct Args {
-    scale: &'static Scale,
+    scale: Scale,
     check: bool,
     render: bool,
     against: Option<PathBuf>,
@@ -69,7 +69,7 @@ struct Args {
 /// the usage line.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        scale: &REFERENCE,
+        scale: Scale::Reference,
         check: false,
         render: false,
         against: None,
@@ -86,20 +86,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag.as_str() {
-            "--quick" => args.scale = &QUICK,
-            "--full" => args.scale = &FULL,
+            "--quick" => args.scale = Scale::Quick,
+            "--full" => args.scale = Scale::Full,
             "--check" => args.check = true,
             "--render" => args.render = true,
             "--against" => args.against = Some(PathBuf::from(value()?)),
             "--only" => {
                 let ids: Vec<String> = value()?.split(',').map(str::to_string).collect();
-                if let Some(id) = ids
-                    .iter()
-                    .find(|id| !experiments::SUITE_IDS.contains(&id.as_str()))
-                {
+                if let Some(id) = ids.iter().find(|id| SUITE.iter().all(|m| m.id != *id)) {
+                    let suite: Vec<&str> = SUITE.iter().map(|m| m.id).collect();
                     return Err(format!(
                         "--only: unknown experiment '{id}' (suite: {})",
-                        experiments::SUITE_IDS.join(", ")
+                        suite.join(", ")
                     ));
                 }
                 args.only = Some(ids);
@@ -119,88 +117,49 @@ fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
 }
 
 /// `results/` for the reference scale, `results/<scale>/` otherwise.
-fn results_dir(base: &Path, scale: &Scale) -> PathBuf {
+fn results_dir(base: &Path, scale: Scale) -> PathBuf {
     let root = base.join("results");
-    if scale.name == REFERENCE.name {
+    if scale == Scale::Reference {
         root
     } else {
-        root.join(scale.name)
+        root.join(scale.name())
     }
 }
 
+/// The suite members `--only` selects (all of them without it), in
+/// suite order.
+fn selected(only: Option<&[String]>) -> impl Iterator<Item = &'static Member> + '_ {
+    SUITE
+        .iter()
+        .filter(move |m| only.map_or(true, |ids| ids.iter().any(|want| want == m.id)))
+}
+
 fn run_suite(
-    scale: &Scale,
+    scale: Scale,
     seed: u64,
     threads: usize,
     only: Option<&[String]>,
 ) -> Vec<ExperimentResult> {
-    eprintln!("running the {} scale", scale.name);
-    let n = |exp: u32| 1usize << exp;
-    let mut results = Vec::new();
-    for &id in &experiments::SUITE_IDS {
-        if !only.map_or(true, |ids| ids.iter().any(|want| want == id)) {
-            continue;
-        }
-        // The member's sweep configuration, echoed to stderr as run
-        // provenance.
-        let config = |trials: usize| {
+    eprintln!("running the {} scale", scale.name());
+    selected(only)
+        .map(|member| {
+            let size = member.size(scale);
             let config = SweepConfig {
-                trials,
+                trials: size.trials,
                 threads,
                 seed,
             };
+            // The member's sweep configuration, echoed to stderr as run
+            // provenance.
             let pairs: Vec<String> = config
                 .describe()
                 .iter()
                 .map(|(k, v)| format!("{k}={v}"))
                 .collect();
-            eprintln!("  {id}: {}", pairs.join(" "));
-            config
-        };
-        results.push(match id {
-            "table1" => experiments::table1(&scale.ring_sizes(), &config(scale.ring_trials)),
-            "table2" => experiments::table2(&scale.torus_sizes(), &config(scale.torus_trials)),
-            "table3" => experiments::table3(&scale.ring_sizes(), &config(scale.ring_trials)),
-            "dimension" => experiments::dimension(n(scale.dim_exp), &config(scale.dim_trials)),
-            "ring_chart" => {
-                experiments::ring_chart(n(scale.chart_exp), &config(scale.chart_trials))
-            }
-            "tabulation" => experiments::tabulation(n(scale.tab_exp), &config(scale.tab_trials)),
-            "heavy" => experiments::heavy(n(scale.heavy_exp), &config(scale.heavy_trials)),
-            "serving" => experiments::serving(n(scale.serve_exp), &config(scale.serve_trials)),
-            "resilience" => {
-                experiments::resilience(n(scale.resil_exp), &config(scale.resil_trials))
-            }
-            "churn" => experiments::churn(n(scale.churn_exp), &config(scale.churn_trials)),
-            "replication" => {
-                experiments::replication(n(scale.repl_exp), &config(scale.repl_trials))
-            }
-            "dht" => experiments::dht(n(scale.dht_exp), &config(scale.dht_trials)),
-            "scaling" => experiments::scaling(n(scale.scaling_exp), &config(scale.scaling_trials)),
-            "durability" => {
-                experiments::durability(n(scale.durability_exp), &config(scale.durability_trials))
-            }
-            "lemma3" => experiments::lemma3(n(scale.lemma3_exp), &config(scale.lemma3_trials)),
-            "lemma4_5" => {
-                experiments::lemma4_5(n(scale.lemma4_5_exp), &config(scale.lemma4_5_trials))
-            }
-            "lemma6" => experiments::lemma6(n(scale.lemma6_exp), &config(scale.lemma6_trials)),
-            "lemma8_9" => {
-                experiments::lemma8_9(n(scale.lemma8_9_exp), &config(scale.lemma8_9_trials))
-            }
-            "nonuniform_servers" => experiments::nonuniform_servers(
-                n(scale.nu_servers_exp),
-                &config(scale.nu_servers_trials),
-            ),
-            "nonuniform_probes" => experiments::nonuniform_probes(
-                n(scale.nu_probes_exp),
-                &config(scale.nu_probes_trials),
-            ),
-            "profile" => experiments::profile(n(scale.profile_exp), &config(scale.profile_trials)),
-            other => unreachable!("suite member {other} has no driver arm"),
-        });
-    }
-    results
+            eprintln!("  {}: {}", member.id, pairs.join(" "));
+            (member.run)(&size.ns(), &config)
+        })
+        .collect()
 }
 
 /// Loads every committed expectation file *before* the (potentially long)
@@ -217,11 +176,8 @@ fn load_expected(
     let mut expected = ResultSet::new(Provenance::capture(seed));
     let mut sources = Vec::new();
     let mut missing = Vec::new();
-    for id in experiments::SUITE_IDS {
-        if !only.map_or(true, |ids| ids.iter().any(|want| want == id)) {
-            continue;
-        }
-        let path = dir.join(format!("{id}.json"));
+    for member in selected(only) {
+        let path = dir.join(format!("{}.json", member.id));
         match ResultSet::load(&path) {
             Ok(set) => {
                 for result in &set.experiments {
@@ -256,7 +212,7 @@ fn check(
     sources: &[(String, PathBuf)],
     args: &Args,
     dir: &Path,
-    scale: &Scale,
+    scale: Scale,
 ) -> ExitCode {
     // Against an explicit archive, compare only the experiments the
     // archive holds (it may predate newer suite members).
@@ -276,7 +232,7 @@ fn check(
     // render to, or the headline document has drifted from the data.
     // (Not when diffing against an archive or a `--only` subset: the
     // document is a function of the whole committed set.)
-    if scale.name == REFERENCE.name && args.against.is_none() && args.only.is_none() {
+    if scale == Scale::Reference && args.against.is_none() && args.only.is_none() {
         let md_path = args.dir.join("EXPERIMENTS.md");
         let committed_md = std::fs::read_to_string(&md_path).unwrap_or_default();
         if committed_md != experiments::experiments_markdown(expected) {
@@ -341,10 +297,10 @@ fn check(
                 source_of(experiment)
             );
         }
-        let flag = if scale.name == REFERENCE.name {
+        let flag = if scale == Scale::Reference {
             String::new()
         } else {
-            format!(" --{}", scale.name)
+            format!(" --{}", scale.name())
         };
         eprintln!(
             "if the change is intentional, regenerate the expectations with \
@@ -367,7 +323,7 @@ fn write(set: &ResultSet, args: &Args, dir: &Path) -> ExitCode {
     }
     // A `--only` subset never rewrites EXPERIMENTS.md: the document
     // renders the whole committed set, not a slice of it.
-    if args.scale.name == REFERENCE.name && args.only.is_none() {
+    if args.scale == Scale::Reference && args.only.is_none() {
         let md_path = args.dir.join("EXPERIMENTS.md");
         if let Err(e) = std::fs::write(&md_path, experiments::experiments_markdown(set)) {
             eprintln!("cannot write {}: {e}", md_path.display());
@@ -390,7 +346,7 @@ fn main() -> ExitCode {
     if args.render {
         // No suite run: EXPERIMENTS.md must be the exact rendering of
         // the committed reference results.
-        let dir = results_dir(&args.dir, &REFERENCE);
+        let dir = results_dir(&args.dir, Scale::Reference);
         let (expected, _) = match load_expected(&dir, args.seed, false, None) {
             Ok(loaded) => loaded,
             Err(code) => return code,

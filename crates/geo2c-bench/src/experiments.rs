@@ -8,8 +8,9 @@
 //! committed expectations and any ad-hoc `run_tables --only ID` run are
 //! provably the same computation.
 //!
-//! [`Scale`] pins the three named parameter sets: `quick` (CI / smoke),
-//! `reference` (the committed `EXPERIMENTS.md` numbers; sized so the
+//! [`SUITE`] declares each member once: its id, its `EXPERIMENTS.md`
+//! [`Layout`] and its [`Size`] at each of the three named [`Scale`]s:
+//! `quick` (CI / smoke), `reference` (the committed `EXPERIMENTS.md` numbers; sized so the
 //! whole suite regenerates in about a minute and a half on one core) and
 //! `full` (the paper's own 1000-trial sweep — hours of CPU; run it
 //! deliberately).
@@ -40,321 +41,289 @@ use geo2c_util::stats::RunningStats;
 use rand::Rng as _;
 use rand::RngCore as _;
 
-/// Spec ids of the experiments `run_tables` drives, in suite order —
-/// also the basenames of the committed files under `results/`.
-pub const SUITE_IDS: [&str; 21] = [
-    "table1",
-    "table2",
-    "table3",
-    "dimension",
-    "ring_chart",
-    "tabulation",
-    "heavy",
-    "serving",
-    "resilience",
-    "churn",
-    "replication",
-    "dht",
-    "scaling",
-    "durability",
-    "lemma3",
-    "lemma4_5",
-    "lemma6",
-    "lemma8_9",
-    "nonuniform_servers",
-    "nonuniform_probes",
-    "profile",
-];
-
 /// A named parameter set for the table suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scale {
-    /// Name used in output paths (`results/` vs `results/quick/`).
-    pub name: &'static str,
-    /// Ring sweep sizes as `n = 2^k` exponents (Tables 1 and 3).
-    pub ring_exps: &'static [u32],
-    /// Torus sweep sizes as exponents (Table 2).
-    pub torus_exps: &'static [u32],
-    /// Trials per ring cell.
-    pub ring_trials: usize,
-    /// Trials per torus cell.
-    pub torus_trials: usize,
-    /// `n = 2^k` exponent for the dimension sweep.
-    pub dim_exp: u32,
-    /// Trials per dimension-sweep cell.
-    pub dim_trials: usize,
-    /// `n = 2^k` exponent for the ring diminishing-returns chart.
-    pub chart_exp: u32,
-    /// Trials per ring-chart cell.
-    pub chart_trials: usize,
-    /// `n = 2^k` exponent for the tabulation-hash comparison.
-    pub tab_exp: u32,
-    /// Trials per tabulation-comparison cell.
-    pub tab_trials: usize,
-    /// `n = 2^k` exponent for the heavily-loaded (`m ≠ n`) sweep.
-    pub heavy_exp: u32,
-    /// Trials per heavily-loaded cell.
-    pub heavy_trials: usize,
-    /// `n = 2^k` exponent for the online-serving steady state.
-    pub serve_exp: u32,
-    /// Trials per serving scenario.
-    pub serve_trials: usize,
-    /// `n = 2^k` exponent for the serving resilience experiment.
-    pub resil_exp: u32,
-    /// Trials per resilience cell.
-    pub resil_trials: usize,
-    /// `n = 2^k` exponent for the DHT churn experiment.
-    pub churn_exp: u32,
-    /// Trials per churn cell.
-    pub churn_trials: usize,
-    /// `n = 2^k` exponent for the replication trade-off experiment.
-    pub repl_exp: u32,
-    /// Trials per replication cell.
-    pub repl_trials: usize,
-    /// `n = 2^k` exponent (physical nodes) for the Chord DHT comparison.
-    pub dht_exp: u32,
-    /// Trials per DHT placement-scheme cell.
-    pub dht_trials: usize,
-    /// `n = 2^k` exponent for the streaming-scale backing comparison.
-    pub scaling_exp: u32,
-    /// Trials per scaling cell.
-    pub scaling_trials: usize,
-    /// `n = 2^k` exponent for the durability recovery-cost experiment.
-    pub durability_exp: u32,
-    /// Trials per durability checkpoint-interval cell.
-    pub durability_trials: usize,
-    /// `n = 2^k` exponent for the Lemma 3 negative-dependence check.
-    pub lemma3_exp: u32,
-    /// Trials for the Lemma 3 check (joint events are rare: many).
-    pub lemma3_trials: usize,
-    /// `n = 2^k` exponent for the Lemma 4/5 long-arc tail.
-    pub lemma4_5_exp: u32,
-    /// Trials for the Lemma 4/5 tail.
-    pub lemma4_5_trials: usize,
-    /// `n = 2^k` exponent for the Lemma 6 longest-arcs sum.
-    pub lemma6_exp: u32,
-    /// Trials for the Lemma 6 sum.
-    pub lemma6_trials: usize,
-    /// `n = 2^k` exponent for the Lemma 8/9 Voronoi cell-area tail.
-    pub lemma8_9_exp: u32,
-    /// Trials for the Lemma 8/9 tail.
-    pub lemma8_9_trials: usize,
-    /// `n = 2^k` exponent for the clustered-servers sweep.
-    pub nu_servers_exp: u32,
-    /// Trials per clustered-servers cell.
-    pub nu_servers_trials: usize,
-    /// `n = 2^k` exponent for the clustered-probes sweep.
-    pub nu_probes_exp: u32,
-    /// Trials per clustered-probes cell.
-    pub nu_probes_trials: usize,
-    /// `n = 2^k` exponent for the load profile vs the fluid limit.
-    pub profile_exp: u32,
-    /// Trials per load-profile space.
-    pub profile_trials: usize,
+pub enum Scale {
+    /// CI / smoke-test scale: regenerates in seconds, even unoptimized.
+    Quick,
+    /// The committed-expectation scale behind `EXPERIMENTS.md` (~1.5
+    /// minutes of single-core CPU for the whole suite).
+    Reference,
+    /// The paper's own scale (1000 trials, `n` up to `2^24` / `2^20`).
+    /// Budget hours of CPU; nothing in CI runs this.
+    Full,
 }
 
-/// CI / smoke-test scale: regenerates in seconds, even unoptimized.
-pub const QUICK: Scale = Scale {
-    name: "quick",
-    ring_exps: &[8, 10],
-    torus_exps: &[8, 10],
-    ring_trials: 40,
-    torus_trials: 25,
-    dim_exp: 9,
-    dim_trials: 8,
-    chart_exp: 12,
-    chart_trials: 10,
-    tab_exp: 9,
-    tab_trials: 25,
-    heavy_exp: 8,
-    heavy_trials: 10,
-    serve_exp: 8,
-    serve_trials: 6,
-    resil_exp: 8,
-    resil_trials: 4,
-    churn_exp: 8,
-    churn_trials: 5,
-    repl_exp: 8,
-    repl_trials: 5,
-    dht_exp: 8,
-    dht_trials: 5,
-    scaling_exp: 14,
-    scaling_trials: 3,
-    durability_exp: 8,
-    durability_trials: 3,
-    lemma3_exp: 10,
-    lemma3_trials: 1000,
-    lemma4_5_exp: 10,
-    lemma4_5_trials: 20,
-    lemma6_exp: 10,
-    lemma6_trials: 20,
-    lemma8_9_exp: 10,
-    lemma8_9_trials: 20,
-    nu_servers_exp: 10,
-    nu_servers_trials: 20,
-    nu_probes_exp: 10,
-    nu_probes_trials: 20,
-    profile_exp: 10,
-    profile_trials: 20,
-};
+impl Scale {
+    /// Every scale, cheapest first (the order of [`Member::sizes`]).
+    pub const ALL: [Scale; 3] = [Scale::Quick, Scale::Reference, Scale::Full];
 
-/// The committed-expectation scale behind `EXPERIMENTS.md` (~1.5
-/// minutes of single-core CPU for the whole suite).
-pub const REFERENCE: Scale = Scale {
-    name: "reference",
-    ring_exps: &[8, 12, 16],
-    torus_exps: &[8, 12, 14],
-    ring_trials: 300,
-    torus_trials: 150,
-    // Paper-scale n for the K-torus: 2^13 is the size the K-d owner path
-    // could previously reach only at --full scale (and appears as a
-    // mid column of the paper's Table 1). The K ∈ {3, 4} × d ∈ {1..8}
-    // sweep costs ~0.5 s per trial row on the reference core after the
-    // K-d grid port, so 32 trials keeps the whole suite regenerating in
-    // about a minute and a half single-core.
-    dim_exp: 13,
-    dim_trials: 32,
-    // The largest n whose d ∈ {2..8} sweep stays inside the single-core
-    // CI budget now that the ring owner path is O(1) (the ROADMAP's
-    // 2^20+ chart is the --full scale below).
-    chart_exp: 18,
-    chart_trials: 40,
-    // The Dahlgaard et al. weak-hashing comparison stays at quick scale
-    // even in the committed expectations: the question is whether the
-    // max-load distribution survives 3-independent hashing at all, and
-    // 2^10 servers × 200 trials answers it for pennies of CPU.
-    tab_exp: 10,
-    tab_trials: 200,
-    // The m/n ratio sweep runs 21.25n balls per trial pair of spaces;
-    // 2^12 servers × 60 trials keeps the whole family around a second
-    // while the slack column stabilizes to a few hundredths.
-    heavy_exp: 12,
-    heavy_trials: 60,
-    // The serving steady state churns 16n sessions through n servers per
-    // trial; 2^10 servers × 25 trials per scenario keeps it well under
-    // the table sweeps' cost while the shed-rate columns stay stable to
-    // a fraction of a percent.
-    serve_exp: 10,
-    serve_trials: 25,
-    // The resilience cells rerun the serving workload under correlated
-    // outages; the grid is wider (fail × d × retry budget) so fewer
-    // trials per cell keep the family's cost near the serving table's.
-    resil_exp: 10,
-    resil_trials: 15,
-    churn_exp: 10,
-    churn_trials: 20,
-    repl_exp: 10,
-    repl_trials: 20,
-    // The Chord comparison places 16n items per trial and samples 2000
-    // lookups per configuration; 2^10 physical nodes × 20 trials keeps
-    // the family at the churn/replication cost while the max-load and
-    // hop-count means settle to a fraction of a unit.
-    dht_exp: 10,
-    dht_trials: 20,
-    // The streaming-scale backing comparison runs at 2^24 bins — the
-    // paper's own largest ring n, and far past L2 for every backing —
-    // so bytes/bin and balls/sec are measured where they matter. The
-    // uniform space keeps a trial to ~1 s single-core, so 3 trials fit
-    // the suite budget.
-    scaling_exp: 24,
-    scaling_trials: 3,
-    // Each durability trial runs the serving workload three times (the
-    // uninterrupted reference, the journaled run up to the crash, and
-    // the recovery replay), touching the filesystem for checkpoints and
-    // journal frames; 2^10 servers × 10 trials per checkpoint interval
-    // keeps the family around the serving table's cost.
-    durability_exp: 10,
-    durability_trials: 10,
+    /// Name used in output paths (`results/` vs `results/quick/`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Reference => "reference",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Looks a scale up by name.
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|s| s.name() == name)
+    }
+}
+
+/// How big one suite member runs at one scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Size {
+    /// Sweep sizes as `n = 2^k` exponents; single-`n` members have one.
+    pub exps: &'static [u32],
+    /// Trials per cell.
+    pub trials: usize,
+}
+
+impl Size {
+    /// The sweep sizes (`n` values).
+    #[must_use]
+    pub fn ns(&self) -> Vec<usize> {
+        self.exps.iter().map(|&e| 1usize << e).collect()
+    }
+}
+
+/// How a member renders in `EXPERIMENTS.md`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// A distribution grid: one row per `rows` coordinate, one column
+    /// per `cols` coordinate.
+    Pivot {
+        /// Coordinate on the rows.
+        rows: &'static str,
+        /// Coordinate on the columns.
+        cols: &'static str,
+    },
+    /// One row per cell: scalar columns plus the aggregated load
+    /// distribution where present (the metric-bearing experiments).
+    Flat,
+}
+
+/// One experiment of the gated suite.
+#[derive(Debug, Clone, Copy)]
+pub struct Member {
+    /// Spec id, also the basename of the committed `results/` file.
+    pub id: &'static str,
+    /// Its `EXPERIMENTS.md` table layout.
+    pub layout: Layout,
+    /// Its size at each of [`Scale::ALL`], in that order.
+    pub sizes: [Size; 3],
+    /// Runs it over the sweep sizes with the given configuration.
+    pub run: fn(&[usize], &SweepConfig) -> ExperimentResult,
+}
+
+impl Member {
+    /// Its size at `scale`.
+    #[must_use]
+    pub fn size(&self, scale: Scale) -> Size {
+        self.sizes[scale as usize]
+    }
+}
+
+const fn size(exps: &'static [u32], trials: usize) -> Size {
+    Size { exps, trials }
+}
+
+const fn pivot(rows: &'static str, cols: &'static str) -> Layout {
+    Layout::Pivot { rows, cols }
+}
+
+/// Tables 1 and 3 sweep the same ring sizes, so they share one ladder.
+const RING: [Size; 3] = [
+    size(&[8, 10], 40),
+    size(&[8, 12, 16], 300),
+    size(&[8, 12, 16, 20, 24], 1000),
+];
+
+/// The experiments `run_tables` drives, in run and render order: every
+/// consumer (the driver, `--only`, [`experiments_markdown`], the tests)
+/// reads the suite from here. Adding a member is one entry plus its
+/// function.
+pub const SUITE: [Member; 21] = [
+    Member {
+        id: "table1",
+        layout: pivot("n", "d"),
+        sizes: RING,
+        run: table1,
+    },
+    Member {
+        id: "table2",
+        layout: pivot("n", "d"),
+        sizes: [
+            size(&[8, 10], 25),
+            size(&[8, 12, 14], 150),
+            size(&[8, 12, 16, 20], 1000),
+        ],
+        run: table2,
+    },
+    Member {
+        id: "table3",
+        layout: pivot("n", "tie_break"),
+        sizes: RING,
+        run: table3,
+    },
+    Member {
+        id: "dimension",
+        layout: pivot("d", "K"),
+        // Paper-scale n for the K-torus: 2^13 is the size the K-d owner path
+        // could previously reach only at --full scale (and appears as a
+        // mid column of the paper's Table 1). The K ∈ {3, 4} × d ∈ {1..8}
+        // sweep costs ~0.5 s per trial row on the reference core after the
+        // K-d grid port, so 32 trials keeps the whole suite regenerating in
+        // about a minute and a half single-core.
+        sizes: [size(&[9], 8), size(&[13], 32), size(&[16], 200)],
+        run: |ns, c| dimension(ns[0], c),
+    },
+    Member {
+        id: "ring_chart",
+        layout: pivot("d", "n"),
+        // The largest n whose d ∈ {2..8} sweep stays inside the single-core
+        // CI budget now that the ring owner path is O(1) (the ROADMAP's
+        // 2^20+ chart is the --full scale).
+        sizes: [size(&[12], 10), size(&[18], 40), size(&[20], 200)],
+        run: |ns, c| ring_chart(ns[0], c),
+    },
+    Member {
+        id: "tabulation",
+        layout: pivot("d", "sampler"),
+        // The Dahlgaard et al. weak-hashing comparison stays at quick scale
+        // even in the committed expectations: the question is whether the
+        // max-load distribution survives 3-independent hashing at all, and
+        // 2^10 servers × 200 trials answers it for pennies of CPU.
+        sizes: [size(&[9], 25), size(&[10], 200), size(&[12], 1000)],
+        run: |ns, c| tabulation(ns[0], c),
+    },
+    Member {
+        id: "heavy",
+        layout: Layout::Flat,
+        // The m/n ratio sweep runs 21.25n balls per trial pair of spaces;
+        // 2^12 servers × 60 trials keeps the whole family around a second
+        // while the slack column stabilizes to a few hundredths.
+        sizes: [size(&[8], 10), size(&[12], 60), size(&[16], 200)],
+        run: |ns, c| heavy(ns[0], c),
+    },
+    Member {
+        id: "serving",
+        layout: Layout::Flat,
+        // The serving steady state churns 16n sessions through n servers per
+        // trial; 2^10 servers × 25 trials per scenario keeps it well under
+        // the table sweeps' cost while the shed-rate columns stay stable to
+        // a fraction of a percent.
+        sizes: [size(&[8], 6), size(&[10], 25), size(&[13], 100)],
+        run: |ns, c| serving(ns[0], c),
+    },
+    Member {
+        id: "resilience",
+        layout: Layout::Flat,
+        // The resilience cells rerun the serving workload under correlated
+        // outages; the grid is wider (fail × d × retry budget) so fewer
+        // trials per cell keep the family's cost near the serving table's.
+        sizes: [size(&[8], 4), size(&[10], 15), size(&[13], 60)],
+        run: |ns, c| resilience(ns[0], c),
+    },
+    Member {
+        id: "churn",
+        layout: Layout::Flat,
+        sizes: [size(&[8], 5), size(&[10], 20), size(&[12], 100)],
+        run: |ns, c| churn(ns[0], c),
+    },
+    Member {
+        id: "replication",
+        layout: Layout::Flat,
+        sizes: [size(&[8], 5), size(&[10], 20), size(&[12], 100)],
+        run: |ns, c| replication(ns[0], c),
+    },
+    Member {
+        id: "dht",
+        layout: Layout::Flat,
+        // The Chord comparison places 16n items per trial and samples 2000
+        // lookups per configuration; 2^10 physical nodes × 20 trials keeps
+        // the family at the churn/replication cost while the max-load and
+        // hop-count means settle to a fraction of a unit.
+        sizes: [size(&[8], 5), size(&[10], 20), size(&[14], 100)],
+        run: |ns, c| dht(ns[0], c),
+    },
+    Member {
+        id: "scaling",
+        layout: Layout::Flat,
+        // The streaming-scale backing comparison runs at 2^24 bins — the
+        // paper's own largest ring n, and far past L2 for every backing —
+        // so bytes/bin and balls/sec are measured where they matter. The
+        // uniform space keeps a trial to ~1 s single-core, so 3 trials fit
+        // the suite budget.
+        sizes: [size(&[14], 3), size(&[24], 3), size(&[26], 5)],
+        run: |ns, c| scaling(ns[0], c),
+    },
+    Member {
+        id: "durability",
+        layout: Layout::Flat,
+        // Each durability trial runs the serving workload three times (the
+        // uninterrupted reference, the journaled run up to the crash, and
+        // the recovery replay), touching the filesystem for checkpoints and
+        // journal frames; 2^10 servers × 10 trials per checkpoint interval
+        // keeps the family around the serving table's cost.
+        sizes: [size(&[8], 3), size(&[10], 10), size(&[12], 30)],
+        run: |ns, c| durability(ns[0], c),
+    },
     // The lemma validations run at the sizes their former standalone
     // binary defaulted to: the arc tails at 2^14, the Voronoi tail at
     // 2^12 (cell construction dominates), and the negative-dependence
     // check at 2^10 with many trials, since its joint events are rare.
     // Together they cost about five seconds single-core.
-    lemma3_exp: 10,
-    lemma3_trials: 2000,
-    lemma4_5_exp: 14,
-    lemma4_5_trials: 200,
-    lemma6_exp: 14,
-    lemma6_trials: 200,
-    lemma8_9_exp: 12,
-    lemma8_9_trials: 100,
+    Member {
+        id: "lemma3",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 1000), size(&[10], 2000), size(&[10], 10_000)],
+        run: |ns, c| lemma3(ns[0], c),
+    },
+    Member {
+        id: "lemma4_5",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 20), size(&[14], 200), size(&[16], 1000)],
+        run: |ns, c| lemma4_5(ns[0], c),
+    },
+    Member {
+        id: "lemma6",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 20), size(&[14], 200), size(&[16], 1000)],
+        run: |ns, c| lemma6(ns[0], c),
+    },
+    Member {
+        id: "lemma8_9",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 20), size(&[12], 100), size(&[14], 400)],
+        run: |ns, c| lemma8_9(ns[0], c),
+    },
     // The conclusion's two open questions, at their former binaries'
     // defaults (about a second together).
-    nu_servers_exp: 12,
-    nu_servers_trials: 100,
-    nu_probes_exp: 12,
-    nu_probes_trials: 100,
-    profile_exp: 12,
-    profile_trials: 100,
-};
-
-/// The paper's own scale (1000 trials, `n` up to `2^24` / `2^20`).
-/// Budget hours of CPU; nothing in CI runs this.
-pub const FULL: Scale = Scale {
-    name: "full",
-    ring_exps: &[8, 12, 16, 20, 24],
-    torus_exps: &[8, 12, 16, 20],
-    ring_trials: 1000,
-    torus_trials: 1000,
-    dim_exp: 16,
-    dim_trials: 200,
-    chart_exp: 20,
-    chart_trials: 200,
-    tab_exp: 12,
-    tab_trials: 1000,
-    heavy_exp: 16,
-    heavy_trials: 200,
-    serve_exp: 13,
-    serve_trials: 100,
-    resil_exp: 13,
-    resil_trials: 60,
-    churn_exp: 12,
-    churn_trials: 100,
-    repl_exp: 12,
-    repl_trials: 100,
-    dht_exp: 14,
-    dht_trials: 100,
-    scaling_exp: 26,
-    scaling_trials: 5,
-    durability_exp: 12,
-    durability_trials: 30,
-    lemma3_exp: 10,
-    lemma3_trials: 10_000,
-    lemma4_5_exp: 16,
-    lemma4_5_trials: 1000,
-    lemma6_exp: 16,
-    lemma6_trials: 1000,
-    lemma8_9_exp: 14,
-    lemma8_9_trials: 400,
-    nu_servers_exp: 16,
-    nu_servers_trials: 1000,
-    nu_probes_exp: 16,
-    nu_probes_trials: 1000,
-    profile_exp: 16,
-    profile_trials: 1000,
-};
-
-impl Scale {
-    /// Looks a scale up by name.
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<&'static Scale> {
-        [&QUICK, &REFERENCE, &FULL]
-            .into_iter()
-            .find(|s| s.name == name)
-    }
-
-    /// Ring sweep sizes (`n` values).
-    #[must_use]
-    pub fn ring_sizes(&self) -> Vec<usize> {
-        self.ring_exps.iter().map(|&e| 1usize << e).collect()
-    }
-
-    /// Torus sweep sizes (`n` values).
-    #[must_use]
-    pub fn torus_sizes(&self) -> Vec<usize> {
-        self.torus_exps.iter().map(|&e| 1usize << e).collect()
-    }
-}
+    Member {
+        id: "nonuniform_servers",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 20), size(&[12], 100), size(&[16], 1000)],
+        run: |ns, c| nonuniform_servers(ns[0], c),
+    },
+    Member {
+        id: "nonuniform_probes",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 20), size(&[12], 100), size(&[16], 1000)],
+        run: |ns, c| nonuniform_probes(ns[0], c),
+    },
+    Member {
+        id: "profile",
+        layout: Layout::Flat,
+        sizes: [size(&[10], 20), size(&[12], 100), size(&[16], 1000)],
+        run: |ns, c| profile(ns[0], c),
+    },
+];
 
 fn sizes_json(ns: &[usize]) -> Json {
     Json::Arr(ns.iter().map(|&n| Json::from_usize(n)).collect())
@@ -1839,41 +1808,12 @@ whose name starts with `~` (the scaling table's `~balls_per_s`) are \
 excluded from `--check`'s exact compare.\n\n",
     );
 
-    let pivots: [(&str, &str, &str); 6] = [
-        ("table1", "n", "d"),
-        ("table2", "n", "d"),
-        ("table3", "n", "tie_break"),
-        ("dimension", "d", "K"),
-        ("ring_chart", "d", "n"),
-        ("tabulation", "d", "sampler"),
-    ];
-    for (id, row_key, col_key) in pivots {
-        if let Some(result) = set.experiment(id) {
-            out.push_str(&render_markdown_pivot(result, row_key, col_key));
-            out.push('\n');
-        }
-    }
-    // The metric-bearing experiments render flat (one row per cell,
-    // scalar columns + the aggregated load distribution where present).
-    for id in [
-        "heavy",
-        "serving",
-        "resilience",
-        "churn",
-        "replication",
-        "dht",
-        "scaling",
-        "durability",
-        "lemma3",
-        "lemma4_5",
-        "lemma6",
-        "lemma8_9",
-        "nonuniform_servers",
-        "nonuniform_probes",
-        "profile",
-    ] {
-        if let Some(result) = set.experiment(id) {
-            out.push_str(&render_markdown(result));
+    for member in &SUITE {
+        if let Some(result) = set.experiment(member.id) {
+            out.push_str(&match member.layout {
+                Layout::Pivot { rows, cols } => render_markdown_pivot(result, rows, cols),
+                Layout::Flat => render_markdown(result),
+            });
             out.push('\n');
         }
     }
@@ -2081,64 +2021,35 @@ mod tests {
 
     #[test]
     fn scales_are_consistent_and_named() {
-        for scale in [&QUICK, &REFERENCE, &FULL] {
-            assert_eq!(Scale::by_name(scale.name), Some(scale));
-            assert!(!scale.ring_sizes().is_empty());
-            assert!(!scale.torus_sizes().is_empty());
-            assert!(scale.ring_trials > 0 && scale.torus_trials > 0);
+        for scale in Scale::ALL {
+            assert_eq!(Scale::by_name(scale.name()), Some(scale));
         }
         assert_eq!(Scale::by_name("nope"), None);
-        // quick < reference < full in every cost dimension.
-        let ladder = ["quick", "reference", "full"].map(|name| Scale::by_name(name).unwrap());
-        for pair in ladder.windows(2) {
-            assert!(pair[0].ring_trials <= pair[1].ring_trials);
-            assert!(pair[0].ring_exps.last() <= pair[1].ring_exps.last());
-            assert!(pair[0].torus_exps.last() <= pair[1].torus_exps.last());
-            assert!(pair[0].dim_exp <= pair[1].dim_exp);
-            assert!(pair[0].serve_exp <= pair[1].serve_exp);
-            assert!(pair[0].serve_trials <= pair[1].serve_trials);
-            assert!(pair[0].resil_exp <= pair[1].resil_exp);
-            assert!(pair[0].resil_trials <= pair[1].resil_trials);
-            assert!(pair[0].churn_exp <= pair[1].churn_exp);
-            assert!(pair[0].churn_trials <= pair[1].churn_trials);
-            assert!(pair[0].repl_exp <= pair[1].repl_exp);
-            assert!(pair[0].repl_trials <= pair[1].repl_trials);
-            assert!(pair[0].dht_exp <= pair[1].dht_exp);
-            assert!(pair[0].dht_trials <= pair[1].dht_trials);
-            assert!(pair[0].scaling_exp <= pair[1].scaling_exp);
-            assert!(pair[0].scaling_trials <= pair[1].scaling_trials);
-            assert!(pair[0].durability_exp <= pair[1].durability_exp);
-            assert!(pair[0].durability_trials <= pair[1].durability_trials);
-            for (lo, hi) in [
-                (pair[0].lemma3_exp, pair[1].lemma3_exp),
-                (pair[0].lemma4_5_exp, pair[1].lemma4_5_exp),
-                (pair[0].lemma6_exp, pair[1].lemma6_exp),
-                (pair[0].lemma8_9_exp, pair[1].lemma8_9_exp),
-                (pair[0].nu_servers_exp, pair[1].nu_servers_exp),
-                (pair[0].nu_probes_exp, pair[1].nu_probes_exp),
-                (pair[0].profile_exp, pair[1].profile_exp),
-            ] {
-                assert!(lo <= hi);
+        for (i, member) in SUITE.iter().enumerate() {
+            assert!(
+                SUITE[..i].iter().all(|other| other.id != member.id),
+                "{} is declared twice",
+                member.id
+            );
+            // quick ≤ reference ≤ full in every member's cost.
+            for size in member.sizes {
+                assert!(!size.exps.is_empty() && size.trials > 0, "{}", member.id);
             }
-            for (lo, hi) in [
-                (pair[0].lemma3_trials, pair[1].lemma3_trials),
-                (pair[0].lemma4_5_trials, pair[1].lemma4_5_trials),
-                (pair[0].lemma6_trials, pair[1].lemma6_trials),
-                (pair[0].lemma8_9_trials, pair[1].lemma8_9_trials),
-                (pair[0].nu_servers_trials, pair[1].nu_servers_trials),
-                (pair[0].nu_probes_trials, pair[1].nu_probes_trials),
-                (pair[0].profile_trials, pair[1].profile_trials),
-            ] {
-                assert!(lo <= hi);
+            for pair in member.sizes.windows(2) {
+                assert!(pair[0].exps.last() <= pair[1].exps.last(), "{}", member.id);
+                assert!(pair[0].trials <= pair[1].trials, "{}", member.id);
             }
         }
+        let reference = |id: &str| {
+            let member = SUITE.iter().find(|m| m.id == id).unwrap();
+            member.size(Scale::Reference).exps[0]
+        };
         // The K-torus sweep runs at paper-scale n from the reference
         // scale up (the K-d owner port made this a ~0.5 s/trial sweep).
-        let reference = Scale::by_name("reference").unwrap();
-        assert!(reference.dim_exp >= 13);
+        assert!(reference("dimension") >= 13);
         // The streaming-scale comparison runs at the paper's largest
         // ring n (2^24) in the committed expectations.
-        assert!(reference.scaling_exp >= 24);
+        assert!(reference("scaling") >= 24);
     }
 
     #[test]

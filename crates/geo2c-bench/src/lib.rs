@@ -3,7 +3,7 @@
 //! This crate builds exactly two binaries, run from the repository root:
 //!
 //! * **`run_tables`** (normally via `./tables.sh`) is the only way to run
-//!   an experiment. It drives the gated suite ([`experiments::SUITE_IDS`]):
+//!   an experiment. It drives the gated suite ([`experiments::SUITE`]):
 //!   the paper's Tables 1–3, the Lemma 3–6 and 8–9 validations, the
 //!   conclusion's open questions (non-uniform servers and probes, load
 //!   profiles against the fluid limit), and the serving, DHT, scaling and
@@ -16,8 +16,9 @@
 //!   suite ([`perf`]), maintains the committed baselines under
 //!   `results/bench/`, and gates perf regressions and speedup claims.
 //!
-//! [`experiments`] hosts the experiment constructors and the named
-//! [`experiments::Scale`]s; [`perf`] hosts the bench suite.
+//! [`experiments`] hosts the experiment constructors and the suite
+//! registry, which declares each member's id, table layout and size at
+//! every [`experiments::Scale`] once; [`perf`] hosts the bench suite.
 //!
 //! ```
 //! // Row labels in the paper's `2^k` format.

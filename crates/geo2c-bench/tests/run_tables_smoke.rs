@@ -3,7 +3,7 @@
 //! `--check` mode must accept what was just written and reject a
 //! tampered expectation.
 
-use geo2c_bench::experiments::SUITE_IDS;
+use geo2c_bench::experiments::{Scale, SUITE};
 use geo2c_report::{Json, ResultSet};
 use std::path::PathBuf;
 use std::process::Command;
@@ -23,7 +23,7 @@ fn quick_run_produces_parseable_result_sets_and_check_works() {
     let output = run(&dir, &[]);
     assert!(output.status.success(), "write run failed: {output:?}");
     let results_dir = dir.join("results").join("quick");
-    for id in SUITE_IDS {
+    for id in SUITE.map(|m| m.id) {
         let path = results_dir.join(format!("{id}.json"));
         let set =
             ResultSet::load(&path).unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
@@ -180,6 +180,18 @@ fn run_benches_rejects_bad_input_without_panicking() {
     assert!(bench(&["--ratio", "f.json", "a"]).contains("--ratio requires a value"));
     assert!(bench(&["--check", "--archive"]).contains("pick one"));
     assert!(bench(&["--quick", "--only", "ring"]).contains("explicit --out"));
+    // A NaN or non-positive threshold would turn a gate into a silent
+    // pass: every comparison against NaN is false.
+    assert!(bench(&["--quick", "--check", "--tolerance", "nan"]).contains("--tolerance must be"));
+    assert!(bench(&["--check", "--tolerance", "inf"]).contains("--tolerance must be"));
+    for min in ["nan", "inf", "-1", "0"] {
+        let stderr = bench(&["--diff", "a.json", "b.json", "--min-speedup", min]);
+        assert!(stderr.contains("--min-speedup must be"), "{min}: {stderr}");
+    }
+    for max in ["nan", "inf", "0"] {
+        let stderr = bench(&["--ratio", "f.json", "a", "b", max]);
+        assert!(stderr.contains("--ratio limit must be"), "{max}: {stderr}");
+    }
 }
 
 #[test]
@@ -191,7 +203,7 @@ fn only_flag_rejects_unknown_experiment_ids() {
         stderr.contains("unknown experiment 'bogus'"),
         "stderr: {stderr}"
     );
-    for id in SUITE_IDS {
+    for id in SUITE.map(|m| m.id) {
         assert!(
             stderr.contains(id),
             "error must name suite id {id}: {stderr}"
@@ -206,68 +218,40 @@ fn only_flag_rejects_unknown_experiment_ids() {
 
 #[test]
 fn quick_expectations_in_the_repository_match_the_current_scale() {
-    // The committed results/quick/*.json must carry the spec the QUICK
-    // scale would run today — otherwise ci.sh's `--quick --check` is
-    // comparing apples to stale oranges and its failure message will
-    // blame the numbers instead of the spec. (The full comparison runs
-    // in CI; this test just pins the committed spec shape so drift is
-    // caught even when tests run without the CI script.)
-    let repo_quick: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results", "quick"]
+    // The committed results/quick/*.json and results/*.json must carry
+    // the spec each SUITE member would run today at their scale —
+    // otherwise ci.sh's `--check` steps compare apples to stale oranges
+    // and their failure message will blame the numbers instead of the
+    // spec. (The full comparison runs in CI; this test just pins the
+    // committed spec shape so drift is caught even when tests run
+    // without the CI script.)
+    let results: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results"]
         .iter()
         .collect();
-    let scale = geo2c_bench::experiments::QUICK;
-    for id in SUITE_IDS {
-        let path = repo_quick.join(format!("{id}.json"));
-        let set = ResultSet::load(&path)
-            .unwrap_or_else(|e| panic!("{} must exist and parse: {e}", path.display()));
-        let spec = &set.experiment(id).expect("experiment present").spec;
-        let expected_trials = match id {
-            "table2" => scale.torus_trials,
-            "dimension" => scale.dim_trials,
-            "ring_chart" => scale.chart_trials,
-            "tabulation" => scale.tab_trials,
-            "heavy" => scale.heavy_trials,
-            "serving" => scale.serve_trials,
-            "resilience" => scale.resil_trials,
-            "churn" => scale.churn_trials,
-            "replication" => scale.repl_trials,
-            "dht" => scale.dht_trials,
-            "scaling" => scale.scaling_trials,
-            "durability" => scale.durability_trials,
-            "lemma3" => scale.lemma3_trials,
-            "lemma4_5" => scale.lemma4_5_trials,
-            "lemma6" => scale.lemma6_trials,
-            "lemma8_9" => scale.lemma8_9_trials,
-            "nonuniform_servers" => scale.nu_servers_trials,
-            "nonuniform_probes" => scale.nu_probes_trials,
-            "profile" => scale.profile_trials,
-            _ => scale.ring_trials,
-        };
-        assert_eq!(spec.trials, expected_trials, "{id}: stale trials");
-        if id == "dimension" {
-            // The dimension sweep was resized to paper-scale n; the
-            // committed quick expectation must carry the spec the QUICK
-            // scale would run today, so `--quick --check` round-trips.
-            let committed_n = spec
+    for (scale, dir) in [
+        (Scale::Quick, results.join("quick")),
+        (Scale::Reference, results.clone()),
+    ] {
+        for member in &SUITE {
+            let (id, size) = (member.id, member.size(scale));
+            let path = dir.join(format!("{id}.json"));
+            let set = ResultSet::load(&path)
+                .unwrap_or_else(|e| panic!("{} must exist and parse: {e}", path.display()));
+            let spec = &set.experiment(id).expect("experiment present").spec;
+            assert_eq!(spec.trials, size.trials, "{id} ({scale:?}): stale trials");
+            // The size parameter is the sweep's `n` (one value or a
+            // list), or the serving/DHT families' `servers`/`nodes`.
+            let param = spec
                 .params
                 .iter()
-                .find(|(k, _)| k == "n")
-                .and_then(|(_, v)| v.as_usize())
-                .expect("n param");
-            assert_eq!(committed_n, 1usize << scale.dim_exp, "{id}: stale n");
-        }
-        if id == "table1" || id == "table3" {
-            let ns: Vec<usize> = scale.ring_sizes();
-            let committed: Vec<usize> = spec
-                .params
-                .iter()
-                .find(|(k, _)| k == "n")
-                .and_then(|(_, v)| v.as_array())
-                .expect("n param")
-                .iter()
-                .filter_map(Json::as_usize)
-                .collect();
-            assert_eq!(committed, ns, "{id}: stale sweep sizes");
+                .find(|(k, _)| ["n", "servers", "nodes"].contains(&k.as_str()))
+                .map(|(_, v)| v)
+                .expect("size param");
+            let committed: Vec<usize> = match param.as_array() {
+                Some(ns) => ns.iter().filter_map(Json::as_usize).collect(),
+                None => param.as_usize().into_iter().collect(),
+            };
+            assert_eq!(committed, size.ns(), "{id} ({scale:?}): stale size");
         }
     }
 }

@@ -333,15 +333,6 @@ impl RingPartition {
             }
         }
     }
-
-    /// The longest region size under `ownership` (`Θ(log n / n)` w.h.p. for
-    /// random placement, per the discussion before the paper's Lemma 6).
-    #[must_use]
-    pub fn max_region(&self, ownership: Ownership) -> f64 {
-        (0..self.len())
-            .map(|i| self.region_size(i, ownership))
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -475,12 +466,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn max_region_is_a_region() {
-        let part = fixed();
-        assert!((part.max_region(Ownership::Successor) - 0.4).abs() < 1e-12);
     }
 
     #[test]

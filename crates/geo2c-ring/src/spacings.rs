@@ -47,18 +47,6 @@ pub fn arc_survival(n: usize, x: f64) -> f64 {
     (1.0 - x).powi(n as i32 - 1)
 }
 
-/// Quantile of the arc length: the `x` with `Pr(L ≥ x) = q`, i.e.
-/// `x = 1 − q^{1/(n−1)}`.
-///
-/// # Panics
-/// Panics unless `n ≥ 2` and `q ∈ (0, 1]`.
-#[must_use]
-pub fn arc_quantile(n: usize, q: f64) -> f64 {
-    assert!(n >= 2, "quantile needs n >= 2");
-    assert!(q > 0.0 && q <= 1.0, "q must be in (0,1]");
-    1.0 - q.powf(1.0 / (n as f64 - 1.0))
-}
-
 /// Expected length of the `k`-th longest arc (`k = 1` is the maximum):
 /// `(H_n − H_{k−1}) / n` by the Rényi representation of spacings.
 ///
@@ -132,7 +120,8 @@ mod tests {
     fn survival_and_quantile_are_inverse() {
         let n = 1024;
         for q in [0.9, 0.5, 0.1, 0.01] {
-            let x = arc_quantile(n, q);
+            // The arc-length quantile: the `x` with `Pr(L ≥ x) = q`.
+            let x = 1.0 - f64::powf(q, 1.0 / (n as f64 - 1.0));
             assert!((arc_survival(n, x) - q).abs() < 1e-10, "q={q}");
         }
         assert_eq!(arc_survival(1, 0.7), 1.0);

@@ -32,7 +32,6 @@
 use crate::grid::Grid;
 use crate::point::TorusPoint;
 use crate::polygon::Polygon;
-use geo2c_util::parallel::parallel_map;
 use rand::Rng;
 
 /// `n` server sites on the unit torus with exact ownership and Voronoi
@@ -200,12 +199,6 @@ impl TorusSites {
         (0..self.len()).map(|i| self.cell_area(i)).collect()
     }
 
-    /// Areas of all cells computed on `threads` workers.
-    #[must_use]
-    pub fn cell_areas_parallel(&self, threads: usize) -> Vec<f64> {
-        parallel_map(self.len(), threads, |i| self.cell_area(i))
-    }
-
     /// Monte-Carlo estimate of all cell areas from `samples` uniform probe
     /// points: the hit-rate validator for the exact construction.
     #[must_use]
@@ -215,14 +208,6 @@ impl TorusSites {
             hits[self.owner(TorusPoint::random(rng))] += 1;
         }
         hits.iter().map(|&h| h as f64 / samples as f64).collect()
-    }
-
-    /// The largest cell area (`Θ(log n / n)` w.h.p., per Section 3).
-    #[must_use]
-    pub fn max_cell_area(&self) -> f64 {
-        (0..self.len())
-            .map(|i| self.cell_area(i))
-            .fold(0.0, f64::max)
     }
 
     /// The Delaunay neighbours of site `i`: sites whose Voronoi cells
@@ -344,18 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_areas_match_sequential() {
-        let mut rng = Xoshiro256pp::from_u64(43);
-        let sites = TorusSites::random(64, &mut rng);
-        let seq = sites.cell_areas();
-        let par = sites.cell_areas_parallel(4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert!((a - b).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn monte_carlo_agrees_with_exact_areas() {
         let mut rng = Xoshiro256pp::from_u64(44);
         let sites = TorusSites::random(16, &mut rng);
@@ -401,7 +374,7 @@ mod tests {
         let mut rng = Xoshiro256pp::from_u64(47);
         let n = 512;
         let sites = TorusSites::random(n, &mut rng);
-        let max = sites.max_cell_area();
+        let max = sites.cell_areas().into_iter().fold(0.0, f64::max);
         let nf = n as f64;
         assert!(max >= 1.0 / nf, "max {max}");
         assert!(max <= 12.0 * nf.ln() / nf, "max {max}");

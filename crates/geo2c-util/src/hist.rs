@@ -102,16 +102,6 @@ impl Counter {
         sum / self.total as f64
     }
 
-    /// Fraction of observations that are ≥ `value`.
-    #[must_use]
-    pub fn fraction_at_least(&self, value: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let c: u64 = self.counts.range(value..).map(|(_, &c)| c).sum();
-        c as f64 / self.total as f64
-    }
-
     /// Iterates over `(value, count)` pairs in increasing value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter().map(|(&v, &c)| (v, c))
@@ -133,18 +123,6 @@ impl Counter {
         }
         if out.is_empty() {
             out.push('-');
-        }
-        out
-    }
-
-    /// Renders one line per value: `"  4 ...... 88.1%"`, mirroring the
-    /// layout of the paper's Tables 1–3 cells.
-    #[must_use]
-    pub fn paper_column(&self) -> String {
-        let mut out = String::new();
-        for (v, c) in self.iter() {
-            let pct = 100.0 * c as f64 / self.total.max(1) as f64;
-            let _ = writeln!(out, "{v:>4} ...... {pct:.1}%");
         }
         out
     }
@@ -170,16 +148,6 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty histogram pre-sized to record values up to `max_value`
-    /// without reallocating.
-    #[must_use]
-    pub fn with_max(max_value: u32) -> Self {
-        Self {
-            buckets: vec![0; max_value as usize + 1],
-            total: 0,
-        }
     }
 
     /// Records one observation of `value`, growing the bucket array if
@@ -308,15 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_at_least() {
-        let c: Counter = [1u64, 2, 2, 3, 10].into_iter().collect();
-        assert!((c.fraction_at_least(2) - 0.8).abs() < 1e-12);
-        assert!((c.fraction_at_least(4) - 0.2).abs() < 1e-12);
-        assert_eq!(c.fraction_at_least(11), 0.0);
-        assert_eq!(c.fraction_at_least(0), 1.0);
-    }
-
-    #[test]
     fn empty_counter() {
         let c = Counter::new();
         assert_eq!(c.total(), 0);
@@ -345,16 +304,6 @@ mod tests {
         c.add_n(5, 118);
         c.add_n(6, 1);
         assert_eq!(c.paper_style(), "4: 88.1%  5: 11.8%  6: 0.1%");
-    }
-
-    #[test]
-    fn paper_column_formatting() {
-        let mut c = Counter::new();
-        c.add_n(3, 500);
-        c.add_n(4, 500);
-        let col = c.paper_column();
-        assert!(col.contains("3 ...... 50.0%"));
-        assert!(col.contains("4 ...... 50.0%"));
     }
 
     #[test]
@@ -391,8 +340,9 @@ mod tests {
 
     #[test]
     fn histogram_grows_past_its_presized_range() {
-        let mut hist = Histogram::with_max(3);
+        let mut hist = Histogram::new();
         hist.record(2);
+        // Past the range sized by the first record.
         hist.record(9);
         assert_eq!(hist.max(), 9);
         assert_eq!(hist.total(), 2);
@@ -406,9 +356,6 @@ mod tests {
         assert_eq!(hist.max(), 0);
         assert_eq!(hist.sum(), 0);
         assert_eq!(hist.mean(), 0.0);
-        let also = Histogram::with_max(8);
-        assert!(also.is_empty());
-        assert_eq!(also.max(), 0);
     }
 
     #[test]

@@ -90,15 +90,6 @@ where
     collected.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Convenience wrapper: [`parallel_map`] with [`num_threads`] workers.
-pub fn parallel_map_auto<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map(n, num_threads(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
