@@ -18,8 +18,12 @@ cargo build --release
 # Every crate is a default member, so this one run covers the pinning
 # property suites too: the serving engine's conservation and replay
 # identity, packed == flat load states, the fault-injection
-# chaos suite, crash-point recovery, decoder robustness, the direct
-# checkpoint writer's byte identity, and the wheel-vs-heap oracle. A
+# chaos suite, crash-point recovery (torn journal tails, and a crash in
+# each checkpoint-rotation window: mid spare write, after
+# checkpoint.bin -> checkpoint.old, after checkpoint.tmp ->
+# checkpoint.bin, before compaction), decoder robustness (hostile
+# residue files included), the direct checkpoint writer's byte
+# identity, and the wheel-vs-heap oracle. A
 # failure names its suite and test, so none of them is re-run by name.
 say "tests (workspace unit + integration + doctests)"
 cargo test -q

@@ -1970,8 +1970,10 @@ subsystem (`geo2c_serve::journal`). Because stream contract v2 makes the \
 engine state a pure function of `(space, config, root, plan, events)`, \
 the on-disk format persists **no event payloads**: a journal directory \
 holds one `checkpoint.bin` (a versioned binary `EngineState` image in a \
-single CRC-guarded frame, always staged as `checkpoint.tmp` and \
-atomically renamed into place) and one append-only `journal.bin` of \
+single CRC-guarded frame, rewritten in place into the spare \
+`checkpoint.tmp` and rotated in by renames that never replace a file, so \
+the previous image becomes the next spare) and one append-only \
+`journal.bin` of \
 17-byte progress frames, each saying \"events below `t` are durable\". \
 Both files open with a magic/version header that binds the lane root and \
 a fingerprint of `(servers, config)`, so a checkpoint can never be \

@@ -348,7 +348,7 @@ impl BenchDef {
                 let every = events;
                 let root = rng.next_u64();
                 // The bench times the fsync-free journaling discipline
-                // (codec + framing + atomic-rename protocol), not the
+                // (codec + framing + spare-rotation protocol), not the
                 // host's disk dentry latency, so scratch space prefers
                 // a memory-backed filesystem when one is mounted.
                 let shm = std::path::Path::new("/dev/shm");

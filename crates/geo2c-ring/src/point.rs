@@ -81,22 +81,6 @@ impl RingPoint {
     pub fn offset(self, delta: f64) -> RingPoint {
         RingPoint::new(self.0 + delta)
     }
-
-    /// True if `self` lies on the clockwise arc `(from, to]`.
-    ///
-    /// The half-open convention matches successor ownership: a point exactly
-    /// at a server's position belongs to that server. An empty arc
-    /// (`from == to`) contains nothing except when `self == to` (a full
-    /// wrap is not representable; arcs here are proper sub-arcs).
-    #[must_use]
-    pub fn in_cw_arc(self, from: RingPoint, to: RingPoint) -> bool {
-        if from.0 == to.0 {
-            return self.0 == to.0;
-        }
-        let span = from.clockwise_to(to);
-        let into = from.clockwise_to(self);
-        into > 0.0 && into <= span
-    }
 }
 
 impl Eq for RingPoint {}
@@ -166,27 +150,6 @@ mod tests {
         assert!((p.coord() - 0.1).abs() < 1e-12);
         let q = RingPoint::new(0.1).offset(-0.2);
         assert!((q.coord() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arc_membership_half_open() {
-        let from = RingPoint::new(0.2);
-        let to = RingPoint::new(0.5);
-        assert!(!RingPoint::new(0.2).in_cw_arc(from, to)); // open at from
-        assert!(RingPoint::new(0.35).in_cw_arc(from, to));
-        assert!(RingPoint::new(0.5).in_cw_arc(from, to)); // closed at to
-        assert!(!RingPoint::new(0.6).in_cw_arc(from, to));
-    }
-
-    #[test]
-    fn arc_membership_wrapping() {
-        let from = RingPoint::new(0.8);
-        let to = RingPoint::new(0.1);
-        assert!(RingPoint::new(0.9).in_cw_arc(from, to));
-        assert!(RingPoint::new(0.05).in_cw_arc(from, to));
-        assert!(RingPoint::new(0.1).in_cw_arc(from, to));
-        assert!(!RingPoint::new(0.5).in_cw_arc(from, to));
-        assert!(!RingPoint::new(0.8).in_cw_arc(from, to));
     }
 
     #[test]

@@ -18,10 +18,15 @@
 //! from):
 //!
 //! * **`checkpoint.bin`** — one CRC-guarded frame holding the versioned
-//!   binary [`EngineState`] codec ([`encode_state`]). Always written as
-//!   a temp file (`checkpoint.tmp`) and atomically renamed into place,
-//!   so the file is either the old checkpoint or the new one — never a
-//!   half-written hybrid.
+//!   binary [`EngineState`] codec ([`encode_state`]). A new image is
+//!   written into a spare and *rotated* in (below), so the name always
+//!   holds one complete image — the old checkpoint or the new one, never
+//!   a half-written hybrid.
+//!
+//! Beside them sit the rotation's two other names: **`checkpoint.tmp`**,
+//! the spare, which after a checkpoint holds the previous image, and
+//! **`checkpoint.old`**, which exists only if a process died
+//! mid-rotation.
 //! * **`journal.bin`** — appended [`frame`] records, one per executed
 //!   chunk, each saying "events `< to_event` are durable". After every
 //!   durable checkpoint the journal is truncated back to its header
@@ -44,9 +49,25 @@
 //! encoded straight from the engine's load backing and the departure
 //! queue's [`DepartureQueue::for_each_sorted`] visit — no
 //! [`EngineState`] is built. [`frame::seal_frame`] then fills in the
-//! frame's length and CRC, and the buffer goes to `checkpoint.tmp` in one
-//! `fs::write` before the rename. [`encode_state`] runs the same writer
-//! over an [`EngineState`], so the two produce identical bytes.
+//! frame's length and CRC. [`encode_state`] runs the same writer over an
+//! [`EngineState`], so the two produce identical bytes.
+//!
+//! The buffer then goes through a **rotation** that never replaces a
+//! file by rename (on ext4 a replacing rename starts writeback of the
+//! new file inside `rename(2)`, which made it the checkpoint's costliest
+//! step):
+//!
+//! 1. The spare `checkpoint.tmp` is opened without truncation, written
+//!    from offset 0 in one `write(2)`, and cut to the image's length.
+//! 2. `checkpoint.bin → checkpoint.old`, `checkpoint.tmp →
+//!    checkpoint.bin`, `checkpoint.old → checkpoint.tmp`: three renames,
+//!    each onto a free name. The previous image becomes the next spare.
+//! 3. The journal is compacted.
+//!
+//! The spare is opened afresh on every checkpoint and never held: a held
+//! handle would follow its inode through the renames. The seed image
+//! [`DurableEngine::create_with`] writes has no checkpoint to rotate
+//! out, so it is the spare renamed once to `checkpoint.bin`.
 //!
 //! ## Crash model
 //!
@@ -54,26 +75,45 @@
 //! `tests/crash_recovery.rs` injects — is **process death**: every
 //! completed `write(2)` and `rename(2)` stays in the kernel and reaches
 //! the disk later. Nothing here calls `fsync`, so an OS crash or power
-//! loss can lose recent frames or the latest checkpoint rename, and is
+//! loss can lose recent frames or the latest checkpoint rotation, and is
 //! **not** covered; that needs a sync policy that flushes the files and
-//! the directory.
+//! the directory. For the rotation, such a `SyncPolicy` must fsync the
+//! spare before the first rename and the directory after the last.
 //!
 //! ## Crash semantics
 //!
-//! [`Recovery::resume`] scans the journal with
-//! [`frame::scan_frames`], truncates a torn tail (the residue of a crash
-//! mid-append), restores the checkpoint through
-//! [`ServeEngine::try_restore_with_scheduler`] (a CRC-valid image that
-//! breaks the engine's invariants is [`JournalError::Restore`], never a
-//! panic), skips any journal frames the checkpoint already covers (the
-//! residue of a crash between the checkpoint rename and the journal
-//! truncation), and replays deterministically up to the last durable
-//! marker. A frame that fails its CRC *with durable frames after it* is
-//! real corruption, not a crash artifact, and fails loudly
-//! ([`JournalError::Corrupt`]). The `tests/crash_recovery.rs` suite
-//! drives arbitrary byte truncations, tail bit flips, and mid-rename
-//! crashes through this path and pins `resume + replay ≡ uninterrupted
-//! run` across load backings and schedulers.
+//! A process death inside a rotation leaves one of four residues, and
+//! [`Recovery::resume`] settles each before it reads anything:
+//!
+//! * **mid spare write** — `checkpoint.bin` is intact and the spare is
+//!   torn; the spare is removed.
+//! * **after `bin → old`** — there is no `checkpoint.bin`, and
+//!   `checkpoint.old` holds the previous complete image; it is renamed
+//!   back to `checkpoint.bin`, and the uncompacted journal replays past
+//!   it.
+//! * **after `tmp → bin`** — `checkpoint.bin` is the new image; the
+//!   leftover `checkpoint.old` is removed.
+//! * **after `old → tmp`** — the rotation is complete, and only the
+//!   compaction is missing (below).
+//!
+//! Rolling back to the previous image is always exact: the state is a
+//! pure function of the event count, so any valid earlier checkpoint
+//! replayed to the last marker rebuilds the same engine.
+//!
+//! Resume then scans the journal with [`frame::scan_frames`], truncates
+//! a torn tail (the residue of a crash mid-append), restores the
+//! checkpoint through [`ServeEngine::try_restore_with_scheduler`] (a
+//! CRC-valid image that breaks the engine's invariants is
+//! [`JournalError::Restore`], never a panic), skips any journal frames
+//! the checkpoint already covers (the residue of a crash between the
+//! rotation and the journal truncation), and replays deterministically
+//! up to the last durable marker. A frame that fails its CRC *with
+//! durable frames after it* is real corruption, not a crash artifact,
+//! and fails loudly ([`JournalError::Corrupt`]). The
+//! `tests/crash_recovery.rs` suite drives arbitrary byte truncations,
+//! tail bit flips, and a crash in every rotation window through this
+//! path and pins `resume + replay ≡ uninterrupted run` across load
+//! backings and schedulers.
 
 use crate::engine::{
     Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine, FAILED_LOAD,
@@ -82,7 +122,7 @@ use crate::fault::FaultPlan;
 use crate::wheel::{DepartureQueue, DepartureWheel};
 use geo2c_core::load::{LoadRead, LoadState};
 use geo2c_core::space::Space;
-use geo2c_util::frame::{self, append_frame, scan_frames, Header, HeaderError, Tail};
+use geo2c_util::frame::{self, scan_frames, Header, HeaderError, Tail};
 use geo2c_util::rng::mix;
 use std::fmt;
 use std::fs::{self, File};
@@ -100,8 +140,12 @@ const STATE_VERSION: u8 = 1;
 
 /// Checkpoint file name inside a journal directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
-/// Temp file a checkpoint is staged in before its atomic rename.
+/// The spare: each checkpoint is rewritten into it in place, then rotated
+/// in as `checkpoint.bin`, and the previous image becomes the next spare.
 pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// The free name `checkpoint.bin` passes through while the spare is
+/// rotated in; present only after a crash mid-rotation.
+pub const CHECKPOINT_OLD: &str = "checkpoint.old";
 /// Journal file name inside a journal directory.
 pub const JOURNAL_FILE: &str = "journal.bin";
 
@@ -563,9 +607,9 @@ impl<'a> Reader<'a> {
 /// A [`ServeEngine`] wrapped with the durability discipline: chunked
 /// runs append a progress frame per chunk to the journal handle it
 /// holds, and every [`checkpoint interval`](DurableEngine::create_with) events
-/// the full state is checkpointed (temp file + atomic rename) and the
-/// journal compacted. Construction inputs are bound into both file
-/// headers.
+/// the full state is checkpointed (spare rewrite + rotation, see the
+/// [module docs](self)) and the journal compacted. Construction inputs
+/// are bound into both file headers.
 #[derive(Debug)]
 pub struct DurableEngine<S: Space, L: LoadState = Vec<u32>, Q: DepartureQueue = DepartureWheel> {
     engine: ServeEngine<S, L, Q>,
@@ -610,7 +654,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         let binds = binding_words(root, space.num_servers(), &config);
         let engine = ServeEngine::with_scheduler(space, config, root, loads);
         fs::write(dir.join(JOURNAL_FILE), encoded_header(JOURNAL_MAGIC, binds))?;
-        let mut durable = Self {
+        let durable = Self {
             engine,
             journal: open_journal(&dir)?,
             checkpoint_header: encoded_header(CHECKPOINT_MAGIC, binds),
@@ -620,8 +664,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
             journal_bytes: 0,
             checkpoints: 0,
         };
-        durable.write_checkpoint()?;
-        durable.checkpoints = 0; // the seed image is not a progress stat
+        // The seed image is the one write with no checkpoint to rotate
+        // out: the spare becomes `checkpoint.bin` by a single rename.
+        durable.write_spare()?;
+        fs::rename(
+            durable.dir.join(CHECKPOINT_TMP),
+            durable.dir.join(CHECKPOINT_FILE),
+        )?;
         Ok(durable)
     }
 
@@ -656,11 +705,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
 
     /// Appends one "durable up to the current event" frame.
     fn append_progress(&mut self) -> Result<(), JournalError> {
-        let mut record = Vec::with_capacity(9);
-        record.push(RECORD_ADVANCE);
-        record.extend_from_slice(&self.engine.arrivals().to_le_bytes());
-        let mut framed = Vec::with_capacity(record.len() + frame::FRAME_OVERHEAD);
-        append_frame(&mut framed, &record);
+        // The record tag and the event, framed in place on the stack.
+        let mut framed = [0u8; frame::FRAME_OVERHEAD + 9];
+        framed[frame::FRAME_OVERHEAD] = RECORD_ADVANCE;
+        framed[frame::FRAME_OVERHEAD + 1..].copy_from_slice(&self.engine.arrivals().to_le_bytes());
+        frame::seal_frame(&mut framed);
         // One write(2) on the held append-mode handle, no userspace
         // buffer: the frame is the kernel's before this returns.
         self.journal.write_all(&framed)?;
@@ -668,9 +717,10 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         Ok(())
     }
 
-    /// Writes the current state as a durable checkpoint (temp file +
-    /// atomic rename), then compacts the journal back to its header.
-    fn write_checkpoint(&mut self) -> Result<(), JournalError> {
+    /// Writes the current state into the spare `checkpoint.tmp`, rewritten
+    /// in place: opened without truncation, written from offset 0, then
+    /// cut to the image's length.
+    fn write_spare(&self) -> Result<(), JournalError> {
         // Header, frame placeholder and payload in one buffer: the image
         // is encoded straight from the engine, then the frame sealed in
         // place.
@@ -678,12 +728,33 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         bytes.resize(Header::LEN + frame::FRAME_OVERHEAD, 0);
         self.engine.write_image(&mut bytes);
         frame::seal_frame(&mut bytes[Header::LEN..]);
-        let tmp = self.dir.join(CHECKPOINT_TMP);
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
+        // Opened afresh each time, never held: a held handle would follow
+        // its inode through the rotation's renames.
+        let mut spare = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(self.dir.join(CHECKPOINT_TMP))?;
+        spare.write_all(&bytes)?;
+        spare.set_len(bytes.len() as u64)?;
+        Ok(())
+    }
+
+    /// Writes the current state as a durable checkpoint (spare rewrite +
+    /// rotation), then compacts the journal back to its header.
+    fn write_checkpoint(&mut self) -> Result<(), JournalError> {
+        self.write_spare()?;
+        // Rotate the spare in through the free name `checkpoint.old`: no
+        // rename replaces an existing file, and the previous image
+        // becomes the next spare.
+        let [bin, tmp, old] =
+            [CHECKPOINT_FILE, CHECKPOINT_TMP, CHECKPOINT_OLD].map(|f| self.dir.join(f));
+        fs::rename(&bin, &old)?;
+        fs::rename(&tmp, &bin)?;
+        fs::rename(&old, &tmp)?;
         // The checkpoint subsumes every journal frame: compact through
         // the held handle (append mode puts the next frame right after
-        // the header). A crash between the rename and this truncation
+        // the header). A crash between the rotation and this truncation
         // leaves frames at or before the checkpoint event, which
         // recovery skips.
         self.journal.set_len(Header::LEN as u64)?;
@@ -806,11 +877,20 @@ impl Recovery {
         let dir = dir.as_ref();
         let binds = binding_words(root, space.num_servers(), &config);
 
-        // A stale temp file is the residue of a crash between the
-        // checkpoint write and its rename; the real checkpoint is intact.
-        let _ = fs::remove_file(dir.join(CHECKPOINT_TMP));
-
+        // No `checkpoint.bin` beside a `checkpoint.old` is a crash between
+        // the rotation's first two renames: the old name holds the
+        // previous complete image, and the journal still reaches past it.
         let ckpt_path = dir.join(CHECKPOINT_FILE);
+        let old_path = dir.join(CHECKPOINT_OLD);
+        if !ckpt_path.try_exists()? && old_path.try_exists()? {
+            fs::rename(&old_path, &ckpt_path)?;
+        }
+        // Whatever the spare and the old name still hold is residue: the
+        // checkpoint is `checkpoint.bin`.
+        for residue in [CHECKPOINT_TMP, CHECKPOINT_OLD] {
+            let _ = fs::remove_file(dir.join(residue));
+        }
+
         let ckpt = match fs::read(&ckpt_path) {
             Ok(bytes) => bytes,
             Err(err) if err.kind() == io::ErrorKind::NotFound => {
@@ -878,8 +958,8 @@ impl Recovery {
 }
 
 /// Verifies a checkpoint file's header, binding, and single clean frame,
-/// returning the state payload. A checkpoint is written by atomic
-/// rename, so *any* damage — torn tail included — is corruption.
+/// returning the state payload. A checkpoint takes its name only once
+/// complete, so *any* damage — torn tail included — is corruption.
 fn checked_body<'a>(
     path: &Path,
     bytes: &'a [u8],
@@ -925,6 +1005,7 @@ mod tests {
     use crate::engine::SessionLife;
     use geo2c_core::space::RingSpace;
     use geo2c_core::strategy::Strategy;
+    use geo2c_util::frame::append_frame;
     use geo2c_util::rng::Xoshiro256pp;
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -49,7 +49,8 @@
 //!
 //! **Durability.** The [`journal`] module puts checkpoints on disk: a
 //! [`journal::DurableEngine`] periodically writes the versioned
-//! [`engine::EngineState`] codec behind an atomic temp-file + rename,
+//! [`engine::EngineState`] codec into a reused spare file and rotates it
+//! in by renames that never replace a file,
 //! appends CRC-guarded progress frames to a write-ahead journal between
 //! checkpoints, and [`journal::Recovery::resume`] rebuilds an engine
 //! after a crash — torn tails truncated, real corruption rejected

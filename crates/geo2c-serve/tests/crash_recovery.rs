@@ -4,9 +4,9 @@
 //!
 //! The harness simulates crashes the way they actually land on disk —
 //! truncating the journal at an arbitrary byte offset, flipping bits in
-//! the tail frame, forging the residue of a crash between the
-//! checkpoint temp-file write and its rename (and between the rename
-//! and the journal compaction) — then drives
+//! the tail frame, forging the residue of a crash inside a checkpoint
+//! rotation (mid spare rewrite, after `bin → old`, after `tmp → bin`)
+//! and between the rotation and the journal compaction — then drives
 //! [`Recovery::resume`] and replays to the reference horizon. Pinned
 //! across the flat and packed load backings and both schedulers
 //! (timing wheel and heap oracle):
@@ -16,12 +16,16 @@
 //!    durable marker and replays to byte equality.
 //! 2. **Tail bit flips.** Garbling the final frame (its CRC or payload)
 //!    is indistinguishable from a torn append and recovers the same way.
-//! 3. **Mid-rename / mid-compaction crashes.** A stale `checkpoint.tmp`
-//!    is ignored and removed; journal frames the checkpoint already
-//!    covers are skipped, not replayed twice.
+//! 3. **Mid-rotation / mid-compaction crashes.** A torn or stale spare
+//!    (`checkpoint.tmp`) is ignored and removed; a `checkpoint.old` with
+//!    no `checkpoint.bin` is moved back into place; journal frames the
+//!    checkpoint already covers are skipped, not replayed twice. The
+//!    rotation itself is pinned: `checkpoint.bin` and the spare swap
+//!    between two inodes, and the spare holds the previous image.
 //! 4. **Real corruption is loud.** A bad frame *followed by durable
-//!    frames* — or any damage to the atomically-renamed checkpoint —
-//!    returns [`JournalError::Corrupt`] instead of silently truncating.
+//!    frames* — or any damage to the checkpoint, which only ever takes
+//!    its name once complete — returns [`JournalError::Corrupt`] instead
+//!    of silently truncating.
 
 use geo2c_core::load::PackedLoads;
 use geo2c_core::space::{RingSpace, Space as _};
@@ -29,7 +33,8 @@ use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{ServeConfig, ServeEngine, SessionLife};
 use geo2c_serve::fault::{FaultAction, FaultPlan};
 use geo2c_serve::journal::{
-    DurableEngine, JournalError, Recovery, Resumed, CHECKPOINT_FILE, CHECKPOINT_TMP, JOURNAL_FILE,
+    DurableEngine, JournalError, Recovery, Resumed, CHECKPOINT_FILE, CHECKPOINT_OLD,
+    CHECKPOINT_TMP, JOURNAL_FILE,
 };
 use geo2c_serve::wheel::{DepartureWheel, HeapQueue};
 use geo2c_util::frame::Header;
@@ -380,6 +385,191 @@ fn crash_between_rename_and_compaction_skips_stale_frames() {
     let mut plain = ServeEngine::new(space, config, root);
     plain.run(300);
     assert_eq!(resumed.engine.state(), plain.state());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Where a checkpoint rotation can die: while the spare is rewritten in
+/// place, or between its renames (`bin → old`, `tmp → bin`,
+/// `old → tmp`). A crash after the last rename is the mid-compaction
+/// case above.
+#[derive(Clone, Copy, Debug)]
+enum Window {
+    /// Half the new image is written over the spare's previous bytes.
+    MidSpareWrite,
+    /// `checkpoint.bin` has moved to `checkpoint.old`; nothing is at
+    /// `checkpoint.bin`.
+    AfterBinToOld,
+    /// The new image is `checkpoint.bin`; the previous one is still
+    /// `checkpoint.old`.
+    AfterTmpToBin,
+}
+
+/// Forges the on-disk residue of a process death inside one checkpoint
+/// rotation at `window`, resumes, and checks that the resumed engine,
+/// a continued journaled run with a later checkpoint, and a second
+/// resume all match the uninterrupted run.
+fn assert_rotation_crash_recovers(window: Window) {
+    let mut rng = Xoshiro256pp::from_u64(101);
+    let n = 24;
+    let space = RingSpace::random(n, &mut rng);
+    let config = ServeConfig {
+        strategy: Strategy::two_choice(),
+        capacity: Some(6),
+        life: SessionLife::Exponential { mean: 40.0 },
+        retries: 1,
+    };
+    let root = rng.next_u64();
+    let plan = FaultPlan::random_churn(root ^ 0xD0, n, 900, 3, 50);
+    let dir = temp_dir("rotation");
+    let [bin, tmp, old] = [CHECKPOINT_FILE, CHECKPOINT_TMP, CHECKPOINT_OLD].map(|f| dir.join(f));
+
+    // Checkpoints at 200 and 400, frames at 450 and 500: the spare holds
+    // the event-200 image, `checkpoint.bin` the event-400 one.
+    let mut durable = journaled_to(&dir, &space, config, root, 200, &plan, 500, 50);
+    let spare_before = fs::read(&tmp).unwrap();
+    let image_before = fs::read(&bin).unwrap();
+    let journal_before = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    // The rotation at event 500 completes; the crash is forged from
+    // the files on either side of it, with the journal not yet
+    // compacted.
+    durable.checkpoint_now().unwrap();
+    drop(durable);
+    let image_after = fs::read(&bin).unwrap();
+    assert_eq!(
+        fs::read(&tmp).unwrap(),
+        image_before,
+        "spare holds the old image"
+    );
+    fs::write(dir.join(JOURNAL_FILE), &journal_before).unwrap();
+    let restored_from = match window {
+        Window::MidSpareWrite => {
+            let half = image_after.len() / 2;
+            let mut torn = spare_before.clone();
+            torn.resize(torn.len().max(half), 0);
+            torn[..half].copy_from_slice(&image_after[..half]);
+            fs::write(&bin, &image_before).unwrap();
+            fs::write(&tmp, &torn).unwrap();
+            &image_before
+        }
+        Window::AfterBinToOld => {
+            fs::write(&old, &image_before).unwrap();
+            fs::write(&tmp, &image_after).unwrap();
+            fs::remove_file(&bin).unwrap();
+            &image_before
+        }
+        Window::AfterTmpToBin => {
+            fs::write(&old, &image_before).unwrap();
+            fs::remove_file(&tmp).unwrap();
+            &image_after
+        }
+    };
+
+    let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
+        Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
+    let expected_checkpoint = match window {
+        Window::AfterTmpToBin => 500,
+        Window::MidSpareWrite | Window::AfterBinToOld => 400,
+    };
+    assert_eq!(
+        (resumed.checkpoint_event, resumed.engine.arrivals()),
+        (expected_checkpoint, 500),
+        "{window:?}"
+    );
+    let mut reference = ServeEngine::new(space.clone(), config, root);
+    reference.run_with_faults(500, &plan);
+    assert_eq!(resumed.engine.state(), reference.state(), "{window:?}");
+    assert_eq!(
+        &fs::read(&bin).unwrap(),
+        restored_from,
+        "{window:?}: checkpoint.bin is the image resume restored from"
+    );
+    assert!(!old.exists(), "{window:?}: checkpoint.old is residue");
+
+    // Continue journaled past a later checkpoint, then resume again.
+    let mut durable = resumed.into_durable(200).unwrap();
+    for _ in 0..8 {
+        durable.run_journaled(50, &plan).unwrap();
+    }
+    assert!(
+        durable.checkpoints() >= 1,
+        "{window:?}: no later checkpoint"
+    );
+    reference.run_with_faults(400, &plan);
+    assert_eq!(durable.engine().state(), reference.state(), "{window:?}");
+    drop(durable);
+    let again: Resumed<_, PackedLoads, HeapQueue> =
+        Recovery::resume(&dir, space, config, root, &plan, PackedLoads::byte(n)).unwrap();
+    assert_eq!(again.engine.state(), reference.state(), "{window:?}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Crash window 1: the spare is half rewritten. `checkpoint.bin` is
+/// intact, and the torn spare is removed.
+#[test]
+fn crash_mid_spare_write_resumes_from_the_intact_checkpoint() {
+    assert_rotation_crash_recovers(Window::MidSpareWrite);
+}
+
+/// Crash window 2: after `bin → old`, before `tmp → bin`. Resume moves
+/// the previous image back to `checkpoint.bin` and replays the
+/// uncompacted journal.
+#[test]
+fn crash_after_bin_to_old_restores_the_previous_image() {
+    assert_rotation_crash_recovers(Window::AfterBinToOld);
+}
+
+/// Crash window 3: after `tmp → bin`, before `old → tmp`. The new image
+/// is the checkpoint; the stale frames it covers are skipped.
+#[test]
+fn crash_after_tmp_to_bin_resumes_from_the_new_image() {
+    assert_rotation_crash_recovers(Window::AfterTmpToBin);
+}
+
+/// The rotation's mechanism: after the first periodic checkpoint,
+/// `checkpoint.bin` and the spare swap between the same two inodes on
+/// every checkpoint (no file is created or replaced), and the spare
+/// holds the previous checkpoint's bytes.
+#[cfg(unix)]
+#[test]
+fn checkpoints_rotate_two_inodes_through_the_spare() {
+    use std::os::unix::fs::MetadataExt as _;
+
+    let mut rng = Xoshiro256pp::from_u64(103);
+    let n = 16;
+    let space = RingSpace::random(n, &mut rng);
+    let config = ServeConfig {
+        strategy: Strategy::two_choice(),
+        capacity: None,
+        life: SessionLife::Exponential { mean: 30.0 },
+        retries: 0,
+    };
+    let root = rng.next_u64();
+    let plan = FaultPlan::empty();
+    let dir = temp_dir("inodes");
+    let ino = |name: &str| fs::metadata(dir.join(name)).unwrap().ino();
+
+    let mut durable = create(&dir, &space, config, root, 100);
+    durable.run_journaled(100, &plan).unwrap();
+    let (bin, spare) = (ino(CHECKPOINT_FILE), ino(CHECKPOINT_TMP));
+    assert_ne!(bin, spare);
+    let mut previous = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    for round in 0..4 {
+        durable.run_journaled(100, &plan).unwrap();
+        let expected = if round % 2 == 0 {
+            (spare, bin)
+        } else {
+            (bin, spare)
+        };
+        assert_eq!(
+            (ino(CHECKPOINT_FILE), ino(CHECKPOINT_TMP)),
+            expected,
+            "round {round}"
+        );
+        assert_eq!(fs::read(dir.join(CHECKPOINT_TMP)).unwrap(), previous);
+        assert!(!dir.join(CHECKPOINT_OLD).exists());
+        previous = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+    }
+    assert_eq!(durable.checkpoints(), 5);
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -13,6 +13,12 @@
 //!    the damage reaches decode and restore instead of stopping at the
 //!    frame check. Resume returns `Ok` or `Err`. Journal frames are left
 //!    intact: a CRC-valid progress marker may declare any replay length.
+//! 4. **Hostile residue files.** Arbitrary or mutated bytes in the
+//!    checkpoint rotation's other names: in `checkpoint.old` with no
+//!    `checkpoint.bin`, resume returns `Err` or the uninterrupted run;
+//!    in the spare `checkpoint.tmp` beside a valid `checkpoint.bin`, the
+//!    spare is ignored and removed. So is a valid but older
+//!    `checkpoint.old` beside a valid `checkpoint.bin`.
 //!
 //! Alongside, the codec round-trips every engine state, failed servers
 //! included.
@@ -22,8 +28,8 @@ use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{EngineState, ServeConfig, ServeEngine, SessionLife};
 use geo2c_serve::fault::FaultPlan;
 use geo2c_serve::journal::{
-    decode_state, encode_state, DurableEngine, Recovery, Resumed, CHECKPOINT_FILE,
-    CHECKPOINT_MAGIC, FORMAT_VERSION, JOURNAL_MAGIC,
+    decode_state, encode_state, DurableEngine, JournalError, Recovery, Resumed, CHECKPOINT_FILE,
+    CHECKPOINT_MAGIC, CHECKPOINT_OLD, CHECKPOINT_TMP, FORMAT_VERSION, JOURNAL_MAGIC,
 };
 use geo2c_serve::wheel::DepartureWheel;
 use geo2c_util::frame::{append_frame, scan_frames, Header, FRAME_OVERHEAD};
@@ -31,7 +37,7 @@ use geo2c_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use rand::RngCore;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -70,6 +76,35 @@ impl Scenario {
         let mut engine = ServeEngine::new(self.space.clone(), self.config, self.root);
         engine.run_with_faults(events, &self.plan);
         engine.state()
+    }
+
+    /// A journal directory at `dir` run `events` events past its
+    /// creation, checkpointing every `every`.
+    fn journaled(&self, dir: &Path, every: u64, events: u64) {
+        let mut durable: DurableEngine<_> = DurableEngine::create_with(
+            dir,
+            self.space.clone(),
+            self.config,
+            self.root,
+            every,
+            vec![0; self.space.num_servers()],
+        )
+        .unwrap();
+        durable.run_journaled(events, &self.plan).unwrap();
+    }
+
+    fn resume(
+        &self,
+        dir: &Path,
+    ) -> Result<Resumed<RingSpace, Vec<u32>, DepartureWheel>, JournalError> {
+        Recovery::resume(
+            dir,
+            self.space.clone(),
+            self.config,
+            self.root,
+            &self.plan,
+            vec![0; self.space.num_servers()],
+        )
     }
 }
 
@@ -196,4 +231,64 @@ proptest! {
         }
         fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn hostile_residue_files_are_rejected_or_ignored(
+        seed in 0u64..1 << 48,
+        n in 1usize..24,
+        events in 1u64..300,
+        retries in 0u32..3,
+        noise in proptest::collection::vec(any::<u8>(), 0..160),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        arbitrary in any::<bool>(),
+    ) {
+        let scenario = Scenario::new(seed, n, 4, retries);
+        let expected = scenario.state_after(events);
+        let dir = temp_dir("residue");
+        scenario.journaled(&dir, 64, events);
+        let [bin, tmp, old] = [CHECKPOINT_FILE, CHECKPOINT_TMP, CHECKPOINT_OLD].map(|f| dir.join(f));
+        // Arbitrary bytes, or the real checkpoint with bytes overwritten
+        // and no re-framing: the CRC must catch the damage.
+        let hostile = if arbitrary {
+            noise
+        } else {
+            let mut image = fs::read(&bin).unwrap();
+            mutate(&mut image, &edits);
+            image
+        };
+
+        // A hostile spare beside a valid checkpoint is residue.
+        fs::write(&tmp, &hostile).unwrap();
+        let resumed = scenario.resume(&dir).unwrap();
+        prop_assert_eq!(resumed.engine.state(), expected.clone());
+        prop_assert!(!tmp.exists(), "the spare must be removed");
+
+        // A hostile `checkpoint.old` with no `checkpoint.bin` is taken as
+        // the checkpoint: resume rejects it or rebuilds the same run.
+        fs::remove_file(&bin).unwrap();
+        fs::write(&old, &hostile).unwrap();
+        if let Ok(resumed) = scenario.resume(&dir) {
+            prop_assert_eq!(resumed.engine.state(), expected);
+        }
+        prop_assert!(!old.exists(), "checkpoint.old must not remain");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A valid but older `checkpoint.old` beside a valid `checkpoint.bin` is
+/// the residue of a crash after the rotation's second rename: ignored
+/// and removed.
+#[test]
+fn an_older_valid_checkpoint_old_beside_the_checkpoint_is_ignored() {
+    let scenario = Scenario::new(7, 20, 4, 1);
+    let dir = temp_dir("older");
+    // Checkpoints at 64, 128 and 192: the spare holds the event-128 image.
+    scenario.journaled(&dir, 64, 200);
+    let old = dir.join(CHECKPOINT_OLD);
+    fs::copy(dir.join(CHECKPOINT_TMP), &old).unwrap();
+    let resumed = scenario.resume(&dir).unwrap();
+    assert_eq!((resumed.checkpoint_event, resumed.replayed), (192, 8));
+    assert_eq!(resumed.engine.state(), scenario.state_after(200));
+    assert!(!old.exists(), "checkpoint.old must be removed");
+    fs::remove_dir_all(&dir).ok();
 }

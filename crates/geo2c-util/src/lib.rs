@@ -12,8 +12,8 @@
 //! * [`parallel`] — a small fork-join trial runner built on
 //!   `crossbeam::scope`. The paper's tables are 1000-trial sweeps; trials are
 //!   embarrassingly parallel.
-//! * [`stats`] — streaming summary statistics (Welford) and exact order
-//!   statistics used by the tail-bound experiments (Lemmas 4–6, 9).
+//! * [`stats`] — streaming summary statistics (Welford) and the two-sample
+//!   z statistics behind `run_tables --check`.
 //! * [`hist`] — integer-valued distributions. The paper reports *maximum
 //!   load* as a percentage distribution over trials (Tables 1–3); this module
 //!   reproduces that presentation.
@@ -54,4 +54,4 @@ pub mod stats;
 pub use hist::Counter;
 pub use parallel::{num_threads, parallel_map};
 pub use rng::{SplitMix64, StreamSeeder, Xoshiro256pp};
-pub use stats::{OrderStats, RunningStats};
+pub use stats::RunningStats;

@@ -1,14 +1,10 @@
-//! Summary and order statistics for experiment post-processing.
+//! Summary statistics and two-sample tests for experiment post-processing.
 //!
-//! Three tools live here:
+//! Two tools live here:
 //!
 //! * [`RunningStats`] — single-pass mean/variance/min/max (Welford's
 //!   algorithm), used wherever we aggregate per-trial scalars (max load,
 //!   lookup hops, region areas) without storing every sample.
-//! * [`OrderStats`] — exact quantiles and "sum of the `a` largest" queries
-//!   over a stored sample. The paper's Lemma 6 is a statement about the sum
-//!   of the `a` longest arcs; its empirical validation (experiment E6)
-//!   needs exact top-`a` sums, not approximations.
 //! * [`two_proportion_z`] / [`welch_z`] — two-sample test statistics used
 //!   by the `run_tables --check` tolerance diff (`geo2c-report`) to decide
 //!   whether a fresh run of a table is statistically consistent with the
@@ -180,104 +176,6 @@ impl Extend<f64> for RunningStats {
     }
 }
 
-/// Exact order statistics over a stored `f64` sample.
-///
-/// Sorting is deferred until the first query and cached thereafter; pushes
-/// after a query re-mark the sample dirty.
-#[derive(Debug, Clone, Default)]
-pub struct OrderStats {
-    data: Vec<f64>,
-    sorted: bool,
-}
-
-impl OrderStats {
-    /// Creates an empty sample.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a sample from a vector of observations.
-    #[must_use]
-    pub fn from_vec(data: Vec<f64>) -> Self {
-        Self {
-            data,
-            sorted: false,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.data.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if no observations have been added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.data
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-            self.sorted = true;
-        }
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) using nearest-rank on the sorted sample.
-    ///
-    /// # Panics
-    /// Panics if the sample is empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        assert!(!self.data.is_empty(), "quantile of empty sample");
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0,1]");
-        self.ensure_sorted();
-        let idx = ((q * (self.data.len() - 1) as f64).round() as usize).min(self.data.len() - 1);
-        self.data[idx]
-    }
-
-    /// Sum of the `a` largest observations (`a` clamped to the sample size).
-    ///
-    /// This is the quantity bounded by the paper's Lemma 6: with `n` random
-    /// arcs, the sum of the `a` longest is at most `2(a/n)·ln(n/a)` w.h.p.
-    pub fn sum_of_largest(&mut self, a: usize) -> f64 {
-        self.ensure_sorted();
-        let a = a.min(self.data.len());
-        self.data[self.data.len() - a..].iter().sum()
-    }
-
-    /// The `k`-th largest observation (1-based; `k = 1` is the maximum).
-    ///
-    /// # Panics
-    /// Panics if `k` is 0 or exceeds the sample size.
-    pub fn kth_largest(&mut self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= self.data.len(), "k={k} out of range");
-        self.ensure_sorted();
-        self.data[self.data.len() - k]
-    }
-
-    /// Number of observations that are at least `threshold`.
-    pub fn count_at_least(&mut self, threshold: f64) -> usize {
-        self.ensure_sorted();
-        let idx = self.data.partition_point(|&x| x < threshold);
-        self.data.len() - idx
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.data.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,48 +260,5 @@ mod tests {
         empty.merge(&before);
         assert_eq!(empty.count(), 1);
         assert_eq!(empty.mean(), 3.0);
-    }
-
-    #[test]
-    fn order_stats_quantiles() {
-        let mut o = OrderStats::from_vec((1..=100).map(f64::from).collect());
-        assert_eq!(o.quantile(0.0), 1.0);
-        assert_eq!(o.quantile(1.0), 100.0);
-        // round(0.5 * 99) = 50 (half away from zero) → the 51st value.
-        assert_eq!(o.quantile(0.5), 51.0);
-        assert_eq!(o.quantile(0.25), 26.0);
-    }
-
-    #[test]
-    fn order_stats_sum_of_largest() {
-        let mut o = OrderStats::from_vec(vec![0.1, 0.5, 0.2, 0.9, 0.3]);
-        assert!((o.sum_of_largest(2) - 1.4).abs() < 1e-12);
-        assert!((o.sum_of_largest(100) - 2.0).abs() < 1e-12);
-        assert_eq!(o.sum_of_largest(0), 0.0);
-    }
-
-    #[test]
-    fn order_stats_kth_largest_and_count() {
-        let mut o = OrderStats::from_vec(vec![5.0, 1.0, 3.0, 3.0, 8.0]);
-        assert_eq!(o.kth_largest(1), 8.0);
-        assert_eq!(o.kth_largest(2), 5.0);
-        assert_eq!(o.kth_largest(5), 1.0);
-        assert_eq!(o.count_at_least(3.0), 4);
-        assert_eq!(o.count_at_least(8.5), 0);
-        assert_eq!(o.count_at_least(-1.0), 5);
-    }
-
-    #[test]
-    fn order_stats_push_invalidates_cache() {
-        let mut o = OrderStats::from_vec(vec![1.0, 2.0]);
-        assert_eq!(o.kth_largest(1), 2.0);
-        o.push(10.0);
-        assert_eq!(o.kth_largest(1), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile of empty sample")]
-    fn quantile_empty_panics() {
-        OrderStats::new().quantile(0.5);
     }
 }
