@@ -23,7 +23,9 @@ cargo build --release
 # checkpoint.bin -> checkpoint.old, after checkpoint.tmp ->
 # checkpoint.bin, before compaction), decoder robustness (hostile
 # residue files included), the direct checkpoint writer's byte
-# identity, and the wheel-vs-heap oracle. A
+# identity, the wheel-vs-heap oracle, and torus owner equivalence
+# (TorusSites::owner, which runs on KdGrid<2>, against the 2-D
+# brute-force oracle; KdGrid::within against a brute radius filter). A
 # failure names its suite and test, so none of them is re-run by name.
 say "tests (workspace unit + integration + doctests)"
 cargo test -q

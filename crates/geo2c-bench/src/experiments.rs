@@ -1919,8 +1919,9 @@ back-to-back on the reference core), `before_pr4.json` those before the \
 K-d owner port, and `before_pr3.json` those before PR 3's ring/torus \
 overhaul — the committed tree carries its own before/after trajectory.\n\
 * **Ablations:** the oracles the shipped owner paths replaced (brute-force \
-nearest site for the CSR grid and the K-d orthant fast path, binary search \
-for the bucket-accelerated successor) stay in the tree as the references of \
+nearest site for the K-d grid every torus dimension runs on, 2-D included, \
+and its orthant fast path; binary search for the bucket-accelerated \
+successor) stay in the tree as the references of \
 the owner-equivalence proptests, which pin every fast path to them. Their \
 speed side is archived evidence, not a live bench: `before_pr3.json` and \
 `before_pr4.json` hold the owner rows measured just before the fast paths \

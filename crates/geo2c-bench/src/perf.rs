@@ -608,22 +608,11 @@ pub fn matches_only(id: &str, only: Option<&str>) -> bool {
     }
 }
 
-/// Runs the suite at `scale` and packages it as an [`ExperimentResult`]
-/// (spec id `"bench"`), one cell per benchmark with `ns_per_iter`,
-/// `elems_per_s`, and `iters` metrics.
-#[must_use]
-pub fn run_bench_suite(
-    scale: &BenchScale,
-    seed: u64,
-    window: Duration,
-    repeats: usize,
-) -> ExperimentResult {
-    run_bench_suite_only(scale, seed, window, repeats, None)
-}
-
-/// [`run_bench_suite`] restricted to the benches whose id matches the
-/// comma-separated `only` filter — for iterating on one hot path (and
-/// for subset `--check`s) without paying for the whole suite.
+/// Runs the benches at `scale` whose id matches the comma-separated
+/// `only` filter (`None` runs the whole suite — a filter is for
+/// iterating on one hot path and for subset `--check`s) and packages
+/// them as an [`ExperimentResult`] (spec id `"bench"`), one cell per
+/// benchmark with `ns_per_iter`, `elems_per_s`, and `iters` metrics.
 #[must_use]
 pub fn run_bench_suite_only(
     scale: &BenchScale,
@@ -770,7 +759,7 @@ mod tests {
     };
 
     fn tiny_run(seed: u64) -> ExperimentResult {
-        run_bench_suite(&TINY, seed, Duration::from_micros(200), 1)
+        run_bench_suite_only(&TINY, seed, Duration::from_micros(200), 1, None)
     }
 
     #[test]

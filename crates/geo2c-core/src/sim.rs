@@ -93,7 +93,7 @@ fn insert_balls<S: Space, R: Rng + ?Sized, LS: LoadState + ?Sized>(
 /// The cross-ball batched insertion loop on an explicit [`LaneSource`]
 /// (contract v2): probe blocks of 64 balls (`BALL_BLOCK`) per
 /// [`Space::sample_owners_lanes`] call, then per-ball resolution through
-/// [`Strategy::place_from_owners`] on each ball's tie lane.
+/// [`Strategy::place_from_loads`] on each ball's tie lane.
 ///
 /// Between the batched draw and the resolution pass the engine makes one
 /// summing sweep over the block's load entries: the sweep's loads are
@@ -520,7 +520,7 @@ mod tests {
                 let mut probe = lanes.probe(ball);
                 let owners: Vec<usize> = (0..d).map(|_| space.sample_owner(&mut probe)).collect();
                 let mut tie = lanes.tie(ball);
-                let dest = strategy.place_from_owners(&space, &loads, &owners, &mut tie);
+                let dest = strategy.place_from_loads(&space, &loads, &owners, &mut tie);
                 loads[dest] += 1;
                 max_load = max_load.max(loads[dest]);
             }

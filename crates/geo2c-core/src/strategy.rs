@@ -121,7 +121,7 @@ impl ProbeScratch {
     /// The cross-ball owner block, grown (once) to at least `len` slots.
     /// The engine fills it via [`crate::space::Space::sample_owners_into`]
     /// and resolves one ball's `d`-probe window at a time with
-    /// [`Strategy::place_from_owners`].
+    /// [`Strategy::place_from_loads`].
     pub fn cross_ball_block(&mut self, len: usize) -> &mut [usize] {
         if self.block.len() < len {
             self.block.resize(len, 0);
@@ -213,24 +213,10 @@ impl Strategy {
     /// among the tied candidates from it (and draws nothing when the
     /// minimum is unique).
     ///
-    /// # Panics
-    /// Panics if `owners.len() != d`, or for the split scheme, whose
-    /// probes cannot be pre-drawn as one uniform block.
-    #[must_use]
-    pub fn place_from_owners<S: Space, R: Rng + ?Sized>(
-        &self,
-        space: &S,
-        loads: &[u32],
-        owners: &[usize],
-        tie_rng: &mut R,
-    ) -> usize {
-        self.place_from_loads(space, loads, owners, tie_rng)
-    }
-
-    /// [`Strategy::place_from_owners`] over any [`LoadRead`] backing —
-    /// the entry point the packed load states run. The minimum
-    /// scan goes through [`LoadRead::min_load_of`] (a register-wide lane
-    /// compare on packed backings) and tie filtering through
+    /// Generic over the [`LoadRead`] backing (flat `[u32]` or packed
+    /// states). The minimum scan goes through [`LoadRead::min_load_of`]
+    /// (a register-wide lane compare on packed backings) and tie
+    /// filtering through
     /// [`LoadRead::load`]; both agree exactly with the flat reference,
     /// so the tie-lane draw pattern — and hence the RNG stream — is
     /// backing-independent.
@@ -380,7 +366,7 @@ impl Strategy {
     /// Uniform tie resolution among minimum-load candidates via
     /// reservoir sampling — the [`TieBreak::Random`] arm shared by the
     /// per-ball path ([`Strategy::choose_with`], drawing from the trial
-    /// stream) and the cross-ball path ([`Strategy::place_from_owners`],
+    /// stream) and the cross-ball path ([`Strategy::place_from_loads`],
     /// drawing from the ball's tie lane). The draw pattern is part of
     /// stream contract v2: with `k ≥ 2` tied candidates, one
     /// `gen_range(0..j)` draw per `j ∈ {2..=k}`, in candidate order; a
@@ -415,7 +401,7 @@ impl Strategy {
 
     /// Tie resolution for the RNG-free policies (everything except
     /// [`TieBreak::Random`]) — shared by the per-ball path and the
-    /// cross-ball [`Strategy::place_from_owners`] path, so the two can
+    /// cross-ball [`Strategy::place_from_loads`] path, so the two can
     /// never disagree.
     fn deterministic_tie<S: Space, L: LoadRead + ?Sized>(
         space: &S,
@@ -716,7 +702,7 @@ mod tests {
                 space.sample_owners_into(&mut peek, &mut owners);
                 let mut tie_rng = geo2c_util::rng::SplitMix64::new(99);
                 let sentinel = tie_rng.clone();
-                let batched = strategy.place_from_owners(&space, &loads, &owners, &mut tie_rng);
+                let batched = strategy.place_from_loads(&space, &loads, &owners, &mut tie_rng);
                 assert_eq!(
                     tie_rng.next_u64(),
                     sentinel.clone().next_u64(),
@@ -741,7 +727,7 @@ mod tests {
         let mut hits = [0u32; 4];
         let trials = 40_000;
         for _ in 0..trials {
-            hits[strategy.place_from_owners(&space, &loads, &[1, 2, 3], &mut tie_rng)] += 1;
+            hits[strategy.place_from_loads(&space, &loads, &[1, 2, 3], &mut tie_rng)] += 1;
         }
         assert_eq!(hits[0], 0);
         assert_eq!(hits[3], 0, "non-minimum candidate chosen");
@@ -754,7 +740,7 @@ mod tests {
         let mut tie_rng = geo2c_util::rng::SplitMix64::new(1);
         let sentinel = tie_rng.clone();
         assert_eq!(
-            strategy.place_from_owners(&space, &loads, &[0, 1, 3], &mut tie_rng),
+            strategy.place_from_loads(&space, &loads, &[0, 1, 3], &mut tie_rng),
             1
         );
         assert_eq!(tie_rng.next_u64(), sentinel.clone().next_u64());

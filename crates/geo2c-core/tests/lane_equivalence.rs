@@ -10,7 +10,7 @@
 //! reference below implements that contract directly — its own minimum
 //! scan, its own reservoir, no engine code — so any batching bug in
 //! `sample_owners_lanes` overrides, `ProbeScratch` reuse, block
-//! chunking, or `place_from_owners` shows up as a placement mismatch.
+//! chunking, or `place_from_loads` shows up as a placement mismatch.
 //!
 //! Coverage: all spaces (uniform bins, ring arcs, 2-D Voronoi torus,
 //! K-torus for K ∈ {1, 2, 3}, and the non-uniform probe mixture) ×

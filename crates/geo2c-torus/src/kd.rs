@@ -1,22 +1,22 @@
-//! The k-dimensional torus: the paper's "higher constant dimension"
+//! The `K`-dimensional torus: the paper's "higher constant dimension"
 //! generalization (§3, footnote 3 — "our argument generalizes to higher
 //! constant dimension").
 //!
 //! Everything needed by the allocation process is nearest-neighbour
 //! search; this module provides it for any constant dimension `K` via
-//! const generics:
+//! const generics, and is the one index behind both the 2-D
+//! [`crate::voronoi::TorusSites`] (on `KdGrid<2>`) and the `K`-torus
+//! [`KdSites<K>`]:
 //!
 //! * [`KdPoint<K>`] — points of `[0,1)^K` with wrapped displacement and
 //!   Euclidean distance (diameter `√K/2`).
-//! * [`KdGrid<K>`] — the exact bucket-grid index, generalizing the 2-D
-//!   expanding-ring search to expanding Chebyshev *shells* of cells. The
-//!   same termination certificate applies: every cell in shell `r` is at
+//! * [`KdGrid<K>`] — the exact bucket-grid index: an expanding search
+//!   over Chebyshev *shells* of cells. Every cell in shell `r` is at
 //!   least `(r−1)·w` away in L∞ (hence L2), so the search stops as soon
-//!   as the best distance found is below that. It carries the full 2-D
-//!   [`crate::grid::Grid`] treatment and sharpens it: flat CSR buckets
-//!   with the site coordinates *packed* in CSR order (queries never
-//!   touch the original site slice), a batched fast path over the 3^K
-//!   neighbourhood that scans the probe's own cell, then the 2^K
+//!   as the best distance found is below that. Buckets are flat CSR with
+//!   the site coordinates *packed* in CSR order (queries never touch the
+//!   original site slice). A batched fast path over the 3^K
+//!   neighbourhood scans the probe's own cell, then the 2^K
 //!   *near-orthant* (the cells displaced only toward the probe), then
 //!   the rest — with exact early exits after each stage (own-face,
 //!   far-face, block-boundary distances) and an exact per-cell
@@ -24,7 +24,9 @@
 //!   best already excludes — and a monomorphized `[isize; K]` shell
 //!   walker (no `dyn` dispatch, no fixed dimension cap). When a shell
 //!   would wrap onto itself the search falls back to one residual sweep
-//!   that skips every cell already covered by completed shells.
+//!   that skips every cell already covered by completed shells. The
+//!   same walkers answer the radius query [`KdGrid::within`] that
+//!   Voronoi construction and the Lemma 8 sectors need.
 //! * [`KdSites<K>`] — the server set with ownership queries, including
 //!   the block-resolving [`KdSites::owners_into`] the insertion engine
 //!   batches probes through.
@@ -33,8 +35,7 @@
 //! polytope clipping; region sizes here are Monte-Carlo estimates (they
 //! are only used by the region-size tie-breaks, which are themselves
 //! heuristics). `K = 1` reproduces the ring with nearest-neighbour
-//! ownership and `K = 2` reproduces [`crate::voronoi::TorusSites`] —
-//! both cross-checked in the tests.
+//! ownership — cross-checked in the tests.
 
 use crate::point::{wrap01, wrap_delta};
 use rand::Rng;
@@ -101,9 +102,38 @@ const BLOCK_CAP: usize = 96;
 /// the per-probe scans, so the bounds cache misses overlap across probes.
 const PROBE_BATCH: usize = 32;
 
+/// Counting-sort CSR construction: given each site's bucket id, returns
+/// `(offsets, indices)` with the site indices grouped by bucket and
+/// ascending within a bucket (the scan-order tie-break contract).
+///
+/// # Panics
+/// Panics if a bucket id is out of range or the arrays would overflow
+/// `u32`.
+fn csr_buckets(n_buckets: usize, bucket_of_site: &[usize]) -> (Vec<u32>, Vec<u32>) {
+    assert!(
+        u32::try_from(bucket_of_site.len()).is_ok(),
+        "too many sites"
+    );
+    assert!(u32::try_from(n_buckets + 1).is_ok(), "grid too large");
+    let mut offsets = vec![0u32; n_buckets + 1];
+    for &b in bucket_of_site {
+        offsets[b + 1] += 1;
+    }
+    for b in 0..n_buckets {
+        offsets[b + 1] += offsets[b];
+    }
+    let mut cursor = offsets.clone();
+    let mut indices = vec![0u32; bucket_of_site.len()];
+    for (i, &b) in bucket_of_site.iter().enumerate() {
+        indices[cursor[b] as usize] = i as u32;
+        cursor[b] += 1;
+    }
+    (offsets, indices)
+}
+
 /// An exact bucket-grid nearest-neighbour index over the `K`-torus.
 ///
-/// Buckets use the same flat CSR layout as the 2-D [`crate::grid::Grid`]:
+/// Buckets use a flat CSR layout:
 /// `offsets[b]..offsets[b+1]` delimits bucket `b` in one contiguous
 /// `indices` array, ascending within a bucket; `packed` duplicates the
 /// site coordinates in `indices` order so a bucket scan streams
@@ -125,7 +155,10 @@ impl<const K: usize> KdGrid<K> {
     /// nearest-neighbour distance, so the near-orthant certificate of
     /// the fast path ends most queries within 2^K bucket loads (the
     /// empirical optimum across K ∈ {3, 4} at n = 2^16; see the
-    /// committed `results/bench/` numbers).
+    /// committed `results/bench/` numbers). The same tuning serves
+    /// `K = 2`: it replaced a ~1-site-per-cell 2-D grid that was no
+    /// faster per query at n = 2^10, 2^16 and 2^20 (2^20 random probes
+    /// on a 2-vCPU host).
     const SITES_PER_CELL: usize = 2;
 
     /// Builds a grid with `g = max(1, ⌊(n/2)^(1/K)⌋)` cells per side
@@ -154,7 +187,7 @@ impl<const K: usize> KdGrid<K> {
             .iter()
             .map(|p| Self::bucket_index_for(&Self::cell_of(p, g), g))
             .collect();
-        let (offsets, indices) = crate::grid::csr_buckets(cells, &bucket_ids);
+        let (offsets, indices) = csr_buckets(cells, &bucket_ids);
         let packed = indices.iter().map(|&i| sites[i as usize].coords).collect();
         Self {
             g,
@@ -569,6 +602,45 @@ impl<const K: usize> KdGrid<K> {
             }
         }
     }
+
+    /// All site indices within distance `radius` of `p` (inclusive), in
+    /// ascending order; empty for a negative or NaN radius. Exact: the
+    /// query scans the Chebyshev shells a site within `radius` can
+    /// occupy, and once a shell would wrap onto itself (radii
+    /// approaching half the torus) one residual sweep covers every
+    /// remaining cell exactly once.
+    #[must_use]
+    pub fn within(&self, p: &KdPoint<K>, radius: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        if radius.is_nan() || radius < 0.0 {
+            return out;
+        }
+        let r2 = radius * radius;
+        let center = Self::cell_of(p, self.g);
+        let mut collect = |b: usize| {
+            let (lo, hi) = (self.offsets[b] as usize, self.offsets[b + 1] as usize);
+            for (j, &coords) in (lo..hi).zip(&self.packed[lo..hi]) {
+                if p.dist2(&KdPoint { coords }) <= r2 {
+                    out.push(self.indices[j] as usize);
+                }
+            }
+        };
+        // A site within `radius` sits at most ⌈radius·g⌉ cells from the
+        // probe's cell on every axis; the slack absorbs FP roundoff in
+        // the distance test and the cell derivation. The loop ends at
+        // the first self-wrapping shell, so a huge reach is harmless.
+        let slack = radius * (1.0 + 1e-9) + 1e-12;
+        let reach = (slack * self.g as f64).ceil() as usize;
+        for r in 0..=reach {
+            if 2 * r + 1 >= self.g {
+                self.for_unvisited(&center, r, &mut collect);
+                break;
+            }
+            self.for_shell(&center, r, &mut collect);
+        }
+        out.sort_unstable();
+        out
+    }
 }
 
 /// Brute-force nearest site in `K` dimensions (the oracle).
@@ -735,6 +807,26 @@ mod tests {
         check_dim!(1);
         check_dim!(2);
         check_dim!(3);
+    }
+
+    #[test]
+    fn wraparound_neighbours_found() {
+        // Probe near the origin; the nearest site is across both seams.
+        let sites = [
+            KdPoint::new([0.98, 0.98]),
+            KdPoint::new([0.5, 0.5]),
+            KdPoint::new([0.25, 0.75]),
+        ];
+        let grid = KdGrid::with_cells_per_side(&sites, 8);
+        let probe = KdPoint::new([0.01, 0.01]);
+        assert_eq!(grid.nearest(&probe), 0);
+        assert_eq!(grid.within(&probe, 0.05), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one site")]
+    fn empty_sites_rejected() {
+        let _ = KdGrid::<2>::build(&[]);
     }
 
     #[test]

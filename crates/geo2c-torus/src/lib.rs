@@ -8,22 +8,26 @@
 //! scratch:
 //!
 //! * [`point`] — toroidal points, wrapped displacement and distance.
-//! * [`grid`] — an exact, grid-accelerated nearest-neighbour index
-//!   (expanding-ring search with a provable termination radius), plus the
-//!   brute-force oracle used to verify it.
+//! * [`kd`] — [`KdGrid<K>`](kd::KdGrid): the one exact, grid-accelerated
+//!   nearest-neighbour and radius index for every torus dimension
+//!   (expanding-shell search with a provable termination radius), plus
+//!   [`KdSites<K>`] for the `K`-torus sweeps of the `dimension`
+//!   experiment.
 //! * [`polygon`] — convex polygons with half-plane clipping and shoelace
 //!   areas; the computational-geometry kernel for Voronoi cells.
-//! * [`voronoi`] — [`TorusSites`]: the server set with owner queries and
-//!   *exact* Voronoi cell construction (clipping the fundamental square
-//!   against perpendicular bisectors of neighbouring sites and their
-//!   relevant periodic images), validated against Monte-Carlo areas.
+//! * [`voronoi`] — [`TorusSites`]: the server set with owner queries (on
+//!   `KdGrid<2>`, checked against the brute-force
+//!   [`voronoi::nearest_brute`]) and *exact* Voronoi cell construction
+//!   (clipping the fundamental square against perpendicular bisectors of
+//!   neighbouring sites and their relevant periodic images), validated
+//!   against Monte-Carlo areas.
 //! * [`sector`] — the six-sector geometric argument of Lemma 8 / Figure 1
 //!   and the Lemma 9 tail-bound experiment on the number of large cells.
 //!
 //! The paper's argument generalizes to any constant dimension; this crate
-//! implements the 2-D case the paper evaluates (Table 2), plus the
-//! const-generic [`kd`] module for the `K`-torus sweeps of the
-//! `dimension` experiment.
+//! implements the 2-D case the paper evaluates (Table 2) with exact
+//! Voronoi geometry, and treats the dimension as a parameter of the
+//! shared index.
 //!
 //! ```
 //! use geo2c_torus::{TorusPoint, TorusSites};
@@ -43,14 +47,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod grid;
 pub mod kd;
 pub mod point;
 pub mod polygon;
 pub mod sector;
 pub mod voronoi;
 
-pub use grid::Grid;
 pub use kd::{KdPoint, KdSites};
 pub use point::TorusPoint;
 pub use polygon::Polygon;

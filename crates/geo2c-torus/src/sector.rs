@@ -54,7 +54,7 @@ pub fn sector_occupancy(sites: &TorusSites, i: usize, c: f64) -> [bool; 6] {
     let radius = disc_radius(c / n as f64);
     let p = sites.point(i);
     let mut occupied = [false; 6];
-    for j in sites.grid().within(p, radius) {
+    for j in sites.within(p, radius) {
         if j == i {
             continue;
         }

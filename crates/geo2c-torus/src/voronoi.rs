@@ -2,8 +2,10 @@
 //!
 //! [`TorusSites`] is the Section-3 substrate: `n` servers at uniform random
 //! positions, where a probe point belongs to its nearest server — i.e. the
-//! servers' Voronoi cells are the bins. Ownership queries go through the
-//! exact grid index ([`crate::grid::Grid`]).
+//! servers' Voronoi cells are the bins. Ownership and radius queries go
+//! through the exact bucket-grid index every torus dimension shares
+//! ([`crate::kd::KdGrid`], here `KdGrid<2>`); [`nearest_brute`] is the
+//! 2-D oracle it is checked against.
 //!
 //! ## Exact cells on a torus
 //!
@@ -29,7 +31,7 @@
 //! three ways in the tests (against the brute oracle, against Monte-Carlo
 //! hit rates, and by the partition-of-unity property Σ areas = 1).
 
-use crate::grid::Grid;
+use crate::kd::{KdGrid, KdPoint};
 use crate::point::TorusPoint;
 use crate::polygon::Polygon;
 use rand::Rng;
@@ -39,7 +41,33 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct TorusSites {
     points: Vec<TorusPoint>,
-    grid: Grid,
+    grid: KdGrid<2>,
+}
+
+/// The grid's view of a torus point (coordinates already in `[0, 1)`).
+fn kd(p: TorusPoint) -> KdPoint<2> {
+    KdPoint { coords: [p.x, p.y] }
+}
+
+/// Brute-force nearest site: the `O(n)` oracle the grid-backed
+/// [`TorusSites::owner`] is validated against. Ties break toward the
+/// lower index.
+///
+/// # Panics
+/// Panics if `sites` is empty.
+#[must_use]
+pub fn nearest_brute(p: TorusPoint, sites: &[TorusPoint]) -> usize {
+    assert!(!sites.is_empty(), "nearest_brute needs at least one site");
+    let mut best = 0usize;
+    let mut best_d2 = f64::INFINITY;
+    for (i, s) in sites.iter().enumerate() {
+        let d2 = p.dist2(*s);
+        if d2 < best_d2 {
+            best_d2 = d2;
+            best = i;
+        }
+    }
+    best
 }
 
 impl TorusSites {
@@ -49,10 +77,7 @@ impl TorusSites {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        assert!(n > 0, "torus sites need at least one server");
-        let points: Vec<TorusPoint> = (0..n).map(|_| TorusPoint::random(rng)).collect();
-        let grid = Grid::build(&points);
-        Self { points, grid }
+        Self::from_points((0..n).map(|_| TorusPoint::random(rng)).collect())
     }
 
     /// Builds from explicit positions.
@@ -62,7 +87,8 @@ impl TorusSites {
     #[must_use]
     pub fn from_points(points: Vec<TorusPoint>) -> Self {
         assert!(!points.is_empty(), "torus sites need at least one server");
-        let grid = Grid::build(&points);
+        let kd_points: Vec<KdPoint<2>> = points.iter().map(|&p| kd(p)).collect();
+        let grid = KdGrid::build(&kd_points);
         Self { points, grid }
     }
 
@@ -90,22 +116,23 @@ impl TorusSites {
         self.points[i]
     }
 
-    /// The grid index (exposed for the sector experiments).
-    #[must_use]
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
     /// Exact nearest site to `p` (grid-accelerated).
     #[must_use]
     pub fn owner(&self, p: TorusPoint) -> usize {
-        self.grid.nearest(p)
+        self.grid.nearest(&kd(p))
     }
 
     /// Brute-force nearest site (the oracle used in tests/ablations).
     #[must_use]
     pub fn owner_brute(&self, p: TorusPoint) -> usize {
-        crate::grid::nearest_brute(p, &self.points)
+        nearest_brute(p, &self.points)
+    }
+
+    /// All sites within distance `radius` of `p` (inclusive), in
+    /// ascending index order — exact, via [`KdGrid::within`].
+    #[must_use]
+    pub fn within(&self, p: TorusPoint, radius: f64) -> Vec<usize> {
+        self.grid.within(&kd(p), radius)
     }
 
     /// Clips `poly` (in site `i`'s local frame) against all nine images of
@@ -166,7 +193,7 @@ impl TorusSites {
         // double until the termination certificate holds.
         let mut r = (1.0 / (n as f64).sqrt()).max(1e-3);
         loop {
-            for j in self.grid.within(p, r) {
+            for j in self.within(p, r) {
                 if !processed[j] {
                     processed[j] = true;
                     self.clip_against_site(&mut poly, i, j);
@@ -243,7 +270,7 @@ impl TorusSites {
             let witness = site.offset(mx, my);
             let d_site = witness.dist(site);
             let tol = 1e-9_f64.max(d_site * 1e-9);
-            for j in self.grid.within(witness, d_site + tol) {
+            for j in self.within(witness, d_site + tol) {
                 if j != i
                     && (witness.dist(self.points[j]) - d_site).abs() <= tol
                     && !out.contains(&j)

@@ -5,7 +5,9 @@
 //! point — to the brute-force oracle across adversarial layouts:
 //! clustered sites, wrap-seam probes, degenerate tiny grids (`g = 1`),
 //! and `n = 1`, for `K ∈ {1, 3, 4}`. Mirrors `owner_equivalence.rs`,
-//! which covers the 2-D specialization.
+//! which covers `K = 2` through the 2-D `TorusSites`. The radius query
+//! `KdGrid::within` is pinned to a brute `dist2 ≤ r²` filter for
+//! `K ∈ {2, 3}`, radii up to past half the torus included.
 //!
 //! Exact coordinate ties may legitimately resolve to different site
 //! indices (the tie-break is scan order), so equivalence is asserted on
@@ -191,3 +193,56 @@ macro_rules! kd_equivalence_suite {
 kd_equivalence_suite!(k1, 1);
 kd_equivalence_suite!(k3, 3);
 kd_equivalence_suite!(k4, 4);
+
+/// Brute `dist2 ≤ r²` filter: the oracle for `KdGrid::within`.
+fn within_brute<const K: usize>(p: &KdPoint<K>, sites: &[KdPoint<K>], radius: f64) -> Vec<usize> {
+    (0..sites.len())
+        .filter(|&i| p.dist2(&sites[i]) <= radius * radius)
+        .collect()
+}
+
+macro_rules! kd_within_suite {
+    ($mod_name:ident, $k:literal) => {
+        mod $mod_name {
+            use super::*;
+
+            proptest! {
+                #[test]
+                fn within_matches_the_brute_filter(
+                    sites in free_sites($k),
+                    probes in seam_probes($k),
+                    radius in 0.0f64..0.9,
+                    g in 1usize..12,
+                ) {
+                    // Radii ≥ 0.5 (and small g) hit the self-wrapping
+                    // residual sweep; small radii on the larger g stay on
+                    // the plain shell walk.
+                    let sites = to_points::<$k>(&sites);
+                    for grid in [KdGrid::build(&sites), KdGrid::with_cells_per_side(&sites, g)] {
+                        for p in &to_points::<$k>(&probes) {
+                            prop_assert_eq!(grid.within(p, radius), within_brute(p, &sites, radius));
+                        }
+                    }
+                }
+
+                #[test]
+                fn within_zero_radius_finds_exactly_the_coincident_sites(
+                    sites in free_sites($k),
+                    pick in 0usize..48,
+                ) {
+                    let sites = to_points::<$k>(&sites);
+                    let grid = KdGrid::build(&sites);
+                    let pick = pick % sites.len();
+                    let p = sites[pick];
+                    let hit = grid.within(&p, 0.0);
+                    prop_assert!(hit.contains(&pick));
+                    prop_assert_eq!(hit, within_brute(&p, &sites, 0.0));
+                    prop_assert!(grid.within(&p, -1e-9).is_empty());
+                }
+            }
+        }
+    };
+}
+
+kd_within_suite!(within_k2, 2);
+kd_within_suite!(within_k3, 3);

@@ -1,13 +1,15 @@
-//! Property tests pinning the CSR grid's nearest-site search (including
-//! its batched 3×3 fast path and early-exit certificates) to the
-//! brute-force oracle across adversarial layouts: clustered sites,
-//! wrap-seam probes, degenerate tiny grids, and `n = 1`.
+//! Property tests pinning the 2-D torus owner query — `TorusSites::owner`
+//! on `KdGrid<2>`, with its 3×3 fast path and early-exit certificates —
+//! to the 2-D brute-force oracle across adversarial layouts: clustered
+//! sites, wrap-seam probes, degenerate tiny grids (built directly with
+//! `KdGrid::<2>::with_cells_per_side`), and `n = 1`.
 //!
 //! Exact coordinate ties may legitimately resolve to different site
 //! indices (the tie-break is scan order), so equivalence is asserted on
 //! the achieved *distance*, which must match the oracle to FP roundoff.
 
-use geo2c_torus::grid::{nearest_brute, Grid};
+use geo2c_torus::kd::{KdGrid, KdPoint};
+use geo2c_torus::voronoi::nearest_brute;
 use geo2c_torus::{TorusPoint, TorusSites};
 use proptest::prelude::*;
 
@@ -15,18 +17,32 @@ fn to_points(pts: &[(f64, f64)]) -> Vec<TorusPoint> {
     pts.iter().map(|&(x, y)| TorusPoint::new(x, y)).collect()
 }
 
-fn assert_matches_oracle(sites: &[TorusPoint], grid: &Grid, probes: &[TorusPoint]) {
+fn to_kd(p: TorusPoint) -> KdPoint<2> {
+    KdPoint { coords: [p.x, p.y] }
+}
+
+/// `owner(p)` must reach the oracle's distance for every probe.
+fn assert_matches_oracle(
+    sites: &[TorusPoint],
+    owner: impl Fn(TorusPoint) -> usize,
+    probes: &[TorusPoint],
+) {
     for &p in probes {
-        let fast = grid.nearest(p);
+        let fast = owner(p);
         let slow = nearest_brute(p, sites);
         let (df, ds) = (p.dist2(sites[fast]), p.dist2(sites[slow]));
         assert!(
             (df - ds).abs() < 1e-15,
-            "grid {fast} (d2 {df}) vs brute {slow} (d2 {ds}) at {p} over {} sites (g = {})",
+            "grid {fast} (d2 {df}) vs brute {slow} (d2 {ds}) at {p} over {} sites",
             sites.len(),
-            grid.cells_per_side()
         );
     }
+}
+
+/// The public owner path the experiments drive.
+fn assert_owner_matches_oracle(sites: &[TorusPoint], probes: &[TorusPoint]) {
+    let torus = TorusSites::from_points(sites.to_vec());
+    assert_matches_oracle(sites, |p| torus.owner(p), probes);
 }
 
 /// Arbitrary sites anywhere on the torus.
@@ -65,9 +81,7 @@ proptest! {
         sites in free_sites(),
         probes in seam_probes(),
     ) {
-        let sites = to_points(&sites);
-        let grid = Grid::build(&sites);
-        assert_matches_oracle(&sites, &grid, &to_points(&probes));
+        assert_owner_matches_oracle(&to_points(&sites), &to_points(&probes));
     }
 
     #[test]
@@ -75,9 +89,7 @@ proptest! {
         sites in clustered_sites(),
         probes in seam_probes(),
     ) {
-        let sites = to_points(&sites);
-        let grid = Grid::build(&sites);
-        assert_matches_oracle(&sites, &grid, &to_points(&probes));
+        assert_owner_matches_oracle(&to_points(&sites), &to_points(&probes));
     }
 
     #[test]
@@ -86,11 +98,12 @@ proptest! {
         probes in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 12..13),
         g in 1usize..6,
     ) {
-        // g ∈ {1, 2, 3} exercises the scan-all branch; 4 and 5 the
-        // smallest 3×3 fast paths with heavy wrapping.
+        // g ∈ {1, 2, 3} exercises the residual-sweep branch; 4 and 5
+        // the smallest 3×3 fast paths with heavy wrapping.
         let sites = to_points(&sites);
-        let grid = Grid::with_cells_per_side(&sites, g);
-        assert_matches_oracle(&sites, &grid, &to_points(&probes));
+        let kd_sites: Vec<KdPoint<2>> = sites.iter().map(|&p| to_kd(p)).collect();
+        let grid = KdGrid::with_cells_per_side(&kd_sites, g);
+        assert_matches_oracle(&sites, |p| grid.nearest(&to_kd(p)), &to_points(&probes));
     }
 
     #[test]
@@ -98,10 +111,9 @@ proptest! {
         site in (0.0f64..1.0, 0.0f64..1.0),
         probes in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 8..9),
     ) {
-        let sites = to_points(&[site]);
-        let grid = Grid::build(&sites);
+        let sites = TorusSites::from_points(to_points(&[site]));
         for &p in &to_points(&probes) {
-            prop_assert_eq!(grid.nearest(p), 0);
+            prop_assert_eq!(sites.owner(p), 0);
         }
     }
 
@@ -110,8 +122,7 @@ proptest! {
         sites in free_sites(),
         probes in seam_probes(),
     ) {
-        // The public TorusSites::owner path (what the experiments drive)
-        // wraps the same grid; pin it to TorusSites::owner_brute too.
+        // Pin TorusSites::owner to its own TorusSites::owner_brute too.
         let sites = TorusSites::from_points(to_points(&sites));
         for &p in &to_points(&probes) {
             let fast = sites.owner(p);
@@ -128,10 +139,9 @@ proptest! {
     ) {
         // A probe exactly at a site must resolve to distance 0 (the site
         // itself or an exact duplicate).
-        let sites = to_points(&sites);
-        let grid = Grid::build(&sites);
-        let p = sites[pick % sites.len()];
-        let fast = grid.nearest(p);
-        prop_assert!(p.dist2(sites[fast]) < 1e-30);
+        let sites = TorusSites::from_points(to_points(&sites));
+        let p = sites.point(pick % sites.len());
+        let fast = sites.owner(p);
+        prop_assert!(p.dist2(sites.point(fast)) < 1e-30);
     }
 }

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use two_choices::ring::{Ownership, RingPartition, RingPoint};
 use two_choices::torus::polygon::Polygon;
-use two_choices::torus::{grid::nearest_brute, TorusPoint, TorusSites};
+use two_choices::torus::{TorusPoint, TorusSites};
 
 /// Strategy: a vector of 1..40 canonical ring coordinates.
 fn ring_positions() -> impl Strategy<Value = Vec<f64>> {
@@ -95,7 +95,7 @@ proptest! {
         for (x, y) in probes {
             let p = TorusPoint::new(x, y);
             let fast = ts.owner(p);
-            let slow = nearest_brute(p, &points);
+            let slow = ts.owner_brute(p);
             prop_assert!(
                 (p.dist2(points[fast]) - p.dist2(points[slow])).abs() < 1e-15,
                 "grid/brute disagree at ({x}, {y})"
