@@ -18,12 +18,15 @@ cargo build --release
 # Every crate is a default member, so this one run covers the pinning
 # property suites too: the serving engine's conservation and replay
 # identity, packed == flat load states, the fault-injection
-# chaos suite, crash-point recovery (torn journal tails, and a crash in
+# chaos suite, crash-point recovery (torn journal tails; a crash in
 # each checkpoint-rotation window: mid spare write, after
 # checkpoint.bin -> checkpoint.old, after checkpoint.tmp ->
-# checkpoint.bin, before compaction), decoder robustness (hostile
-# residue files included), the direct checkpoint writer's byte
-# identity, the wheel-vs-heap oracle, and torus owner equivalence
+# checkpoint.bin, before compaction; and a crash in each
+# staged-checkpoint window: while the image is pending, after its
+# rotation but before the compaction, after the compaction's rewrite
+# but before its set_len), decoder robustness (hostile residue files
+# included), the checkpoint writer's byte identity (staged images
+# included), the wheel-vs-heap oracle, and torus owner equivalence
 # (TorusSites::owner, which runs on KdGrid<2>, against the 2-D
 # brute-force oracle; KdGrid::within against a brute radius filter). A
 # failure names its suite and test, so none of them is re-run by name.

@@ -1973,14 +1973,17 @@ the on-disk format persists **no event payloads**: a journal directory \
 holds one `checkpoint.bin` (a versioned binary `EngineState` image in a \
 single CRC-guarded frame, rewritten in place into the spare \
 `checkpoint.tmp` and rotated in by renames that never replace a file, so \
-the previous image becomes the next spare) and one append-only \
-`journal.bin` of \
+the previous image becomes the next spare) and one `journal.bin` of \
 17-byte progress frames, each saying \"events below `t` are durable\". \
 Both files open with a magic/version header that binds the lane root and \
 a fingerprint of `(servers, config)`, so a checkpoint can never be \
 restored into an engine it was not taken from. Every `C` events the \
-state is checkpointed and the journal truncated back to its header — \
-the checkpoint subsumes it — so steady-state disk cost is one state \
+state is snapshotted, and the checkpoint image is built from the \
+snapshot in stages, one fixed work budget per journaled chunk; an image \
+of up to 2^12 servers (every size this table runs) fits one budget and \
+is durable before the boundary's call returns. Once it is durable, the \
+journal is compacted to the frames after the checkpoint's event — the \
+checkpoint subsumes the rest — so steady-state disk cost is one state \
 image plus ~17·8/C bytes per event at the suite's eight-chunks-per-\
 interval cadence (the `journal_bytes_per_event` column).\n\n\
 Recovery (`geo2c_serve::Recovery::resume`) distinguishes *crash \

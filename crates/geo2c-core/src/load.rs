@@ -48,6 +48,15 @@ pub trait LoadRead {
     fn warm(&self, server: usize) -> u32 {
         self.load(server)
     }
+
+    /// Overwrites `out` with every bin's load, in bin order, reusing its
+    /// storage: a snapshot that can be taken over and over without
+    /// allocating. Flat and packed backings override the per-bin loop
+    /// with a bulk copy or unpack.
+    fn copy_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend((0..self.num_servers()).map(|s| self.load(s)));
+    }
 }
 
 /// The mutation side of a load vector: what the engines need.
@@ -67,7 +76,11 @@ pub trait LoadState: LoadRead {
 
     /// The full load image as a flat vector, for cross-backing
     /// comparison and reporting.
-    fn to_vec(&self) -> Vec<u32>;
+    fn to_vec(&self) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.copy_into(&mut out);
+        out
+    }
 
     /// Bytes of backing storage attributed to this load vector — the
     /// `bytes/bin` metric is `heap_bytes / num_servers`. Counts the
@@ -85,6 +98,11 @@ impl LoadRead for [u32] {
     #[inline]
     fn load(&self, server: usize) -> u32 {
         self[server]
+    }
+
+    fn copy_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(self);
     }
 
     /// Branchless unrolled least-of-`d`: the common probe counts
@@ -139,10 +157,6 @@ impl LoadState for [u32] {
         self[server] = value;
     }
 
-    fn to_vec(&self) -> Vec<u32> {
-        self.into()
-    }
-
     fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(self)
     }
@@ -180,6 +194,10 @@ impl LoadRead for Vec<u32> {
     fn min_load_of(&self, servers: &[usize]) -> u32 {
         self.as_slice().min_load_of(servers)
     }
+
+    fn copy_into(&self, out: &mut Vec<u32>) {
+        self.as_slice().copy_into(out);
+    }
 }
 
 impl LoadState for Vec<u32> {
@@ -196,10 +214,6 @@ impl LoadState for Vec<u32> {
     #[inline]
     fn set(&mut self, server: usize, value: u32) {
         self[server] = value;
-    }
-
-    fn to_vec(&self) -> Vec<u32> {
-        self.clone()
     }
 
     fn heap_bytes(&self) -> usize {
@@ -425,6 +439,26 @@ impl LoadRead for PackedLoads {
     fn warm(&self, server: usize) -> u32 {
         u32::from(self.raw_cell(server))
     }
+
+    /// Unpacks the in-line cells in one sweep, then writes each spilled
+    /// bin's value over its sentinel.
+    fn copy_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        match self.width {
+            PackedWidth::Byte => out.extend(self.raw.iter().map(|&cell| u32::from(cell))),
+            PackedWidth::Nibble => {
+                out.resize(2 * self.raw.len(), 0);
+                for (pair, &cell) in out.chunks_exact_mut(2).zip(&self.raw) {
+                    pair[0] = u32::from(cell & 0xF);
+                    pair[1] = u32::from(cell >> 4);
+                }
+                out.truncate(self.n);
+            }
+        }
+        for (&server, &value) in &self.spill {
+            out[server] = value;
+        }
+    }
 }
 
 impl LoadState for PackedLoads {
@@ -460,10 +494,6 @@ impl LoadState for PackedLoads {
         }
     }
 
-    fn to_vec(&self) -> Vec<u32> {
-        (0..self.n).map(|s| self.load(s)).collect()
-    }
-
     fn heap_bytes(&self) -> usize {
         self.raw.len() + self.spill.len() * SPILL_RECORD_BYTES
     }
@@ -479,6 +509,27 @@ mod tests {
             ("nibble", Box::new(PackedLoads::nibble(n))),
             ("byte", Box::new(PackedLoads::byte(n))),
         ]
+    }
+
+    #[test]
+    fn copy_into_overwrites_a_reused_buffer_with_every_load() {
+        // An odd bin count (a trailing half nibble), spilled bins and the
+        // failure sentinel, copied into a buffer that is longer and
+        // dirty from an earlier copy.
+        let n = 13;
+        for (name, mut state) in backings(n) {
+            for s in 0..n {
+                state.set(s, (s as u32 * 5) % 23);
+            }
+            state.set(4, u32::MAX);
+            let model: Vec<u32> = (0..n).map(|s| state.load(s)).collect();
+            let mut out = vec![7; 3 * n];
+            state.copy_into(&mut out);
+            assert_eq!(out, model, "{name}");
+            state.set(4, 1);
+            state.copy_into(&mut out);
+            assert_eq!(out[4], 1, "{name}: a cleared spill is not copied");
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub struct RetryStats {
 /// image bytes, and [`ServeEngine::try_restore_with_scheduler`] rebuilds
 /// an engine from it that continues byte-identically to one that never
 /// stopped. A durable checkpoint never builds one: the writer encodes
-/// the same bytes straight from the engine.
+/// the same bytes from a snapshot of the engine's loads and departures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineState {
     /// Per-server loads; a failed server holds [`FAILED_LOAD`].
@@ -852,19 +852,17 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         }
     }
 
-    /// Appends the checkpoint image of the full mutable state to `out`,
-    /// read straight from the load backing and the departure queue: the
-    /// bytes [`encode_state`](crate::journal::encode_state) returns for
-    /// [`ServeEngine::state`], without building the [`EngineState`].
-    pub(crate) fn write_image(&self, out: &mut Vec<u8>) {
-        crate::journal::write_image(
-            out,
+    /// The checkpoint image's inputs, borrowed for a snapshot: the
+    /// counters, retry statistics, peak load, load backing and departure
+    /// queue.
+    pub(crate) fn image_inputs(&self) -> (&Counters, &RetryStats, u32, &L, &Q) {
+        (
             &self.counters,
             &self.retry,
             self.peak_load,
             &self.loads,
             &self.departures,
-        );
+        )
     }
 }
 

@@ -22,37 +22,63 @@
 //!   written into a spare and *rotated* in (below), so the name always
 //!   holds one complete image — the old checkpoint or the new one, never
 //!   a half-written hybrid.
+//! * **`journal.bin`** — [`frame`] records, one per executed chunk, each
+//!   saying "events `< to_event` are durable". Once a checkpoint is
+//!   durable the journal is compacted to the records after its event:
+//!   the checkpoint subsumes the rest.
 //!
-//! Beside them sit the rotation's two other names: **`checkpoint.tmp`**,
-//! the spare, which after a checkpoint holds the previous image, and
+//! The rotation passes through two more names: **`checkpoint.tmp`**, the
+//! spare, which after a checkpoint holds the previous image, and
 //! **`checkpoint.old`**, which exists only if a process died
 //! mid-rotation.
-//! * **`journal.bin`** — appended [`frame`] records, one per executed
-//!   chunk, each saying "events `< to_event` are durable". After every
-//!   durable checkpoint the journal is truncated back to its header
-//!   (compaction): the checkpoint subsumes it.
 //!
 //! ## Write discipline
 //!
-//! A [`DurableEngine`] opens `journal.bin` once, in append mode, and
-//! holds that handle for its whole life. Each progress frame is exactly
-//! one `write(2)` on it, issued before [`DurableEngine::run_journaled`]
-//! returns, with no userspace buffer in between: once `run_journaled`
-//! reports a chunk, its frame belongs to the kernel. Compaction truncates
-//! through the same handle, and append mode lands the next frame right
-//! after the header. [`Resumed::into_durable`] opens the handle only
-//! after [`Recovery::resume`] has cut any torn tail, so continued frames
-//! follow the last intact one.
+//! A [`DurableEngine`] opens `journal.bin` once for writing, positioned
+//! at the end of its frames, and holds that handle for its whole life.
+//! Each progress frame is exactly one `write(2)` at that position,
+//! issued before [`DurableEngine::run_journaled`] returns, with no
+//! userspace buffer in between: once `run_journaled` reports a chunk,
+//! its frame belongs to the kernel. [`Resumed::into_durable`] opens the
+//! handle only after [`Recovery::resume`] has cut any torn tail, so
+//! continued frames follow the last intact one.
 //!
-//! A checkpoint is built in one buffer: the header, an
-//! [`frame::FRAME_OVERHEAD`]-byte placeholder, then the state image
-//! encoded straight from the engine's load backing and the departure
-//! queue's [`DepartureQueue::for_each_sorted`] visit — no
-//! [`EngineState`] is built. [`frame::seal_frame`] then fills in the
-//! frame's length and CRC. [`encode_state`] runs the same writer over an
-//! [`EngineState`], so the two produce identical bytes.
+//! ## Staged checkpoints
 //!
-//! The buffer then goes through a **rotation** that never replaces a
+//! At each boundary — every `every` events — the engine takes a
+//! *snapshot*: its counters, retry statistics and peak load, its loads
+//! copied into a retained flat buffer, and its live departures gathered
+//! into packed sort keys ([`DepartureQueue::gather`]). The image is a
+//! pure function of that snapshot, so the engine runs on while the
+//! image is built. The boundary's chunk and every later one spend one
+//! fixed work budget on it, after their progress frame, through these
+//! stages in order:
+//!
+//! 1. the departure keys' radix passes and shared-deadline fix-up
+//!    (`DepartureKeys::sort_some`);
+//! 2. the load section — the file header, a [`frame::FRAME_OVERHEAD`]-byte
+//!    placeholder, the image's head, every load, the failure bitset;
+//! 3. the departure emit;
+//! 4. a streaming CRC ([`frame::Crc32`]) over the payload, which then
+//!    seals the frame's length and CRC in place;
+//! 5. the files: the spare write, the rotation and the compaction
+//!    (below).
+//!
+//! The image is built in byte order in one retained buffer, so the load
+//! section runs before the departure emit. [`encode_state`] runs the
+//! same section writers over an [`EngineState`], so the two produce
+//! identical bytes. An image of up to 2^12 servers and their sessions —
+//! every test engine and every `durability` experiment size — fits one
+//! budget, so it is durable before the boundary's call returns, exactly
+//! as if it were written whole; 2^16 servers take about eight chunks.
+//! A boundary reached while an image is still pending finishes it
+//! first, and so does [`DurableEngine::checkpoint_now`] before it writes
+//! its own image whole. Nothing is written on drop: dropping the engine
+//! is a process death.
+//!
+//! ## Rotation and compaction
+//!
+//! The sealed image goes through a **rotation** that never replaces a
 //! file by rename (on ext4 a replacing rename starts writeback of the
 //! new file inside `rename(2)`, which made it the checkpoint's costliest
 //! step):
@@ -62,7 +88,11 @@
 //! 2. `checkpoint.bin → checkpoint.old`, `checkpoint.tmp →
 //!    checkpoint.bin`, `checkpoint.old → checkpoint.tmp`: three renames,
 //!    each onto a free name. The previous image becomes the next spare.
-//! 3. The journal is compacted.
+//! 3. The journal is compacted: the progress frames appended since the
+//!    snapshot — exactly the records after the checkpoint's event — are
+//!    rewritten right after the header in one `write(2)`, and the file
+//!    is cut after them with `set_len`. The handle is left at the new
+//!    end.
 //!
 //! The spare is opened afresh on every checkpoint and never held: a held
 //! handle would follow its inode through the renames. The seed image
@@ -74,11 +104,15 @@
 //! The failure this layer survives — and the one
 //! `tests/crash_recovery.rs` injects — is **process death**: every
 //! completed `write(2)` and `rename(2)` stays in the kernel and reaches
-//! the disk later. Nothing here calls `fsync`, so an OS crash or power
-//! loss can lose recent frames or the latest checkpoint rotation, and is
-//! **not** covered; that needs a sync policy that flushes the files and
-//! the directory. For the rotation, such a `SyncPolicy` must fsync the
-//! spare before the first rename and the directory after the last.
+//! the disk later. Staging changes nothing here: until its rotation an
+//! image exists only in memory, so a death while one is pending leaves
+//! the previous checkpoint and an uncompacted journal, and replay covers
+//! at most `every` events plus the chunks an image spans. Nothing here
+//! calls `fsync`, so an OS crash or power loss can lose recent frames or
+//! the latest checkpoint rotation, and is **not** covered; that needs a
+//! sync policy that flushes the files and the directory. For the
+//! rotation, such a `SyncPolicy` must fsync the spare before the first
+//! rename and the directory after the last.
 //!
 //! ## Crash semantics
 //!
@@ -105,28 +139,33 @@
 //! checkpoint through [`ServeEngine::try_restore_with_scheduler`] (a
 //! CRC-valid image that breaks the engine's invariants is
 //! [`JournalError::Restore`], never a panic), skips any journal frames
-//! the checkpoint already covers (the residue of a crash between the
-//! rotation and the journal truncation), and replays deterministically
-//! up to the last durable marker. A frame that fails its CRC *with
-//! durable frames after it* is real corruption, not a crash artifact,
-//! and fails loudly ([`JournalError::Corrupt`]). The
-//! `tests/crash_recovery.rs` suite drives arbitrary byte truncations,
-//! tail bit flips, and a crash in every rotation window through this
-//! path and pins `resume + replay ≡ uninterrupted run` across load
+//! the checkpoint already covers, and replays deterministically up to
+//! the last durable marker. Frames the checkpoint covers are the residue
+//! of a crash between the rotation and the compaction. A crash between
+//! the compaction's rewrite and its `set_len` leaves the kept frames
+//! followed by old ones; every progress frame has the same length, so
+//! all of them are whole and valid, and the latest marker is still the
+//! largest. A frame that fails its CRC *with durable frames after it* is
+//! real corruption, not a crash artifact, and fails loudly
+//! ([`JournalError::Corrupt`]). The `tests/crash_recovery.rs` suite
+//! drives arbitrary byte truncations, tail bit flips, a crash in every
+//! rotation window and in every window of a staged checkpoint through
+//! this path and pins `resume + replay ≡ uninterrupted run` across load
 //! backings and schedulers.
 
 use crate::engine::{
     Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine, FAILED_LOAD,
 };
 use crate::fault::FaultPlan;
-use crate::wheel::{DepartureQueue, DepartureWheel};
+use crate::wheel::{ceil_div, DepartureKeys, DepartureQueue, DepartureWheel};
 use geo2c_core::load::{LoadRead, LoadState};
 use geo2c_core::space::Space;
-use geo2c_util::frame::{self, scan_frames, Header, HeaderError, Tail};
+use geo2c_util::frame::{self, scan_frames, Crc32, Header, HeaderError, Tail};
 use geo2c_util::rng::mix;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic identifying a checkpoint file.
@@ -272,12 +311,14 @@ fn encoded_header(magic: [u8; 8], binds: [u64; 2]) -> [u8; Header::LEN] {
     .encode()
 }
 
-/// Opens `dir`'s journal in append mode: the handle a [`DurableEngine`]
-/// holds for its whole life.
+/// Opens `dir`'s journal for positioned writes at its end: the handle a
+/// [`DurableEngine`] holds for its whole life.
 fn open_journal(dir: &Path) -> io::Result<File> {
-    fs::OpenOptions::new()
-        .append(true)
-        .open(dir.join(JOURNAL_FILE))
+    let mut journal = fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(JOURNAL_FILE))?;
+    journal.seek(SeekFrom::End(0))?;
+    Ok(journal)
 }
 
 /// Encodes an [`EngineState`] into the versioned checkpoint codec.
@@ -288,56 +329,26 @@ fn open_journal(dir: &Path) -> io::Result<File> {
 /// and near-adjacent deadlines (≈ 1-byte deltas), so the image is
 /// roughly a third the size of fixed-width fields — which is most of
 /// the checkpoint's write cost at scale. The bytes are exactly those a
-/// [`DurableEngine`] checkpoint frames, which it encodes straight from
-/// the engine through the same writer.
+/// [`DurableEngine`] checkpoint frames, which it encodes from its
+/// snapshot through the same section writers.
 ///
 /// # Panics
 /// If `state.departures` is not sorted ascending.
 #[must_use]
 pub fn encode_state(state: &EngineState) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_image(
-        &mut out,
-        &state.counters,
-        &state.retry,
-        state.peak_load,
-        &state.loads[..],
-        &state.departures[..],
-    );
+    let n = state.loads.len();
+    // Small loads and near-adjacent deadlines take a byte or two each,
+    // servers up to three.
+    let mut out = Vec::with_capacity(32 + 2 * n + n / 8 + 4 * state.departures.len());
+    let mut w = Cursor::at(&mut out, 0);
+    write_head(&mut w, &state.counters, &state.retry, state.peak_load, n);
+    let mut bits = vec![0u8; (n + 7) / 8];
+    write_loads(&mut w, &state.loads[..], 0..n, &mut bits);
+    write_bits(&mut w, &bits, state.departures.len());
+    write_departures(&mut w, &mut 0, state.departures.iter().copied());
+    let len = w.at;
+    out.truncate(len);
     out
-}
-
-/// The departure map as the image writer reads it: an entry count and
-/// a visit in ascending `(deadline, server)` order. A live queue and an
-/// [`EngineState`]'s sorted vector both provide one.
-pub(crate) trait SortedDepartures {
-    /// Entries the visit delivers.
-    fn count(&self) -> usize;
-
-    /// Calls `f(deadline, server)` for every entry, in ascending order.
-    fn visit(&self, f: impl FnMut(u64, u32));
-}
-
-impl<Q: DepartureQueue> SortedDepartures for Q {
-    fn count(&self) -> usize {
-        self.len()
-    }
-
-    fn visit(&self, f: impl FnMut(u64, u32)) {
-        self.for_each_sorted(f);
-    }
-}
-
-impl SortedDepartures for [(u64, u32)] {
-    fn count(&self) -> usize {
-        self.len()
-    }
-
-    fn visit(&self, mut f: impl FnMut(u64, u32)) {
-        for &(when, server) in self {
-            f(when, server);
-        }
-    }
 }
 
 /// Longest LEB128 encoding of a `u64`.
@@ -345,28 +356,15 @@ const MAX_VAR: usize = 10;
 /// Longest LEB128 encoding of a `u32`.
 const MAX_VAR_U32: usize = 5;
 
-/// Appends the state image to `out` — the one encoder behind
-/// [`encode_state`] and the checkpoint writer. Every field goes through a
-/// [`Cursor`] that keeps room for its longest encoding.
-///
-/// # Panics
-/// If `departures` visits deadlines out of ascending order.
-pub(crate) fn write_image<L: LoadRead + ?Sized, D: SortedDepartures + ?Sized>(
-    out: &mut Vec<u8>,
-    counters: &Counters,
-    retry: &RetryStats,
-    peak_load: u32,
-    loads: &L,
-    departures: &D,
-) {
-    let n = loads.num_servers();
-    let entries = departures.count();
-    // One allocation for a typical image: small loads and near-adjacent
-    // deadlines take a byte or two each, servers up to three.
-    out.reserve(32 + 2 * n + n / 8 + 4 * entries);
-    let mut w = Cursor::at_end(out);
-    // Version; seven counters and the histogram length; the histogram;
-    // the peak and the server count.
+// The state image's sections, in byte order: the head, the loads, the
+// failure bitset with the departure count, then the departures. They
+// are the one encoder behind `encode_state` and the staged checkpoint,
+// which writes the loads and departures a slice per call. Every field
+// goes through a `Cursor` that keeps room for its longest encoding.
+
+/// The version byte, seven counters, the retry histogram, the peak load
+/// and the server count.
+fn write_head(w: &mut Cursor<'_>, counters: &Counters, retry: &RetryStats, peak: u32, n: usize) {
     w.room(1 + MAX_VAR * (8 + retry.by_attempt.len()) + MAX_VAR_U32 + MAX_VAR);
     w.bytes(&[STATE_VERSION]);
     for word in [
@@ -384,12 +382,19 @@ pub(crate) fn write_image<L: LoadRead + ?Sized, D: SortedDepartures + ?Sized>(
     for &count in &retry.by_attempt {
         w.var(count);
     }
-    w.var(u64::from(peak_load));
+    w.var(u64::from(peak));
     w.var(n as u64);
-    // Failure flags as a bitset, bit s of byte s / 8: redundant with the
-    // sentinel loads, and kept so the image format stays unchanged.
-    let mut bits = vec![0u8; (n + 7) / 8];
-    for s in 0..n {
+}
+
+/// The loads of `servers`, marking each failed one in the failure
+/// bitset `bits` (bit `s` of byte `s / 8`).
+fn write_loads<L: LoadRead + ?Sized>(
+    w: &mut Cursor<'_>,
+    loads: &L,
+    servers: Range<usize>,
+    bits: &mut [u8],
+) {
+    for s in servers {
         let load = loads.load(s);
         w.room(MAX_VAR_U32);
         w.var(u64::from(load));
@@ -397,43 +402,58 @@ pub(crate) fn write_image<L: LoadRead + ?Sized, D: SortedDepartures + ?Sized>(
             bits[s / 8] |= 1 << (s % 8);
         }
     }
+}
+
+/// The failure bitset — redundant with the sentinel loads, and kept so
+/// the image format stays unchanged — and the departure count.
+fn write_bits(w: &mut Cursor<'_>, bits: &[u8], entries: usize) {
     w.room(bits.len() + MAX_VAR);
-    w.bytes(&bits);
+    w.bytes(bits);
     w.var(entries as u64);
-    let mut prev_when = 0u64;
-    let mut visited = 0;
-    departures.visit(|when, server| {
-        // The visit is ascending, so the delta is non-negative; an
-        // unsorted `EngineState` would be rejected by the restore path
-        // anyway, but fail loudly here rather than encode an
+}
+
+/// Departures in ascending order, each as its deadline's delta from
+/// `prev_when` (the previous deadline, carried across calls) and its
+/// server.
+///
+/// # Panics
+/// If a deadline precedes its predecessor.
+fn write_departures(
+    w: &mut Cursor<'_>,
+    prev_when: &mut u64,
+    departures: impl Iterator<Item = (u64, u32)>,
+) {
+    let mut prev = *prev_when;
+    for (when, server) in departures {
+        // An unsorted `EngineState` would be rejected by the restore
+        // path anyway, but fail loudly here rather than encode an
         // undecodable wrap.
         let delta = when
-            .checked_sub(prev_when)
+            .checked_sub(prev)
             .expect("departures must be visited in ascending order");
         w.room(MAX_VAR + MAX_VAR_U32);
         w.var(delta);
         w.var(u64::from(server));
-        prev_when = when;
-        visited += 1;
-    });
-    debug_assert_eq!(visited, entries, "departure visit disagrees with its count");
-    w.finish();
+        prev = when;
+    }
+    *prev_when = prev;
 }
 
-/// A write cursor into a `Vec` that keeps zeroed room ahead of itself:
-/// the writer asks for room once per field, for the field's longest
+/// A write cursor into a `Vec` that keeps room ahead of itself: the
+/// writer asks for room once per field, for the field's longest
 /// encoding, and then stores each byte by index instead of pushing it.
 /// The room is the buffer's whole capacity, so it is zeroed once per
-/// allocation, and [`Cursor::finish`] cuts off what was not written.
+/// allocation; the bytes past the cursor are scratch, and the writer
+/// keeps the cursor's position as the image's length.
 struct Cursor<'a> {
     out: &'a mut Vec<u8>,
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    /// A cursor appending to `out`.
-    fn at_end(out: &'a mut Vec<u8>) -> Self {
-        let at = out.len();
+    /// A cursor writing into `out` from byte `at` (at most its length).
+    fn at(out: &'a mut Vec<u8>, at: usize) -> Self {
+        debug_assert!(at <= out.len());
         Self { out, at }
     }
 
@@ -462,11 +482,6 @@ impl<'a> Cursor<'a> {
         }
         self.out[self.at] = value as u8;
         self.at += 1;
-    }
-
-    /// Cuts the buffer back to what was written.
-    fn finish(self) {
-        self.out.truncate(self.at);
     }
 }
 
@@ -604,18 +619,192 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Work units each journaled chunk spends on a pending checkpoint. A unit
+/// is one departure key counted by a radix pass (a scatter costs two, see
+/// `DepartureKeys::sort_some`); the other stages charge in the same
+/// currency ([`LOAD_COST`], [`EMIT_COST`], [`CRC_BYTES_PER_UNIT`]), so a
+/// unit is about the same time in every stage, 3–4 ns on a 2-vCPU Xeon.
+/// The file stage is not charged: it runs once the image is sealed with
+/// budget left. An image of 2^12 servers and their sessions — every test
+/// engine and every `durability` experiment size — takes about half a
+/// budget, so it completes inside the boundary call; 2^16 servers take
+/// about eight.
+const CHECKPOINT_BUDGET: usize = 3 << 15;
+/// Units per server of the load section.
+const LOAD_COST: usize = 1;
+/// Units per departure of the departure emit.
+const EMIT_COST: usize = 3;
+/// Payload bytes the CRC stage covers per unit.
+const CRC_BYTES_PER_UNIT: usize = 4;
+
+/// Where a staged checkpoint is: its stages run in this order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Stage {
+    /// No checkpoint is pending.
+    #[default]
+    Idle,
+    /// Sorting the gathered departure keys.
+    Sort,
+    /// Encoding the loads; servers before `at` are written.
+    Loads { at: usize },
+    /// Emitting the departures; entries before `at` are written.
+    Departures { at: usize },
+    /// Checksumming the payload; image bytes before `at` are covered.
+    Crc { at: usize },
+    /// The frame is sealed: the image waits for its files.
+    Sealed,
+}
+
+/// A checkpoint image built in stages from a snapshot taken at the
+/// boundary event, with the buffers every checkpoint reuses. The image
+/// is a pure function of the snapshot, so the engine runs on while it is
+/// built.
+#[derive(Debug, Default)]
+struct Staged {
+    stage: Stage,
+    /// The boundary event the snapshot was taken at.
+    event: u64,
+    counters: Counters,
+    retry: RetryStats,
+    peak_load: u32,
+    /// The loads, copied out of the backing at the boundary.
+    loads: Vec<u32>,
+    /// The live departures, gathered at the boundary.
+    keys: DepartureKeys,
+    /// Header, frame placeholder and payload; bytes past `written` are
+    /// scratch.
+    image: Vec<u8>,
+    written: usize,
+    /// The failure bitset, filled by the load section.
+    bits: Vec<u8>,
+    /// The last deadline the departure emit wrote.
+    prev_when: u64,
+    crc: Crc32,
+    /// The progress frames appended since the snapshot, in order: the
+    /// journal the compaction leaves behind it.
+    kept: Vec<u8>,
+}
+
+impl Staged {
+    /// The boundary event of the pending checkpoint, if one is pending.
+    fn pending(&self) -> Option<u64> {
+        (self.stage != Stage::Idle).then_some(self.event)
+    }
+
+    /// Takes the snapshot the image is built from: the counters, the
+    /// load backing and the live departures, copied into the retained
+    /// buffers.
+    fn snapshot<S: Space, L: LoadState, Q: DepartureQueue>(
+        &mut self,
+        engine: &ServeEngine<S, L, Q>,
+    ) {
+        debug_assert_eq!(self.stage, Stage::Idle, "a pending image was not finished");
+        let (counters, retry, peak_load, loads, departures) = engine.image_inputs();
+        self.event = counters.arrivals;
+        self.counters = *counters;
+        self.retry.clone_from(retry);
+        self.peak_load = peak_load;
+        loads.copy_into(&mut self.loads);
+        departures.gather(&mut self.keys);
+        self.written = 0;
+        self.kept.clear();
+        self.stage = Stage::Sort;
+    }
+
+    /// Spends up to `budget` units (taking what it spends off it) on the
+    /// encode stages; returns whether the image is sealed (never, with no
+    /// checkpoint pending). A stage's last
+    /// slice may overrun the budget by less than one item.
+    fn encode_some(&mut self, header: &[u8; Header::LEN], budget: &mut usize) -> bool {
+        let n = self.loads.len();
+        loop {
+            match self.stage {
+                Stage::Idle | Stage::Sealed => return self.stage == Stage::Sealed,
+                _ if *budget == 0 => return false,
+                Stage::Sort => {
+                    if self.keys.sort_some(budget) {
+                        self.stage = Stage::Loads { at: 0 };
+                    }
+                }
+                Stage::Loads { at } => {
+                    let mut w = Cursor::at(&mut self.image, self.written);
+                    if at == 0 {
+                        // The file header, the frame placeholder, the head.
+                        w.room(Header::LEN + frame::FRAME_OVERHEAD);
+                        w.bytes(header);
+                        w.bytes(&[0; frame::FRAME_OVERHEAD]);
+                        write_head(&mut w, &self.counters, &self.retry, self.peak_load, n);
+                        self.bits.clear();
+                        self.bits.resize((n + 7) / 8, 0);
+                    }
+                    let end = n.min(at.saturating_add(ceil_div(*budget, LOAD_COST)));
+                    write_loads(&mut w, &self.loads[..], at..end, &mut self.bits);
+                    *budget = budget.saturating_sub((end - at) * LOAD_COST);
+                    self.stage = if end < n {
+                        Stage::Loads { at: end }
+                    } else {
+                        write_bits(&mut w, &self.bits, self.keys.len());
+                        self.prev_when = 0;
+                        Stage::Departures { at: 0 }
+                    };
+                    self.written = w.at;
+                }
+                Stage::Departures { at } => {
+                    let entries = self.keys.len();
+                    let end = entries.min(at.saturating_add(ceil_div(*budget, EMIT_COST)));
+                    let mut w = Cursor::at(&mut self.image, self.written);
+                    let slice = self.keys.sorted_from(at).take(end - at);
+                    write_departures(&mut w, &mut self.prev_when, slice);
+                    self.written = w.at;
+                    *budget = budget.saturating_sub((end - at) * EMIT_COST);
+                    self.stage = if end < entries {
+                        Stage::Departures { at: end }
+                    } else {
+                        self.crc = Crc32::new();
+                        Stage::Crc {
+                            at: Header::LEN + frame::FRAME_OVERHEAD,
+                        }
+                    };
+                }
+                Stage::Crc { at } => {
+                    let end = self
+                        .written
+                        .min(at.saturating_add(budget.saturating_mul(CRC_BYTES_PER_UNIT)));
+                    self.crc.update(&self.image[at..end]);
+                    *budget = budget.saturating_sub(ceil_div(end - at, CRC_BYTES_PER_UNIT));
+                    self.stage = if end < self.written {
+                        Stage::Crc { at: end }
+                    } else {
+                        let crc = self.crc.finish();
+                        frame::seal_frame_with(&mut self.image[Header::LEN..self.written], crc);
+                        Stage::Sealed
+                    };
+                }
+            }
+        }
+    }
+
+    /// The sealed file: header, then the framed image.
+    fn sealed(&self) -> &[u8] {
+        debug_assert_eq!(self.stage, Stage::Sealed);
+        &self.image[..self.written]
+    }
+}
+
 /// A [`ServeEngine`] wrapped with the durability discipline: chunked
 /// runs append a progress frame per chunk to the journal handle it
-/// holds, and every [`checkpoint interval`](DurableEngine::create_with) events
-/// the full state is checkpointed (spare rewrite + rotation, see the
-/// [module docs](self)) and the journal compacted. Construction inputs
-/// are bound into both file headers.
+/// holds, and every [`checkpoint interval`](DurableEngine::create_with)
+/// events the state is snapshotted, encoded in stages over the next few
+/// chunks, and made durable (spare rewrite + rotation), after which the
+/// journal is compacted — see the [module docs](self). Construction
+/// inputs are bound into both file headers.
 #[derive(Debug)]
 pub struct DurableEngine<S: Space, L: LoadState = Vec<u32>, Q: DepartureQueue = DepartureWheel> {
     engine: ServeEngine<S, L, Q>,
     dir: PathBuf,
     every: u64,
-    /// `journal.bin`, open in append mode for the engine's whole life.
+    /// `journal.bin`, open for writing at the end of its frames for the
+    /// engine's whole life.
     journal: File,
     /// `checkpoint.bin`'s header, encoded once: its fingerprint renders
     /// the whole configuration.
@@ -624,8 +813,10 @@ pub struct DurableEngine<S: Space, L: LoadState = Vec<u32>, Q: DepartureQueue = 
     checkpoint_event: u64,
     /// Journal bytes appended since this handle opened (frames only).
     journal_bytes: u64,
-    /// Checkpoints written since this handle opened.
+    /// Checkpoints made durable since this handle opened.
     checkpoints: u64,
+    /// The checkpoint being built, if any, and its reused buffers.
+    staged: Staged,
 }
 
 impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
@@ -654,7 +845,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         let binds = binding_words(root, space.num_servers(), &config);
         let engine = ServeEngine::with_scheduler(space, config, root, loads);
         fs::write(dir.join(JOURNAL_FILE), encoded_header(JOURNAL_MAGIC, binds))?;
-        let durable = Self {
+        let mut durable = Self {
             engine,
             journal: open_journal(&dir)?,
             checkpoint_header: encoded_header(CHECKPOINT_MAGIC, binds),
@@ -663,10 +854,18 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
             checkpoint_event: 0,
             journal_bytes: 0,
             checkpoints: 0,
+            staged: Staged::default(),
         };
         // The seed image is the one write with no checkpoint to rotate
         // out: the spare becomes `checkpoint.bin` by a single rename.
+        durable.staged.snapshot(&durable.engine);
+        let mut unbounded = usize::MAX;
+        let sealed = durable
+            .staged
+            .encode_some(&durable.checkpoint_header, &mut unbounded);
+        debug_assert!(sealed);
         durable.write_spare()?;
+        durable.staged.stage = Stage::Idle;
         fs::rename(
             durable.dir.join(CHECKPOINT_TMP),
             durable.dir.join(CHECKPOINT_FILE),
@@ -675,9 +874,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     }
 
     /// Runs `events` arrival events under `plan`, journaled: the run is
-    /// chunked at checkpoint boundaries, each chunk appends one progress
-    /// frame, and each boundary writes a durable checkpoint and compacts
-    /// the journal. Byte-identical to
+    /// chunked at checkpoint boundaries and each chunk appends one
+    /// progress frame. At each boundary the state is snapshotted (a
+    /// checkpoint still pending from the previous boundary is finished
+    /// first), and the boundary's chunk and every later one spend one
+    /// fixed work budget on the image until it is durable; then the
+    /// journal is compacted. A small engine's image fits one budget and
+    /// is durable before the boundary's call returns. Byte-identical to
     /// [`ServeEngine::run_with_faults`] for the same inputs — the
     /// journal only observes the run.
     ///
@@ -687,10 +890,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     pub fn run_journaled(&mut self, events: u64, plan: &FaultPlan) -> Result<(), JournalError> {
         let end = self.engine.arrivals() + events;
         loop {
-            let boundary = self.checkpoint_event + self.every;
+            let last = self.staged.pending().unwrap_or(self.checkpoint_event);
+            let boundary = last + self.every;
             if self.engine.arrivals() >= boundary {
-                // Reached (or resumed past) the boundary: make it durable.
-                self.write_checkpoint()?;
+                // Reached (or resumed past) the boundary: snapshot it.
+                self.finish_checkpoint()?;
+                self.staged.snapshot(&self.engine);
+                self.stage_checkpoint(CHECKPOINT_BUDGET)?;
                 continue;
             }
             if self.engine.arrivals() >= end {
@@ -700,6 +906,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
             self.engine
                 .run_with_faults(chunk_end - self.engine.arrivals(), plan);
             self.append_progress()?;
+            self.stage_checkpoint(CHECKPOINT_BUDGET)?;
         }
     }
 
@@ -710,24 +917,38 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         framed[frame::FRAME_OVERHEAD] = RECORD_ADVANCE;
         framed[frame::FRAME_OVERHEAD + 1..].copy_from_slice(&self.engine.arrivals().to_le_bytes());
         frame::seal_frame(&mut framed);
-        // One write(2) on the held append-mode handle, no userspace
-        // buffer: the frame is the kernel's before this returns.
+        // One write(2) at the end of the journal, no userspace buffer:
+        // the frame is the kernel's before this returns.
         self.journal.write_all(&framed)?;
         self.journal_bytes += framed.len() as u64;
+        if self.staged.pending().is_some() {
+            self.staged.kept.extend_from_slice(&framed);
+        }
         Ok(())
     }
 
-    /// Writes the current state into the spare `checkpoint.tmp`, rewritten
+    /// Spends `budget` units on the pending checkpoint, if any; once its
+    /// image is sealed and budget is left, makes it durable.
+    fn stage_checkpoint(&mut self, mut budget: usize) -> Result<(), JournalError> {
+        let sealed = self
+            .staged
+            .encode_some(&self.checkpoint_header, &mut budget);
+        if sealed && budget > 0 {
+            self.complete_checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Runs the pending checkpoint, if any, to the end.
+    fn finish_checkpoint(&mut self) -> Result<(), JournalError> {
+        self.stage_checkpoint(usize::MAX)
+    }
+
+    /// Writes the sealed image into the spare `checkpoint.tmp`, rewritten
     /// in place: opened without truncation, written from offset 0, then
     /// cut to the image's length.
     fn write_spare(&self) -> Result<(), JournalError> {
-        // Header, frame placeholder and payload in one buffer: the image
-        // is encoded straight from the engine, then the frame sealed in
-        // place.
-        let mut bytes = self.checkpoint_header.to_vec();
-        bytes.resize(Header::LEN + frame::FRAME_OVERHEAD, 0);
-        self.engine.write_image(&mut bytes);
-        frame::seal_frame(&mut bytes[Header::LEN..]);
+        let bytes = self.staged.sealed();
         // Opened afresh each time, never held: a held handle would follow
         // its inode through the rotation's renames.
         let mut spare = fs::OpenOptions::new()
@@ -735,14 +956,15 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
             .create(true)
             .truncate(false)
             .open(self.dir.join(CHECKPOINT_TMP))?;
-        spare.write_all(&bytes)?;
+        spare.write_all(bytes)?;
         spare.set_len(bytes.len() as u64)?;
         Ok(())
     }
 
-    /// Writes the current state as a durable checkpoint (spare rewrite +
-    /// rotation), then compacts the journal back to its header.
-    fn write_checkpoint(&mut self) -> Result<(), JournalError> {
+    /// Makes the sealed image durable (spare rewrite + rotation), then
+    /// compacts the journal to the progress frames appended since its
+    /// snapshot.
+    fn complete_checkpoint(&mut self) -> Result<(), JournalError> {
         self.write_spare()?;
         // Rotate the spare in through the free name `checkpoint.old`: no
         // rename replaces an existing file, and the previous image
@@ -752,24 +974,33 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         fs::rename(&bin, &old)?;
         fs::rename(&tmp, &bin)?;
         fs::rename(&old, &tmp)?;
-        // The checkpoint subsumes every journal frame: compact through
-        // the held handle (append mode puts the next frame right after
-        // the header). A crash between the rotation and this truncation
-        // leaves frames at or before the checkpoint event, which
-        // recovery skips.
-        self.journal.set_len(Header::LEN as u64)?;
-        self.checkpoint_event = self.engine.arrivals();
+        // The checkpoint subsumes every frame up to its event: rewrite
+        // the later ones right after the header in one write(2), then cut
+        // the file there. Every frame has the same length, so a crash
+        // between the two leaves whole frames only, and the latest marker
+        // among them. A crash before the rewrite leaves frames at or
+        // before the checkpoint event, which recovery skips.
+        let kept = &self.staged.kept;
+        self.journal.seek(SeekFrom::Start(Header::LEN as u64))?;
+        self.journal.write_all(kept)?;
+        self.journal.set_len((Header::LEN + kept.len()) as u64)?;
+        self.checkpoint_event = self.staged.event;
         self.checkpoints += 1;
+        self.staged.stage = Stage::Idle;
         Ok(())
     }
 
-    /// Forces a checkpoint now, off the periodic boundary (e.g. at a
-    /// clean shutdown).
+    /// Forces a checkpoint of the current state now, off the periodic
+    /// boundary (e.g. at a clean shutdown): a checkpoint still pending
+    /// is finished first, then this one is written whole before the call
+    /// returns.
     ///
     /// # Errors
     /// As [`DurableEngine::run_journaled`].
     pub fn checkpoint_now(&mut self) -> Result<(), JournalError> {
-        self.write_checkpoint()
+        self.finish_checkpoint()?;
+        self.staged.snapshot(&self.engine);
+        self.finish_checkpoint()
     }
 
     /// The wrapped engine.
@@ -784,14 +1015,17 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         self.journal_bytes
     }
 
-    /// Checkpoints written through this handle (the creation-time seed
-    /// image excluded).
+    /// Checkpoints made durable through this handle (the creation-time
+    /// seed image excluded). A checkpoint counts once its rotation is
+    /// done, not when its snapshot is taken.
     #[must_use]
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints
     }
 
-    /// Event count of the last durable checkpoint.
+    /// Event count of the last durable checkpoint: the boundary its
+    /// snapshot was taken at, which trails the engine while a later
+    /// checkpoint is still being staged.
     #[must_use]
     pub fn checkpoint_event(&self) -> u64 {
         self.checkpoint_event
@@ -840,6 +1074,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> Resumed<S, L, Q> {
             checkpoint_event: self.checkpoint_event,
             journal_bytes: 0,
             checkpoints: 0,
+            staged: Staged::default(),
         })
     }
 }
@@ -1084,6 +1319,32 @@ mod tests {
         assert_eq!(engine.retry_by_attempt(), &[181, 94]);
         let image = encode_state(&engine.state());
         assert_eq!((image.len(), frame::crc32(&image)), (103, 0x5616_746E));
+    }
+
+    #[test]
+    fn staged_images_are_the_same_bytes_however_the_budget_slices_them() {
+        // Failed servers and live sessions; budgets from one unit per
+        // call (every stage, the CRC included, cut into many slices) to
+        // unbounded, all into the same reused buffers.
+        let header = encoded_header(CHECKPOINT_MAGIC, [1, 2]);
+        let mut staged = Staged::default();
+        let mut engine = ServeEngine::new(space(32, 3), config(), 500);
+        for events in [700, 100, 5] {
+            engine.run(events);
+            engine.fail_server(events as usize % 32);
+            let mut expected = header.to_vec();
+            append_frame(&mut expected, &encode_state(&engine.state()));
+            for budget in [1, 2, 3, 7, 64, usize::MAX] {
+                staged.snapshot(&engine);
+                let mut calls = 1;
+                while !staged.encode_some(&header, &mut budget.clone()) {
+                    calls += 1;
+                }
+                assert!(budget >= 64 || calls > 10, "budget {budget}: {calls} calls");
+                assert_eq!(staged.sealed(), &expected[..], "budget {budget}");
+                staged.stage = Stage::Idle;
+            }
+        }
     }
 
     #[test]

@@ -48,15 +48,19 @@
 //! schedules.
 //!
 //! **Durability.** The [`journal`] module puts checkpoints on disk: a
-//! [`journal::DurableEngine`] periodically writes the versioned
-//! [`engine::EngineState`] codec into a reused spare file and rotates it
-//! in by renames that never replace a file,
-//! appends CRC-guarded progress frames to a write-ahead journal between
-//! checkpoints, and [`journal::Recovery::resume`] rebuilds an engine
-//! after a crash — torn tails truncated, real corruption rejected
-//! loudly, and the replayed state *byte-equal* to the uninterrupted run
-//! (the `tests/crash_recovery.rs` suite injects arbitrary crash points
-//! to pin exactly that).
+//! [`journal::DurableEngine`] appends CRC-guarded progress frames to a
+//! write-ahead journal and periodically snapshots the engine, then
+//! builds the versioned [`engine::EngineState`] codec from the snapshot
+//! in stages — one fixed work budget per journaled chunk, so a large
+//! engine's checkpoint is spread over a few chunks instead of stalling
+//! one, and a small engine's completes at once — writes it into a
+//! reused spare file, rotates it in by renames that never replace a
+//! file, and compacts the journal to the frames after it.
+//! [`journal::Recovery::resume`] rebuilds an engine after a crash — torn
+//! tails truncated, real corruption rejected loudly, and the replayed
+//! state *byte-equal* to the uninterrupted run (the
+//! `tests/crash_recovery.rs` suite injects arbitrary crash points, a
+//! pending staged checkpoint's included, to pin exactly that).
 //!
 //! ```
 //! use geo2c_core::{space::RingSpace, strategy::Strategy};

@@ -32,19 +32,25 @@
 //! epoch compare per drained entry instead of threading every node onto
 //! a per-server purge list.
 //!
-//! The checkpoint image, [`DepartureQueue::for_each_sorted`], sorts
-//! packed `u64` keys `(deadline − now) << server_bits | server`, gathered
-//! in one sequential pass over the arena. Every filed deadline is at
-//! least the clock, so the key orders like `(deadline, server)`. An LSD
-//! radix sort cuts the offset bits into balanced digits of at most 11
-//! bits over exactly the bits they use — two passes for lifetimes that
-//! average 2^16 events — each a sequential sweep over the keys with no
-//! node reads. One arrival per event keeps shared deadlines rare and
-//! short, so a final compare sweep puts each shared deadline's servers
-//! in order. An offset too wide to sit beside the server bits (only a
-//! deadline saturated near the end of the clock) goes to a side list,
-//! sorted by comparison and emitted last, since it orders after every
-//! packed key.
+//! The checkpoint image is sorted in two halves. The gather,
+//! [`DepartureQueue::gather`], packs each live entry into a `u64` key
+//! `(deadline − base) << server_bits | server` of a [`DepartureKeys`];
+//! the wheel fills it in one sequential pass over its arena, with its
+//! clock as the base. Every filed deadline is at least the clock, so the
+//! key orders like `(deadline, server)`. The sort, `DepartureKeys::sort`,
+//! is an LSD radix sort that cuts the offset bits into balanced digits
+//! of at most 11 bits over exactly the bits they use — two passes for
+//! lifetimes that average 2^16 events — each a sequential sweep over the
+//! keys with no node reads. One arrival per event keeps shared deadlines
+//! rare and short, so a final compare sweep puts each shared deadline's
+//! servers in order. An offset too wide to sit beside the server bits
+//! (only a deadline saturated near the end of the clock) goes to a side
+//! list, sorted by comparison and visited last, since it orders after
+//! every packed key. The sort is resumable: `DepartureKeys::sort_some`
+//! does a bounded share of the sweeps per call, so a checkpoint writer
+//! can spread it over several calls. [`DepartureQueue::for_each_sorted`]
+//! and [`DepartureQueue::entries`] are the gather and the whole sort in
+//! one call.
 //!
 //! Nodes live in a slab arena with an internal free list, so steady
 //! state schedule/drain churn allocates nothing. Same-deadline drain
@@ -95,10 +101,23 @@ pub trait DepartureQueue {
         self.len() == 0
     }
 
+    /// Packs every outstanding entry into `keys` (cleared first, its
+    /// buffers reused): the gather half of the sorted image, taken at a
+    /// checkpoint boundary.
+    fn gather(&self, keys: &mut DepartureKeys);
+
     /// Calls `f(deadline, server)` for every outstanding entry in
     /// ascending `(deadline, server)` order — the checkpoint image,
-    /// identical across implementations.
-    fn for_each_sorted(&self, f: impl FnMut(u64, u32));
+    /// identical across implementations: [`DepartureQueue::gather`],
+    /// then `DepartureKeys::sort`.
+    fn for_each_sorted(&self, mut f: impl FnMut(u64, u32)) {
+        let mut keys = DepartureKeys::default();
+        self.gather(&mut keys);
+        keys.sort();
+        for (when, server) in keys.sorted_from(0) {
+            f(when, server);
+        }
+    }
 
     /// Every outstanding `(deadline, server)` pair, sorted: the
     /// [`DepartureQueue::for_each_sorted`] image, collected.
@@ -323,108 +342,247 @@ impl DepartureQueue for DepartureWheel {
         self.live
     }
 
-    fn for_each_sorted(&self, mut f: impl FnMut(u64, u32)) {
-        let now = self.now;
-        let server_bits = bit_len(self.meta.len().saturating_sub(1) as u64);
-        let max_offset = u64::MAX >> server_bits;
-        // One sequential arena pass packs each live entry into a key that
-        // orders like (deadline, server): the offset from the clock is
-        // never negative, so it orders like the deadline.
-        let mut keys = Vec::with_capacity(self.live);
-        let mut far = Vec::new();
-        let mut span = 0;
+    fn gather(&self, keys: &mut DepartureKeys) {
+        // One sequential arena pass; the clock is at most every filed
+        // deadline, so it is the base the offsets count from.
+        keys.begin(self.now, self.meta.len(), self.live);
         for node in &self.nodes {
             if node.server == NONE || node.epoch != self.meta[node.server as usize].epoch {
                 continue;
             }
-            let offset = node.deadline - now;
-            if offset <= max_offset {
-                let key = offset << server_bits | u64::from(node.server);
-                keys.push(key);
-                span |= key;
-            } else {
-                far.push((node.deadline, node.server));
-            }
-        }
-        // Radix passes cover only the offset bits; the server bits ride
-        // along below them and order each shared offset afterwards.
-        let mut scratch = vec![0u64; keys.len()];
-        for (shift, width) in radix_digits(bit_len(span >> server_bits)) {
-            radix_pass(&mut keys, &mut scratch, server_bits + shift, width);
-        }
-        drop(scratch);
-        sort_shared_offsets(&mut keys, server_bits);
-        let server_mask = (1u64 << server_bits) - 1;
-        for key in keys {
-            f(now + (key >> server_bits), (key & server_mask) as u32);
-        }
-        // A far offset exceeds every packed one.
-        far.sort_unstable();
-        for (when, server) in far {
-            f(when, server);
+            keys.push(node.deadline, node.server);
         }
     }
 }
 
-/// Widest digit of the [`DepartureWheel`] image's radix sort: 2^11
-/// bucket counters stay cache-resident.
+/// The live entries of a [`DepartureQueue`] packed as sort keys, and the
+/// sort that puts them in `(deadline, server)` order: filled by
+/// [`DepartureQueue::gather`], sorted whole by `DepartureKeys::sort` or
+/// a bounded share at a time by `DepartureKeys::sort_some`, then read
+/// by `DepartureKeys::sorted_from`. Its buffers are kept across
+/// gathers, so a writer that gathers at every checkpoint allocates only
+/// while the queue grows.
+#[derive(Debug, Default)]
+pub struct DepartureKeys {
+    /// The clock the packed offsets count from: at most every deadline.
+    base: u64,
+    /// Bits the server number takes at the bottom of a key.
+    server_bits: u32,
+    /// `(deadline − base) << server_bits | server`, one per entry.
+    keys: Vec<u64>,
+    /// Entries whose offset is too wide to pack beside the server bits.
+    far: Vec<(u64, u32)>,
+    /// OR of every key: the offset bits the radix passes must cover.
+    span: u64,
+    /// The radix passes' second buffer.
+    scratch: Vec<u64>,
+    /// Digit counts, then bucket starts, of the radix pass in progress.
+    starts: Vec<usize>,
+    /// How far the sort has come.
+    step: SortStep,
+}
+
+/// The sort's progress through its sweeps over the keys.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum SortStep {
+    /// Counting radix pass `pass`'s digits; keys before `at` are counted.
+    Count { pass: u32, at: usize },
+    /// Scattering by pass `pass`'s digit; keys before `at` are moved.
+    Scatter { pass: u32, at: usize },
+    /// Ordering the servers of shared offsets; keys before `at` are in
+    /// their final order.
+    Shared { at: usize },
+    /// Sorted (or never gathered).
+    #[default]
+    Done,
+}
+
+impl DepartureKeys {
+    /// Clears the keys for a gather of about `entries` entries on
+    /// `num_servers` servers whose deadlines are all at least `base`.
+    pub fn begin(&mut self, base: u64, num_servers: usize, entries: usize) {
+        self.base = base;
+        self.server_bits = bit_len(num_servers.saturating_sub(1) as u64);
+        self.keys.clear();
+        self.keys.reserve(entries);
+        self.far.clear();
+        self.span = 0;
+        self.step = SortStep::Count { pass: 0, at: 0 };
+    }
+
+    /// Adds the entry `(deadline, server)`.
+    ///
+    /// # Panics
+    /// May panic (in debug builds) if `deadline` is below the base.
+    #[inline]
+    pub fn push(&mut self, deadline: u64, server: u32) {
+        let offset = deadline - self.base;
+        if offset <= u64::MAX >> self.server_bits {
+            let key = offset << self.server_bits | u64::from(server);
+            self.keys.push(key);
+            self.span |= key;
+        } else {
+            self.far.push((deadline, server));
+        }
+    }
+
+    /// Entries gathered.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len() + self.far.len()
+    }
+
+    /// Sorts the gathered entries (what remains of the sort, if
+    /// `DepartureKeys::sort_some` began it).
+    pub(crate) fn sort(&mut self) {
+        let mut unbounded = usize::MAX;
+        let done = self.sort_some(&mut unbounded);
+        debug_assert!(done);
+    }
+
+    /// Advances the sort by about `budget` work units and takes the
+    /// units spent off `budget`; returns whether the sort is complete. A
+    /// radix pass counts every key's digit (one unit a key), then
+    /// scatters every key ([`SCATTER_COST`] units a key); the
+    /// shared-offset sweep takes one unit a key. A run of keys sharing an
+    /// offset is sorted whole, so a call may overrun its budget by the
+    /// run's length.
+    pub(crate) fn sort_some(&mut self, budget: &mut usize) -> bool {
+        let len = self.keys.len();
+        let (passes, width) = radix_plan(bit_len(self.span >> self.server_bits));
+        loop {
+            match self.step {
+                SortStep::Done => return true,
+                _ if *budget == 0 => return false,
+                SortStep::Count { pass, .. } if pass == passes => {
+                    self.step = SortStep::Shared { at: 1 };
+                }
+                SortStep::Count { pass, at } => {
+                    let (shift, mask) = (self.server_bits + pass * width, (1u64 << width) - 1);
+                    let digit = |key: u64| ((key >> shift) & mask) as usize;
+                    if at == 0 {
+                        self.starts.clear();
+                        self.starts.resize(1 << width, 0);
+                    }
+                    let end = len.min(at.saturating_add(*budget));
+                    for &key in &self.keys[at..end] {
+                        self.starts[digit(key)] += 1;
+                    }
+                    *budget -= end - at;
+                    self.step = if end < len {
+                        SortStep::Count { pass, at: end }
+                    } else if len == 0 || self.starts[digit(self.keys[0])] == len {
+                        // A digit every key shares would move nothing.
+                        SortStep::Count {
+                            pass: pass + 1,
+                            at: 0,
+                        }
+                    } else {
+                        let mut next = 0;
+                        for start in &mut self.starts {
+                            let count = *start;
+                            *start = next;
+                            next += count;
+                        }
+                        self.scratch.resize(len, 0);
+                        SortStep::Scatter { pass, at: 0 }
+                    };
+                }
+                SortStep::Scatter { pass, at } => {
+                    let (shift, mask) = (self.server_bits + pass * width, (1u64 << width) - 1);
+                    let end = len.min(at.saturating_add(ceil_div(*budget, SCATTER_COST)));
+                    for &key in &self.keys[at..end] {
+                        let d = ((key >> shift) & mask) as usize;
+                        self.scratch[self.starts[d]] = key;
+                        self.starts[d] += 1;
+                    }
+                    *budget = budget.saturating_sub((end - at) * SCATTER_COST);
+                    self.step = if end < len {
+                        SortStep::Scatter { pass, at: end }
+                    } else {
+                        std::mem::swap(&mut self.keys, &mut self.scratch);
+                        SortStep::Count {
+                            pass: pass + 1,
+                            at: 0,
+                        }
+                    };
+                }
+                SortStep::Shared { at } => {
+                    let limit = at.saturating_add(*budget);
+                    let end = sort_shared_offsets(&mut self.keys, self.server_bits, at, limit);
+                    *budget -= (end - at).min(*budget);
+                    self.step = if end < len {
+                        SortStep::Shared { at: end }
+                    } else {
+                        // A far offset exceeds every packed one.
+                        self.far.sort_unstable();
+                        SortStep::Done
+                    };
+                }
+            }
+        }
+    }
+
+    /// The sorted entries from position `at` on, in ascending
+    /// `(deadline, server)` order.
+    ///
+    /// # Panics
+    /// In debug builds, if the sort is not complete.
+    pub(crate) fn sorted_from(&self, at: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
+        debug_assert_eq!(self.step, SortStep::Done, "departure keys not sorted");
+        let (base, bits) = (self.base, self.server_bits);
+        let mask = (1u64 << bits) - 1;
+        let packed = self.keys.len();
+        self.keys[at.min(packed)..]
+            .iter()
+            .map(move |&key| (base + (key >> bits), (key & mask) as u32))
+            .chain(
+                self.far[at.saturating_sub(packed).min(self.far.len())..]
+                    .iter()
+                    .copied(),
+            )
+    }
+}
+
+/// Widest digit of the [`DepartureKeys`] radix sort: 2^11 bucket
+/// counters stay cache-resident.
 const RADIX_BITS: u32 = 11;
+
+/// Work units `DepartureKeys::sort_some` charges per key scattered: a
+/// scatter writes each key to one of up to 2^11 places, about twice the
+/// time of counting its digit (measured on a 2-vCPU Xeon at 2^16 keys).
+const SCATTER_COST: usize = 2;
+
+/// `⌈a / b⌉` without overflow (`div_ceil` is newer than the MSRV).
+pub(crate) fn ceil_div(a: usize, b: usize) -> usize {
+    a / b + usize::from(a % b != 0)
+}
 
 /// Bits needed to write `x` (0 for 0).
 fn bit_len(x: u64) -> u32 {
     u64::BITS - x.leading_zeros()
 }
 
-/// `(shift, width)` of the fewest balanced digits of at most
-/// [`RADIX_BITS`] covering a `bits`-bit field, least significant first.
-fn radix_digits(bits: u32) -> impl Iterator<Item = (u32, u32)> {
+/// `(passes, width)`: the fewest balanced digits of at most
+/// [`RADIX_BITS`] covering a `bits`-bit field; pass `p` sorts by bits
+/// `p·width ..` of it, least significant first.
+fn radix_plan(bits: u32) -> (u32, u32) {
     // (a + b - 1) / b: `div_ceil` is newer than the MSRV.
     let passes = (bits + RADIX_BITS - 1) / RADIX_BITS;
     let divisor = passes.max(1);
-    let width = (bits + divisor - 1) / divisor;
-    (0..passes).map(move |pass| (pass * width, width))
-}
-
-/// One stable counting-sort pass of the keys `src` by the digit
-/// `(key >> shift) & (2^width − 1)` into `dst`, after which the buffers
-/// swap so `src` holds the result. A digit every key shares would move
-/// nothing and is skipped.
-fn radix_pass(src: &mut Vec<u64>, dst: &mut Vec<u64>, shift: u32, width: u32) {
-    let Some(&first) = src.first() else {
-        return;
-    };
-    let mask = (1u64 << width) - 1;
-    let digit = |key: u64| ((key >> shift) & mask) as usize;
-    let mut starts = [0usize; 1 << RADIX_BITS];
-    for &key in src.iter() {
-        starts[digit(key)] += 1;
-    }
-    if starts[digit(first)] == src.len() {
-        return;
-    }
-    let mut next = 0;
-    for start in &mut starts[..1 << width] {
-        let count = *start;
-        *start = next;
-        next += count;
-    }
-    for &key in src.iter() {
-        let d = digit(key);
-        dst[starts[d]] = key;
-        starts[d] += 1;
-    }
-    std::mem::swap(src, dst);
+    (passes, (bits + divisor - 1) / divisor)
 }
 
 /// Finishes a sort of `keys` that so far orders only their offsets (the
 /// bits above `server_bits`): each run of keys sharing an offset is put
-/// in server order. Only a run holding an out-of-order pair is touched,
-/// and each such run is sorted once, so a wheel of distinct deadlines
-/// costs one compare per key and a run of any length stays
-/// `O(r log r)`.
-fn sort_shared_offsets(keys: &mut [u64], server_bits: u32) {
-    let mut i = 1;
-    while i < keys.len() {
+/// in server order, sweeping on from `i` (keys before it are final)
+/// until at least `limit`. Returns where the sweep stopped — `keys.len()`
+/// or more once it is through. Only a run holding an out-of-order pair
+/// is touched, and each such run is sorted once, so a sweep over
+/// distinct deadlines costs one compare per key and a run of any length
+/// stays `O(r log r)`.
+fn sort_shared_offsets(keys: &mut [u64], server_bits: u32, mut i: usize, limit: usize) -> usize {
+    let limit = limit.min(keys.len());
+    while i < limit {
         if keys[i] >= keys[i - 1] {
             i += 1;
             continue;
@@ -442,6 +600,7 @@ fn sort_shared_offsets(keys: &mut [u64], server_bits: u32) {
         keys[start..end].sort_unstable();
         i = end;
     }
+    i
 }
 
 /// The binary-heap scheduler the wheel replaced, kept as the proptest
@@ -487,6 +646,23 @@ impl DepartureQueue for HeapQueue {
         self.heap.len()
     }
 
+    fn gather(&self, keys: &mut DepartureKeys) {
+        // The earliest deadline is a base no entry precedes.
+        let base = self.heap.peek().map_or(0, |&Reverse((when, _))| when);
+        let servers = self
+            .heap
+            .iter()
+            .map(|&Reverse((_, server))| server as usize + 1)
+            .max()
+            .unwrap_or(0);
+        keys.begin(base, servers, self.heap.len());
+        for &Reverse((when, server)) in self.heap.iter() {
+            keys.push(when, server);
+        }
+    }
+
+    /// A plain comparison sort of the heap's pairs, kept independent of
+    /// [`DepartureKeys`] so the oracle checks the wheel's sort too.
     fn for_each_sorted(&self, mut f: impl FnMut(u64, u32)) {
         let mut out: Vec<(u64, u32)> = self.heap.iter().map(|&Reverse(pair)| pair).collect();
         out.sort_unstable();
@@ -715,6 +891,50 @@ mod tests {
             wheel.schedule(when, server);
         }
         assert_entries_match_a_plain_sort(&wheel, expected);
+    }
+
+    #[test]
+    fn sorting_in_slices_matches_a_plain_sort() {
+        // Shared deadlines, a 40-bit spread (four radix passes) and far
+        // entries, sorted a few units at a time into reused keys.
+        let n = 500;
+        let origin = 1_000;
+        let mut wheel = DepartureWheel::with_origin(n, origin);
+        let mut expected = Vec::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..4000u64 {
+            x = x
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x1405_7B7E_F767_814F);
+            let when = match i % 4 {
+                0 => origin + (x >> 60),
+                1 => origin + (x >> 24),
+                2 => u64::MAX - (x >> 54),
+                _ => origin + (x >> 50),
+            };
+            let server = (x >> 32) as u32 % n as u32;
+            wheel.schedule(when, server);
+            expected.push((when, server));
+        }
+        expected.sort_unstable();
+        let mut keys = DepartureKeys::default();
+        for budget in [1, 5, 999, 4000, usize::MAX] {
+            wheel.gather(&mut keys);
+            assert_eq!(keys.len(), expected.len());
+            let mut calls = 1;
+            while !keys.sort_some(&mut budget.clone()) {
+                calls += 1;
+            }
+            assert!(
+                budget >= 4000 || calls > 1,
+                "budget {budget} sorted in one call"
+            );
+            let sorted: Vec<_> = keys.sorted_from(0).collect();
+            assert_eq!(sorted, expected, "budget {budget}");
+            for at in [1, 2999, 3001, 3999, 4000] {
+                assert!(keys.sorted_from(at).eq(expected[at..].iter().copied()));
+            }
+        }
     }
 
     #[test]

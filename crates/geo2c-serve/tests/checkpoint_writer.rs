@@ -16,7 +16,13 @@
 //!   again before and after further events;
 //! * lifetimes that reach the end of the clock: `Fixed(u64::MAX)` and
 //!   huge exponential means, whose deadlines are too far ahead to pack
-//!   beside the server bits and take the wheel's far-entry path.
+//!   beside the server bits and take the wheel's far-entry path;
+//! * staged checkpoints: an engine whose image spans several journaled
+//!   chunks, with arrivals, drains, crashes and capacity sheds running
+//!   while it is pending. The finished file is the image of the state at
+//!   its boundary; `checkpoint_now` mid-job finishes the job, then writes
+//!   its own image; a boundary reached mid-job finishes the old image
+//!   first.
 
 use geo2c_core::load::{LoadState, PackedLoads};
 use geo2c_core::space::{RingSpace, Space as _};
@@ -25,10 +31,10 @@ use geo2c_serve::engine::{EngineState, ServeConfig, SessionLife, FAILED_LOAD};
 use geo2c_serve::fault::{FaultAction, FaultPlan};
 use geo2c_serve::journal::{
     encode_state, fingerprint, DurableEngine, Recovery, Resumed, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
-    FORMAT_VERSION,
+    CHECKPOINT_TMP, FORMAT_VERSION, JOURNAL_FILE,
 };
 use geo2c_serve::wheel::{DepartureQueue, DepartureWheel, HeapQueue};
-use geo2c_util::frame::{append_frame, Header};
+use geo2c_util::frame::{append_frame, scan_frames, Header};
 use geo2c_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use rand::RngCore;
@@ -256,4 +262,261 @@ proptest! {
         prop_assert!(same(case.run::<_, DepartureWheel>(|| PackedLoads::nibble(n), "nibble-wheel")));
         prop_assert!(same(case.run::<_, DepartureWheel>(|| PackedLoads::byte(n), "byte-wheel")));
     }
+}
+
+/// The boundary of the staged scenario: the first checkpoint's event.
+const STAGED_AT: u64 = 24_576;
+
+/// A scenario whose checkpoint image spans several journaled chunks: 256
+/// servers filled to a capacity bound of 90 by sessions that last about
+/// 2^20 events, so about 19k departures are pending at [`STAGED_AT`] and
+/// arrivals shed from then on. Servers crash and recover every 90 events
+/// after it, so purges run while an image is staged.
+fn staged_case(every: u64) -> Case {
+    let n = 256;
+    let mut rng = Xoshiro256pp::from_u64(0x57A6_ED00);
+    let space = RingSpace::random(n, &mut rng);
+    let root = rng.next_u64();
+    let plan = FaultPlan::new(
+        (0..12u64)
+            .map(|k| {
+                let at = STAGED_AT + 10 + 90 * k;
+                let server = (k / 2 * 37) as usize % n;
+                let action = if k % 2 == 0 {
+                    FaultAction::Crash(server)
+                } else {
+                    FaultAction::Recover(server)
+                };
+                (at, action)
+            })
+            .collect(),
+    );
+    Case {
+        space,
+        config: ServeConfig {
+            strategy: Strategy::two_choice(),
+            capacity: Some(90),
+            life: SessionLife::Exponential {
+                mean: f64::from(1 << 20),
+            },
+            retries: 1,
+        },
+        root,
+        plan,
+        every,
+        p: STAGED_AT,
+        q: 0,
+    }
+}
+
+impl Case {
+    /// `header ‖ frame(encode_state(state))`: the checkpoint file of
+    /// `state`.
+    fn image_file(&self, state: &EngineState) -> Vec<u8> {
+        let binds = [
+            self.root,
+            fingerprint(self.space.num_servers(), &self.config),
+        ];
+        let mut file = Header {
+            magic: CHECKPOINT_MAGIC,
+            version: FORMAT_VERSION,
+            binds,
+        }
+        .encode()
+        .to_vec();
+        append_frame(&mut file, &encode_state(state));
+        file
+    }
+
+    /// A durable engine for the scenario in a fresh directory.
+    fn create<L: LoadState, Q: DepartureQueue>(
+        &self,
+        dir: &Path,
+        loads: L,
+    ) -> DurableEngine<RingSpace, L, Q> {
+        DurableEngine::create_with(
+            dir,
+            self.space.clone(),
+            self.config,
+            self.root,
+            self.every,
+            loads,
+        )
+        .unwrap()
+    }
+}
+
+/// The progress markers `journal.bin` holds, in file order.
+fn journal_markers(dir: &Path) -> Vec<u64> {
+    let bytes = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    scan_frames(&bytes[Header::LEN..])
+        .unwrap()
+        .payloads
+        .iter()
+        .map(|payload| u64::from_le_bytes(payload[1..9].try_into().unwrap()))
+        .collect()
+}
+
+/// Runs 64-event chunks until the engine's durable checkpoint count
+/// reaches `count`, returning how many chunks it took.
+fn chunks_until<L: LoadState, Q: DepartureQueue>(
+    durable: &mut DurableEngine<RingSpace, L, Q>,
+    plan: &FaultPlan,
+    count: u64,
+) -> u64 {
+    let mut chunks = 0;
+    while durable.checkpoints() < count {
+        durable.run_journaled(64, plan).unwrap();
+        chunks += 1;
+        assert!(
+            chunks < 16,
+            "a staged checkpoint must finish within 16 chunks"
+        );
+    }
+    chunks
+}
+
+/// The staged checkpoint's file is the image of the state at its
+/// boundary, though arrivals, drains, crashes and capacity sheds ran on
+/// while it was built; the compaction keeps exactly the frames after the
+/// boundary, and the directory resumes to the live engine.
+fn assert_staged_image_is_the_boundary_state<L: LoadState, Q: DepartureQueue>(
+    fresh: impl Fn() -> L,
+    what: &str,
+) {
+    let case = staged_case(STAGED_AT);
+    let dir = temp_dir(what);
+    let mut durable: DurableEngine<RingSpace, L, Q> = case.create(&dir, fresh());
+    durable.run_journaled(STAGED_AT, &case.plan).unwrap();
+    let at_boundary = durable.engine().state();
+    assert!(
+        at_boundary.departures.len() > 15_000,
+        "{what}: too few departures to stage"
+    );
+    assert_eq!(
+        (durable.checkpoints(), durable.checkpoint_event()),
+        (0, 0),
+        "{what}: the boundary's image must be staged, not written whole"
+    );
+    let (shed, evicted, departed) = {
+        let e = durable.engine();
+        (e.shed_capacity(), e.evicted(), e.departed())
+    };
+    let chunks = chunks_until(&mut durable, &case.plan, 1);
+    assert!(chunks >= 2, "{what}: image finished after {chunks} chunk");
+    assert_eq!(durable.checkpoint_event(), STAGED_AT, "{what}");
+    let e = durable.engine();
+    assert!(
+        e.shed_capacity() > shed && e.evicted() > evicted && e.departed() > departed,
+        "{what}: sheds, crashes and departures must run while the image is pending"
+    );
+    assert!(
+        fs::read(dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&at_boundary),
+        "{what}: checkpoint.bin is not the image of the boundary state"
+    );
+    let after: Vec<u64> = (1..=chunks).map(|k| STAGED_AT + 64 * k).collect();
+    assert_eq!(journal_markers(&dir), after, "{what}: compaction");
+    let live = durable.engine().state();
+    drop(durable);
+    let resumed: Resumed<RingSpace, L, Q> = Recovery::resume(
+        &dir,
+        case.space.clone(),
+        case.config,
+        case.root,
+        &case.plan,
+        fresh(),
+    )
+    .unwrap();
+    assert_eq!(
+        (resumed.checkpoint_event, resumed.replayed),
+        (STAGED_AT, 64 * chunks),
+        "{what}"
+    );
+    assert_eq!(resumed.engine.state(), live, "{what}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn staged_checkpoints_write_the_image_of_their_boundary() {
+    assert_staged_image_is_the_boundary_state::<_, DepartureWheel>(
+        || PackedLoads::nibble(256),
+        "staged-nibble-wheel",
+    );
+    assert_staged_image_is_the_boundary_state::<_, HeapQueue>(
+        || vec![0u32; 256],
+        "staged-flat-heap",
+    );
+}
+
+/// `checkpoint_now` while an image is pending finishes that image, then
+/// writes its own whole: the pending image becomes the spare.
+#[test]
+fn checkpoint_now_mid_job_finishes_the_job_then_writes_its_own() {
+    let case = staged_case(STAGED_AT);
+    let dir = temp_dir("now-mid-job");
+    let mut durable: DurableEngine<RingSpace, PackedLoads, DepartureWheel> =
+        case.create(&dir, PackedLoads::nibble(256));
+    durable.run_journaled(STAGED_AT, &case.plan).unwrap();
+    let at_boundary = durable.engine().state();
+    durable.run_journaled(64, &case.plan).unwrap();
+    assert_eq!(durable.checkpoints(), 0, "still pending");
+    let now = durable.engine().state();
+    durable.checkpoint_now().unwrap();
+    assert_eq!(
+        (durable.checkpoints(), durable.checkpoint_event()),
+        (2, STAGED_AT + 64)
+    );
+    assert!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&now));
+    assert!(
+        fs::read(dir.join(CHECKPOINT_TMP)).unwrap() == case.image_file(&at_boundary),
+        "the finished job's image is the spare"
+    );
+    assert_eq!(journal_markers(&dir), Vec::<u64>::new());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// With a checkpoint interval shorter than an image takes to stage, each
+/// boundary finds the previous image pending and finishes it before it
+/// takes its own snapshot. The engine here is a resumed one: its first
+/// boundary is already behind it, so its first call snapshots at once.
+/// The image needs at least three budgets (the staged test above), and
+/// the next boundary comes after two: the boundary's and one chunk's.
+#[test]
+fn a_boundary_reached_mid_job_finishes_the_old_image_first() {
+    let case = staged_case(STAGED_AT);
+    let dir = temp_dir("boundary-mid-job");
+    let mut durable: DurableEngine<RingSpace, Vec<u32>, DepartureWheel> =
+        case.create(&dir, vec![0; 256]);
+    durable.run_journaled(STAGED_AT, &case.plan).unwrap();
+    chunks_until(&mut durable, &case.plan, 1);
+    drop(durable);
+    let resumed: Resumed<RingSpace, Vec<u32>, DepartureWheel> = Recovery::resume(
+        &dir,
+        case.space.clone(),
+        case.config,
+        case.root,
+        &case.plan,
+        vec![0; 256],
+    )
+    .unwrap();
+    let mut durable = resumed.into_durable(64).unwrap();
+    let first = durable.engine().arrivals();
+    let at_first = durable.engine().state();
+    // Snapshot at `first`, one chunk, then the boundary at `first + 64`
+    // finishes the first image before it snapshots again.
+    durable.run_journaled(64, &case.plan).unwrap();
+    assert_eq!(
+        (durable.checkpoints(), durable.checkpoint_event()),
+        (1, first)
+    );
+    assert!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&at_first));
+    assert_eq!(journal_markers(&dir), vec![first + 64]);
+    let at_second = durable.engine().state();
+    durable.run_journaled(64, &case.plan).unwrap();
+    assert_eq!(
+        (durable.checkpoints(), durable.checkpoint_event()),
+        (2, first + 64)
+    );
+    assert!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&at_second));
+    fs::remove_dir_all(&dir).ok();
 }

@@ -26,6 +26,11 @@
 //!    frames* — or any damage to the checkpoint, which only ever takes
 //!    its name once complete — returns [`JournalError::Corrupt`] instead
 //!    of silently truncating.
+//! 5. **Staged-checkpoint crashes.** An engine whose image spans several
+//!    chunks dies while the image is pending, after its rotation but
+//!    before the journal compaction, or between the compaction's rewrite
+//!    and its `set_len`. Each resumes byte-equal, replaying at most the
+//!    checkpoint interval plus the chunks an image can span.
 
 use geo2c_core::load::PackedLoads;
 use geo2c_core::space::{RingSpace, Space as _};
@@ -37,7 +42,7 @@ use geo2c_serve::journal::{
     CHECKPOINT_TMP, JOURNAL_FILE,
 };
 use geo2c_serve::wheel::{DepartureWheel, HeapQueue};
-use geo2c_util::frame::Header;
+use geo2c_util::frame::{append_frame, scan_frames, Header, Tail};
 use geo2c_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -750,4 +755,139 @@ fn continued_journal_appends_at_the_repaired_tail() {
     );
     assert_eq!(again.engine.state(), reference.state());
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Where a staged checkpoint can die: while its image is pending, after
+/// its rotation but before the journal compaction, or after the
+/// compaction's rewrite but before its `set_len`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StagedWindow {
+    /// The second image is still being built; nothing of it is on disk.
+    Pending,
+    /// The second image is `checkpoint.bin`; the journal still holds
+    /// every frame since the first one.
+    AfterRotation,
+    /// The frames after the second image are rewritten after the header,
+    /// and the rest of the old journal still follows them.
+    MidCompaction,
+}
+
+/// Forges the on-disk residue of a process death at `window` of a staged
+/// checkpoint, resumes, and checks the resumed engine against the
+/// uninterrupted run on every backing and scheduler.
+fn assert_staged_crash_recovers(window: StagedWindow) {
+    // 256 servers filled to a capacity bound of 90 by sessions that last
+    // about 2^20 events: about 19k pending departures by the second
+    // boundary, an image that spans several 64-event chunks.
+    let mut rng = Xoshiro256pp::from_u64(107);
+    let n = 256;
+    let space = RingSpace::random(n, &mut rng);
+    let config = ServeConfig {
+        strategy: Strategy::two_choice(),
+        capacity: Some(90),
+        life: SessionLife::Exponential {
+            mean: f64::from(1 << 20),
+        },
+        retries: 1,
+    };
+    let root = rng.next_u64();
+    let every = 12_288;
+    let plan = FaultPlan::random_churn(root ^ 0xD0, n, 3 * every, 24, 2_000);
+    let dir = temp_dir("staged");
+    let journal = dir.join(JOURNAL_FILE);
+
+    // One call runs through both boundaries: the first image is durable,
+    // the second was snapshotted at the end of the call.
+    let mut durable = create(&dir, &space, config, root, every);
+    durable.run_journaled(2 * every, &plan).unwrap();
+    assert_eq!(
+        (durable.checkpoints(), durable.checkpoint_event()),
+        (1, every),
+        "the second image must be pending"
+    );
+    let crash_at = if window == StagedWindow::Pending {
+        durable.run_journaled(64, &plan).unwrap();
+        assert_eq!(durable.checkpoints(), 1, "still pending");
+        durable.engine().arrivals()
+    } else {
+        // Run to the chunk that completes the image, keeping the journal
+        // as it was before that chunk.
+        let mut before = fs::read(&journal).unwrap();
+        durable.run_journaled(64, &plan).unwrap();
+        while durable.checkpoints() == 1 {
+            before = fs::read(&journal).unwrap();
+            durable.run_journaled(64, &plan).unwrap();
+        }
+        let at = durable.engine().arrivals();
+        let compacted = fs::read(&journal).unwrap();
+        // The journal before the compaction: the completing chunk's
+        // frame appended to what was there.
+        let mut record = vec![1u8];
+        record.extend_from_slice(&at.to_le_bytes());
+        append_frame(&mut before, &record);
+        if window == StagedWindow::MidCompaction {
+            let kept = &compacted[Header::LEN..];
+            assert!(!kept.is_empty() && kept.len() < before.len() - Header::LEN);
+            before[Header::LEN..Header::LEN + kept.len()].copy_from_slice(kept);
+            // Whole, valid frames only, the kept ones (with the latest
+            // marker) first.
+            let frames = scan_frames(&before[Header::LEN..]).unwrap();
+            assert_eq!(frames.tail, Tail::Clean);
+            let kept_frames = scan_frames(kept).unwrap().payloads;
+            assert_eq!(frames.payloads[..kept_frames.len()], kept_frames[..]);
+            assert_eq!(
+                kept_frames
+                    .last()
+                    .map(|p| u64::from_le_bytes(p[1..9].try_into().unwrap())),
+                Some(at)
+            );
+        }
+        fs::write(&journal, &before).unwrap();
+        at
+    };
+    drop(durable);
+
+    let mut reference = ServeEngine::new(space.clone(), config, root);
+    reference.run_with_faults(crash_at, &plan);
+    let reference = reference.state();
+    let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
+        Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
+    let checkpoint = match window {
+        StagedWindow::Pending => every,
+        StagedWindow::AfterRotation | StagedWindow::MidCompaction => 2 * every,
+    };
+    assert_eq!(
+        (resumed.checkpoint_event, resumed.engine.arrivals()),
+        (checkpoint, crash_at),
+        "{window:?}"
+    );
+    assert!(
+        resumed.replayed <= every + 16 * 64,
+        "{window:?}: replayed {} events",
+        resumed.replayed
+    );
+    assert_eq!(resumed.engine.state(), reference, "{window:?}");
+    assert_recovers_everywhere(&dir, &space, config, root, &plan, crash_at, &reference);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Staged window 1: death while an image is pending. The previous
+/// checkpoint and the uncompacted journal carry the run.
+#[test]
+fn crash_while_a_staged_checkpoint_is_pending_resumes_from_the_previous_one() {
+    assert_staged_crash_recovers(StagedWindow::Pending);
+}
+
+/// Staged window 2: death after the rotation, before the compaction.
+/// The frames the new image covers are skipped.
+#[test]
+fn crash_after_a_staged_rotation_before_compaction_skips_covered_frames() {
+    assert_staged_crash_recovers(StagedWindow::AfterRotation);
+}
+
+/// Staged window 3: death between the compaction's rewrite and its
+/// `set_len`. Every frame is whole, and the latest marker wins.
+#[test]
+fn crash_mid_compaction_leaves_whole_frames_and_resumes_to_the_latest_marker() {
+    assert_staged_crash_recovers(StagedWindow::MidCompaction);
 }

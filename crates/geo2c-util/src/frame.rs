@@ -80,32 +80,80 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE, reflected — the zlib/PNG polynomial) of `bytes`.
-///
-/// Slicing-by-8: eight independent table lookups per 8-byte word instead
-/// of a serial dependency chain of eight, then the bytewise step for the
-/// tail.
+/// CRC-32 (IEEE, reflected — the zlib/PNG polynomial) of `bytes`: the
+/// one-shot form of [`Crc32`].
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A streaming CRC-32: [`Crc32::update`] over consecutive pieces of a
+/// buffer, in order, then [`Crc32::finish`], gives [`crc32`] of the whole
+/// buffer however it was split. A writer that builds a frame's payload in
+/// stages checksums each piece as it goes.
+///
+/// ```
+/// use geo2c_util::frame::{crc32, Crc32};
+///
+/// let mut crc = Crc32::new();
+/// crc.update(b"1234");
+/// crc.update(b"56789");
+/// assert_eq!(crc.finish(), crc32(b"123456789"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    /// The CRC register, pre-inverted.
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+}
+
+impl Crc32 {
+    /// The CRC of the empty buffer so far.
+    #[must_use]
+    pub fn new() -> Self {
+        Self { state: !0 }
     }
-    !crc
+
+    /// Extends the checksum over `bytes`.
+    ///
+    /// Slicing-by-8: eight independent table lookups per 8-byte word
+    /// instead of a serial dependency chain of eight, then the bytewise
+    /// step for the tail. The register carries across calls, so a split
+    /// anywhere — mid-word included — changes nothing.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The CRC-32 of everything passed to [`Crc32::update`].
+    #[must_use]
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
 }
 
 /// Appends `[len][crc][payload]` to `out`.
@@ -128,10 +176,20 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
 /// Panics if `frame` is shorter than [`FRAME_OVERHEAD`] or the payload
 /// exceeds `u32::MAX` bytes.
 pub fn seal_frame(frame: &mut [u8]) {
+    let crc = crc32(&frame[FRAME_OVERHEAD..]);
+    seal_frame_with(frame, crc);
+}
+
+/// [`seal_frame`] with the payload's CRC already computed — by a
+/// [`Crc32`] that streamed over the payload as it was written.
+///
+/// # Panics
+/// As [`seal_frame`].
+pub fn seal_frame_with(frame: &mut [u8], crc: u32) {
     let (prefix, payload) = frame.split_at_mut(FRAME_OVERHEAD);
     let len = u32::try_from(payload.len()).expect("frame payload over 4 GiB");
     prefix[..4].copy_from_slice(&len.to_le_bytes());
-    prefix[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    prefix[4..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// How a frame scan reached the end of its buffer.
@@ -360,6 +418,43 @@ mod tests {
                 .collect();
             let slice = &buf[offset..];
             prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+
+        /// Streaming over any split of a buffer — each single cut, and a
+        /// generated run of pieces — gives the one-shot CRC and the
+        /// bytewise reference.
+        #[test]
+        fn streaming_crc32_is_split_invariant(
+            len in 0usize..300,
+            seed in any::<u64>(),
+            pieces in proptest::collection::vec(0usize..40, 0..12),
+        ) {
+            let mut x = seed;
+            let buf: Vec<u8> = (0..len)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                        .wrapping_add(0x1405_7B7E_F767_814F);
+                    (x >> 56) as u8
+                })
+                .collect();
+            let whole = crc32(&buf);
+            prop_assert_eq!(whole, crc32_bytewise(&buf));
+            for cut in 0..=len {
+                let mut crc = Crc32::new();
+                crc.update(&buf[..cut]);
+                crc.update(&buf[cut..]);
+                prop_assert_eq!(crc.finish(), whole, "cut at {}", cut);
+            }
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            for piece in pieces {
+                let end = (at + piece).min(len);
+                crc.update(&buf[at..end]);
+                at = end;
+            }
+            crc.update(&buf[at..]);
+            prop_assert_eq!(crc.finish(), whole);
         }
     }
 
