@@ -41,8 +41,8 @@ cargo test -q
 say "benchmark self-test (perfbench/selftest.py, tiny scale)"
 python3 perfbench/selftest.py
 
-say "docs (no warnings allowed)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+say "docs, crate-private items included (no warnings allowed)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items
 
 # The committed baseline records absolute ns/iter from one reference
 # machine, so this cross-machine gate is a catastrophe catch (accidental

@@ -196,21 +196,6 @@ impl Space for MixRingSpace {
             .owner(self.mix.sample(rng), Ownership::Successor)
     }
 
-    fn sample_owners_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        // Same stream as the default loop (mixture points drawn in
-        // order, lookups consume nothing), with the owner lookups going
-        // through the ring's staged batch.
-        let mut points = [RingPoint::new(0.0); LANE_BLOCK];
-        for chunk in out.chunks_mut(LANE_BLOCK) {
-            let points = &mut points[..chunk.len()];
-            for p in points.iter_mut() {
-                *p = self.mix.sample(rng);
-            }
-            self.partition
-                .owners_into(points, Ownership::Successor, chunk);
-        }
-    }
-
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
         // Lane contract: ball i draws its d mixture points, in order,
         // from lanes.probe(i) (a mixture probe consumes a variable

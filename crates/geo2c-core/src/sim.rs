@@ -8,11 +8,11 @@
 //! Besides the headline maximum load, [`TrialResult`] retains the full
 //! load vector so experiments can reconstruct the quantities the proof
 //! reasons about: `ν_i` (number of bins with load ≥ i — the layered
-//! induction variable), ball heights, and load/region-size correlations.
+//! induction variable) and load/region-size correlations.
 
 use crate::load::LoadState;
 use crate::space::Space;
-use crate::strategy::{ProbeScratch, Strategy};
+use crate::strategy::Strategy;
 use geo2c_util::hist::Counter;
 use geo2c_util::rng::{BallLanes, LaneSource};
 use rand::Rng;
@@ -52,48 +52,44 @@ impl TrialResult {
 /// in L1 for the resolution pass.
 const BALL_BLOCK: usize = 64;
 
-/// The one insertion loop behind [`run_trial`] and
-/// [`run_trial_with_heights`]: places `m` balls, calling
-/// `on_place(dest, new_load)` after each placement.
+/// The insertion loop behind [`run_trial`]: places `m` balls and
+/// returns the maximum load.
 ///
 /// **RNG stream contract v2.** For every independent-probe strategy
-/// ([`Strategy::supports_cross_ball_batching`] — the paper-default
-/// random tie-break included), the trial draws exactly *one* `u64` from
-/// the shared stream: the root of the trial's [`BallLanes`]. Ball `b`
-/// then draws its `d` probe locations from its private probe lane and
-/// resolves load ties from its private tie lane, so probe generation is
-/// independent of tie resolution and of every other ball — which is
-/// what lets the engine batch [`BALL_BLOCK`] balls' probe draws into
-/// one [`Space::sample_owners_lanes`] call and then resolve the block
-/// against the evolving loads ball by ball. Only Vöcking's split scheme
-/// (division-conditioned probes) keeps the per-ball path on the shared
-/// stream.
+/// (everything but [`Strategy::is_split`] — the paper-default random
+/// tie-break included), the trial draws exactly *one* `u64` from the
+/// shared stream: the root of the trial's [`BallLanes`], which
+/// [`insert_balls_lanes`] then places from. Only Vöcking's split scheme
+/// (division-conditioned probes, no lane form) places ball by ball on
+/// the shared stream, through [`Strategy::place_split`].
 fn insert_balls<S: Space, R: Rng + ?Sized, LS: LoadState + ?Sized>(
     space: &S,
     strategy: &Strategy,
     m: usize,
     rng: &mut R,
     loads: &mut LS,
-    on_place: impl FnMut(usize, u32),
-) {
-    if strategy.supports_cross_ball_batching() {
+) -> u32 {
+    if !strategy.is_split() {
         let lanes = BallLanes::new(rng.next_u64());
-        insert_balls_lanes(space, strategy, m, &lanes, loads, on_place);
-    } else {
-        let mut scratch = ProbeScratch::for_strategy(strategy);
-        let mut on_place = on_place;
-        for _ in 0..m {
-            let dest = strategy.choose_with(space, &*loads, &mut scratch, rng);
-            let new_load = loads.bump(dest);
-            on_place(dest, new_load);
-        }
+        return insert_balls_lanes(space, strategy, m, &lanes, loads);
     }
+    let mut max_load = 0;
+    for _ in 0..m {
+        let dest = strategy.place_split(space, &*loads, rng);
+        max_load = max_load.max(loads.bump(dest));
+    }
+    max_load
 }
 
 /// The cross-ball batched insertion loop on an explicit [`LaneSource`]
-/// (contract v2): probe blocks of 64 balls (`BALL_BLOCK`) per
-/// [`Space::sample_owners_lanes`] call, then per-ball resolution through
-/// [`Strategy::place_from_loads`] on each ball's tie lane.
+/// (contract v2): places `m` balls and returns the maximum load. Ball
+/// `b` draws its `d` probe owners from `lanes.probe(b)` and resolves
+/// load ties on `lanes.tie(b)`, so probe generation is independent of
+/// tie resolution and of every other ball. That is what lets the loop
+/// draw the owners of 64 balls at a time (one aligned
+/// [`EventOwnerBlocks`] block, one [`Space::sample_owners_lanes`] call)
+/// and then resolve the block against the evolving loads ball by ball
+/// through [`Strategy::place_from_loads`].
 ///
 /// Between the batched draw and the resolution pass the engine makes one
 /// summing sweep over the block's load entries: the sweep's loads are
@@ -108,41 +104,40 @@ fn insert_balls<S: Space, R: Rng + ?Sized, LS: LoadState + ?Sized>(
 /// placement-identical by the `loadvec_equivalence` proptest suite.
 ///
 /// # Panics
-/// Panics if `strategy` does not support cross-ball batching (the split
-/// scheme's probes are division-conditioned and have no lane form).
+/// Panics for the split scheme, whose probes are division-conditioned
+/// and have no lane form.
 pub fn insert_balls_lanes<S: Space, L: LaneSource, LS: LoadState + ?Sized>(
     space: &S,
     strategy: &Strategy,
     m: usize,
     lanes: &L,
     loads: &mut LS,
-    mut on_place: impl FnMut(usize, u32),
-) {
+) -> u32 {
     assert!(
-        strategy.supports_cross_ball_batching(),
+        !strategy.is_split(),
         "split-scheme strategies have no lane form"
     );
     let d = strategy.d();
-    let mut scratch = ProbeScratch::for_strategy(strategy);
+    let mut blocks = EventOwnerBlocks::new(d);
+    let mut max_load = 0;
     let mut placed = 0;
     while placed < m {
         let balls = BALL_BLOCK.min(m - placed);
-        let block_lanes = lanes.block(placed as u64);
-        let block = scratch.cross_ball_block(balls * d);
-        space.sample_owners_lanes(&block_lanes, d, block);
+        let first = placed as u64;
+        let block = &blocks.block(space, lanes, first)[..balls * d];
         let mut warm = 0u32;
-        for &owner in block.iter() {
+        for &owner in block {
             warm = warm.wrapping_add(loads.warm(owner));
         }
         std::hint::black_box(warm);
         for (ball, window) in block.chunks_exact(d).enumerate() {
-            let mut tie = block_lanes.tie(ball as u64);
+            let mut tie = lanes.tie(first + ball as u64);
             let dest = strategy.place_from_loads(space, &*loads, window, &mut tie);
-            let new_load = loads.bump(dest);
-            on_place(dest, new_load);
+            max_load = max_load.max(loads.bump(dest));
         }
         placed += balls;
     }
+    max_load
 }
 
 /// Pre-drawn owner blocks for an *online* event stream.
@@ -244,7 +239,7 @@ impl EventOwnerBlocks {
 /// source are identical.
 ///
 /// # Panics
-/// Panics if `strategy` does not support cross-ball batching.
+/// Panics for the split scheme, which has no lane form.
 ///
 /// ```
 /// use geo2c_core::{sim, space::UniformSpace, strategy::Strategy};
@@ -270,10 +265,7 @@ pub fn run_trial_with_lanes<S: Space, L: LaneSource>(
     lanes: &L,
 ) -> TrialResult {
     let mut loads = vec![0u32; space.num_servers()];
-    let mut max_load = 0u32;
-    insert_balls_lanes(space, strategy, m, lanes, &mut loads, |_, new_load| {
-        max_load = max_load.max(new_load);
-    });
+    let max_load = insert_balls_lanes(space, strategy, m, lanes, &mut loads);
     TrialResult { loads, max_load }
 }
 
@@ -315,11 +307,7 @@ pub fn run_trial_into<S: Space, L: LaneSource, LS: LoadState + ?Sized>(
         space.num_servers(),
         "load state sized for a different space"
     );
-    let mut max_load = 0u32;
-    insert_balls_lanes(space, strategy, m, lanes, loads, |_, new_load| {
-        max_load = max_load.max(new_load);
-    });
-    max_load
+    insert_balls_lanes(space, strategy, m, lanes, loads)
 }
 
 /// Inserts `m` balls into `space` using `strategy` and returns the final
@@ -355,33 +343,8 @@ pub fn run_trial<S: Space, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> TrialResult {
     let mut loads = vec![0u32; space.num_servers()];
-    let mut max_load = 0u32;
-    insert_balls(space, strategy, m, rng, &mut loads, |_, new_load| {
-        max_load = max_load.max(new_load);
-    });
+    let max_load = insert_balls(space, strategy, m, rng, &mut loads);
     TrialResult { loads, max_load }
-}
-
-/// Like [`run_trial`] but also records each ball's *height* (its position
-/// in the destination stack: 1 + prior load). The height distribution is
-/// the quantity the layered-induction proof actually bounds (`μ_i`).
-/// Shares [`run_trial`]'s blocked probe drawing, cross-ball batching,
-/// and stream contract.
-#[must_use]
-pub fn run_trial_with_heights<S: Space, R: Rng + ?Sized>(
-    space: &S,
-    strategy: &Strategy,
-    m: usize,
-    rng: &mut R,
-) -> (TrialResult, Counter) {
-    let mut loads = vec![0u32; space.num_servers()];
-    let mut max_load = 0u32;
-    let mut heights = Counter::new();
-    insert_balls(space, strategy, m, rng, &mut loads, |_, new_load| {
-        heights.add(u64::from(new_load));
-        max_load = max_load.max(new_load);
-    });
-    (TrialResult { loads, max_load }, heights)
 }
 
 #[cfg(test)]
@@ -459,24 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn heights_match_load_profile() {
-        // #balls of height ≥ i equals Σ_j max(load_j − i + 1, 0)… more
-        // simply: #balls at height exactly h = #bins with load ≥ h.
-        let mut rng = Xoshiro256pp::from_u64(4);
-        let space = UniformSpace::new(128);
-        let (r, heights) = run_trial_with_heights(&space, &Strategy::two_choice(), 128, &mut rng);
-        let max = r.max_load;
-        for h in 1..=max {
-            assert_eq!(
-                heights.count(u64::from(h)) as usize,
-                r.bins_with_load_at_least(h),
-                "height {h}"
-            );
-        }
-        assert_eq!(heights.total(), 128);
-    }
-
-    #[test]
     fn load_profile_counts_servers() {
         let mut rng = Xoshiro256pp::from_u64(5);
         let space = UniformSpace::new(32);
@@ -538,23 +483,41 @@ mod tests {
     #[test]
     fn split_scheme_keeps_the_per_ball_stream() {
         // Vöcking's split probes are division-conditioned: no lane form,
-        // so the engine must consume exactly the stream of the naive
-        // choose_with loop (contract v1 for this strategy).
+        // so the trial places ball by ball on the shared stream. Pin it
+        // to a from-scratch reference: probe j from division j, and only
+        // a strictly smaller load replaces the best, so ties stay with
+        // the lowest division.
+        use crate::space::TorusSpace;
         use rand::RngCore as _;
-        let mut seed_rng = Xoshiro256pp::from_u64(44);
-        let space = RingSpace::random(64, &mut seed_rng);
-        let strategy = Strategy::voecking(2);
-        let mut a = Xoshiro256pp::from_u64(45);
-        let mut b = a.clone();
-        let result = run_trial(&space, &strategy, 200, &mut a);
-        let mut loads = vec![0u32; 64];
-        let mut scratch = ProbeScratch::for_strategy(&strategy);
-        for _ in 0..200 {
-            let dest = strategy.choose_with(&space, &loads, &mut scratch, &mut b);
-            loads[dest] += 1;
+        fn check<S: Space>(space: &S, label: &str) {
+            for d in [2usize, 3] {
+                let strategy = Strategy::voecking(d);
+                let mut a = Xoshiro256pp::from_u64(45);
+                let mut b = a.clone();
+                let result = run_trial(space, &strategy, 200, &mut a);
+                let mut loads = vec![0u32; space.num_servers()];
+                for _ in 0..200 {
+                    let mut best = usize::MAX;
+                    for j in 0..d {
+                        let s = space.sample_owner_in_division(&mut b, j, d);
+                        if best == usize::MAX || loads[s] < loads[best] {
+                            best = s;
+                        }
+                    }
+                    loads[best] += 1;
+                }
+                assert_eq!(result.loads, loads, "{label} d={d}");
+                assert_eq!(
+                    a.next_u64(),
+                    b.next_u64(),
+                    "{label} d={d}: rng states diverged"
+                );
+            }
         }
-        assert_eq!(result.loads, loads);
-        assert_eq!(a.next_u64(), b.next_u64(), "rng states diverged");
+        let mut seed_rng = Xoshiro256pp::from_u64(44);
+        check(&UniformSpace::new(64), "uniform");
+        check(&RingSpace::random(64, &mut seed_rng), "ring");
+        check(&TorusSpace::random(64, &mut seed_rng), "torus");
     }
 
     #[test]
@@ -573,30 +536,6 @@ mod tests {
         let c = run_trial_with_lanes(&space, &strategy, 200, &TabulationLanes::new(&hash, 9));
         assert_eq!(c.total_balls(), 200);
         assert_ne!(a.loads, c.loads);
-    }
-
-    #[test]
-    fn batched_and_per_ball_heights_agree() {
-        let space = UniformSpace::new(64);
-        // Batched lanes (lowest-index, random) and the per-ball split
-        // path — the heights invariants must hold on every engine path.
-        for strategy in [
-            Strategy::with_tie_break(2, crate::strategy::TieBreak::LowestIndex),
-            Strategy::two_choice(),
-            Strategy::voecking(2),
-        ] {
-            let mut rng = Xoshiro256pp::from_u64(42);
-            let (r, heights) = run_trial_with_heights(&space, &strategy, 200, &mut rng);
-            assert_eq!(heights.total(), 200);
-            for h in 1..=r.max_load {
-                assert_eq!(
-                    heights.count(u64::from(h)) as usize,
-                    r.bins_with_load_at_least(h),
-                    "height {h} ({})",
-                    strategy.label()
-                );
-            }
-        }
     }
 
     #[test]

@@ -25,6 +25,14 @@ use std::sync::OnceLock;
 
 /// A geometric space of `n` servers, each owning a region whose measure is
 /// the probability a uniform probe lands there.
+///
+/// [`Space::sample_owner`] is the one probe operation; every other draw
+/// is defined by it. Both engines draw every independent-probe ball's
+/// owners through [`Space::sample_owners_lanes`], which must equal `d`
+/// `sample_owner` calls on each ball's probe lane. The serving engine's
+/// retry redraws call `sample_owner` directly on the event's retry lane,
+/// and Vöcking's split scheme draws through
+/// [`Space::sample_owner_in_division`].
 pub trait Space {
     /// Number of servers (bins).
     fn num_servers(&self) -> usize;
@@ -32,33 +40,15 @@ pub trait Space {
     /// Samples a uniform probe location and returns the owning server.
     fn sample_owner<R: Rng + ?Sized>(&self, rng: &mut R) -> usize;
 
-    /// Samples `out.len()` independent uniform probes and writes their
-    /// owners into `out` — the batched entry point the insertion engine
-    /// drives ([`crate::sim::run_trial`] draws each ball's probe block
-    /// through it, so probe drawing and owner lookups amortize instead of
-    /// alternating per probe).
-    ///
-    /// **Stream contract:** implementations must consume exactly the same
-    /// randomness, in the same order, as `out.len()` successive
-    /// [`Space::sample_owner`] calls (draw the probe locations first, in
-    /// order; owner resolution consumes no randomness). This keeps every
-    /// trial byte-identical whichever entry point the engine uses, which
-    /// is what lets `run_tables --check` hold the committed distributions
-    /// fixed across hot-path refactors.
-    fn sample_owners_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        for slot in out {
-            *slot = self.sample_owner(rng);
-        }
-    }
-
     /// Samples the probe owners for `out.len() / d` balls under RNG
     /// stream contract v2: ball `i` of the block draws its `d` probe
     /// locations, in order, from `lanes.probe(i)` and nothing else. This
-    /// is the batched entry point the insertion engine drives for every
-    /// non-split strategy ([`crate::sim::run_trial`] hands it
-    /// 64-ball blocks), so per-space overrides can run the coordinate
-    /// draws and the owner lookups as tight homogeneous loops across the
-    /// whole block.
+    /// is the batched entry point both engines drive for every
+    /// non-split strategy ([`crate::sim::run_trial`] and the serving
+    /// engine hand it 64-ball blocks through
+    /// [`crate::sim::EventOwnerBlocks`]), so per-space overrides can run
+    /// the coordinate draws and the owner lookups as tight homogeneous
+    /// loops across the whole block.
     ///
     /// **Lane contract:** implementations must consume, per ball,
     /// exactly the randomness of `d` successive [`Space::sample_owner`]
@@ -90,10 +80,6 @@ pub trait Space {
     /// x-coordinate on the torus, or its index for uniform bins.
     fn position_key(&self, server: usize) -> f64;
 }
-
-/// Probe-block size for the batched `sample_owners_into` overrides: big
-/// enough to amortize, small enough to live on the stack and in L1.
-const PROBE_BLOCK: usize = 32;
 
 /// Probe-slot budget for the cross-ball `sample_owners_lanes` overrides'
 /// stack buffers: a full 64-ball × `d = 2` engine block in one pass, and
@@ -269,20 +255,6 @@ impl Space for RingSpace {
         self.partition.owner(RingPoint::random(rng), self.ownership)
     }
 
-    fn sample_owners_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        // Same stream as the default loop (coordinates drawn in order,
-        // lookups consume nothing); the lookups go through the staged
-        // batch so their cache misses overlap.
-        let mut points = [RingPoint::new(0.0); PROBE_BLOCK];
-        for chunk in out.chunks_mut(PROBE_BLOCK) {
-            let points = &mut points[..chunk.len()];
-            for p in points.iter_mut() {
-                *p = RingPoint::new(rng.gen::<f64>());
-            }
-            self.partition.owners_into(points, self.ownership, chunk);
-        }
-    }
-
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
         // Lane contract: ball i draws its d coordinates, in order, from
         // lanes.probe(i); then the owner lookups run as one tight loop
@@ -370,21 +342,6 @@ impl Space for TorusSpace {
 
     fn sample_owner<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.sites.owner(TorusPoint::random(rng))
-    }
-
-    fn sample_owners_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        // Same stream as the default loop: each probe draws (x, y) in
-        // order, owner resolution draws nothing.
-        let mut points = [TorusPoint { x: 0.0, y: 0.0 }; PROBE_BLOCK];
-        for chunk in out.chunks_mut(PROBE_BLOCK) {
-            let points = &mut points[..chunk.len()];
-            for p in points.iter_mut() {
-                *p = TorusPoint::random(rng);
-            }
-            for (slot, &p) in chunk.iter_mut().zip(points.iter()) {
-                *slot = self.sites.owner(p);
-            }
-        }
     }
 
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
@@ -482,21 +439,6 @@ impl<const K: usize> Space for KdTorusSpace<K> {
         self.sites.owner(&geo2c_torus::kd::KdPoint::random(rng))
     }
 
-    fn sample_owners_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        // Same stream as the default loop: each probe draws its K
-        // coordinates in order, owner resolution draws nothing. The
-        // lookups then run through the grid's batched fast path, which
-        // amortizes the per-probe cell derivation across the block.
-        let mut points = [geo2c_torus::kd::KdPoint { coords: [0.0; K] }; PROBE_BLOCK];
-        for chunk in out.chunks_mut(PROBE_BLOCK) {
-            let points = &mut points[..chunk.len()];
-            for p in points.iter_mut() {
-                *p = geo2c_torus::kd::KdPoint::random(rng);
-            }
-            self.sites.owners_into(points, chunk);
-        }
-    }
-
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
         // Lane contract: ball i draws its K coordinates per probe, in
         // order, from lanes.probe(i); the lookups then run through the
@@ -572,19 +514,6 @@ impl SpaceKind {
     }
 }
 
-impl std::str::FromStr for SpaceKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "uniform" | "bins" => Ok(SpaceKind::Uniform),
-            "ring" | "arc" | "arcs" => Ok(SpaceKind::Ring),
-            "torus" | "voronoi" => Ok(SpaceKind::Torus),
-            other => Err(format!("unknown space kind: {other}")),
-        }
-    }
-}
-
 /// Enum-dispatched space so binaries can pick geometry at runtime.
 #[derive(Debug)]
 pub enum AnySpace {
@@ -610,15 +539,6 @@ impl Space for AnySpace {
             AnySpace::Uniform(s) => s.sample_owner(rng),
             AnySpace::Ring(s) => s.sample_owner(rng),
             AnySpace::Torus(s) => s.sample_owner(rng),
-        }
-    }
-
-    fn sample_owners_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [usize]) {
-        // Dispatch once per block, not once per probe.
-        match self {
-            AnySpace::Uniform(s) => s.sample_owners_into(rng, out),
-            AnySpace::Ring(s) => s.sample_owners_into(rng, out),
-            AnySpace::Torus(s) => s.sample_owners_into(rng, out),
         }
     }
 
@@ -769,17 +689,15 @@ mod tests {
     #[test]
     fn space_kind_parse_and_build() {
         let mut rng = Xoshiro256pp::from_u64(10);
-        for (s, kind) in [
+        for (name, kind) in [
             ("uniform", SpaceKind::Uniform),
             ("ring", SpaceKind::Ring),
             ("torus", SpaceKind::Torus),
-            ("voronoi", SpaceKind::Torus),
         ] {
-            assert_eq!(s.parse::<SpaceKind>().unwrap(), kind);
+            assert_eq!(kind.name(), name);
             let space = kind.build(4, &mut rng);
             assert_eq!(space.num_servers(), 4);
         }
-        assert!("plane".parse::<SpaceKind>().is_err());
     }
 
     #[test]
@@ -842,40 +760,6 @@ mod tests {
                 assert!(owner < 64);
             }
         }
-    }
-
-    #[test]
-    fn batched_sampling_matches_sequential_stream() {
-        // sample_owners_into must consume the identical RNG stream as the
-        // same number of sample_owner calls — the invariant that keeps the
-        // committed distributions byte-stable across hot-path refactors.
-        use rand::RngCore as _;
-        let mut rng = Xoshiro256pp::from_u64(30);
-        for kind in [SpaceKind::Uniform, SpaceKind::Ring, SpaceKind::Torus] {
-            let space = kind.build(64, &mut rng);
-            // 77 spans multiple probe blocks plus a ragged tail.
-            let mut a = Xoshiro256pp::from_u64(31);
-            let mut b = a.clone();
-            let mut batched = [0usize; 77];
-            space.sample_owners_into(&mut a, &mut batched);
-            let sequential: Vec<usize> = (0..77).map(|_| space.sample_owner(&mut b)).collect();
-            assert_eq!(batched.to_vec(), sequential, "{kind:?}");
-            assert_eq!(a.next_u64(), b.next_u64(), "{kind:?}: rng states diverged");
-        }
-        // The K-torus override (blocked point draws + batched grid
-        // lookups) must honour the same contract.
-        let space = KdTorusSpace::<3>::random(64, &mut rng);
-        let mut a = Xoshiro256pp::from_u64(32);
-        let mut b = a.clone();
-        let mut batched = [0usize; 77];
-        space.sample_owners_into(&mut a, &mut batched);
-        let sequential: Vec<usize> = (0..77).map(|_| space.sample_owner(&mut b)).collect();
-        assert_eq!(batched.to_vec(), sequential, "KdTorusSpace");
-        assert_eq!(
-            a.next_u64(),
-            b.next_u64(),
-            "KdTorusSpace: rng states diverged"
-        );
     }
 
     #[test]

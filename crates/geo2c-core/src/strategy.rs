@@ -61,21 +61,6 @@ impl TieBreak {
     }
 }
 
-impl std::str::FromStr for TieBreak {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "random" | "arc-random" => Ok(TieBreak::Random),
-            "smaller" | "arc-smaller" => Ok(TieBreak::SmallerRegion),
-            "larger" | "arc-larger" => Ok(TieBreak::LargerRegion),
-            "left" | "leftmost" | "arc-left" => Ok(TieBreak::Leftmost),
-            "index" | "lowest-index" => Ok(TieBreak::LowestIndex),
-            other => Err(format!("unknown tie-break: {other}")),
-        }
-    }
-}
-
 /// How the `d` candidates are drawn and ties resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChoiceRule {
@@ -89,45 +74,6 @@ enum ChoiceRule {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Strategy {
     rule: ChoiceRule,
-}
-
-/// Probe candidates held on the stack for the common `d ≤ 8`.
-const INLINE_PROBES: usize = 8;
-
-/// Reusable per-trial scratch for a strategy's probe block.
-///
-/// [`crate::sim::run_trial`] allocates one of these per trial and reuses
-/// it for every ball, so the per-ball path stays allocation-free for any
-/// `d` and the probe block stays hot in cache. For tie-break-free
-/// strategies the engine additionally draws *cross-ball* probe blocks
-/// (many balls' probes in one batched draw) through
-/// [`ProbeScratch::cross_ball_block`].
-#[derive(Debug, Clone)]
-pub struct ProbeScratch {
-    owners: Vec<usize>,
-    block: Vec<usize>,
-}
-
-impl ProbeScratch {
-    /// Scratch sized for `strategy`'s probes-per-ball.
-    #[must_use]
-    pub fn for_strategy(strategy: &Strategy) -> Self {
-        Self {
-            owners: vec![0; strategy.d()],
-            block: Vec::new(),
-        }
-    }
-
-    /// The cross-ball owner block, grown (once) to at least `len` slots.
-    /// The engine fills it via [`crate::space::Space::sample_owners_into`]
-    /// and resolves one ball's `d`-probe window at a time with
-    /// [`Strategy::place_from_loads`].
-    pub fn cross_ball_block(&mut self, len: usize) -> &mut [usize] {
-        if self.block.len() < len {
-            self.block.resize(len, 0);
-        }
-        &mut self.block[..len]
-    }
 }
 
 impl Strategy {
@@ -190,28 +136,15 @@ impl Strategy {
         matches!(self.rule, ChoiceRule::SplitAlwaysLeft { .. })
     }
 
-    /// True when the strategy's probe locations are plain independent
-    /// uniform draws — i.e. every independent-probe (non-split) strategy,
-    /// whatever its tie-break. Under RNG stream contract v2 each ball
-    /// owns a private probe lane *and* a private tie lane
-    /// ([`geo2c_util::rng::BallLanes`]), so tie resolution — random
-    /// included — can never perturb another ball's probe draws, and the
-    /// insertion engine batches probe blocks across balls for all of
-    /// them ([`crate::sim::run_trial`]). Only Vöcking's split scheme is
-    /// excluded: its probes are division-conditioned, not one uniform
-    /// block.
-    #[must_use]
-    pub fn supports_cross_ball_batching(&self) -> bool {
-        !self.is_split()
-    }
-
     /// Chooses the destination for one ball whose `d` probe owners were
     /// already drawn (one window of a cross-ball block), resolving load
     /// ties through `tie_rng` — under contract v2, the ball's private
-    /// tie lane. Deterministic tie-breaks and the `d = 1` baseline never
-    /// touch `tie_rng`; [`TieBreak::Random`] reservoir-samples uniformly
-    /// among the tied candidates from it (and draws nothing when the
-    /// minimum is unique).
+    /// tie lane. This is how every independent-probe ball is placed.
+    /// Deterministic tie-breaks and the `d = 1` baseline never touch
+    /// `tie_rng`; [`TieBreak::Random`] reservoir-samples uniformly among
+    /// the tied candidates from it (and draws nothing when the minimum
+    /// is unique). Duplicate owners (the same server probed twice) are
+    /// legal and count as one candidate, as in the paper's model.
     ///
     /// Generic over the [`LoadRead`] backing (flat `[u32]` or packed
     /// states). The minimum scan goes through [`LoadRead::min_load_of`]
@@ -251,6 +184,38 @@ impl Strategy {
         }
     }
 
+    /// Places one ball by Vöcking's split scheme, drawing from `rng`:
+    /// probe `j` is [`Space::sample_owner_in_division`]`(rng, j, d)` for
+    /// `j` in `0..d`, and only a strictly smaller load replaces the best
+    /// so far, so ties stay with the lowest division. The split scheme's
+    /// probes are division-conditioned and have no lane form, so
+    /// [`crate::sim::run_trial`] places its balls here, one at a time on
+    /// the trial stream.
+    ///
+    /// # Panics
+    /// Panics for an independent-probe strategy, which is placed through
+    /// [`Strategy::place_from_loads`].
+    pub(crate) fn place_split<S: Space, L: LoadRead + ?Sized, R: Rng + ?Sized>(
+        &self,
+        space: &S,
+        loads: &L,
+        rng: &mut R,
+    ) -> usize {
+        let ChoiceRule::SplitAlwaysLeft { d } = self.rule else {
+            panic!("independent probes are placed through place_from_loads")
+        };
+        let mut best = usize::MAX;
+        let mut best_load = u32::MAX;
+        for j in 0..d {
+            let s = space.sample_owner_in_division(rng, j, d);
+            if loads.load(s) < best_load {
+                best_load = loads.load(s);
+                best = s;
+            }
+        }
+        best
+    }
+
     /// Short label for table headers, e.g. `"d=2"`, `"d=2 arc-smaller"`,
     /// `"voecking d=2"`.
     #[must_use]
@@ -267,110 +232,18 @@ impl Strategy {
         }
     }
 
-    /// Chooses the destination server for one ball, given current `loads`.
-    ///
-    /// Samples the candidates (as one probe block through
-    /// [`Space::sample_owners_into`]), selects the minimum load, and
-    /// applies the tie-break. Duplicate candidates (the same server probed
-    /// twice) are legal and equivalent to a single candidate, as in the
-    /// paper's model.
-    ///
-    /// Loops placing many balls should prefer [`Strategy::choose_with`]
-    /// with a reused [`ProbeScratch`]; this convenience entry point keeps
-    /// `d ≤ 8` on the stack and allocates per call beyond that. Both
-    /// consume the identical RNG stream.
-    ///
-    /// # Panics
-    /// Panics if `loads.len() != space.num_servers()`.
-    pub fn choose<S: Space, L: LoadRead + ?Sized, R: Rng + ?Sized>(
-        &self,
-        space: &S,
-        loads: &L,
-        rng: &mut R,
-    ) -> usize {
-        if let ChoiceRule::Independent { d, tie } = self.rule {
-            if d <= INLINE_PROBES {
-                debug_assert_eq!(loads.num_servers(), space.num_servers());
-                let mut candidates = [0usize; INLINE_PROBES];
-                return self.place_block(space, loads, &mut candidates[..d], tie, rng);
-            }
-        }
-        self.choose_with(space, loads, &mut ProbeScratch::for_strategy(self), rng)
-    }
-
-    /// [`Strategy::choose`] with caller-owned scratch: the allocation-free
-    /// per-ball path the insertion engine runs.
-    ///
-    /// # Panics
-    /// Panics if `loads.len() != space.num_servers()` or `scratch` was
-    /// built for a different probe count.
-    pub fn choose_with<S: Space, L: LoadRead + ?Sized, R: Rng + ?Sized>(
-        &self,
-        space: &S,
-        loads: &L,
-        scratch: &mut ProbeScratch,
-        rng: &mut R,
-    ) -> usize {
-        debug_assert_eq!(loads.num_servers(), space.num_servers());
-        match self.rule {
-            ChoiceRule::Independent { d, tie } => {
-                assert_eq!(scratch.owners.len(), d, "scratch sized for wrong d");
-                self.place_block(space, loads, &mut scratch.owners, tie, rng)
-            }
-            ChoiceRule::SplitAlwaysLeft { d } => {
-                // One probe per division; ties to the lowest division index.
-                let mut best = usize::MAX;
-                let mut best_load = u32::MAX;
-                for j in 0..d {
-                    let s = space.sample_owner_in_division(rng, j, d);
-                    if loads.load(s) < best_load {
-                        best_load = loads.load(s);
-                        best = s;
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Draws one probe block, finds the minimum load, applies the
-    /// tie-break.
-    fn place_block<S: Space, L: LoadRead + ?Sized, R: Rng + ?Sized>(
-        &self,
-        space: &S,
-        loads: &L,
-        cand: &mut [usize],
-        tie: TieBreak,
-        rng: &mut R,
-    ) -> usize {
-        space.sample_owners_into(rng, cand);
-        let min_load = loads.min_load_of(cand);
-        self.break_tie(space, loads, cand, min_load, tie, rng)
-    }
-
-    fn break_tie<S: Space, L: LoadRead + ?Sized, R: Rng + ?Sized>(
-        &self,
-        space: &S,
-        loads: &L,
-        candidates: &[usize],
-        min_load: u32,
-        tie: TieBreak,
-        rng: &mut R,
-    ) -> usize {
-        if tie != TieBreak::Random {
-            return Self::deterministic_tie(space, loads, candidates, min_load, tie);
-        }
-        Self::random_tie(loads, candidates, min_load, rng)
-    }
-
     /// Uniform tie resolution among minimum-load candidates via
-    /// reservoir sampling — the [`TieBreak::Random`] arm shared by the
-    /// per-ball path ([`Strategy::choose_with`], drawing from the trial
-    /// stream) and the cross-ball path ([`Strategy::place_from_loads`],
-    /// drawing from the ball's tie lane). The draw pattern is part of
-    /// stream contract v2: with `k ≥ 2` tied candidates, one
-    /// `gen_range(0..j)` draw per `j ∈ {2..=k}`, in candidate order; a
-    /// unique minimum draws nothing.
+    /// reservoir sampling — the [`TieBreak::Random`] arm of
+    /// [`Strategy::place_from_loads`], drawing from the ball's tie lane.
+    /// The draw pattern is part of stream contract v2: with `k ≥ 2` tied
+    /// candidates, one `gen_range(0..j)` draw per `j ∈ {2..=k}`, in
+    /// candidate order; a unique minimum draws nothing.
+    ///
+    /// Both tie arms stay out of line: inlined into
+    /// [`Strategy::place_from_loads`], they bloat the engines' per-ball
+    /// resolution loop, which then ran 6–14% slower on 2^20-bin uniform
+    /// trials (2-vCPU Xeon).
+    #[inline(never)]
     fn random_tie<L: LoadRead + ?Sized, R: Rng + ?Sized>(
         loads: &L,
         candidates: &[usize],
@@ -400,9 +273,8 @@ impl Strategy {
     }
 
     /// Tie resolution for the RNG-free policies (everything except
-    /// [`TieBreak::Random`]) — shared by the per-ball path and the
-    /// cross-ball [`Strategy::place_from_loads`] path, so the two can
-    /// never disagree.
+    /// [`TieBreak::Random`]) in [`Strategy::place_from_loads`].
+    #[inline(never)]
     fn deterministic_tie<S: Space, L: LoadRead + ?Sized>(
         space: &S,
         loads: &L,
@@ -449,6 +321,23 @@ mod tests {
     use crate::space::{RingSpace, UniformSpace};
     use geo2c_util::rng::Xoshiro256pp;
 
+    /// Places one ball: Vöcking's split probes through
+    /// [`Strategy::place_split`]; otherwise `d` owners drawn with
+    /// `sample_owner` and resolved by [`Strategy::place_from_loads`] with
+    /// ties drawn from the same `rng`.
+    fn place<S: Space>(
+        strategy: &Strategy,
+        space: &S,
+        loads: &[u32],
+        rng: &mut Xoshiro256pp,
+    ) -> usize {
+        if strategy.is_split() {
+            return strategy.place_split(space, loads, rng);
+        }
+        let owners: Vec<usize> = (0..strategy.d()).map(|_| space.sample_owner(rng)).collect();
+        strategy.place_from_loads(space, loads, &owners, rng)
+    }
+
     #[test]
     fn labels() {
         assert_eq!(Strategy::one_choice().label(), "d=1");
@@ -461,17 +350,6 @@ mod tests {
         assert_eq!(Strategy::voecking(3).d(), 3);
         assert!(Strategy::voecking(3).is_split());
         assert!(!Strategy::two_choice().is_split());
-    }
-
-    #[test]
-    fn tie_break_parsing() {
-        assert_eq!(
-            "arc-smaller".parse::<TieBreak>().unwrap(),
-            TieBreak::SmallerRegion
-        );
-        assert_eq!("random".parse::<TieBreak>().unwrap(), TieBreak::Random);
-        assert_eq!("arc-left".parse::<TieBreak>().unwrap(), TieBreak::Leftmost);
-        assert!("bogus".parse::<TieBreak>().is_err());
     }
 
     #[test]
@@ -490,7 +368,7 @@ mod tests {
         let skewed = [1000u32, 0, 0, 0];
         let mut hits = [0u32; 4];
         for _ in 0..40_000 {
-            hits[strategy.choose(&space, &skewed, &mut rng)] += 1;
+            hits[place(&strategy, &space, &skewed, &mut rng)] += 1;
         }
         for h in hits {
             assert!((f64::from(h) / 40_000.0 - 0.25).abs() < 0.02);
@@ -506,7 +384,7 @@ mod tests {
         let mut to_light = 0u32;
         let trials = 10_000;
         for _ in 0..trials {
-            if strategy.choose(&space, &loads, &mut rng) == 1 {
+            if place(&strategy, &space, &loads, &mut rng) == 1 {
                 to_light += 1;
             }
         }
@@ -524,7 +402,7 @@ mod tests {
         let mut first = 0u32;
         let trials = 40_000;
         for _ in 0..trials {
-            if strategy.choose(&space, &loads, &mut rng) == 0 {
+            if place(&strategy, &space, &loads, &mut rng) == 0 {
                 first += 1;
             }
         }
@@ -545,7 +423,7 @@ mod tests {
             for _ in 0..4 {
                 expected = expected.min(space.sample_owner(&mut probe_rng));
             }
-            let got = strategy.choose(&space, &loads, &mut rng);
+            let got = place(&strategy, &space, &loads, &mut rng);
             assert_eq!(got, expected);
         }
     }
@@ -568,7 +446,7 @@ mod tests {
         let mut big_arc_hits = 0u32;
         let trials = 20_000;
         for _ in 0..trials {
-            if strategy.choose(&space, &loads, &mut rng) == 0 {
+            if place(&strategy, &space, &loads, &mut rng) == 0 {
                 big_arc_hits += 1;
             }
         }
@@ -590,7 +468,7 @@ mod tests {
         for tie in [TieBreak::SmallerRegion, TieBreak::LargerRegion] {
             let strategy = Strategy::with_tie_break(2, tie);
             for _ in 0..100 {
-                assert!(strategy.choose(&space, &loads, &mut rng) < 2);
+                assert!(place(&strategy, &space, &loads, &mut rng) < 2);
             }
         }
     }
@@ -604,7 +482,7 @@ mod tests {
         let loads = [0u32; 4];
         let mut rng = Xoshiro256pp::from_u64(7);
         for _ in 0..200 {
-            let s = strategy.choose(&space, &loads, &mut rng);
+            let s = place(&strategy, &space, &loads, &mut rng);
             assert!(s < 2, "expected division-0 bin, got {s}");
         }
     }
@@ -617,74 +495,28 @@ mod tests {
         let loads = [9u32, 9, 0, 0];
         let mut rng = Xoshiro256pp::from_u64(8);
         for _ in 0..200 {
-            let s = strategy.choose(&space, &loads, &mut rng);
+            let s = place(&strategy, &space, &loads, &mut rng);
             assert!(s >= 2, "expected division-1 bin, got {s}");
         }
     }
 
     #[test]
     fn large_d_uses_heap_path() {
+        // Twelve probes per ball, more than any table uses.
         let space = UniformSpace::new(64);
         let strategy = Strategy::d_choice(12);
         let loads = [0u32; 64];
         let mut rng = Xoshiro256pp::from_u64(9);
         for _ in 0..50 {
-            assert!(strategy.choose(&space, &loads, &mut rng) < 64);
+            assert!(place(&strategy, &space, &loads, &mut rng) < 64);
         }
     }
 
     #[test]
-    fn choose_and_choose_with_share_the_stream() {
-        // The scratch-reusing engine path and the convenience path must
-        // produce identical placements from identical RNG states.
-        let mut rng = Xoshiro256pp::from_u64(10);
-        let space = RingSpace::random(64, &mut rng);
-        for strategy in [
-            Strategy::one_choice(),
-            Strategy::two_choice(),
-            Strategy::d_choice(12),
-            Strategy::with_tie_break(3, TieBreak::SmallerRegion),
-            Strategy::voecking(2),
-        ] {
-            let mut a = Xoshiro256pp::from_u64(77);
-            let mut b = a.clone();
-            let mut scratch = ProbeScratch::for_strategy(&strategy);
-            let mut loads = vec![0u32; 64];
-            for _ in 0..200 {
-                let x = strategy.choose(&space, &loads, &mut a);
-                let y = strategy.choose_with(&space, &loads, &mut scratch, &mut b);
-                assert_eq!(x, y, "{}", strategy.label());
-                loads[x] += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn cross_ball_batching_eligibility() {
-        // Contract v2: every independent-probe strategy batches — the
-        // paper-default random tie-break included. Only the split scheme
-        // (division-conditioned probes) stays per-ball.
-        assert!(Strategy::one_choice().supports_cross_ball_batching());
-        assert!(Strategy::two_choice().supports_cross_ball_batching());
-        assert!(Strategy::d_choice(5).supports_cross_ball_batching());
-        for tie in [
-            TieBreak::Random,
-            TieBreak::Leftmost,
-            TieBreak::SmallerRegion,
-            TieBreak::LargerRegion,
-            TieBreak::LowestIndex,
-        ] {
-            assert!(Strategy::with_tie_break(3, tie).supports_cross_ball_batching());
-        }
-        assert!(!Strategy::voecking(2).supports_cross_ball_batching());
-    }
-
-    #[test]
-    fn place_from_owners_matches_choose_with_on_predrawn_probes() {
-        // For deterministic-tie strategies, resolving a pre-drawn owner
-        // window must equal choose_with fed from an RNG that yields the
-        // same probes (and consume no tie randomness: the tie lane's
-        // state is asserted untouched via a sentinel clone).
+    fn deterministic_ties_draw_nothing_from_the_tie_lane() {
+        // Every policy but the random one resolves ties from the loads
+        // and the geometry alone: the tie lane is left untouched, and
+        // the winner is always a minimum-load owner of the window.
         use rand::RngCore as _;
         let mut rng = Xoshiro256pp::from_u64(12);
         let space = RingSpace::random(32, &mut rng);
@@ -692,26 +524,30 @@ mod tests {
             Strategy::one_choice(),
             Strategy::with_tie_break(2, TieBreak::Leftmost),
             Strategy::with_tie_break(4, TieBreak::SmallerRegion),
+            Strategy::with_tie_break(3, TieBreak::LargerRegion),
+            Strategy::with_tie_break(3, TieBreak::LowestIndex),
         ] {
-            let mut scratch = ProbeScratch::for_strategy(&strategy);
             let mut loads = vec![0u32; 32];
-            let mut probe_rng = Xoshiro256pp::from_u64(13);
             for _ in 0..100 {
-                let mut owners = vec![0usize; strategy.d()];
-                let mut peek = probe_rng.clone();
-                space.sample_owners_into(&mut peek, &mut owners);
+                let owners: Vec<usize> = (0..strategy.d())
+                    .map(|_| space.sample_owner(&mut rng))
+                    .collect();
                 let mut tie_rng = geo2c_util::rng::SplitMix64::new(99);
                 let sentinel = tie_rng.clone();
-                let batched = strategy.place_from_loads(&space, &loads, &owners, &mut tie_rng);
+                let dest = strategy.place_from_loads(&space, &loads, &owners, &mut tie_rng);
                 assert_eq!(
                     tie_rng.next_u64(),
                     sentinel.clone().next_u64(),
                     "{}: deterministic tie consumed tie randomness",
                     strategy.label()
                 );
-                let sequential = strategy.choose_with(&space, &loads, &mut scratch, &mut probe_rng);
-                assert_eq!(batched, sequential, "{}", strategy.label());
-                loads[batched] += 1;
+                let min = owners.iter().map(|&s| loads[s]).min().unwrap();
+                assert!(
+                    owners.contains(&dest) && loads[dest] == min,
+                    "{}",
+                    strategy.label()
+                );
+                loads[dest] += 1;
             }
         }
     }
@@ -747,11 +583,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scratch sized for wrong d")]
-    fn mismatched_scratch_rejected() {
+    #[should_panic(expected = "owner block sized for wrong d")]
+    fn wrong_owner_window_rejected() {
         let space = UniformSpace::new(4);
-        let mut rng = Xoshiro256pp::from_u64(11);
-        let mut scratch = ProbeScratch::for_strategy(&Strategy::d_choice(3));
-        let _ = Strategy::two_choice().choose_with(&space, &[0; 4], &mut scratch, &mut rng);
+        let mut tie_rng = Xoshiro256pp::from_u64(11);
+        let _ =
+            Strategy::two_choice().place_from_loads(&space, &[0u32; 4], &[0, 1, 2], &mut tie_rng);
     }
 }

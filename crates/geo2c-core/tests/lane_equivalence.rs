@@ -9,7 +9,7 @@
 //! `gen_range(0..j)` draw per tied candidate beyond the first). The
 //! reference below implements that contract directly — its own minimum
 //! scan, its own reservoir, no engine code — so any batching bug in
-//! `sample_owners_lanes` overrides, `ProbeScratch` reuse, block
+//! `sample_owners_lanes` overrides, `EventOwnerBlocks` block reuse,
 //! chunking, or `place_from_loads` shows up as a placement mismatch.
 //!
 //! Coverage: all spaces (uniform bins, ring arcs, 2-D Voronoi torus,

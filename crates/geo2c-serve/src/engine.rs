@@ -347,7 +347,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     #[must_use]
     pub fn with_scheduler(space: S, config: ServeConfig, root: u64, loads: L) -> Self {
         assert!(
-            config.strategy.supports_cross_ball_batching(),
+            !config.strategy.is_split(),
             "serving requires a lane-form strategy (not the split scheme)"
         );
         match config.life {
@@ -570,8 +570,9 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
         if self.config.retries > 0 {
             let mut retry = self.lanes.retry(t);
             for attempt in 1..=self.config.retries {
-                self.space
-                    .sample_owners_into(&mut retry, &mut self.retry_scratch);
+                for slot in &mut self.retry_scratch {
+                    *slot = self.space.sample_owner(&mut retry);
+                }
                 let dest = self.config.strategy.place_from_loads(
                     &self.space,
                     &self.loads,
@@ -634,8 +635,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// `insert_balls_lanes` idiom — read-only, so the stream is
     /// untouched) before stepping through its drain-then-place events.
     /// Byte-identical to calling [`ServeEngine::step`] `events` times.
+    ///
+    /// # Panics
+    /// Panics if the event clock would pass `u64::MAX`.
     pub fn run(&mut self, events: u64) {
-        let end = self.counters.arrivals + events;
+        let end = self.clock_after(events);
         while self.counters.arrivals < end {
             let clock = self.counters.arrivals;
             let block = EventOwnerBlocks::BLOCK_EVENTS;
@@ -655,6 +659,18 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
                 self.step();
             }
         }
+    }
+
+    /// The event clock after `events` more arrivals.
+    ///
+    /// # Panics
+    /// Panics if that would pass `u64::MAX`: `events` is caller input, and
+    /// a restored clock may sit anywhere below the limit.
+    pub(crate) fn clock_after(&self, events: u64) -> u64 {
+        self.counters
+            .arrivals
+            .checked_add(events)
+            .expect("event clock overflow: arrivals + events exceeds u64::MAX")
     }
 
     /// Fails `server`: its sessions are evicted, its pending departure
@@ -867,7 +883,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use geo2c_core::space::{RingSpace, UniformSpace};
     use geo2c_util::rng::Xoshiro256pp;
@@ -1308,6 +1324,36 @@ mod tests {
             engine.run(50);
             assert_eq!(resumed.state(), engine.state());
         }
+    }
+
+    /// A 4-server engine restored one event short of the clock limit:
+    /// every arrival so far was shed at capacity, so sessions are
+    /// conserved with nothing in service.
+    pub(crate) fn engine_at_the_clock_limit(cfg: ServeConfig) -> ServeEngine<UniformSpace> {
+        let near_end = u64::MAX - 1;
+        let state = EngineState {
+            loads: vec![0; 4],
+            departures: Vec::new(),
+            counters: Counters {
+                arrivals: near_end,
+                shed: near_end,
+                ..Counters::default()
+            },
+            retry: RetryStats {
+                shed_capacity: near_end,
+                ..RetryStats::default()
+            },
+            peak_load: 0,
+        };
+        ServeEngine::try_restore_with_scheduler(UniformSpace::new(4), cfg, 3, &state, vec![0; 4])
+            .expect("a conserved clock is restorable")
+    }
+
+    #[test]
+    #[should_panic(expected = "event clock overflow")]
+    fn run_rejects_an_event_count_that_overflows_the_clock() {
+        let mut engine = engine_at_the_clock_limit(config(None, SessionLife::Fixed(5)));
+        engine.run(2);
     }
 
     #[test]

@@ -155,8 +155,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// Between consecutive fault instants the engine runs fault-free, so
     /// each gap goes through the batched [`ServeEngine::run`] loop (owner
     /// blocks + warming sweep) rather than stepping event by event.
+    ///
+    /// # Panics
+    /// Panics if the event clock would pass `u64::MAX`.
     pub fn run_with_faults(&mut self, events: u64, plan: &FaultPlan) {
-        let end = self.arrivals() + events;
+        let end = self.clock_after(events);
         let schedule = plan.events();
         let mut cursor = schedule.partition_point(|&(at, _)| at < self.arrivals());
         while self.arrivals() < end {
@@ -195,6 +198,13 @@ mod tests {
             life: SessionLife::Fixed(7),
             retries: 0,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "event clock overflow")]
+    fn run_with_faults_rejects_an_event_count_that_overflows_the_clock() {
+        let mut engine = crate::engine::tests::engine_at_the_clock_limit(config());
+        engine.run_with_faults(2, &FaultPlan::empty());
     }
 
     #[test]

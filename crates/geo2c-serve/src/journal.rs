@@ -887,8 +887,11 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     /// # Errors
     /// Any filesystem failure appending to the journal or writing a
     /// checkpoint; the in-memory engine keeps the events it ran.
+    ///
+    /// # Panics
+    /// Panics if the event clock would pass `u64::MAX`.
     pub fn run_journaled(&mut self, events: u64, plan: &FaultPlan) -> Result<(), JournalError> {
-        let end = self.engine.arrivals() + events;
+        let end = self.engine.clock_after(events);
         loop {
             let last = self.staged.pending().unwrap_or(self.checkpoint_event);
             let boundary = last + self.every;
