@@ -27,9 +27,10 @@ cargo build --release
 # but before its set_len), decoder robustness (hostile residue files
 # included), the checkpoint writer's byte identity (staged images
 # included), the wheel-vs-heap oracle, and torus owner equivalence
-# (TorusSites::owner, which runs on KdGrid<2>, against the 2-D
-# brute-force oracle; KdGrid::within against a brute radius filter). A
-# failure names its suite and test, so none of them is re-run by name.
+# (KdGrid::nearest / nearest_batch and KdSites::owner against the
+# brute-force oracle for K in {1, 2, 3, 4}; KdGrid::within against a
+# brute radius filter for K in {2, 3}). A failure names its suite and
+# test, so none of them is re-run by name.
 say "tests (workspace unit + integration + doctests)"
 cargo test -q
 

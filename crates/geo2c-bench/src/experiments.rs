@@ -19,7 +19,7 @@ use geo2c_core::experiment::{
     heavy_load_sweep, mean_load_profile, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
 };
 use geo2c_core::load::{LoadState as _, PackedLoads};
-use geo2c_core::nonuniform::{ClusteredRingModel, MixRingSpace, RingMix};
+use geo2c_core::nonuniform::{MixRingSpace, RingMix};
 use geo2c_core::sim::{run_trial, run_trial_into, run_trial_with_lanes};
 use geo2c_core::space::{KdTorusSpace, RingSpace, SpaceKind, TorusSpace, UniformSpace};
 use geo2c_core::strategy::{Strategy, TieBreak};
@@ -1662,7 +1662,7 @@ pub fn nonuniform_servers(n: usize, config: &SweepConfig) -> ExperimentResult {
         |q| {
             move |rng: &mut Xoshiro256pp| {
                 RingSpace::with_ownership(
-                    ClusteredRingModel::new(q, 0.0, NONUNIFORM_WIDTH).build_partition(n, rng),
+                    RingMix::new(q, 0.0, NONUNIFORM_WIDTH).build_partition(n, rng),
                     Ownership::Successor,
                 )
             }

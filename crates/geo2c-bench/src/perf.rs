@@ -9,7 +9,7 @@
 //!
 //! The suite deliberately benches only *public, stable* entry points
 //! (`RingPartition::owner` via [`geo2c_core::space::RingSpace`],
-//! `TorusSites::owner`, `sim::run_trial`) so a baseline captured before a
+//! `KdSites::owner`, `sim::run_trial`) so a baseline captured before a
 //! refactor stays comparable with one captured after: same ids, same
 //! workloads, different implementation. Implementation-level ablations
 //! (grid vs brute force, fast successor vs binary search) are not
@@ -28,7 +28,6 @@ use geo2c_report::{Cell, ExperimentResult, ExperimentSpec, Json};
 use geo2c_ring::RingPoint;
 use geo2c_serve::{DurableEngine, FaultPlan, ServeConfig, ServeEngine, SessionLife};
 use geo2c_torus::kd::{KdPoint, KdSites};
-use geo2c_torus::TorusPoint;
 use geo2c_util::rng::{BallLanes, Xoshiro256pp};
 use rand::RngCore as _;
 use std::time::{Duration, Instant};
@@ -93,9 +92,8 @@ pub fn time<O, F: FnMut() -> O>(routine: F) -> Timing {
 enum BenchKind {
     /// Batch of successor-owner lookups on a random ring partition.
     RingOwner,
-    /// Batch of nearest-site lookups on random torus sites.
-    TorusOwner,
-    /// Batch of nearest-site lookups on the `K`-torus (`K` ∈ {3, 4}).
+    /// Batch of nearest-site lookups on the `K`-torus (`K` ∈ {2, 3, 4};
+    /// `K = 2` is the paper's torus).
     KdOwner { k: usize },
     /// Batch of [`geo2c_core::load::LoadRead::min_load_of`] least-of-d
     /// resolutions over a populated load vector — [`MIN_LOAD_D`] probes
@@ -221,19 +219,8 @@ impl BenchDef {
                     queries.iter().map(|&q| space.owner_of(q)).sum::<usize>()
                 })
             }
-            BenchKind::TorusOwner => {
-                let space = TorusSpace::random(n, &mut rng);
-                let queries: Vec<TorusPoint> = (0..self.elems)
-                    .map(|_| TorusPoint::random(&mut rng))
-                    .collect();
-                time_with(window, repeats, || {
-                    queries
-                        .iter()
-                        .map(|&q| space.sites().owner(q))
-                        .sum::<usize>()
-                })
-            }
             BenchKind::KdOwner { k } => match k {
+                2 => kd_owner_bench::<2>(n, self.elems, &mut rng, window, repeats),
                 3 => kd_owner_bench::<3>(n, self.elems, &mut rng, window, repeats),
                 4 => kd_owner_bench::<4>(n, self.elems, &mut rng, window, repeats),
                 other => panic!("no K = {other} owner bench instantiated"),
@@ -472,7 +459,7 @@ impl BenchScale {
                 name: "torus_owner",
                 exp: self.torus_exp,
                 elems: self.queries,
-                kind: BenchKind::TorusOwner,
+                kind: BenchKind::KdOwner { k: 2 },
             },
             BenchDef {
                 group: "substrate",

@@ -4,74 +4,32 @@
 //! Theorem 1 assumes both the servers and the probes are uniform. Two
 //! relaxations matter in practice and are each represented here:
 //!
-//! * **Clustered servers** ([`ClusteredRingModel`]) — servers concentrate
-//!   in part of the space, so a few servers own huge regions. This is the
-//!   conclusion's "how much non-uniformity among bins can the two-choice
-//!   paradigm stand?" (experiment E15 sweeps it).
+//! * **Clustered servers** ([`RingMix::build_partition`]) — servers
+//!   concentrate in part of the space, so a few servers own huge regions.
+//!   This is the conclusion's "how much non-uniformity among bins can the
+//!   two-choice paradigm stand?" (experiment E15 sweeps it).
 //! * **Clustered probes** ([`MixRingSpace`]) — servers are uniform but
-//!   *items* probe non-uniformly (footnote 2's bank customers). The probe
-//!   law here is a mixture of the uniform circle and a uniform cluster
-//!   interval, chosen because every region's probe mass is then *exact*
-//!   (piecewise-linear in arc overlap), so even the region-size
-//!   tie-breaks remain well-defined: a "region's size" is its probability
-//!   of being probed, not its geometric length.
+//!   *items* probe non-uniformly (footnote 2's bank customers).
+//!
+//! Both draw from one law, [`RingMix`]: a mixture of the uniform circle
+//! and a uniform cluster interval, chosen because every region's probe
+//! mass is then *exact* (piecewise-linear in arc overlap), so even the
+//! region-size tie-breaks remain well-defined: a "region's size" is its
+//! probability of being probed, not its geometric length.
 
 use crate::space::{Space, LANE_BLOCK};
 use geo2c_ring::{Ownership, RingPartition, RingPoint};
 use geo2c_util::rng::LaneSource;
 use rand::Rng;
 
-/// Generator for clustered server placements on the ring: with
-/// probability `q` a server lands uniformly in the cluster interval
-/// `[start, start + width)` (wrapped), otherwise uniformly anywhere.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusteredRingModel {
-    /// Probability a server joins the cluster.
-    pub q: f64,
-    /// Cluster start coordinate.
-    pub start: f64,
-    /// Cluster width (fraction of the circle, in `(0, 1]`).
-    pub width: f64,
-}
-
-impl ClusteredRingModel {
-    /// Creates a model; `q = 0` degenerates to the uniform placement.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ q ≤ 1` and `0 < width ≤ 1`.
-    #[must_use]
-    pub fn new(q: f64, start: f64, width: f64) -> Self {
-        assert!((0.0..=1.0).contains(&q), "q must be a probability");
-        assert!(width > 0.0 && width <= 1.0, "width must be in (0, 1]");
-        Self { q, start, width }
-    }
-
-    /// Samples one server position.
-    #[must_use]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> RingPoint {
-        if rng.gen::<f64>() < self.q {
-            RingPoint::new(self.start + rng.gen::<f64>() * self.width)
-        } else {
-            RingPoint::random(rng)
-        }
-    }
-
-    /// Builds a full `n`-server partition from the model.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn build_partition<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> RingPartition {
-        assert!(n > 0);
-        RingPartition::from_positions((0..n).map(|_| self.sample(rng)).collect())
-    }
-}
-
-/// A probe-side mixture law on the circle: with probability `q` the probe
-/// is uniform on the cluster interval, otherwise uniform on the circle.
+/// A clustered mixture law on the circle: with probability `q` a point
+/// is uniform on the cluster interval `[start, start + width)` (wrapped),
+/// otherwise uniform on the circle. It drives both relaxations: probe
+/// points through [`MixRingSpace`], server positions through
+/// [`RingMix::build_partition`].
 #[derive(Debug, Clone, Copy)]
 pub struct RingMix {
-    /// Probability a probe comes from the cluster.
+    /// Probability a point comes from the cluster.
     pub q: f64,
     /// Cluster start coordinate.
     pub start: f64,
@@ -91,7 +49,7 @@ impl RingMix {
         Self { q, start, width }
     }
 
-    /// Samples one probe point.
+    /// Samples one point.
     #[must_use]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> RingPoint {
         if rng.gen::<f64>() < self.q {
@@ -99,6 +57,17 @@ impl RingMix {
         } else {
             RingPoint::random(rng)
         }
+    }
+
+    /// Builds an `n`-server partition with every position drawn from the
+    /// law (clustered servers).
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn build_partition<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> RingPartition {
+        assert!(n > 0);
+        RingPartition::from_positions((0..n).map(|_| self.sample(rng)).collect())
     }
 
     /// Length of the overlap between the clockwise arc `(from, to]` and
@@ -250,7 +219,7 @@ mod tests {
 
     #[test]
     fn clustered_model_respects_q() {
-        let model = ClusteredRingModel::new(0.8, 0.0, 0.1);
+        let model = RingMix::new(0.8, 0.0, 0.1);
         let mut rng = Xoshiro256pp::from_u64(1);
         let mut in_cluster = 0u32;
         let total = 20_000;
@@ -266,7 +235,7 @@ mod tests {
 
     #[test]
     fn q_zero_is_uniform() {
-        let model = ClusteredRingModel::new(0.0, 0.3, 0.1);
+        let model = RingMix::new(0.0, 0.3, 0.1);
         let mut rng = Xoshiro256pp::from_u64(2);
         let part = model.build_partition(2000, &mut rng);
         // Quarters of the circle get roughly equal counts.

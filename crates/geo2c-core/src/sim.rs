@@ -106,7 +106,7 @@ fn insert_balls<S: Space, R: Rng + ?Sized, LS: LoadState + ?Sized>(
 /// # Panics
 /// Panics for the split scheme, whose probes are division-conditioned
 /// and have no lane form.
-pub fn insert_balls_lanes<S: Space, L: LaneSource, LS: LoadState + ?Sized>(
+fn insert_balls_lanes<S: Space, L: LaneSource, LS: LoadState + ?Sized>(
     space: &S,
     strategy: &Strategy,
     m: usize,
@@ -265,7 +265,7 @@ pub fn run_trial_with_lanes<S: Space, L: LaneSource>(
     lanes: &L,
 ) -> TrialResult {
     let mut loads = vec![0u32; space.num_servers()];
-    let max_load = insert_balls_lanes(space, strategy, m, lanes, &mut loads);
+    let max_load = run_trial_into(space, strategy, m, lanes, &mut loads);
     TrialResult { loads, max_load }
 }
 

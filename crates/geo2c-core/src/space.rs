@@ -1,4 +1,4 @@
-//! The [`Space`] abstraction and its three concrete geometries.
+//! The [`Space`] abstraction and its concrete geometries.
 //!
 //! A *space* is a set of `n` servers owning regions of a probability
 //! space: sampling a uniform probe location and returning the owning
@@ -10,15 +10,20 @@
 //! |-------|--------|-------------------|
 //! | [`UniformSpace`] | abstract bin | exactly `1/n` each (classical) |
 //! | [`RingSpace`] | arc of the unit circle | `Beta(1, n−1)`-like gaps, max `Θ(log n/n)` |
-//! | [`TorusSpace`] | Voronoi cell on the unit torus | max `Θ(log n/n)` |
+//! | [`TorusSpace`] | Voronoi cell of a `KdSites<2>` on the unit torus (exact areas) | max `Θ(log n/n)` |
+//! | [`KdTorusSpace<K>`] | Voronoi cell on the unit `K`-torus (Monte-Carlo volumes) | max `Θ(log n/n)` |
+//!
+//! The two torus spaces share one site set type and one draw path; they
+//! differ only in how region sizes are computed and in their
+//! construction stream.
 //!
 //! Vöcking's split-interval scheme additionally needs "sample a probe in
 //! the `j`-th of `d` equal divisions of the space"; each space divides
 //! along its natural coordinate (bin index ranges / ring intervals /
-//! vertical strips).
+//! slabs along the first torus axis).
 
 use geo2c_ring::{Ownership, RingPartition, RingPoint};
-use geo2c_torus::{TorusPoint, TorusSites};
+use geo2c_torus::{KdPoint, KdSites};
 use geo2c_util::rng::LaneSource;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -295,16 +300,63 @@ impl Space for RingSpace {
 // Torus (Section 3)
 // ---------------------------------------------------------------------------
 
+/// The batched lane draw of every torus space ([`TorusSpace`] and
+/// [`KdTorusSpace<K>`]). Lane contract: ball `i` draws its `K`
+/// coordinates per probe, in order, from `lanes.probe(i)`; the lookups
+/// then run through the grid's batched fast path for the whole chunk.
+fn kd_owners_lanes<S: Space, const K: usize, L: LaneSource>(
+    space: &S,
+    sites: &KdSites<K>,
+    lanes: &L,
+    d: usize,
+    out: &mut [usize],
+) {
+    if d == 0 || d > LANE_BLOCK {
+        lane_owners_generic(space, lanes, d, out);
+        return;
+    }
+    lane_owners_chunked(
+        lanes,
+        d,
+        out,
+        KdPoint { coords: [0.0; K] },
+        KdPoint::random,
+        |points, chunk| sites.owners_into(points, chunk),
+    );
+}
+
+/// The division draw of every torus space: a probe in the slab
+/// `[j/d, (j+1)/d)` along the first axis (a vertical strip on the 2-D
+/// torus), the remaining coordinates uniform.
+fn kd_owner_in_division<const K: usize, R: Rng + ?Sized>(
+    sites: &KdSites<K>,
+    rng: &mut R,
+    j: usize,
+    d: usize,
+) -> usize {
+    assert!(d > 0 && j < d, "division {j} of {d}");
+    let mut coords = [0.0f64; K];
+    coords[0] = (j as f64 + rng.gen::<f64>()) / d as f64;
+    for c in coords.iter_mut().skip(1) {
+        *c = rng.gen::<f64>();
+    }
+    sites.owner(&KdPoint::new(coords))
+}
+
 /// The paper's Section 3 space: `n` random sites on the unit torus; bins
 /// are their Voronoi cells.
 ///
-/// Cell areas (needed only by the region-size tie-breaks) are computed
-/// lazily on first use and cached: the exact construction costs `O(1)`
-/// expected clips per cell but is unnecessary for the random/leftmost
-/// tie-breaks the headline tables use.
+/// It probes exactly like [`KdTorusSpace<2>`] (the same site set and the
+/// same draw code); it differs in its region sizes and its construction
+/// stream. Cell areas (needed only by the region-size tie-breaks) are
+/// exact, computed lazily on first use and cached: the construction
+/// costs `O(1)` expected clips per cell but is unnecessary for the
+/// random/leftmost tie-breaks the headline tables use. [`Self::random`]
+/// draws the sites and nothing else, where [`KdTorusSpace::random`]
+/// draws a Monte-Carlo volume seed first.
 #[derive(Debug)]
 pub struct TorusSpace {
-    sites: TorusSites,
+    sites: KdSites<2>,
     areas: OnceLock<Vec<f64>>,
 }
 
@@ -312,12 +364,12 @@ impl TorusSpace {
     /// Places `n` sites uniformly at random.
     #[must_use]
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        Self::from_sites(TorusSites::random(n, rng))
+        Self::from_sites(KdSites::random(n, rng))
     }
 
     /// Wraps an existing site set.
     #[must_use]
-    pub fn from_sites(sites: TorusSites) -> Self {
+    pub fn from_sites(sites: KdSites<2>) -> Self {
         Self {
             sites,
             areas: OnceLock::new(),
@@ -326,7 +378,7 @@ impl TorusSpace {
 
     /// The underlying site set.
     #[must_use]
-    pub fn sites(&self) -> &TorusSites {
+    pub fn sites(&self) -> &KdSites<2> {
         &self.sites
     }
 
@@ -341,37 +393,15 @@ impl Space for TorusSpace {
     }
 
     fn sample_owner<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.sites.owner(TorusPoint::random(rng))
+        self.sites.owner(&KdPoint::random(rng))
     }
 
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
-        // Lane contract: ball i draws (x, y) per probe, in order, from
-        // lanes.probe(i); nearest-site lookups then run as one tight
-        // homogeneous loop per chunk.
-        if d == 0 || d > LANE_BLOCK {
-            lane_owners_generic(self, lanes, d, out);
-            return;
-        }
-        lane_owners_chunked(
-            lanes,
-            d,
-            out,
-            TorusPoint { x: 0.0, y: 0.0 },
-            TorusPoint::random,
-            |points, chunk| {
-                for (slot, &p) in chunk.iter_mut().zip(points.iter()) {
-                    *slot = self.sites.owner(p);
-                }
-            },
-        );
+        kd_owners_lanes(self, &self.sites, lanes, d, out);
     }
 
     fn sample_owner_in_division<R: Rng + ?Sized>(&self, rng: &mut R, j: usize, d: usize) -> usize {
-        assert!(d > 0 && j < d, "division {j} of {d}");
-        // Vertical strip x ∈ [j/d, (j+1)/d), y uniform.
-        let x = (j as f64 + rng.gen::<f64>()) / d as f64;
-        let y = rng.gen::<f64>();
-        self.sites.owner(TorusPoint::new(x, y))
+        kd_owner_in_division(&self.sites, rng, j, d)
     }
 
     fn region_size(&self, server: usize) -> f64 {
@@ -379,7 +409,7 @@ impl Space for TorusSpace {
     }
 
     fn position_key(&self, server: usize) -> f64 {
-        self.sites.point(server).x
+        self.sites.point(server).coords[0]
     }
 }
 
@@ -395,7 +425,7 @@ impl Space for TorusSpace {
 /// exact polytope volumes in `K > 2` dimensions are out of scope.
 #[derive(Debug)]
 pub struct KdTorusSpace<const K: usize> {
-    sites: geo2c_torus::kd::KdSites<K>,
+    sites: KdSites<K>,
     volumes: OnceLock<Vec<f64>>,
     volume_seed: u64,
 }
@@ -409,7 +439,7 @@ impl<const K: usize> KdTorusSpace<K> {
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         let volume_seed = rng.gen::<u64>();
         Self {
-            sites: geo2c_torus::kd::KdSites::random(n, rng),
+            sites: KdSites::random(n, rng),
             volumes: OnceLock::new(),
             volume_seed,
         }
@@ -417,7 +447,7 @@ impl<const K: usize> KdTorusSpace<K> {
 
     /// The underlying site set.
     #[must_use]
-    pub fn sites(&self) -> &geo2c_torus::kd::KdSites<K> {
+    pub fn sites(&self) -> &KdSites<K> {
         &self.sites
     }
 
@@ -436,36 +466,15 @@ impl<const K: usize> Space for KdTorusSpace<K> {
     }
 
     fn sample_owner<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.sites.owner(&geo2c_torus::kd::KdPoint::random(rng))
+        self.sites.owner(&KdPoint::random(rng))
     }
 
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
-        // Lane contract: ball i draws its K coordinates per probe, in
-        // order, from lanes.probe(i); the lookups then run through the
-        // grid's batched fast path for the whole chunk.
-        if d == 0 || d > LANE_BLOCK {
-            lane_owners_generic(self, lanes, d, out);
-            return;
-        }
-        lane_owners_chunked(
-            lanes,
-            d,
-            out,
-            geo2c_torus::kd::KdPoint { coords: [0.0; K] },
-            geo2c_torus::kd::KdPoint::random,
-            |points, chunk| self.sites.owners_into(points, chunk),
-        );
+        kd_owners_lanes(self, &self.sites, lanes, d, out);
     }
 
     fn sample_owner_in_division<R: Rng + ?Sized>(&self, rng: &mut R, j: usize, d: usize) -> usize {
-        assert!(d > 0 && j < d, "division {j} of {d}");
-        // Slab along the first axis; remaining coordinates uniform.
-        let mut coords = [0.0f64; K];
-        coords[0] = (j as f64 + rng.gen::<f64>()) / d as f64;
-        for c in coords.iter_mut().skip(1) {
-            *c = rng.gen::<f64>();
-        }
-        self.sites.owner(&geo2c_torus::kd::KdPoint::new(coords))
+        kd_owner_in_division(&self.sites, rng, j, d)
     }
 
     fn region_size(&self, server: usize) -> f64 {
@@ -675,7 +684,7 @@ mod tests {
         // A 2-site torus split left/right at x=0.25 / 0.75: probes from
         // division 0 (x ∈ [0, 0.5)) should mostly hit site 0.
         let sites =
-            TorusSites::from_points(vec![TorusPoint::new(0.25, 0.5), TorusPoint::new(0.75, 0.5)]);
+            KdSites::from_points(vec![KdPoint::new([0.25, 0.5]), KdPoint::new([0.75, 0.5])]);
         let space = TorusSpace::from_sites(sites);
         let mut hits0 = 0;
         for _ in 0..1000 {

@@ -537,9 +537,12 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// admitted to the least loaded — or, once the primary probes and up
     /// to [`ServeConfig::retries`] redrawn probe sets are exhausted,
     /// shed by admission control.
+    ///
+    /// # Panics
+    /// Panics if the event clock is already at `u64::MAX`.
     pub fn step(&mut self) -> Placement {
         let t = self.counters.arrivals;
-        self.counters.arrivals += 1;
+        self.counters.arrivals = self.clock_after(1);
         {
             let loads = &mut self.loads;
             let departed = &mut self.counters.departed;
@@ -632,7 +635,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     /// Runs `events` arrival events, batched along the 64-event aligned
     /// [`EventOwnerBlocks`] the owner pre-draw already materializes: each
     /// run sweeps a load-warming pass over the block's owners (the
-    /// `insert_balls_lanes` idiom — read-only, so the stream is
+    /// `sim::run_trial` idiom — read-only, so the stream is
     /// untouched) before stepping through its drain-then-place events.
     /// Byte-identical to calling [`ServeEngine::step`] `events` times.
     ///
@@ -1354,6 +1357,14 @@ pub(crate) mod tests {
     fn run_rejects_an_event_count_that_overflows_the_clock() {
         let mut engine = engine_at_the_clock_limit(config(None, SessionLife::Fixed(5)));
         engine.run(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "event clock overflow")]
+    fn step_rejects_the_event_after_the_clock_limit() {
+        let mut engine = engine_at_the_clock_limit(config(None, SessionLife::Fixed(5)));
+        engine.step();
+        engine.step();
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //!
 //! Everything needed by the allocation process is nearest-neighbour
 //! search; this module provides it for any constant dimension `K` via
-//! const generics, and is the one index behind both the 2-D
-//! [`crate::voronoi::TorusSites`] (on `KdGrid<2>`) and the `K`-torus
-//! [`KdSites<K>`]:
+//! const generics. It holds the one point type and the one site set of
+//! every torus dimension — the paper's 2-D torus is `K = 2`, whose exact
+//! Voronoi geometry [`crate::voronoi`] adds to [`KdSites<2>`]:
 //!
-//! * [`KdPoint<K>`] — points of `[0,1)^K` with wrapped displacement and
-//!   Euclidean distance (diameter `√K/2`).
+//! * [`KdPoint<K>`] — points of `[0,1)^K` with wrapped displacement,
+//!   offset and Euclidean distance (diameter `√K/2`).
 //! * [`KdGrid<K>`] — the exact bucket-grid index: an expanding search
 //!   over Chebyshev *shells* of cells. Every cell in shell `r` is at
 //!   least `(r−1)·w` away in L∞ (hence L2), so the search stops as soon
@@ -27,14 +27,15 @@
 //!   that skips every cell already covered by completed shells. The
 //!   same walkers answer the radius query [`KdGrid::within`] that
 //!   Voronoi construction and the Lemma 8 sectors need.
-//! * [`KdSites<K>`] — the server set with ownership queries, including
-//!   the block-resolving [`KdSites::owners_into`] the insertion engine
-//!   batches probes through.
+//! * [`KdSites<K>`] — the server set with ownership and radius queries,
+//!   including the block-resolving [`KdSites::owners_into`] the insertion
+//!   engine batches probes through.
 //!
 //! Exact Voronoi *volumes* in `K > 2` dimensions would need convex
-//! polytope clipping; region sizes here are Monte-Carlo estimates (they
-//! are only used by the region-size tie-breaks, which are themselves
-//! heuristics). `K = 1` reproduces the ring with nearest-neighbour
+//! polytope clipping; there, region sizes are Monte-Carlo estimates
+//! ([`KdSites::mc_cell_volumes`]; they are only used by the region-size
+//! tie-breaks, which are themselves heuristics), while `K = 2` has exact
+//! cell areas. `K = 1` reproduces the ring with nearest-neighbour
 //! ownership — cross-checked in the tests.
 
 use crate::point::{wrap01, wrap_delta};
@@ -88,6 +89,31 @@ impl<const K: usize> KdPoint<K> {
     #[must_use]
     pub fn dist(&self, other: &KdPoint<K>) -> f64 {
         self.dist2(other).sqrt()
+    }
+
+    /// The shortest displacement vector from `self` to `other`, with
+    /// every component in `[-0.5, 0.5)`.
+    #[inline]
+    #[must_use]
+    pub fn delta(&self, other: &KdPoint<K>) -> [f64; K] {
+        let mut d = [0.0; K];
+        for (k, slot) in d.iter_mut().enumerate() {
+            *slot = wrap_delta(other.coords[k] - self.coords[k]);
+        }
+        d
+    }
+
+    /// The point displaced by `delta` (wraps).
+    ///
+    /// # Panics
+    /// Panics if a displaced coordinate is not finite.
+    #[must_use]
+    pub fn offset(&self, delta: [f64; K]) -> KdPoint<K> {
+        let mut coords = self.coords;
+        for (c, d) in coords.iter_mut().zip(delta) {
+            *c += d;
+        }
+        KdPoint::new(coords)
     }
 }
 
@@ -740,6 +766,13 @@ impl<const K: usize> KdSites<K> {
         kd_nearest_brute(p, &self.points)
     }
 
+    /// All sites within distance `radius` of `p` (inclusive), in
+    /// ascending index order — exact, via [`KdGrid::within`].
+    #[must_use]
+    pub fn within(&self, p: &KdPoint<K>, radius: f64) -> Vec<usize> {
+        self.grid.within(p, radius)
+    }
+
     /// Monte-Carlo estimate of every site's Voronoi cell volume from
     /// `samples` uniform probes (exact polytope volumes are out of scope
     /// for `K > 2`; this estimator is used only by region-size
@@ -762,25 +795,6 @@ mod tests {
     fn random_sites<const K: usize>(n: usize, seed: u64) -> Vec<KdPoint<K>> {
         let mut rng = Xoshiro256pp::from_u64(seed);
         (0..n).map(|_| KdPoint::random(&mut rng)).collect()
-    }
-
-    #[test]
-    fn distances_match_2d_implementation() {
-        use crate::point::TorusPoint;
-        let mut rng = Xoshiro256pp::from_u64(1);
-        for _ in 0..500 {
-            let (ax, ay, bx, by) = (
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-            );
-            let a2 = TorusPoint::new(ax, ay);
-            let b2 = TorusPoint::new(bx, by);
-            let ak = KdPoint::new([ax, ay]);
-            let bk = KdPoint::new([bx, by]);
-            assert!((a2.dist(b2) - ak.dist(&bk)).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -851,31 +865,6 @@ mod tests {
                     .abs()
                         < 1e-12,
                 "1-D owners differ at x={x}"
-            );
-        }
-    }
-
-    #[test]
-    fn kd2_matches_torus_sites() {
-        use crate::point::TorusPoint;
-        use crate::voronoi::TorusSites;
-        let mut rng = Xoshiro256pp::from_u64(4);
-        let pts: Vec<(f64, f64)> = (0..100).map(|_| (rng.gen(), rng.gen())).collect();
-        let sites2 =
-            TorusSites::from_points(pts.iter().map(|&(x, y)| TorusPoint::new(x, y)).collect());
-        let sitesk =
-            KdSites::<2>::from_points(pts.iter().map(|&(x, y)| KdPoint::new([x, y])).collect());
-        for _ in 0..500 {
-            let (x, y) = (rng.gen::<f64>(), rng.gen::<f64>());
-            let a = sites2.owner(TorusPoint::new(x, y));
-            let b = sitesk.owner(&KdPoint::new([x, y]));
-            let pa = sites2.point(a);
-            let pb = sitesk.point(b);
-            let probe2 = TorusPoint::new(x, y);
-            let probek = KdPoint::new([x, y]);
-            assert!(
-                (probe2.dist2(pa) - probek.dist2(pb)).abs() < 1e-15,
-                "2-D owners differ at ({x}, {y})"
             );
         }
     }

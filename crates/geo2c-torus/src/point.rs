@@ -1,20 +1,12 @@
-//! Points on the unit torus `[0,1)²` with wrapped arithmetic.
+//! Wrapped coordinate arithmetic on the unit torus.
 //!
-//! The torus identifies `x` with `x+1` on both axes, so displacements are
-//! canonicalized into `[-0.5, 0.5)` per coordinate: the wrapped displacement
+//! The torus identifies `x` with `x+1` on every axis, so coordinates are
+//! canonicalized into `[0, 1)` ([`wrap01`]) and displacements into
+//! `[-0.5, 0.5)` per coordinate ([`wrap_delta`]): the wrapped displacement
 //! is the *shortest* vector from one point to another, and the toroidal
-//! Euclidean distance is its norm (at most `√2/2`).
-
-use rand::Rng;
-
-/// A point on the unit torus, with both coordinates in `[0, 1)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TorusPoint {
-    /// Horizontal coordinate in `[0, 1)`.
-    pub x: f64,
-    /// Vertical coordinate in `[0, 1)`.
-    pub y: f64,
-}
+//! Euclidean distance is its norm (at most `√K/2` on the `K`-torus,
+//! `√2/2` on the paper's 2-D torus). [`crate::kd::KdPoint`] is built on
+//! these two functions for every dimension.
 
 /// Wraps a coordinate into `[0, 1)`.
 ///
@@ -61,86 +53,25 @@ pub fn wrap_delta(d: f64) -> f64 {
     }
 }
 
-impl TorusPoint {
-    /// Creates a point, wrapping both coordinates into `[0, 1)`.
-    ///
-    /// # Panics
-    /// Panics if either coordinate is not finite.
-    #[must_use]
-    pub fn new(x: f64, y: f64) -> Self {
-        assert!(
-            x.is_finite() && y.is_finite(),
-            "torus coordinates must be finite, got ({x}, {y})"
-        );
-        Self {
-            x: wrap01(x),
-            y: wrap01(y),
-        }
-    }
-
-    /// Samples a uniformly random point on the torus.
-    #[must_use]
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self {
-            x: rng.gen::<f64>(),
-            y: rng.gen::<f64>(),
-        }
-    }
-
-    /// The shortest displacement vector from `self` to `other`, with each
-    /// component in `[-0.5, 0.5)`.
-    #[inline]
-    #[must_use]
-    pub fn delta(self, other: TorusPoint) -> (f64, f64) {
-        (wrap_delta(other.x - self.x), wrap_delta(other.y - self.y))
-    }
-
-    /// Squared toroidal Euclidean distance (cheaper than [`Self::dist`]
-    /// for comparisons).
-    #[inline]
-    #[must_use]
-    pub fn dist2(self, other: TorusPoint) -> f64 {
-        let (dx, dy) = self.delta(other);
-        dx * dx + dy * dy
-    }
-
-    /// Toroidal Euclidean distance, in `[0, √2/2]`.
-    #[inline]
-    #[must_use]
-    pub fn dist(self, other: TorusPoint) -> f64 {
-        self.dist2(other).sqrt()
-    }
-
-    /// The point displaced by `(dx, dy)` (wraps).
-    #[must_use]
-    pub fn offset(self, dx: f64, dy: f64) -> TorusPoint {
-        TorusPoint::new(self.x + dx, self.y + dy)
-    }
-}
-
-impl std::fmt::Display for TorusPoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "({:.6}, {:.6})", self.x, self.y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kd::KdPoint;
     use geo2c_util::rng::Xoshiro256pp;
+    use rand::Rng;
 
     #[test]
     fn new_wraps() {
-        let p = TorusPoint::new(1.25, -0.25);
-        assert!((p.x - 0.25).abs() < 1e-12);
-        assert!((p.y - 0.75).abs() < 1e-12);
-        assert_eq!(TorusPoint::new(1.0, 2.0), TorusPoint::new(0.0, 0.0));
+        let p = KdPoint::new([1.25, -0.25]);
+        assert!((p.coords[0] - 0.25).abs() < 1e-12);
+        assert!((p.coords[1] - 0.75).abs() < 1e-12);
+        assert_eq!(KdPoint::new([1.0, 2.0]), KdPoint::new([0.0, 0.0]));
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn new_rejects_infinite() {
-        let _ = TorusPoint::new(f64::INFINITY, 0.0);
+        let _ = KdPoint::new([f64::INFINITY, 0.0]);
     }
 
     #[test]
@@ -154,23 +85,23 @@ mod tests {
 
     #[test]
     fn distance_takes_shortest_path() {
-        let a = TorusPoint::new(0.05, 0.05);
-        let b = TorusPoint::new(0.95, 0.95);
+        let a = KdPoint::new([0.05, 0.05]);
+        let b = KdPoint::new([0.95, 0.95]);
         // Shortest path wraps both axes: (−0.1, −0.1).
-        assert!((a.dist(b) - (0.02f64).sqrt()).abs() < 1e-12);
-        assert_eq!(a.dist(b), b.dist(a));
+        assert!((a.dist(&b) - (0.02f64).sqrt()).abs() < 1e-12);
+        assert_eq!(a.dist(&b), b.dist(&a));
     }
 
     #[test]
     fn max_distance_is_half_diagonal() {
-        let a = TorusPoint::new(0.0, 0.0);
-        let b = TorusPoint::new(0.5, 0.5);
-        assert!((a.dist(b) - (0.5f64).sqrt()).abs() < 1e-12);
+        let a = KdPoint::new([0.0, 0.0]);
+        let b = KdPoint::new([0.5, 0.5]);
+        assert!((a.dist(&b) - (0.5f64).sqrt()).abs() < 1e-12);
         let mut rng = Xoshiro256pp::from_u64(2);
         for _ in 0..1000 {
-            let p = TorusPoint::random(&mut rng);
-            let q = TorusPoint::random(&mut rng);
-            assert!(p.dist(q) <= (0.5f64).sqrt() + 1e-12);
+            let p = KdPoint::<2>::random(&mut rng);
+            let q = KdPoint::<2>::random(&mut rng);
+            assert!(p.dist(&q) <= (0.5f64).sqrt() + 1e-12);
         }
     }
 
@@ -178,10 +109,10 @@ mod tests {
     fn delta_consistent_with_offset() {
         let mut rng = Xoshiro256pp::from_u64(3);
         for _ in 0..1000 {
-            let p = TorusPoint::random(&mut rng);
+            let p = KdPoint::<2>::random(&mut rng);
             let (dx, dy) = (rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
-            let q = p.offset(dx, dy);
-            let (gx, gy) = p.delta(q);
+            let q = p.offset([dx, dy]);
+            let [gx, gy] = p.delta(&q);
             // The recovered displacement equals the applied one (both are
             // already canonical), modulo the ±0.5 boundary.
             if dx.abs() < 0.499 && dy.abs() < 0.499 {
@@ -195,9 +126,9 @@ mod tests {
     fn random_points_in_unit_square() {
         let mut rng = Xoshiro256pp::from_u64(4);
         for _ in 0..1000 {
-            let p = TorusPoint::random(&mut rng);
-            assert!((0.0..1.0).contains(&p.x));
-            assert!((0.0..1.0).contains(&p.y));
+            let p = KdPoint::<2>::random(&mut rng);
+            assert!((0.0..1.0).contains(&p.coords[0]));
+            assert!((0.0..1.0).contains(&p.coords[1]));
         }
     }
 }

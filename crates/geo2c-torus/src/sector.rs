@@ -20,7 +20,7 @@
 //! Lemma 8 on random instances, and the Lemma 9 Monte-Carlo experiment
 //! (E4 and E7 in DESIGN.md).
 
-use crate::voronoi::TorusSites;
+use crate::kd::KdSites;
 use geo2c_util::parallel::parallel_map;
 use geo2c_util::rng::StreamSeeder;
 use geo2c_util::stats::RunningStats;
@@ -49,16 +49,16 @@ pub fn sector_of(dx: f64, dy: f64) -> usize {
 /// `occupied[k]` is true iff some *other* site lies in sector `k` within
 /// the disc.
 #[must_use]
-pub fn sector_occupancy(sites: &TorusSites, i: usize, c: f64) -> [bool; 6] {
+pub fn sector_occupancy(sites: &KdSites<2>, i: usize, c: f64) -> [bool; 6] {
     let n = sites.len();
     let radius = disc_radius(c / n as f64);
-    let p = sites.point(i);
+    let p = *sites.point(i);
     let mut occupied = [false; 6];
-    for j in sites.within(p, radius) {
+    for j in sites.within(&p, radius) {
         if j == i {
             continue;
         }
-        let (dx, dy) = p.delta(sites.point(j));
+        let [dx, dy] = p.delta(sites.point(j));
         occupied[sector_of(dx, dy)] = true;
     }
     occupied
@@ -68,7 +68,7 @@ pub fn sector_occupancy(sites: &TorusSites, i: usize, c: f64) -> [bool; 6] {
 /// `c/n`) is empty — the event whose count upper-bounds the number of
 /// large cells in Lemma 9.
 #[must_use]
-pub fn has_empty_sector(sites: &TorusSites, i: usize, c: f64) -> bool {
+pub fn has_empty_sector(sites: &KdSites<2>, i: usize, c: f64) -> bool {
     sector_occupancy(sites, i, c).iter().any(|&occ| !occ)
 }
 
@@ -123,7 +123,7 @@ pub fn voronoi_tail_experiment(
     // Per trial, per c: (large_cell_count, z_count, lemma8_violations).
     let per_trial: Vec<Vec<(usize, usize, u64)>> = parallel_map(trials, threads, |t| {
         let mut rng = seeder.stream(t as u64);
-        let sites = TorusSites::random(n, &mut rng);
+        let sites = KdSites::<2>::random(n, &mut rng);
         let areas = sites.cell_areas();
         cs.iter()
             .map(|&c| {
@@ -181,7 +181,7 @@ pub fn voronoi_tail_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::TorusPoint;
+    use crate::kd::KdPoint;
     use geo2c_util::rng::Xoshiro256pp;
 
     #[test]
@@ -215,11 +215,11 @@ mod tests {
         // c = 16 with n = 4 sites → disc area 4/4… keep explicit.
         let n_area = 16.0;
         // Site 0 at centre; one neighbour in sector 0, one in sector 3.
-        let sites = TorusSites::from_points(vec![
-            TorusPoint::new(0.5, 0.5),
-            TorusPoint::new(0.52, 0.501), // east: sector 0
-            TorusPoint::new(0.47, 0.499), // west: sector 3
-            TorusPoint::new(0.1, 0.1),    // far away
+        let sites = KdSites::<2>::from_points(vec![
+            KdPoint::new([0.5, 0.5]),
+            KdPoint::new([0.52, 0.501]), // east: sector 0
+            KdPoint::new([0.47, 0.499]), // west: sector 3
+            KdPoint::new([0.1, 0.1]),    // far away
         ]);
         let c = n_area; // radius = sqrt(c/(n π)) = sqrt(16/(4π)) ≈ 1.128 → clipped by torus, all close sites in disc
         let occ = sector_occupancy(&sites, 0, c);
@@ -234,7 +234,7 @@ mod tests {
         let mut rng = Xoshiro256pp::from_u64(51);
         for trial in 0..10 {
             let n = 128;
-            let sites = TorusSites::random(n, &mut rng);
+            let sites = KdSites::<2>::random(n, &mut rng);
             let areas = sites.cell_areas();
             for c in [2.0, 4.0, 8.0] {
                 let cutoff = c / n as f64;

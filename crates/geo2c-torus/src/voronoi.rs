@@ -1,11 +1,11 @@
-//! Random sites on the torus, ownership queries, and exact Voronoi cells.
+//! Exact Voronoi cells on the 2-D torus.
 //!
-//! [`TorusSites`] is the Section-3 substrate: `n` servers at uniform random
-//! positions, where a probe point belongs to its nearest server — i.e. the
-//! servers' Voronoi cells are the bins. Ownership and radius queries go
-//! through the exact bucket-grid index every torus dimension shares
-//! ([`crate::kd::KdGrid`], here `KdGrid<2>`); [`nearest_brute`] is the
-//! 2-D oracle it is checked against.
+//! The Section-3 substrate is [`KdSites<2>`]: `n` servers at uniform
+//! random positions, where a probe point belongs to its nearest server —
+//! i.e. the servers' Voronoi cells are the bins. Ownership and radius
+//! queries are the ones every torus dimension shares ([`crate::kd`]);
+//! this module adds the geometry only the 2-D torus has, an exact
+//! construction of each cell.
 //!
 //! ## Exact cells on a torus
 //!
@@ -20,9 +20,9 @@
 //! `δ₀ + {−1,0,1}`, `δ₀` the canonical displacement) is always sufficient.
 //!
 //! Two constructions are provided:
-//! * [`TorusSites::cell_brute`] — clips against all `9(n−1)` image
+//! * [`KdSites::cell_brute`] — clips against all `9(n−1)` image
 //!   bisectors; the oracle.
-//! * [`TorusSites::cell`] — grid-accelerated: processes candidate sites in
+//! * [`KdSites::cell`] — grid-accelerated: processes candidate sites in
 //!   expanding radius `r` and stops once `2·max_vertex_radius ≤ r`, at
 //!   which point no unprocessed site (all at distance `> r`) can cut the
 //!   polygon. Expected `O(1)` neighbours per cell for uniform sites.
@@ -31,114 +31,15 @@
 //! three ways in the tests (against the brute oracle, against Monte-Carlo
 //! hit rates, and by the partition-of-unity property Σ areas = 1).
 
-use crate::kd::{KdGrid, KdPoint};
-use crate::point::TorusPoint;
+use crate::kd::KdSites;
 use crate::polygon::Polygon;
-use rand::Rng;
 
-/// `n` server sites on the unit torus with exact ownership and Voronoi
-/// geometry.
-#[derive(Debug, Clone)]
-pub struct TorusSites {
-    points: Vec<TorusPoint>,
-    grid: KdGrid<2>,
-}
-
-/// The grid's view of a torus point (coordinates already in `[0, 1)`).
-fn kd(p: TorusPoint) -> KdPoint<2> {
-    KdPoint { coords: [p.x, p.y] }
-}
-
-/// Brute-force nearest site: the `O(n)` oracle the grid-backed
-/// [`TorusSites::owner`] is validated against. Ties break toward the
-/// lower index.
-///
-/// # Panics
-/// Panics if `sites` is empty.
-#[must_use]
-pub fn nearest_brute(p: TorusPoint, sites: &[TorusPoint]) -> usize {
-    assert!(!sites.is_empty(), "nearest_brute needs at least one site");
-    let mut best = 0usize;
-    let mut best_d2 = f64::INFINITY;
-    for (i, s) in sites.iter().enumerate() {
-        let d2 = p.dist2(*s);
-        if d2 < best_d2 {
-            best_d2 = d2;
-            best = i;
-        }
-    }
-    best
-}
-
-impl TorusSites {
-    /// Places `n ≥ 1` sites independently and uniformly at random.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        Self::from_points((0..n).map(|_| TorusPoint::random(rng)).collect())
-    }
-
-    /// Builds from explicit positions.
-    ///
-    /// # Panics
-    /// Panics if `points` is empty.
-    #[must_use]
-    pub fn from_points(points: Vec<TorusPoint>) -> Self {
-        assert!(!points.is_empty(), "torus sites need at least one server");
-        let kd_points: Vec<KdPoint<2>> = points.iter().map(|&p| kd(p)).collect();
-        let grid = KdGrid::build(&kd_points);
-        Self { points, grid }
-    }
-
-    /// Number of sites.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Always false: construction requires at least one site.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// All site positions (index = server id).
-    #[must_use]
-    pub fn points(&self) -> &[TorusPoint] {
-        &self.points
-    }
-
-    /// Position of site `i`.
-    #[must_use]
-    pub fn point(&self, i: usize) -> TorusPoint {
-        self.points[i]
-    }
-
-    /// Exact nearest site to `p` (grid-accelerated).
-    #[must_use]
-    pub fn owner(&self, p: TorusPoint) -> usize {
-        self.grid.nearest(&kd(p))
-    }
-
-    /// Brute-force nearest site (the oracle used in tests/ablations).
-    #[must_use]
-    pub fn owner_brute(&self, p: TorusPoint) -> usize {
-        nearest_brute(p, &self.points)
-    }
-
-    /// All sites within distance `radius` of `p` (inclusive), in
-    /// ascending index order — exact, via [`KdGrid::within`].
-    #[must_use]
-    pub fn within(&self, p: TorusPoint, radius: f64) -> Vec<usize> {
-        self.grid.within(&kd(p), radius)
-    }
-
+/// The 2-D torus's exact Voronoi geometry.
+impl KdSites<2> {
     /// Clips `poly` (in site `i`'s local frame) against all nine images of
     /// site `j`.
     fn clip_against_site(&self, poly: &mut Polygon, i: usize, j: usize) {
-        let (dx0, dy0) = self.points[i].delta(self.points[j]);
+        let [dx0, dy0] = self.point(i).delta(self.point(j));
         for ix in -1i32..=1 {
             for iy in -1i32..=1 {
                 let dx = dx0 + f64::from(ix);
@@ -166,7 +67,7 @@ impl TorusSites {
     #[must_use]
     pub fn cell_brute(&self, i: usize) -> Polygon {
         let mut poly = Polygon::centered_square(0.5);
-        for j in 0..self.points.len() {
+        for j in 0..self.len() {
             if j != i {
                 self.clip_against_site(&mut poly, i, j);
             }
@@ -181,19 +82,19 @@ impl TorusSites {
     /// polygon. Equal to [`Self::cell_brute`] up to FP roundoff.
     #[must_use]
     pub fn cell(&self, i: usize) -> Polygon {
-        let n = self.points.len();
+        let n = self.len();
         let mut poly = Polygon::centered_square(0.5);
         if n == 1 {
             return poly;
         }
-        let p = self.points[i];
+        let p = *self.point(i);
         let mut processed = vec![false; n];
         processed[i] = true;
         // Start near the expected nearest-neighbour distance (~1/√n) and
         // double until the termination certificate holds.
         let mut r = (1.0 / (n as f64).sqrt()).max(1e-3);
         loop {
-            for j in self.within(p, r) {
+            for j in self.within(&p, r) {
                 if !processed[j] {
                     processed[j] = true;
                     self.clip_against_site(&mut poly, i, j);
@@ -226,17 +127,6 @@ impl TorusSites {
         (0..self.len()).map(|i| self.cell_area(i)).collect()
     }
 
-    /// Monte-Carlo estimate of all cell areas from `samples` uniform probe
-    /// points: the hit-rate validator for the exact construction.
-    #[must_use]
-    pub fn mc_cell_areas<R: Rng + ?Sized>(&self, samples: usize, rng: &mut R) -> Vec<f64> {
-        let mut hits = vec![0u64; self.len()];
-        for _ in 0..samples {
-            hits[self.owner(TorusPoint::random(rng))] += 1;
-        }
-        hits.iter().map(|&h| h as f64 / samples as f64).collect()
-    }
-
     /// The Delaunay neighbours of site `i`: sites whose Voronoi cells
     /// share an edge with `i`'s cell.
     ///
@@ -258,7 +148,7 @@ impl TorusSites {
         if verts.len() < 2 {
             return out;
         }
-        let site = self.points[i];
+        let site = *self.point(i);
         for e in 0..verts.len() {
             let (x1, y1) = verts[e];
             let (x2, y2) = verts[(e + 1) % verts.len()];
@@ -267,12 +157,12 @@ impl TorusSites {
                 continue;
             }
             let (mx, my) = ((x1 + x2) / 2.0, (y1 + y2) / 2.0);
-            let witness = site.offset(mx, my);
-            let d_site = witness.dist(site);
+            let witness = site.offset([mx, my]);
+            let d_site = witness.dist(&site);
             let tol = 1e-9_f64.max(d_site * 1e-9);
-            for j in self.within(witness, d_site + tol) {
+            for j in self.within(&witness, d_site + tol) {
                 if j != i
-                    && (witness.dist(self.points[j]) - d_site).abs() <= tol
+                    && (witness.dist(self.point(j)) - d_site).abs() <= tol
                     && !out.contains(&j)
                 {
                     out.push(j);
@@ -293,21 +183,21 @@ impl TorusSites {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::kd::{KdPoint, KdSites};
     use geo2c_util::rng::Xoshiro256pp;
 
     #[test]
     fn single_site_owns_unit_cell() {
-        let sites = TorusSites::from_points(vec![TorusPoint::new(0.3, 0.3)]);
+        let sites = KdSites::<2>::from_points(vec![KdPoint::new([0.3, 0.3])]);
         assert!((sites.cell_area(0) - 1.0).abs() < 1e-12);
-        assert_eq!(sites.owner(TorusPoint::new(0.9, 0.1)), 0);
+        assert_eq!(sites.owner(&KdPoint::new([0.9, 0.1])), 0);
     }
 
     #[test]
     fn two_sites_split_torus_in_half() {
         // Opposite sites: each cell is a half-torus band of area 1/2.
         let sites =
-            TorusSites::from_points(vec![TorusPoint::new(0.25, 0.5), TorusPoint::new(0.75, 0.5)]);
+            KdSites::<2>::from_points(vec![KdPoint::new([0.25, 0.5]), KdPoint::new([0.75, 0.5])]);
         assert!((sites.cell_area(0) - 0.5).abs() < 1e-9);
         assert!((sites.cell_area(1) - 0.5).abs() < 1e-9);
     }
@@ -316,11 +206,11 @@ mod tests {
     fn four_sites_in_grid_pattern() {
         // Sites at the centres of the four quadrants: each cell is a
         // quarter square of area 1/4.
-        let sites = TorusSites::from_points(vec![
-            TorusPoint::new(0.25, 0.25),
-            TorusPoint::new(0.75, 0.25),
-            TorusPoint::new(0.25, 0.75),
-            TorusPoint::new(0.75, 0.75),
+        let sites = KdSites::<2>::from_points(vec![
+            KdPoint::new([0.25, 0.25]),
+            KdPoint::new([0.75, 0.25]),
+            KdPoint::new([0.25, 0.75]),
+            KdPoint::new([0.75, 0.75]),
         ]);
         for i in 0..4 {
             assert!(
@@ -335,7 +225,7 @@ mod tests {
     fn areas_partition_unity() {
         let mut rng = Xoshiro256pp::from_u64(41);
         for &n in &[2usize, 3, 10, 64, 257] {
-            let sites = TorusSites::random(n, &mut rng);
+            let sites = KdSites::<2>::random(n, &mut rng);
             let total: f64 = sites.cell_areas().iter().sum();
             assert!((total - 1.0).abs() < 1e-7, "n={n}: areas sum to {total}");
         }
@@ -344,7 +234,7 @@ mod tests {
     #[test]
     fn fast_cell_matches_brute_oracle() {
         let mut rng = Xoshiro256pp::from_u64(42);
-        let sites = TorusSites::random(100, &mut rng);
+        let sites = KdSites::<2>::random(100, &mut rng);
         for i in (0..100).step_by(7) {
             let fast = sites.cell(i).area();
             let brute = sites.cell_brute(i).area();
@@ -358,9 +248,9 @@ mod tests {
     #[test]
     fn monte_carlo_agrees_with_exact_areas() {
         let mut rng = Xoshiro256pp::from_u64(44);
-        let sites = TorusSites::random(16, &mut rng);
+        let sites = KdSites::<2>::random(16, &mut rng);
         let exact = sites.cell_areas();
-        let mc = sites.mc_cell_areas(200_000, &mut rng);
+        let mc = sites.mc_cell_volumes(200_000, &mut rng);
         for (i, (e, m)) in exact.iter().zip(&mc).enumerate() {
             // s.e. of a proportion at 2e5 samples is ≤ ~0.0012.
             assert!((e - m).abs() < 0.01, "cell {i}: exact {e} vs MC {m}");
@@ -371,7 +261,7 @@ mod tests {
     fn cell_contains_own_site_region() {
         // The origin (the site itself, in local frame) is inside its cell.
         let mut rng = Xoshiro256pp::from_u64(45);
-        let sites = TorusSites::random(50, &mut rng);
+        let sites = KdSites::<2>::random(50, &mut rng);
         for i in 0..50 {
             assert!(sites.cell(i).contains(0.0, 0.0), "cell {i}");
         }
@@ -382,14 +272,14 @@ mod tests {
         // Sample points; the owner's cell (in the owner's local frame)
         // must contain the probe's displacement.
         let mut rng = Xoshiro256pp::from_u64(46);
-        let sites = TorusSites::random(30, &mut rng);
+        let sites = KdSites::<2>::random(30, &mut rng);
         for _ in 0..300 {
-            let p = TorusPoint::random(&mut rng);
-            let o = sites.owner(p);
-            let (dx, dy) = sites.point(o).delta(p);
+            let p = KdPoint::random(&mut rng);
+            let o = sites.owner(&p);
+            let [dx, dy] = sites.point(o).delta(&p);
             assert!(
                 sites.cell(o).contains(dx, dy),
-                "probe {p} owner {o} displacement ({dx}, {dy})"
+                "probe {p:?} owner {o} displacement ({dx}, {dy})"
             );
         }
     }
@@ -400,7 +290,7 @@ mod tests {
         // placements (Section 3 says Θ(log n / n) w.h.p.).
         let mut rng = Xoshiro256pp::from_u64(47);
         let n = 512;
-        let sites = TorusSites::random(n, &mut rng);
+        let sites = KdSites::<2>::random(n, &mut rng);
         let max = sites.cell_areas().into_iter().fold(0.0, f64::max);
         let nf = n as f64;
         assert!(max >= 1.0 / nf, "max {max}");
@@ -410,26 +300,26 @@ mod tests {
     #[test]
     fn owner_brute_and_grid_agree() {
         let mut rng = Xoshiro256pp::from_u64(48);
-        let sites = TorusSites::random(200, &mut rng);
+        let sites = KdSites::<2>::random(200, &mut rng);
         for _ in 0..500 {
-            let p = TorusPoint::random(&mut rng);
-            let a = sites.owner(p);
-            let b = sites.owner_brute(p);
+            let p = KdPoint::random(&mut rng);
+            let a = sites.owner(&p);
+            let b = sites.owner_brute(&p);
             assert!((p.dist2(sites.point(a)) - p.dist2(sites.point(b))).abs() < 1e-15);
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one server")]
+    #[should_panic(expected = "at least one site")]
     fn zero_sites_rejected() {
         let mut rng = Xoshiro256pp::from_u64(1);
-        let _ = TorusSites::random(0, &mut rng);
+        let _ = KdSites::<2>::random(0, &mut rng);
     }
 
     #[test]
     fn delaunay_neighbors_are_symmetric() {
         let mut rng = Xoshiro256pp::from_u64(60);
-        let sites = TorusSites::random(60, &mut rng);
+        let sites = KdSites::<2>::random(60, &mut rng);
         for i in 0..60 {
             for &j in &sites.neighbors(i) {
                 assert!(
@@ -446,7 +336,7 @@ mod tests {
         // for a simplicial triangulation (a.s. for random sites).
         let mut rng = Xoshiro256pp::from_u64(61);
         for n in [32usize, 100, 300] {
-            let sites = TorusSites::random(n, &mut rng);
+            let sites = KdSites::<2>::random(n, &mut rng);
             let mean = sites.mean_degree();
             assert!(
                 (mean - 6.0).abs() < 0.2,
@@ -461,11 +351,11 @@ mod tests {
         // three cells (two across edges, one only at corners — but on the
         // torus each pair shares TWO parallel edges, so all are edge
         // neighbours except the diagonal, which meets only at corners).
-        let sites = TorusSites::from_points(vec![
-            TorusPoint::new(0.25, 0.25),
-            TorusPoint::new(0.75, 0.25),
-            TorusPoint::new(0.25, 0.75),
-            TorusPoint::new(0.75, 0.75),
+        let sites = KdSites::<2>::from_points(vec![
+            KdPoint::new([0.25, 0.25]),
+            KdPoint::new([0.75, 0.25]),
+            KdPoint::new([0.25, 0.75]),
+            KdPoint::new([0.75, 0.75]),
         ]);
         let n0 = sites.neighbors(0);
         assert!(n0.contains(&1), "horizontal neighbour");
@@ -476,14 +366,14 @@ mod tests {
     #[test]
     fn two_sites_neighbor_each_other() {
         let sites =
-            TorusSites::from_points(vec![TorusPoint::new(0.2, 0.5), TorusPoint::new(0.7, 0.5)]);
+            KdSites::<2>::from_points(vec![KdPoint::new([0.2, 0.5]), KdPoint::new([0.7, 0.5])]);
         assert_eq!(sites.neighbors(0), vec![1]);
         assert_eq!(sites.neighbors(1), vec![0]);
     }
 
     #[test]
     fn single_site_has_no_neighbors() {
-        let sites = TorusSites::from_points(vec![TorusPoint::new(0.5, 0.5)]);
+        let sites = KdSites::<2>::from_points(vec![KdPoint::new([0.5, 0.5])]);
         assert!(sites.neighbors(0).is_empty());
     }
 }

@@ -4,10 +4,9 @@
 //! shell walker, and the batched `nearest_batch`/`owners_into` entry
 //! point — to the brute-force oracle across adversarial layouts:
 //! clustered sites, wrap-seam probes, degenerate tiny grids (`g = 1`),
-//! and `n = 1`, for `K ∈ {1, 3, 4}`. Mirrors `owner_equivalence.rs`,
-//! which covers `K = 2` through the 2-D `TorusSites`. The radius query
-//! `KdGrid::within` is pinned to a brute `dist2 ≤ r²` filter for
-//! `K ∈ {2, 3}`, radii up to past half the torus included.
+//! and `n = 1`, for `K ∈ {1, 2, 3, 4}` (`K = 2` is the paper's torus).
+//! The radius query `KdGrid::within` is pinned to a brute `dist2 ≤ r²`
+//! filter for `K ∈ {2, 3}`, radii up to past half the torus included.
 //!
 //! Exact coordinate ties may legitimately resolve to different site
 //! indices (the tie-break is scan order), so equivalence is asserted on
@@ -191,6 +190,7 @@ macro_rules! kd_equivalence_suite {
 }
 
 kd_equivalence_suite!(k1, 1);
+kd_equivalence_suite!(k2, 2);
 kd_equivalence_suite!(k3, 3);
 kd_equivalence_suite!(k4, 4);
 

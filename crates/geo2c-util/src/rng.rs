@@ -185,13 +185,6 @@ impl Xoshiro256pp {
         s[3] = s[3].rotate_left(45);
         result
     }
-
-    /// Returns a uniform `f64` in `[0, 1)` using the top 53 bits, matching
-    /// the reference `(x >> 11) * 2^-53` construction.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.step() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 impl RngCore for Xoshiro256pp {
@@ -700,21 +693,6 @@ mod tests {
     fn xoshiro_zero_seed_does_not_stick_at_zero() {
         let mut rng = Xoshiro256pp::from_seed([0u8; 32]);
         assert_ne!(rng.next_u64(), rng.next_u64());
-    }
-
-    #[test]
-    fn next_f64_is_unit_interval_and_well_spread() {
-        let mut rng = Xoshiro256pp::from_u64(99);
-        let n = 100_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = rng.next_f64();
-            assert!((0.0..1.0).contains(&x));
-            sum += x;
-        }
-        let mean = sum / f64::from(n);
-        // Mean of U[0,1) over 1e5 samples: s.e. ≈ 0.0009.
-        assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! ```
 
 use two_choices::core::experiment::ClusterMix;
-use two_choices::torus::{TorusPoint, TorusSites};
+use two_choices::torus::{KdPoint, KdSites};
 use two_choices::util::rng::Xoshiro256pp;
 
 /// Assigns `customers` to machines, each considering `d` candidate
 /// locations drawn from `sample`, and returns the loads.
-fn assign<F: FnMut(&mut Xoshiro256pp) -> TorusPoint>(
-    atms: &TorusSites,
+fn assign<F: FnMut(&mut Xoshiro256pp) -> KdPoint<2>>(
+    atms: &KdSites<2>,
     customers: usize,
     d: usize,
     rng: &mut Xoshiro256pp,
@@ -32,7 +32,7 @@ fn assign<F: FnMut(&mut Xoshiro256pp) -> TorusPoint>(
         let mut best = usize::MAX;
         let mut best_load = u32::MAX;
         for _ in 0..d {
-            let machine = atms.owner(sample(rng));
+            let machine = atms.owner(&sample(rng));
             if loads[machine] < best_load {
                 best_load = loads[machine];
                 best = machine;
@@ -63,13 +63,13 @@ fn main() {
     let n_atms = 4096;
     let customers = 4096;
     let mut rng = Xoshiro256pp::from_u64(99);
-    let atms = TorusSites::random(n_atms, &mut rng);
+    let atms = KdSites::random(n_atms, &mut rng);
 
     // --- Uniform customers: exactly the paper's Section 3 model. --------
     let uniform: Vec<(usize, Vec<u32>)> = [1usize, 2, 3]
         .iter()
         .map(|&d| {
-            let loads = assign(&atms, customers, d, &mut rng, TorusPoint::random);
+            let loads = assign(&atms, customers, d, &mut rng, KdPoint::random);
             (d, loads)
         })
         .collect();
@@ -89,7 +89,7 @@ fn main() {
         .map(|&d| {
             let loads = assign(&atms, customers, d, &mut rng, |rng| {
                 let (x, y) = mix.sample(rng);
-                TorusPoint::new(x, y)
+                KdPoint::new([x, y])
             });
             (d, loads)
         })

@@ -6,7 +6,7 @@ use two_choices::core::sim::run_trial;
 use two_choices::core::space::{RingSpace, Space, TorusSpace};
 use two_choices::core::strategy::{Strategy, TieBreak};
 use two_choices::ring::{Ownership, RingPartition, RingPoint};
-use two_choices::torus::{TorusPoint, TorusSites};
+use two_choices::torus::{KdPoint, KdSites};
 use two_choices::util::rng::Xoshiro256pp;
 
 fn all_strategies() -> Vec<Strategy> {
@@ -64,14 +64,14 @@ fn grid_aligned_torus_sites() {
     // Perfectly regular lattice: every Voronoi cell is an axis square;
     // ties along shared edges must resolve deterministically.
     let g = 8;
-    let pts: Vec<TorusPoint> = (0..g)
+    let pts: Vec<KdPoint<2>> = (0..g)
         .flat_map(|i| {
             (0..g).map(move |j| {
-                TorusPoint::new((i as f64 + 0.5) / g as f64, (j as f64 + 0.5) / g as f64)
+                KdPoint::new([(i as f64 + 0.5) / g as f64, (j as f64 + 0.5) / g as f64])
             })
         })
         .collect();
-    let sites = TorusSites::from_points(pts);
+    let sites = KdSites::from_points(pts);
     let areas = sites.cell_areas();
     let expect = 1.0 / (g * g) as f64;
     for (i, a) in areas.iter().enumerate() {
@@ -85,15 +85,15 @@ fn grid_aligned_torus_sites() {
 fn collinear_torus_sites() {
     // All sites on one horizontal line: cells are vertical bands; the
     // grid NN search must stay exact despite the empty rows.
-    let pts: Vec<TorusPoint> = (0..16)
-        .map(|i| TorusPoint::new(i as f64 / 16.0, 0.5))
+    let pts: Vec<KdPoint<2>> = (0..16)
+        .map(|i| KdPoint::new([i as f64 / 16.0, 0.5]))
         .collect();
-    let sites = TorusSites::from_points(pts);
+    let sites = KdSites::from_points(pts);
     let mut rng = Xoshiro256pp::from_u64(3);
     for _ in 0..500 {
-        let p = TorusPoint::random(&mut rng);
-        let fast = sites.owner(p);
-        let slow = sites.owner_brute(p);
+        let p = KdPoint::random(&mut rng);
+        let fast = sites.owner(&p);
+        let slow = sites.owner_brute(&p);
         assert!((p.dist2(sites.point(fast)) - p.dist2(sites.point(slow))).abs() < 1e-15);
     }
     let total: f64 = sites.cell_areas().iter().sum();
@@ -104,12 +104,12 @@ fn collinear_torus_sites() {
 fn clustered_torus_space_full_trial() {
     // Tight cluster + far stragglers: giant cells for the stragglers.
     let mut rng = Xoshiro256pp::from_u64(4);
-    let mut pts: Vec<TorusPoint> = (0..60)
-        .map(|i| TorusPoint::new(0.5 + (i as f64) * 1e-4, 0.5 + (i as f64) * 7e-5))
+    let mut pts: Vec<KdPoint<2>> = (0..60)
+        .map(|i| KdPoint::new([0.5 + (i as f64) * 1e-4, 0.5 + (i as f64) * 7e-5]))
         .collect();
-    pts.push(TorusPoint::new(0.01, 0.01));
-    pts.push(TorusPoint::new(0.99, 0.02));
-    let space = TorusSpace::from_sites(TorusSites::from_points(pts));
+    pts.push(KdPoint::new([0.01, 0.01]));
+    pts.push(KdPoint::new([0.99, 0.02]));
+    let space = TorusSpace::from_sites(KdSites::from_points(pts));
     for strategy in all_strategies() {
         let r = run_trial(&space, &strategy, 200, &mut rng);
         assert_eq!(r.total_balls(), 200, "{}", strategy.label());

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use two_choices::ring::{Ownership, RingPartition, RingPoint};
 use two_choices::torus::polygon::Polygon;
-use two_choices::torus::{TorusPoint, TorusSites};
+use two_choices::torus::{KdPoint, KdSites};
 
 /// Strategy: a vector of 1..40 canonical ring coordinates.
 fn ring_positions() -> impl Strategy<Value = Vec<f64>> {
@@ -89,15 +89,15 @@ proptest! {
         sites in torus_sites(),
         probes in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..20),
     ) {
-        let points: Vec<TorusPoint> =
-            sites.iter().map(|&(x, y)| TorusPoint::new(x, y)).collect();
-        let ts = TorusSites::from_points(points.clone());
+        let points: Vec<KdPoint<2>> =
+            sites.iter().map(|&(x, y)| KdPoint::new([x, y])).collect();
+        let ts = KdSites::from_points(points.clone());
         for (x, y) in probes {
-            let p = TorusPoint::new(x, y);
-            let fast = ts.owner(p);
-            let slow = ts.owner_brute(p);
+            let p = KdPoint::new([x, y]);
+            let fast = ts.owner(&p);
+            let slow = ts.owner_brute(&p);
             prop_assert!(
-                (p.dist2(points[fast]) - p.dist2(points[slow])).abs() < 1e-15,
+                (p.dist2(&points[fast]) - p.dist2(&points[slow])).abs() < 1e-15,
                 "grid/brute disagree at ({x}, {y})"
             );
         }
@@ -105,18 +105,18 @@ proptest! {
 
     #[test]
     fn voronoi_areas_partition_unity(sites in torus_sites()) {
-        let points: Vec<TorusPoint> =
-            sites.iter().map(|&(x, y)| TorusPoint::new(x, y)).collect();
-        let ts = TorusSites::from_points(points);
+        let points: Vec<KdPoint<2>> =
+            sites.iter().map(|&(x, y)| KdPoint::new([x, y])).collect();
+        let ts = KdSites::from_points(points);
         let total: f64 = ts.cell_areas().iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-6, "areas sum to {total}");
     }
 
     #[test]
     fn voronoi_fast_cell_equals_brute(sites in torus_sites()) {
-        let points: Vec<TorusPoint> =
-            sites.iter().map(|&(x, y)| TorusPoint::new(x, y)).collect();
-        let ts = TorusSites::from_points(points);
+        let points: Vec<KdPoint<2>> =
+            sites.iter().map(|&(x, y)| KdPoint::new([x, y])).collect();
+        let ts = KdSites::from_points(points);
         for i in 0..ts.len().min(5) {
             let fast = ts.cell(i).area();
             let brute = ts.cell_brute(i).area();
@@ -176,12 +176,12 @@ proptest! {
         b in (0.0f64..1.0, 0.0f64..1.0),
         c in (0.0f64..1.0, 0.0f64..1.0),
     ) {
-        let pa = TorusPoint::new(a.0, a.1);
-        let pb = TorusPoint::new(b.0, b.1);
-        let pc = TorusPoint::new(c.0, c.1);
-        prop_assert!((pa.dist(pb) - pb.dist(pa)).abs() < 1e-12);
-        prop_assert!(pa.dist(pa) == 0.0);
-        prop_assert!(pa.dist(pc) <= pa.dist(pb) + pb.dist(pc) + 1e-12);
+        let pa = KdPoint::new([a.0, a.1]);
+        let pb = KdPoint::new([b.0, b.1]);
+        let pc = KdPoint::new([c.0, c.1]);
+        prop_assert!((pa.dist(&pb) - pb.dist(&pa)).abs() < 1e-12);
+        prop_assert!(pa.dist(&pa) == 0.0);
+        prop_assert!(pa.dist(&pc) <= pa.dist(&pb) + pb.dist(&pc) + 1e-12);
     }
 
     #[test]

@@ -111,11 +111,11 @@ fn facade_reexports_are_usable() {
     // The README's import paths must keep working.
     use two_choices::core::theory;
     use two_choices::ring::RingPoint;
-    use two_choices::torus::TorusPoint;
+    use two_choices::torus::KdPoint;
     use two_choices::util::Counter;
 
     let _ = RingPoint::new(0.5);
-    let _ = TorusPoint::new(0.5, 0.5);
+    let _ = KdPoint::new([0.5, 0.5]);
     let mut c = Counter::new();
     c.add(3);
     assert_eq!(c.total(), 1);

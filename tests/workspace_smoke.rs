@@ -14,7 +14,7 @@ use two_choices::util::rng::{StreamSeeder, Xoshiro256pp};
 fn facade_reexports_resolve() {
     let _ = two_choices::util::rng::Xoshiro256pp::from_u64(0);
     let _ = two_choices::ring::RingPoint::new(0.25);
-    let _ = two_choices::torus::TorusPoint::new(0.25, 0.75);
+    let _ = two_choices::torus::KdPoint::new([0.25, 0.75]);
     let _ = two_choices::core::strategy::Strategy::two_choice();
     let _ = two_choices::dht::id::NodeId(42);
 }
