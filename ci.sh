@@ -22,11 +22,14 @@ cargo build --release
 # each checkpoint-rotation window: mid spare write, after
 # checkpoint.bin -> checkpoint.old, after checkpoint.tmp ->
 # checkpoint.bin, before compaction; and a crash in each
-# staged-checkpoint window: while the image is pending, after its
+# staged-checkpoint window: right after the boundary while the
+# departure gather is pending, while the image is pending, after its
 # rotation but before the compaction, after the compaction's rewrite
 # but before its set_len), decoder robustness (hostile residue files
 # included), the checkpoint writer's byte identity (staged images
-# included), the wheel-vs-heap oracle, and torus owner equivalence
+# included, and durability-size images durable at their boundary), the
+# wheel-vs-heap oracle (the sliced gather against the heap's entries at
+# its mark included), and torus owner equivalence
 # (KdGrid::nearest / nearest_batch and KdSites::owner against the
 # brute-force oracle for K in {1, 2, 3, 4}; KdGrid::within against a
 # brute radius filter for K in {2, 3}). A failure names its suite and

@@ -1979,9 +1979,11 @@ Both files open with a magic/version header that binds the lane root and \
 a fingerprint of `(servers, config)`, so a checkpoint can never be \
 restored into an engine it was not taken from. Every `C` events the \
 state is snapshotted, and the checkpoint image is built from the \
-snapshot in stages, one fixed work budget per journaled chunk; an image \
-of up to 2^12 servers (every size this table runs) fits one budget and \
-is durable before the boundary's call returns. Once it is durable, the \
+snapshot in stages, one fixed work budget per journaled chunk, starting \
+with a sliced gather of the departures live at the boundary; an image \
+of up to 2^12 servers (every size this table runs) fits one budget, is \
+written whole at the boundary and is durable before the boundary's call \
+returns. Once it is durable, the \
 journal is compacted to the frames after the checkpoint's event — the \
 checkpoint subsumes the rest — so steady-state disk cost is one state \
 image plus ~17·8/C bytes per event at the suite's eight-chunks-per-\

@@ -872,15 +872,15 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> ServeEngine<S, L, Q> {
     }
 
     /// The checkpoint image's inputs, borrowed for a snapshot: the
-    /// counters, retry statistics, peak load, load backing and departure
-    /// queue.
-    pub(crate) fn image_inputs(&self) -> (&Counters, &RetryStats, u32, &L, &Q) {
+    /// counters, retry statistics, peak load and load backing, and the
+    /// departure queue mutably, for its sliced gather.
+    pub(crate) fn image_inputs_mut(&mut self) -> (&Counters, &RetryStats, u32, &L, &mut Q) {
         (
             &self.counters,
             &self.retry,
             self.peak_load,
             &self.loads,
-            &self.departures,
+            &mut self.departures,
         )
     }
 }

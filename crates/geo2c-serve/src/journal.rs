@@ -47,34 +47,42 @@
 //!
 //! At each boundary — every `every` events — the engine takes a
 //! *snapshot*: its counters, retry statistics and peak load, its loads
-//! copied into a retained flat buffer, and its live departures gathered
-//! into packed sort keys ([`DepartureQueue::gather`]). The image is a
+//! copied into a retained flat buffer, and a gather mark on its
+//! departure queue ([`DepartureQueue::begin_gather`]), which records
+//! the queue's extent without reading a single entry. The image is a
 //! pure function of that snapshot, so the engine runs on while the
-//! image is built. The boundary's chunk and every later one spend one
-//! fixed work budget on it, after their progress frame, through these
-//! stages in order:
+//! image is built. Every chunk after the boundary spends one fixed work
+//! budget on it, after its progress frame, through these stages in
+//! order:
 //!
-//! 1. the departure keys' radix passes and shared-deadline fix-up
+//! 1. the departure gather: the entries live at the boundary, packed
+//!    into sort keys a slice at a time while the queue keeps scheduling,
+//!    draining and purging ([`DepartureQueue::gather_some`]);
+//! 2. the departure keys' radix passes and shared-deadline fix-up
 //!    (`DepartureKeys::sort_some`);
-//! 2. the load section — the file header, a [`frame::FRAME_OVERHEAD`]-byte
+//! 3. the load section — the file header, a [`frame::FRAME_OVERHEAD`]-byte
 //!    placeholder, the image's head, every load, the failure bitset;
-//! 3. the departure emit;
-//! 4. a streaming CRC ([`frame::Crc32`]) over the payload, which then
+//! 4. the departure emit;
+//! 5. a streaming CRC ([`frame::Crc32`]) over the payload, which then
 //!    seals the frame's length and CRC in place;
-//! 5. the files: the spare write, the rotation and the compaction
-//!    (below).
+//! 6. the files: the spare write, the rotation and the compaction
+//!    (below), run whole in a chunk with enough budget left for them.
 //!
 //! The image is built in byte order in one retained buffer, so the load
 //! section runs before the departure emit. [`encode_state`] runs the
 //! same section writers over an [`EngineState`], so the two produce
-//! identical bytes. An image of up to 2^12 servers and their sessions —
-//! every test engine and every `durability` experiment size — fits one
-//! budget, so it is durable before the boundary's call returns, exactly
-//! as if it were written whole; 2^16 servers take about eight chunks.
-//! A boundary reached while an image is still pending finishes it
-//! first, and so does [`DurableEngine::checkpoint_now`] before it writes
-//! its own image whole. Nothing is written on drop: dropping the engine
-//! is a process death.
+//! identical bytes. An image estimated to fit one budget — up to 2^12
+//! servers and their sessions: every test engine and every
+//! `durability` experiment size — is written whole inside the boundary
+//! call, so it is durable before that call returns, exactly as if it
+//! were not staged. A larger image costs the boundary only the snapshot;
+//! 2^16 servers with about as many sessions take 13 chunks after it
+//! (the `serve_durable_churn` benchmark workload, a count set by work
+//! units, never by wall time). A boundary reached while an image is
+//! still pending finishes it first, and so does
+//! [`DurableEngine::checkpoint_now`] before it writes its own image
+//! whole. Nothing is written on drop: dropping the engine is a process
+//! death.
 //!
 //! ## Rotation and compaction
 //!
@@ -157,7 +165,7 @@ use crate::engine::{
     Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine, FAILED_LOAD,
 };
 use crate::fault::FaultPlan;
-use crate::wheel::{ceil_div, DepartureKeys, DepartureQueue, DepartureWheel};
+use crate::wheel::{ceil_div, sort_units, DepartureKeys, DepartureQueue, DepartureWheel};
 use geo2c_core::load::{LoadRead, LoadState};
 use geo2c_core::space::Space;
 use geo2c_util::frame::{self, scan_frames, Crc32, Header, HeaderError, Tail};
@@ -620,22 +628,54 @@ impl<'a> Reader<'a> {
 }
 
 /// Work units each journaled chunk spends on a pending checkpoint. A unit
-/// is one departure key counted by a radix pass (a scatter costs two, see
-/// `DepartureKeys::sort_some`); the other stages charge in the same
-/// currency ([`LOAD_COST`], [`EMIT_COST`], [`CRC_BYTES_PER_UNIT`]), so a
-/// unit is about the same time in every stage, 3–4 ns on a 2-vCPU Xeon.
-/// The file stage is not charged: it runs once the image is sealed with
-/// budget left. An image of 2^12 servers and their sessions — every test
-/// engine and every `durability` experiment size — takes about half a
-/// budget, so it completes inside the boundary call; 2^16 servers take
-/// about eight.
-const CHECKPOINT_BUDGET: usize = 3 << 15;
+/// is one departure key counted by a radix pass; every stage charges in
+/// that currency (`GATHER_COST` per arena node walked, `SCATTER_COST`
+/// and `SHARED_COST` per key in the sort, [`LOAD_COST`], [`EMIT_COST`],
+/// [`CRC_BYTES_PER_UNIT`], [`FILES_COST`]), calibrated with a per-stage
+/// timer on the `serve_durable_churn` image (2^16 servers, about 2^16
+/// sessions; shared 2-vCPU Xeon, five runs of 200–300 images, the range
+/// over runs):
+///
+/// | stage  | ns per unit |
+/// |--------|-------------|
+/// | gather | 1.2–1.6     |
+/// | sort   | 1.1–1.3     |
+/// | loads  | 1.2–1.4     |
+/// | emit   | 1.2–1.5     |
+/// | CRC    | 1.5–1.6     |
+/// | files  | 1.0–1.3     |
+///
+/// Within the sort, a count runs 1.2–1.4, a scatter 1.1–1.2 and the
+/// shared-offset sweep 1.2–1.4. A budget is therefore about 0.2 ms of
+/// work in any stage. An image of
+/// 2^12 servers and their sessions — every test engine and every
+/// `durability` experiment size — is estimated at under 0.8 budgets, so
+/// it is written whole inside the boundary call; the 2^16 image takes 12
+/// budgets of encoding and its files land on the 13th chunk.
+const CHECKPOINT_BUDGET: usize = 9 << 14;
 /// Units per server of the load section.
-const LOAD_COST: usize = 1;
+const LOAD_COST: usize = 2;
 /// Units per departure of the departure emit.
-const EMIT_COST: usize = 3;
+const EMIT_COST: usize = 7;
 /// Payload bytes the CRC stage covers per unit.
-const CRC_BYTES_PER_UNIT: usize = 4;
+const CRC_BYTES_PER_UNIT: usize = 2;
+/// Units the file stage takes: the spare write, the rotation and the
+/// compaction run whole, in a chunk with at least this much budget left.
+const FILES_COST: usize = 3 << 15;
+
+// A chunk's budget must have room for the files, or they would never run.
+const _: () = assert!(FILES_COST < CHECKPOINT_BUDGET);
+
+/// The units an image of `n` servers and `entries` departures is
+/// estimated to take after its gather: the sort at two radix passes, the
+/// loads, the emit, and a CRC over about a byte per load and four per
+/// departure.
+fn image_units(n: usize, entries: usize) -> usize {
+    sort_units(entries)
+        + LOAD_COST * n
+        + EMIT_COST * entries
+        + (n + 4 * entries) / CRC_BYTES_PER_UNIT
+}
 
 /// Where a staged checkpoint is: its stages run in this order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -643,6 +683,8 @@ enum Stage {
     /// No checkpoint is pending.
     #[default]
     Idle,
+    /// Gathering the departures marked at the boundary.
+    Gather,
     /// Sorting the gathered departure keys.
     Sort,
     /// Encoding the loads; servers before `at` are written.
@@ -669,7 +711,7 @@ struct Staged {
     peak_load: u32,
     /// The loads, copied out of the backing at the boundary.
     loads: Vec<u32>,
-    /// The live departures, gathered at the boundary.
+    /// The departures live at the boundary, gathered by the first stage.
     keys: DepartureKeys,
     /// Header, frame placeholder and payload; bytes past `written` are
     /// scratch.
@@ -691,36 +733,49 @@ impl Staged {
         (self.stage != Stage::Idle).then_some(self.event)
     }
 
-    /// Takes the snapshot the image is built from: the counters, the
-    /// load backing and the live departures, copied into the retained
-    /// buffers.
+    /// Takes the snapshot the image is built from: the counters and the
+    /// loads, copied into the retained buffers, and a gather mark on the
+    /// departure queue. Returns whether the image is estimated to fit
+    /// one [`CHECKPOINT_BUDGET`].
     fn snapshot<S: Space, L: LoadState, Q: DepartureQueue>(
         &mut self,
-        engine: &ServeEngine<S, L, Q>,
-    ) {
+        engine: &mut ServeEngine<S, L, Q>,
+    ) -> bool {
         debug_assert_eq!(self.stage, Stage::Idle, "a pending image was not finished");
-        let (counters, retry, peak_load, loads, departures) = engine.image_inputs();
+        let (counters, retry, peak_load, loads, departures) = engine.image_inputs_mut();
         self.event = counters.arrivals;
         self.counters = *counters;
         self.retry.clone_from(retry);
         self.peak_load = peak_load;
         loads.copy_into(&mut self.loads);
-        departures.gather(&mut self.keys);
+        let gather = departures.begin_gather(&mut self.keys);
         self.written = 0;
         self.kept.clear();
-        self.stage = Stage::Sort;
+        self.stage = Stage::Gather;
+        gather + image_units(self.loads.len(), departures.len()) <= CHECKPOINT_BUDGET
     }
 
     /// Spends up to `budget` units (taking what it spends off it) on the
-    /// encode stages; returns whether the image is sealed (never, with no
-    /// checkpoint pending). A stage's last
-    /// slice may overrun the budget by less than one item.
-    fn encode_some(&mut self, header: &[u8; Header::LEN], budget: &mut usize) -> bool {
+    /// stages, gathering from `engine`'s departure queue; returns whether
+    /// the image is sealed (never, with no checkpoint pending). A stage's
+    /// last slice may overrun the budget by less than one item.
+    fn encode_some<S: Space, L: LoadState, Q: DepartureQueue>(
+        &mut self,
+        header: &[u8; Header::LEN],
+        engine: &mut ServeEngine<S, L, Q>,
+        budget: &mut usize,
+    ) -> bool {
         let n = self.loads.len();
         loop {
             match self.stage {
                 Stage::Idle | Stage::Sealed => return self.stage == Stage::Sealed,
                 _ if *budget == 0 => return false,
+                Stage::Gather => {
+                    let (.., departures) = engine.image_inputs_mut();
+                    if departures.gather_some(&mut self.keys, budget) {
+                        self.stage = Stage::Sort;
+                    }
+                }
                 Stage::Sort => {
                     if self.keys.sort_some(budget) {
                         self.stage = Stage::Loads { at: 0 };
@@ -858,11 +913,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
         };
         // The seed image is the one write with no checkpoint to rotate
         // out: the spare becomes `checkpoint.bin` by a single rename.
-        durable.staged.snapshot(&durable.engine);
+        durable.staged.snapshot(&mut durable.engine);
         let mut unbounded = usize::MAX;
-        let sealed = durable
-            .staged
-            .encode_some(&durable.checkpoint_header, &mut unbounded);
+        let sealed = durable.staged.encode_some(
+            &durable.checkpoint_header,
+            &mut durable.engine,
+            &mut unbounded,
+        );
         debug_assert!(sealed);
         durable.write_spare()?;
         durable.staged.stage = Stage::Idle;
@@ -877,12 +934,12 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     /// chunked at checkpoint boundaries and each chunk appends one
     /// progress frame. At each boundary the state is snapshotted (a
     /// checkpoint still pending from the previous boundary is finished
-    /// first), and the boundary's chunk and every later one spend one
-    /// fixed work budget on the image until it is durable; then the
-    /// journal is compacted. A small engine's image fits one budget and
-    /// is durable before the boundary's call returns. Byte-identical to
-    /// [`ServeEngine::run_with_faults`] for the same inputs — the
-    /// journal only observes the run.
+    /// first), and every later chunk spends one fixed work budget on the
+    /// image until it is durable; then the journal is compacted. A small
+    /// engine's image fits one budget and is written whole at the
+    /// boundary, durable before the boundary's call returns.
+    /// Byte-identical to [`ServeEngine::run_with_faults`] for the same
+    /// inputs — the journal only observes the run.
     ///
     /// # Errors
     /// Any filesystem failure appending to the journal or writing a
@@ -896,10 +953,13 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
             let last = self.staged.pending().unwrap_or(self.checkpoint_event);
             let boundary = last + self.every;
             if self.engine.arrivals() >= boundary {
-                // Reached (or resumed past) the boundary: snapshot it.
+                // Reached (or resumed past) the boundary: snapshot it. An
+                // image that fits one budget is written whole now; a
+                // larger one starts on the next chunk's budget.
                 self.finish_checkpoint()?;
-                self.staged.snapshot(&self.engine);
-                self.stage_checkpoint(CHECKPOINT_BUDGET)?;
+                if self.staged.snapshot(&mut self.engine) {
+                    self.finish_checkpoint()?;
+                }
                 continue;
             }
             if self.engine.arrivals() >= end {
@@ -931,12 +991,12 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     }
 
     /// Spends `budget` units on the pending checkpoint, if any; once its
-    /// image is sealed and budget is left, makes it durable.
+    /// image is sealed with [`FILES_COST`] units left, makes it durable.
     fn stage_checkpoint(&mut self, mut budget: usize) -> Result<(), JournalError> {
-        let sealed = self
-            .staged
-            .encode_some(&self.checkpoint_header, &mut budget);
-        if sealed && budget > 0 {
+        let sealed =
+            self.staged
+                .encode_some(&self.checkpoint_header, &mut self.engine, &mut budget);
+        if sealed && budget >= FILES_COST {
             self.complete_checkpoint()?;
         }
         Ok(())
@@ -1002,7 +1062,7 @@ impl<S: Space, L: LoadState, Q: DepartureQueue> DurableEngine<S, L, Q> {
     /// As [`DurableEngine::run_journaled`].
     pub fn checkpoint_now(&mut self) -> Result<(), JournalError> {
         self.finish_checkpoint()?;
-        self.staged.snapshot(&self.engine);
+        self.staged.snapshot(&mut self.engine);
         self.finish_checkpoint()
     }
 
@@ -1338,9 +1398,9 @@ mod tests {
             let mut expected = header.to_vec();
             append_frame(&mut expected, &encode_state(&engine.state()));
             for budget in [1, 2, 3, 7, 64, usize::MAX] {
-                staged.snapshot(&engine);
+                staged.snapshot(&mut engine);
                 let mut calls = 1;
-                while !staged.encode_some(&header, &mut budget.clone()) {
+                while !staged.encode_some(&header, &mut engine, &mut budget.clone()) {
                     calls += 1;
                 }
                 assert!(budget >= 64 || calls > 10, "budget {budget}: {calls} calls");

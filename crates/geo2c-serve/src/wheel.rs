@@ -37,15 +37,38 @@
 //! `(deadline − base) << server_bits | server` of a [`DepartureKeys`];
 //! the wheel fills it in one sequential pass over its arena, with its
 //! clock as the base. Every filed deadline is at least the clock, so the
-//! key orders like `(deadline, server)`. The sort, `DepartureKeys::sort`,
-//! is an LSD radix sort that cuts the offset bits into balanced digits
-//! of at most 11 bits over exactly the bits they use — two passes for
-//! lifetimes that average 2^16 events — each a sequential sweep over the
-//! keys with no node reads. One arrival per event keeps shared deadlines
-//! rare and short, so a final compare sweep puts each shared deadline's
-//! servers in order. An offset too wide to sit beside the server bits
-//! (only a deadline saturated near the end of the clock) goes to a side
-//! list, sorted by comparison and visited last, since it orders after
+//! key orders like `(deadline, server)`.
+//!
+//! A checkpoint writer gathers in slices instead, while the engine runs
+//! on. [`DepartureQueue::begin_gather`] only *marks* the queue: the
+//! wheel bumps a generation stamp and records its arena length, and
+//! [`DepartureQueue::gather_some`] then walks the arena up to that
+//! length a bounded share at a time. Three hooks keep the walk exact:
+//!
+//! * **The filed-after test.** Every node carries the stamp that was
+//!   current when it was scheduled, in what was the node's padding, so a
+//!   node carrying the current stamp was filed after the mark (a fresh
+//!   node or a recycled one) and the walk skips it. When the stamp
+//!   wraps, every node is restamped below the new one.
+//! * **The drain-time pre-image.** A node the drain releases at or past
+//!   the walk's cursor saves its `(deadline, server)` if it was live at
+//!   the mark, and the next slice packs it. Without a gather pending the
+//!   drain runs its plain loop: the hook is chosen once per slot.
+//! * **Epochs at the mark.** A server purged after the mark records its
+//!   epoch at the mark (the first purge only), so the walk judges its
+//!   nodes live or stale as they were at the mark.
+//!
+//! The [`HeapQueue`] oracle keeps the trait's default: it gathers whole
+//! at the mark, and its slices have nothing left to do.
+//!
+//! The sort, `DepartureKeys::sort`, is an LSD radix sort that cuts the
+//! offset bits into balanced digits of at most 11 bits over exactly the
+//! bits they use — two passes for lifetimes that average 2^16 events —
+//! each a sequential sweep over the keys with no node reads. One arrival
+//! per event keeps each shared deadline's run of keys short, so a final
+//! compare sweep puts each shared deadline's servers in order. An offset
+//! too wide to sit beside the server bits (only a deadline saturated near
+//! the end of the clock) goes to a side list, sorted by comparison and visited last, since it orders after
 //! every packed key. The sort is resumable: `DepartureKeys::sort_some`
 //! does a bounded share of the sweeps per call, so a checkpoint writer
 //! can spread it over several calls. [`DepartureQueue::for_each_sorted`]
@@ -62,7 +85,7 @@
 //! [`DepartureQueue::for_each_sorted`] bit-for-bit.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// The scheduling interface [`crate::engine::ServeEngine`] is generic
 /// over: the production [`DepartureWheel`] and the [`HeapQueue`] oracle
@@ -106,6 +129,24 @@ pub trait DepartureQueue {
     /// checkpoint boundary.
     fn gather(&self, keys: &mut DepartureKeys);
 
+    /// Marks the outstanding entries for a sliced gather into `keys`
+    /// (cleared first): [`DepartureQueue::gather_some`] then packs
+    /// exactly the entries outstanding now, however the queue is
+    /// scheduled, drained and purged in between. Returns the work units
+    /// the slices will charge in all. The default gathers whole here and
+    /// charges nothing.
+    fn begin_gather(&mut self, keys: &mut DepartureKeys) -> usize {
+        self.gather(keys);
+        0
+    }
+
+    /// Advances the gather [`DepartureQueue::begin_gather`] marked by
+    /// about `budget` work units, taking the units spent off `budget`;
+    /// returns whether every marked entry is in `keys`.
+    fn gather_some(&mut self, _keys: &mut DepartureKeys, _budget: &mut usize) -> bool {
+        true
+    }
+
     /// Calls `f(deadline, server)` for every outstanding entry in
     /// ascending `(deadline, server)` order — the checkpoint image,
     /// identical across implementations: [`DepartureQueue::gather`],
@@ -145,14 +186,26 @@ const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 /// One scheduled departure on a singly-linked slot list. Free nodes are
 /// chained through `next` and marked by `server == NONE`. The `epoch`
 /// snapshots the server's epoch at schedule time; a mismatch at drain
-/// means the server was purged in between and the entry is stale.
+/// means the server was purged in between and the entry is stale. The
+/// `stamp` is the wheel's mark generation at schedule time: a node
+/// carrying the current one was filed after the latest gather mark.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     deadline: u64,
     server: u32,
     epoch: u32,
     next: u32,
+    stamp: u32,
 }
+
+// The stamp sits in what was padding: the arena's footprint is fixed.
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+/// Work units [`DepartureQueue::gather_some`] charges per arena node the
+/// wheel's walk visits: a node read, an epoch read at a random server
+/// and a key push, about four times a radix count (measured on a 2-vCPU
+/// Xeon at 2^16 servers).
+const GATHER_COST: usize = 4;
 
 /// Per-server purge state: the current epoch and how many live (current
 /// epoch) entries the server has filed in the wheel.
@@ -182,6 +235,27 @@ pub struct DepartureWheel {
     /// empty-wheel clock jump: stale nodes still need to be walked to
     /// (and released at) their deadlines.
     filed: usize,
+    /// Generation of the latest gather mark; every node filed since
+    /// carries it, and no node filed before does.
+    stamp: u32,
+    /// The sliced gather in progress, if any.
+    walk: Walk,
+}
+
+/// A sliced gather's progress: the arena walk over the nodes that
+/// existed at the mark, the pre-images the drain saved ahead of it, and
+/// the epochs at the mark of the servers purged since.
+#[derive(Debug, Clone, Default)]
+struct Walk {
+    /// The next arena index the walk visits; nodes before it are done.
+    at: u32,
+    /// The arena length at the mark; 0 when no gather is pending.
+    end: u32,
+    /// `(deadline, server)` of entries live at the mark that the drain
+    /// released before the walk reached them.
+    drained: Vec<(u64, u32)>,
+    /// Servers purged since the mark, and their epochs at the mark.
+    purged: HashMap<u32, u32>,
 }
 
 impl DepartureWheel {
@@ -210,6 +284,7 @@ impl DepartureWheel {
                 server,
                 epoch,
                 next: NONE,
+                stamp: self.stamp,
             });
             idx
         } else {
@@ -219,6 +294,7 @@ impl DepartureWheel {
             node.deadline = deadline;
             node.server = server;
             node.epoch = epoch;
+            node.stamp = self.stamp;
             idx
         }
     }
@@ -252,6 +328,43 @@ impl DepartureWheel {
             idx = next;
         }
     }
+
+    /// Whether `node`, filed before the gather mark, was live at the
+    /// mark: its epoch is its server's epoch then — the current one,
+    /// unless the server was purged since.
+    #[inline]
+    fn live_at_mark(&self, node: &Node) -> bool {
+        node.epoch == self.meta[node.server as usize].epoch
+            || self.walk.purged.get(&node.server) == Some(&node.epoch)
+    }
+
+    /// Pops the level-0 slot `home`, whose entries are all due at `cur`:
+    /// releases every node and calls `f` for the live ones. With `WALK` (a
+    /// gather pending), a node the walk has yet to visit first saves its
+    /// pre-image if the gather must see it.
+    #[inline]
+    fn drain_slot<const WALK: bool>(&mut self, home: usize, cur: u64, f: &mut impl FnMut(u32)) {
+        let mut idx = self.slots[home];
+        self.slots[home] = NONE;
+        while idx != NONE {
+            let node = self.nodes[idx as usize];
+            debug_assert_eq!(node.deadline, cur);
+            if WALK && idx >= self.walk.at && node.stamp != self.stamp && self.live_at_mark(&node) {
+                self.walk.drained.push((node.deadline, node.server));
+            }
+            self.release(idx);
+            self.filed -= 1;
+            let meta = &mut self.meta[node.server as usize];
+            // Epoch mismatch: the server was purged after this entry was
+            // scheduled — drop it silently.
+            if node.epoch == meta.epoch {
+                meta.pending -= 1;
+                self.live -= 1;
+                f(node.server);
+            }
+            idx = node.next;
+        }
+    }
 }
 
 impl DepartureQueue for DepartureWheel {
@@ -264,6 +377,8 @@ impl DepartureQueue for DepartureWheel {
             now,
             live: 0,
             filed: 0,
+            stamp: 0,
+            walk: Walk::default(),
         }
     }
 
@@ -305,24 +420,13 @@ impl DepartureQueue for DepartureWheel {
                 }
             }
             // Level-0 slot `cur mod SLOTS` now holds exactly the entries
-            // due at `cur`.
+            // due at `cur`. The walk's hook is chosen once per slot, so
+            // the drain without a gather pending is the plain loop.
             let home = cur as usize & (SLOTS - 1);
-            let mut idx = self.slots[home];
-            self.slots[home] = NONE;
-            while idx != NONE {
-                let node = self.nodes[idx as usize];
-                debug_assert_eq!(node.deadline, cur);
-                self.release(idx);
-                self.filed -= 1;
-                let meta = &mut self.meta[node.server as usize];
-                // Epoch mismatch: the server was purged after this entry
-                // was scheduled — drop it silently.
-                if node.epoch == meta.epoch {
-                    meta.pending -= 1;
-                    self.live -= 1;
-                    f(node.server);
-                }
-                idx = node.next;
+            if self.walk.end == 0 {
+                self.drain_slot::<false>(home, cur, &mut f);
+            } else {
+                self.drain_slot::<true>(home, cur, &mut f);
             }
             self.now = cur + 1;
         }
@@ -330,6 +434,10 @@ impl DepartureQueue for DepartureWheel {
 
     fn purge_server(&mut self, server: u32) -> u64 {
         let meta = &mut self.meta[server as usize];
+        if self.walk.end > 0 {
+            // The walk judges this server's nodes by its epoch at the mark.
+            self.walk.purged.entry(server).or_insert(meta.epoch);
+        }
         let purged = u64::from(meta.pending);
         meta.pending = 0;
         meta.epoch = meta.epoch.wrapping_add(1);
@@ -353,12 +461,52 @@ impl DepartureQueue for DepartureWheel {
             keys.push(node.deadline, node.server);
         }
     }
+
+    fn begin_gather(&mut self, keys: &mut DepartureKeys) -> usize {
+        debug_assert_eq!(self.walk.end, 0, "a gather is already pending");
+        keys.begin(self.now, self.meta.len(), self.live);
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // The generation wrapped: restamp every node below the new
+            // one, so that only nodes filed from now on carry it.
+            for node in &mut self.nodes {
+                node.stamp = 0;
+            }
+            self.stamp = 1;
+        }
+        self.walk.at = 0;
+        self.walk.end = self.nodes.len() as u32;
+        self.nodes.len() * GATHER_COST
+    }
+
+    fn gather_some(&mut self, keys: &mut DepartureKeys, budget: &mut usize) -> bool {
+        for (when, server) in self.walk.drained.drain(..) {
+            keys.push(when, server);
+        }
+        let (at, end) = (self.walk.at as usize, self.walk.end as usize);
+        let stop = end.min(at.saturating_add(ceil_div(*budget, GATHER_COST)));
+        for node in &self.nodes[at..stop] {
+            if node.server != NONE && node.stamp != self.stamp && self.live_at_mark(node) {
+                keys.push(node.deadline, node.server);
+            }
+        }
+        *budget = budget.saturating_sub((stop - at) * GATHER_COST);
+        if stop < end {
+            self.walk.at = stop as u32;
+            return false;
+        }
+        self.walk.at = 0;
+        self.walk.end = 0;
+        self.walk.purged.clear();
+        true
+    }
 }
 
 /// The live entries of a [`DepartureQueue`] packed as sort keys, and the
 /// sort that puts them in `(deadline, server)` order: filled by
-/// [`DepartureQueue::gather`], sorted whole by `DepartureKeys::sort` or
-/// a bounded share at a time by `DepartureKeys::sort_some`, then read
+/// [`DepartureQueue::gather`] (or in slices, by
+/// [`DepartureQueue::gather_some`]), sorted whole by `DepartureKeys::sort`
+/// or a bounded share at a time by `DepartureKeys::sort_some`, then read
 /// by `DepartureKeys::sorted_from`. Its buffers are kept across
 /// gathers, so a writer that gathers at every checkpoint allocates only
 /// while the queue grows.
@@ -433,7 +581,7 @@ impl DepartureKeys {
 
     /// Sorts the gathered entries (what remains of the sort, if
     /// `DepartureKeys::sort_some` began it).
-    pub(crate) fn sort(&mut self) {
+    pub fn sort(&mut self) {
         let mut unbounded = usize::MAX;
         let done = self.sort_some(&mut unbounded);
         debug_assert!(done);
@@ -443,9 +591,9 @@ impl DepartureKeys {
     /// units spent off `budget`; returns whether the sort is complete. A
     /// radix pass counts every key's digit (one unit a key), then
     /// scatters every key ([`SCATTER_COST`] units a key); the
-    /// shared-offset sweep takes one unit a key. A run of keys sharing an
-    /// offset is sorted whole, so a call may overrun its budget by the
-    /// run's length.
+    /// shared-offset sweep takes [`SHARED_COST`] units a key. A run of
+    /// keys sharing an offset is sorted whole, so a call may overrun its
+    /// budget by the run's cost.
     pub(crate) fn sort_some(&mut self, budget: &mut usize) -> bool {
         let len = self.keys.len();
         let (passes, width) = radix_plan(bit_len(self.span >> self.server_bits));
@@ -507,9 +655,9 @@ impl DepartureKeys {
                     };
                 }
                 SortStep::Shared { at } => {
-                    let limit = at.saturating_add(*budget);
+                    let limit = at.saturating_add(ceil_div(*budget, SHARED_COST));
                     let end = sort_shared_offsets(&mut self.keys, self.server_bits, at, limit);
-                    *budget -= (end - at).min(*budget);
+                    *budget = budget.saturating_sub((end - at) * SHARED_COST);
                     self.step = if end < len {
                         SortStep::Shared { at: end }
                     } else {
@@ -527,7 +675,7 @@ impl DepartureKeys {
     ///
     /// # Panics
     /// In debug builds, if the sort is not complete.
-    pub(crate) fn sorted_from(&self, at: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub fn sorted_from(&self, at: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
         debug_assert_eq!(self.step, SortStep::Done, "departure keys not sorted");
         let (base, bits) = (self.base, self.server_bits);
         let mask = (1u64 << bits) - 1;
@@ -548,9 +696,24 @@ impl DepartureKeys {
 const RADIX_BITS: u32 = 11;
 
 /// Work units `DepartureKeys::sort_some` charges per key scattered: a
-/// scatter writes each key to one of up to 2^11 places, about twice the
-/// time of counting its digit (measured on a 2-vCPU Xeon at 2^16 keys).
-const SCATTER_COST: usize = 2;
+/// scatter writes each key to one of up to 2^11 places, and the first
+/// pass, whose digits are uniform, writes to all of them at once — about
+/// three times the time of counting a digit over the two passes
+/// (measured on a 2-vCPU Xeon at 2^16 keys).
+const SCATTER_COST: usize = 3;
+
+/// Work units `DepartureKeys::sort_some` charges per key of the
+/// shared-offset sweep: a compare with its predecessor, and the sort of
+/// the runs a shared deadline makes, which are common at the front of
+/// the image where about one session departs per event.
+const SHARED_COST: usize = 3;
+
+/// Work units `DepartureKeys::sort_some` takes for `entries` keys whose
+/// offsets fit two radix passes (deadlines up to 2^22 events ahead): an
+/// estimate for pacing, not a bound.
+pub(crate) fn sort_units(entries: usize) -> usize {
+    entries * (2 * (1 + SCATTER_COST) + SHARED_COST)
+}
 
 /// `⌈a / b⌉` without overflow (`div_ceil` is newer than the MSRV).
 pub(crate) fn ceil_div(a: usize, b: usize) -> usize {
@@ -935,6 +1098,68 @@ mod tests {
                 assert!(keys.sorted_from(at).eq(expected[at..].iter().copied()));
             }
         }
+    }
+
+    /// Gathers `wheel` in slices of `budget` units.
+    fn gather_in_slices(wheel: &mut DepartureWheel, keys: &mut DepartureKeys, budget: usize) {
+        while !wheel.gather_some(keys, &mut budget.clone()) {}
+        keys.sort();
+    }
+
+    #[test]
+    fn the_filed_after_mark_stays_exact_when_its_generation_wraps() {
+        // Nodes stamped 0 and 1 survive until the generation wraps: the
+        // restamp must keep them out of reach of the new stamps, or the
+        // walk would skip them as filed after the mark.
+        let mut wheel = DepartureWheel::with_origin(4, 0);
+        wheel.schedule(5, 3);
+        wheel.stamp = 1;
+        wheel.schedule(6, 3);
+        wheel.stamp = u32::MAX - 1;
+        let mut keys = DepartureKeys::default();
+        for round in 0..4 {
+            wheel.schedule(20 + round, 1);
+            let expected = wheel.entries();
+            wheel.begin_gather(&mut keys);
+            wheel.schedule(40 + round, 2);
+            gather_in_slices(&mut wheel, &mut keys, 1);
+            assert!(keys.sorted_from(0).eq(expected), "round {round}");
+        }
+        assert_eq!(wheel.stamp, 3, "wrapped to 1, then counted on");
+    }
+
+    #[test]
+    fn a_sliced_gather_sees_the_entries_at_its_mark() {
+        // Purged before the mark (stale), purged after it (live at the
+        // mark), drained ahead of the walk and behind it, and nodes reused
+        // or appended after the mark.
+        let mut wheel = DepartureWheel::with_origin(6, 0);
+        for (when, server) in [(3, 0), (9, 1), (4, 2), (12, 3), (3, 4), (30, 5), (2, 5)] {
+            wheel.schedule(when, server);
+        }
+        wheel.purge_server(2);
+        let expected = wheel.entries();
+        let mut keys = DepartureKeys::default();
+        assert_eq!(wheel.begin_gather(&mut keys), 7 * GATHER_COST);
+        assert!(
+            !wheel.gather_some(&mut keys, &mut GATHER_COST.clone()),
+            "one node"
+        );
+        wheel.purge_server(3);
+        wheel.purge_server(3);
+        wheel.drain_due(3, |_| {});
+        wheel.schedule(7, 2);
+        wheel.schedule(8, 4);
+        wheel.schedule(50, 0);
+        wheel.purge_server(1);
+        gather_in_slices(&mut wheel, &mut keys, 2 * GATHER_COST);
+        assert!(keys.sorted_from(0).eq(expected));
+        assert!(wheel.walk.purged.is_empty() && wheel.walk.drained.is_empty());
+        assert_eq!(
+            wheel.entries(),
+            vec![(7, 2), (8, 4), (30, 5), (50, 0)],
+            "the walk leaves the queue as it was"
+        );
     }
 
     #[test]

@@ -22,10 +22,14 @@
 //!   while it is pending. The finished file is the image of the state at
 //!   its boundary; `checkpoint_now` mid-job finishes the job, then writes
 //!   its own image; a boundary reached mid-job finishes the old image
-//!   first.
+//!   first;
+//! * images that fit one budget: at the `durability` experiment's
+//!   reference size and configuration every checkpoint is durable, and
+//!   is the image of its boundary, before the call that reaches the
+//!   boundary returns.
 
 use geo2c_core::load::{LoadState, PackedLoads};
-use geo2c_core::space::{RingSpace, Space as _};
+use geo2c_core::space::{RingSpace, Space as _, UniformSpace};
 use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{EngineState, ServeConfig, SessionLife, FAILED_LOAD};
 use geo2c_serve::fault::{FaultAction, FaultPlan};
@@ -309,23 +313,30 @@ fn staged_case(every: u64) -> Case {
     }
 }
 
+/// `header ‖ frame(encode_state(state))`: the checkpoint file of `state`
+/// for an engine of `num_servers` servers under `config` and `root`.
+fn checkpoint_file(
+    root: u64,
+    num_servers: usize,
+    config: &ServeConfig,
+    state: &EngineState,
+) -> Vec<u8> {
+    let binds = [root, fingerprint(num_servers, config)];
+    let mut file = Header {
+        magic: CHECKPOINT_MAGIC,
+        version: FORMAT_VERSION,
+        binds,
+    }
+    .encode()
+    .to_vec();
+    append_frame(&mut file, &encode_state(state));
+    file
+}
+
 impl Case {
-    /// `header ‖ frame(encode_state(state))`: the checkpoint file of
-    /// `state`.
+    /// The checkpoint file of `state` in this scenario.
     fn image_file(&self, state: &EngineState) -> Vec<u8> {
-        let binds = [
-            self.root,
-            fingerprint(self.space.num_servers(), &self.config),
-        ];
-        let mut file = Header {
-            magic: CHECKPOINT_MAGIC,
-            version: FORMAT_VERSION,
-            binds,
-        }
-        .encode()
-        .to_vec();
-        append_frame(&mut file, &encode_state(state));
-        file
+        checkpoint_file(self.root, self.space.num_servers(), &self.config, state)
     }
 
     /// A durable engine for the scenario in a fresh directory.
@@ -519,4 +530,50 @@ fn a_boundary_reached_mid_job_finishes_the_old_image_first() {
     );
     assert!(fs::read(dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&at_second));
     fs::remove_dir_all(&dir).ok();
+}
+
+/// At the `durability` experiment's reference size — 2^10 servers, its
+/// serving configuration, fault plan shape and chunking — every image
+/// fits one budget: after each call, the durable checkpoint is the last
+/// boundary reached, and a call that ends on a boundary leaves that
+/// boundary's image in `checkpoint.bin`. The experiment's checkpoint
+/// counts and replay lengths therefore do not depend on staging.
+#[test]
+fn durability_size_images_are_durable_before_the_boundary_call_returns() {
+    let n = 1 << 10;
+    let events = 16 * n as u64;
+    let config = ServeConfig {
+        strategy: Strategy::two_choice(),
+        capacity: Some(8),
+        life: SessionLife::Exponential { mean: n as f64 },
+        retries: 1,
+    };
+    let mut rng = Xoshiro256pp::from_u64(0xD0_2AB1);
+    for every in [64, 256, 1024] {
+        let root = rng.next_u64();
+        let plan = FaultPlan::random_churn(rng.next_u64(), n, events, 4, events / 8);
+        let dir = temp_dir("durability-size");
+        let mut durable: DurableEngine<UniformSpace> =
+            DurableEngine::create_with(&dir, UniformSpace::new(n), config, root, every, vec![0; n])
+                .unwrap();
+        while durable.engine().arrivals() < events {
+            durable.run_journaled(every / 8, &plan).unwrap();
+            let at = durable.engine().arrivals();
+            let boundary = at / every * every;
+            assert_eq!(
+                (durable.checkpoints(), durable.checkpoint_event()),
+                (at / every, boundary),
+                "interval {every}, event {at}"
+            );
+            if at == boundary {
+                let state = durable.engine().state();
+                assert!(
+                    fs::read(dir.join(CHECKPOINT_FILE)).unwrap()
+                        == checkpoint_file(root, n, &config, &state),
+                    "interval {every}, event {at}: checkpoint.bin is not the boundary's image"
+                );
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -27,10 +27,12 @@
 //!    its name once complete — returns [`JournalError::Corrupt`] instead
 //!    of silently truncating.
 //! 5. **Staged-checkpoint crashes.** An engine whose image spans several
-//!    chunks dies while the image is pending, after its rotation but
-//!    before the journal compaction, or between the compaction's rewrite
-//!    and its `set_len`. Each resumes byte-equal, replaying at most the
-//!    checkpoint interval plus the chunks an image can span.
+//!    chunks dies right after the boundary, while its departures are
+//!    still being gathered; while the image is pending; after its
+//!    rotation but before the journal compaction; or between the
+//!    compaction's rewrite and its `set_len`. Each resumes byte-equal,
+//!    replaying at most the checkpoint interval plus the chunks an image
+//!    can span.
 
 use geo2c_core::load::PackedLoads;
 use geo2c_core::space::{RingSpace, Space as _};
@@ -757,11 +759,15 @@ fn continued_journal_appends_at_the_repaired_tail() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Where a staged checkpoint can die: while its image is pending, after
-/// its rotation but before the journal compaction, or after the
-/// compaction's rewrite but before its `set_len`.
+/// Where a staged checkpoint can die: right after its boundary, while
+/// its image is pending, after its rotation but before the journal
+/// compaction, or after the compaction's rewrite but before its
+/// `set_len`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum StagedWindow {
+    /// The boundary call has returned: the second image's departures are
+    /// marked but not yet gathered.
+    GatherPending,
     /// The second image is still being built; nothing of it is on disk.
     Pending,
     /// The second image is `checkpoint.bin`; the journal still holds
@@ -805,7 +811,9 @@ fn assert_staged_crash_recovers(window: StagedWindow) {
         (1, every),
         "the second image must be pending"
     );
-    let crash_at = if window == StagedWindow::Pending {
+    let crash_at = if window == StagedWindow::GatherPending {
+        durable.engine().arrivals()
+    } else if window == StagedWindow::Pending {
         durable.run_journaled(64, &plan).unwrap();
         assert_eq!(durable.checkpoints(), 1, "still pending");
         durable.engine().arrivals()
@@ -853,7 +861,7 @@ fn assert_staged_crash_recovers(window: StagedWindow) {
     let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
         Recovery::resume(&dir, space.clone(), config, root, &plan, vec![0; n]).unwrap();
     let checkpoint = match window {
-        StagedWindow::Pending => every,
+        StagedWindow::GatherPending | StagedWindow::Pending => every,
         StagedWindow::AfterRotation | StagedWindow::MidCompaction => 2 * every,
     };
     assert_eq!(
@@ -869,6 +877,14 @@ fn assert_staged_crash_recovers(window: StagedWindow) {
     assert_eq!(resumed.engine.state(), reference, "{window:?}");
     assert_recovers_everywhere(&dir, &space, config, root, &plan, crash_at, &reference);
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Staged window 0: death right after the boundary call, with the
+/// departures marked but not gathered. Nothing of the image exists
+/// outside the process, so the previous checkpoint carries the run.
+#[test]
+fn crash_while_the_gather_is_pending_resumes_from_the_previous_checkpoint() {
+    assert_staged_crash_recovers(StagedWindow::GatherPending);
 }
 
 /// Staged window 1: death while an image is pending. The previous

@@ -15,7 +15,11 @@
 //!    Further scripts pin the wheel's packed-key sort where it is
 //!    fragile: offsets up to the end of the clock, and offsets on either
 //!    side of the widest one that packs beside the server bits, for
-//!    server counts that are not powers of two.
+//!    server counts that are not powers of two. The sliced gather is
+//!    pinned the same way: marked at a random point of a script, carried
+//!    through schedules, drains across cascades, repeated purges of one
+//!    server, node reuse, and slices of any budget, it must gather
+//!    exactly the heap's entries at the mark.
 //! 2. **Engine-level.** A [`ServeEngine`] running on the wheel and one
 //!    running on the heap, fed the same root and fault plan, must
 //!    produce byte-identical [`ServeEngine::state`] checkpoints at
@@ -26,7 +30,7 @@ use geo2c_core::space::RingSpace;
 use geo2c_core::strategy::Strategy;
 use geo2c_serve::engine::{ServeConfig, ServeEngine, SessionLife};
 use geo2c_serve::fault::{FaultAction, FaultPlan};
-use geo2c_serve::wheel::{DepartureQueue, DepartureWheel, HeapQueue};
+use geo2c_serve::wheel::{DepartureKeys, DepartureQueue, DepartureWheel, HeapQueue};
 use geo2c_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use rand::RngCore;
@@ -204,6 +208,68 @@ proptest! {
             prop_assert_eq!(&visited, &expected, "sorted visit diverged");
             prop_assert_eq!(wheel.entries(), expected, "entry image diverged");
         }
+    }
+
+    /// A sliced gather marked anywhere in a lockstep script gathers
+    /// exactly the heap's entries at the mark, however the script goes
+    /// on between its slices: schedules that reuse drained nodes or grow
+    /// the arena, drains across level-1 cascades, repeated purges of one
+    /// victim server and purges of any other, and slices of 1 unit up to
+    /// unbounded. The wheel and the heap still agree after it.
+    #[test]
+    fn sliced_gather_matches_the_heap_at_its_mark(
+        n in 1usize..12,
+        origin in 0u64..2_000_000,
+        victim in 0usize..12,
+        before in proptest::collection::vec((0u8..5, 0u64..2_200_000, 0usize..12), 0..40),
+        after in proptest::collection::vec((0u8..10, 0u64..2_200_000, 0usize..12), 1..60),
+    ) {
+        let mut wheel = DepartureWheel::with_origin(n, origin);
+        let mut heap = HeapQueue::with_origin(n, origin);
+        let mut now = origin;
+        // Runs one schedule, drain or purge on both queues.
+        let mut step = |wheel: &mut DepartureWheel, heap: &mut HeapQueue, kind: u8, a: u64, server: u32| {
+            match kind {
+                0 | 1 => {
+                    let delta = if kind == 0 { a % 4096 } else { a };
+                    wheel.schedule(now + delta, server);
+                    heap.schedule(now + delta, server);
+                }
+                2 | 3 => {
+                    let t = now + a % if kind == 2 { 600 } else { 5000 };
+                    drain_both(wheel, heap, t);
+                    now = t + 1;
+                }
+                _ => assert_eq!(wheel.purge_server(server), heap.purge_server(server)),
+            }
+        };
+        for &(kind, a, b) in &before {
+            step(&mut wheel, &mut heap, kind, a, (b % n) as u32);
+        }
+        let expected = heap.entries();
+        let mut keys = DepartureKeys::default();
+        wheel.begin_gather(&mut keys);
+        let mut done = false;
+        for &(kind, a, b) in &after {
+            match kind {
+                // A slice of 1 to 64 units, or unbounded.
+                0..=2 => {
+                    let mut budget = if kind == 2 { usize::MAX } else { 1 + a as usize % 64 };
+                    done = done || wheel.gather_some(&mut keys, &mut budget);
+                }
+                // The victim is purged again and again.
+                3 => step(&mut wheel, &mut heap, 4, a, (victim % n) as u32),
+                _ => step(&mut wheel, &mut heap, kind - 4, a, (b % n) as u32),
+            }
+        }
+        while !done {
+            done = wheel.gather_some(&mut keys, &mut 1);
+        }
+        keys.sort();
+        let gathered: Vec<_> = keys.sorted_from(0).collect();
+        prop_assert_eq!(gathered, expected, "gathered keys differ from the image at the mark");
+        prop_assert_eq!(wheel.len(), heap.len());
+        prop_assert_eq!(wheel.entries(), heap.entries(), "entry image diverged after the walk");
     }
 
     /// Engine-level lockstep: the wheel-backed and heap-backed engines
