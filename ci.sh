@@ -27,9 +27,13 @@ cargo build --release
 # rotation but before the compaction, after the compaction's rewrite
 # but before its set_len), decoder robustness (hostile residue files
 # included), the checkpoint writer's byte identity (staged images
-# included, and durability-size images durable at their boundary), the
-# wheel-vs-heap oracle (the sliced gather against the heap's entries at
-# its mark included), and torus owner equivalence
+# included, durability-size images durable at their boundary, and the
+# two-scheduler chain: wheel and heap engines writing identical
+# checkpoint.bin files through crashes and a resume), the wheel-vs-heap
+# oracle (the sliced gather against the heap's entries at its mark, and
+# the chain-of-marks arm: every merged image of three to five marks on
+# one wheel against the heap's entries at that mark), and torus owner
+# equivalence
 # (KdGrid::nearest / nearest_batch and KdSites::owner against the
 # brute-force oracle for K in {1, 2, 3, 4}; KdGrid::within against a
 # brute radius filter for K in {2, 3}). A failure names its suite and

@@ -1980,7 +1980,9 @@ a fingerprint of `(servers, config)`, so a checkpoint can never be \
 restored into an engine it was not taken from. Every `C` events the \
 state is snapshotted, and the checkpoint image is built from the \
 snapshot in stages, one fixed work budget per journaled chunk, starting \
-with a sliced gather of the departures live at the boundary; an image \
+with a sliced gather of the departures live at the boundary that were \
+filed since the previous image, whose sorted departures are merged with \
+them; an image \
 of up to 2^12 servers (every size this table runs) fits one budget, is \
 written whole at the boundary and is durable before the boundary's call \
 returns. Once it is durable, the \

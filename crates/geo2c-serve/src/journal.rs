@@ -55,18 +55,32 @@
 //! budget on it, after its progress frame, through these stages in
 //! order:
 //!
-//! 1. the departure gather: the entries live at the boundary, packed
-//!    into sort keys a slice at a time while the queue keeps scheduling,
-//!    draining and purging ([`DepartureQueue::gather_some`]);
-//! 2. the departure keys' radix passes and shared-deadline fix-up
+//! 1. the departure gather: the entries live at the boundary and filed
+//!    since the previous image's mark, packed into sort keys a slice at
+//!    a time while the queue keeps scheduling, draining and purging
+//!    ([`DepartureQueue::gather_some`]);
+//! 2. the gathered keys' radix passes and shared-deadline fix-up
 //!    (`DepartureKeys::sort_some`);
-//! 3. the load section — the file header, a [`frame::FRAME_OVERHEAD`]-byte
+//! 3. the merge (`DepartureKeys::merge_some`): one pass over the
+//!    previous image's sorted keys that drops those drained since and
+//!    those of servers purged since, rebases the rest to the new
+//!    boundary and merges the freshly sorted keys in;
+//! 4. the load section — the file header, a [`frame::FRAME_OVERHEAD`]-byte
 //!    placeholder, the image's head, every load, the failure bitset;
-//! 4. the departure emit;
-//! 5. a streaming CRC ([`frame::Crc32`]) over the payload, which then
+//! 5. the departure emit, straight from the merged keys;
+//! 6. a streaming CRC ([`frame::Crc32`]) over the payload, which then
 //!    seals the frame's length and CRC in place;
-//! 6. the files: the spare write, the rotation and the compaction
+//! 7. the files: the spare write, the rotation and the compaction
 //!    (below), run whole in a chunk with enough budget left for them.
+//!
+//! The merged keys stay in the writer as the next image's previous one,
+//! so each image re-reads only the sessions filed in its interval. The
+//! same stages gather every entry instead, and merge nothing, for the
+//! first image after [`DurableEngine::create_with`] or
+//! [`Resumed::into_durable`], an image whose mark wraps the wheel's
+//! generation stamp, an image after one with deadlines too far ahead to
+//! pack, and every image of a scheduler that cannot tell when an entry
+//! was filed (the [`crate::wheel::HeapQueue`] oracle).
 //!
 //! The image is built in byte order in one retained buffer, so the load
 //! section runs before the departure emit. [`encode_state`] runs the
@@ -76,10 +90,10 @@
 //! `durability` experiment size — is written whole inside the boundary
 //! call, so it is durable before that call returns, exactly as if it
 //! were not staged. A larger image costs the boundary only the snapshot;
-//! 2^16 servers with about as many sessions take 13 chunks after it
-//! (the `serve_durable_churn` benchmark workload, a count set by work
-//! units, never by wall time). A boundary reached while an image is
-//! still pending finishes it first, and so does
+//! 2^16 servers with about as many sessions take 9 chunks after it, and
+//! 13 for an image gathered whole (the `serve_durable_churn` benchmark
+//! workload, counts set by work units, never by wall time). A boundary
+//! reached while an image is still pending finishes it first, and so does
 //! [`DurableEngine::checkpoint_now`] before it writes its own image
 //! whole. Nothing is written on drop: dropping the engine is a process
 //! death.
@@ -165,7 +179,7 @@ use crate::engine::{
     Counters, EngineState, RestoreError, RetryStats, ServeConfig, ServeEngine, FAILED_LOAD,
 };
 use crate::fault::FaultPlan;
-use crate::wheel::{ceil_div, sort_units, DepartureKeys, DepartureQueue, DepartureWheel};
+use crate::wheel::{ceil_div, DepartureKeys, DepartureQueue, DepartureWheel};
 use geo2c_core::load::{LoadRead, LoadState};
 use geo2c_core::space::Space;
 use geo2c_util::frame::{self, scan_frames, Crc32, Header, HeaderError, Tail};
@@ -447,6 +461,39 @@ fn write_departures(
     *prev_when = prev;
 }
 
+/// Packed departure keys in ascending order — offsets from `base` above
+/// `bits` server bits — written exactly as [`write_departures`] writes
+/// their pairs, with room made once for the whole slice: no delta
+/// exceeds the last deadline's distance from `prev_when`.
+fn write_packed_departures(
+    w: &mut Cursor<'_>,
+    prev_when: &mut u64,
+    keys: &[u64],
+    base: u64,
+    bits: u32,
+) {
+    let Some(&last) = keys.last() else {
+        return;
+    };
+    let mask = (1u64 << bits) - 1;
+    let widest = var_len(base + (last >> bits) - *prev_when) + var_len(mask);
+    w.room(keys.len() * widest);
+    let mut prev = *prev_when;
+    for &key in keys {
+        let when = base + (key >> bits);
+        debug_assert!(when >= prev, "departure keys out of order");
+        w.var(when - prev);
+        w.var(key & mask);
+        prev = when;
+    }
+    *prev_when = prev;
+}
+
+/// Bytes the LEB128 encoding of `value` takes.
+fn var_len(value: u64) -> usize {
+    ceil_div((u64::BITS - value.leading_zeros()).max(1) as usize, 7)
+}
+
 /// A write cursor into a `Vec` that keeps room ahead of itself: the
 /// writer asks for room once per field, for the field's longest
 /// encoding, and then stores each byte by index instead of pushing it.
@@ -629,36 +676,43 @@ impl<'a> Reader<'a> {
 
 /// Work units each journaled chunk spends on a pending checkpoint. A unit
 /// is one departure key counted by a radix pass; every stage charges in
-/// that currency (`GATHER_COST` per arena node walked, `SCATTER_COST`
-/// and `SHARED_COST` per key in the sort, [`LOAD_COST`], [`EMIT_COST`],
-/// [`CRC_BYTES_PER_UNIT`], [`FILES_COST`]), calibrated with a per-stage
-/// timer on the `serve_durable_churn` image (2^16 servers, about 2^16
-/// sessions; shared 2-vCPU Xeon, five runs of 200–300 images, the range
-/// over runs):
+/// that currency (`GATHER_COST` per arena node a whole gather walks and
+/// `WALK_COST` per node a gather since the previous mark walks,
+/// `SCATTER_COST` and `SHARED_COST` per key in the sort, `MERGE_COST`
+/// per key the merge visits, [`LOAD_COST`], [`EMIT_COST`], [`CRC_COST`],
+/// [`FILES_COST`]), calibrated with a per-stage timer on the
+/// `serve_durable_churn` image (2^16 servers, about 2^16 sessions, about
+/// 4k of them filed since the previous image; shared 2-vCPU Xeon, five
+/// runs of 200 images, the range over runs):
 ///
 /// | stage  | ns per unit |
 /// |--------|-------------|
-/// | gather | 1.2–1.6     |
-/// | sort   | 1.1–1.3     |
-/// | loads  | 1.2–1.4     |
-/// | emit   | 1.2–1.5     |
-/// | CRC    | 1.5–1.6     |
-/// | files  | 1.0–1.3     |
+/// | gather | 1.1–1.5     |
+/// | sort   | 0.8–1.1     |
+/// | merge  | 1.1–1.5     |
+/// | loads  | 1.0–1.3     |
+/// | emit   | 1.0–1.2     |
+/// | CRC    | 1.1–1.2     |
+/// | files  | 0.9–1.1     |
 ///
-/// Within the sort, a count runs 1.2–1.4, a scatter 1.1–1.2 and the
-/// shared-offset sweep 1.2–1.4. A budget is therefore about 0.2 ms of
-/// work in any stage. An image of
-/// 2^12 servers and their sessions — every test engine and every
-/// `durability` experiment size — is estimated at under 0.8 budgets, so
-/// it is written whole inside the boundary call; the 2^16 image takes 12
-/// budgets of encoding and its files land on the 13th chunk.
+/// The gather row is the walk bounded by the previous mark, and the
+/// sort row the sort of the keys it packs, which fit in cache. A budget
+/// is therefore about 0.15–0.2 ms of work in any stage. An image of 2^12
+/// servers and their sessions — every test engine and every
+/// `durability` experiment size — is estimated at under 0.8 budgets even
+/// when gathered whole, so it is written whole inside the boundary call;
+/// the 2^16 image takes 8 budgets of encoding and its files land on the
+/// 9th chunk (just over 12 budgets and the 13th chunk when gathered
+/// whole).
 const CHECKPOINT_BUDGET: usize = 9 << 14;
 /// Units per server of the load section.
 const LOAD_COST: usize = 2;
 /// Units per departure of the departure emit.
 const EMIT_COST: usize = 7;
-/// Payload bytes the CRC stage covers per unit.
-const CRC_BYTES_PER_UNIT: usize = 2;
+/// The CRC stage charges [`CRC_COST`] units per this many payload bytes.
+const CRC_BYTES: usize = 3;
+/// Units per [`CRC_BYTES`] payload bytes of the CRC stage.
+const CRC_COST: usize = 2;
 /// Units the file stage takes: the spare write, the rotation and the
 /// compaction run whole, in a chunk with at least this much budget left.
 const FILES_COST: usize = 3 << 15;
@@ -667,14 +721,10 @@ const FILES_COST: usize = 3 << 15;
 const _: () = assert!(FILES_COST < CHECKPOINT_BUDGET);
 
 /// The units an image of `n` servers and `entries` departures is
-/// estimated to take after its gather: the sort at two radix passes, the
-/// loads, the emit, and a CRC over about a byte per load and four per
-/// departure.
+/// estimated to take after its sort and merge: the loads, the emit, and
+/// a CRC over about a byte per load and four per departure.
 fn image_units(n: usize, entries: usize) -> usize {
-    sort_units(entries)
-        + LOAD_COST * n
-        + EMIT_COST * entries
-        + (n + 4 * entries) / CRC_BYTES_PER_UNIT
+    LOAD_COST * n + EMIT_COST * entries + (n + 4 * entries) * CRC_COST / CRC_BYTES
 }
 
 /// Where a staged checkpoint is: its stages run in this order.
@@ -687,6 +737,8 @@ enum Stage {
     Gather,
     /// Sorting the gathered departure keys.
     Sort,
+    /// Merging them with the previous image's.
+    Merge,
     /// Encoding the loads; servers before `at` are written.
     Loads { at: usize },
     /// Emitting the departures; entries before `at` are written.
@@ -711,7 +763,9 @@ struct Staged {
     peak_load: u32,
     /// The loads, copied out of the backing at the boundary.
     loads: Vec<u32>,
-    /// The departures live at the boundary, gathered by the first stage.
+    /// The departures live at the boundary: gathered by the first stage
+    /// (only those filed since the previous image, if it is in here),
+    /// then sorted and merged.
     keys: DepartureKeys,
     /// Header, frame placeholder and payload; bytes past `written` are
     /// scratch.
@@ -743,16 +797,23 @@ impl Staged {
     ) -> bool {
         debug_assert_eq!(self.stage, Stage::Idle, "a pending image was not finished");
         let (counters, retry, peak_load, loads, departures) = engine.image_inputs_mut();
+        // One arrival an event: at most this many sessions were filed
+        // since the previous image.
+        let fresh =
+            usize::try_from(counters.arrivals.saturating_sub(self.event)).unwrap_or(usize::MAX);
         self.event = counters.arrivals;
         self.counters = *counters;
         self.retry.clone_from(retry);
         self.peak_load = peak_load;
         loads.copy_into(&mut self.loads);
         let gather = departures.begin_gather(&mut self.keys);
+        let entries = departures.len();
         self.written = 0;
         self.kept.clear();
         self.stage = Stage::Gather;
-        gather + image_units(self.loads.len(), departures.len()) <= CHECKPOINT_BUDGET
+        let units =
+            gather + self.keys.sort_units(entries, fresh) + image_units(self.loads.len(), entries);
+        units <= CHECKPOINT_BUDGET
     }
 
     /// Spends up to `budget` units (taking what it spends off it) on the
@@ -778,6 +839,11 @@ impl Staged {
                 }
                 Stage::Sort => {
                     if self.keys.sort_some(budget) {
+                        self.stage = Stage::Merge;
+                    }
+                }
+                Stage::Merge => {
+                    if self.keys.merge_some(budget) {
                         self.stage = Stage::Loads { at: 0 };
                     }
                 }
@@ -805,11 +871,19 @@ impl Staged {
                     self.written = w.at;
                 }
                 Stage::Departures { at } => {
-                    let entries = self.keys.len();
+                    let (packed, far) = self.keys.image();
+                    let entries = packed.len() + far.len();
                     let end = entries.min(at.saturating_add(ceil_div(*budget, EMIT_COST)));
                     let mut w = Cursor::at(&mut self.image, self.written);
-                    let slice = self.keys.sorted_from(at).take(end - at);
-                    write_departures(&mut w, &mut self.prev_when, slice);
+                    if at < packed.len() {
+                        let slice = &packed[at..end.min(packed.len())];
+                        let (base, bits) = (self.keys.base(), self.keys.server_bits());
+                        write_packed_departures(&mut w, &mut self.prev_when, slice, base, bits);
+                    }
+                    if end > packed.len() {
+                        let slice = &far[at.saturating_sub(packed.len())..end - packed.len()];
+                        write_departures(&mut w, &mut self.prev_when, slice.iter().copied());
+                    }
                     self.written = w.at;
                     *budget = budget.saturating_sub((end - at) * EMIT_COST);
                     self.stage = if end < entries {
@@ -822,11 +896,11 @@ impl Staged {
                     };
                 }
                 Stage::Crc { at } => {
-                    let end = self
-                        .written
-                        .min(at.saturating_add(budget.saturating_mul(CRC_BYTES_PER_UNIT)));
+                    let end = self.written.min(
+                        at.saturating_add(ceil_div(*budget, CRC_COST).saturating_mul(CRC_BYTES)),
+                    );
                     self.crc.update(&self.image[at..end]);
-                    *budget = budget.saturating_sub(ceil_div(end - at, CRC_BYTES_PER_UNIT));
+                    *budget = budget.saturating_sub(ceil_div(end - at, CRC_BYTES) * CRC_COST);
                     self.stage = if end < self.written {
                         Stage::Crc { at: end }
                     } else {

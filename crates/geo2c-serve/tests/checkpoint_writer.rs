@@ -26,7 +26,12 @@
 //! * images that fit one budget: at the `durability` experiment's
 //!   reference size and configuration every checkpoint is durable, and
 //!   is the image of its boundary, before the call that reaches the
-//!   boundary returns.
+//!   boundary returns;
+//! * a chain of checkpoints through crashes and recoveries: the wheel
+//!   builds each image after the first from the previous one and the
+//!   sessions filed since, the heap oracle gathers every image whole,
+//!   and their files are identical after every checkpoint, before and
+//!   after a resume.
 
 use geo2c_core::load::{LoadState, PackedLoads};
 use geo2c_core::space::{RingSpace, Space as _, UniformSpace};
@@ -576,4 +581,119 @@ fn durability_size_images_are_durable_before_the_boundary_call_returns() {
         }
         fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A durable engine on the wheel and one on the heap oracle, fed the
+/// same inputs under a fault plan of crashes and recoveries, write the
+/// same `checkpoint.bin` after every call, through at least eight
+/// checkpoints: the wheel's images after the first merge the previous
+/// image with the sessions filed since, the heap's are gathered whole.
+/// Resumed after a crash, the first image (gathered whole) and the
+/// second (merged) are both the image of the state they are taken at.
+#[test]
+fn wheel_and_heap_write_the_same_checkpoint_chain_through_crashes() {
+    let n = 128;
+    let every = 256;
+    let events = 12 * every;
+    let mut rng = Xoshiro256pp::from_u64(0xC4A1_9E55);
+    let space = RingSpace::random(n, &mut rng);
+    let root = rng.next_u64();
+    // About 60 crashes, each down for about 300 events: purges land
+    // between every pair of marks, and sessions outlive several images.
+    let plan = FaultPlan::random_churn(rng.next_u64(), n, 2 * events, 120, 300);
+    let config = ServeConfig {
+        strategy: Strategy::two_choice(),
+        capacity: Some(24),
+        life: SessionLife::Exponential {
+            mean: 4.0 * every as f64,
+        },
+        retries: 1,
+    };
+    let case = Case {
+        space,
+        config,
+        root,
+        plan,
+        every,
+        p: 0,
+        q: 0,
+    };
+    let (wheel_dir, heap_dir) = (temp_dir("chain-wheel"), temp_dir("chain-heap"));
+    let mut on_wheel: DurableEngine<RingSpace, Vec<u32>, DepartureWheel> =
+        case.create(&wheel_dir, vec![0; n]);
+    let mut on_heap: DurableEngine<RingSpace, Vec<u32>, HeapQueue> =
+        case.create(&heap_dir, vec![0; n]);
+    let same_files = |what: &str| {
+        let file = |dir: &Path| fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        assert!(
+            file(&wheel_dir) == file(&heap_dir),
+            "{what}: the wheel's checkpoint.bin differs from the heap's"
+        );
+    };
+    while on_wheel.engine().arrivals() < events {
+        on_wheel.run_journaled(every / 4, &case.plan).unwrap();
+        on_heap.run_journaled(every / 4, &case.plan).unwrap();
+        let at = on_wheel.engine().arrivals();
+        assert_eq!(on_wheel.checkpoints(), on_heap.checkpoints());
+        same_files(&format!("event {at}"));
+        if at % every == 0 {
+            let state = on_wheel.engine().state();
+            assert!(
+                fs::read(wheel_dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&state),
+                "event {at}: checkpoint.bin is not the boundary's image"
+            );
+        }
+    }
+    assert!(
+        on_wheel.checkpoints() >= 8,
+        "{} checkpoints",
+        on_wheel.checkpoints()
+    );
+    assert!(
+        on_wheel.engine().evicted() > 0,
+        "no crash evicted a session"
+    );
+
+    // Crash mid-interval, resume each engine, and checkpoint twice.
+    on_wheel.run_journaled(every / 2, &case.plan).unwrap();
+    on_heap.run_journaled(every / 2, &case.plan).unwrap();
+    drop((on_wheel, on_heap));
+    let mut on_wheel = Recovery::resume(
+        &wheel_dir,
+        case.space.clone(),
+        config,
+        root,
+        &case.plan,
+        vec![0u32; n],
+    )
+    .map(|r: Resumed<RingSpace, Vec<u32>, DepartureWheel>| r.into_durable(every).unwrap())
+    .unwrap();
+    let mut on_heap = Recovery::resume(
+        &heap_dir,
+        case.space.clone(),
+        config,
+        root,
+        &case.plan,
+        vec![0u32; n],
+    )
+    .map(|r: Resumed<RingSpace, Vec<u32>, HeapQueue>| r.into_durable(every).unwrap())
+    .unwrap();
+    for image in [
+        "first image after the resume",
+        "second image after the resume",
+    ] {
+        on_wheel.checkpoint_now().unwrap();
+        on_heap.checkpoint_now().unwrap();
+        let state = on_wheel.engine().state();
+        assert!(
+            fs::read(wheel_dir.join(CHECKPOINT_FILE)).unwrap() == case.image_file(&state),
+            "{image}: checkpoint.bin is not the image of the state"
+        );
+        same_files(image);
+        // Less than an interval, so no boundary image comes between.
+        on_wheel.run_journaled(every - 1, &case.plan).unwrap();
+        on_heap.run_journaled(every - 1, &case.plan).unwrap();
+    }
+    fs::remove_dir_all(&wheel_dir).ok();
+    fs::remove_dir_all(&heap_dir).ok();
 }

@@ -19,7 +19,9 @@
 //!    pinned the same way: marked at a random point of a script, carried
 //!    through schedules, drains across cascades, repeated purges of one
 //!    server, node reuse, and slices of any budget, it must gather
-//!    exactly the heap's entries at the mark.
+//!    exactly the heap's entries at the mark. So must a chain of marks
+//!    on one wheel, each image gathering only what was filed since the
+//!    previous one and merging the rest from it.
 //! 2. **Engine-level.** A [`ServeEngine`] running on the wheel and one
 //!    running on the heap, fed the same root and fault plan, must
 //!    produce byte-identical [`ServeEngine::state`] checkpoints at
@@ -270,6 +272,78 @@ proptest! {
         prop_assert_eq!(gathered, expected, "gathered keys differ from the image at the mark");
         prop_assert_eq!(wheel.len(), heap.len());
         prop_assert_eq!(wheel.entries(), heap.entries(), "entry image diverged after the walk");
+    }
+
+    /// A chain of three to five marks on one wheel and one set of keys,
+    /// so that every image after the first gathers only the entries
+    /// filed since the previous mark and merges the rest from the
+    /// previous image: at every mark the merged keys are the heap's
+    /// entries at that mark. Between the marks and during the sliced
+    /// walks run schedules that reuse drained nodes or grow the arena,
+    /// drains across level-1 cascades, purges of any server and repeated
+    /// purges of one victim server (before a mark and after it), and
+    /// slices of 1 unit up to unbounded.
+    #[test]
+    fn chained_gathers_match_the_heap_at_every_mark(
+        n in 1usize..12,
+        origin in 0u64..2_000_000,
+        victim in 0usize..12,
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..6, 0u64..2_200_000, 0usize..12), 0..25),
+                proptest::collection::vec((0u8..10, 0u64..2_200_000, 0usize..12), 1..25),
+            ),
+            3..6,
+        ),
+    ) {
+        let mut wheel = DepartureWheel::with_origin(n, origin);
+        let mut heap = HeapQueue::with_origin(n, origin);
+        let mut now = origin;
+        let victim = (victim % n) as u32;
+        // Runs one schedule, drain or purge on both queues: kinds 0–1
+        // schedule, 2–3 drain, 4 purges the victim, 5 any server.
+        let mut step = |wheel: &mut DepartureWheel, heap: &mut HeapQueue, kind: u8, a: u64, b: usize| {
+            let server = if kind == 4 { victim } else { (b % n) as u32 };
+            match kind {
+                0 | 1 => {
+                    let delta = if kind == 0 { a % 4096 } else { a };
+                    wheel.schedule(now + delta, server);
+                    heap.schedule(now + delta, server);
+                }
+                2 | 3 => {
+                    let t = now + a % if kind == 2 { 600 } else { 5000 };
+                    drain_both(wheel, heap, t);
+                    now = t + 1;
+                }
+                _ => assert_eq!(wheel.purge_server(server), heap.purge_server(server)),
+            }
+        };
+        let mut keys = DepartureKeys::default();
+        for (mark, (between, during)) in rounds.iter().enumerate() {
+            for &(kind, a, b) in between {
+                step(&mut wheel, &mut heap, kind, a, b);
+            }
+            let expected = heap.entries();
+            wheel.begin_gather(&mut keys);
+            let mut done = false;
+            for &(kind, a, b) in during {
+                match kind {
+                    // A slice of 1 to 64 units, or unbounded.
+                    0..=3 => {
+                        let mut budget = if kind == 3 { usize::MAX } else { 1 + a as usize % 64 };
+                        done = done || wheel.gather_some(&mut keys, &mut budget);
+                    }
+                    _ => step(&mut wheel, &mut heap, kind - 4, a, b),
+                }
+            }
+            while !done {
+                done = wheel.gather_some(&mut keys, &mut 1);
+            }
+            keys.sort();
+            let merged: Vec<_> = keys.sorted_from(0).collect();
+            prop_assert_eq!(merged, expected, "mark {} differs from the heap at the mark", mark);
+            prop_assert_eq!(wheel.entries(), heap.entries(), "entry image diverged after mark {}", mark);
+        }
     }
 
     /// Engine-level lockstep: the wheel-backed and heap-backed engines
