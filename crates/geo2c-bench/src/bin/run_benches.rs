@@ -1,11 +1,13 @@
-//! The persisted-benchmark driver: runs the hot-path micro-bench suite
+//! The persisted-benchmark driver for the paper substrate: runs the
+//! owner-lookup, least-of-`d` and trial bench suite
 //! (`geo2c_bench::perf`), maintains the committed baselines under
-//! `results/bench/`, and gates perf regressions in CI.
+//! `results/bench/`, and gates perf regressions and committed evidence
+//! in CI. Serving performance is measured by `perfbench/` instead.
 //!
 //! ```text
-//! run_benches [--quick] [--check] [--tolerance PCT] [--seed S]
+//! run_benches [--quick] [--check] [--tolerance PCT]
 //!             [--dir DIR] [--out PATH] [--against PATH] [--archive [LABEL]]
-//!             [--only SUBSTR[,SUBSTR]] [--repeats N] [--window-ms MS]
+//!             [--only SUBSTR[,SUBSTR]] [--repeats N]
 //! run_benches --diff AFTER.json BEFORE.json [--min-speedup R --only SUBSTR[,SUBSTR]]
 //! run_benches --ratio FILE.json NUM_NAME DEN_NAME MAX
 //! ```
@@ -15,10 +17,10 @@
 //! contradictory modes) prints the usage line to stderr and exits with
 //! status 2.
 //!
-//! `--repeats` / `--window-ms` override the measurement methodology
-//! (default 3 × ~20 ms best-of windows) — raise repeats on a noisy
-//! host. Both are recorded in the persisted spec (`trials` and the
-//! `window_ms` param), so runs carry their methodology with them.
+//! Every run uses seed 0 and ~20 ms windows. `--repeats` overrides the
+//! number of best-of windows (default 3): raise it on a noisy host. The
+//! persisted spec records the repeats (`trials`), the seed and the
+//! `window_ms` param, so runs carry their methodology with them.
 //!
 //! * *(no flags)* — run the **full** scale and write
 //!   `results/bench/baseline.json` (the committed "after" evidence and
@@ -53,7 +55,8 @@
 //!   `name` coordinate, e.g. `serving_d2_journaled`). Because both sides
 //!   were measured back-to-back on the same host, the ratio is
 //!   machine-independent evidence — this is how ci.sh bounds the
-//!   journaling overhead against the plain serving trial.
+//!   journaling overhead against the plain serving trial in the frozen
+//!   `results/bench/serving_pr10*.json` archives.
 
 use geo2c_bench::perf::{
     self, fmt_ns, pair_benches, run_bench_suite_only, BenchScale, FULL, QUICK,
@@ -66,7 +69,6 @@ struct Args {
     scale: &'static BenchScale,
     check: bool,
     tolerance_pct: f64,
-    seed: u64,
     dir: PathBuf,
     out: Option<PathBuf>,
     against: Option<PathBuf>,
@@ -76,12 +78,15 @@ struct Args {
     min_speedup: Option<f64>,
     only: Option<String>,
     repeats: usize,
-    window_ms: u64,
 }
 
-const USAGE: &str = "usage: run_benches [--quick] [--check] [--tolerance PCT] [--seed S] \
+/// The one root seed every bench run uses (recorded in the spec and the
+/// provenance).
+const SEED: u64 = 0;
+
+const USAGE: &str = "usage: run_benches [--quick] [--check] [--tolerance PCT] \
                      [--dir DIR] [--out PATH] [--against PATH] [--archive [LABEL]] \
-                     [--only SUBSTR[,SUBSTR]] [--repeats N] [--window-ms MS] \
+                     [--only SUBSTR[,SUBSTR]] [--repeats N] \
                      | --diff AFTER BEFORE [--min-speedup R --only SUBSTR[,SUBSTR]] \
                      | --ratio FILE NUM_NAME DEN_NAME MAX";
 
@@ -97,7 +102,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         scale: &FULL,
         check: false,
         tolerance_pct: 50.0,
-        seed: 0,
         dir: PathBuf::from("."),
         out: None,
         against: None,
@@ -107,7 +111,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         min_speedup: None,
         only: None,
         repeats: perf::REPEATS,
-        window_ms: perf::MEASURE_WINDOW.as_millis() as u64,
     };
     let mut rest = argv.iter().peekable();
     while let Some(flag) = rest.next() {
@@ -127,7 +130,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     return Err("--tolerance must be a finite percentage".into());
                 }
             }
-            "--seed" => args.seed = number(flag, &value()?)?,
             "--dir" => args.dir = PathBuf::from(value()?),
             "--out" => args.out = Some(PathBuf::from(value()?)),
             "--against" => args.against = Some(PathBuf::from(value()?)),
@@ -156,7 +158,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--only" => args.only = Some(value()?),
             "--repeats" => args.repeats = number(flag, &value()?)?,
-            "--window-ms" => args.window_ms = number(flag, &value()?)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -489,13 +490,15 @@ fn main() -> ExitCode {
     };
 
     eprintln!(
-        "running the {} bench scale (seed {}, {} repeats of {} ms windows)",
-        args.scale.name, args.seed, args.repeats, args.window_ms
+        "running the {} bench scale (seed {SEED}, {} repeats of {} ms windows)",
+        args.scale.name,
+        args.repeats,
+        perf::MEASURE_WINDOW.as_millis()
     );
     let fresh = run_bench_suite_only(
         args.scale,
-        args.seed,
-        std::time::Duration::from_millis(args.window_ms),
+        SEED,
+        perf::MEASURE_WINDOW,
         args.repeats,
         args.only.as_deref(),
     );
@@ -509,7 +512,7 @@ fn main() -> ExitCode {
         Some(label) => archive_path(&args, label.as_deref()),
         None => args.out.clone().unwrap_or_else(|| baseline_path(&args)),
     };
-    let mut set = ResultSet::new(Provenance::capture(args.seed));
+    let mut set = ResultSet::new(Provenance::capture(SEED));
     set.push(fresh);
     if let Err(e) = set.save(&path) {
         eprintln!("cannot write {}: {e}", path.display());

@@ -1885,17 +1885,17 @@ fail/recover churn.\n\n\
 The numbers above are *distributions*; the speed that makes them cheap to \
 regenerate is tracked separately under [`results/bench/`](results/bench/):\n\n\
 * **Run:** `cargo run --release -p geo2c-bench --bin run_benches` times the \
-hot-path suite (owner lookups on the ring, the torus, and the K-torus for \
-K ∈ {3, 4}, the least-of-`d` load-read micro-benches \
-`substrate/min_load_{flat,packed}`, end-to-end random-tie-break \
-`run_trial` insertions on each geometry — `trial/*_random` — the \
-arc-left ablation `trial/kd3_d2_left`, and the serving-engine steady \
-state and faulted-run trials `trial/serving_*`) with criterion's \
-technique — adaptive \
+paper-substrate suite (owner lookups on the ring, the torus, and the \
+K-torus for K ∈ {3, 4}, the least-of-`d` load-read micro-bench \
+`substrate/min_load_flat`, end-to-end random-tie-break `run_trial` \
+insertions on each geometry — `trial/*_random` — and the arc-left \
+ablation `trial/kd3_d2_left`) with criterion's technique — adaptive \
 ~20 ms windows, best of N (`--repeats N`, default 3), ns/iter — and \
 writes `results/bench/baseline.json` (`--quick` for the CI scale, \
 `results/bench/quick.json`). Each file is a normal \
-`geo2c_report::ResultSet` with seed + git-revision provenance.\n\
+`geo2c_report::ResultSet` with seed + git-revision provenance. Serving \
+has its own harness: the repository benchmark `perfbench/` times the \
+engine end to end and layer by layer, one harness per question.\n\
 * **Gate:** `run_benches --check [--tolerance PCT]` reruns the suite and \
 fails if any benchmark is more than `PCT`% slower than its committed \
 baseline (default 50%; `ci.sh` gates at 200% because baselines store one \
@@ -1909,7 +1909,8 @@ a gate. Pre-optimization measurements are archived per PR by \
 (auto-numbered `before_prN.json` without a label): `before_pr9.json` \
 holds the captures just before the timing-wheel departure scheduler and \
 the batched serving loop (1.5×+/8× on the serving steady-state/faulted \
-trials — see below), `before_pr7.json` \
+trials — see below; the serving rows' last cells are frozen in \
+`serving_pr10.json` and `serving_pr10_quick.json`), `before_pr7.json` \
 holds the captures just before the packed/sharded load-state layer \
 (its gate is *no slower*, not faster — see below), `before_pr5.json` \
 the captures just before the contract-v2 lane engine \
@@ -1945,8 +1946,8 @@ cache. Both packed widths are *asserted byte-identical* to the flat \
 engine (the `loadvec_equivalence` and `packed_equivalence` proptest \
 suites, plus the in-experiment max-load equality assert): every backing \
 replays the same RNG streams as the flat vector, so the committed tables \
-are unchanged by construction; the `trial/scaling_*` benches and the \
-`before_pr7.json` diff pin the *no slower* half of the claim.\n\n\
+are unchanged by construction; the `before_pr7.json` diff pins the \
+*no slower* half of the claim on the headline trials.\n\n\
 ### Scheduling: the departure timing wheel\n\n\
 The serving engine's departure deadlines live in a two-level hierarchical \
 timing wheel (`geo2c_serve::wheel::DepartureWheel`, 2 × 1024 slots plus \
@@ -1961,10 +1962,11 @@ commute, so the wheel-backed engine is byte-equal to the binary-heap \
 engine it replaced — the heap stays on as `wheel::HeapQueue`, the oracle \
 of the `wheel_oracle` proptest suite (queue-level lockstep scripts plus \
 whole-engine checkpoint equality under faults), and `ci.sh` pins the \
-speedup itself as committed evidence: `baseline.json` must show ≥ 1.5× \
-over `before_pr9.json` on `trial/serving_d2_random` and \
-`trial/serving_faults_d2` (the faulted trial gains the most — the old \
-heap held every purged server's dead entries until their deadlines).\n\n\
+speedup itself as committed evidence: the frozen PR-10 serving cells in \
+`serving_pr10.json` must show ≥ 1.5× over `before_pr9.json` on \
+`trial/serving_d2_random` and `trial/serving_faults_d2` (the faulted \
+trial gains the most — the old heap held every purged server's dead \
+entries until their deadlines), a pure file comparison.\n\n\
 ### Durability: checkpoints and the write-ahead journal\n\n\
 The durability table above measures the serving engine's crash-recovery \
 subsystem (`geo2c_serve::journal`). Because stream contract v2 makes the \
@@ -2002,9 +2004,11 @@ equality guarantee is pinned three ways: the `crash_recovery` proptest \
 suite drives arbitrary byte truncations, tail bit flips, and mid-rename \
 crashes across load backings and both schedulers; every durability-\
 table trial asserts `recovered ≡ uninterrupted` before reporting its \
-cell; and the `trial/serving_d2_journaled` bench (gated in `ci.sh` at \
-≤ 1.25× `trial/serving_d2_random`) pins the journal discipline's \
-steady-state overhead. The `replay_mean` column is the recovery-time \
+cell; and the frozen PR-10 `trial/serving_d2_journaled` cell (gated in \
+`ci.sh` at ≤ 1.25× `trial/serving_d2_random` in `serving_pr10.json`) \
+pins the journal discipline's steady-state overhead as measured then, \
+while `perfbench`'s `serve_durable_churn` workload times the durable \
+path today. The `replay_mean` column is the recovery-time \
 half of the trade-off the checkpoint interval buys: larger `C` writes \
 fewer state images but replays more events after a crash.\n\n",
     );

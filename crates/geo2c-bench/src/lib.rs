@@ -12,9 +12,11 @@
 //!   `EXPERIMENTS.md`. `--quick`/`--full` pick the scale, `--only ID,ID`
 //!   a subset: `./tables.sh --full --only table1` reproduces Table 1 at
 //!   the paper's own 1000-trial scale.
-//! * **`run_benches`** is the only bench harness. It times the hot-path
-//!   suite ([`perf`]), maintains the committed baselines under
-//!   `results/bench/`, and gates perf regressions and speedup claims.
+//! * **`run_benches`** is the paper-substrate bench harness. It times
+//!   the owner-lookup, least-of-`d` and `m = n` trial suite ([`perf`]),
+//!   maintains the committed baselines under `results/bench/`, and gates
+//!   perf regressions and speedup claims. Serving is timed by the
+//!   repository benchmark in `perfbench/`: one harness per question.
 //!
 //! [`experiments`] hosts the experiment constructors and the suite
 //! registry, which declares each member's id, table layout and size at

@@ -1,5 +1,7 @@
-//! The hot-path bench suite behind `results/bench/`, driven by the
-//! `run_benches` binary — the workspace's only bench harness.
+//! The paper-substrate bench suite behind `results/bench/`, driven by
+//! the `run_benches` binary: owner lookups, least-of-`d` resolution and
+//! `m = n` trials. Serving is timed by the repository benchmark
+//! (`perfbench/`), one harness per question.
 //!
 //! Each bench is timed the way criterion does it (adaptive doubling
 //! until a ~20 ms window, best of three windows), and the numbers are
@@ -20,15 +22,14 @@
 //! See the "Performance methodology" section of the README for the
 //! workflow and the regression gate.
 
-use geo2c_core::load::{LoadRead, LoadState, PackedLoads};
-use geo2c_core::sim::{run_trial, run_trial_into};
+use geo2c_core::load::LoadRead;
+use geo2c_core::sim::run_trial;
 use geo2c_core::space::{KdTorusSpace, RingSpace, TorusSpace, UniformSpace};
 use geo2c_core::strategy::{Strategy, TieBreak};
 use geo2c_report::{Cell, ExperimentResult, ExperimentSpec, Json};
 use geo2c_ring::RingPoint;
-use geo2c_serve::{DurableEngine, FaultPlan, ServeConfig, ServeEngine, SessionLife};
 use geo2c_torus::kd::{KdPoint, KdSites};
-use geo2c_util::rng::{BallLanes, Xoshiro256pp};
+use geo2c_util::rng::Xoshiro256pp;
 use rand::RngCore as _;
 use std::time::{Duration, Instant};
 
@@ -81,11 +82,6 @@ pub fn time_with<O, F: FnMut() -> O>(window: Duration, repeats: usize, mut routi
     best
 }
 
-/// [`time_with`] at the standard window and repeat count.
-pub fn time<O, F: FnMut() -> O>(routine: F) -> Timing {
-    time_with(MEASURE_WINDOW, REPEATS, routine)
-}
-
 /// Which workload a benchmark runs (setup happens inside [`BenchDef::run`]
 /// so suite construction stays free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +94,8 @@ enum BenchKind {
     /// Batch of [`geo2c_core::load::LoadRead::min_load_of`] least-of-d
     /// resolutions over a populated load vector — [`MIN_LOAD_D`] probes
     /// per query, wide enough to exercise the full unrolled lane-gather
-    /// fold — against the flat or the nibble-packed backing.
-    MinLoad { packed: bool },
+    /// fold — against the flat `Vec<u32>` backing.
+    MinLoad,
     /// One full `run_trial` (m = n insertions) on a fixed ring space.
     TrialRing { d: usize },
     /// One full `run_trial` on a fixed torus space.
@@ -112,48 +108,18 @@ enum BenchKind {
     TrialKdLeft { d: usize },
     /// One full `run_trial` on uniform bins (the RNG + load-vector floor).
     TrialUniform { d: usize },
-    /// One serving run (`geo2c-serve`): 4n arrival events with
-    /// exponential departures (mean life n) on a fixed ring space —
-    /// the heap-draining, admission-controlled variant of `TrialRing`.
-    TrialServe { d: usize },
-    /// The `TrialServe` workload under a region outage: a quarter of the
-    /// ring crashes at `n` events and recovers at `3n`, with a retry
-    /// budget of 1 — the fault-application, eager-purge, and retry-lane
-    /// overheads on top of `serving_d2_random`.
-    TrialServeFaults { d: usize },
-    /// The `TrialServe` workload under the durability discipline
-    /// (`geo2c_serve::DurableEngine`): engine creation (seed checkpoint
-    /// and journal header), the write-ahead journal frames, and one
-    /// full steady-state checkpoint at the run's end boundary — the
-    /// fsync-free journaling overhead on top of `serving_d2_random`,
-    /// gated in `ci.sh`.
-    TrialServeJournaled { d: usize },
-    /// One full laned trial on uniform bins against an alternative
-    /// load-state backing (`run_trial_into`): the `TrialUniform` workload
-    /// with the flat `Vec<u32>` swapped for a packed backing.
-    TrialScaling { d: usize, backing: ScalingBacking },
 }
 
 /// Probes per `min_load_of` query in the [`BenchKind::MinLoad`] benches:
 /// one full lane-gather block, the widest unrolled path.
 const MIN_LOAD_D: usize = 8;
 
-/// One batch of least-of-d resolutions, monomorphized per backing so the
-/// bench times the real (inlined) fast path, not a vtable.
-fn min_load_queries<S: LoadRead>(state: &S, probes: &[usize]) -> u64 {
+/// One batch of least-of-d resolutions on the flat backing.
+fn min_load_queries(loads: &[u32], probes: &[usize]) -> u64 {
     probes
         .chunks_exact(MIN_LOAD_D)
-        .map(|q| u64::from(state.min_load_of(q)))
+        .map(|q| u64::from(loads.min_load_of(q)))
         .sum::<u64>()
-}
-
-/// Which load-state backing a `TrialScaling` bench drives. `Flat` runs
-/// the same `Vec<u32>` engine as `uniform_d2_random` so the `scaling_*`
-/// pair diffs self-contained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScalingBacking {
-    Flat,
-    PackedNibble,
 }
 
 /// Owner-lookup workload on the `K`-torus (monomorphized per dimension).
@@ -225,24 +191,13 @@ impl BenchDef {
                 4 => kd_owner_bench::<4>(n, self.elems, &mut rng, window, repeats),
                 other => panic!("no K = {other} owner bench instantiated"),
             },
-            BenchKind::MinLoad { packed } => {
-                // Loads stay below the nibble ceiling so both backings
-                // resolve the identical vector.
+            BenchKind::MinLoad => {
+                // Loads 0..=14: the load vector the committed cells measured.
                 let loads: Vec<u32> = (0..n).map(|_| (rng.next_u64() % 15) as u32).collect();
                 let probes: Vec<usize> = (0..self.elems as usize * MIN_LOAD_D)
                     .map(|_| (rng.next_u64() % n as u64) as usize)
                     .collect();
-                if packed {
-                    let mut state = PackedLoads::nibble(n);
-                    for (s, &l) in loads.iter().enumerate() {
-                        if l != 0 {
-                            state.set(s, l);
-                        }
-                    }
-                    time_with(window, repeats, || min_load_queries(&state, &probes))
-                } else {
-                    time_with(window, repeats, || min_load_queries(&loads, &probes))
-                }
+                time_with(window, repeats, || min_load_queries(&loads, &probes))
             }
             BenchKind::TrialRing { d } => {
                 let space = RingSpace::random(n, &mut rng);
@@ -279,107 +234,6 @@ impl BenchDef {
                     run_trial(&space, &strategy, n, &mut rng).max_load
                 })
             }
-            BenchKind::TrialServe { d } => {
-                let space = RingSpace::random(n, &mut rng);
-                let config = ServeConfig {
-                    strategy: Strategy::d_choice(d),
-                    capacity: None,
-                    life: SessionLife::Exponential { mean: n as f64 },
-                    retries: 0,
-                };
-                let events = self.elems;
-                let root = rng.next_u64();
-                time_with(window, repeats, || {
-                    let mut engine = ServeEngine::new(space.clone(), config, root);
-                    engine.run(events);
-                    engine.peak_load()
-                })
-            }
-            BenchKind::TrialServeFaults { d } => {
-                let space = RingSpace::random(n, &mut rng);
-                let config = ServeConfig {
-                    strategy: Strategy::d_choice(d),
-                    capacity: None,
-                    life: SessionLife::Exponential { mean: n as f64 },
-                    retries: 1,
-                };
-                let events = self.elems;
-                let plan = FaultPlan::region_outage(
-                    n,
-                    0,
-                    (n / 4).max(1),
-                    events / 4,
-                    Some(3 * events / 4),
-                );
-                let root = rng.next_u64();
-                time_with(window, repeats, || {
-                    let mut engine = ServeEngine::new(space.clone(), config, root);
-                    engine.run_with_faults(events, &plan);
-                    engine.peak_load()
-                })
-            }
-            BenchKind::TrialServeJournaled { d } => {
-                let space = RingSpace::random(n, &mut rng);
-                let config = ServeConfig {
-                    strategy: Strategy::d_choice(d),
-                    capacity: None,
-                    life: SessionLife::Exponential { mean: n as f64 },
-                    retries: 0,
-                };
-                let events = self.elems;
-                // One checkpoint interval per run: each iteration pays
-                // the seed image, `events / every = 1` full checkpoint
-                // of ~n in-flight sessions, and the journal frames —
-                // the per-interval durability cost, amortized over a
-                // whole interval of serving, exactly as deployed.
-                let every = events;
-                let root = rng.next_u64();
-                // The bench times the fsync-free journaling discipline
-                // (codec + framing + spare-rotation protocol), not the
-                // host's disk dentry latency, so scratch space prefers
-                // a memory-backed filesystem when one is mounted.
-                let shm = std::path::Path::new("/dev/shm");
-                let scratch = if shm.is_dir() {
-                    shm.to_path_buf()
-                } else {
-                    std::env::temp_dir()
-                };
-                let dir = scratch.join(format!(
-                    "geo2c-bench-journal-{}-{root:016x}",
-                    std::process::id()
-                ));
-                let timing = time_with(window, repeats, || {
-                    let mut engine: DurableEngine<_> = DurableEngine::create_with(
-                        &dir,
-                        space.clone(),
-                        config,
-                        root,
-                        every,
-                        vec![0; n],
-                    )
-                    .expect("journal dir");
-                    engine
-                        .run_journaled(events, &FaultPlan::empty())
-                        .expect("journaled run");
-                    engine.engine().peak_load()
-                });
-                let _ = std::fs::remove_dir_all(&dir);
-                timing
-            }
-            BenchKind::TrialScaling { d, backing } => {
-                let space = UniformSpace::new(n);
-                let strategy = Strategy::d_choice(d);
-                match backing {
-                    ScalingBacking::Flat => time_with(window, repeats, || {
-                        run_trial(&space, &strategy, n, &mut rng).max_load
-                    }),
-                    ScalingBacking::PackedNibble => time_with(window, repeats, || {
-                        let lanes = BallLanes::new(rng.next_u64());
-                        let mut loads = PackedLoads::nibble(n);
-                        run_trial_into(&space, &strategy, n, &lanes, &mut loads)
-                    }),
-                }
-            }
         }
     }
 }
@@ -403,8 +257,6 @@ pub struct BenchScale {
     pub trial_torus_exp: u32,
     /// End-to-end 3-torus trial size exponent.
     pub trial_kd_exp: u32,
-    /// Serving trial size exponent (4n events per iteration).
-    pub trial_serve_exp: u32,
     /// Owner lookups per iteration for the substrate benches.
     pub queries: u64,
 }
@@ -418,7 +270,6 @@ pub const QUICK: BenchScale = BenchScale {
     trial_ring_exp: 12,
     trial_torus_exp: 10,
     trial_kd_exp: 9,
-    trial_serve_exp: 10,
     queries: 4096,
 };
 
@@ -432,7 +283,6 @@ pub const FULL: BenchScale = BenchScale {
     trial_ring_exp: 20,
     trial_torus_exp: 16,
     trial_kd_exp: 13,
-    trial_serve_exp: 14,
     queries: 4096,
 };
 
@@ -475,23 +325,14 @@ impl BenchScale {
                 elems: self.queries,
                 kind: BenchKind::KdOwner { k: 4 },
             },
-            // The least-of-d resolver in isolation, flat vs nibble-packed
-            // (the ROADMAP "SIMD-width compare" item, measured): 8-wide
-            // `min_load_of` queries over a populated load vector at the
-            // big-trial n.
+            // The least-of-d resolver in isolation: 8-wide `min_load_of`
+            // queries over a populated load vector at the big-trial n.
             BenchDef {
                 group: "substrate",
                 name: "min_load_flat",
                 exp: self.trial_ring_exp,
                 elems: self.queries,
-                kind: BenchKind::MinLoad { packed: false },
-            },
-            BenchDef {
-                group: "substrate",
-                name: "min_load_packed",
-                exp: self.trial_ring_exp,
-                elems: self.queries,
-                kind: BenchKind::MinLoad { packed: true },
+                kind: BenchKind::MinLoad,
             },
             BenchDef {
                 group: "trial",
@@ -527,56 +368,6 @@ impl BenchScale {
                 exp: self.trial_ring_exp,
                 elems: 1u64 << self.trial_ring_exp,
                 kind: BenchKind::TrialUniform { d: 2 },
-            },
-            // The load-state backing pair at the same n as
-            // `uniform_d2_random`, so flat-vs-packed diffs directly.
-            BenchDef {
-                group: "trial",
-                name: "scaling_flat",
-                exp: self.trial_ring_exp,
-                elems: 1u64 << self.trial_ring_exp,
-                kind: BenchKind::TrialScaling {
-                    d: 2,
-                    backing: ScalingBacking::Flat,
-                },
-            },
-            BenchDef {
-                group: "trial",
-                name: "scaling_packed",
-                exp: self.trial_ring_exp,
-                elems: 1u64 << self.trial_ring_exp,
-                kind: BenchKind::TrialScaling {
-                    d: 2,
-                    backing: ScalingBacking::PackedNibble,
-                },
-            },
-            BenchDef {
-                group: "trial",
-                name: "serving_d2_random",
-                exp: self.trial_serve_exp,
-                elems: 4u64 << self.trial_serve_exp,
-                kind: BenchKind::TrialServe { d: 2 },
-            },
-            // The same serving workload under a region outage + retry
-            // budget, so the resilience layer's overhead diffs directly
-            // against serving_d2_random.
-            BenchDef {
-                group: "trial",
-                name: "serving_faults_d2",
-                exp: self.trial_serve_exp,
-                elems: 4u64 << self.trial_serve_exp,
-                kind: BenchKind::TrialServeFaults { d: 2 },
-            },
-            // The same serving workload under the checkpoint/journal
-            // discipline (4 checkpoints per run), so the durability
-            // layer's overhead diffs directly against serving_d2_random;
-            // ci.sh gates the ratio at 1.25x.
-            BenchDef {
-                group: "trial",
-                name: "serving_d2_journaled",
-                exp: self.trial_serve_exp,
-                elems: 4u64 << self.trial_serve_exp,
-                kind: BenchKind::TrialServeJournaled { d: 2 },
             },
         ]
     }
@@ -741,7 +532,6 @@ mod tests {
         trial_ring_exp: 4,
         trial_torus_exp: 3,
         trial_kd_exp: 3,
-        trial_serve_exp: 3,
         queries: 16,
     };
 
@@ -781,14 +571,8 @@ mod tests {
         assert!(ids.contains(&"substrate/kd3_owner/2^16".to_string()));
         assert!(ids.contains(&"substrate/kd4_owner/2^16".to_string()));
         assert!(ids.contains(&"substrate/min_load_flat/2^20".to_string()));
-        assert!(ids.contains(&"substrate/min_load_packed/2^20".to_string()));
         assert!(ids.contains(&"trial/kd3_d2_random/2^13".to_string()));
         assert!(ids.contains(&"trial/kd3_d2_left/2^13".to_string()));
-        assert!(ids.contains(&"trial/serving_d2_random/2^14".to_string()));
-        assert!(ids.contains(&"trial/serving_faults_d2/2^14".to_string()));
-        assert!(ids.contains(&"trial/serving_d2_journaled/2^14".to_string()));
-        assert!(ids.contains(&"trial/scaling_flat/2^20".to_string()));
-        assert!(ids.contains(&"trial/scaling_packed/2^20".to_string()));
         assert_eq!(BenchScale::by_name("quick"), Some(&QUICK));
         assert_eq!(BenchScale::by_name("full"), Some(&FULL));
         assert_eq!(BenchScale::by_name("nope"), None);

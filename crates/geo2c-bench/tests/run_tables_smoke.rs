@@ -4,6 +4,7 @@
 //! tampered expectation.
 
 use geo2c_bench::experiments::{Scale, SUITE};
+use geo2c_bench::perf::{FULL, QUICK};
 use geo2c_report::{Json, ResultSet};
 use std::path::PathBuf;
 use std::process::Command;
@@ -177,6 +178,10 @@ fn run_benches_rejects_bad_input_without_panicking() {
     let bench = |args: &[&str]| rejected_by(env!("CARGO_BIN_EXE_run_benches"), args);
     assert!(bench(&["--quick", "--bogus"]).contains("unknown flag '--bogus'"));
     assert!(bench(&["--repeats", "x"]).contains("cannot parse 'x'"));
+    // Every run uses seed 0 and the standard window; neither is a flag.
+    for flag in ["--seed", "--window-ms"] {
+        assert!(bench(&[flag, "1"]).contains(&format!("unknown flag '{flag}'")));
+    }
     assert!(bench(&["--ratio", "f.json", "a"]).contains("--ratio requires a value"));
     assert!(bench(&["--check", "--archive"]).contains("pick one"));
     assert!(bench(&["--quick", "--only", "ring"]).contains("explicit --out"));
@@ -253,5 +258,74 @@ fn quick_expectations_in_the_repository_match_the_current_scale() {
             };
             assert_eq!(committed, size.ns(), "{id} ({scale:?}): stale size");
         }
+    }
+}
+
+/// The `group/name/2^k` ids of a committed `results/bench/` file's
+/// cells, after checking that its spec's `benches` list names the same.
+fn committed_bench_ids(file: &str) -> Vec<String> {
+    let path: PathBuf = [
+        env!("CARGO_MANIFEST_DIR"),
+        "..",
+        "..",
+        "results",
+        "bench",
+        file,
+    ]
+    .iter()
+    .collect();
+    let set = ResultSet::load(&path)
+        .unwrap_or_else(|e| panic!("{} must exist and parse: {e}", path.display()));
+    let result = set.experiment("bench").expect("bench experiment");
+    let ids: Vec<String> = result
+        .cells
+        .iter()
+        .map(|cell| {
+            let coord = |key: &str| &cell.coords.iter().find(|(k, _)| k == key).expect(key).1;
+            format!(
+                "{}/{}/{}",
+                coord("group").as_str().expect("group"),
+                coord("name").as_str().expect("name"),
+                geo2c_bench::pow2_label(coord("n").as_usize().expect("n"))
+            )
+        })
+        .collect();
+    let listed: Vec<&str> = result
+        .spec
+        .params
+        .iter()
+        .find(|(k, _)| k == "benches")
+        .and_then(|(_, v)| v.as_array())
+        .expect("benches param")
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    assert_eq!(
+        listed, ids,
+        "{file}: the spec's benches list drifted from its cells"
+    );
+    ids
+}
+
+#[test]
+fn committed_bench_files_match_the_suite() {
+    // CI re-times only the quick file, so a full-scale row left behind by
+    // a suite change would otherwise go unnoticed.
+    for (scale, file) in [(&QUICK, "quick.json"), (&FULL, "baseline.json")] {
+        let suite: Vec<String> = scale.suite().iter().map(|b| b.id()).collect();
+        assert_eq!(committed_bench_ids(file), suite, "{file}");
+    }
+    // The frozen serving evidence holds exactly the rows that ci.sh's
+    // PR-9 diff gate and journaling ratio gates read.
+    for (file, n) in [("serving_pr10.json", 14), ("serving_pr10_quick.json", 10)] {
+        let expected: Vec<String> = [
+            "serving_d2_random",
+            "serving_faults_d2",
+            "serving_d2_journaled",
+        ]
+        .iter()
+        .map(|name| format!("trial/{name}/2^{n}"))
+        .collect();
+        assert_eq!(committed_bench_ids(file), expected, "{file}");
     }
 }
