@@ -52,12 +52,14 @@ python3 perfbench/selftest.py
 say "docs, crate-private items included (no warnings allowed)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items
 
-# The committed baseline records absolute ns/iter from one reference
-# machine, so this cross-machine gate is a catastrophe catch (accidental
-# O(n) scans, debug asserts in release), not a micro-regression gate —
-# run `run_benches --check --tolerance 50` locally for that. A host
-# persistently slower than 3x the reference should regenerate and commit
-# results/bench/quick.json. The quick suite times the paper substrate
+# results/bench/quick.json records absolute ns/iter from one host: it
+# was regenerated at 1f88b68 on a shared 2-vCPU Xeon (the PR-10
+# reference machine, which baseline.json and the before_* archives still
+# come from, read 2-3x faster). So this cross-machine gate is a
+# catastrophe catch (accidental O(n) scans, debug asserts in release),
+# not a micro-regression gate — run `run_benches --check --tolerance 50`
+# locally for that. A host persistently slower than 3x the recording
+# host should regenerate and commit results/bench/quick.json. The quick suite times the paper substrate
 # only, ten rows: the ring, torus, kd3 and kd4 owner lookups,
 # min_load_flat, the end-to-end random-tie-break trials
 # (trial/{ring,torus,kd3,uniform}_d2_random — the cross-ball lane

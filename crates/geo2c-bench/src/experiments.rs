@@ -16,7 +16,7 @@
 //! deliberately).
 
 use geo2c_core::experiment::{
-    heavy_load_sweep, mean_load_profile, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
+    max_load_cell, mean_load_profile, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
 };
 use geo2c_core::load::{LoadState as _, PackedLoads};
 use geo2c_core::nonuniform::{MixRingSpace, RingMix};
@@ -35,7 +35,8 @@ use geo2c_serve::{
     SessionLife,
 };
 use geo2c_util::frame::Header;
-use geo2c_util::parallel::parallel_map;
+use geo2c_util::hist::Counter;
+use geo2c_util::parallel::run_trials;
 use geo2c_util::rng::{BallLanes, StreamSeeder, TabulationHash, TabulationLanes, Xoshiro256pp};
 use geo2c_util::stats::RunningStats;
 use rand::Rng as _;
@@ -335,19 +336,24 @@ fn progress(msg: &str) {
 }
 
 /// Converts a sweep cell into a report cell with the given coordinates.
-/// The distribution crosses the core→report boundary as the canonical
-/// sorted `(value, count)` pairs ([`MaxLoadCell::distribution_pairs`]),
-/// the same form the JSON files persist.
 fn report_cell(coords: Vec<(String, Json)>, cell: &MaxLoadCell) -> Cell {
-    let mut distribution = geo2c_util::hist::Counter::new();
-    for (value, count) in cell.distribution_pairs() {
-        distribution.add_n(value, count);
-    }
     Cell {
         coords,
-        distribution: Some(distribution),
+        distribution: Some(cell.distribution.clone()),
         metrics: Vec::new(),
     }
+}
+
+/// Per-column summary statistics of per-trial metric rows: column `k`
+/// sees every row's `k`-th value, pushed in trial order.
+fn column_stats<const K: usize>(rows: impl IntoIterator<Item = [f64; K]>) -> [RunningStats; K] {
+    let mut stats = [RunningStats::new(); K];
+    for row in rows {
+        for (slot, v) in stats.iter_mut().zip(row) {
+            slot.push(v);
+        }
+    }
+    stats
 }
 
 /// The paper's **Table 1**: max-load distribution with random arcs on
@@ -627,10 +633,8 @@ pub fn tabulation(n: usize, config: &SweepConfig) -> ExperimentResult {
         for &d in &ds {
             let strategy = Strategy::d_choice(d);
             let label = format!("tabulation/{sampler}/n{n}/d{d}");
-            let seeder = StreamSeeder::new(config.seed).child(&label);
-            let max_loads: Vec<u32> = parallel_map(config.trials, config.threads, |t| {
-                let mut rng = seeder.stream(t as u64);
-                let space = RingSpace::random(n, &mut rng);
+            let cell = max_load_cell(strategy, n, n, &label, config, |rng| {
+                let space = RingSpace::random(n, rng);
                 if tabulate {
                     // Fresh tables per trial (the theorems quantify over
                     // the hash draw too), then the same laned engine.
@@ -638,21 +642,16 @@ pub fn tabulation(n: usize, config: &SweepConfig) -> ExperimentResult {
                     let lanes = TabulationLanes::new(&hash, rng.gen());
                     run_trial_with_lanes(&space, &strategy, n, &lanes).max_load
                 } else {
-                    run_trial(&space, &strategy, n, &mut rng).max_load
+                    run_trial(&space, &strategy, n, rng).max_load
                 }
             });
-            let mut distribution = geo2c_util::hist::Counter::new();
-            for &ml in &max_loads {
-                distribution.add(u64::from(ml));
-            }
-            result.push(Cell {
-                coords: vec![
+            result.push(report_cell(
+                vec![
                     ("sampler".into(), Json::str(sampler)),
                     ("d".into(), Json::from_usize(d)),
                 ],
-                distribution: Some(distribution),
-                metrics: Vec::new(),
-            });
+                &cell,
+            ));
         }
         progress(&format!("tabulation: {sampler} done"));
     }
@@ -688,16 +687,18 @@ pub fn heavy(n: usize, config: &SweepConfig) -> ExperimentResult {
     );
     let mut result = ExperimentResult::new(spec);
     for kind in HEAVY_SPACES {
-        let rows = heavy_load_sweep(kind, Strategy::two_choice(), n, &ms, config);
-        for row in rows {
+        for &m in &ms {
+            let cell = sweep_kind(kind, Strategy::two_choice(), n, m, config);
+            let m_over_n = m as f64 / n as f64;
+            let mean_max = cell.stats.mean();
             result.push(
                 Cell::new()
                     .coord("space", Json::str(kind.name()))
-                    .coord("m", Json::from_usize(row.m))
-                    .metric("m_over_n", Json::num(row.average_load))
-                    .metric("mean_max", Json::num(row.mean_max))
-                    .metric("slack", Json::num(row.mean_max - row.average_load))
-                    .dist(row.distribution),
+                    .coord("m", Json::from_usize(m))
+                    .metric("m_over_n", Json::num(m_over_n))
+                    .metric("mean_max", Json::num(mean_max))
+                    .metric("slack", Json::num(mean_max - m_over_n))
+                    .dist(cell.distribution),
             );
         }
         progress(&format!("heavy: {} done", kind.name()));
@@ -751,41 +752,33 @@ pub fn serving(n: usize, config: &SweepConfig) -> ExperimentResult {
             None => "unbounded".to_string(),
         };
         let seeder = StreamSeeder::new(config.seed).child(&format!("serving/d{d}/cap{cap_label}"));
-        let rows: Vec<(f64, f64, f64, f64, Vec<u32>)> =
-            parallel_map(config.trials, config.threads, |trial| {
-                let mut rng = seeder.stream(trial as u64);
-                let space = RingSpace::random(n, &mut rng);
-                let cfg = ServeConfig {
-                    strategy: Strategy::d_choice(d),
-                    capacity,
-                    life: SessionLife::Exponential { mean: mean_life },
-                    retries: 0,
-                };
-                let mut engine = ServeEngine::new(space, cfg, rng.gen::<u64>());
-                engine.run(horizon);
-                let stats = engine.load_stats();
-                (
+        let rows = run_trials(&seeder, config.trials, config.threads, |rng| {
+            let space = RingSpace::random(n, rng);
+            let cfg = ServeConfig {
+                strategy: Strategy::d_choice(d),
+                capacity,
+                life: SessionLife::Exponential { mean: mean_life },
+                retries: 0,
+            };
+            let mut engine = ServeEngine::new(space, cfg, rng.gen::<u64>());
+            engine.run(horizon);
+            let stats = engine.load_stats();
+            (
+                [
                     f64::from(stats.max),
                     f64::from(stats.p99),
                     stats.mean,
                     100.0 * engine.shed_rate(),
-                    engine.live_loads().collect(),
-                )
-            });
-        let mut max = RunningStats::new();
-        let mut p99 = RunningStats::new();
-        let mut mean = RunningStats::new();
-        let mut shed = RunningStats::new();
-        let mut distribution = geo2c_util::hist::Counter::new();
-        for (m, p, avg, s, loads) in rows {
-            max.push(m);
-            p99.push(p);
-            mean.push(avg);
-            shed.push(s);
-            for load in loads {
-                distribution.add(u64::from(load));
-            }
-        }
+                ],
+                engine.live_loads().collect::<Vec<u32>>(),
+            )
+        });
+        let [max, p99, mean, shed] = column_stats(rows.iter().map(|(row, _)| *row));
+        let distribution: Counter = rows
+            .iter()
+            .flat_map(|(_, loads)| loads)
+            .map(|&load| u64::from(load))
+            .collect();
         result.push(
             Cell::new()
                 .coord("d", Json::from_usize(d))
@@ -862,17 +855,12 @@ pub fn resilience(n: usize, config: &SweepConfig) -> ExperimentResult {
     );
     let mut result = ExperimentResult::new(spec);
     let fractions = [0.1f64, 0.3];
-    // One aggregate row: (shed_pct, unavail_pct, retry_admit_pct,
-    // availability_pct, max_load, p99_load).
-    type Row = (f64, f64, f64, f64, f64, f64);
+    // One aggregate row: [shed_pct, unavail_pct, retry_admit_pct,
+    // availability_pct, max_load, p99_load].
+    type Row = [f64; 6];
     let push_cell =
         |result: &mut ExperimentResult, phase: &str, fail: f64, d: usize, r: u32, rows: &[Row]| {
-            let mut stats = [(); 6].map(|()| RunningStats::new());
-            for &(s, u, a, av, m, p) in rows {
-                for (slot, v) in stats.iter_mut().zip([s, u, a, av, m, p]) {
-                    slot.push(v);
-                }
-            }
+            let stats = column_stats(rows.iter().copied());
             result.push(
                 Cell::new()
                     .coord("phase", Json::str(phase))
@@ -896,14 +884,14 @@ pub fn resilience(n: usize, config: &SweepConfig) -> ExperimentResult {
             let shed_cap = engine.shed_capacity() - cap0;
             let shed_unavail = engine.shed_unavailable() - unavail0;
             let stats = engine.load_stats();
-            (
+            [
                 pct(shed_cap + shed_unavail),
                 pct(shed_unavail),
                 pct(engine.admitted_on_retry() - rescued0),
                 100.0 - pct(shed_cap + shed_unavail),
                 f64::from(stats.max),
                 f64::from(stats.p99),
-            )
+            ]
         };
     let snap = |engine: &ServeEngine<RingSpace, Vec<u32>>| {
         (
@@ -928,9 +916,8 @@ pub fn resilience(n: usize, config: &SweepConfig) -> ExperimentResult {
                 let label = format!("resilience/steady/fail{}/d{d}/r{r}", fail * 100.0);
                 let seeder = StreamSeeder::new(config.seed).child(&label);
                 let plan = FaultPlan::region_outage(n, 0, down, 0, None);
-                let rows: Vec<Row> = parallel_map(config.trials, config.threads, |trial| {
-                    let mut rng = seeder.stream(trial as u64);
-                    let space = RingSpace::random(n, &mut rng);
+                let rows: Vec<Row> = run_trials(&seeder, config.trials, config.threads, |rng| {
+                    let space = RingSpace::random(n, rng);
                     let mut engine = ServeEngine::new(space, engine_config(d, r), rng.gen::<u64>());
                     let base = snap(&engine);
                     engine.run_with_faults(horizon, &plan);
@@ -954,9 +941,8 @@ pub fn resilience(n: usize, config: &SweepConfig) -> ExperimentResult {
         let label = format!("resilience/transient/fail{}/d2/r{r}", fail * 100.0);
         let seeder = StreamSeeder::new(config.seed).child(&label);
         let plan = FaultPlan::region_outage(n, 0, down, 4 * n as u64, Some(8 * n as u64));
-        let rows: Vec<[Row; 3]> = parallel_map(config.trials, config.threads, |trial| {
-            let mut rng = seeder.stream(trial as u64);
-            let space = RingSpace::random(n, &mut rng);
+        let rows: Vec<[Row; 3]> = run_trials(&seeder, config.trials, config.threads, |rng| {
+            let space = RingSpace::random(n, rng);
             let mut engine = ServeEngine::new(space, engine_config(2, r), rng.gen::<u64>());
             chunks.map(|events| {
                 let base = snap(&engine);
@@ -1003,23 +989,16 @@ pub fn churn(n: usize, config: &SweepConfig) -> ExperimentResult {
         ("2-choice", PlacementPolicy::DChoice { d: 2 }, 1),
     ] {
         for &fail in &[0.1f64, 0.3, 0.5] {
-            let rows: Vec<(f64, f64, f64)> = parallel_map(config.trials, config.threads, |trial| {
-                let mut rng = seeder.child(&format!("{name}/{fail}")).stream(trial as u64);
-                let report = churn_experiment(n, v, policy, m, fail, &mut rng);
-                (
+            let trial_seeder = seeder.child(&format!("{name}/{fail}"));
+            let rows = run_trials(&trial_seeder, config.trials, config.threads, |rng| {
+                let report = churn_experiment(n, v, policy, m, fail, rng);
+                [
                     f64::from(report.max_before),
                     f64::from(report.max_after),
                     report.moved_items as f64 / m as f64,
-                )
+                ]
             });
-            let mut before = RunningStats::new();
-            let mut after = RunningStats::new();
-            let mut moved = RunningStats::new();
-            for (b, a, mv) in rows {
-                before.push(b);
-                after.push(a);
-                moved.push(mv);
-            }
+            let [before, after, moved] = column_stats(rows);
             result.push(
                 Cell::new()
                     .coord("scheme", Json::str(name))
@@ -1066,19 +1045,14 @@ pub fn replication(n: usize, config: &SweepConfig) -> ExperimentResult {
         ("2-choice", PlacementPolicy::DChoice { d: 2 }),
     ] {
         for r in [1usize, 2, 3] {
-            let rows: Vec<(f64, f64)> = parallel_map(config.trials, config.threads, |trial| {
-                let mut rng = seeder.child(&format!("{name}/r{r}")).stream(trial as u64);
-                let ring = ChordRing::new(n, &mut rng);
+            let trial_seeder = seeder.child(&format!("{name}/r{r}"));
+            let rows = run_trials(&trial_seeder, config.trials, config.threads, |rng| {
+                let ring = ChordRing::new(n, rng);
                 let placement = place_replicated(&ring, policy, m, r);
-                let avail = availability_after_failures(&placement, n, fail, &mut rng);
-                (f64::from(placement.max_load()), avail.available)
+                let avail = availability_after_failures(&placement, n, fail, rng);
+                [f64::from(placement.max_load()), avail.available]
             });
-            let mut max_load = RunningStats::new();
-            let mut avail = RunningStats::new();
-            for (ml, av) in rows {
-                max_load.push(ml);
-                avail.push(av);
-            }
+            let [max_load, avail] = column_stats(rows);
             result.push(
                 Cell::new()
                     .coord("scheme", Json::str(name))
@@ -1125,32 +1099,19 @@ pub fn dht(n: usize, config: &SweepConfig) -> ExperimentResult {
         ("4-choice", 1, PlacementPolicy::DChoice { d: 4 }),
     ] {
         // Each trial: fresh ring + placement + sampled lookups.
-        let rows: Vec<(f64, f64, f64, u32, f64)> =
-            parallel_map(config.trials, config.threads, |trial| {
-                let mut rng = seeder.child(name).stream(trial as u64);
-                let ring = ChordRing::with_virtual_servers(n, virtual_servers, &mut rng);
-                let report = evaluate(&ring, policy, m, lookup_samples, &mut rng);
-                let lookup = report.lookup.expect("lookups sampled");
-                (
-                    f64::from(report.load.max),
-                    report.load.stddev,
-                    lookup.mean_hops,
-                    lookup.max_hops,
-                    lookup.redirect_rate,
-                )
-            });
-        let mut max_load = RunningStats::new();
-        let mut sigma = RunningStats::new();
-        let mut hops = RunningStats::new();
-        let mut max_hops = 0u32;
-        let mut redirect = RunningStats::new();
-        for (ml, sd, mh, xh, rr) in rows {
-            max_load.push(ml);
-            sigma.push(sd);
-            hops.push(mh);
-            max_hops = max_hops.max(xh);
-            redirect.push(rr);
-        }
+        let rows = run_trials(&seeder.child(name), config.trials, config.threads, |rng| {
+            let ring = ChordRing::with_virtual_servers(n, virtual_servers, rng);
+            let report = evaluate(&ring, policy, m, lookup_samples, rng);
+            let lookup = report.lookup.expect("lookups sampled");
+            [
+                f64::from(report.load.max),
+                report.load.stddev,
+                lookup.mean_hops,
+                f64::from(lookup.max_hops),
+                lookup.redirect_rate,
+            ]
+        });
+        let [max_load, sigma, hops, max_hops, redirect] = column_stats(rows);
         // Finger-table state per physical node: 64 entries per virtual node.
         let state = virtual_servers * 64;
         result.push(
@@ -1159,7 +1120,7 @@ pub fn dht(n: usize, config: &SweepConfig) -> ExperimentResult {
                 .metric("max_load_mean", Json::num(max_load.mean()))
                 .metric("load_sigma", Json::num(sigma.mean()))
                 .metric("mean_hops", Json::num(hops.mean()))
-                .metric("max_hops", Json::num(max_hops))
+                .metric("max_hops", Json::num(max_hops.max()))
                 .metric("redirect_pct", Json::num(100.0 * redirect.mean()))
                 .metric("fingers_per_node", Json::from_usize(state)),
         );
@@ -1220,12 +1181,11 @@ pub fn scaling(n: usize, config: &SweepConfig) -> ExperimentResult {
         let mut flat_maxes: Vec<u32> = Vec::new();
         for backing in SCALING_BACKINGS {
             let started = std::time::Instant::now();
-            let rows: Vec<(u32, usize)> = parallel_map(config.trials, config.threads, |trial| {
-                let mut rng = seeder.stream(trial as u64);
+            let rows = run_trials(&seeder, config.trials, config.threads, |rng| {
                 let space = UniformSpace::new(n);
                 match backing {
                     "flat-u32" => {
-                        let r = run_trial(&space, &strategy, n, &mut rng);
+                        let r = run_trial(&space, &strategy, n, rng);
                         (r.max_load, r.loads.heap_bytes())
                     }
                     packed => {
@@ -1250,10 +1210,7 @@ pub fn scaling(n: usize, config: &SweepConfig) -> ExperimentResult {
                     "{backing} diverged from flat-u32 at d = {d}"
                 );
             }
-            let mut max_stats = RunningStats::new();
-            for &ml in &maxes {
-                max_stats.push(f64::from(ml));
-            }
+            let [max_stats] = column_stats(maxes.iter().map(|&ml| [f64::from(ml)]));
             let bytes_per_bin = rows.first().map_or(0.0, |&(_, b)| b as f64 / n as f64);
             let balls_per_s = if elapsed > 0.0 {
                 ((config.trials * n) as f64 / elapsed).round()
@@ -1331,78 +1288,72 @@ pub fn durability(n: usize, config: &SweepConfig) -> ExperimentResult {
         // frames per interval, so a crash usually tears a journal with
         // durable frames to resume past.
         let chunk = (every / 8).max(1);
-        let rows: Vec<(u64, u64, u64, u64)> =
-            parallel_map(config.trials, config.threads, |trial| {
-                let mut rng = seeder.child(&format!("c{every}")).stream(trial as u64);
-                let root = rng.gen::<u64>();
-                let plan = FaultPlan::random_churn(rng.gen::<u64>(), n, events, 4, events / 8);
-                let crash_at = rng.gen_range(1..=events);
-                let cut: f64 = rng.gen_range(0.0..1.0);
-                let space = UniformSpace::new(n);
+        let trial_seeder = seeder.child(&format!("c{every}"));
+        let rows = run_trials(&trial_seeder, config.trials, config.threads, |rng| {
+            let root = rng.gen::<u64>();
+            let plan = FaultPlan::random_churn(rng.gen::<u64>(), n, events, 4, events / 8);
+            let crash_at = rng.gen_range(1..=events);
+            let cut: f64 = rng.gen_range(0.0..1.0);
+            let space = UniformSpace::new(n);
 
-                // The uninterrupted reference: same pure function.
-                let mut reference = ServeEngine::new(space.clone(), serve_config, root);
-                reference.run_with_faults(events, &plan);
+            // The uninterrupted reference: same pure function.
+            let mut reference = ServeEngine::new(space.clone(), serve_config, root);
+            reference.run_with_faults(events, &plan);
 
-                let dir = std::env::temp_dir().join(format!(
-                    "geo2c-durability-{}-{}",
-                    std::process::id(),
-                    UNIQUE.fetch_add(1, Ordering::Relaxed)
-                ));
-                let mut durable: DurableEngine<_> = DurableEngine::create_with(
-                    &dir,
-                    space.clone(),
-                    serve_config,
-                    root,
-                    every,
-                    vec![0; n],
-                )
-                .expect("create journal dir");
-                while durable.engine().arrivals() < crash_at {
-                    let step = chunk.min(crash_at - durable.engine().arrivals());
-                    durable.run_journaled(step, &plan).expect("journaled run");
-                }
-                let journal_bytes = durable.journal_bytes();
-                let checkpoints = durable.checkpoints();
-                drop(durable);
+            let dir = std::env::temp_dir().join(format!(
+                "geo2c-durability-{}-{}",
+                std::process::id(),
+                UNIQUE.fetch_add(1, Ordering::Relaxed)
+            ));
+            let mut durable: DurableEngine<_> = DurableEngine::create_with(
+                &dir,
+                space.clone(),
+                serve_config,
+                root,
+                every,
+                vec![0; n],
+            )
+            .expect("create journal dir");
+            while durable.engine().arrivals() < crash_at {
+                let step = chunk.min(crash_at - durable.engine().arrivals());
+                durable.run_journaled(step, &plan).expect("journaled run");
+            }
+            let journal_bytes = durable.journal_bytes();
+            let checkpoints = durable.checkpoints();
+            drop(durable);
 
-                // Crash: tear the journal at a random byte of its body.
-                let journal_path = dir.join(geo2c_serve::journal::JOURNAL_FILE);
-                let bytes = std::fs::read(&journal_path).expect("read journal");
-                let body = bytes.len() - Header::LEN;
-                let keep = Header::LEN + (body as f64 * cut) as usize;
-                std::fs::write(&journal_path, &bytes[..keep]).expect("tear journal");
+            // Crash: tear the journal at a random byte of its body.
+            let journal_path = dir.join(geo2c_serve::journal::JOURNAL_FILE);
+            let bytes = std::fs::read(&journal_path).expect("read journal");
+            let body = bytes.len() - Header::LEN;
+            let keep = Header::LEN + (body as f64 * cut) as usize;
+            std::fs::write(&journal_path, &bytes[..keep]).expect("tear journal");
 
-                let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
-                    Recovery::resume(&dir, space, serve_config, root, &plan, vec![0u32; n])
-                        .expect("recovery");
-                let replayed = resumed.replayed;
-                let mut engine = resumed.engine;
-                engine.run_with_faults(events - engine.arrivals(), &plan);
-                assert_eq!(
-                    engine.state(),
-                    reference.state(),
-                    "recovered run diverged from the uninterrupted run \
-                     (interval {every}, crash at {crash_at})"
-                );
-                let _ = std::fs::remove_dir_all(&dir);
-                (replayed, journal_bytes, checkpoints, crash_at)
-            });
-        let mut replay = RunningStats::new();
-        let mut replay_max = 0u64;
-        let mut bytes_per_event = RunningStats::new();
-        let mut checkpoints = RunningStats::new();
-        for &(replayed, journal_bytes, ckpts, crash_at) in &rows {
-            replay.push(replayed as f64);
-            replay_max = replay_max.max(replayed);
-            bytes_per_event.push(journal_bytes as f64 / crash_at as f64);
-            checkpoints.push(ckpts as f64);
-        }
+            let resumed: Resumed<_, Vec<u32>, DepartureWheel> =
+                Recovery::resume(&dir, space, serve_config, root, &plan, vec![0u32; n])
+                    .expect("recovery");
+            let replayed = resumed.replayed;
+            let mut engine = resumed.engine;
+            engine.run_with_faults(events - engine.arrivals(), &plan);
+            assert_eq!(
+                engine.state(),
+                reference.state(),
+                "recovered run diverged from the uninterrupted run \
+                 (interval {every}, crash at {crash_at})"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            [
+                replayed as f64,
+                journal_bytes as f64 / crash_at as f64,
+                checkpoints as f64,
+            ]
+        });
+        let [replay, bytes_per_event, checkpoints] = column_stats(rows);
         result.push(
             Cell::new()
                 .coord("interval", Json::from_u64(every))
                 .metric("replay_mean", Json::num(replay.mean()))
-                .metric("replay_max", Json::from_u64(replay_max))
+                .metric("replay_max", Json::num(replay.max()))
                 .metric("journal_bytes_per_event", Json::num(bytes_per_event.mean()))
                 .metric("checkpoints_mean", Json::num(checkpoints.mean())),
         );

@@ -200,6 +200,25 @@ fn run_benches_rejects_bad_input_without_panicking() {
 }
 
 #[test]
+fn run_benches_diff_refuses_a_deeply_nested_file_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("geo2c-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).expect("write deep file");
+    let output = Command::new(env!("CARGO_BIN_EXE_run_benches"))
+        .arg("--diff")
+        .arg(&deep)
+        .arg(&deep)
+        .output()
+        .expect("run_benches executes");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("nesting"), "{stderr}");
+    assert!(!stderr.contains("overflow"), "{stderr}");
+}
+
+#[test]
 fn only_flag_rejects_unknown_experiment_ids() {
     // `--only` must fail fast on a typo'd id — before any suite work —
     // and name the valid suite members in the error.

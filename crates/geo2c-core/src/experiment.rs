@@ -4,15 +4,17 @@
 //! over 1000 independent trials" for one `(space, n, m, strategy)`
 //! configuration. A trial re-draws *both* the server placement and the
 //! ball probes (the theorems quantify over both sources of randomness).
-//! [`sweep_max_load`] runs those trials in parallel with per-trial
-//! deterministic streams, so any cell of any table is reproducible from
+//! [`max_load_cell`] runs those trials in parallel through
+//! [`geo2c_util::parallel::run_trials`], which hands every trial its own
+//! deterministic stream, so any cell of any table is reproducible from
 //! `(seed, label, trial index)` alone, independent of thread count.
+//! [`sweep_max_load`] and [`sweep_kind`] are its space-building fronts.
 
 use crate::sim::run_trial;
 use crate::space::{Space, SpaceKind};
 use crate::strategy::Strategy;
 use geo2c_util::hist::Counter;
-use geo2c_util::parallel::parallel_map;
+use geo2c_util::parallel::run_trials;
 use geo2c_util::rng::{StreamSeeder, Xoshiro256pp};
 use geo2c_util::stats::RunningStats;
 use rand::Rng;
@@ -93,49 +95,40 @@ impl MaxLoadCell {
     pub fn paper_style(&self) -> String {
         self.distribution.paper_style()
     }
-
-    /// The distribution as sorted `(max load, trial count)` pairs — the
-    /// canonical form in which distributions cross into the report path
-    /// (`geo2c-bench::experiments` → `geo2c-report`) and are persisted
-    /// in the committed expectation files under `results/`.
-    #[must_use]
-    pub fn distribution_pairs(&self) -> Vec<(u64, u64)> {
-        self.distribution.iter().collect()
-    }
 }
 
-/// Runs `trials` independent trials — "`space_factory` from the trial's
-/// private stream, then insert `m` balls with `strategy`" — on `threads`
-/// workers through the vendored-crossbeam [`parallel_map`], returning
-/// every trial's full [`crate::sim::TrialResult`] in trial order.
-///
-/// Byte-identical to the sequential loop for any thread count: each
-/// trial's randomness comes only from `seeder.stream(trial)`, and under
-/// RNG stream contract v2 the balls within a trial draw from per-ball
-/// lanes keyed off that stream, so scheduling can influence nothing
-/// (pinned by the `parallel_trials_byte_identical_to_sequential` test).
-/// On a single-core host this is a correctness/throughput-neutral
-/// routing — the win is on multicore, where trials are embarrassingly
-/// parallel; [`sweep_max_load`] keeps only the max loads and is the
-/// memory-frugal variant for big sweeps.
+/// The one max-load primitive: runs `config.trials` trials of `trial`,
+/// each on its own stream `(config.seed, label, trial index)` through
+/// [`run_trials`], and collects the per-trial maximum loads it returns.
+/// [`sweep_max_load`], [`sweep_kind`] and any experiment with its own
+/// per-trial recipe (e.g. a different probe source) all go through here.
+/// Results are independent of `config.threads`.
 #[must_use]
-pub fn run_many_trials<S, F>(
-    space_factory: F,
-    strategy: &Strategy,
+pub fn max_load_cell<F>(
+    strategy: Strategy,
+    n: usize,
     m: usize,
-    seeder: &StreamSeeder,
-    trials: usize,
-    threads: usize,
-) -> Vec<crate::sim::TrialResult>
+    label: &str,
+    config: &SweepConfig,
+    trial: F,
+) -> MaxLoadCell
 where
-    S: Space,
-    F: Fn(&mut Xoshiro256pp) -> S + Sync,
+    F: Fn(&mut Xoshiro256pp) -> u32 + Sync,
 {
-    parallel_map(trials, threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let space = space_factory(&mut rng);
-        run_trial(&space, strategy, m, &mut rng)
-    })
+    let seeder = StreamSeeder::new(config.seed).child(label);
+    let mut distribution = Counter::new();
+    let mut stats = RunningStats::new();
+    for ml in run_trials(&seeder, config.trials, config.threads, trial) {
+        distribution.add(u64::from(ml));
+        stats.push(f64::from(ml));
+    }
+    MaxLoadCell {
+        n,
+        m,
+        strategy: strategy.label(),
+        distribution,
+        stats,
+    }
 }
 
 /// Runs `config.trials` independent trials of "`space_factory` then insert
@@ -157,26 +150,10 @@ where
     S: Space,
     F: Fn(&mut Xoshiro256pp) -> S + Sync,
 {
-    let seeder = StreamSeeder::new(config.seed).child(label);
-    let max_loads: Vec<u32> = parallel_map(config.trials, config.threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let space = space_factory(&mut rng);
-        run_trial(&space, &strategy, m, &mut rng).max_load
-    });
-
-    let mut distribution = Counter::new();
-    let mut stats = RunningStats::new();
-    for &ml in &max_loads {
-        distribution.add(u64::from(ml));
-        stats.push(f64::from(ml));
-    }
-    MaxLoadCell {
-        n,
-        m,
-        strategy: strategy.label(),
-        distribution,
-        stats,
-    }
+    max_load_cell(strategy, n, m, label, config, |rng| {
+        let space = space_factory(rng);
+        run_trial(&space, &strategy, m, rng).max_load
+    })
 }
 
 /// Convenience: a sweep cell for one of the named geometries.
@@ -202,44 +179,6 @@ pub fn sweep_kind(
     )
 }
 
-/// One row of the `m ≠ n` extension experiment (E9): how the max load
-/// scales as the ball-to-server ratio grows, versus the
-/// `m/n + log log n / log d` shape from the paper's §2 remark 3.
-#[derive(Debug, Clone)]
-pub struct HeavyLoadRow {
-    /// Ball count for this row.
-    pub m: usize,
-    /// Mean observed maximum load.
-    pub mean_max: f64,
-    /// The trivial lower bound `⌈m/n⌉`.
-    pub average_load: f64,
-    /// Distribution over trials.
-    pub distribution: Counter,
-}
-
-/// Sweeps `m` over multiples of `n` for a fixed strategy (experiment E9).
-#[must_use]
-pub fn heavy_load_sweep(
-    kind: SpaceKind,
-    strategy: Strategy,
-    n: usize,
-    m_values: &[usize],
-    config: &SweepConfig,
-) -> Vec<HeavyLoadRow> {
-    m_values
-        .iter()
-        .map(|&m| {
-            let cell = sweep_kind(kind, strategy, n, m, config);
-            HeavyLoadRow {
-                m,
-                mean_max: cell.stats.mean(),
-                average_load: m as f64 / n as f64,
-                distribution: cell.distribution,
-            }
-        })
-        .collect()
-}
-
 /// Mean per-height profile across trials: `profile[i]` is the average
 /// number of servers with load ≥ `i+1`. Used to compare against the
 /// fluid-limit predictor (theory module) on uniform bins.
@@ -256,10 +195,9 @@ where
     F: Fn(&mut Xoshiro256pp) -> S + Sync,
 {
     let seeder = StreamSeeder::new(config.seed).child(label);
-    let profiles: Vec<Vec<u32>> = parallel_map(config.trials, config.threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let space = space_factory(&mut rng);
-        let result = run_trial(&space, &strategy, m, &mut rng);
+    let profiles: Vec<Vec<u32>> = run_trials(&seeder, config.trials, config.threads, |rng| {
+        let space = space_factory(rng);
+        let result = run_trial(&space, &strategy, m, rng);
         let max = result.max_load;
         (1..=max)
             .map(|i| result.bins_with_load_at_least(i) as u32)
@@ -339,25 +277,20 @@ mod tests {
 
     #[test]
     fn parallel_trials_byte_identical_to_sequential() {
-        // run_many_trials through parallel_map must reproduce the
-        // sequential trial loop exactly — full load vectors, not just
-        // summaries — for any thread count. (This box is single-core:
-        // the assertion is equality, not speedup; on multicore the same
-        // determinism argument makes the parallel routing free.)
+        // The trial runner must reproduce the sequential trial loop
+        // exactly — full load vectors, not just summaries — for any
+        // thread count.
         use crate::space::RingSpace;
-        use geo2c_util::rng::StreamSeeder;
         let seeder = StreamSeeder::new(99).child("parallel-trials");
-        let factory = |rng: &mut Xoshiro256pp| RingSpace::random(96, rng);
         let strategy = Strategy::two_choice();
-        let sequential: Vec<crate::sim::TrialResult> = (0..12)
-            .map(|t| {
-                let mut rng = seeder.stream(t);
-                let space = factory(&mut rng);
-                crate::sim::run_trial(&space, &strategy, 96, &mut rng)
-            })
-            .collect();
+        let trial = |rng: &mut Xoshiro256pp| {
+            let space = RingSpace::random(96, rng);
+            run_trial(&space, &strategy, 96, rng)
+        };
+        let sequential: Vec<crate::sim::TrialResult> =
+            (0..12).map(|t| trial(&mut seeder.stream(t))).collect();
         for threads in [1usize, 2, 5] {
-            let parallel = run_many_trials(factory, &strategy, 96, &seeder, 12, threads);
+            let parallel = run_trials(&seeder, 12, threads, trial);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -413,23 +346,29 @@ mod tests {
 
     #[test]
     fn heavy_load_rows_track_m_over_n() {
-        let rows = heavy_load_sweep(
-            SpaceKind::Uniform,
-            Strategy::two_choice(),
-            64,
-            &[64, 256, 1024],
-            &quick_config(),
-        );
-        assert_eq!(rows.len(), 3);
+        let n = 64;
+        let rows: Vec<(f64, f64)> = [64, 256, 1024]
+            .into_iter()
+            .map(|m| {
+                let cell = sweep_kind(
+                    SpaceKind::Uniform,
+                    Strategy::two_choice(),
+                    n,
+                    m,
+                    &quick_config(),
+                );
+                (cell.stats.mean(), m as f64 / n as f64)
+            })
+            .collect();
         // Max load grows with m, and stays ≥ the average m/n.
-        assert!(rows[0].mean_max < rows[1].mean_max);
-        assert!(rows[1].mean_max < rows[2].mean_max);
-        for row in &rows {
-            assert!(row.mean_max >= row.average_load);
+        assert!(rows[0].0 < rows[1].0);
+        assert!(rows[1].0 < rows[2].0);
+        for &(mean_max, average_load) in &rows {
+            assert!(mean_max >= average_load);
         }
         // With d=2, max load should hug the average: within
         // m/n + O(log log n) — generous check.
-        let slack = rows[2].mean_max - rows[2].average_load;
+        let slack = rows[2].0 - rows[2].1;
         assert!(slack < 10.0, "slack {slack}");
     }
 
@@ -485,22 +424,6 @@ mod tests {
         );
         let text = cell.paper_style();
         assert!(text.contains('%'));
-    }
-
-    #[test]
-    fn distribution_pairs_match_counter() {
-        let cell = sweep_kind(
-            SpaceKind::Uniform,
-            Strategy::two_choice(),
-            64,
-            64,
-            &quick_config(),
-        );
-        let pairs = cell.distribution_pairs();
-        assert_eq!(pairs.iter().map(|&(_, c)| c).sum::<u64>(), 30);
-        for (value, count) in pairs {
-            assert_eq!(cell.distribution.count(value), count);
-        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after value"));
@@ -278,12 +278,23 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// How deep arrays and objects may nest. The committed results files
+/// nest about 6 levels; the cap keeps a hostile file from overflowing the
+/// parser's stack, since every `[` or `{` recurses once.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(JsonError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -415,7 +426,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     Ok(code)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -424,7 +435,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -437,7 +448,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -450,7 +461,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -516,6 +527,18 @@ mod tests {
             ("empty_arr".into(), Json::Arr(vec![])),
         ]);
         roundtrip(&v);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for text in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&text).expect_err("100,000 levels must be refused");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past_cap).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::partition::RingPartition;
 use crate::point::RingPoint;
-use geo2c_util::parallel::parallel_map;
+use geo2c_util::parallel::run_trials;
 use geo2c_util::rng::StreamSeeder;
 use rand::Rng;
 
@@ -102,9 +102,8 @@ pub fn negative_dependence_experiment(
 ) -> Vec<NegDepRow> {
     assert!(ks.iter().all(|&k| k >= 1 && k <= n), "1 <= k <= n");
     // Per trial, per (c, k): (joint hits, joint groups, marginal hits).
-    let per_trial: Vec<Vec<(u64, u64, u64)>> = parallel_map(trials, threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let points: Vec<RingPoint> = (0..n).map(|_| RingPoint::random(&mut rng)).collect();
+    let per_trial: Vec<Vec<(u64, u64, u64)>> = run_trials(seeder, trials, threads, |rng| {
+        let points: Vec<RingPoint> = (0..n).map(|_| RingPoint::random(rng)).collect();
         let gaps = forward_gaps(&points);
         let mut out = Vec::with_capacity(cs.len() * ks.len());
         for &c in cs {

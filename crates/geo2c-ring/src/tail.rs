@@ -19,7 +19,7 @@
 //! reports next to the analytic bounds (experiments E5, E6 in DESIGN.md).
 
 use crate::partition::RingPartition;
-use geo2c_util::parallel::parallel_map;
+use geo2c_util::parallel::run_trials;
 use geo2c_util::rng::StreamSeeder;
 use geo2c_util::stats::RunningStats;
 
@@ -120,9 +120,8 @@ pub fn long_arc_tail_experiment(
     seeder: &StreamSeeder,
     threads: usize,
 ) -> Vec<LongArcTail> {
-    let per_trial: Vec<Vec<usize>> = parallel_map(trials, threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let part = RingPartition::random(n, &mut rng);
+    let per_trial: Vec<Vec<usize>> = run_trials(seeder, trials, threads, |rng| {
+        let part = RingPartition::random(n, rng);
         let arcs = part.arc_lengths();
         cs.iter()
             .map(|&c| count_arcs_at_least(&arcs, c / n as f64))
@@ -183,9 +182,8 @@ pub fn longest_arcs_experiment(
     threads: usize,
 ) -> Vec<LongestArcsSum> {
     let max_size = sizes.iter().copied().max().unwrap_or(0).min(n);
-    let per_trial: Vec<Vec<f64>> = parallel_map(trials, threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let part = RingPartition::random(n, &mut rng);
+    let per_trial: Vec<Vec<f64>> = run_trials(seeder, trials, threads, |rng| {
+        let part = RingPartition::random(n, rng);
         let mut arcs = part.arc_lengths();
         arcs.sort_unstable_by(|x, y| y.partial_cmp(x).expect("finite"));
         // Prefix sums of the sorted arcs up to the largest requested size,

@@ -21,7 +21,7 @@
 //! (E4 and E7 in DESIGN.md).
 
 use crate::kd::KdSites;
-use geo2c_util::parallel::parallel_map;
+use geo2c_util::parallel::run_trials;
 use geo2c_util::rng::StreamSeeder;
 use geo2c_util::stats::RunningStats;
 
@@ -121,9 +121,8 @@ pub fn voronoi_tail_experiment(
     threads: usize,
 ) -> Vec<VoronoiTail> {
     // Per trial, per c: (large_cell_count, z_count, lemma8_violations).
-    let per_trial: Vec<Vec<(usize, usize, u64)>> = parallel_map(trials, threads, |t| {
-        let mut rng = seeder.stream(t as u64);
-        let sites = KdSites::<2>::random(n, &mut rng);
+    let per_trial: Vec<Vec<(usize, usize, u64)>> = run_trials(seeder, trials, threads, |rng| {
+        let sites = KdSites::<2>::random(n, rng);
         let areas = sites.cell_areas();
         cs.iter()
             .map(|&c| {

@@ -9,9 +9,10 @@
 //!   worker executes it. We implement SplitMix64 (seeding / stream
 //!   derivation) and xoshiro256++ (bulk generation) in-tree so results are
 //!   stable across platforms and `rand` versions.
-//! * [`parallel`] — a small fork-join trial runner built on
-//!   `crossbeam::scope`. The paper's tables are 1000-trial sweeps; trials are
-//!   embarrassingly parallel.
+//! * [`parallel`] — [`run_trials`], the one seeded trial runner: trial `t`
+//!   runs on its own stream `seeder.stream(t)` on a fork-join pool built on
+//!   `crossbeam::scope`. The paper's tables are 1000-trial sweeps; trials
+//!   are embarrassingly parallel.
 //! * [`stats`] — streaming summary statistics (Welford) and the two-sample
 //!   z statistics behind `run_tables --check`.
 //! * [`hist`] — integer-valued distributions. The paper reports *maximum
@@ -52,6 +53,6 @@ pub mod rng;
 pub mod stats;
 
 pub use hist::Counter;
-pub use parallel::{num_threads, parallel_map};
+pub use parallel::{num_threads, run_trials};
 pub use rng::{SplitMix64, StreamSeeder, Xoshiro256pp};
 pub use stats::RunningStats;

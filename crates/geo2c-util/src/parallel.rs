@@ -1,153 +1,173 @@
-//! A minimal fork-join runner for embarrassingly parallel Monte-Carlo trials.
+//! The one seeded trial runner behind every Monte-Carlo experiment.
 //!
 //! The paper's experimental tables are distributions over 1000 independent
 //! trials; each trial is a full balls-into-bins simulation. Trials share no
-//! state, so the only parallel machinery needed is "run `f(0..n)` on `t`
-//! threads and collect results in index order". We implement that directly
+//! state, so the only parallel machinery needed is "run trial `0..n` on `t`
+//! threads and collect results in trial order". We implement that directly
 //! on [`crossbeam::scope`] with an atomic work counter (dynamic scheduling:
 //! trial costs vary because `n` differs per sweep point) rather than pulling
 //! in a full work-stealing framework.
 //!
-//! Determinism: callers derive each trial's RNG from the *trial index*
-//! ([`crate::rng::StreamSeeder`]), so scheduling order cannot affect results.
+//! Determinism: [`run_trials`] hands trial `t` the stream
+//! [`StreamSeeder::stream`]`(t)` and nothing else, so a trial is a pure
+//! function of `(seed, label, t)` and scheduling order cannot affect
+//! results.
 
+use crate::rng::{StreamSeeder, Xoshiro256pp};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Returns the number of worker threads to use by default: the value of the
-/// `GEO2C_THREADS` environment variable if set, otherwise the machine's
+/// Returns the number of worker threads to use by default: the machine's
 /// available parallelism.
 #[must_use]
 pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("GEO2C_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Applies `f` to every index in `0..n` using `threads` workers and returns
-/// the results in index order.
+/// Runs `trial` once per trial index `t` in `0..trials`, each time on the
+/// trial's private stream `seeder.stream(t)`, using `threads` workers, and
+/// returns the results in trial order.
 ///
-/// Scheduling is dynamic: workers repeatedly claim the next unclaimed index
+/// Scheduling is dynamic: workers repeatedly claim the next unclaimed trial
 /// from a shared atomic counter, so a few slow trials do not straggle the
-/// whole sweep. With `threads <= 1` (or `n <= 1`) the work runs inline on
-/// the caller's thread.
+/// whole sweep. With `threads <= 1` (or `trials <= 1`) the work runs inline
+/// on the caller's thread.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker (the scope joins all threads first).
+/// Propagates the first panic of any trial, with its own payload.
 ///
 /// ```
-/// let squares = geo2c_util::parallel::parallel_map(8, 4, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+/// use geo2c_util::{parallel::run_trials, StreamSeeder};
+/// use rand::Rng;
+///
+/// let seeder = StreamSeeder::new(0).child("dice");
+/// let rolls = run_trials(&seeder, 8, 4, |rng| rng.gen_range(1..=6u32));
+/// let sequential: Vec<u32> = (0..8).map(|t| seeder.stream(t).gen_range(1..=6)).collect();
+/// assert_eq!(rolls, sequential);
 /// ```
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+pub fn run_trials<T, F>(seeder: &StreamSeeder, trials: usize, threads: usize, trial: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(&mut Xoshiro256pp) -> T + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return (0..n).map(f).collect();
+    let run = |t: usize| trial(&mut seeder.stream(t as u64));
+    let threads = threads.max(1).min(trials);
+    if threads <= 1 {
+        return (0..trials).map(run).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, T)> = Vec::with_capacity(n);
+    let mut collected: Vec<(usize, T)> = Vec::with_capacity(trials);
 
     crossbeam::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let next = &next;
-            let f = &f;
+            let run = &run;
             handles.push(scope.spawn(move |_| {
                 let mut local: Vec<(usize, T)> = Vec::new();
                 loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    let t = next.fetch_add(1, Ordering::Relaxed);
+                    if t >= trials {
                         break;
                     }
-                    local.push((i, f(i)));
+                    local.push((t, run(t)));
                 }
                 local
             }));
         }
         for handle in handles {
-            collected.extend(handle.join().expect("worker panicked"));
+            match handle.join() {
+                Ok(local) => collected.extend(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     })
     .expect("crossbeam scope failed");
 
-    collected.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(collected.len(), n);
-    collected.into_iter().map(|(_, t)| t).collect()
+    collected.sort_by_key(|&(t, _)| t);
+    debug_assert_eq!(collected.len(), trials);
+    collected.into_iter().map(|(_, x)| x).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, RngCore};
+
+    fn seeder() -> StreamSeeder {
+        StreamSeeder::new(77).child("runner")
+    }
+
+    /// The reference: trial `t` run on the caller's thread, in order.
+    fn sequential<T>(trials: usize, trial: impl Fn(&mut Xoshiro256pp) -> T) -> Vec<T> {
+        let seeder = seeder();
+        (0..trials as u64)
+            .map(|t| trial(&mut seeder.stream(t)))
+            .collect()
+    }
 
     #[test]
     fn empty_input() {
-        let v: Vec<u32> = parallel_map(0, 4, |_| unreachable!());
+        let v: Vec<u32> = run_trials(&seeder(), 0, 4, |_| unreachable!());
         assert!(v.is_empty());
     }
 
     #[test]
     fn single_threaded_path() {
-        let v = parallel_map(5, 1, |i| i + 10);
-        assert_eq!(v, vec![10, 11, 12, 13, 14]);
+        let v = run_trials(&seeder(), 5, 1, |rng| rng.next_u64());
+        assert_eq!(v, sequential(5, |rng| rng.next_u64()));
     }
 
     #[test]
     fn results_in_index_order_under_contention() {
         let n = 1000;
-        let v = parallel_map(n, 8, |i| i * 3);
+        let v = run_trials(&seeder(), n, 8, |rng| rng.next_u64());
         assert_eq!(v.len(), n);
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, i * 3);
-        }
+        assert_eq!(v, sequential(n, |rng| rng.next_u64()));
     }
 
     #[test]
     fn more_threads_than_items() {
-        let v = parallel_map(3, 64, |i| i);
-        assert_eq!(v, vec![0, 1, 2]);
+        let v = run_trials(&seeder(), 3, 64, |rng| rng.next_u64());
+        assert_eq!(v, sequential(3, |rng| rng.next_u64()));
     }
 
     #[test]
     fn uneven_work_is_completed() {
-        // Simulate wildly varying trial costs.
-        let v = parallel_map(64, 4, |i| {
+        // Wildly varying trial costs, drawn from the trial's own stream.
+        let work = |rng: &mut Xoshiro256pp| {
             let mut acc = 0u64;
-            for k in 0..((i as u64) % 7) * 10_000 {
+            for k in 0..rng.gen_range(0..7u64) * 10_000 {
                 acc = acc.wrapping_add(k);
             }
             std::hint::black_box(acc);
-            i as u64
-        });
-        assert_eq!(v, (0..64).collect::<Vec<u64>>());
+            rng.next_u64()
+        };
+        assert_eq!(run_trials(&seeder(), 64, 4, work), sequential(64, work));
     }
 
     #[test]
     fn matches_sequential_for_rng_workload() {
-        use crate::rng::StreamSeeder;
-        use rand::Rng;
-        let seeder = StreamSeeder::new(77);
-        let work = |i: usize| -> u64 {
-            let mut rng = seeder.stream(i as u64);
-            (0..100).map(|_| rng.gen_range(0..1000u64)).sum()
-        };
-        let seq: Vec<u64> = (0..32).map(work).collect();
-        let par = parallel_map(32, 4, work);
-        assert_eq!(seq, par);
+        let work =
+            |rng: &mut Xoshiro256pp| -> u64 { (0..100).map(|_| rng.gen_range(0..1000u64)).sum() };
+        for threads in [1, 2, 4, 7] {
+            assert_eq!(
+                run_trials(&seeder(), 32, threads, work),
+                sequential(32, work)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trial 5 failed")]
+    fn a_panicking_trial_propagates_out_of_the_runner() {
+        let poisoned = seeder().stream(5).next_u64();
+        let _ = run_trials(&seeder(), 16, 3, |rng| {
+            assert_ne!(rng.next_u64(), poisoned, "trial 5 failed");
+        });
     }
 
     #[test]

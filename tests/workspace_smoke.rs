@@ -54,13 +54,12 @@ fn end_to_end_ring_simulation_is_deterministic() {
 #[test]
 fn parallel_trials_match_sequential() {
     let seeder = StreamSeeder::new(7);
-    let trial = |i: usize| {
-        let mut rng = seeder.stream(i as u64);
-        let space = RingSpace::random(128, &mut rng);
+    let trial = |rng: &mut Xoshiro256pp| {
+        let space = RingSpace::random(128, rng);
         debug_assert_eq!(space.num_servers(), 128);
-        run_trial(&space, &Strategy::two_choice(), 128, &mut rng).max_load
+        run_trial(&space, &Strategy::two_choice(), 128, rng).max_load
     };
-    let sequential: Vec<u32> = (0..16).map(trial).collect();
-    let parallel = two_choices::util::parallel::parallel_map(16, 4, trial);
+    let sequential: Vec<u32> = (0..16).map(|t| trial(&mut seeder.stream(t))).collect();
+    let parallel = two_choices::util::parallel::run_trials(&seeder, 16, 4, trial);
     assert_eq!(sequential, parallel);
 }
