@@ -505,7 +505,6 @@ fn dimension_cells<const K: usize>(
             move |rng: &mut Xoshiro256pp| KdTorusSpace::<K>::random(n, rng),
             Strategy::d_choice(d),
             n,
-            n,
             &label,
             config,
         );
@@ -633,7 +632,7 @@ pub fn tabulation(n: usize, config: &SweepConfig) -> ExperimentResult {
         for &d in &ds {
             let strategy = Strategy::d_choice(d);
             let label = format!("tabulation/{sampler}/n{n}/d{d}");
-            let cell = max_load_cell(strategy, n, n, &label, config, |rng| {
+            let cell = max_load_cell(&label, config, |rng| {
                 let space = RingSpace::random(n, rng);
                 if tabulate {
                     // Fresh tables per trial (the theorems quantify over
@@ -1579,7 +1578,7 @@ where
         let factory = make_factory(q);
         let sweep = |strategy: Strategy, tag: &str| {
             let label = format!("{label_prefix}/q{q}/{tag}");
-            sweep_max_load(&factory, strategy, n, n, &label, config)
+            sweep_max_load(&factory, strategy, n, &label, config)
         };
         let one = sweep(Strategy::one_choice(), "d1");
         let two = sweep(Strategy::two_choice(), "d2");

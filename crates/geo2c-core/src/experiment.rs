@@ -77,12 +77,6 @@ impl SweepConfig {
 /// The outcome of one sweep cell: the max-load distribution over trials.
 #[derive(Debug, Clone)]
 pub struct MaxLoadCell {
-    /// Servers per trial.
-    pub n: usize,
-    /// Balls per trial.
-    pub m: usize,
-    /// Strategy label (e.g. `"d=2 arc-smaller"`).
-    pub strategy: String,
     /// Distribution of the per-trial maximum load.
     pub distribution: Counter,
     /// Summary statistics of the per-trial maximum load.
@@ -104,14 +98,7 @@ impl MaxLoadCell {
 /// per-trial recipe (e.g. a different probe source) all go through here.
 /// Results are independent of `config.threads`.
 #[must_use]
-pub fn max_load_cell<F>(
-    strategy: Strategy,
-    n: usize,
-    m: usize,
-    label: &str,
-    config: &SweepConfig,
-    trial: F,
-) -> MaxLoadCell
+pub fn max_load_cell<F>(label: &str, config: &SweepConfig, trial: F) -> MaxLoadCell
 where
     F: Fn(&mut Xoshiro256pp) -> u32 + Sync,
 {
@@ -123,9 +110,6 @@ where
         stats.push(f64::from(ml));
     }
     MaxLoadCell {
-        n,
-        m,
-        strategy: strategy.label(),
         distribution,
         stats,
     }
@@ -141,7 +125,6 @@ where
 pub fn sweep_max_load<S, F>(
     space_factory: F,
     strategy: Strategy,
-    n: usize,
     m: usize,
     label: &str,
     config: &SweepConfig,
@@ -150,7 +133,7 @@ where
     S: Space,
     F: Fn(&mut Xoshiro256pp) -> S + Sync,
 {
-    max_load_cell(strategy, n, m, label, config, |rng| {
+    max_load_cell(label, config, |rng| {
         let space = space_factory(rng);
         run_trial(&space, &strategy, m, rng).max_load
     })
@@ -172,7 +155,6 @@ pub fn sweep_kind(
     sweep_max_load(
         move |rng: &mut Xoshiro256pp| kind.build(n, rng),
         strategy,
-        n,
         m,
         &label,
         config,
@@ -269,9 +251,6 @@ mod tests {
         );
         assert_eq!(cell.distribution.total(), 30);
         assert_eq!(cell.stats.count(), 30);
-        assert_eq!(cell.n, 128);
-        assert_eq!(cell.m, 128);
-        assert_eq!(cell.strategy, "d=2");
         assert!(cell.stats.mean() >= 1.0);
     }
 
@@ -324,7 +303,6 @@ mod tests {
             },
             Strategy::one_choice(),
             64,
-            64,
             "label-a",
             &config,
         );
@@ -334,7 +312,6 @@ mod tests {
                 UniformSpace::new(64)
             },
             Strategy::one_choice(),
-            64,
             64,
             "label-b",
             &config,

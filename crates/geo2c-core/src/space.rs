@@ -262,10 +262,11 @@ impl Space for RingSpace {
 
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
         // Lane contract: ball i draws its d coordinates, in order, from
-        // lanes.probe(i); then the owner lookups run as one tight loop
-        // over the whole chunk, which lets the out-of-order core overlap
-        // the bucket-index cache misses of many independent successor
-        // searches.
+        // lanes.probe(i); then the owner lookups run as one batch over
+        // the whole chunk: every probe's integer bucket pick and
+        // bucket_first gather first, then every branch-free finish, so
+        // the out-of-order core overlaps the cache misses of many
+        // independent successor searches.
         if d == 0 || d > LANE_BLOCK {
             lane_owners_generic(self, lanes, d, out);
             return;

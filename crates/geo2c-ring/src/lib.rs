@@ -8,8 +8,9 @@
 //!
 //! * [`point`] — positions on the unit circle with wrapped arithmetic.
 //! * [`partition`] — [`RingPartition`]: the sorted server set with
-//!   `O(1)`-expected point-to-owner lookup (bucket-accelerated successor
-//!   search, `O(log n)` worst case) under two ownership conventions
+//!   `O(1)`-expected point-to-owner lookup (a division-free integer
+//!   bucket pick, then a branch-free count over the bucket's first
+//!   slots; `O(log n)` worst case) under two ownership conventions
 //!   (clockwise successor, as in Chord/consistent hashing, and symmetric
 //!   nearest neighbour), plus arc-length queries used by the region-aware
 //!   tie-breaking strategies of the paper's Table 3.

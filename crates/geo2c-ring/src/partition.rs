@@ -4,9 +4,14 @@
 //! [`RingPartition`] is the substrate of the paper's Theorem 1: server
 //! positions are sorted once at construction, and every point-to-owner
 //! query is answered in `O(1)` expected time by a bucket-index accelerant
-//! over the sorted positions (jump to the probe's bucket, scan forward a
-//! few slots; a bounded linear scan falls back to binary search on
-//! adversarially clustered inputs, so the worst case stays `O(log n)`).
+//! over the sorted positions. There are `n` buckets, and a coordinate's
+//! bucket is the integer floor `⌊⌊x·2^64⌋·n / 2^64⌋`: one float scale
+//! that is exact, a cast, and a 64×64-bit multiply, with no division and
+//! no rounding guard. The index is built with the same function, so the
+//! two always agree. A query jumps to its bucket's first server and
+//! counts how many of the next four lie below it, branch-free. A bounded
+//! scan continues past them, and binary search takes over on
+//! adversarially clustered inputs, so the worst case stays `O(log n)`.
 //! [`RingPartition::successor_index_binary`] keeps the plain
 //! `partition_point` binary search as the oracle the property tests pin
 //! the fast path against. Two ownership conventions are provided:
@@ -48,15 +53,35 @@ pub struct RingPartition {
     /// successor scan touches only this dense `f64` array.
     coords: Vec<f64>,
     /// Bucket accelerant: `bucket_first[b]` is the first index `i` with
-    /// `coords[i] ≥ b / B` for `B = bucket_first.len() − 1 = n` buckets
-    /// (`bucket_first[B] == n`). A successor query jumps here and scans.
+    /// `bucket_of(coords[i], n) ≥ b`, for `n` buckets
+    /// (`bucket_first[n] == n`). A successor query jumps here and scans.
     bucket_first: Vec<u32>,
+}
+
+/// The bucket of coordinate `x ∈ [0, 1)` among `n` buckets, in integer
+/// arithmetic: `⌊⌊x·2^64⌋ · n / 2^64⌋`.
+///
+/// Scaling by 2^64 is exact, so the cast takes the exact floor of
+/// `x·2^64` (a coordinate at or above 1 would saturate to bucket
+/// `n − 1`). For `x ≥ 2^-12`, where `x·2^64` is an integer, the result
+/// is exactly `⌊x·n⌋`; below that it may be one less. Either way the
+/// map is non-decreasing in `x`, which is all the index needs: a server
+/// in a lower bucket than the probe lies strictly below it.
+#[inline]
+fn bucket_of(x: f64, n: usize) -> usize {
+    /// 2^64, exactly.
+    const SCALE: f64 = 18_446_744_073_709_551_616.0;
+    ((u128::from((x * SCALE) as u64) * n as u128) >> 64) as usize
 }
 
 impl RingPartition {
     /// Forward-scan budget before [`Self::successor_index`] falls back to
     /// binary search (only reachable on heavily clustered positions).
     const SCAN_LIMIT: usize = 16;
+
+    /// Slots at the start of a bucket that [`Self::finish_scan`] resolves
+    /// with one count instead of a loop.
+    const HEAD: usize = 4;
 
     /// Places `n ≥ 1` servers independently and uniformly at random.
     ///
@@ -84,20 +109,20 @@ impl RingPartition {
         Self::index(positions)
     }
 
-    /// Builds the bucket accelerant over already-sorted positions.
+    /// Builds the bucket accelerant over already-sorted positions: one
+    /// pass files each coordinate under [`bucket_of`], so the index and
+    /// the queries share one bucket function.
     fn index(positions: Vec<RingPoint>) -> Self {
         let n = positions.len();
         assert!(u32::try_from(n).is_ok(), "too many servers");
         let coords: Vec<f64> = positions.iter().map(|p| p.coord()).collect();
-        let mut bucket_first = vec![0u32; n + 1];
-        let mut i = 0usize;
-        for (b, slot) in bucket_first.iter_mut().enumerate() {
-            let lo = b as f64 / n as f64;
-            while i < n && coords[i] < lo {
-                i += 1;
-            }
-            *slot = i as u32;
+        let mut bucket_first = Vec::with_capacity(n + 1);
+        for (i, &c) in coords.iter().enumerate() {
+            // Sorted coords have non-decreasing buckets, so this only
+            // grows: every bucket up to b not yet filed starts at i.
+            bucket_first.resize(bucket_of(c, n) + 1, i as u32);
         }
+        bucket_first.resize(n + 1, n as u32);
         Self {
             positions,
             coords,
@@ -145,29 +170,40 @@ impl RingPartition {
 
     /// The bucket-accelerant's first stage: the index of the first
     /// position in the coordinate `x`'s bucket. Shared by the per-point
-    /// query and the staged batch so the two can never drift.
+    /// query and the staged batch so the two can never drift. The bucket
+    /// is [`bucket_of`]'s integer floor, the function the index was built
+    /// with, so no division or rounding guard is needed.
     #[inline]
     fn bucket_start(&self, x: f64) -> usize {
-        let n = self.coords.len();
-        let mut b = ((x * n as f64) as usize).min(n - 1);
-        // floor(x·n) can land a bucket high after FP rounding; the
-        // invariant we rely on is fl(b/n) ≤ x, checked with the exact
-        // expression the index was built from (≤ 1 step in practice).
-        while b > 0 && b as f64 / n as f64 > x {
-            b -= 1;
-        }
-        self.bucket_first[b] as usize
+        self.bucket_first[bucket_of(x, self.coords.len())] as usize
     }
 
-    /// The bucket-accelerant's second stage: the bounded forward scan
-    /// from `start` (with the binary-search fallback for dense clusters)
-    /// yielding the successor index of coordinate `x`. Shared by the
+    /// The bucket-accelerant's second stage: the successor index of
+    /// coordinate `x`, searching forward from `start`. Shared by the
     /// per-point query and the staged batch.
+    ///
+    /// The first [`Self::HEAD`] slots are resolved branch-free: the
+    /// coordinates are sorted, so the number of them below `x` is the
+    /// successor's offset. A random layout puts about one server in a
+    /// bucket, so that settles nearly every query; past the head a
+    /// bounded scan continues, and dense clusters finish with binary
+    /// search.
     #[inline]
     fn finish_scan(&self, x: f64, start: usize) -> usize {
         let n = self.coords.len();
         let mut i = start;
-        let end = (i + Self::SCAN_LIMIT).min(n);
+        let head: Option<&[f64; Self::HEAD]> = self
+            .coords
+            .get(start..start + Self::HEAD)
+            .and_then(|s| s.try_into().ok());
+        if let Some(head) = head {
+            let below: usize = head.iter().map(|&c| usize::from(c < x)).sum();
+            if below < Self::HEAD {
+                return start + below;
+            }
+            i += Self::HEAD;
+        }
+        let end = (start + Self::SCAN_LIMIT).min(n);
         while i < end && self.coords[i] < x {
             i += 1;
         }
@@ -187,37 +223,31 @@ impl RingPartition {
     /// (pinned by `tests/successor_equivalence.rs`).
     ///
     /// The point of the batch is *memory-level parallelism*, not fewer
-    /// instructions: a single query chains two dependent DRAM accesses
+    /// instructions: a single query chains two dependent loads
     /// (`bucket_first[b]`, then `coords[start..]`), so a loop of
     /// independent queries is latency-bound once `n` outgrows the cache.
-    /// The batch splits the chain into per-block passes — gather every
-    /// query's bucket start, touch every scan's first `coords` line
-    /// (both loops are pure independent loads the out-of-order core
-    /// overlaps), then finish the scans against warm lines.
+    /// The batch splits the chain into two per-block passes: gather every
+    /// query's bucket start (pure independent loads the out-of-order core
+    /// overlaps), then finish every scan. The finish loads are
+    /// independent too, and the branch-free head leaves almost no branch
+    /// to mispredict, so they overlap without help. A third pass that
+    /// touched each scan's first `coords` line first was measured and
+    /// dropped: at `n = 2^16` and `2^20` the batch ran faster without it.
     ///
     /// # Panics
     /// Panics if `points.len() != out.len()`.
     pub fn successor_indices_into(&self, points: &[RingPoint], out: &mut [usize]) {
         assert_eq!(points.len(), out.len(), "output sized for the points");
-        /// Queries staged per pass: 128 warm lines ≤ 8 KiB, safely L1.
+        /// Queries staged per pass.
         const BATCH: usize = 128;
-        let n = self.coords.len();
         let mut starts = [0u32; BATCH];
         for (pts, outs) in points.chunks(BATCH).zip(out.chunks_mut(BATCH)) {
-            // Pass 1: bucket index arithmetic + one independent gather of
-            // bucket_first per query.
+            // Pass 1: the bucket of every query, and one independent
+            // gather of bucket_first each.
             for (start, p) in starts.iter_mut().zip(pts.iter()) {
                 *start = self.bucket_start(p.coord()) as u32;
             }
-            // Pass 2: touch the first coords line of every scan — the
-            // loads are independent now that the starts are known, so
-            // their misses overlap instead of serializing per query.
-            let mut warm = 0.0f64;
-            for &start in &starts[..pts.len()] {
-                warm += self.coords[(start as usize).min(n - 1)];
-            }
-            std::hint::black_box(warm);
-            // Pass 3: finish each scan against warm lines.
+            // Pass 2: finish each query from its bucket start.
             for ((slot, p), &start) in outs.iter_mut().zip(pts.iter()).zip(starts.iter()) {
                 *slot = self.finish_scan(p.coord(), start as usize);
             }
@@ -526,6 +556,104 @@ mod tests {
                 part.successor_index_binary(p),
                 "{x}"
             );
+        }
+    }
+
+    #[test]
+    fn bucket_first_files_every_coord_under_its_bucket() {
+        let mut rng = Xoshiro256pp::from_u64(13);
+        let mut layouts: Vec<RingPartition> = [1usize, 2, 3, 7, 64, 1000, 4099]
+            .into_iter()
+            .map(|n| RingPartition::random(n, &mut rng))
+            .collect();
+        // Servers exactly on the bucket seams k/n, and a dense cluster.
+        layouts.push(RingPartition::from_positions(
+            (0..4099)
+                .map(|k| RingPoint::new(k as f64 / 4099.0))
+                .collect(),
+        ));
+        layouts.push(RingPartition::from_positions(
+            (0..300)
+                .map(|i| RingPoint::new(0.5 + 1e-9 * i as f64))
+                .collect(),
+        ));
+        for part in &layouts {
+            let n = part.len();
+            let first = &part.bucket_first;
+            assert_eq!(first.len(), n + 1);
+            assert_eq!(first[n] as usize, n, "n={n}: the last bucket ends at n");
+            assert!(first.windows(2).all(|w| w[0] <= w[1]), "n={n}: decreasing");
+            // The highest bucket among coords[..i] and the lowest among
+            // coords[i..], so every coord is checked, not just neighbours.
+            let buckets: Vec<usize> = part.coords.iter().map(|&c| bucket_of(c, n)).collect();
+            let below_max: Vec<usize> = buckets
+                .iter()
+                .scan(0, |m, &b| {
+                    *m = b.max(*m);
+                    Some(*m)
+                })
+                .collect();
+            let mut from_min = buckets.clone();
+            for i in (0..n.saturating_sub(1)).rev() {
+                from_min[i] = from_min[i].min(from_min[i + 1]);
+            }
+            for (b, &f) in first.iter().enumerate() {
+                let f = f as usize;
+                assert!(
+                    f == 0 || below_max[f - 1] < b,
+                    "n={n}: a coord before bucket_first[{b}] is in bucket ≥ {b}"
+                );
+                assert!(
+                    f == n || from_min[f] >= b,
+                    "n={n}: a coord from bucket_first[{b}] on is in a bucket below {b}"
+                );
+            }
+        }
+    }
+
+    /// `⌊x·n⌋` for `x ∈ [0, 1)`, exact: `x = mantissa · 2^exp` with
+    /// `exp ≤ −53`, so the product is a shift of an integer product.
+    fn exact_floor(x: f64, n: usize) -> usize {
+        let bits = x.to_bits();
+        let biased = (bits >> 52) as i32;
+        let fraction = bits & ((1 << 52) - 1);
+        let (mantissa, exp) = if biased == 0 {
+            (fraction, -1074)
+        } else {
+            (fraction | 1 << 52, biased - 1075)
+        };
+        let shift = exp.unsigned_abs();
+        if shift >= 128 {
+            0
+        } else {
+            ((u128::from(mantissa) * n as u128) >> shift) as usize
+        }
+    }
+
+    #[test]
+    fn bucket_of_is_the_exact_floor_from_two_to_the_minus_twelve() {
+        let two_to_minus_12 = 1.0 / 4096.0;
+        for n in [1usize, 3, 7, 1000, 4096, 4099, 1 << 20, u32::MAX as usize] {
+            let mut last = 0;
+            for k in 0..n.min(5000) {
+                let seam = k as f64 / n as f64;
+                for x in [
+                    f64::from_bits(seam.to_bits().saturating_sub(1)),
+                    seam,
+                    f64::from_bits(seam.to_bits() + 1),
+                ] {
+                    let (b, floor) = (bucket_of(x, n), exact_floor(x, n));
+                    if x >= two_to_minus_12 {
+                        assert_eq!(b, floor, "n={n} x={x:e}");
+                    } else {
+                        assert!(b == floor || b + 1 == floor, "n={n} x={x:e}");
+                    }
+                    assert!(b < n && b >= last, "n={n}: not monotone at {x:e}");
+                    last = b;
+                }
+            }
+            assert_eq!(bucket_of(0.0, n), 0);
+            assert_eq!(bucket_of(1.0 - f64::EPSILON / 2.0, n), n - 1);
         }
     }
 

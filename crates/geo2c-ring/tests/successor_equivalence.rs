@@ -126,3 +126,82 @@ proptest! {
         );
     }
 }
+
+/// The neighbouring `f64`s of a non-negative `x`: one ulp down (none at
+/// zero), `x`, one ulp up.
+fn ulp_neighbours(x: f64) -> impl Iterator<Item = f64> {
+    let bits = x.to_bits();
+    let down = (bits > 0).then(|| f64::from_bits(bits - 1));
+    down.into_iter()
+        .chain([x, f64::from_bits(bits + 1)])
+        .filter(|&y| y < 1.0)
+}
+
+/// [`RingPartition::nearest_index`] rebuilt on the binary-search oracle.
+fn nearest_by_oracle(part: &RingPartition, p: RingPoint) -> usize {
+    let n = part.len();
+    if n == 1 {
+        return 0;
+    }
+    let succ = part.successor_index_binary(p);
+    let pred = (succ + n - 1) % n;
+    if p.distance(part.position(pred)) < p.distance(part.position(succ)) {
+        pred
+    } else {
+        succ
+    }
+}
+
+/// Every query path against the oracle at every probe, exactly.
+fn check_every_path(part: &RingPartition, probes: &[f64]) {
+    let points: Vec<RingPoint> = probes.iter().map(|&x| RingPoint::new(x)).collect();
+    let mut batched = vec![usize::MAX; points.len()];
+    part.successor_indices_into(&points, &mut batched);
+    for (&p, &batch) in points.iter().zip(&batched) {
+        let oracle = part.successor_index_binary(p);
+        let n = part.len();
+        assert_eq!(part.successor_index(p), oracle, "n={n} successor at {p}");
+        assert_eq!(batch, oracle, "n={n} batched successor at {p}");
+        assert_eq!(
+            part.nearest_index(p),
+            nearest_by_oracle(part, p),
+            "n={n} nearest at {p}"
+        );
+    }
+}
+
+#[test]
+fn bucket_seam_probes_agree_at_every_size() {
+    // Servers on the bucket seams fl(k/n) and one ulp either side, probed
+    // at the same seams, at 0 and at the largest coordinate below 1.
+    let sizes = [1usize, 3, 7, 1000, 4099]
+        .into_iter()
+        .chain((0..=16).map(|e| 1usize << e));
+    for n in sizes {
+        let seams: Vec<f64> = (0..n).map(|k| k as f64 / n as f64).collect();
+        let mut probes: Vec<f64> = seams.iter().flat_map(|&s| ulp_neighbours(s)).collect();
+        probes.extend([0.0, 1.0 - f64::EPSILON / 2.0]);
+        // n servers, one per seam, cycling through below / on / above it,
+        // so the partition's own n buckets have these seams.
+        let one_per_seam: Vec<RingPoint> = seams
+            .iter()
+            .enumerate()
+            .map(|(k, &s)| {
+                let bits = s.to_bits();
+                let bits = match k % 3 {
+                    0 if bits > 0 => bits - 1,
+                    1 => bits + 1,
+                    _ => bits,
+                };
+                RingPoint::new(f64::from_bits(bits))
+            })
+            .collect();
+        check_every_path(&RingPartition::from_positions(one_per_seam), &probes);
+        // All three per seam: 3n servers, whose buckets include every k/n.
+        let three_per_seam: Vec<RingPoint> = probes[..probes.len() - 2]
+            .iter()
+            .map(|&x| RingPoint::new(x))
+            .collect();
+        check_every_path(&RingPartition::from_positions(three_per_seam), &probes);
+    }
+}
