@@ -9,6 +9,14 @@ say() { printf '\n== %s ==\n' "$*"; }
 say "rustfmt"
 cargo fmt --all --check
 
+# Both lock files are tracked: Cargo.lock for the workspace and
+# perfbench/Cargo.lock for the benchmark, which only a change to the
+# benchmark may rewrite. --locked fails (exit 101) when a manifest edit
+# would change either, before any cargo build below could rewrite it.
+say "lock files (Cargo.lock and perfbench/Cargo.lock match their manifests)"
+cargo metadata --locked --offline --format-version 1 >/dev/null
+cargo metadata --locked --offline --format-version 1 --manifest-path perfbench/Cargo.toml >/dev/null
+
 say "clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

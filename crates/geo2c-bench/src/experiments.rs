@@ -29,7 +29,7 @@ use geo2c_dht::churn::churn_experiment;
 use geo2c_dht::placement::{evaluate, PlacementPolicy};
 use geo2c_dht::replication::{availability_after_failures, place_replicated};
 use geo2c_report::{Cell, ExperimentResult, ExperimentSpec, Json};
-use geo2c_ring::{Ownership, RingPartition};
+use geo2c_ring::RingPartition;
 use geo2c_serve::{
     DepartureWheel, DurableEngine, FaultPlan, Recovery, Resumed, ServeConfig, ServeEngine,
     SessionLife,
@@ -1611,9 +1611,8 @@ pub fn nonuniform_servers(n: usize, config: &SweepConfig) -> ExperimentResult {
         config,
         |q| {
             move |rng: &mut Xoshiro256pp| {
-                RingSpace::with_ownership(
+                RingSpace::from_partition(
                     RingMix::new(q, 0.0, NONUNIFORM_WIDTH).build_partition(n, rng),
-                    Ownership::Successor,
                 )
             }
         },

@@ -10,7 +10,7 @@
 //! asserting it.
 //!
 //! The suite deliberately benches only *public, stable* entry points
-//! (`RingPartition::owner` via [`geo2c_core::space::RingSpace`],
+//! (`RingPartition::successor_index` via [`geo2c_core::space::RingSpace`],
 //! `KdSites::owner`, `sim::run_trial`) so a baseline captured before a
 //! refactor stays comparable with one captured after: same ids, same
 //! workloads, different implementation. Implementation-level ablations

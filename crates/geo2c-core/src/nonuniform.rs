@@ -18,7 +18,7 @@
 //! probability of being probed, not its geometric length.
 
 use crate::space::{Space, LANE_BLOCK};
-use geo2c_ring::{Ownership, RingPartition, RingPoint};
+use geo2c_ring::{RingPartition, RingPoint};
 use geo2c_util::rng::LaneSource;
 use rand::Rng;
 
@@ -161,8 +161,7 @@ impl Space for MixRingSpace {
     }
 
     fn sample_owner<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.partition
-            .owner(self.mix.sample(rng), Ownership::Successor)
+        self.partition.successor_index(self.mix.sample(rng))
     }
 
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
@@ -180,10 +179,7 @@ impl Space for MixRingSpace {
             out,
             RingPoint::new(0.0),
             |probe| self.mix.sample(probe),
-            |points, chunk| {
-                self.partition
-                    .owners_into(points, Ownership::Successor, chunk)
-            },
+            |points, chunk| self.partition.successor_indices_into(points, chunk),
         );
     }
 
@@ -196,7 +192,7 @@ impl Space for MixRingSpace {
         loop {
             let p = self.mix.sample(rng);
             if p.coord() >= lo && p.coord() < hi {
-                return self.partition.owner(p, Ownership::Successor);
+                return self.partition.successor_index(p);
             }
         }
     }
@@ -240,8 +236,8 @@ mod tests {
         let part = model.build_partition(2000, &mut rng);
         // Quarters of the circle get roughly equal counts.
         let mut quarters = [0u32; 4];
-        for p in part.positions() {
-            quarters[(p.coord() * 4.0) as usize & 3] += 1;
+        for i in 0..part.len() {
+            quarters[(part.position(i).coord() * 4.0) as usize & 3] += 1;
         }
         for q in quarters {
             assert!((f64::from(q) / 2000.0 - 0.25).abs() < 0.05);

@@ -22,7 +22,7 @@
 //! along its natural coordinate (bin index ranges / ring intervals /
 //! slabs along the first torus axis).
 
-use geo2c_ring::{Ownership, RingPartition, RingPoint};
+use geo2c_ring::{RingPartition, RingPoint};
 use geo2c_torus::{KdPoint, KdSites};
 use geo2c_util::rng::LaneSource;
 use rand::Rng;
@@ -204,32 +204,26 @@ impl Space for UniformSpace {
 // ---------------------------------------------------------------------------
 
 /// The paper's Theorem 1 space: `n` random points on the unit circle; bins
-/// are the induced arcs.
+/// are the induced arcs, each owned by its clockwise successor (the
+/// Chord convention). A server's region size is its arc length, read from
+/// the partition. The nearest-site circle (1-D Voronoi cells) is
+/// `geo2c_torus::KdSites<1>`.
 #[derive(Debug, Clone)]
 pub struct RingSpace {
     partition: RingPartition,
-    ownership: Ownership,
-    region_sizes: Vec<f64>,
 }
 
 impl RingSpace {
-    /// Places `n` servers uniformly at random, successor (Chord) ownership.
+    /// Places `n` servers uniformly at random.
     #[must_use]
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        Self::with_ownership(RingPartition::random(n, rng), Ownership::Successor)
+        Self::from_partition(RingPartition::random(n, rng))
     }
 
-    /// Wraps an existing partition with the given ownership convention.
+    /// Wraps an existing partition.
     #[must_use]
-    pub fn with_ownership(partition: RingPartition, ownership: Ownership) -> Self {
-        let region_sizes = (0..partition.len())
-            .map(|i| partition.region_size(i, ownership))
-            .collect();
-        Self {
-            partition,
-            ownership,
-            region_sizes,
-        }
+    pub fn from_partition(partition: RingPartition) -> Self {
+        Self { partition }
     }
 
     /// The underlying partition.
@@ -238,16 +232,10 @@ impl RingSpace {
         &self.partition
     }
 
-    /// The ownership convention in use.
-    #[must_use]
-    pub fn ownership(&self) -> Ownership {
-        self.ownership
-    }
-
     /// Owner of an explicit ring point (used by the DHT layer).
     #[must_use]
     pub fn owner_of(&self, p: RingPoint) -> usize {
-        self.partition.owner(p, self.ownership)
+        self.partition.successor_index(p)
     }
 }
 
@@ -257,7 +245,7 @@ impl Space for RingSpace {
     }
 
     fn sample_owner<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.partition.owner(RingPoint::random(rng), self.ownership)
+        self.partition.successor_index(RingPoint::random(rng))
     }
 
     fn sample_owners_lanes<L: LaneSource>(&self, lanes: &L, d: usize, out: &mut [usize]) {
@@ -277,7 +265,7 @@ impl Space for RingSpace {
             out,
             RingPoint::new(0.0),
             |probe| RingPoint::new(probe.gen::<f64>()),
-            |points, chunk| self.partition.owners_into(points, self.ownership, chunk),
+            |points, chunk| self.partition.successor_indices_into(points, chunk),
         );
     }
 
@@ -285,11 +273,11 @@ impl Space for RingSpace {
         assert!(d > 0 && j < d, "division {j} of {d}");
         // Uniform point in the interval [j/d, (j+1)/d) of the circle.
         let x = (j as f64 + rng.gen::<f64>()) / d as f64;
-        self.partition.owner(RingPoint::new(x), self.ownership)
+        self.partition.successor_index(RingPoint::new(x))
     }
 
     fn region_size(&self, server: usize) -> f64 {
-        self.region_sizes[server]
+        self.partition.arc_length(server)
     }
 
     fn position_key(&self, server: usize) -> f64 {
@@ -624,6 +612,25 @@ mod tests {
                 space.region_size(i)
             );
         }
+    }
+
+    #[test]
+    fn ring_region_sizes_are_the_partition_arcs() {
+        let mut rng = Xoshiro256pp::from_u64(4);
+        for n in [1usize, 2, 3, 64, 1000] {
+            let space = RingSpace::random(n, &mut rng);
+            for i in 0..n {
+                assert_eq!(
+                    space.region_size(i).to_bits(),
+                    space.partition().arc_length(i).to_bits(),
+                    "n={n} server {i}"
+                );
+            }
+        }
+        let coincident = RingPartition::from_positions(vec![RingPoint::new(0.5); 4]);
+        let space = RingSpace::from_partition(coincident);
+        let sizes: Vec<f64> = (0..4).map(|i| space.region_size(i)).collect();
+        assert_eq!(sizes, [1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -439,7 +439,7 @@ mod tests {
             RingPoint::new(0.2),
         ]);
         // arcs: server0 ← (0.2, 0.0]: 0.8; server1 ← 0.1; server2 ← 0.1.
-        let space = RingSpace::with_ownership(part, geo2c_ring::Ownership::Successor);
+        let space = RingSpace::from_partition(part);
         let strategy = Strategy::with_tie_break(2, TieBreak::SmallerRegion);
         let loads = [0u32; 3];
         let mut rng = Xoshiro256pp::from_u64(5);
@@ -460,7 +460,7 @@ mod tests {
     fn larger_region_is_opposite_of_smaller() {
         use geo2c_ring::{RingPartition, RingPoint};
         let part = RingPartition::from_positions(vec![RingPoint::new(0.0), RingPoint::new(0.5)]);
-        let space = RingSpace::with_ownership(part, geo2c_ring::Ownership::Successor);
+        let space = RingSpace::from_partition(part);
         let loads = [0u32; 2];
         let mut rng = Xoshiro256pp::from_u64(6);
         // Arcs are exactly 0.5/0.5 — sizes tie, so both policies reduce to

@@ -10,10 +10,11 @@
 //! * [`partition`] — [`RingPartition`]: the sorted server set with
 //!   `O(1)`-expected point-to-owner lookup (a division-free integer
 //!   bucket pick, then a branch-free count over the bucket's first
-//!   slots; `O(log n)` worst case) under two ownership conventions
-//!   (clockwise successor, as in Chord/consistent hashing, and symmetric
-//!   nearest neighbour), plus arc-length queries used by the region-aware
-//!   tie-breaking strategies of the paper's Table 3.
+//!   slots; `O(log n)` worst case) under the clockwise-successor
+//!   convention of Chord and consistent hashing, plus arc-length queries
+//!   used by the region-aware tie-breaking strategies of the paper's
+//!   Table 3. (The nearest-site circle, 1-D Voronoi cells, is
+//!   `geo2c_torus::KdSites<1>`.)
 //! * [`tail`] — executable versions of the paper's Lemmas 4, 5 and 6:
 //!   tail bounds on the number of long arcs and on the total length of the
 //!   `a` longest arcs. These are the load-bearing probabilistic facts behind
@@ -24,7 +25,7 @@
 //! Chord-style DHT application crate (`geo2c-dht`).
 //!
 //! ```
-//! use geo2c_ring::{Ownership, RingPartition, RingPoint};
+//! use geo2c_ring::{RingPartition, RingPoint};
 //! use geo2c_util::rng::Xoshiro256pp;
 //!
 //! // n random servers induce n arcs that exactly partition the circle
@@ -35,7 +36,7 @@
 //! assert!((total - 1.0).abs() < 1e-9);
 //! // ...and every probe point is owned by its clockwise successor, as
 //! // in consistent hashing (Theorem 1's charging rule).
-//! let owner = ring.owner(RingPoint::new(0.5), Ownership::Successor);
+//! let owner = ring.successor_index(RingPoint::new(0.5));
 //! assert!(ring.arc_length(owner) > 0.0);
 //! ```
 
@@ -48,5 +49,5 @@ pub mod point;
 pub mod spacings;
 pub mod tail;
 
-pub use partition::{Ownership, RingPartition};
+pub use partition::RingPartition;
 pub use point::RingPoint;

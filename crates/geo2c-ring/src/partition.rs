@@ -14,43 +14,25 @@
 //! adversarially clustered inputs, so the worst case stays `O(log n)`.
 //! [`RingPartition::successor_index_binary`] keeps the plain
 //! `partition_point` binary search as the oracle the property tests pin
-//! the fast path against. Two ownership conventions are provided:
+//! the fast path against.
 //!
-//! * [`Ownership::Successor`] — a point belongs to the first server at or
-//!   after it in the clockwise direction. This is the consistent-hashing /
-//!   Chord convention, and (up to reflection) the paper's "counterclockwise
-//!   arc" convention: server `i` owns the arc `(p_{i-1}, p_i]`, whose length
-//!   is the gap to its predecessor.
-//! * [`Ownership::Nearest`] — a point belongs to the closest server under
-//!   the symmetric ring distance, i.e. the 1-D Voronoi cell
-//!   `(p_i − g_prev/2, p_i + g_next/2]`.
-//!
-//! Every distributional statement in the paper is invariant under the choice
-//! (both make the bin-size vector a function of the i.i.d. uniform gaps);
-//! the experiments default to `Successor` to match the DHT application.
+//! One ownership convention is provided, the paper's: a point belongs to
+//! the first server at or after it in the clockwise direction. This is
+//! the consistent-hashing / Chord convention and (up to reflection) the
+//! paper's "counterclockwise arc" convention: server `i` owns the arc
+//! `(p_{i-1}, p_i]`, whose length is the gap to its predecessor. The
+//! nearest-site circle (1-D Voronoi cells) is `geo2c_torus::KdSites<1>`.
 
 use crate::point::RingPoint;
 use rand::Rng;
+use std::cmp::Ordering;
 
-/// How a probe point on the circle is mapped to an owning server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Ownership {
-    /// Clockwise successor (consistent hashing / Chord; the paper's arcs).
-    #[default]
-    Successor,
-    /// Symmetric nearest neighbour (1-D Voronoi cells).
-    Nearest,
-}
-
-/// `n` servers placed on the unit circle, with `O(log n)` ownership queries
-/// and per-server region sizes.
+/// `n` servers placed on the unit circle, with `O(1)`-expected successor
+/// queries and per-server arc lengths.
 #[derive(Debug, Clone)]
 pub struct RingPartition {
-    /// Server positions, sorted ascending by coordinate. Index in this
-    /// vector is the server id used throughout the workspace.
-    positions: Vec<RingPoint>,
-    /// Raw coordinates of `positions` (structure-of-arrays copy): the
-    /// successor scan touches only this dense `f64` array.
+    /// Server coordinates, sorted ascending. Index in this vector is the
+    /// server id used throughout the workspace.
     coords: Vec<f64>,
     /// Bucket accelerant: `bucket_first[b]` is the first index `i` with
     /// `bucket_of(coords[i], n) ≥ b`, for `n` buckets
@@ -90,9 +72,7 @@ impl RingPartition {
     #[must_use]
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         assert!(n > 0, "a ring partition needs at least one server");
-        let mut positions: Vec<RingPoint> = (0..n).map(|_| RingPoint::random(rng)).collect();
-        positions.sort();
-        Self::index(positions)
+        Self::index((0..n).map(|_| RingPoint::random(rng).coord()).collect())
     }
 
     /// Builds a partition from explicit positions (sorted internally).
@@ -100,22 +80,24 @@ impl RingPartition {
     /// # Panics
     /// Panics if `positions` is empty.
     #[must_use]
-    pub fn from_positions(mut positions: Vec<RingPoint>) -> Self {
+    pub fn from_positions(positions: Vec<RingPoint>) -> Self {
         assert!(
             !positions.is_empty(),
             "a ring partition needs at least one server"
         );
-        positions.sort();
-        Self::index(positions)
+        Self::index(positions.into_iter().map(RingPoint::coord).collect())
     }
 
-    /// Builds the bucket accelerant over already-sorted positions: one
-    /// pass files each coordinate under [`bucket_of`], so the index and
-    /// the queries share one bucket function.
-    fn index(positions: Vec<RingPoint>) -> Self {
-        let n = positions.len();
+    /// Sorts the coordinates and builds the bucket accelerant: one pass
+    /// files each coordinate under [`bucket_of`], so the index and the
+    /// queries share one bucket function.
+    fn index(mut coords: Vec<f64>) -> Self {
+        let n = coords.len();
         assert!(u32::try_from(n).is_ok(), "too many servers");
-        let coords: Vec<f64> = positions.iter().map(|p| p.coord()).collect();
+        // Canonical coordinates are finite, so `partial_cmp` never fails
+        // and this stable sort gives `Vec<RingPoint>::sort`'s order; the
+        // infallible comparator compiles to the plain `<` that one uses.
+        coords.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         let mut bucket_first = Vec::with_capacity(n + 1);
         for (i, &c) in coords.iter().enumerate() {
             // Sorted coords have non-decreasing buckets, so this only
@@ -124,7 +106,6 @@ impl RingPartition {
         }
         bucket_first.resize(n + 1, n as u32);
         Self {
-            positions,
             coords,
             bucket_first,
         }
@@ -133,7 +114,7 @@ impl RingPartition {
     /// Number of servers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.coords.len()
     }
 
     /// Always false: construction requires at least one server.
@@ -142,16 +123,10 @@ impl RingPartition {
         false
     }
 
-    /// All server positions in ascending order.
-    #[must_use]
-    pub fn positions(&self) -> &[RingPoint] {
-        &self.positions
-    }
-
     /// Position of server `i`.
     #[must_use]
     pub fn position(&self, i: usize) -> RingPoint {
-        self.positions[i]
+        RingPoint::new(self.coords[i])
     }
 
     /// Index of the clockwise successor of `p`: the first server at
@@ -254,85 +229,32 @@ impl RingPartition {
         }
     }
 
-    /// Batched [`Self::owner`]: the staged successor batch for
-    /// [`Ownership::Successor`]; the per-point query in a plain loop for
-    /// [`Ownership::Nearest`] (not on the simulation hot path).
-    ///
-    /// # Panics
-    /// Panics if `points.len() != out.len()`.
-    pub fn owners_into(&self, points: &[RingPoint], ownership: Ownership, out: &mut [usize]) {
-        match ownership {
-            Ownership::Successor => self.successor_indices_into(points, out),
-            Ownership::Nearest => {
-                assert_eq!(points.len(), out.len(), "output sized for the points");
-                for (slot, &p) in out.iter_mut().zip(points.iter()) {
-                    *slot = self.nearest_index(p);
-                }
-            }
-        }
-    }
-
     /// The plain `partition_point` binary search (`O(log n)`): the oracle
     /// [`Self::successor_index`] is validated against, kept for tests,
     /// ablation benches, and as a reference implementation.
     #[must_use]
     pub fn successor_index_binary(&self, p: RingPoint) -> usize {
-        let idx = self.positions.partition_point(|s| s.coord() < p.coord());
-        if idx == self.positions.len() {
+        let idx = self.coords.partition_point(|&c| c < p.coord());
+        if idx == self.coords.len() {
             0
         } else {
             idx
         }
     }
 
-    /// Index of the server nearest to `p` under the symmetric ring
-    /// distance. Ties (equidistant predecessor/successor) go to the
-    /// successor, deterministically.
-    #[must_use]
-    pub fn nearest_index(&self, p: RingPoint) -> usize {
-        let n = self.positions.len();
-        if n == 1 {
-            return 0;
-        }
-        let succ = self.successor_index(p);
-        let pred = (succ + n - 1) % n;
-        let d_succ = p.distance(self.positions[succ]);
-        let d_pred = p.distance(self.positions[pred]);
-        if d_pred < d_succ {
-            pred
-        } else {
-            succ
-        }
-    }
-
-    /// Owner of `p` under the given convention.
-    #[must_use]
-    pub fn owner(&self, p: RingPoint, ownership: Ownership) -> usize {
-        match ownership {
-            Ownership::Successor => self.successor_index(p),
-            Ownership::Nearest => self.nearest_index(p),
-        }
-    }
-
-    /// Length of the arc `(p_{i-1}, p_i]` owned by server `i` under
-    /// [`Ownership::Successor`]; the full circle when `n == 1`.
+    /// Length of the arc `(p_{i-1}, p_i]` owned by server `i`; the full
+    /// circle when every server sits at one point (`n == 1` included),
+    /// where server 0 owns everything.
     #[must_use]
     pub fn arc_length(&self, i: usize) -> f64 {
-        let n = self.positions.len();
-        if n == 1 {
-            return 1.0;
-        }
+        let n = self.coords.len();
         let pred = (i + n - 1) % n;
-        let gap = self.positions[pred].clockwise_to(self.positions[i]);
-        // Adjacent duplicates make a zero gap; the wrap gap of the first
-        // server after the last is what clockwise_to already returns.
-        if i == 0 && gap == 0.0 && self.positions[pred] == self.positions[i] {
-            // All servers at one point: server 0 owns everything.
-            return if self.positions.iter().all(|&q| q == self.positions[0]) {
-                1.0
-            } else {
-                0.0
-            };
+        let gap = self.position(pred).clockwise_to(self.position(i));
+        // Adjacent duplicates make a zero gap. At server 0 the gap wraps
+        // from the largest coordinate, so it is zero only when the
+        // sorted coordinates all coincide.
+        if i == 0 && gap == 0.0 {
+            return 1.0;
         }
         gap
     }
@@ -341,27 +263,6 @@ impl RingPartition {
     #[must_use]
     pub fn arc_lengths(&self) -> Vec<f64> {
         (0..self.len()).map(|i| self.arc_length(i)).collect()
-    }
-
-    /// Size of the region owned by server `i` under `ownership`:
-    /// the successor arc, or the 1-D Voronoi cell (half of each adjacent
-    /// gap). Both variants sum to 1 over all servers.
-    #[must_use]
-    pub fn region_size(&self, i: usize, ownership: Ownership) -> f64 {
-        match ownership {
-            Ownership::Successor => self.arc_length(i),
-            Ownership::Nearest => {
-                let n = self.positions.len();
-                if n == 1 {
-                    return 1.0;
-                }
-                let next = (i + 1) % n;
-                let g_prev = self.arc_length(i);
-                let g_next = self.positions[i].clockwise_to(self.positions[next]);
-                let g_next = if next == i { 1.0 } else { g_next };
-                (g_prev + g_next) / 2.0
-            }
-        }
     }
 }
 
@@ -389,33 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_basic_and_wrap() {
-        let part = fixed();
-        assert_eq!(part.nearest_index(RingPoint::new(0.12)), 0);
-        assert_eq!(part.nearest_index(RingPoint::new(0.3)), 1);
-        assert_eq!(part.nearest_index(RingPoint::new(0.97)), 0); // 0.13 to 0.1 via wrap vs 0.17 to 0.8
-        assert_eq!(part.nearest_index(RingPoint::new(0.92)), 2);
-    }
-
-    #[test]
     fn arc_lengths_sum_to_one() {
         let mut rng = Xoshiro256pp::from_u64(5);
         for n in [1usize, 2, 3, 17, 256] {
             let part = RingPartition::random(n, &mut rng);
             let total: f64 = part.arc_lengths().iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "n={n}: arcs sum to {total}");
-        }
-    }
-
-    #[test]
-    fn voronoi_regions_sum_to_one() {
-        let mut rng = Xoshiro256pp::from_u64(6);
-        for n in [1usize, 2, 5, 64] {
-            let part = RingPartition::random(n, &mut rng);
-            let total: f64 = (0..n)
-                .map(|i| part.region_size(i, Ownership::Nearest))
-                .sum();
-            assert!((total - 1.0).abs() < 1e-9, "n={n}: cells sum to {total}");
         }
     }
 
@@ -433,9 +313,7 @@ mod tests {
     fn single_server_owns_everything() {
         let part = RingPartition::from_positions(vec![RingPoint::new(0.5)]);
         assert_eq!(part.successor_index(RingPoint::new(0.99)), 0);
-        assert_eq!(part.nearest_index(RingPoint::new(0.0)), 0);
         assert_eq!(part.arc_length(0), 1.0);
-        assert_eq!(part.region_size(0, Ownership::Nearest), 1.0);
     }
 
     #[test]
@@ -458,41 +336,71 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_linear_scan() {
-        let mut rng = Xoshiro256pp::from_u64(8);
-        let part = RingPartition::random(50, &mut rng);
-        for _ in 0..2000 {
-            let p = RingPoint::random(&mut rng);
-            let fast = part.nearest_index(p);
-            let slow_dist = (0..part.len())
-                .map(|i| p.distance(part.position(i)))
-                .fold(f64::INFINITY, f64::min);
+    fn region_fractions_match_hit_rates() {
+        // Monte-Carlo: the empirical probability of hitting each arc
+        // should approximate its length.
+        let mut rng = Xoshiro256pp::from_u64(9);
+        let part = RingPartition::random(8, &mut rng);
+        let mut hits = vec![0u32; part.len()];
+        let samples = 200_000;
+        for _ in 0..samples {
+            hits[part.successor_index(RingPoint::random(&mut rng))] += 1;
+        }
+        for (i, &h) in hits.iter().enumerate() {
+            let expected = part.arc_length(i);
+            let got = f64::from(h) / f64::from(samples);
             assert!(
-                (p.distance(part.position(fast)) - slow_dist).abs() < 1e-12,
-                "nearest mismatch at {}",
-                p.coord()
+                (got - expected).abs() < 0.01,
+                "server {i}: arc {expected} vs hit rate {got}"
             );
         }
     }
 
+    /// The arc of server `i` as first principles define it: the clockwise
+    /// gap from its predecessor, or the whole circle when every server
+    /// sits at one point.
+    fn reference_arc(part: &RingPartition, i: usize) -> f64 {
+        let n = part.len();
+        if i == 0 && (0..n).all(|j| part.position(j) == part.position(0)) {
+            return 1.0;
+        }
+        part.position((i + n - 1) % n)
+            .clockwise_to(part.position(i))
+    }
+
     #[test]
-    fn region_fractions_match_hit_rates() {
-        // Monte-Carlo: the empirical probability of hitting each region
-        // should approximate its size, for both ownership conventions.
-        let mut rng = Xoshiro256pp::from_u64(9);
-        let part = RingPartition::random(8, &mut rng);
-        for ownership in [Ownership::Successor, Ownership::Nearest] {
-            let mut hits = vec![0u32; part.len()];
-            let samples = 200_000;
-            for _ in 0..samples {
-                hits[part.owner(RingPoint::random(&mut rng), ownership)] += 1;
-            }
-            for (i, &h) in hits.iter().enumerate() {
-                let expected = part.region_size(i, ownership);
-                let got = f64::from(h) / f64::from(samples);
-                assert!(
-                    (got - expected).abs() < 0.01,
-                    "{ownership:?} server {i}: size {expected} vs hit rate {got}"
+    fn arc_length_matches_the_predecessor_gap_bit_for_bit() {
+        let top = 1.0 - f64::EPSILON / 2.0;
+        let mut layouts: Vec<Vec<f64>> = vec![
+            vec![0.3],
+            vec![0.0],
+            vec![top],
+            vec![0.4; 5],
+            vec![0.0; 3],
+            vec![top; 2],
+            vec![0.0, top],
+            vec![0.0, 0.0, top, top],
+            vec![0.1, 0.1, 0.1, 0.6],
+            vec![0.2, 0.5, 0.5, 0.5, 0.9, 0.9],
+        ];
+        let mut rng = Xoshiro256pp::from_u64(10);
+        for n in [1usize, 2, 3, 17, 256] {
+            layouts.push((0..n).map(|_| rng.gen::<f64>()).collect());
+            // Random layouts with duplicate runs.
+            layouts.push(
+                (0..n)
+                    .map(|_| f64::from(rng.gen_range(0..8u32)) / 8.0)
+                    .collect(),
+            );
+        }
+        for coords in layouts {
+            let part =
+                RingPartition::from_positions(coords.iter().map(|&x| RingPoint::new(x)).collect());
+            for i in 0..part.len() {
+                assert_eq!(
+                    part.arc_length(i).to_bits(),
+                    reference_arc(&part, i).to_bits(),
+                    "server {i} of {coords:?}"
                 );
             }
         }

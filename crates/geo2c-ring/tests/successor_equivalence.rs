@@ -7,7 +7,7 @@
 //! [`RingPartition::successor_index_binary`] on *any* input is a bug, not
 //! noise, so the comparison is exact index equality.
 
-use geo2c_ring::{Ownership, RingPartition, RingPoint};
+use geo2c_ring::{RingPartition, RingPoint};
 use proptest::prelude::*;
 
 /// Uniformly spread positions: the layout the accelerant is tuned for.
@@ -106,25 +106,8 @@ proptest! {
     fn single_server_owns_every_probe(probe in 0.0f64..1.0, pos in 0.0f64..1.0) {
         let part = RingPartition::from_positions(vec![RingPoint::new(pos)]);
         prop_assert_eq!(part.successor_index(RingPoint::new(probe)), 0);
-        prop_assert_eq!(part.owner(RingPoint::new(probe), Ownership::Nearest), 0);
     }
 
-    #[test]
-    fn owner_conventions_agree_with_oracle_derived_owner(
-        positions in uniform_positions(),
-        probe in 0.0f64..1.0,
-    ) {
-        // The public owner() entry point must route through the same
-        // successor answer the oracle gives.
-        let part = RingPartition::from_positions(
-            positions.iter().map(|&x| RingPoint::new(x)).collect(),
-        );
-        let p = RingPoint::new(probe);
-        prop_assert_eq!(
-            part.owner(p, Ownership::Successor),
-            part.successor_index_binary(p)
-        );
-    }
 }
 
 /// The neighbouring `f64`s of a non-negative `x`: one ulp down (none at
@@ -137,21 +120,6 @@ fn ulp_neighbours(x: f64) -> impl Iterator<Item = f64> {
         .filter(|&y| y < 1.0)
 }
 
-/// [`RingPartition::nearest_index`] rebuilt on the binary-search oracle.
-fn nearest_by_oracle(part: &RingPartition, p: RingPoint) -> usize {
-    let n = part.len();
-    if n == 1 {
-        return 0;
-    }
-    let succ = part.successor_index_binary(p);
-    let pred = (succ + n - 1) % n;
-    if p.distance(part.position(pred)) < p.distance(part.position(succ)) {
-        pred
-    } else {
-        succ
-    }
-}
-
 /// Every query path against the oracle at every probe, exactly.
 fn check_every_path(part: &RingPartition, probes: &[f64]) {
     let points: Vec<RingPoint> = probes.iter().map(|&x| RingPoint::new(x)).collect();
@@ -162,11 +130,6 @@ fn check_every_path(part: &RingPartition, probes: &[f64]) {
         let n = part.len();
         assert_eq!(part.successor_index(p), oracle, "n={n} successor at {p}");
         assert_eq!(batch, oracle, "n={n} batched successor at {p}");
-        assert_eq!(
-            part.nearest_index(p),
-            nearest_by_oracle(part, p),
-            "n={n} nearest at {p}"
-        );
     }
 }
 

@@ -118,10 +118,12 @@ impl FaultPlan {
     /// `1..=2·mean_downtime`, so the mean is `mean_downtime + ½`) from
     /// `SplitMix64::mixed(root, i, FAULT_TAG)`, then schedules the
     /// matching recovery — a pure function of `(root, i)`, replayable
-    /// independently of every other lane.
+    /// independently of every other lane. A recovery past the end of the
+    /// clock is filed at `u64::MAX`, never wrapped before its crash.
     ///
     /// # Panics
-    /// Panics if `n`, `horizon`, or `mean_downtime` is zero.
+    /// Panics if `n`, `horizon`, or `mean_downtime` is zero, or if
+    /// `mean_downtime` exceeds `u64::MAX / 2`.
     #[must_use]
     pub fn random_churn(
         root: u64,
@@ -131,6 +133,10 @@ impl FaultPlan {
         mean_downtime: u64,
     ) -> Self {
         assert!(n > 0 && horizon > 0 && mean_downtime > 0);
+        assert!(
+            mean_downtime <= u64::MAX / 2,
+            "mean downtime above u64::MAX / 2"
+        );
         let mut events = Vec::with_capacity(faults * 2);
         for i in 0..faults {
             let mut lane = SplitMix64::mixed(root, i as u64, FAULT_TAG);
@@ -138,7 +144,7 @@ impl FaultPlan {
             let server = (lane.next_u64() % n as u64) as usize;
             let downtime = 1 + lane.next_u64() % (2 * mean_downtime);
             events.push((at, FaultAction::Crash(server)));
-            events.push((at + downtime, FaultAction::Recover(server)));
+            events.push((at.saturating_add(downtime), FaultAction::Recover(server)));
         }
         Self::new(events)
     }
@@ -244,6 +250,35 @@ mod tests {
             .filter(|&&(at, a)| at == 20 && matches!(a, FaultAction::Recover(_)))
             .count();
         assert_eq!(recovers, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean downtime above u64::MAX / 2")]
+    fn random_churn_rejects_a_mean_downtime_whose_range_overflows() {
+        let _ = FaultPlan::random_churn(3, 8, 100, 4, u64::MAX / 2 + 1);
+    }
+
+    #[test]
+    fn random_churn_saturates_recoveries_at_the_end_of_the_clock() {
+        // Crashes anywhere on a clock of u64::MAX with the longest
+        // accepted downtimes: every recovery that would pass the end of
+        // the clock is filed at u64::MAX, after its crash, so each
+        // server's last action brings it back.
+        let n = 4;
+        let plan = FaultPlan::random_churn(5, n, u64::MAX, 64, u64::MAX / 2);
+        assert_eq!(plan.len(), 128);
+        let saturated =
+            |&(at, a): &(u64, FaultAction)| at == u64::MAX && matches!(a, FaultAction::Recover(_));
+        assert!(plan.events().iter().any(saturated), "no recovery saturated");
+        for server in 0..n {
+            let last = plan.events().iter().rev().find(|&&(_, a)| {
+                matches!(a, FaultAction::Crash(s) | FaultAction::Recover(s) if s == server)
+            });
+            assert!(
+                !matches!(last, Some((_, FaultAction::Crash(_)))),
+                "server {server} ends down"
+            );
+        }
     }
 
     #[test]

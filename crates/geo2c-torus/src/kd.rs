@@ -845,18 +845,27 @@ mod tests {
 
     #[test]
     fn kd1_matches_ring_nearest_ownership() {
-        use geo2c_ring::{Ownership, RingPartition, RingPoint};
+        use geo2c_ring::{RingPartition, RingPoint};
         let mut rng = Xoshiro256pp::from_u64(3);
         let coords: Vec<f64> = (0..50).map(|_| rng.gen::<f64>()).collect();
         let sites = KdSites::<1>::from_points(coords.iter().map(|&x| KdPoint::new([x])).collect());
         let part =
             RingPartition::from_positions(coords.iter().map(|&x| RingPoint::new(x)).collect());
+        // The ring's 1-D nearest site: the closer of the probe's clockwise
+        // successor and that server's predecessor.
+        let ring_nearest = |p: RingPoint| {
+            let succ = part.successor_index(p);
+            let pred = (succ + part.len() - 1) % part.len();
+            if p.distance(part.position(pred)) < p.distance(part.position(succ)) {
+                pred
+            } else {
+                succ
+            }
+        };
         for _ in 0..500 {
             let x = rng.gen::<f64>();
             let kd_owner_pos = sites.point(sites.owner(&KdPoint::new([x]))).coords[0];
-            let ring_owner_pos = part
-                .position(part.owner(RingPoint::new(x), Ownership::Nearest))
-                .coord();
+            let ring_owner_pos = part.position(ring_nearest(RingPoint::new(x))).coord();
             assert!(
                 (kd_owner_pos - ring_owner_pos).abs() < 1e-12
                     // allow exact ties resolved differently

@@ -2,7 +2,7 @@
 //!
 //! The Section-3 substrate is [`KdSites<2>`]: `n` servers at uniform
 //! random positions, where a probe point belongs to its nearest server —
-//! i.e. the servers' Voronoi cells are the bins. Ownership and radius
+//! i.e. the servers' Voronoi cells are the bins. Owner and radius
 //! queries are the ones every torus dimension shares ([`crate::kd`]);
 //! this module adds the geometry only the 2-D torus has, an exact
 //! construction of each cell.

@@ -439,7 +439,6 @@ pub struct EventLanes {
     balls: BallLanes,
     life_root: u64,
     retry_root: u64,
-    base: u64,
 }
 
 impl EventLanes {
@@ -450,7 +449,6 @@ impl EventLanes {
             balls: BallLanes::new(root),
             life_root: mix(root ^ LIFE_TAG),
             retry_root: mix(root ^ RETRY_TAG),
-            base: 0,
         }
     }
 
@@ -458,7 +456,7 @@ impl EventLanes {
     #[inline]
     #[must_use]
     pub fn life(&self, event: u64) -> SplitMix64 {
-        BallLanes::lane(self.life_root, self.base.wrapping_add(event))
+        BallLanes::lane(self.life_root, self.balls.base.wrapping_add(event))
     }
 
     /// The probe-retry lane for event `event`: retry attempt `j` draws
@@ -468,7 +466,7 @@ impl EventLanes {
     #[inline]
     #[must_use]
     pub fn retry(&self, event: u64) -> SplitMix64 {
-        BallLanes::lane(self.retry_root, self.base.wrapping_add(event))
+        BallLanes::lane(self.retry_root, self.balls.base.wrapping_add(event))
     }
 }
 
@@ -488,9 +486,7 @@ impl LaneSource for EventLanes {
     fn block(&self, first_event: u64) -> Self {
         Self {
             balls: self.balls.block(first_event),
-            life_root: self.life_root,
-            retry_root: self.retry_root,
-            base: self.base.wrapping_add(first_event),
+            ..*self
         }
     }
 }

@@ -5,7 +5,7 @@
 use two_choices::core::sim::run_trial;
 use two_choices::core::space::{RingSpace, Space, TorusSpace};
 use two_choices::core::strategy::{Strategy, TieBreak};
-use two_choices::ring::{Ownership, RingPartition, RingPoint};
+use two_choices::ring::{RingPartition, RingPoint};
 use two_choices::torus::{KdPoint, KdSites};
 use two_choices::util::rng::Xoshiro256pp;
 
@@ -31,7 +31,7 @@ fn nearly_coincident_ring_servers() {
     let part = RingPartition::from_positions(positions);
     let total: f64 = part.arc_lengths().iter().sum();
     assert!((total - 1.0).abs() < 1e-9);
-    let space = RingSpace::with_ownership(part, Ownership::Successor);
+    let space = RingSpace::from_partition(part);
     for strategy in all_strategies() {
         let r = run_trial(&space, &strategy, 256, &mut rng);
         assert_eq!(r.total_balls(), 256, "{}", strategy.label());
@@ -54,7 +54,7 @@ fn exactly_coincident_ring_servers() {
     assert!((total - 1.0).abs() < 1e-12);
     let mut rng = Xoshiro256pp::from_u64(2);
     for _ in 0..500 {
-        let owner = part.owner(RingPoint::random(&mut rng), Ownership::Successor);
+        let owner = part.successor_index(RingPoint::random(&mut rng));
         assert!(owner < 4);
     }
 }
@@ -141,7 +141,7 @@ fn probes_on_exact_server_positions() {
     let part =
         RingPartition::from_positions((0..8).map(|i| RingPoint::new(i as f64 / 8.0)).collect());
     for i in 0..8 {
-        let owner = part.owner(RingPoint::new(i as f64 / 8.0), Ownership::Successor);
+        let owner = part.successor_index(RingPoint::new(i as f64 / 8.0));
         assert_eq!(part.position(owner).coord(), i as f64 / 8.0);
     }
 }
