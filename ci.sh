@@ -34,10 +34,16 @@ cargo build --release
 # departure gather is pending, while the image is pending, after its
 # rotation but before the compaction, after the compaction's rewrite
 # but before its set_len), decoder robustness (hostile residue files
-# included), the checkpoint writer's byte identity (staged images
-# included, durability-size images durable at their boundary, and the
-# two-scheduler chain: wheel and heap engines writing identical
-# checkpoint.bin files through crashes and a resume), the wheel-vs-heap
+# included), the checkpoint writer's byte identity against a reference
+# codec and a bit-at-a-time reference CRC (staged images included, the
+# load section's 8-load word edges, durability-size images durable at
+# their boundary, and the two-scheduler chain: wheel and heap engines
+# writing identical checkpoint.bin files through crashes and a resume),
+# the checkpoint image pins (a 103-byte image, and a multi-lane image of
+# 2^13 servers far past the CRC's lane threshold, staged writer
+# included), the four-lane CRC (against the bytewise reference up to
+# 256 KiB at every start offset, split on and beside its lane seams, and
+# its lane shift against a run over zero bytes), the wheel-vs-heap
 # oracle (the sliced gather against the heap's entries at its mark, and
 # the chain-of-marks arm: every merged image of three to five marks on
 # one wheel against the heap's entries at that mark), and torus owner

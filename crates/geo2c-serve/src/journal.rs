@@ -90,8 +90,8 @@
 //! `durability` experiment size — is written whole inside the boundary
 //! call, so it is durable before that call returns, exactly as if it
 //! were not staged. A larger image costs the boundary only the snapshot;
-//! 2^16 servers with about as many sessions take 9 chunks after it, and
-//! 13 for an image gathered whole (the `serve_durable_churn` benchmark
+//! 2^16 servers with about as many sessions take 7 chunks after it, and
+//! 11 for an image gathered whole (the `serve_durable_churn` benchmark
 //! workload, counts set by work units, never by wall time). A boundary
 //! reached while an image is still pending finishes it first, and so does
 //! [`DurableEngine::checkpoint_now`] before it writes its own image
@@ -180,7 +180,7 @@ use crate::engine::{
 };
 use crate::fault::FaultPlan;
 use crate::wheel::{ceil_div, DepartureKeys, DepartureQueue, DepartureWheel};
-use geo2c_core::load::{LoadRead, LoadState};
+use geo2c_core::load::LoadState;
 use geo2c_core::space::Space;
 use geo2c_util::frame::{self, scan_frames, Crc32, Header, HeaderError, Tail};
 use geo2c_util::rng::mix;
@@ -365,7 +365,7 @@ pub fn encode_state(state: &EngineState) -> Vec<u8> {
     let mut w = Cursor::at(&mut out, 0);
     write_head(&mut w, &state.counters, &state.retry, state.peak_load, n);
     let mut bits = vec![0u8; (n + 7) / 8];
-    write_loads(&mut w, &state.loads[..], 0..n, &mut bits);
+    write_loads(&mut w, &state.loads, 0..n, &mut bits);
     write_bits(&mut w, &bits, state.departures.len());
     write_departures(&mut w, &mut 0, state.departures.iter().copied());
     let len = w.at;
@@ -409,21 +409,38 @@ fn write_head(w: &mut Cursor<'_>, counters: &Counters, retry: &RetryStats, peak:
 }
 
 /// The loads of `servers`, marking each failed one in the failure
-/// bitset `bits` (bit `s` of byte `s / 8`).
-fn write_loads<L: LoadRead + ?Sized>(
-    w: &mut Cursor<'_>,
-    loads: &L,
-    servers: Range<usize>,
-    bits: &mut [u8],
-) {
-    for s in servers {
-        let load = loads.load(s);
-        w.room(MAX_VAR_U32);
-        w.var(u64::from(load));
+/// bitset `bits` (bit `s` of byte `s / 8`). Eight loads whose OR is below
+/// 0x80 are eight one-byte varints and no failure sentinel, so they go
+/// out as one 8-byte store; a word with a wider load takes them one at a
+/// time.
+fn write_loads(w: &mut Cursor<'_>, loads: &[u32], servers: Range<usize>, bits: &mut [u8]) {
+    w.room(MAX_VAR_U32 * servers.len());
+    let (out, mut at) = (&mut w.out[..], w.at);
+    let mut s = servers.start;
+    let mut words = loads[servers].chunks_exact(8);
+    for word in &mut words {
+        if word.iter().fold(0, |or, &load| or | load) < 0x80 {
+            let bytes: [u8; 8] = std::array::from_fn(|i| word[i] as u8);
+            out[at..at + 8].copy_from_slice(&bytes);
+            at += 8;
+        } else {
+            at = put_loads(out, at, bits, s, word);
+        }
+        s += 8;
+    }
+    w.at = put_loads(out, at, bits, s, words.remainder());
+}
+
+/// `loads` of the servers from `first` on, one varint each into `out`
+/// from `at`, marking the failed ones in `bits`; returns the end.
+fn put_loads(out: &mut [u8], mut at: usize, bits: &mut [u8], first: usize, loads: &[u32]) -> usize {
+    for (s, &load) in (first..).zip(loads) {
         if load == FAILED_LOAD {
             bits[s / 8] |= 1 << (s % 8);
         }
+        at = put_var(out, at, u64::from(load));
     }
+    at
 }
 
 /// The failure bitset — redundant with the sentinel loads, and kept so
@@ -454,8 +471,7 @@ fn write_departures(
             .checked_sub(prev)
             .expect("departures must be visited in ascending order");
         w.room(MAX_VAR + MAX_VAR_U32);
-        w.var(delta);
-        w.var(u64::from(server));
+        w.at = put_departure(w.out, w.at, delta, u64::from(server), server < 1 << 28);
         prev = when;
     }
     *prev_when = prev;
@@ -477,16 +493,73 @@ fn write_packed_departures(
     };
     let mask = (1u64 << bits) - 1;
     let widest = var_len(base + (last >> bits) - *prev_when) + var_len(mask);
-    w.room(keys.len() * widest);
+    // The last server's 4-byte store may reach 3 bytes past its varint.
+    w.room(keys.len() * widest + 3);
+    let (out, mut at) = (&mut w.out[..], w.at);
+    // Hoisted, so the loop is specialised to its server width.
+    let narrow = bits <= 28;
     let mut prev = *prev_when;
     for &key in keys {
         let when = base + (key >> bits);
         debug_assert!(when >= prev, "departure keys out of order");
-        w.var(when - prev);
-        w.var(key & mask);
+        at = put_departure(out, at, when - prev, key & mask, narrow);
         prev = when;
     }
+    w.at = at;
     *prev_when = prev;
+}
+
+/// One departure into `out` from `at`, returning the end: its deadline's
+/// delta, almost always one byte (a predictable branch), then its
+/// server, written branch-free by [`put_var_u28`] when `narrow` says it
+/// is below 2^28. `out` must have room for both varints and 3 bytes more.
+#[inline(always)]
+fn put_departure(out: &mut [u8], mut at: usize, delta: u64, server: u64, narrow: bool) -> usize {
+    if delta < 0x80 {
+        out[at] = delta as u8;
+        at += 1;
+    } else {
+        at = put_var(out, at, delta);
+    }
+    if narrow {
+        put_var_u28(out, at, server as u32)
+    } else {
+        put_var(out, at, server)
+    }
+}
+
+/// LEB128 — 7 value bits per byte, high bit = continuation — of `value`
+/// into `out` from `at`; returns the end.
+#[inline]
+fn put_var(out: &mut [u8], mut at: usize, mut value: u64) -> usize {
+    while value >= 0x80 {
+        out[at] = (value as u8) | 0x80;
+        at += 1;
+        value >>= 7;
+    }
+    out[at] = value as u8;
+    at + 1
+}
+
+/// [`put_var`] of a `value` below 2^28, branch-free: its length comes
+/// from three compares and its bytes go out in one 4-byte store, so
+/// `out` must have 4 bytes from `at` whatever the length.
+#[inline]
+fn put_var_u28(out: &mut [u8], at: usize, value: u32) -> usize {
+    debug_assert!(value < 1 << 28);
+    let len = 1
+        + usize::from(value >= 0x80)
+        + usize::from(value >= 0x4000)
+        + usize::from(value >= 0x20_0000);
+    // The four 7-bit groups, one a byte, and the continuation bit of
+    // every byte before the last.
+    let groups = (value & 0x7F)
+        | (value << 1 & 0x7F00)
+        | (value << 2 & 0x7F_0000)
+        | (value << 3 & 0x7F00_0000);
+    let more = 0x0080_8080 & ((1 << (8 * (len - 1))) - 1);
+    out[at..at + 4].copy_from_slice(&(groups | more).to_le_bytes());
+    at + len
 }
 
 /// Bytes the LEB128 encoding of `value` takes.
@@ -527,16 +600,10 @@ impl<'a> Cursor<'a> {
         self.at = end;
     }
 
-    /// LEB128: 7 value bits per byte, high bit = continuation.
+    /// LEB128 ([`put_var`]).
     #[inline]
-    fn var(&mut self, mut value: u64) {
-        while value >= 0x80 {
-            self.out[self.at] = (value as u8) | 0x80;
-            self.at += 1;
-            value >>= 7;
-        }
-        self.out[self.at] = value as u8;
-        self.at += 1;
+    fn var(&mut self, value: u64) {
+        self.at = put_var(self.out, self.at, value);
     }
 }
 
@@ -687,32 +754,38 @@ impl<'a> Reader<'a> {
 ///
 /// | stage  | ns per unit |
 /// |--------|-------------|
-/// | gather | 1.1–1.5     |
-/// | sort   | 0.8–1.1     |
-/// | merge  | 1.1–1.5     |
-/// | loads  | 1.0–1.3     |
-/// | emit   | 1.0–1.2     |
-/// | CRC    | 1.1–1.2     |
-/// | files  | 0.9–1.1     |
+/// | gather | 0.9–1.3     |
+/// | sort   | 0.7–1.1     |
+/// | merge  | 1.0–1.5     |
+/// | loads  | 0.7–1.2     |
+/// | emit   | 0.7–1.3     |
+/// | CRC    | 0.8–1.1     |
+/// | files  | 0.7–1.2     |
 ///
 /// The gather row is the walk bounded by the previous mark, and the
-/// sort row the sort of the keys it packs, which fit in cache. A budget
-/// is therefore about 0.15–0.2 ms of work in any stage. An image of 2^12
+/// sort row the sort of the keys it packs, which fit in cache. The runs
+/// differ more than the stages within a run: in each run the loads, the
+/// emit and the CRC sit within 13% of the run's mean, and every stage
+/// within 16% but the merge, which reads 19–27% above it. A budget is
+/// therefore about 0.1–0.2 ms of work in any stage. An image of 2^12
 /// servers and their sessions — every test engine and every
 /// `durability` experiment size — is estimated at under 0.8 budgets even
 /// when gathered whole, so it is written whole inside the boundary call;
-/// the 2^16 image takes 8 budgets of encoding and its files land on the
-/// 9th chunk (just over 12 budgets and the 13th chunk when gathered
-/// whole).
+/// the 2^16 image takes just under 6 budgets of encoding and its files
+/// land on the 7th chunk (about 10 budgets and the 11th chunk when
+/// gathered whole).
 const CHECKPOINT_BUDGET: usize = 9 << 14;
-/// Units per server of the load section.
-const LOAD_COST: usize = 2;
-/// Units per departure of the departure emit.
-const EMIT_COST: usize = 7;
-/// The CRC stage charges [`CRC_COST`] units per this many payload bytes.
+/// Units per server of the load section: about 1 ns a load, most of them
+/// written eight to a word.
+const LOAD_COST: usize = 1;
+/// Units per departure of the departure emit: about 3.5–6.5 ns a
+/// departure.
+const EMIT_COST: usize = 5;
+/// The CRC stage charges [`CRC_COST`] units per this many payload bytes:
+/// about 0.3 ns a byte on [`Crc32`]'s four lanes.
 const CRC_BYTES: usize = 3;
 /// Units per [`CRC_BYTES`] payload bytes of the CRC stage.
-const CRC_COST: usize = 2;
+const CRC_COST: usize = 1;
 /// Units the file stage takes: the spare write, the rotation and the
 /// compaction run whole, in a chunk with at least this much budget left.
 const FILES_COST: usize = 3 << 15;
@@ -1388,7 +1461,7 @@ mod tests {
     }
 
     /// Appends `value` as a LEB128 varint, for hand-built payloads.
-    fn put_var(out: &mut Vec<u8>, mut value: u64) {
+    fn push_var(out: &mut Vec<u8>, mut value: u64) {
         while value >= 0x80 {
             out.push((value as u8) | 0x80);
             value >>= 7;
@@ -1459,6 +1532,52 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_lane_checkpoint_image_is_pinned() {
+        // 2^13 servers on one choice, no capacity bound and lives of
+        // about 2^24 events: the widest arcs hold loads past 0x80, three
+        // servers are down, and the image is far above the CRC's lane
+        // threshold. The length and CRC were recorded before the load
+        // section went word-at-a-time, the emit branch-free and the CRC
+        // four-lane, so they pin that all three left the bytes unchanged.
+        let n = 1 << 13;
+        let config = ServeConfig {
+            strategy: Strategy::d_choice(1),
+            capacity: None,
+            life: SessionLife::Exponential {
+                mean: f64::from(1 << 24),
+            },
+            retries: 0,
+        };
+        let mut engine = ServeEngine::new(space(n, 29), config, 4321);
+        engine.run(200_000);
+        for server in [7, 4096, 8191] {
+            engine.fail_server(server);
+        }
+        engine.run(60_000);
+        let state = engine.state();
+        let wide = state
+            .loads
+            .iter()
+            .filter(|&&l| (0x80..FAILED_LOAD).contains(&l));
+        assert!(wide.count() > 100, "too few two-byte loads");
+        let image = encode_state(&state);
+        assert_eq!((image.len(), frame::crc32(&image)), (892_847, 0x67EF_55D4));
+        // The staged writer emits the departures from packed keys, a
+        // path `encode_state` does not take: it writes the same bytes,
+        // sliced or whole.
+        let header = encoded_header(CHECKPOINT_MAGIC, [3, 4]);
+        let mut expected = header.to_vec();
+        append_frame(&mut expected, &image);
+        let mut staged = Staged::default();
+        for budget in [CHECKPOINT_BUDGET, usize::MAX] {
+            staged.snapshot(&mut engine);
+            while !staged.encode_some(&header, &mut engine, &mut budget.clone()) {}
+            assert!(staged.sealed() == &expected[..], "budget {budget}");
+            staged.stage = Stage::Idle;
+        }
+    }
+
+    #[test]
     fn staged_images_are_the_same_bytes_however_the_budget_slices_them() {
         // Failed servers and live sessions; budgets from one unit per
         // call (every stage, the CRC included, cut into many slices) to
@@ -1480,6 +1599,97 @@ mod tests {
                 assert!(budget >= 64 || calls > 10, "budget {budget}: {calls} calls");
                 assert_eq!(staged.sealed(), &expected[..], "budget {budget}");
                 staged.stage = Stage::Idle;
+            }
+        }
+    }
+
+    /// The bytes and failure bitset `write_loads` leaves for `loads`,
+    /// written a slice per range of `cuts` (each cut a range's start).
+    fn load_section(loads: &[u32], cuts: &[usize]) -> (Vec<u8>, Vec<u8>) {
+        let mut out = Vec::new();
+        let mut bits = vec![0u8; (loads.len() + 7) / 8];
+        let mut w = Cursor::at(&mut out, 0);
+        let ends = cuts[1..].iter().copied().chain([loads.len()]);
+        for (start, end) in cuts.iter().copied().zip(ends) {
+            write_loads(&mut w, loads, start..end, &mut bits);
+        }
+        let len = w.at;
+        out.truncate(len);
+        (out, bits)
+    }
+
+    #[test]
+    fn load_sections_written_in_slices_match_the_whole() {
+        // The staged writer starts a slice at any server, so its 8-load
+        // words fall anywhere: cut a mixed section at every pair of
+        // points and compare with one pass.
+        let mut loads: Vec<u32> = (0..37).map(|s| (s * 29) % 0x80).collect();
+        loads[9] = FAILED_LOAD;
+        loads[20] = 0x80;
+        loads[30] = 0x4000;
+        let whole = load_section(&loads, &[0]);
+        assert_eq!(whole.0.len(), 37 + 4 + 1 + 2);
+        for a in 0..=loads.len() {
+            for b in a..=loads.len() {
+                assert_eq!(load_section(&loads, &[0, a, b]), whole, "cuts {a}, {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn departure_emits_match_leb128_at_every_server_width() {
+        // Servers on both sides of every varint length bound, at server
+        // widths up to the 28 bits the branch-free store takes and past
+        // them, and deltas of zero to three bytes: the pair emit, and the
+        // packed emit cut at every key, against plain LEB128.
+        let base = 1000;
+        for bits in [1, 7, 8, 14, 15, 21, 22, 28, 29, 32] {
+            let top = (1u64 << bits) - 1;
+            let servers = [
+                0,
+                0x7F,
+                0x80,
+                0x3FFF,
+                0x4000,
+                0x1F_FFFF,
+                0x20_0000,
+                0xFFF_FFFF,
+                0x1000_0000,
+                top,
+            ];
+            let mut offset = 0;
+            let keys: Vec<u64> = (0..servers.len())
+                .map(|i| {
+                    offset += [0, 1, 0x7F, 0x80, 1 << 20][i % 5];
+                    offset << bits | servers[i].min(top)
+                })
+                .collect();
+            let pairs: Vec<(u64, u32)> = keys
+                .iter()
+                .map(|&k| (base + (k >> bits), (k & top) as u32))
+                .collect();
+            let mut want = Vec::new();
+            let mut prev = 0;
+            for &(when, server) in &pairs {
+                push_var(&mut want, when - prev);
+                push_var(&mut want, u64::from(server));
+                prev = when;
+            }
+            let mut got = Vec::new();
+            let mut w = Cursor::at(&mut got, 0);
+            write_departures(&mut w, &mut 0, pairs.iter().copied());
+            let len = w.at;
+            got.truncate(len);
+            assert_eq!(got, want, "bits {bits}: pairs");
+            for cut in 0..=keys.len() {
+                let mut got = Vec::new();
+                let mut w = Cursor::at(&mut got, 0);
+                let mut prev = 0;
+                write_packed_departures(&mut w, &mut prev, &keys[..cut], base, bits);
+                write_packed_departures(&mut w, &mut prev, &keys[cut..], base, bits);
+                let len = w.at;
+                got.truncate(len);
+                assert_eq!(got, want, "bits {bits}, cut {cut}");
             }
         }
     }
@@ -1526,7 +1736,7 @@ mod tests {
         // count no payload this short can hold must be refused before
         // anything is sized from it.
         let mut bytes = vec![STATE_VERSION, 0, 0, 0, 0, 0, 0, 0];
-        put_var(&mut bytes, 1 << 62);
+        push_var(&mut bytes, 1 << 62);
         assert!(bytes.len() < 20);
         assert!(matches!(decode_state(&bytes), Err(JournalError::Codec(_))));
         // The same for the server and departure counts of a real image.
@@ -1536,10 +1746,10 @@ mod tests {
         let n_at = 1 + 7 + 2 + 1;
         assert_eq!(good[n_at], 8);
         let mut huge_n = good[..n_at].to_vec();
-        put_var(&mut huge_n, u64::MAX >> 1);
+        push_var(&mut huge_n, u64::MAX >> 1);
         assert!(matches!(decode_state(&huge_n), Err(JournalError::Codec(_))));
         let mut huge_entries = good[..good.len() - 1].to_vec();
-        put_var(&mut huge_entries, 1 << 40);
+        push_var(&mut huge_entries, 1 << 40);
         assert!(matches!(
             decode_state(&huge_entries),
             Err(JournalError::Codec(_))

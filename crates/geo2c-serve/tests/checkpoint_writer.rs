@@ -2,11 +2,16 @@
 //!
 //! [`DurableEngine`] encodes `checkpoint.bin` straight from the engine's
 //! load backing and departure queue, without building an
-//! [`EngineState`]. The file must hold exactly
-//! `header ‖ frame(encode_state(&engine.state()))`, and `encode_state`
-//! must match [`reference_image`], an encoder written from the codec's
-//! definition with no code shared with the crate's writer. Pinned across:
+//! [`EngineState`]. The file must hold exactly [`checkpoint_file`] of
+//! `engine.state()`: the header and one frame of [`reference_image`],
+//! an encoder written from the codec's definition, checksummed by
+//! [`reference_crc`], a bit-at-a-time CRC-32. Neither shares code with
+//! the crate's writer, and `encode_state` must match [`reference_image`]
+//! too. Pinned across:
 //!
+//! * the load section's word boundaries: every server count mod 8, a
+//!   failure sentinel at each position of an 8-load word, and loads on
+//!   both sides of the one- and two-byte varint bounds;
 //! * the flat, nibble-packed and byte-packed load backings × the timing
 //!   wheel and the heap oracle, whose files must all be identical;
 //! * failed servers (the [`FAILED_LOAD`] sentinel and the failure
@@ -18,11 +23,11 @@
 //!   huge exponential means, whose deadlines are too far ahead to pack
 //!   beside the server bits and take the wheel's far-entry path;
 //! * staged checkpoints: an engine whose image spans several journaled
-//!   chunks, with arrivals, drains, crashes and capacity sheds running
-//!   while it is pending. The finished file is the image of the state at
-//!   its boundary; `checkpoint_now` mid-job finishes the job, then writes
-//!   its own image; a boundary reached mid-job finishes the old image
-//!   first;
+//!   chunks and whose CRC runs four lanes, with arrivals, drains, crashes
+//!   and capacity sheds running while it is pending. The finished file
+//!   is the image of the state at its boundary; `checkpoint_now` mid-job
+//!   finishes the job, then writes its own image; a boundary reached
+//!   mid-job finishes the old image first;
 //! * images that fit one budget: at the `durability` experiment's
 //!   reference size and configuration every checkpoint is durable, and
 //!   is the image of its boundary, before the call that reaches the
@@ -36,14 +41,16 @@
 use geo2c_core::load::{LoadState, PackedLoads};
 use geo2c_core::space::{RingSpace, Space as _, UniformSpace};
 use geo2c_core::strategy::Strategy;
-use geo2c_serve::engine::{EngineState, ServeConfig, SessionLife, FAILED_LOAD};
+use geo2c_serve::engine::{
+    Counters, EngineState, RetryStats, ServeConfig, SessionLife, FAILED_LOAD,
+};
 use geo2c_serve::fault::{FaultAction, FaultPlan};
 use geo2c_serve::journal::{
-    encode_state, fingerprint, DurableEngine, Recovery, Resumed, CHECKPOINT_FILE, CHECKPOINT_MAGIC,
-    CHECKPOINT_TMP, FORMAT_VERSION, JOURNAL_FILE,
+    decode_state, encode_state, fingerprint, DurableEngine, Recovery, Resumed, CHECKPOINT_FILE,
+    CHECKPOINT_MAGIC, CHECKPOINT_TMP, FORMAT_VERSION, JOURNAL_FILE,
 };
 use geo2c_serve::wheel::{DepartureQueue, DepartureWheel, HeapQueue};
-use geo2c_util::frame::{append_frame, scan_frames, Header};
+use geo2c_util::frame::{scan_frames, Header};
 use geo2c_util::rng::Xoshiro256pp;
 use proptest::prelude::*;
 use rand::RngCore;
@@ -110,6 +117,19 @@ fn reference_image(state: &EngineState) -> Vec<u8> {
     out
 }
 
+/// CRC-32 (IEEE, reflected), one bit at a time from the polynomial: the
+/// frame checksum with no table and no code shared with the crate's.
+fn reference_crc(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+        }
+    }
+    !crc
+}
+
 /// One generated scenario, run on every backing × scheduler pair.
 struct Case {
     space: RingSpace,
@@ -140,22 +160,11 @@ impl Case {
             reference_image(&state),
             "{what}: encode_state differs from the codec definition"
         );
-        let binds = [
-            self.root,
-            fingerprint(self.space.num_servers(), &self.config),
-        ];
-        let mut expected = Header {
-            magic: CHECKPOINT_MAGIC,
-            version: FORMAT_VERSION,
-            binds,
-        }
-        .encode()
-        .to_vec();
-        append_frame(&mut expected, &payload);
+        let expected = self.image_file(&state);
         let written = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
         assert!(
             written == expected,
-            "{what}: checkpoint.bin ({} bytes) differs from header ‖ frame(encode_state(state())) ({} bytes)",
+            "{what}: checkpoint.bin ({} bytes) differs from the reference file of state() ({} bytes)",
             written.len(),
             expected.len()
         );
@@ -273,6 +282,54 @@ proptest! {
     }
 }
 
+/// `encode_state` against [`reference_image`] on hand-built states that
+/// walk the load section's 8-load words: every server count from 0 to
+/// 24 (so every count mod 8, and partial first words), at every server a
+/// failure sentinel or a load on either side of the one-byte (`0x7F`,
+/// `0x80`) and two-byte (`0x3FFF`, `0x4000`) varint bounds among loads
+/// below `0x80`, and states of wide loads only. The image's failure
+/// bitset holds exactly the sentinels' bits, and the image decodes back.
+#[test]
+fn load_section_edges_match_the_codec_definition() {
+    let check = |loads: Vec<u32>| {
+        let n = loads.len();
+        let state = EngineState {
+            loads,
+            departures: Vec::new(),
+            counters: Counters::default(),
+            retry: RetryStats::default(),
+            peak_load: 0,
+        };
+        let image = encode_state(&state);
+        assert_eq!(image, reference_image(&state), "loads {:?}", state.loads);
+        // With no departures the image ends in the bitset and a zero count.
+        let mut bits = vec![0u8; (n + 7) / 8];
+        for s in (0..n).filter(|&s| state.loads[s] == FAILED_LOAD) {
+            bits[s / 8] |= 1 << (s % 8);
+        }
+        let end = image.len() - 1;
+        assert_eq!(
+            image[end - bits.len()..end],
+            bits[..],
+            "loads {:?}",
+            state.loads
+        );
+        assert_eq!(decode_state(&image).unwrap(), state);
+    };
+    for n in 0..=24 {
+        let small: Vec<u32> = (0..n).map(|s| (s as u32 * 37) % 0x80).collect();
+        for edge in [FAILED_LOAD, 0x7F, 0x80, 0x3FFF, 0x4000] {
+            for s in 0..n {
+                let mut loads = small.clone();
+                loads[s] = edge;
+                check(loads);
+            }
+            check(vec![edge; n]);
+        }
+        check(small);
+    }
+}
+
 /// The boundary of the staged scenario: the first checkpoint's event.
 const STAGED_AT: u64 = 24_576;
 
@@ -318,23 +375,24 @@ fn staged_case(every: u64) -> Case {
     }
 }
 
-/// `header ‖ frame(encode_state(state))`: the checkpoint file of `state`
-/// for an engine of `num_servers` servers under `config` and `root`.
+/// The checkpoint file of `state` for an engine of `num_servers` servers
+/// under `config` and `root`, from the format's definition: the header
+/// (magic, LE version, LE binding words), then one frame — LE length, LE
+/// [`reference_crc`] — of [`reference_image`].
 fn checkpoint_file(
     root: u64,
     num_servers: usize,
     config: &ServeConfig,
     state: &EngineState,
 ) -> Vec<u8> {
-    let binds = [root, fingerprint(num_servers, config)];
-    let mut file = Header {
-        magic: CHECKPOINT_MAGIC,
-        version: FORMAT_VERSION,
-        binds,
-    }
-    .encode()
-    .to_vec();
-    append_frame(&mut file, &encode_state(state));
+    let image = reference_image(state);
+    let mut file = CHECKPOINT_MAGIC.to_vec();
+    file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    file.extend_from_slice(&root.to_le_bytes());
+    file.extend_from_slice(&fingerprint(num_servers, config).to_le_bytes());
+    file.extend_from_slice(&u32::try_from(image.len()).unwrap().to_le_bytes());
+    file.extend_from_slice(&reference_crc(&image).to_le_bytes());
+    file.extend_from_slice(&image);
     file
 }
 
