@@ -55,6 +55,13 @@ cargo build --release
 say "tests (workspace unit + integration + doctests)"
 cargo test -q
 
+# The wheel-vs-heap oracle again, at 16x the default 128 proptest cases
+# (about 4 s in release on a 2-vCPU host, against 0.5 s at the default):
+# the wheel's interleaved slot lists, cascades and sliced gather are
+# where a rare interleaving hides.
+say "wheel oracle at 2048 proptest cases (release)"
+PROPTEST_CASES=2048 cargo test --release -q -p geo2c-serve --test wheel_oracle
+
 # The repo benchmark's self-test at tiny scale (~3 s once built): every
 # BENCHMARK.json workload in both modes, with the benchmark's own
 # correctness checks — recovered state byte-equal to the crashed engine,

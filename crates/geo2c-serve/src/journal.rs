@@ -90,8 +90,8 @@
 //! `durability` experiment size — is written whole inside the boundary
 //! call, so it is durable before that call returns, exactly as if it
 //! were not staged. A larger image costs the boundary only the snapshot;
-//! 2^16 servers with about as many sessions take 7 chunks after it, and
-//! 11 for an image gathered whole (the `serve_durable_churn` benchmark
+//! 2^16 servers with about as many sessions take 8 chunks after it (7
+//! for about one image in five), and 11 for an image gathered whole (the `serve_durable_churn` benchmark
 //! workload, counts set by work units, never by wall time). A boundary
 //! reached while an image is still pending finishes it first, and so does
 //! [`DurableEngine::checkpoint_now`] before it writes its own image
@@ -750,30 +750,30 @@ impl<'a> Reader<'a> {
 /// [`FILES_COST`]), calibrated with a per-stage timer on the
 /// `serve_durable_churn` image (2^16 servers, about 2^16 sessions, about
 /// 4k of them filed since the previous image; shared 2-vCPU Xeon, five
-/// runs of 200 images, the range over runs):
+/// runs of 300 images, the range over runs):
 ///
 /// | stage  | ns per unit |
 /// |--------|-------------|
-/// | gather | 0.9–1.3     |
-/// | sort   | 0.7–1.1     |
-/// | merge  | 1.0–1.5     |
-/// | loads  | 0.7–1.2     |
-/// | emit   | 0.7–1.3     |
-/// | CRC    | 0.8–1.1     |
-/// | files  | 0.7–1.2     |
+/// | gather | 1.06–1.21   |
+/// | sort   | 0.96–1.08   |
+/// | merge  | 1.00–1.15   |
+/// | loads  | 1.22–1.30   |
+/// | emit   | 1.06–1.24   |
+/// | CRC    | 1.03–1.16   |
+/// | files  | 0.95–1.30   |
 ///
 /// The gather row is the walk bounded by the previous mark, and the
 /// sort row the sort of the keys it packs, which fit in cache. The runs
-/// differ more than the stages within a run: in each run the loads, the
-/// emit and the CRC sit within 13% of the run's mean, and every stage
-/// within 16% but the merge, which reads 19–27% above it. A budget is
-/// therefore about 0.1–0.2 ms of work in any stage. An image of 2^12
+/// differ more than the stages within a run: in each run every stage
+/// sits within 14% of the run's mean but the loads, which read 11–19%
+/// above it at one unit a load, the smallest charge. A budget is
+/// therefore about 0.15–0.2 ms of work in any stage. An image of 2^12
 /// servers and their sessions — every test engine and every
 /// `durability` experiment size — is estimated at under 0.8 budgets even
 /// when gathered whole, so it is written whole inside the boundary call;
-/// the 2^16 image takes just under 6 budgets of encoding and its files
-/// land on the 7th chunk (about 10 budgets and the 11th chunk when
-/// gathered whole).
+/// the 2^16 image takes just over 6 budgets of encoding and its files
+/// land on the 8th chunk, or on the 7th for about one image in five
+/// (about 10 budgets and the 11th chunk when gathered whole).
 const CHECKPOINT_BUDGET: usize = 9 << 14;
 /// Units per server of the load section: about 1 ns a load, most of them
 /// written eight to a word.

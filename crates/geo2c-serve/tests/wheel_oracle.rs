@@ -21,7 +21,11 @@
 //!    server, node reuse, and slices of any budget, it must gather
 //!    exactly the heap's entries at the mark. So must a chain of marks
 //!    on one wheel, each image gathering only what was filed since the
-//!    previous one and merging the rest from it.
+//!    previous one and merging the rest from it. One arm runs at the
+//!    engine's scale, where each level-1 slot fills all eight of its
+//!    interleaved lists: ~2^14 sessions in flight through 128 level-1
+//!    cascades, the overflow re-filing into itself, random purges, and
+//!    sliced gathers that straddle a cascade.
 //! 2. **Engine-level.** A [`ServeEngine`] running on the wheel and one
 //!    running on the heap, fed the same root and fault plan, must
 //!    produce byte-identical [`ServeEngine::state`] checkpoints at
@@ -392,5 +396,90 @@ proptest! {
         on_wheel.run_with_faults(q, &plan);
         on_heap.run_with_faults(q, &plan);
         prop_assert_eq!(on_wheel.state(), on_heap.state(), "diverged at the end");
+    }
+}
+
+/// The wheel at the engine's scale, where a level-1 slot holds hundreds
+/// of nodes on each of its interleaved lists: one session an event on
+/// 2^10 servers with exponential lives of mean 2^14 (about 2^14 in
+/// flight), through 2^17 events and so 128 level-1 cascades, with a few
+/// sessions filed 2^21 and more ahead that the overflow cascade at the
+/// next multiple of 2^20 re-files into the overflow. A random server is
+/// purged every 509 events. Every 4096 events a sliced gather is marked
+/// a few events before a level-1 cascade and finished after it, building
+/// on the previous mark's image. Against the heap: every drain's
+/// multiset, every purge's count and `len` after every event, the
+/// gathered image at each mark, and the entry image at each mark and at
+/// the end; then a drain to the last deadline delivers the rest.
+#[test]
+fn wheel_matches_heap_at_scale_through_many_cascades() {
+    const SERVERS: usize = 1 << 10;
+    const MEAN_LIFE: f64 = (1u64 << 14) as f64;
+    const EVENTS: u64 = 1 << 17;
+    const OVERFLOW_SPAN: u64 = 1 << 20;
+    for seed in [1u64, 2] {
+        let mut rng = Xoshiro256pp::from_u64(seed ^ 0x5CA1E);
+        // The run crosses a multiple of 2^20 after 2^16 events.
+        let origin = (3 + seed) * OVERFLOW_SPAN - (1 << 16);
+        let mut wheel = DepartureWheel::with_origin(SERVERS, origin);
+        let mut heap = HeapQueue::with_origin(SERVERS, origin);
+        let mut keys = DepartureKeys::default();
+        let mut marked: Option<Vec<(u64, u32)>> = None;
+        let (mut marks, mut far) = (0, 0);
+        for t in origin..origin + EVENTS {
+            let raw = rng.next_u64();
+            let server = (raw % SERVERS as u64) as u32;
+            let u = ((rng.next_u64() >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+            let life = (-u.ln() * MEAN_LIFE).ceil() as u64;
+            wheel.schedule(t + life, server);
+            heap.schedule(t + life, server);
+            if raw >> 54 == 0 {
+                // About one event in 1024, before the overflow boundary
+                // and after it: a session 2^21 to 2^22 events ahead.
+                let when = t + (1 << 21) + (rng.next_u64() >> 42);
+                wheel.schedule(when, server);
+                heap.schedule(when, server);
+                far += 1;
+            }
+            if (t - origin) % 509 == 0 {
+                let victim = (rng.next_u64() % SERVERS as u64) as u32;
+                assert_eq!(wheel.purge_server(victim), heap.purge_server(victim));
+            }
+            if t % 4096 == 4096 - 5 {
+                marked = Some(heap.entries());
+                wheel.begin_gather(&mut keys);
+            }
+            if let Some(expected) = &marked {
+                // Slices of 1024 units take tens of events, so the
+                // gather runs across the cascade at the next 4096.
+                if wheel.gather_some(&mut keys, &mut 1024) {
+                    keys.sort();
+                    assert!(
+                        keys.sorted_from(0).eq(expected.iter().copied()),
+                        "seed {seed}: the image gathered from t={t} differs from the heap at its mark"
+                    );
+                    assert!(t % 4096 > 0 && t % 4096 < 512, "finished after the cascade");
+                    assert_eq!(wheel.entries(), heap.entries(), "seed {seed}, t={t}");
+                    marked = None;
+                    marks += 1;
+                }
+            }
+            drain_both(&mut wheel, &mut heap, t);
+            assert_eq!(wheel.len(), heap.len(), "seed {seed}, t={t}");
+        }
+        assert!(
+            marks >= 30 && far >= 64,
+            "seed {seed}: {marks} marks, {far} far"
+        );
+        assert!(
+            wheel.len() >= 1 << 13,
+            "seed {seed}: {} in flight",
+            wheel.len()
+        );
+        let image = wheel.entries();
+        assert_eq!(image, heap.entries(), "seed {seed}: at the end");
+        let horizon = image.last().map_or(0, |&(when, _)| when);
+        assert_eq!(drain_both(&mut wheel, &mut heap, horizon), image.len());
+        assert!(wheel.is_empty() && heap.is_empty());
     }
 }
