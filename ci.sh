@@ -74,18 +74,21 @@ say "docs, crate-private items included (no warnings allowed)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items
 
 # results/bench/quick.json records absolute ns/iter from one host: it
-# was regenerated at 1f88b68 on a shared 2-vCPU Xeon (the PR-10
-# reference machine, which baseline.json and the before_* archives still
-# come from, read 2-3x faster). So this cross-machine gate is a
+# was re-recorded on a shared 2-vCPU Xeon after the ring owner lookup's
+# last speedup (results/bench/README.md names the commit; the reference
+# machine, which baseline.json and the before_* archives still come
+# from, read 2-3x faster). So this cross-machine gate is a
 # catastrophe catch (accidental O(n) scans, debug asserts in release),
 # not a micro-regression gate — run `run_benches --check --tolerance 50`
 # locally for that. A host persistently slower than 3x the recording
-# host should regenerate and commit results/bench/quick.json. The quick suite times the paper substrate
-# only, ten rows: the ring, torus, kd3 and kd4 owner lookups,
-# min_load_flat, the end-to-end random-tie-break trials
-# (trial/{ring,torus,kd3,uniform}_d2_random — the cross-ball lane
-# engine's headline path) and the kd3 arc-left ablation, so both engine
-# paths are gated. Serving is timed by perfbench, not here. The gate
+# host should regenerate and commit results/bench/quick.json, and so
+# should a change that speeds up a row, or the gate stops guarding the
+# new speed. The quick suite times the paper substrate only, ten rows:
+# the ring, torus, kd3 and kd4 owner lookups, min_load_flat, the
+# end-to-end random-tie-break trials (trial/{ring,torus,kd3,uniform}_
+# d2_random, the cross-ball lane engine's headline path) and the kd3
+# arc-left ablation, which runs the same engine with positional
+# tie-breaks. Serving is timed by perfbench, not here. The gate
 # measures the way quick.json was recorded, best of 15 windows: best of
 # the default 3 could not ride out a stall of the shared vCPUs and read
 # a row 3-5x slow on unchanged code.

@@ -31,7 +31,8 @@
 //!   committed baseline. Improvements never fail; structural drift
 //!   (bench added/removed/renamed) always does.
 //! * `--out PATH` — write somewhere else.
-//! * `--against PATH` — check against an explicit baseline file.
+//! * `--check --against PATH` — check against an explicit baseline file
+//!   (without `--check` it is rejected: nothing else reads a baseline).
 //! * `--archive [LABEL]` — capture pre-optimization evidence: run the
 //!   selected scale and write `results/bench/before_<LABEL>.json`.
 //!   Without a label the next `prN` is chosen automatically (one past
@@ -58,15 +59,13 @@
 //!   journaling overhead against the plain serving trial in the frozen
 //!   `results/bench/serving_pr10*.json` archives.
 
-use geo2c_bench::perf::{
-    self, fmt_ns, pair_benches, run_bench_suite_only, BenchScale, FULL, QUICK,
-};
+use geo2c_bench::perf::{self, fmt_ns, pair_benches, run_bench_suite_only, Scale, FULL, QUICK};
 use geo2c_report::{ExperimentResult, Provenance, ResultSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
-    scale: &'static BenchScale,
+    scale: Scale,
     check: bool,
     tolerance_pct: f64,
     dir: PathBuf,
@@ -99,7 +98,7 @@ fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
 /// the usage line.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        scale: &FULL,
+        scale: FULL,
         check: false,
         tolerance_pct: 50.0,
         dir: PathBuf::from("."),
@@ -120,7 +119,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag.as_str() {
-            "--quick" => args.scale = &QUICK,
+            "--quick" => args.scale = QUICK,
             "--check" => args.check = true,
             "--tolerance" => {
                 args.tolerance_pct = number(flag, &value()?)?;
@@ -167,6 +166,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.archive.is_some() && args.check {
         return Err("--archive runs write an archive; --check writes nothing — pick one".into());
     }
+    // Only --check reads a baseline: anywhere else --against would be
+    // silently ignored.
+    if args.against.is_some() && !args.check {
+        return Err("--against names the baseline --check compares with; add --check".into());
+    }
     if args.archive.is_some() && args.out.is_some() {
         return Err("--archive names its own output (before_<LABEL>.json); drop --out".into());
     }
@@ -190,7 +194,7 @@ fn bench_dir(args: &Args) -> PathBuf {
 fn baseline_path(args: &Args) -> PathBuf {
     bench_dir(args).join(format!(
         "{}.json",
-        if args.scale.name == QUICK.name {
+        if args.scale == QUICK {
             "quick"
         } else {
             "baseline"

@@ -14,8 +14,9 @@
 //! ```
 //!
 //! Bad input (an unknown flag or experiment id, a missing value, an
-//! unparsable number) prints the usage line to stderr and exits with
-//! status 2.
+//! unparsable number, `--against` without `--check`, `--render` with a
+//! scale, `--check`, `--against` or `--only`) prints the usage line to
+//! stderr and exits with status 2.
 //!
 //! * *(no flags)* — run the **reference** scale (the committed
 //!   `EXPERIMENTS.md` numbers, ≈1.5 minutes single-core), write
@@ -47,7 +48,7 @@
 
 use geo2c_bench::experiments::{self, Member, Scale, SUITE};
 use geo2c_core::experiment::SweepConfig;
-use geo2c_report::{compare_sets, ExperimentResult, Provenance, ResultSet, Tolerance};
+use geo2c_report::{compare_sets, ExperimentResult, Provenance, ResultSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -108,6 +109,23 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    // A flag its mode would ignore is rejected, not dropped: without
+    // `--check` a run writes, so `--against` would overwrite the archive
+    // it names, and `--render` runs nothing, so a scale, check or subset
+    // beside it would be silently ignored.
+    if args.against.is_some() && !args.check {
+        return Err("--against names the files --check compares with; add --check".into());
+    }
+    if args.render
+        && (args.scale != Scale::Reference
+            || args.check
+            || args.against.is_some()
+            || args.only.is_some())
+    {
+        return Err(
+            "--render runs nothing; drop --quick, --full, --check, --against and --only".into(),
+        );
+    }
     Ok(args)
 }
 
@@ -149,15 +167,8 @@ fn run_suite(
                 threads,
                 seed,
             };
-            // The member's sweep configuration, echoed to stderr as run
-            // provenance.
-            let pairs: Vec<String> = config
-                .describe()
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            eprintln!("  {}: {}", member.id, pairs.join(" "));
-            (member.run)(&size.ns(), &config)
+            eprintln!("  {}: trials={} seed={seed}", member.id, size.trials);
+            member.run(&size.ns(), &config)
         })
         .collect()
 }
@@ -226,7 +237,7 @@ fn check(
             fresh_view.experiments.push(result.clone());
         }
     }
-    let mut diffs = compare_sets(&fresh_view, expected, &Tolerance::default());
+    let mut diffs = compare_sets(&fresh_view, expected);
     // At the reference scale, EXPERIMENTS.md is part of the committed
     // expectations too: it must be exactly what the committed results
     // render to, or the headline document has drifted from the data.

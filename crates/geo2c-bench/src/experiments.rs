@@ -1,15 +1,18 @@
 //! Spec-declared experiment constructors behind the `run_tables` driver.
 //!
 //! Each function here runs one experiment of the gated suite and returns
-//! a [`geo2c_report::ExperimentResult`]: the spec (id, trials, seed,
-//! parameters) plus one cell per sweep configuration. `run_tables`
+//! a [`geo2c_report::ExperimentResult`]: the spec (id, title, paper
+//! reference, trials, seed, parameters) plus one cell per sweep
+//! configuration. [`Member::run`] builds every spec's header; a function
+//! only appends its parameters and cells. `run_tables`
 //! persists them under `results/`, checks fresh runs against the
 //! committed files, and renders `EXPERIMENTS.md` from them, so the
 //! committed expectations and any ad-hoc `run_tables --only ID` run are
 //! provably the same computation.
 //!
-//! [`SUITE`] declares each member once: its id, its `EXPERIMENTS.md`
-//! [`Layout`] and its [`Size`] at each of the three named [`Scale`]s:
+//! [`SUITE`] declares each member once: its id, title and paper
+//! reference, its `EXPERIMENTS.md` [`Layout`] and its [`Size`] at each of
+//! the three named [`Scale`]s:
 //! `quick` (CI / smoke), `reference` (the committed `EXPERIMENTS.md` numbers; sized so the
 //! whole suite regenerates in about a minute and a half on one core) and
 //! `full` (the paper's own 1000-trial sweep — hours of CPU; run it
@@ -114,12 +117,17 @@ pub enum Layout {
 pub struct Member {
     /// Spec id, also the basename of the committed `results/` file.
     pub id: &'static str,
+    /// Spec title, also its `EXPERIMENTS.md` heading.
+    pub title: &'static str,
+    /// Which artifact of the paper it reproduces (`"Table 1"`, …).
+    pub paper_ref: &'static str,
     /// Its `EXPERIMENTS.md` table layout.
     pub layout: Layout,
     /// Its size at each of [`Scale::ALL`], in that order.
     pub sizes: [Size; 3],
-    /// Runs it over the sweep sizes with the given configuration.
-    pub run: fn(&[usize], &SweepConfig) -> ExperimentResult,
+    /// Runs it over the sweep sizes with the given configuration,
+    /// appending its params and cells to the spec header it is handed.
+    pub sweep: fn(&[usize], &SweepConfig, ExperimentSpec) -> ExperimentResult,
 }
 
 impl Member {
@@ -127,6 +135,18 @@ impl Member {
     #[must_use]
     pub fn size(&self, scale: Scale) -> Size {
         self.sizes[scale as usize]
+    }
+
+    /// Runs it over `ns` with `config`. The spec header is built here
+    /// and only here: `id`, `title` and `paper_ref` from this
+    /// declaration, `trials` and `seed` from `config`.
+    #[must_use]
+    pub fn run(&self, ns: &[usize], config: &SweepConfig) -> ExperimentResult {
+        let header = ExperimentSpec::new(self.id, self.title)
+            .paper_ref(self.paper_ref)
+            .trials(config.trials)
+            .seed(config.seed);
+        (self.sweep)(ns, config, header)
     }
 }
 
@@ -152,28 +172,36 @@ const RING: [Size; 3] = [
 pub const SUITE: [Member; 21] = [
     Member {
         id: "table1",
+        title: "Table 1: maximum load with random arcs on the ring (m = n)",
+        paper_ref: "Table 1",
         layout: pivot("n", "d"),
         sizes: RING,
-        run: table1,
+        sweep: table1,
     },
     Member {
         id: "table2",
+        title: "Table 2: maximum load with random Voronoi cells on the torus (m = n)",
+        paper_ref: "Table 2",
         layout: pivot("n", "d"),
         sizes: [
             size(&[8, 10], 25),
             size(&[8, 12, 14], 150),
             size(&[8, 12, 16, 20], 1000),
         ],
-        run: table2,
+        sweep: table2,
     },
     Member {
         id: "table3",
+        title: "Table 3: maximum load by tie-breaking strategy on random arcs (d = 2, m = n)",
+        paper_ref: "Table 3",
         layout: pivot("n", "tie_break"),
         sizes: RING,
-        run: table3,
+        sweep: table3,
     },
     Member {
         id: "dimension",
+        title: "Higher dimensions: maximum load on the K-torus as d grows (m = n)",
+        paper_ref: "§3 footnote 3",
         layout: pivot("d", "K"),
         // Paper-scale n for the K-torus: 2^13 is the size the K-d owner path
         // could previously reach only at --full scale (and appears as a
@@ -182,79 +210,99 @@ pub const SUITE: [Member; 21] = [
         // K-d grid port, so 32 trials keeps the whole suite regenerating in
         // about a minute and a half single-core.
         sizes: [size(&[9], 8), size(&[13], 32), size(&[16], 200)],
-        run: |ns, c| dimension(ns[0], c),
+        sweep: |ns, c, h| dimension(ns[0], c, h),
     },
     Member {
         id: "ring_chart",
+        title: "Diminishing returns: maximum load on the ring as d grows (m = n)",
+        paper_ref: "§2 Theorem 1 (d ≥ 2)",
         layout: pivot("d", "n"),
         // The largest n whose d ∈ {2..8} sweep stays inside the single-core
         // CI budget now that the ring owner path is O(1) (the ROADMAP's
         // 2^20+ chart is the --full scale).
         sizes: [size(&[12], 10), size(&[18], 40), size(&[20], 200)],
-        run: |ns, c| ring_chart(ns[0], c),
+        sweep: |ns, c, h| ring_chart(ns[0], c, h),
     },
     Member {
         id: "tabulation",
+        title:
+            "Weak hashing: max load with simple-tabulation vs SplitMix64 probe lanes (ring, m = n)",
+        paper_ref: "Dahlgaard et al. SODA 2016 (PAPERS.md)",
         layout: pivot("d", "sampler"),
         // The Dahlgaard et al. weak-hashing comparison stays at quick scale
         // even in the committed expectations: the question is whether the
         // max-load distribution survives 3-independent hashing at all, and
         // 2^10 servers × 200 trials answers it for pennies of CPU.
         sizes: [size(&[9], 25), size(&[10], 200), size(&[12], 1000)],
-        run: |ns, c| tabulation(ns[0], c),
+        sweep: |ns, c, h| tabulation(ns[0], c, h),
     },
     Member {
         id: "heavy",
+        title: "Heavily loaded: two-choice max load as m/n grows (d = 2)",
+        paper_ref: "§2 remark 3",
         layout: Layout::Flat,
         // The m/n ratio sweep runs 21.25n balls per trial pair of spaces;
         // 2^12 servers × 60 trials keeps the whole family around a second
         // while the slack column stabilizes to a few hundredths.
         sizes: [size(&[8], 10), size(&[12], 60), size(&[16], 200)],
-        run: |ns, c| heavy(ns[0], c),
+        sweep: |ns, c, h| heavy(ns[0], c, h),
     },
     Member {
         id: "serving",
+        title: "Online serving: steady-state load and shed rate under arrivals and departures",
+        paper_ref: "§1.1 (online placement)",
         layout: Layout::Flat,
         // The serving steady state churns 16n sessions through n servers per
         // trial; 2^10 servers × 25 trials per scenario keeps it well under
         // the table sweeps' cost while the shed-rate columns stay stable to
         // a fraction of a percent.
         sizes: [size(&[8], 6), size(&[10], 25), size(&[13], 100)],
-        run: |ns, c| serving(ns[0], c),
+        sweep: |ns, c, h| serving(ns[0], c, h),
     },
     Member {
         id: "resilience",
+        title: "Resilience: availability under correlated outages, recovery, and probe retries",
+        paper_ref: "§1.1 (online placement); conclusion (reliability)",
         layout: Layout::Flat,
         // The resilience cells rerun the serving workload under correlated
         // outages; the grid is wider (fail × d × retry budget) so fewer
         // trials per cell keep the family's cost near the serving table's.
         sizes: [size(&[8], 4), size(&[10], 15), size(&[13], 60)],
-        run: |ns, c| resilience(ns[0], c),
+        sweep: |ns, c, h| resilience(ns[0], c, h),
     },
     Member {
         id: "churn",
+        title: "Churn: node failures and re-placement (items = 16n)",
+        paper_ref: "conclusion (reliability)",
         layout: Layout::Flat,
         sizes: [size(&[8], 5), size(&[10], 20), size(&[12], 100)],
-        run: |ns, c| churn(ns[0], c),
+        sweep: |ns, c, h| churn(ns[0], c, h),
     },
     Member {
         id: "replication",
+        title:
+            "Replication: successor-list replicas x placement policy (items = 16n, 30% failures)",
+        paper_ref: "conclusion (reliability)",
         layout: Layout::Flat,
         sizes: [size(&[8], 5), size(&[10], 20), size(&[12], 100)],
-        run: |ns, c| replication(ns[0], c),
+        sweep: |ns, c, h| replication(ns[0], c, h),
     },
     Member {
         id: "dht",
+        title: "E11: Chord DHT load balance by placement scheme",
+        paper_ref: "§1.1",
         layout: Layout::Flat,
         // The Chord comparison places 16n items per trial and samples 2000
         // lookups per configuration; 2^10 physical nodes × 20 trials keeps
         // the family at the churn/replication cost while the max-load and
         // hop-count means settle to a fraction of a unit.
         sizes: [size(&[8], 5), size(&[10], 20), size(&[14], 100)],
-        run: |ns, c| dht(ns[0], c),
+        sweep: |ns, c, h| dht(ns[0], c, h),
     },
     Member {
         id: "scaling",
+        title: "Streaming scale: load-state backings at large n (m = n)",
+        paper_ref: "§1 (scaling to large n)",
         layout: Layout::Flat,
         // The streaming-scale backing comparison runs at 2^24 bins — the
         // paper's own largest ring n, and far past L2 for every backing —
@@ -262,10 +310,12 @@ pub const SUITE: [Member; 21] = [
         // uniform space keeps a trial to ~1 s single-core, so 3 trials fit
         // the suite budget.
         sizes: [size(&[14], 3), size(&[24], 3), size(&[26], 5)],
-        run: |ns, c| scaling(ns[0], c),
+        sweep: |ns, c, h| scaling(ns[0], c, h),
     },
     Member {
         id: "durability",
+        title: "Durability: crash-point recovery cost vs checkpoint interval",
+        paper_ref: "§1.1 (online serving, made durable)",
         layout: Layout::Flat,
         // Each durability trial runs the serving workload three times (the
         // uninterrupted reference, the journaled run up to the crash, and
@@ -273,7 +323,7 @@ pub const SUITE: [Member; 21] = [
         // journal frames; 2^10 servers × 10 trials per checkpoint interval
         // keeps the family around the serving table's cost.
         sizes: [size(&[8], 3), size(&[10], 10), size(&[12], 30)],
-        run: |ns, c| durability(ns[0], c),
+        sweep: |ns, c, h| durability(ns[0], c, h),
     },
     // The lemma validations run at the sizes their former standalone
     // binary defaulted to: the arc tails at 2^14, the Voronoi tail at
@@ -282,47 +332,61 @@ pub const SUITE: [Member; 21] = [
     // Together they cost about five seconds single-core.
     Member {
         id: "lemma3",
+        title: "Lemma 3: negative dependence of long-arc indicators",
+        paper_ref: "Lemma 3",
         layout: Layout::Flat,
         sizes: [size(&[10], 1000), size(&[10], 2000), size(&[10], 10_000)],
-        run: |ns, c| lemma3(ns[0], c),
+        sweep: |ns, c, h| lemma3(ns[0], c, h),
     },
     Member {
         id: "lemma4_5",
+        title: "Lemmas 4/5: long-arc count tail on the ring",
+        paper_ref: "Lemmas 4 and 5",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[14], 200), size(&[16], 1000)],
-        run: |ns, c| lemma4_5(ns[0], c),
+        sweep: |ns, c, h| lemma4_5(ns[0], c, h),
     },
     Member {
         id: "lemma6",
+        title: "Lemma 6: sum of the a longest arcs",
+        paper_ref: "Lemma 6",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[14], 200), size(&[16], 1000)],
-        run: |ns, c| lemma6(ns[0], c),
+        sweep: |ns, c, h| lemma6(ns[0], c, h),
     },
     Member {
         id: "lemma8_9",
+        title: "Lemmas 8/9: Voronoi cell-area tail on the torus",
+        paper_ref: "Lemmas 8 and 9",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[12], 100), size(&[14], 400)],
-        run: |ns, c| lemma8_9(ns[0], c),
+        sweep: |ns, c, h| lemma8_9(ns[0], c, h),
     },
     // The conclusion's two open questions, at their former binaries'
     // defaults (about a second together).
     Member {
         id: "nonuniform_servers",
+        title: "E15a: clustered servers, uniform probes (ring)",
+        paper_ref: "conclusion / footnote 2",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[12], 100), size(&[16], 1000)],
-        run: |ns, c| nonuniform_servers(ns[0], c),
+        sweep: |ns, c, h| nonuniform_servers(ns[0], c, h),
     },
     Member {
         id: "nonuniform_probes",
+        title: "E15b: uniform servers, clustered probes (ring)",
+        paper_ref: "conclusion / footnote 2",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[12], 100), size(&[16], 1000)],
-        run: |ns, c| nonuniform_probes(ns[0], c),
+        sweep: |ns, c, h| nonuniform_probes(ns[0], c, h),
     },
     Member {
         id: "profile",
+        title: "E14: mean load profile vs the fluid limit",
+        paper_ref: "conclusion (open question)",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[12], 100), size(&[16], 1000)],
-        run: |ns, c| profile(ns[0], c),
+        sweep: |ns, c, h| profile(ns[0], c, h),
     },
 ];
 
@@ -358,24 +422,17 @@ fn column_stats<const K: usize>(rows: impl IntoIterator<Item = [f64; K]>) -> [Ru
 
 /// The paper's **Table 1**: max-load distribution with random arcs on
 /// the ring, `m = n`, `d ∈ {1, 2, 3, 4}`.
-#[must_use]
-pub fn table1(ns: &[usize], config: &SweepConfig) -> ExperimentResult {
+fn table1(ns: &[usize], config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ds = [1usize, 2, 3, 4];
-    let spec = ExperimentSpec::new(
-        "table1",
-        "Table 1: maximum load with random arcs on the ring (m = n)",
-    )
-    .paper_ref("Table 1")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("ring"))
-    .param("m", Json::str("n"))
-    .param("tie_break", Json::str("random"))
-    .param("n", sizes_json(ns))
-    .param(
-        "d",
-        Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
-    );
+    let spec = header
+        .param("space", Json::str("ring"))
+        .param("m", Json::str("n"))
+        .param("tie_break", Json::str("random"))
+        .param("n", sizes_json(ns))
+        .param(
+            "d",
+            Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     for &n in ns {
         for &d in &ds {
@@ -395,24 +452,17 @@ pub fn table1(ns: &[usize], config: &SweepConfig) -> ExperimentResult {
 
 /// The paper's **Table 2**: max-load distribution with random Voronoi
 /// cells on the 2-D torus, `m = n`, `d ∈ {1, 2, 3, 4}`.
-#[must_use]
-pub fn table2(ns: &[usize], config: &SweepConfig) -> ExperimentResult {
+fn table2(ns: &[usize], config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ds = [1usize, 2, 3, 4];
-    let spec = ExperimentSpec::new(
-        "table2",
-        "Table 2: maximum load with random Voronoi cells on the torus (m = n)",
-    )
-    .paper_ref("Table 2")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("torus"))
-    .param("m", Json::str("n"))
-    .param("tie_break", Json::str("random"))
-    .param("n", sizes_json(ns))
-    .param(
-        "d",
-        Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
-    );
+    let spec = header
+        .param("space", Json::str("torus"))
+        .param("m", Json::str("n"))
+        .param("tie_break", Json::str("random"))
+        .param("n", sizes_json(ns))
+        .param(
+            "d",
+            Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     for &n in ns {
         for &d in &ds {
@@ -451,29 +501,22 @@ pub fn table3_strategies() -> [(&'static str, Strategy); 5] {
 
 /// The paper's **Table 3**: max load by tie-breaking strategy with
 /// random arcs, `d = 2`, `m = n`.
-#[must_use]
-pub fn table3(ns: &[usize], config: &SweepConfig) -> ExperimentResult {
+fn table3(ns: &[usize], config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let strategies = table3_strategies();
-    let spec = ExperimentSpec::new(
-        "table3",
-        "Table 3: maximum load by tie-breaking strategy on random arcs (d = 2, m = n)",
-    )
-    .paper_ref("Table 3")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("ring"))
-    .param("m", Json::str("n"))
-    .param("d", Json::from_usize(2))
-    .param("n", sizes_json(ns))
-    .param(
-        "tie_break",
-        Json::Arr(
-            strategies
-                .iter()
-                .map(|(name, _)| Json::str(*name))
-                .collect(),
-        ),
-    );
+    let spec = header
+        .param("space", Json::str("ring"))
+        .param("m", Json::str("n"))
+        .param("d", Json::from_usize(2))
+        .param("n", sizes_json(ns))
+        .param(
+            "tie_break",
+            Json::Arr(
+                strategies
+                    .iter()
+                    .map(|(name, _)| Json::str(*name))
+                    .collect(),
+            ),
+        );
     let mut result = ExperimentResult::new(spec);
     for &n in ns {
         for (name, strategy) in &strategies {
@@ -524,28 +567,21 @@ fn dimension_cells<const K: usize>(
 /// across `d ∈ {1} ∪ {2..8}`, `m = n`. The `d ≥ 2` distributions should
 /// be essentially flat in `K` (the bound is dimension-free) and show the
 /// diminishing returns of larger `d` that the paper predicts.
-#[must_use]
-pub fn dimension(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn dimension(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ds: Vec<usize> = (1..=8).collect();
     let ks = [3usize, 4];
-    let spec = ExperimentSpec::new(
-        "dimension",
-        "Higher dimensions: maximum load on the K-torus as d grows (m = n)",
-    )
-    .paper_ref("§3 footnote 3")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("K-torus"))
-    .param("m", Json::str("n"))
-    .param("n", Json::from_usize(n))
-    .param(
-        "K",
-        Json::Arr(ks.iter().map(|&k| Json::from_usize(k)).collect()),
-    )
-    .param(
-        "d",
-        Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
-    );
+    let spec = header
+        .param("space", Json::str("K-torus"))
+        .param("m", Json::str("n"))
+        .param("n", Json::from_usize(n))
+        .param(
+            "K",
+            Json::Arr(ks.iter().map(|&k| Json::from_usize(k)).collect()),
+        )
+        .param(
+            "d",
+            Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     dimension_cells::<3>(n, &ds, config, &mut result);
     dimension_cells::<4>(n, &ds, config, &mut result);
@@ -558,24 +594,17 @@ pub fn dimension(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// bound predicts sharply diminishing returns past `d = 2`; this is the
 /// data behind that curve. Feasible at large `n` only because of the
 /// `O(1)` bucket-accelerated owner lookup.
-#[must_use]
-pub fn ring_chart(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn ring_chart(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ds: Vec<usize> = (2..=8).collect();
-    let spec = ExperimentSpec::new(
-        "ring_chart",
-        "Diminishing returns: maximum load on the ring as d grows (m = n)",
-    )
-    .paper_ref("§2 Theorem 1 (d ≥ 2)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("ring"))
-    .param("m", Json::str("n"))
-    .param("tie_break", Json::str("random"))
-    .param("n", Json::from_usize(n))
-    .param(
-        "d",
-        Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
-    );
+    let spec = header
+        .param("space", Json::str("ring"))
+        .param("m", Json::str("n"))
+        .param("tie_break", Json::str("random"))
+        .param("n", Json::from_usize(n))
+        .param(
+            "d",
+            Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     for &d in &ds {
         let cell = sweep_kind(SpaceKind::Ring, Strategy::d_choice(d), n, n, config);
@@ -604,28 +633,21 @@ pub const TABULATION_SAMPLERS: [&str; 2] = ["splitmix-lane", "tabulation-lane"];
 /// simple tabulation's mere 3-independence; the two columns should be
 /// statistically indistinguishable, while both `d = 1` columns show the
 /// usual `Θ(log n / log log n)` spread.
-#[must_use]
-pub fn tabulation(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn tabulation(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ds = [1usize, 2];
-    let spec = ExperimentSpec::new(
-        "tabulation",
-        "Weak hashing: max load with simple-tabulation vs SplitMix64 probe lanes (ring, m = n)",
-    )
-    .paper_ref("Dahlgaard et al. SODA 2016 (PAPERS.md)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("ring"))
-    .param("m", Json::str("n"))
-    .param("tie_break", Json::str("random"))
-    .param("n", Json::from_usize(n))
-    .param(
-        "sampler",
-        Json::Arr(TABULATION_SAMPLERS.iter().map(|&s| Json::str(s)).collect()),
-    )
-    .param(
-        "d",
-        Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
-    );
+    let spec = header
+        .param("space", Json::str("ring"))
+        .param("m", Json::str("n"))
+        .param("tie_break", Json::str("random"))
+        .param("n", Json::from_usize(n))
+        .param(
+            "sampler",
+            Json::Arr(TABULATION_SAMPLERS.iter().map(|&s| Json::str(s)).collect()),
+        )
+        .param(
+            "d",
+            Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     for sampler in TABULATION_SAMPLERS {
         let tabulate = sampler == "tabulation-lane";
@@ -668,22 +690,15 @@ pub const HEAVY_SPACES: [SpaceKind; 2] = [SpaceKind::Uniform, SpaceKind::Ring];
 /// loads smooth out. Each cell reports the mean max load, the exact
 /// `m/n` floor, the measured slack, and the max-load distribution, on
 /// both the ring and the uniform baseline.
-#[must_use]
-pub fn heavy(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn heavy(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ms = [n / 4, n, 4 * n, 16 * n];
-    let spec = ExperimentSpec::new(
-        "heavy",
-        "Heavily loaded: two-choice max load as m/n grows (d = 2)",
-    )
-    .paper_ref("§2 remark 3")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("n", Json::from_usize(n))
-    .param("d", Json::from_usize(2))
-    .param(
-        "m",
-        Json::Arr(ms.iter().map(|&m| Json::from_usize(m)).collect()),
-    );
+    let spec = header
+        .param("n", Json::from_usize(n))
+        .param("d", Json::from_usize(2))
+        .param(
+            "m",
+            Json::Arr(ms.iter().map(|&m| Json::from_usize(m)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     for kind in HEAVY_SPACES {
         for &m in &ms {
@@ -728,22 +743,15 @@ pub const SERVING_SCENARIOS: [(usize, Option<u32>); 7] = [
 /// comfortably past mixing — as exact scalar metrics (mean of max, p99,
 /// mean load, shed percentage over the trials) plus the aggregated
 /// per-server load distribution across all trials.
-#[must_use]
-pub fn serving(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn serving(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let mean_life = 4.0 * n as f64;
     let horizon = 16 * n as u64;
-    let spec = ExperimentSpec::new(
-        "serving",
-        "Online serving: steady-state load and shed rate under arrivals and departures",
-    )
-    .paper_ref("§1.1 (online placement)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("ring"))
-    .param("servers", Json::from_usize(n))
-    .param("events", Json::from_u64(horizon))
-    .param("mean_life", Json::num(mean_life))
-    .param("tie_break", Json::str("random"));
+    let spec = header
+        .param("space", Json::str("ring"))
+        .param("servers", Json::from_usize(n))
+        .param("events", Json::from_u64(horizon))
+        .param("mean_life", Json::num(mean_life))
+        .param("tie_break", Json::str("random"));
     let mut result = ExperimentResult::new(spec);
     for (d, capacity) in SERVING_SCENARIOS {
         let cap_label = match capacity {
@@ -825,33 +833,26 @@ pub const RESILIENCE_RETRIES: [u32; 3] = [0, 1, 2];
 /// redraws come from each event's `RETRY_TAG` lane, and `r = 0` never
 /// touches that lane — so the `r = 0` column is byte-identical to the
 /// engine the committed `serving` table runs.
-#[must_use]
-pub fn resilience(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn resilience(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let mean_life = 4.0 * n as f64;
     let horizon = 16 * n as u64;
     let capacity = 6u32;
-    let spec = ExperimentSpec::new(
-        "resilience",
-        "Resilience: availability under correlated outages, recovery, and probe retries",
-    )
-    .paper_ref("§1.1 (online placement); conclusion (reliability)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("ring"))
-    .param("servers", Json::from_usize(n))
-    .param("events", Json::from_u64(horizon))
-    .param("mean_life", Json::num(mean_life))
-    .param("capacity", Json::from_u64(u64::from(capacity)))
-    .param("tie_break", Json::str("random"))
-    .param(
-        "retries",
-        Json::Arr(
-            RESILIENCE_RETRIES
-                .iter()
-                .map(|&r| Json::from_u64(u64::from(r)))
-                .collect(),
-        ),
-    );
+    let spec = header
+        .param("space", Json::str("ring"))
+        .param("servers", Json::from_usize(n))
+        .param("events", Json::from_u64(horizon))
+        .param("mean_life", Json::num(mean_life))
+        .param("capacity", Json::from_u64(u64::from(capacity)))
+        .param("tie_break", Json::str("random"))
+        .param(
+            "retries",
+            Json::Arr(
+                RESILIENCE_RETRIES
+                    .iter()
+                    .map(|&r| Json::from_u64(u64::from(r)))
+                    .collect(),
+            ),
+        );
     let mut result = ExperimentResult::new(spec);
     let fractions = [0.1f64, 0.3];
     // One aggregate row: [shed_pct, unavail_pct, retry_admit_pct,
@@ -964,19 +965,12 @@ pub fn resilience(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// orphans under the same scheme, and report the before/after maximum
 /// load plus the fraction of items that moved. Metric-only cells,
 /// compared exactly by `--check`.
-#[must_use]
-pub fn churn(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn churn(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let m = (16 * n) as u64;
     let seeder = StreamSeeder::new(config.seed).child("churn");
-    let spec = ExperimentSpec::new(
-        "churn",
-        "Churn: node failures and re-placement (items = 16n)",
-    )
-    .paper_ref("conclusion (reliability)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("nodes", Json::from_usize(n))
-    .param("items", Json::from_u64(m));
+    let spec = header
+        .param("nodes", Json::from_usize(n))
+        .param("items", Json::from_u64(m));
     let mut result = ExperimentResult::new(spec);
     for (name, policy, v) in [
         ("consistent", PlacementPolicy::Consistent, 1usize),
@@ -1023,21 +1017,14 @@ pub fn churn(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// Metric-only cells, compared exactly by `--check`. The seeder paths
 /// are those of the former binary, so its historical numbers reproduce
 /// under the same seed and trial count.
-#[must_use]
-pub fn replication(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn replication(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let m = (16 * n) as u64;
     let fail = 0.3;
     let seeder = StreamSeeder::new(config.seed).child("replication");
-    let spec = ExperimentSpec::new(
-        "replication",
-        "Replication: successor-list replicas x placement policy (items = 16n, 30% failures)",
-    )
-    .paper_ref("conclusion (reliability)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("nodes", Json::from_usize(n))
-    .param("items", Json::from_u64(m))
-    .param("fail_fraction", Json::num(fail));
+    let spec = header
+        .param("nodes", Json::from_usize(n))
+        .param("items", Json::from_u64(m))
+        .param("fail_fraction", Json::num(fail));
     let mut result = ExperimentResult::new(spec);
     for (name, policy) in [
         ("consistent", PlacementPolicy::Consistent),
@@ -1076,16 +1063,12 @@ pub fn replication(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// compared exactly by `--check`. The seeder paths are those of the
 /// former binary, so its historical numbers reproduce under the same
 /// seed and trial count.
-#[must_use]
-pub fn dht(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn dht(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let m = (16 * n) as u64;
     let v = (n as f64).log2().ceil() as usize;
     let lookup_samples = 2000;
     let seeder = StreamSeeder::new(config.seed).child("dht");
-    let spec = ExperimentSpec::new("dht", "E11: Chord DHT load balance by placement scheme")
-        .paper_ref("§1.1")
-        .trials(config.trials)
-        .seed(config.seed)
+    let spec = header
         .param("nodes", Json::from_usize(n))
         .param("items", Json::from_u64(m))
         .param("virtual_servers", Json::from_usize(v))
@@ -1149,28 +1132,21 @@ pub const SCALING_BACKINGS: [&str; 3] = ["flat-u32", "packed-nibble", "packed-by
 /// never reach at these sizes). `~balls_per_s` is wall-clock placement
 /// throughput; the `~` prefix marks it informational, so `--check`
 /// renders it but excludes it from the exact metric compare.
-#[must_use]
-pub fn scaling(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn scaling(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let ds = [1usize, 2];
-    let spec = ExperimentSpec::new(
-        "scaling",
-        "Streaming scale: load-state backings at large n (m = n)",
-    )
-    .paper_ref("§1 (scaling to large n)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("space", Json::str("uniform"))
-    .param("m", Json::str("n"))
-    .param("tie_break", Json::str("random"))
-    .param("n", Json::from_usize(n))
-    .param(
-        "backing",
-        Json::Arr(SCALING_BACKINGS.iter().map(|&b| Json::str(b)).collect()),
-    )
-    .param(
-        "d",
-        Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
-    );
+    let spec = header
+        .param("space", Json::str("uniform"))
+        .param("m", Json::str("n"))
+        .param("tie_break", Json::str("random"))
+        .param("n", Json::from_usize(n))
+        .param(
+            "backing",
+            Json::Arr(SCALING_BACKINGS.iter().map(|&b| Json::str(b)).collect()),
+        )
+        .param(
+            "d",
+            Json::Arr(ds.iter().map(|&d| Json::from_usize(d)).collect()),
+        );
     let mut result = ExperimentResult::new(spec);
     for &d in &ds {
         let strategy = Strategy::d_choice(d);
@@ -1250,8 +1226,7 @@ pub const DURABILITY_INTERVALS: [u64; 3] = [64, 256, 1024];
 /// the seed — the journal writes to a scratch directory but every
 /// reported number is a pure function of the streams — so `--check`
 /// compares them exactly.
-#[must_use]
-pub fn durability(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn durability(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     use std::sync::atomic::{AtomicU64, Ordering};
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
@@ -1263,24 +1238,18 @@ pub fn durability(n: usize, config: &SweepConfig) -> ExperimentResult {
         retries: 1,
     };
     let seeder = StreamSeeder::new(config.seed).child("durability");
-    let spec = ExperimentSpec::new(
-        "durability",
-        "Durability: crash-point recovery cost vs checkpoint interval",
-    )
-    .paper_ref("§1.1 (online serving, made durable)")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("servers", Json::from_usize(n))
-    .param("events", Json::from_u64(events))
-    .param(
-        "interval",
-        Json::Arr(
-            DURABILITY_INTERVALS
-                .iter()
-                .map(|&c| Json::from_u64(c))
-                .collect(),
-        ),
-    );
+    let spec = header
+        .param("servers", Json::from_usize(n))
+        .param("events", Json::from_u64(events))
+        .param(
+            "interval",
+            Json::Arr(
+                DURABILITY_INTERVALS
+                    .iter()
+                    .map(|&c| Json::from_u64(c))
+                    .collect(),
+            ),
+        );
     let mut result = ExperimentResult::new(spec);
     for &every in &DURABILITY_INTERVALS {
         // The app-side chunking between checkpoints: eight progress
@@ -1368,8 +1337,7 @@ pub fn durability(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// (≤ 1 up to sampling noise) for `c ∈ {1, 2, 3}` and `k ∈ {2, 3}`.
 /// The seeder paths of the lemma and non-uniformity members are those
 /// of their former standalone binaries, so historical runs reproduce.
-#[must_use]
-pub fn lemma3(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn lemma3(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let rows = geo2c_ring::negdep::negative_dependence_experiment(
         n,
         &[1.0, 2.0, 3.0],
@@ -1378,15 +1346,9 @@ pub fn lemma3(n: usize, config: &SweepConfig) -> ExperimentResult {
         &StreamSeeder::new(config.seed).child("lemma3"),
         config.threads,
     );
-    let spec = ExperimentSpec::new(
-        "lemma3",
-        "Lemma 3: negative dependence of long-arc indicators",
-    )
-    .paper_ref("Lemma 3")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("n", Json::from_usize(n))
-    .param("claim", Json::str("E[Z_1..Z_k] <= E[Z]^k"));
+    let spec = header
+        .param("n", Json::from_usize(n))
+        .param("claim", Json::str("E[Z_1..Z_k] <= E[Z]^k"));
     let mut result = ExperimentResult::new(spec);
     for r in &rows {
         result.push(
@@ -1407,8 +1369,7 @@ pub fn lemma3(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// `N_c ≥ 2n e^{−c}`, where `N_c` counts arcs of length at least `c/n`,
 /// next to the analytic bounds `e^{−n e^{−c}/3}` (Lemma 4, negative
 /// dependence) and `e^{−n e^{−2c}/8}` (Lemma 5, martingale).
-#[must_use]
-pub fn lemma4_5(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn lemma4_5(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let rows = geo2c_ring::tail::long_arc_tail_experiment(
         n,
         &[2.0, 3.0, 4.0, 6.0, 8.0, 10.0],
@@ -1416,10 +1377,7 @@ pub fn lemma4_5(n: usize, config: &SweepConfig) -> ExperimentResult {
         &StreamSeeder::new(config.seed).child("lemma4"),
         config.threads,
     );
-    let spec = ExperimentSpec::new("lemma4_5", "Lemmas 4/5: long-arc count tail on the ring")
-        .paper_ref("Lemmas 4 and 5")
-        .trials(config.trials)
-        .seed(config.seed)
+    let spec = header
         .param("n", Json::from_usize(n))
         .param("threshold", Json::str("N_c >= 2 n e^-c"));
     let mut result = ExperimentResult::new(spec);
@@ -1445,8 +1403,7 @@ pub fn lemma4_5(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// against `4 ln n / n`. The `exact_expected_sum` column is the exact
 /// expectation from the Rényi spacings representation, which shows the
 /// slack the paper's bound carries (about 2×).
-#[must_use]
-pub fn lemma6(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn lemma6(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let lnn = (n as f64).ln();
     let a_floor = (lnn * lnn) as usize;
     let mut sizes = vec![
@@ -1465,10 +1422,7 @@ pub fn lemma6(n: usize, config: &SweepConfig) -> ExperimentResult {
         &StreamSeeder::new(config.seed).child("lemma6"),
         config.threads,
     );
-    let spec = ExperimentSpec::new("lemma6", "Lemma 6: sum of the a longest arcs")
-        .paper_ref("Lemma 6")
-        .trials(config.trials)
-        .seed(config.seed)
+    let spec = header
         .param("n", Json::from_usize(n))
         .param("bound", Json::str("2 (a/n) ln(n/a); a = 1 row: 4 ln n / n"));
     let mut result = ExperimentResult::new(spec);
@@ -1498,8 +1452,7 @@ pub fn lemma6(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// Lemma 8 is deterministic (every cell of area at least `c/n` has an
 /// empty sector), so the constructor **asserts** zero violations across
 /// all trials, the same way [`scaling`] asserts placement equality.
-#[must_use]
-pub fn lemma8_9(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn lemma8_9(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let rows = geo2c_torus::sector::voronoi_tail_experiment(
         n,
         &[2.0, 3.0, 4.0, 6.0, 12.0, (n as f64).ln()],
@@ -1509,15 +1462,7 @@ pub fn lemma8_9(n: usize, config: &SweepConfig) -> ExperimentResult {
     );
     let violations: u64 = rows.iter().map(|r| r.lemma8_violations).sum();
     assert_eq!(violations, 0, "Lemma 8 violated at n = {n}");
-    let spec = ExperimentSpec::new(
-        "lemma8_9",
-        "Lemmas 8/9: Voronoi cell-area tail on the torus",
-    )
-    .paper_ref("Lemmas 8 and 9")
-    .trials(config.trials)
-    .seed(config.seed)
-    .param("n", Json::from_usize(n))
-    .param(
+    let spec = header.param("n", Json::from_usize(n)).param(
         "threshold",
         Json::str("#cells(area >= c/n) vs 12 n e^{-c/6}"),
     );
@@ -1550,8 +1495,7 @@ const NONUNIFORM_WIDTH: f64 = 0.1;
 /// plus the `d = 2` max-load distribution. `make_factory(q)` builds the
 /// per-`q` space factory.
 fn nonuniform_axis<S, F, G>(
-    id: &str,
-    title: &str,
+    header: ExperimentSpec,
     label_prefix: &str,
     n: usize,
     config: &SweepConfig,
@@ -1562,10 +1506,7 @@ where
     F: Fn(&mut Xoshiro256pp) -> S + Sync,
     G: Fn(f64) -> F,
 {
-    let spec = ExperimentSpec::new(id, title)
-        .paper_ref("conclusion / footnote 2")
-        .trials(config.trials)
-        .seed(config.seed)
+    let spec = header
         .param("n", Json::from_usize(n))
         .param("m", Json::str("n"))
         .param("cluster_width", Json::num(NONUNIFORM_WIDTH))
@@ -1591,7 +1532,7 @@ where
                 .metric("mean_d2_smaller", Json::num(smaller.stats.mean()))
                 .dist(two.distribution),
         );
-        progress(&format!("{id}: q = {q} done"));
+        progress(&format!("{}: q = {q} done", result.spec.id));
     }
     result
 }
@@ -1601,22 +1542,14 @@ where
 /// in a cluster of width 0.1, so the few servers outside it own huge
 /// arcs; probes stay uniform. Even `d = 2` grows with `q`, but it keeps a
 /// constant-factor edge over `d = 1` throughout.
-#[must_use]
-pub fn nonuniform_servers(n: usize, config: &SweepConfig) -> ExperimentResult {
-    nonuniform_axis(
-        "nonuniform_servers",
-        "E15a: clustered servers, uniform probes (ring)",
-        "nonuniform/server",
-        n,
-        config,
-        |q| {
-            move |rng: &mut Xoshiro256pp| {
-                RingSpace::from_partition(
-                    RingMix::new(q, 0.0, NONUNIFORM_WIDTH).build_partition(n, rng),
-                )
-            }
-        },
-    )
+fn nonuniform_servers(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
+    nonuniform_axis(header, "nonuniform/server", n, config, |q| {
+        move |rng: &mut Xoshiro256pp| {
+            RingSpace::from_partition(
+                RingMix::new(q, 0.0, NONUNIFORM_WIDTH).build_partition(n, rng),
+            )
+        }
+    })
 }
 
 /// The conclusion's open question, probe side (footnote 2: customers are
@@ -1626,23 +1559,15 @@ pub fn nonuniform_servers(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// Region-size tie-breaking uses each arc's exact probe mass. Two choices
 /// stay within about 2× of that floor while `d = 1` overshoots it
 /// several-fold.
-#[must_use]
-pub fn nonuniform_probes(n: usize, config: &SweepConfig) -> ExperimentResult {
-    nonuniform_axis(
-        "nonuniform_probes",
-        "E15b: uniform servers, clustered probes (ring)",
-        "nonuniform/probe",
-        n,
-        config,
-        |q| {
-            move |rng: &mut Xoshiro256pp| {
-                MixRingSpace::new(
-                    RingPartition::random(n, rng),
-                    RingMix::new(q, 0.0, NONUNIFORM_WIDTH),
-                )
-            }
-        },
-    )
+fn nonuniform_probes(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
+    nonuniform_axis(header, "nonuniform/probe", n, config, |q| {
+        move |rng: &mut Xoshiro256pp| {
+            MixRingSpace::new(
+                RingPartition::random(n, rng),
+                RingMix::new(q, 0.0, NONUNIFORM_WIDTH),
+            )
+        }
+    })
 }
 
 /// The conclusion's other open question: does the fluid limit (the
@@ -1653,8 +1578,7 @@ pub fn nonuniform_probes(n: usize, config: &SweepConfig) -> ExperimentResult {
 /// prediction `n·s_i`. The uniform column tracks the prediction; the
 /// geometric columns leave more servers empty but carry a heavier tail
 /// from load 2 up.
-#[must_use]
-pub fn profile(n: usize, config: &SweepConfig) -> ExperimentResult {
+fn profile(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let two = Strategy::two_choice();
     let uniform = mean_load_profile(
         move |_: &mut Xoshiro256pp| UniformSpace::new(n),
@@ -1679,10 +1603,7 @@ pub fn profile(n: usize, config: &SweepConfig) -> ExperimentResult {
     );
     let depth = uniform.len().max(ring.len()).max(torus.len()).max(6);
     let fluid = fluid_limit_profile(2, 1.0, depth);
-    let spec = ExperimentSpec::new("profile", "E14: mean load profile vs the fluid limit")
-        .paper_ref("conclusion (open question)")
-        .trials(config.trials)
-        .seed(config.seed)
+    let spec = header
         .param("n", Json::from_usize(n))
         .param("d", Json::from_usize(2))
         .param("m", Json::str("n"));
@@ -1791,175 +1712,17 @@ tail from load 2 up, the ring most of all.\n\n",
     );
 
     out.push_str(
-        "## RNG stream contract v2 (per-ball lanes)\n\n\
-Every trial's randomness is *laned*: the trial draws a single `u64` root \
-from its `StreamSeeder` stream, and ball `b` then draws its `d` probe \
-coordinates from the counter-keyed generator \
-`SplitMix64::mixed(root, b, PROBE_TAG)` and resolves load ties on \
-`SplitMix64::mixed(root, b, TIE_TAG)` (`geo2c_util::rng::BallLanes`; \
-reference vectors pin the keying). Because no two balls — and no ball's \
-probe and tie draws — share a stream, the insertion engine batches probe \
-blocks of 64 balls per `Space::sample_owners_lanes` call for **every** \
-independent-probe strategy, the paper-default random tie-break included \
-(under contract v1 a shared stream forced random-tie runs onto a \
-ball-at-a-time path). The batched engine is *exactly* equal to the \
-un-batched lane-sequential process — `geo2c-core/tests/lane_equivalence.rs` \
-proves byte equality across all spaces × d × tie policies — so only the \
-contract migration itself could move the numbers.\n\n\
-That migration happened **once**, in the PR introducing this section: the \
-v1-stream expectations are archived under [`results/v1/`](results/v1/), \
-and `./tables.sh --check --against results/v1` diffs the current numbers \
-against them with the two-sample statistics below — the committed \
-evidence that the distribution *law* is unchanged and only the stream \
-changed. (Dahlgaard et al., SODA 2016, give the theory backdrop: \
-two-choices max load is robust to far weaker randomness than either \
-stream, which the `tabulation` table above tests directly.)\n\n\
-The serving engine adds two lane families to the same contract. An \
-arrival whose primary placement would shed redraws up to `r` fresh probe \
-sets (probes *and* tie-breaks) from the event's \
-`SplitMix64::mixed(root, event, RETRY_TAG)` lane — consumed only on the \
-would-shed path, so the `r = 0` engine never touches it and the serving \
-table above is byte-identical whether or not retries exist in the build. \
-Fault schedules are deterministic data, not hidden randomness: a \
-`geo2c_serve::FaultPlan` pins every crash/recovery to an arrival-event \
-timestamp (the resilience table's region outages are plan literals), and \
-randomized schedules draw fault `i`'s crash time, victim, and downtime \
-from `SplitMix64::mixed(root, i, FAULT_TAG)` — one more replayable lane, \
-decorrelated from every probe/tie/life/retry stream. The chaos suite \
-(`geo2c-serve/tests/fault_recovery.rs`) pins the consequences: chunked, \
-resumed, and checkpoint/restored runs under a plan are byte-identical to \
-the one-shot run, and arrivals are conserved across arbitrary \
-fail/recover churn.\n\n\
-## Performance methodology\n\n\
-The numbers above are *distributions*; the speed that makes them cheap to \
-regenerate is tracked separately under [`results/bench/`](results/bench/):\n\n\
-* **Run:** `cargo run --release -p geo2c-bench --bin run_benches` times the \
-paper-substrate suite (owner lookups on the ring, the torus, and the \
-K-torus for K ∈ {3, 4}, the least-of-`d` load-read micro-bench \
-`substrate/min_load_flat`, end-to-end random-tie-break `run_trial` \
-insertions on each geometry — `trial/*_random` — and the arc-left \
-ablation `trial/kd3_d2_left`) with criterion's technique — adaptive \
-~20 ms windows, best of N (`--repeats N`, default 3), ns/iter — and \
-writes `results/bench/baseline.json` (`--quick` for the CI scale, \
-`results/bench/quick.json`). Each file is a normal \
-`geo2c_report::ResultSet` with seed + git-revision provenance. Serving \
-has its own harness: the repository benchmark `perfbench/` times the \
-engine end to end and layer by layer, one harness per question.\n\
-* **Gate:** `run_benches --check [--tolerance PCT]` reruns the suite and \
-fails if any benchmark is more than `PCT`% slower than its committed \
-baseline (default 50%; `ci.sh` gates at 200% because baselines store one \
-reference machine's absolute timings, making the cross-machine gate a \
-catastrophe catch rather than a micro-regression gate). Improvements \
-never fail; a bench appearing or disappearing always does.\n\
-* **Prove:** `run_benches --diff AFTER.json BEFORE.json` prints per-bench \
-speedups, and `--min-speedup R --only SUBSTR,SUBSTR` turns the diff into \
-a gate. Pre-optimization measurements are archived per PR by \
-`run_benches --archive [LABEL]` as `results/bench/before_<LABEL>.json` \
-(auto-numbered `before_prN.json` without a label): `before_pr9.json` \
-holds the captures just before the timing-wheel departure scheduler and \
-the batched serving loop (1.5×+/8× on the serving steady-state/faulted \
-trials — see below; the serving rows' last cells are frozen in \
-`serving_pr10.json` and `serving_pr10_quick.json`), `before_pr7.json` \
-holds the captures just before the packed/sharded load-state layer \
-(its gate is *no slower*, not faster — see below), `before_pr5.json` \
-the captures just before the contract-v2 lane engine \
-(1.9×/1.8×/1.9× end-to-end random-tie trials on ring 2^20 / torus 2^16 / \
-3-torus 2^13 against the committed `baseline.json`, both sides measured \
-back-to-back on the reference core), `before_pr4.json` those before the \
-K-d owner port, and `before_pr3.json` those before PR 3's ring/torus \
-overhaul — the committed tree carries its own before/after trajectory.\n\
-* **Ablations:** the oracles the shipped owner paths replaced (brute-force \
-nearest site for the K-d grid every torus dimension runs on, 2-D included, \
-and its orthant fast path; binary search for the bucket-accelerated \
-successor) stay in the tree as the references of \
-the owner-equivalence proptests, which pin every fast path to them. Their \
-speed side is archived evidence, not a live bench: `before_pr3.json` and \
-`before_pr4.json` hold the owner rows measured just before the fast paths \
-replaced them.\n\n\
-Hot-path refactors must not move the tables: under stream contract v2 \
-the batched engine is byte-equal to the lane-sequential reference (the \
-`lane_equivalence` suite), so `./tables.sh --check` passing with \
-*unchanged* committed JSON remains part of any perf PR's evidence — the \
-one exception was the v1→v2 contract migration itself, documented in the \
-section above.\n\n\
-### Memory: packed load states\n\n\
-The streaming-scale table above tracks **bytes/bin** alongside \
-throughput: the insertion engine is generic over its \
-`geo2c_core::load::LoadState` backing, and the packed backings store a \
-bin's load in 4 or 8 bits in-line (loads above the in-line cap — 14 for \
-nibbles, 254 for bytes — spill to a sparse side table behind a sentinel, \
-so arbitrary loads still read exactly). That takes the live working set \
-for 10^8 bins from 400 MB (flat `u32`) to ~50 MB (nibble), which is the \
-difference between streaming from DRAM and fitting the hot region in \
-cache. Both packed widths are *asserted byte-identical* to the flat \
-engine (the `loadvec_equivalence` and `packed_equivalence` proptest \
-suites, plus the in-experiment max-load equality assert): every backing \
-replays the same RNG streams as the flat vector, so the committed tables \
-are unchanged by construction; the `before_pr7.json` diff pins the \
-*no slower* half of the claim on the headline trials.\n\n\
-### Scheduling: the departure timing wheel\n\n\
-The serving engine's departure deadlines live in a two-level hierarchical \
-timing wheel (`geo2c_serve::wheel::DepartureWheel`, 2 × 1024 slots plus \
-an overflow list): O(1) schedule, O(due) drain, and — when a server \
-crashes — an O(1) *lazy purge* that bumps the server's epoch so its \
-stale entries are dropped as the drain reaches them, instead of \
-rebuilding the queue. The event loop batches arrivals in 64-event \
-blocks, pre-drawing each block's probe owners before resolving it \
-(`geo2c_core::sim::EventOwnerBlocks`). Both changes are invisible to the \
-numbers above: under stream contract v2 same-deadline departures \
-commute, so the wheel-backed engine is byte-equal to the binary-heap \
-engine it replaced — the heap stays on as `wheel::HeapQueue`, the oracle \
-of the `wheel_oracle` proptest suite (queue-level lockstep scripts plus \
-whole-engine checkpoint equality under faults), and `ci.sh` pins the \
-speedup itself as committed evidence: the frozen PR-10 serving cells in \
-`serving_pr10.json` must show ≥ 1.5× over `before_pr9.json` on \
-`trial/serving_d2_random` and `trial/serving_faults_d2` (the faulted \
-trial gains the most — the old heap held every purged server's dead \
-entries until their deadlines), a pure file comparison.\n\n\
-### Durability: checkpoints and the write-ahead journal\n\n\
-The durability table above measures the serving engine's crash-recovery \
-subsystem (`geo2c_serve::journal`). Because stream contract v2 makes the \
-engine state a pure function of `(space, config, root, plan, events)`, \
-the on-disk format persists **no event payloads**: a journal directory \
-holds one `checkpoint.bin` (a versioned binary `EngineState` image in a \
-single CRC-guarded frame, rewritten in place into the spare \
-`checkpoint.tmp` and rotated in by renames that never replace a file, so \
-the previous image becomes the next spare) and one `journal.bin` of \
-17-byte progress frames, each saying \"events below `t` are durable\". \
-Both files open with a magic/version header that binds the lane root and \
-a fingerprint of `(servers, config)`, so a checkpoint can never be \
-restored into an engine it was not taken from. Every `C` events the \
-state is snapshotted, and the checkpoint image is built from the \
-snapshot in stages, one fixed work budget per journaled chunk, starting \
-with a sliced gather of the departures live at the boundary that were \
-filed since the previous image, whose sorted departures are merged with \
-them; an image \
-of up to 2^12 servers (every size this table runs) fits one budget, is \
-written whole at the boundary and is durable before the boundary's call \
-returns. Once it is durable, the \
-journal is compacted to the frames after the checkpoint's event — the \
-checkpoint subsumes the rest — so steady-state disk cost is one state \
-image plus ~17·8/C bytes per event at the suite's eight-chunks-per-\
-interval cadence (the `journal_bytes_per_event` column).\n\n\
-Recovery (`geo2c_serve::Recovery::resume`) distinguishes *crash \
-artifacts* from *corruption*: a frame whose damage reaches end-of-file \
-is a torn tail (the residue of dying mid-append) and is truncated away, \
-while a bad CRC with durable frames after it fails loudly — recovery \
-never silently invents or drops durable history. The restored engine \
-then replays deterministically from the checkpoint to the last durable \
-marker, and the replayed state is **byte-equal** to the uninterrupted \
-run — not approximately recovered, provably identical. That replay-\
-equality guarantee is pinned three ways: the `crash_recovery` proptest \
-suite drives arbitrary byte truncations, tail bit flips, and mid-rename \
-crashes across load backings and both schedulers; every durability-\
-table trial asserts `recovered ≡ uninterrupted` before reporting its \
-cell; and the frozen PR-10 `trial/serving_d2_journaled` cell (gated in \
-`ci.sh` at ≤ 1.25× `trial/serving_d2_random` in `serving_pr10.json`) \
-pins the journal discipline's steady-state overhead as measured then, \
-while `perfbench`'s `serve_durable_churn` workload times the durable \
-path today. The `replay_mean` column is the recovery-time \
-half of the trade-off the checkpoint interval buys: larger `C` writes \
-fewer state images but replays more events after a crash.\n\n",
+        "## Stream contract, performance and durability\n\n\
+README.md documents once what these numbers rest on: RNG stream contract v2 \
+(per-ball lanes), the bench harness, the committed `results/bench/` evidence and \
+the packed load states in [Performance methodology](README.md#performance-methodology); \
+the serving engine's event lanes and departure timing wheel in \
+[Online serving](README.md#online-serving), its fault and retry lanes in \
+[Fault injection & recovery](README.md#fault-injection--recovery), and the \
+checkpoint and journal format in \
+[Durability & crash recovery](README.md#durability--crash-recovery). The \
+pre-lane-contract numbers are archived under [`results/v1/`](results/v1/) and \
+checked with `./tables.sh --check --against results/v1`.\n\n",
     );
     out.push_str(
         "## Reading the JSON\n\n\
@@ -1980,6 +1743,12 @@ mod tests {
 
     fn tiny_config() -> SweepConfig {
         SweepConfig::new(5).with_seed(3).with_threads(2)
+    }
+
+    /// Runs suite member `id` the way `run_tables` does.
+    fn run(id: &str, ns: &[usize], config: &SweepConfig) -> ExperimentResult {
+        let member = SUITE.iter().find(|m| m.id == id).expect("suite member");
+        member.run(ns, config)
     }
 
     #[test]
@@ -2017,7 +1786,7 @@ mod tests {
 
     #[test]
     fn table1_produces_a_cell_per_configuration() {
-        let result = table1(&[32, 64], &tiny_config());
+        let result = run("table1", &[32, 64], &tiny_config());
         assert_eq!(result.spec.id, "table1");
         assert_eq!(result.cells.len(), 8); // 2 sizes x 4 d values
         for cell in &result.cells {
@@ -2040,13 +1809,13 @@ mod tests {
                 "voecking"
             ]
         );
-        let result = table3(&[32], &tiny_config());
+        let result = run("table3", &[32], &tiny_config());
         assert_eq!(result.cells.len(), 5);
     }
 
     #[test]
     fn dimension_covers_d_2_through_8_for_k_3_and_4() {
-        let result = dimension(32, &tiny_config());
+        let result = run("dimension", &[32], &tiny_config());
         // d ∈ {1..8} for K ∈ {3, 4}.
         assert_eq!(result.cells.len(), 16);
         for k in [3u64, 4] {
@@ -2068,7 +1837,7 @@ mod tests {
 
     #[test]
     fn ring_chart_sweeps_d_2_through_8() {
-        let result = ring_chart(64, &tiny_config());
+        let result = run("ring_chart", &[64], &tiny_config());
         assert_eq!(result.spec.id, "ring_chart");
         assert_eq!(result.cells.len(), 7);
         for (cell, d) in result.cells.iter().zip(2u64..=8) {
@@ -2082,7 +1851,7 @@ mod tests {
 
     #[test]
     fn tabulation_compares_both_samplers_cell_per_d() {
-        let result = tabulation(64, &tiny_config());
+        let result = run("tabulation", &[64], &tiny_config());
         assert_eq!(result.spec.id, "tabulation");
         // 2 samplers × d ∈ {1, 2}.
         assert_eq!(result.cells.len(), 4);
@@ -2129,7 +1898,7 @@ mod tests {
     fn serving_covers_every_scenario_with_conserving_cells() {
         let n = 32;
         let config = tiny_config();
-        let result = serving(n, &config);
+        let result = run("serving", &[n], &config);
         assert_eq!(result.spec.id, "serving");
         assert_eq!(result.cells.len(), SERVING_SCENARIOS.len());
         for (cell, (d, capacity)) in result.cells.iter().zip(SERVING_SCENARIOS) {
@@ -2158,14 +1927,14 @@ mod tests {
             }
         }
         // Deterministic in the seed: the metrics are compared exactly.
-        assert_eq!(serving(n, &config), result);
+        assert_eq!(run("serving", &[n], &config), result);
     }
 
     #[test]
     fn resilience_covers_the_steady_grid_and_the_transient_curve() {
         let n = 64;
         let config = tiny_config();
-        let result = resilience(n, &config);
+        let result = run("resilience", &[n], &config);
         assert_eq!(result.spec.id, "resilience");
         // Steady: 2 fractions × d ∈ {2, 3} × 3 retry budgets; transient:
         // 3 phases × 3 retry budgets. All metric-only.
@@ -2232,13 +2001,13 @@ mod tests {
             assert!(outage > metric(transient("recovered", r), "shed_pct"));
         }
         // Deterministic in the seed: exact metric replay.
-        assert_eq!(resilience(n, &config), result);
+        assert_eq!(run("resilience", &[n], &config), result);
     }
 
     #[test]
     fn replication_matches_the_former_binary_cell_grid() {
         let config = tiny_config();
-        let result = replication(32, &config);
+        let result = run("replication", &[32], &config);
         assert_eq!(result.spec.id, "replication");
         // 2 schemes × r ∈ {1, 2, 3}, metric-only cells.
         assert_eq!(result.cells.len(), 6);
@@ -2263,13 +2032,13 @@ mod tests {
                     > metric(&scheme_cells[0], "availability_pct")
             );
         }
-        assert_eq!(replication(32, &config), result);
+        assert_eq!(run("replication", &[32], &config), result);
     }
 
     #[test]
     fn churn_matches_the_former_binary_cell_grid() {
         let config = tiny_config();
-        let result = churn(16, &config);
+        let result = run("churn", &[16], &config);
         assert_eq!(result.spec.id, "churn");
         // 3 schemes × 3 failure fractions, metric-only cells.
         assert_eq!(result.cells.len(), 9);
@@ -2286,13 +2055,13 @@ mod tests {
             result.cells[0].label(),
             "scheme=\"consistent\", fail_pct=10"
         );
-        assert_eq!(churn(16, &config), result);
+        assert_eq!(run("churn", &[16], &config), result);
     }
 
     #[test]
     fn dht_matches_the_former_binary_cell_grid() {
         let config = tiny_config();
-        let result = dht(32, &config);
+        let result = run("dht", &[32], &config);
         assert_eq!(result.spec.id, "dht");
         // 4 placement schemes, metric-only cells.
         assert_eq!(result.cells.len(), 4);
@@ -2333,13 +2102,13 @@ mod tests {
         let consistent = metric(&result.cells[0], "max_load_mean");
         assert!(metric(&result.cells[1], "max_load_mean") < consistent);
         assert!(metric(&result.cells[2], "max_load_mean") < consistent);
-        assert_eq!(dht(32, &config), result);
+        assert_eq!(run("dht", &[32], &config), result);
     }
 
     #[test]
     fn durability_recovers_exactly_at_every_interval() {
         let config = tiny_config();
-        let result = durability(32, &config);
+        let result = run("durability", &[32], &config);
         assert_eq!(result.spec.id, "durability");
         // One metric-only cell per checkpoint interval. (The constructor
         // itself asserts recovered ≡ uninterrupted in every trial.)
@@ -2374,7 +2143,7 @@ mod tests {
         assert!(metric(last, "journal_bytes_per_event") < metric(first, "journal_bytes_per_event"));
         // Deterministic in the seed: exact metric replay (the scratch
         // directory never leaks into the numbers).
-        assert_eq!(durability(32, &config), result);
+        assert_eq!(run("durability", &[32], &config), result);
     }
 
     fn metric(cell: &Cell, key: &str) -> f64 {
@@ -2389,16 +2158,16 @@ mod tests {
     fn lemma_validations_cover_their_grids_and_hold() {
         let config = tiny_config();
         // Lemma 3: c ∈ {1, 2, 3} × k ∈ {2, 3}.
-        let l3 = lemma3(64, &config);
+        let l3 = run("lemma3", &[64], &config);
         assert_eq!(l3.cells.len(), 6);
         // Lemmas 4/5: six values of c; the observed mean tracks n e^{-c}.
-        let l45 = lemma4_5(256, &config);
+        let l45 = run("lemma4_5", &[256], &config);
         assert_eq!(l45.cells.len(), 6);
         for cell in &l45.cells {
             assert!(metric(cell, "mean_count") <= metric(cell, "max_count"));
         }
         // Lemma 6: a = 1 first, the bound dominating the mean sum.
-        let l6 = lemma6(256, &config);
+        let l6 = run("lemma6", &[256], &config);
         assert!(l6.cells[0]
             .coords
             .iter()
@@ -2407,21 +2176,21 @@ mod tests {
             assert!(metric(cell, "exact_expected_sum") <= metric(cell, "bound"));
         }
         // Lemmas 8/9: the constructor asserts zero Lemma 8 violations.
-        let l89 = lemma8_9(64, &config);
+        let l89 = run("lemma8_9", &[64], &config);
         assert_eq!(l89.cells.len(), 6);
         for result in [&l3, &l45, &l6, &l89] {
             assert!(result.cells.iter().all(|c| c.distribution.is_none()));
         }
-        assert_eq!(lemma3(64, &config), l3);
-        assert_eq!(lemma8_9(64, &config), l89);
+        assert_eq!(run("lemma3", &[64], &config), l3);
+        assert_eq!(run("lemma8_9", &[64], &config), l89);
     }
 
     #[test]
     fn nonuniform_axes_sweep_q_and_keep_the_two_choice_edge() {
         let config = tiny_config();
         for result in [
-            nonuniform_servers(128, &config),
-            nonuniform_probes(128, &config),
+            run("nonuniform_servers", &[128], &config),
+            run("nonuniform_probes", &[128], &config),
         ] {
             assert_eq!(result.cells.len(), NONUNIFORM_QS.len());
             for cell in &result.cells {
@@ -2431,15 +2200,15 @@ mod tests {
             }
         }
         assert_eq!(
-            nonuniform_probes(64, &config),
-            nonuniform_probes(64, &config)
+            run("nonuniform_probes", &[64], &config),
+            run("nonuniform_probes", &[64], &config)
         );
     }
 
     #[test]
     fn profile_levels_are_monotone_and_start_at_n() {
         let n = 64;
-        let result = profile(n, &tiny_config());
+        let result = run("profile", &[n], &tiny_config());
         assert!(result.cells.len() >= 6);
         // Every server has load ≥ 0, and m = n balls leave at most n
         // servers with load ≥ 1.
@@ -2463,7 +2232,7 @@ mod tests {
     fn scaling_pins_every_backing_to_the_flat_reference() {
         let n = 256;
         let config = tiny_config();
-        let result = scaling(n, &config);
+        let result = run("scaling", &[n], &config);
         assert_eq!(result.spec.id, "scaling");
         // 4 backings × d ∈ {1, 2}, metric-only cells. (The constructor
         // itself asserts max-load equality with flat-u32 per d.)
@@ -2499,7 +2268,7 @@ mod tests {
         // Deterministic in the seed once the wall-clock column is
         // stripped — the contract `--check` relies on.
         assert_eq!(
-            strip_informational(scaling(n, &config)),
+            strip_informational(run("scaling", &[n], &config)),
             strip_informational(result)
         );
     }
@@ -2514,27 +2283,27 @@ mod tests {
             git_rev: "deadbeefcafe0123".into(),
             seed: config.seed,
         });
-        set.push(table1(&[32], &config));
-        set.push(table2(&[32], &config));
-        set.push(table3(&[32], &config));
-        set.push(dimension(32, &config));
-        set.push(ring_chart(32, &config));
-        set.push(tabulation(32, &config));
-        set.push(heavy(32, &config));
-        set.push(serving(32, &config));
-        set.push(resilience(64, &config));
-        set.push(churn(16, &config));
-        set.push(replication(16, &config));
-        set.push(dht(16, &config));
-        set.push(scaling(64, &config));
-        set.push(durability(16, &config));
-        set.push(lemma3(64, &config));
-        set.push(lemma4_5(64, &config));
-        set.push(lemma6(256, &config));
-        set.push(lemma8_9(64, &config));
-        set.push(nonuniform_servers(32, &config));
-        set.push(nonuniform_probes(32, &config));
-        set.push(profile(32, &config));
+        set.push(run("table1", &[32], &config));
+        set.push(run("table2", &[32], &config));
+        set.push(run("table3", &[32], &config));
+        set.push(run("dimension", &[32], &config));
+        set.push(run("ring_chart", &[32], &config));
+        set.push(run("tabulation", &[32], &config));
+        set.push(run("heavy", &[32], &config));
+        set.push(run("serving", &[32], &config));
+        set.push(run("resilience", &[64], &config));
+        set.push(run("churn", &[16], &config));
+        set.push(run("replication", &[16], &config));
+        set.push(run("dht", &[16], &config));
+        set.push(run("scaling", &[64], &config));
+        set.push(run("durability", &[16], &config));
+        set.push(run("lemma3", &[64], &config));
+        set.push(run("lemma4_5", &[64], &config));
+        set.push(run("lemma6", &[256], &config));
+        set.push(run("lemma8_9", &[64], &config));
+        set.push(run("nonuniform_servers", &[32], &config));
+        set.push(run("nonuniform_probes", &[32], &config));
+        set.push(run("profile", &[32], &config));
         let md = experiments_markdown(&set);
         assert!(md.starts_with("# EXPERIMENTS"));
         for heading in [
@@ -2560,16 +2329,14 @@ mod tests {
             "## E15b",
             "## E14",
             "## Reading the lemma and open-question tables",
-            "## RNG stream contract v2",
-            "## Performance methodology",
-            "### Memory: packed load states",
-            "### Scheduling: the departure timing wheel",
-            "### Durability: checkpoints and the write-ahead journal",
+            "## Stream contract, performance and durability",
+            "## Reading the JSON",
         ] {
             assert!(md.contains(heading), "missing {heading}");
         }
         // The resilience section must land between serving and churn
-        // (suite order), and the methodology note must name both tags.
+        // (suite order), and the prose after the tables points at
+        // README's sections instead of repeating them.
         let pos = |needle: &str| {
             md.find(needle)
                 .unwrap_or_else(|| panic!("missing {needle}"))
@@ -2582,8 +2349,15 @@ mod tests {
         assert!(pos("## E11: Chord DHT") < pos("## Streaming scale"));
         assert!(pos("## Streaming scale") < pos("## Durability"));
         assert!(pos("## Durability") < pos("## Lemma 3"));
-        assert!(pos("## E14") < pos("## RNG stream contract v2"));
-        assert!(md.contains("RETRY_TAG") && md.contains("FAULT_TAG"));
+        assert!(pos("## E14") < pos("## Stream contract, performance and durability"));
+        for section in [
+            "online-serving",
+            "fault-injection--recovery",
+            "durability--crash-recovery",
+            "performance-methodology",
+        ] {
+            assert!(md.contains(&format!("(README.md#{section})")), "{section}");
+        }
         assert!(md.contains("`./tables.sh --check`"));
         assert!(md.contains("seed (`3`)"));
         // Byte-identical regeneration: the git revision must not leak in
@@ -2595,10 +2369,14 @@ mod tests {
 
     #[test]
     fn results_are_deterministic_in_the_seed() {
-        let a = table1(&[32], &tiny_config());
-        let b = table1(&[32], &tiny_config());
+        let a = run("table1", &[32], &tiny_config());
+        let b = run("table1", &[32], &tiny_config());
         assert_eq!(a, b);
-        let c = table1(&[32], &SweepConfig::new(5).with_seed(4).with_threads(2));
+        let c = run(
+            "table1",
+            &[32],
+            &SweepConfig::new(5).with_seed(4).with_threads(2),
+        );
         assert_ne!(a.spec.seed, c.spec.seed);
     }
 }

@@ -19,8 +19,10 @@
 //!   repository benchmark in `perfbench/`: one harness per question.
 //!
 //! [`experiments`] hosts the experiment constructors and the suite
-//! registry, which declares each member's id, table layout and size at
-//! every [`experiments::Scale`] once; [`perf`] hosts the bench suite.
+//! registry, which declares each member's id, title, paper reference,
+//! table layout and size at every [`experiments::Scale`] once; [`perf`]
+//! hosts the bench registry, which declares each bench once with its
+//! size at both bench scales.
 //!
 //! ```
 //! // Row labels in the paper's `2^k` format.

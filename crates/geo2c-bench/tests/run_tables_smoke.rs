@@ -185,6 +185,8 @@ fn run_benches_rejects_bad_input_without_panicking() {
     assert!(bench(&["--ratio", "f.json", "a"]).contains("--ratio requires a value"));
     assert!(bench(&["--check", "--archive"]).contains("pick one"));
     assert!(bench(&["--quick", "--only", "ring"]).contains("explicit --out"));
+    // Only --check reads a baseline.
+    assert!(bench(&["--quick", "--against", "quick.json"]).contains("add --check"));
     // A NaN or non-positive threshold would turn a gate into a silent
     // pass: every comparison against NaN is false.
     assert!(bench(&["--quick", "--check", "--tolerance", "nan"]).contains("--tolerance must be"));
@@ -238,6 +240,37 @@ fn only_flag_rejects_unknown_experiment_ids() {
     assert!(rejected(&["--quick", "--trials", "5"]).contains("unknown flag '--trials'"));
     assert!(rejected(&["--seed", "x"]).contains("cannot parse 'x'"));
     assert!(rejected(&["--quick", "--dir"]).contains("--dir requires a value"));
+    // --render runs nothing, so a flag that picks a run beside it would
+    // be silently ignored.
+    for extra in [
+        &["--quick"][..],
+        &["--full"],
+        &["--check"],
+        &["--check", "--against", "results/v1"],
+        &["--only", "table1"],
+    ] {
+        let args: Vec<&str> = ["--render"].iter().chain(extra).copied().collect();
+        assert!(
+            rejected(&args).contains("--render runs nothing"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn against_without_check_is_rejected_before_writing_into_the_archive() {
+    // Without --check a run writes, and it writes into the --against
+    // directory: the driver must refuse before anything lands there.
+    let archive =
+        std::env::temp_dir().join(format!("geo2c-against-archive-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&archive);
+    std::fs::create_dir_all(&archive).expect("scratch dir");
+    let path = archive.to_str().expect("utf-8 temp path");
+    let stderr = rejected(&["--quick", "--only", "profile", "--against", path]);
+    assert!(stderr.contains("add --check"), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&archive).expect("read scratch").collect();
+    let _ = std::fs::remove_dir_all(&archive);
+    assert!(left.is_empty(), "--against without --check wrote {left:?}");
 }
 
 #[test]
@@ -262,6 +295,18 @@ fn quick_expectations_in_the_repository_match_the_current_scale() {
             let set = ResultSet::load(&path)
                 .unwrap_or_else(|e| panic!("{} must exist and parse: {e}", path.display()));
             let spec = &set.experiment(id).expect("experiment present").spec;
+            // The header SUITE declares: a retitled member or a moved
+            // paper reference is drift too, caught without a run.
+            assert_eq!(spec.id, id, "{id} ({scale:?}): stale id");
+            assert_eq!(spec.title, member.title, "{id} ({scale:?}): stale title");
+            assert_eq!(
+                spec.paper_ref, member.paper_ref,
+                "{id} ({scale:?}): stale paper_ref"
+            );
+            assert_eq!(
+                spec.seed, 0,
+                "{id} ({scale:?}): not at run_tables' default seed"
+            );
             assert_eq!(spec.trials, size.trials, "{id} ({scale:?}): stale trials");
             // The size parameter is the sweep's `n` (one value or a
             // list), or the serving/DHT families' `servers`/`nodes`.

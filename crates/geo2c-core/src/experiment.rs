@@ -56,22 +56,6 @@ impl SweepConfig {
         self.threads = threads;
         self
     }
-
-    /// Provenance description of this configuration as ordered key/value
-    /// pairs — what a persisted experiment spec must record so a later
-    /// run can reproduce (or refuse to compare against) these numbers.
-    /// The `run_tables` driver logs these pairs for every suite run.
-    ///
-    /// The thread count is deliberately absent: results are
-    /// thread-count-invariant by construction (per-trial streams), so it
-    /// is an execution detail, not provenance.
-    #[must_use]
-    pub fn describe(&self) -> Vec<(String, String)> {
-        vec![
-            ("trials".to_string(), self.trials.to_string()),
-            ("seed".to_string(), self.seed.to_string()),
-        ]
-    }
 }
 
 /// The outcome of one sweep cell: the max-load distribution over trials.
@@ -401,20 +385,5 @@ mod tests {
         );
         let text = cell.paper_style();
         assert!(text.contains('%'));
-    }
-
-    #[test]
-    fn sweep_config_describe_is_provenance_only() {
-        let config = SweepConfig::new(100).with_seed(9).with_threads(7);
-        let described = config.describe();
-        assert_eq!(
-            described,
-            vec![
-                ("trials".to_string(), "100".to_string()),
-                ("seed".to_string(), "9".to_string()),
-            ]
-        );
-        // Threads are an execution detail, not provenance.
-        assert!(described.iter().all(|(k, _)| k != "threads"));
     }
 }

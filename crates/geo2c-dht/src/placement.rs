@@ -65,10 +65,10 @@ impl PlacementPolicy {
 /// location wins when loads are level and a `d = 1` probe is exactly
 /// consistent hashing). Returns `(owner, winning probe index)`.
 ///
-/// This is the one placement loop behind [`place_items` → `evaluate`],
-/// `churn::churn_experiment`'s initial and re-placement passes, and the
-/// `run_tables` churn spec — extracted so the DHT application and the
-/// serving experiments share a single routing definition.
+/// This is the crate's one placement loop: [`evaluate`] places its items
+/// with it, `churn::churn_experiment` its initial and re-placed items,
+/// and `replication::place_replicated` each item's primary copy (its
+/// replicas follow the winning probe's successor list).
 #[must_use]
 pub fn place_key(ring: &ChordRing, d: usize, key: u64, loads: &[u32]) -> (usize, usize) {
     assert!(d >= 1, "at least one probe per item");

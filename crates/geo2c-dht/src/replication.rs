@@ -18,7 +18,7 @@
 
 use crate::chord::ChordRing;
 use crate::id::hash_with_salt;
-use crate::placement::PlacementPolicy;
+use crate::placement::{place_key, PlacementPolicy};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -73,28 +73,17 @@ pub fn place_replicated(
     r: usize,
 ) -> ReplicatedPlacement {
     assert!(r >= 1, "need at least one replica (the primary)");
-    let n = ring.num_physical();
-    let d = match policy {
-        PlacementPolicy::Consistent => 1,
-        PlacementPolicy::DChoice { d } => d.max(1),
-    };
-    let mut loads = vec![0u32; n];
+    let d = policy.d();
+    let mut loads = vec![0u32; ring.num_physical()];
     let mut replica_sets = Vec::with_capacity(m as usize);
     for k in 0..m {
         // Primary placement: least-loaded owner among the d locations
         // (loads count everything the node stores, replicas included —
         // that is the disk/bandwidth the system actually cares about).
-        let mut best_virtual = usize::MAX;
-        let mut best_load = u32::MAX;
-        for j in 0..d {
-            let vnode = ring.successor_index(hash_with_salt(k, j as u64));
-            let owner = ring.physical_of(vnode);
-            if loads[owner] < best_load {
-                best_load = loads[owner];
-                best_virtual = vnode;
-            }
-        }
-        let holders = distinct_physical_successors(ring, best_virtual, r);
+        // The replicas walk on from the winning location's virtual node.
+        let (_, j) = place_key(ring, d, k, &loads);
+        let primary = ring.successor_index(hash_with_salt(k, j as u64));
+        let holders = distinct_physical_successors(ring, primary, r);
         for &h in &holders {
             loads[h as usize] += 1;
         }
@@ -156,6 +145,11 @@ mod tests {
         let total: u64 = placement.loads.iter().map(|&l| u64::from(l)).sum();
         assert_eq!(total, 500);
         assert!(placement.replica_sets.iter().all(|s| s.len() == 1));
+        // One replica is exactly the unreplicated placement: both run
+        // `place_key`.
+        let plain =
+            crate::placement::evaluate(&ring, PlacementPolicy::DChoice { d: 2 }, 500, 0, &mut rng);
+        assert_eq!(placement.loads, plain.loads);
     }
 
     #[test]

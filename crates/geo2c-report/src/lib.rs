@@ -51,4 +51,4 @@ pub use json::{Json, JsonError};
 pub use spec::{
     Cell, ExperimentResult, ExperimentSpec, Provenance, ReportError, ResultSet, FORMAT,
 };
-pub use tolerance::{compare_results, compare_sets, Discrepancy, Tolerance};
+pub use tolerance::{compare_results, compare_sets, Discrepancy};

@@ -33,28 +33,15 @@
 use crate::spec::{Cell, ExperimentResult, ResultSet};
 use geo2c_util::stats::{two_proportion_z, welch_z};
 
-/// Thresholds for [`compare_results`] / [`compare_sets`].
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Maximum allowed z statistic (both proportion and mean tests).
-    pub max_z: f64,
-    /// Absolute proportion slack: differences below this never fail.
-    pub proportion_slack: f64,
-    /// Absolute mean slack: mean differences below this never fail.
-    pub mean_slack: f64,
-}
+/// Maximum allowed z statistic, for both the proportion and the mean
+/// test: a one-in-~16000 two-sided false-positive rate per bucket.
+const MAX_Z: f64 = 4.0;
 
-impl Default for Tolerance {
-    /// `max_z = 4` (a one-in-~16000 two-sided false-positive rate per
-    /// bucket), 2% proportion slack, 0.05 mean slack.
-    fn default() -> Self {
-        Self {
-            max_z: 4.0,
-            proportion_slack: 0.02,
-            mean_slack: 0.05,
-        }
-    }
-}
+/// Absolute proportion slack: bucket differences below this never fail.
+const PROPORTION_SLACK: f64 = 0.02;
+
+/// Absolute mean slack: mean differences below this never fail.
+const MEAN_SLACK: f64 = 0.05;
 
 /// One detected inconsistency between a fresh run and an expectation.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,13 +75,9 @@ fn drift(experiment: &str, message: impl Into<String>) -> Discrepancy {
 /// Compares a fresh [`ExperimentResult`] against a committed expectation.
 ///
 /// Returns every discrepancy found (empty means the fresh run is
-/// consistent with the expectation under `tol`).
+/// consistent with the expectation).
 #[must_use]
-pub fn compare_results(
-    fresh: &ExperimentResult,
-    expected: &ExperimentResult,
-    tol: &Tolerance,
-) -> Vec<Discrepancy> {
+pub fn compare_results(fresh: &ExperimentResult, expected: &ExperimentResult) -> Vec<Discrepancy> {
     let id = &fresh.spec.id;
     let mut out = Vec::new();
 
@@ -122,18 +105,12 @@ pub fn compare_results(
     }
 
     for (fresh_cell, expected_cell) in fresh.cells.iter().zip(&expected.cells) {
-        compare_cells(id, fresh_cell, expected_cell, tol, &mut out);
+        compare_cells(id, fresh_cell, expected_cell, &mut out);
     }
     out
 }
 
-fn compare_cells(
-    experiment: &str,
-    fresh: &Cell,
-    expected: &Cell,
-    tol: &Tolerance,
-    out: &mut Vec<Discrepancy>,
-) {
+fn compare_cells(experiment: &str, fresh: &Cell, expected: &Cell, out: &mut Vec<Discrepancy>) {
     let mut push = |cell: &Cell, message: String| {
         out.push(Discrepancy {
             experiment: experiment.to_string(),
@@ -202,7 +179,7 @@ fn compare_cells(
                 let p1 = if n1 == 0 { 0.0 } else { k1 as f64 / n1 as f64 };
                 let p2 = if n2 == 0 { 0.0 } else { k2 as f64 / n2 as f64 };
                 let z = two_proportion_z(k1, n1, k2, n2);
-                if z > tol.max_z && (p1 - p2).abs() > tol.proportion_slack {
+                if z > MAX_Z && (p1 - p2).abs() > PROPORTION_SLACK {
                     push(
                         fresh,
                         format!(
@@ -223,7 +200,7 @@ fn compare_cells(
                 s2.variance(),
                 s2.count(),
             );
-            if z > tol.max_z && (s1.mean() - s2.mean()).abs() > tol.mean_slack {
+            if z > MAX_Z && (s1.mean() - s2.mean()).abs() > MEAN_SLACK {
                 push(
                     fresh,
                     format!(
@@ -242,12 +219,12 @@ fn compare_cells(
 /// present on only one side are discrepancies; provenance differences
 /// (git revision, tool version) are deliberately ignored.
 #[must_use]
-pub fn compare_sets(fresh: &ResultSet, expected: &ResultSet, tol: &Tolerance) -> Vec<Discrepancy> {
+pub fn compare_sets(fresh: &ResultSet, expected: &ResultSet) -> Vec<Discrepancy> {
     let mut out = Vec::new();
     for fresh_result in &fresh.experiments {
         match expected.experiment(&fresh_result.spec.id) {
             Some(expected_result) => {
-                out.extend(compare_results(fresh_result, expected_result, tol));
+                out.extend(compare_results(fresh_result, expected_result));
             }
             None => out.push(drift(
                 &fresh_result.spec.id,
@@ -300,7 +277,7 @@ mod tests {
     fn identical_results_are_accepted() {
         let a = result(&[(4, 881), (5, 118), (6, 1)]);
         let b = a.clone();
-        assert!(compare_results(&a, &b, &Tolerance::default()).is_empty());
+        assert!(compare_results(&a, &b).is_empty());
     }
 
     #[test]
@@ -309,7 +286,7 @@ mod tests {
         // 1000 trials.
         let a = result(&[(4, 881), (5, 118), (6, 1)]);
         let b = result(&[(4, 873), (5, 126), (6, 1)]);
-        let diffs = compare_results(&a, &b, &Tolerance::default());
+        let diffs = compare_results(&a, &b);
         assert!(diffs.is_empty(), "{diffs:?}");
     }
 
@@ -317,7 +294,7 @@ mod tests {
     fn gross_distribution_shift_is_rejected() {
         let a = result(&[(4, 881), (5, 118), (6, 1)]);
         let b = result(&[(4, 300), (5, 600), (6, 100)]);
-        let diffs = compare_results(&a, &b, &Tolerance::default());
+        let diffs = compare_results(&a, &b);
         assert!(!diffs.is_empty());
         let rendered = diffs[0].to_string();
         assert!(rendered.contains("table1"), "{rendered}");
@@ -330,7 +307,7 @@ mod tests {
         // even though each bucket pair is (p, 0) vs (0, p).
         let a = result(&[(4, 900), (5, 100)]);
         let b = result(&[(5, 900), (6, 100)]);
-        let diffs = compare_results(&a, &b, &Tolerance::default());
+        let diffs = compare_results(&a, &b);
         assert!(!diffs.is_empty());
     }
 
@@ -339,7 +316,7 @@ mod tests {
         let a = result(&[(4, 1000)]);
         let mut b = result(&[(4, 1000)]);
         b.spec.seed = 1;
-        let diffs = compare_results(&a, &b, &Tolerance::default());
+        let diffs = compare_results(&a, &b);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].to_string().contains("spec drift"));
     }
@@ -349,13 +326,13 @@ mod tests {
         let a = result(&[(4, 1000)]);
         let mut b = result(&[(4, 1000)]);
         b.cells.push(Cell::new());
-        assert!(compare_results(&a, &b, &Tolerance::default())[0]
+        assert!(compare_results(&a, &b)[0]
             .to_string()
             .contains("cell count"));
 
         let mut c = result(&[(4, 1000)]);
         c.cells[0].coords[0].1 = Json::from_usize(8192);
-        assert!(compare_results(&a, &c, &Tolerance::default())[0]
+        assert!(compare_results(&a, &c)[0]
             .to_string()
             .contains("coordinates"));
     }
@@ -375,12 +352,12 @@ mod tests {
             ..prov
         });
         committed.push(result(&[(4, 1000)]));
-        assert!(compare_sets(&fresh, &committed, &Tolerance::default()).is_empty());
+        assert!(compare_sets(&fresh, &committed).is_empty());
 
         let mut extra = ExperimentResult::new(ExperimentSpec::new("table9", "x"));
         extra.push(Cell::new());
         committed.push(extra);
-        let diffs = compare_sets(&fresh, &committed, &Tolerance::default());
+        let diffs = compare_sets(&fresh, &committed);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].to_string().contains("not produced"));
     }
@@ -399,10 +376,10 @@ mod tests {
         a.push(cell(4.25));
         let mut b = ExperimentResult::new(spec);
         b.push(cell(4.25));
-        assert!(compare_results(&a, &b, &Tolerance::default()).is_empty());
+        assert!(compare_results(&a, &b).is_empty());
 
         b.cells[0].metrics[0].1 = Json::num(5.0);
-        let diffs = compare_results(&a, &b, &Tolerance::default());
+        let diffs = compare_results(&a, &b);
         assert_eq!(diffs.len(), 1);
         assert!(
             diffs[0].to_string().contains("metrics changed"),
@@ -427,7 +404,7 @@ mod tests {
         a.push(cell(41_000_000.0));
         let mut b = ExperimentResult::new(spec.clone());
         b.push(cell(37_500_000.0));
-        assert!(compare_results(&a, &b, &Tolerance::default()).is_empty());
+        assert!(compare_results(&a, &b).is_empty());
 
         // Missing on one side entirely: still not a discrepancy.
         let mut c = ExperimentResult::new(spec);
@@ -436,11 +413,11 @@ mod tests {
                 .coord("backing", Json::str("packed-nibble"))
                 .metric("bytes_per_bin", Json::num(0.5)),
         );
-        assert!(compare_results(&a, &c, &Tolerance::default()).is_empty());
+        assert!(compare_results(&a, &c).is_empty());
 
         // The deterministic metric beside it still compares exactly.
         b.cells[0].metrics[0].1 = Json::num(1.0);
-        let diffs = compare_results(&a, &b, &Tolerance::default());
+        let diffs = compare_results(&a, &b);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].to_string().contains("bytes_per_bin"), "{diffs:?}");
     }
@@ -450,6 +427,6 @@ mod tests {
         // One trial moving in/out of a 0.1% bucket must not fail.
         let a = result(&[(4, 999), (5, 1)]);
         let b = result(&[(4, 1000)]);
-        assert!(compare_results(&a, &b, &Tolerance::default()).is_empty());
+        assert!(compare_results(&a, &b).is_empty());
     }
 }
