@@ -15,8 +15,8 @@
 //!
 //! Bad input (an unknown flag or experiment id, a missing value, an
 //! unparsable number, `--against` without `--check`, `--render` with a
-//! scale, `--check`, `--against` or `--only`) prints the usage line to
-//! stderr and exits with status 2.
+//! scale, `--check`, `--against`, `--only`, `--seed` or `--threads`)
+//! prints the usage line to stderr and exits with status 2.
 //!
 //! * *(no flags)* — run the **reference** scale (the committed
 //!   `EXPERIMENTS.md` numbers, ≈1.5 minutes single-core), write
@@ -62,8 +62,10 @@ struct Args {
     against: Option<PathBuf>,
     only: Option<Vec<String>>,
     dir: PathBuf,
-    seed: u64,
-    threads: usize,
+    /// `None` until `--seed`/`--threads` is given: seed 0 and the
+    /// machine's available parallelism.
+    seed: Option<u64>,
+    threads: Option<usize>,
 }
 
 /// Parses the command line; `Err` carries the message to print above
@@ -76,8 +78,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         against: None,
         only: None,
         dir: PathBuf::from("."),
-        seed: 0,
-        threads: geo2c_util::parallel::num_threads(),
+        seed: None,
+        threads: None,
     };
     let mut rest = argv.iter();
     while let Some(flag) = rest.next() {
@@ -104,15 +106,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.only = Some(ids);
             }
             "--dir" => args.dir = PathBuf::from(value()?),
-            "--seed" => args.seed = number(flag, &value()?)?,
-            "--threads" => args.threads = number(flag, &value()?)?,
+            "--seed" => args.seed = Some(number(flag, &value()?)?),
+            "--threads" => args.threads = Some(number(flag, &value()?)?),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
     // A flag its mode would ignore is rejected, not dropped: without
     // `--check` a run writes, so `--against` would overwrite the archive
-    // it names, and `--render` runs nothing, so a scale, check or subset
-    // beside it would be silently ignored.
+    // it names, and `--render` runs nothing, so a scale, check, subset,
+    // seed or thread count beside it would be silently ignored (or, for
+    // the seed, compared against the committed seed-0 rendering).
     if args.against.is_some() && !args.check {
         return Err("--against names the files --check compares with; add --check".into());
     }
@@ -120,10 +123,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         && (args.scale != Scale::Reference
             || args.check
             || args.against.is_some()
-            || args.only.is_some())
+            || args.only.is_some()
+            || args.seed.is_some()
+            || args.threads.is_some())
     {
         return Err(
-            "--render runs nothing; drop --quick, --full, --check, --against and --only".into(),
+            "--render runs nothing; drop --quick, --full, --check, --against, \
+                    --only, --seed and --threads"
+                .into(),
         );
     }
     Ok(args)
@@ -358,7 +365,7 @@ fn main() -> ExitCode {
         // No suite run: EXPERIMENTS.md must be the exact rendering of
         // the committed reference results.
         let dir = results_dir(&args.dir, Scale::Reference);
-        let (expected, _) = match load_expected(&dir, args.seed, false, None) {
+        let (expected, _) = match load_expected(&dir, 0, false, None) {
             Ok(loaded) => loaded,
             Err(code) => return code,
         };
@@ -381,18 +388,17 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         };
     }
+    let seed = args.seed.unwrap_or(0);
+    let threads = args
+        .threads
+        .unwrap_or_else(geo2c_util::parallel::num_threads);
     let dir = match &args.against {
         Some(archive) => archive.clone(),
         None => results_dir(&args.dir, args.scale),
     };
     // Fail fast on missing/corrupt expectations before the long run.
     let expected = if args.check {
-        match load_expected(
-            &dir,
-            args.seed,
-            args.against.is_some(),
-            args.only.as_deref(),
-        ) {
+        match load_expected(&dir, seed, args.against.is_some(), args.only.as_deref()) {
             Ok(expected) => Some(expected),
             Err(code) => return code,
         }
@@ -400,8 +406,8 @@ fn main() -> ExitCode {
         None
     };
 
-    let results = run_suite(args.scale, args.seed, args.threads, args.only.as_deref());
-    let mut set = ResultSet::new(Provenance::capture(args.seed));
+    let results = run_suite(args.scale, seed, threads, args.only.as_deref());
+    let mut set = ResultSet::new(Provenance::capture(seed));
     set.experiments = results;
 
     match expected {

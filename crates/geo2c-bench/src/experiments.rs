@@ -18,13 +18,11 @@
 //! `full` (the paper's own 1000-trial sweep — hours of CPU; run it
 //! deliberately).
 
-use geo2c_core::experiment::{
-    max_load_cell, mean_load_profile, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig,
-};
+use geo2c_core::experiment::{max_load_cell, sweep_kind, sweep_max_load, MaxLoadCell, SweepConfig};
 use geo2c_core::load::{LoadState as _, PackedLoads};
 use geo2c_core::nonuniform::{MixRingSpace, RingMix};
 use geo2c_core::sim::{run_trial, run_trial_into, run_trial_with_lanes};
-use geo2c_core::space::{KdTorusSpace, RingSpace, SpaceKind, TorusSpace, UniformSpace};
+use geo2c_core::space::{KdTorusSpace, RingSpace, SpaceKind, UniformSpace};
 use geo2c_core::strategy::{Strategy, TieBreak};
 use geo2c_core::theory::fluid_limit_profile;
 use geo2c_dht::chord::ChordRing;
@@ -32,11 +30,19 @@ use geo2c_dht::churn::churn_experiment;
 use geo2c_dht::placement::{evaluate, PlacementPolicy};
 use geo2c_dht::replication::{availability_after_failures, place_replicated};
 use geo2c_report::{Cell, ExperimentResult, ExperimentSpec, Json};
-use geo2c_ring::RingPartition;
+use geo2c_ring::negdep::forward_gaps;
+use geo2c_ring::spacings::{arc_survival, expected_top_a_sum};
+use geo2c_ring::tail::{
+    count_arcs_at_least, lemma4_prob_bound, lemma4_threshold, lemma5_prob_bound, lemma6_bound,
+    longest_arc_bound,
+};
+use geo2c_ring::{RingPartition, RingPoint};
 use geo2c_serve::{
     DepartureWheel, DurableEngine, FaultPlan, Recovery, Resumed, ServeConfig, ServeEngine,
     SessionLife,
 };
+use geo2c_torus::sector::{expected_empty_sectors, has_empty_sector, lemma9_threshold};
+use geo2c_torus::KdSites;
 use geo2c_util::frame::Header;
 use geo2c_util::hist::Counter;
 use geo2c_util::parallel::run_trials;
@@ -336,7 +342,7 @@ pub const SUITE: [Member; 21] = [
         paper_ref: "Lemma 3",
         layout: Layout::Flat,
         sizes: [size(&[10], 1000), size(&[10], 2000), size(&[10], 10_000)],
-        sweep: |ns, c, h| lemma3(ns[0], c, h),
+        sweep: |ns, c, h| lemma3(ns[0], &[1.0, 2.0, 3.0], &[2, 3], c, h),
     },
     Member {
         id: "lemma4_5",
@@ -344,7 +350,7 @@ pub const SUITE: [Member; 21] = [
         paper_ref: "Lemmas 4 and 5",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[14], 200), size(&[16], 1000)],
-        sweep: |ns, c, h| lemma4_5(ns[0], c, h),
+        sweep: |ns, c, h| lemma4_5(ns[0], &[2.0, 3.0, 4.0, 6.0, 8.0, 10.0], c, h),
     },
     Member {
         id: "lemma6",
@@ -352,7 +358,7 @@ pub const SUITE: [Member; 21] = [
         paper_ref: "Lemma 6",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[14], 200), size(&[16], 1000)],
-        sweep: |ns, c, h| lemma6(ns[0], c, h),
+        sweep: |ns, c, h| lemma6(ns[0], &lemma6_sizes(ns[0]), c, h),
     },
     Member {
         id: "lemma8_9",
@@ -360,7 +366,10 @@ pub const SUITE: [Member; 21] = [
         paper_ref: "Lemmas 8 and 9",
         layout: Layout::Flat,
         sizes: [size(&[10], 20), size(&[12], 100), size(&[14], 400)],
-        sweep: |ns, c, h| lemma8_9(ns[0], c, h),
+        sweep: |ns, c, h| {
+            let n = ns[0];
+            lemma8_9(n, &[2.0, 3.0, 4.0, 6.0, 12.0, (n as f64).ln()], c, h)
+        },
     },
     // The conclusion's two open questions, at their former binaries'
     // defaults (about a second together).
@@ -1330,35 +1339,61 @@ fn durability(n: usize, config: &SweepConfig, header: ExperimentSpec) -> Experim
     result
 }
 
-/// **Lemma 3** (negative dependence): for the indicators `Z_i` that arc
-/// `i` is at least `c/n` long, the joint probability that `k` given arcs
-/// are all long never exceeds the product of the marginals,
-/// `E[Z_1⋯Z_k] ≤ E[Z]^k`. Each cell reports both sides and their ratio
-/// (≤ 1 up to sampling noise) for `c ∈ {1, 2, 3}` and `k ∈ {2, 3}`.
+/// **Lemma 3** (negative dependence): for the indicators `Z_j` that the
+/// arc owned by placed point `j` is at least `c/n` long, the joint
+/// probability that `k` given arcs are all long never exceeds the product
+/// of the exact marginals, `E[Z_1⋯Z_k] ≤ E[Z]^k` with
+/// `E[Z] = (1 − c/n)^{n−1}`. Each cell reports both sides and their ratio
+/// (≤ 1 up to sampling noise). By exchangeability the index set is
+/// irrelevant, so each trial contributes `⌊n/k⌋` disjoint index groups as
+/// samples; at `k = 1` the joint is the empirical marginal.
 /// The seeder paths of the lemma and non-uniformity members are those
 /// of their former standalone binaries, so historical runs reproduce.
-fn lemma3(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
-    let rows = geo2c_ring::negdep::negative_dependence_experiment(
-        n,
-        &[1.0, 2.0, 3.0],
-        &[2, 3],
-        config.trials,
-        &StreamSeeder::new(config.seed).child("lemma3"),
-        config.threads,
-    );
+fn lemma3(
+    n: usize,
+    cs: &[f64],
+    ks: &[usize],
+    config: &SweepConfig,
+    header: ExperimentSpec,
+) -> ExperimentResult {
+    assert!(ks.iter().all(|&k| k >= 1 && k <= n), "1 <= k <= n");
+    let seeder = StreamSeeder::new(config.seed).child("lemma3");
+    // Per trial, per (c, k) in cell order: the groups of `k` long arcs.
+    let per_trial: Vec<Vec<u64>> = run_trials(&seeder, config.trials, config.threads, |rng| {
+        let points: Vec<RingPoint> = (0..n).map(|_| RingPoint::random(rng)).collect();
+        let gaps = forward_gaps(&points);
+        let mut out = Vec::with_capacity(cs.len() * ks.len());
+        for &c in cs {
+            let cutoff = c / n as f64;
+            let z: Vec<bool> = gaps.iter().map(|&g| g >= cutoff).collect();
+            for &k in ks {
+                let hits = (0..n / k)
+                    .filter(|g| z[g * k..(g + 1) * k].iter().all(|&b| b))
+                    .count();
+                out.push(hits as u64);
+            }
+        }
+        out
+    });
     let spec = header
         .param("n", Json::from_usize(n))
         .param("claim", Json::str("E[Z_1..Z_k] <= E[Z]^k"));
     let mut result = ExperimentResult::new(spec);
-    for r in &rows {
+    let grid = cs.iter().flat_map(|&c| ks.iter().map(move |&k| (c, k)));
+    for (idx, (c, k)) in grid.enumerate() {
+        let hits: u64 = per_trial.iter().map(|trial| trial[idx]).sum();
+        let groups = (config.trials * (n / k)) as u64;
+        let joint = hits as f64 / groups.max(1) as f64;
+        let product = arc_survival(n, c / n as f64).powi(k as i32);
+        let ratio = if product > 0.0 { joint / product } else { 0.0 };
         result.push(
             Cell::new()
-                .coord("c", Json::num(r.c))
-                .coord("k", Json::from_usize(r.k))
-                .metric("marginal_product", Json::num(r.product_of_marginals))
-                .metric("joint_observed", Json::num(r.joint))
-                .metric("ratio", Json::num(r.ratio))
-                .metric("samples", Json::from_u64(r.samples)),
+                .coord("c", Json::num(c))
+                .coord("k", Json::from_usize(k))
+                .metric("marginal_product", Json::num(product))
+                .metric("joint_observed", Json::num(joint))
+                .metric("ratio", Json::num(ratio))
+                .metric("samples", Json::from_u64(groups)),
         );
     }
     progress("lemma3 done");
@@ -1368,42 +1403,57 @@ fn lemma3(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentR
 /// **Lemmas 4 and 5** (long-arc count tail): the observed rate of
 /// `N_c ≥ 2n e^{−c}`, where `N_c` counts arcs of length at least `c/n`,
 /// next to the analytic bounds `e^{−n e^{−c}/3}` (Lemma 4, negative
-/// dependence) and `e^{−n e^{−2c}/8}` (Lemma 5, martingale).
-fn lemma4_5(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
-    let rows = geo2c_ring::tail::long_arc_tail_experiment(
-        n,
-        &[2.0, 3.0, 4.0, 6.0, 8.0, 10.0],
-        config.trials,
-        &StreamSeeder::new(config.seed).child("lemma4"),
-        config.threads,
-    );
+/// dependence) and `e^{−n e^{−2c}/8}` (Lemma 5, martingale), and the
+/// exact mean count `n (1 − c/n)^{n−1}`.
+fn lemma4_5(
+    n: usize,
+    cs: &[f64],
+    config: &SweepConfig,
+    header: ExperimentSpec,
+) -> ExperimentResult {
+    let seeder = StreamSeeder::new(config.seed).child("lemma4");
+    let per_trial: Vec<Vec<usize>> = run_trials(&seeder, config.trials, config.threads, |rng| {
+        let arcs = RingPartition::random(n, rng).arc_lengths();
+        cs.iter()
+            .map(|&c| count_arcs_at_least(&arcs, c / n as f64))
+            .collect()
+    });
     let spec = header
         .param("n", Json::from_usize(n))
         .param("threshold", Json::str("N_c >= 2 n e^-c"));
     let mut result = ExperimentResult::new(spec);
-    for r in &rows {
+    for (ci, &c) in cs.iter().enumerate() {
+        let threshold = lemma4_threshold(n, c);
+        let [counts] = column_stats(per_trial.iter().map(|t| [t[ci] as f64]));
+        let violations = per_trial
+            .iter()
+            .filter(|t| t[ci] as f64 >= threshold)
+            .count();
         result.push(
             Cell::new()
-                .coord("c", Json::num(r.c))
-                .metric("expected_count", Json::num(r.expected))
-                .metric("mean_count", Json::num(r.mean_count))
-                .metric("max_count", Json::num(r.max_count))
-                .metric("threshold", Json::num(r.threshold))
-                .metric("violation_rate", Json::num(r.violation_rate))
-                .metric("lemma4_bound", Json::num(r.lemma4_bound))
-                .metric("lemma5_bound", Json::num(r.lemma5_bound)),
+                .coord("c", Json::num(c))
+                .metric(
+                    "expected_count",
+                    Json::num(n as f64 * arc_survival(n, c / n as f64)),
+                )
+                .metric("mean_count", Json::num(counts.mean()))
+                .metric("max_count", Json::num(counts.max()))
+                .metric("threshold", Json::num(threshold))
+                .metric(
+                    "violation_rate",
+                    Json::num(violations as f64 / config.trials as f64),
+                )
+                .metric("lemma4_bound", Json::num(lemma4_prob_bound(n, c).min(1.0)))
+                .metric("lemma5_bound", Json::num(lemma5_prob_bound(n, c).min(1.0))),
         );
     }
     progress("lemma4_5 done");
     result
 }
 
-/// **Lemma 6** (longest arcs): the sum of the `a` longest arcs against
-/// the bound `2(a/n) ln(n/a)`, and the single longest arc (`a = 1`)
-/// against `4 ln n / n`. The `exact_expected_sum` column is the exact
-/// expectation from the Rényi spacings representation, which shows the
-/// slack the paper's bound carries (about 2×).
-fn lemma6(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
+/// Lemma 6's `a` grid at `n`: the single longest arc, the bottom of the
+/// lemma's range `(ln n)²` and twice it, and `n/256` and `n/64`.
+fn lemma6_sizes(n: usize) -> Vec<usize> {
     let lnn = (n as f64).ln();
     let a_floor = (lnn * lnn) as usize;
     let mut sizes = vec![
@@ -1415,27 +1465,57 @@ fn lemma6(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentR
     ];
     sizes.sort_unstable();
     sizes.dedup();
-    let rows = geo2c_ring::tail::longest_arcs_experiment(
-        n,
-        &sizes,
-        config.trials,
-        &StreamSeeder::new(config.seed).child("lemma6"),
-        config.threads,
-    );
+    sizes
+}
+
+/// **Lemma 6** (longest arcs): the sum of the `a` longest arcs against
+/// the bound `2(a/n) ln(n/a)`, and the single longest arc (`a = 1`)
+/// against `4 ln n / n`. The `exact_expected_sum` column is the exact
+/// expectation from the Rényi spacings representation, which shows the
+/// slack the paper's bound carries (about 2×).
+fn lemma6(
+    n: usize,
+    sizes: &[usize],
+    config: &SweepConfig,
+    header: ExperimentSpec,
+) -> ExperimentResult {
+    let max_size = sizes.iter().copied().max().unwrap_or(0).min(n);
+    let seeder = StreamSeeder::new(config.seed).child("lemma6");
+    let per_trial: Vec<Vec<f64>> = run_trials(&seeder, config.trials, config.threads, |rng| {
+        let mut arcs = RingPartition::random(n, rng).arc_lengths();
+        arcs.sort_unstable_by(|x, y| y.partial_cmp(x).expect("finite"));
+        // Prefix sums of the sorted arcs up to the largest requested size,
+        // so `sizes` may arrive in any order.
+        let mut prefix = Vec::with_capacity(max_size + 1);
+        prefix.push(0.0);
+        for i in 0..max_size {
+            prefix.push(prefix[i] + arcs[i]);
+        }
+        sizes.iter().map(|&a| prefix[a.min(max_size)]).collect()
+    });
     let spec = header
         .param("n", Json::from_usize(n))
         .param("bound", Json::str("2 (a/n) ln(n/a); a = 1 row: 4 ln n / n"));
     let mut result = ExperimentResult::new(spec);
-    for r in &rows {
-        let exact = geo2c_ring::spacings::expected_top_a_sum(n, r.a);
+    for (ai, &a) in sizes.iter().enumerate() {
+        let bound = if a == 1 {
+            longest_arc_bound(n)
+        } else {
+            lemma6_bound(n, a)
+        };
+        let [sums] = column_stats(per_trial.iter().map(|t| [t[ai]]));
+        let violations = per_trial.iter().filter(|t| t[ai] > bound).count();
         result.push(
             Cell::new()
-                .coord("a", Json::from_usize(r.a))
-                .metric("bound", Json::num(r.bound))
-                .metric("exact_expected_sum", Json::num(exact))
-                .metric("mean_sum", Json::num(r.mean_sum))
-                .metric("max_sum", Json::num(r.max_sum))
-                .metric("violation_rate", Json::num(r.violation_rate)),
+                .coord("a", Json::from_usize(a))
+                .metric("bound", Json::num(bound))
+                .metric("exact_expected_sum", Json::num(expected_top_a_sum(n, a)))
+                .metric("mean_sum", Json::num(sums.mean()))
+                .metric("max_sum", Json::num(sums.max()))
+                .metric(
+                    "violation_rate",
+                    Json::num(violations as f64 / config.trials as f64),
+                ),
         );
     }
     progress("lemma6 done");
@@ -1452,31 +1532,67 @@ fn lemma6(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentR
 /// Lemma 8 is deterministic (every cell of area at least `c/n` has an
 /// empty sector), so the constructor **asserts** zero violations across
 /// all trials, the same way [`scaling`] asserts placement equality.
-fn lemma8_9(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
-    let rows = geo2c_torus::sector::voronoi_tail_experiment(
-        n,
-        &[2.0, 3.0, 4.0, 6.0, 12.0, (n as f64).ln()],
-        config.trials,
-        &StreamSeeder::new(config.seed).child("lemma9"),
-        config.threads,
-    );
-    let violations: u64 = rows.iter().map(|r| r.lemma8_violations).sum();
-    assert_eq!(violations, 0, "Lemma 8 violated at n = {n}");
+fn lemma8_9(
+    n: usize,
+    cs: &[f64],
+    config: &SweepConfig,
+    header: ExperimentSpec,
+) -> ExperimentResult {
+    let seeder = StreamSeeder::new(config.seed).child("lemma9");
+    // Per trial, per c: (large cells, empty-sector sites Z, Lemma 8
+    // violations).
+    let per_trial: Vec<Vec<(usize, usize, u64)>> =
+        run_trials(&seeder, config.trials, config.threads, |rng| {
+            let sites = KdSites::<2>::random(n, rng);
+            let areas = sites.cell_areas();
+            cs.iter()
+                .map(|&c| {
+                    let cutoff = c / n as f64;
+                    let mut large = 0usize;
+                    let mut z = 0usize;
+                    let mut violations = 0u64;
+                    for (i, &area) in areas.iter().enumerate() {
+                        let empty = has_empty_sector(&sites, i, c);
+                        if empty {
+                            z += 1;
+                        }
+                        if area >= cutoff {
+                            large += 1;
+                            if !empty {
+                                violations += 1;
+                            }
+                        }
+                    }
+                    (large, z, violations)
+                })
+                .collect()
+        });
     let spec = header.param("n", Json::from_usize(n)).param(
         "threshold",
         Json::str("#cells(area >= c/n) vs 12 n e^{-c/6}"),
     );
     let mut result = ExperimentResult::new(spec);
-    for r in &rows {
+    for (ci, &c) in cs.iter().enumerate() {
+        let lemma8_violations: u64 = per_trial.iter().map(|t| t[ci].2).sum();
+        assert_eq!(lemma8_violations, 0, "Lemma 8 violated at n = {n}, c = {c}");
+        let threshold = lemma9_threshold(n, c);
+        let [large, z] = column_stats(per_trial.iter().map(|t| [t[ci].0 as f64, t[ci].1 as f64]));
+        let violations = per_trial
+            .iter()
+            .filter(|t| t[ci].0 as f64 > threshold)
+            .count();
         result.push(
             Cell::new()
-                .coord("c", Json::num(r.c))
-                .metric("expected_z", Json::num(r.expected_z))
-                .metric("mean_z", Json::num(r.mean_z))
-                .metric("mean_large_cells", Json::num(r.mean_large_cells))
-                .metric("threshold", Json::num(r.threshold))
-                .metric("violation_rate", Json::num(r.violation_rate))
-                .metric("lemma8_violations", Json::from_u64(r.lemma8_violations)),
+                .coord("c", Json::num(c))
+                .metric("expected_z", Json::num(expected_empty_sectors(n, c)))
+                .metric("mean_z", Json::num(z.mean()))
+                .metric("mean_large_cells", Json::num(large.mean()))
+                .metric("threshold", Json::num(threshold))
+                .metric(
+                    "violation_rate",
+                    Json::num(violations as f64 / config.trials as f64),
+                )
+                .metric("lemma8_violations", Json::from_u64(lemma8_violations)),
         );
     }
     progress("lemma8_9 done");
@@ -1580,27 +1696,30 @@ fn nonuniform_probes(n: usize, config: &SweepConfig, header: ExperimentSpec) -> 
 /// from load 2 up.
 fn profile(n: usize, config: &SweepConfig, header: ExperimentSpec) -> ExperimentResult {
     let two = Strategy::two_choice();
-    let uniform = mean_load_profile(
-        move |_: &mut Xoshiro256pp| UniformSpace::new(n),
-        two,
-        n,
-        "profile/uniform",
-        config,
-    );
-    let ring = mean_load_profile(
-        move |rng: &mut Xoshiro256pp| RingSpace::random(n, rng),
-        two,
-        n,
-        "profile/ring",
-        config,
-    );
-    let torus = mean_load_profile(
-        move |rng: &mut Xoshiro256pp| TorusSpace::random(n, rng),
-        two,
-        n,
-        "profile/torus",
-        config,
-    );
+    // Per space, level `i` is the mean number of servers with load at
+    // least `i + 1`: summed in trial order, then divided once.
+    let [uniform, ring, torus] =
+        [SpaceKind::Uniform, SpaceKind::Ring, SpaceKind::Torus].map(|kind| {
+            let seeder = StreamSeeder::new(config.seed).child(&format!("profile/{}", kind.name()));
+            let profiles: Vec<Vec<u32>> =
+                run_trials(&seeder, config.trials, config.threads, |rng| {
+                    let space = kind.build(n, rng);
+                    let result = run_trial(&space, &two, n, rng);
+                    (1..=result.max_load)
+                        .map(|i| result.bins_with_load_at_least(i) as u32)
+                        .collect()
+                });
+            let mut mean = vec![0.0; profiles.iter().map(Vec::len).max().unwrap_or(0)];
+            for profile in &profiles {
+                for (slot, &count) in mean.iter_mut().zip(profile) {
+                    *slot += f64::from(count);
+                }
+            }
+            for v in &mut mean {
+                *v /= config.trials as f64;
+            }
+            mean
+        });
     let depth = uniform.len().max(ring.len()).max(torus.len()).max(6);
     let fluid = fluid_limit_profile(2, 1.0, depth);
     let spec = header
@@ -2216,6 +2335,214 @@ mod tests {
             let values: Vec<f64> = result.cells.iter().map(|c| metric(c, column)).collect();
             assert!(values[0] <= n as f64, "{column}");
             assert!(values.windows(2).all(|w| w[1] <= w[0]), "{column}");
+        }
+    }
+
+    #[test]
+    fn mean_profile_is_decreasing() {
+        let config = SweepConfig::new(30).with_seed(42).with_threads(2);
+        let result = run("profile", &[256], &config);
+        let profile: Vec<f64> = result.cells.iter().map(|c| metric(c, "uniform")).collect();
+        for w in profile.windows(2) {
+            assert!(w[0] >= w[1], "ν_i must be non-increasing: {profile:?}");
+        }
+        // ν_1 ≤ n and ≥ n/4 (with m=n, a constant fraction of bins is hit).
+        assert!(profile[0] <= 256.0);
+        assert!(profile[0] >= 64.0);
+    }
+
+    #[test]
+    fn lemma6_and_profile_are_deterministic_across_thread_counts() {
+        let one = SweepConfig::new(6).with_seed(8).with_threads(1);
+        let three = one.with_threads(3);
+        assert_eq!(run("lemma6", &[256], &one), run("lemma6", &[256], &three));
+        assert_eq!(run("profile", &[64], &one), run("profile", &[64], &three));
+    }
+
+    /// A bare spec header, for calling a member body with its own grid.
+    fn header(id: &str) -> ExperimentSpec {
+        ExperimentSpec::new(id, id)
+    }
+
+    fn coord(cell: &Cell, key: &str) -> f64 {
+        cell.coords
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_f64())
+            .unwrap_or_else(|| panic!("missing coord {key}"))
+    }
+
+    /// The `lemma3` body (Lemma 3, negative dependence).
+    mod negdep {
+        use super::*;
+
+        #[test]
+        fn marginals_match_exact_formula() {
+            let config = SweepConfig::new(400).with_seed(2).with_threads(2);
+            let result = lemma3(256, &[2.0, 4.0], &[1], &config, header("lemma3"));
+            for cell in &result.cells {
+                let c = coord(cell, "c");
+                let exact = arc_survival(256, c / 256.0);
+                // k = 1: the joint is the empirical marginal itself.
+                let empirical = metric(cell, "joint_observed");
+                assert!(
+                    (empirical - exact).abs() < 0.02,
+                    "c={c}: empirical {empirical} vs exact {exact}"
+                );
+                let ratio = metric(cell, "ratio");
+                assert!((ratio - 1.0).abs() < 0.2, "c={c}: ratio {ratio}");
+            }
+        }
+
+        #[test]
+        fn joint_moments_are_negatively_dependent() {
+            // The lemma's content: ratio ≤ 1 (+ sampling noise; within-trial
+            // group samples are correlated, so allow a few percent).
+            let config = SweepConfig::new(2500).with_seed(3).with_threads(2);
+            let result = lemma3(512, &[1.0, 2.0], &[2, 3], &config, header("lemma3"));
+            assert_eq!(result.cells.len(), 4);
+            for cell in &result.cells {
+                let (c, k) = (coord(cell, "c"), coord(cell, "k"));
+                let ratio = metric(cell, "ratio");
+                assert!(
+                    ratio <= 1.05,
+                    "c={c} k={k}: ratio {ratio} exceeds 1 beyond noise"
+                );
+                assert!(
+                    metric(cell, "samples") > 10_000.0,
+                    "not enough joint samples"
+                );
+            }
+        }
+
+        #[test]
+        fn experiment_is_deterministic() {
+            let one = SweepConfig::new(50).with_seed(4).with_threads(1);
+            let run = |config: &SweepConfig| lemma3(64, &[2.0], &[2], config, header("lemma3"));
+            assert_eq!(run(&one), run(&one.with_threads(4)));
+        }
+
+        #[test]
+        #[should_panic(expected = "1 <= k <= n")]
+        fn k_zero_rejected() {
+            let config = SweepConfig::new(1).with_seed(6).with_threads(1);
+            let _ = lemma3(16, &[2.0], &[0], &config, header("lemma3"));
+        }
+    }
+
+    /// The `lemma4_5` and `lemma6` bodies (Lemmas 4–6, the arc tails).
+    mod tail {
+        use super::*;
+
+        #[test]
+        fn long_arc_tail_experiment_sane() {
+            let config = SweepConfig::new(50).with_seed(11).with_threads(2);
+            let result = lemma4_5(1024, &[2.0, 4.0, 6.0], &config, header("lemma4_5"));
+            assert_eq!(result.cells.len(), 3);
+            let means: Vec<f64> = result
+                .cells
+                .iter()
+                .map(|c| metric(c, "mean_count"))
+                .collect();
+            for (cell, &mean) in result.cells.iter().zip(&means) {
+                let (c, expected) = (coord(cell, "c"), metric(cell, "expected_count"));
+                // Mean is near the analytic expectation (generous tolerance).
+                assert!(
+                    (mean - expected).abs() < 0.3 * expected + 3.0,
+                    "c={c}: mean {mean} vs expected {expected}"
+                );
+                // The Chernoff threshold is ~2x the mean, so violations are rare.
+                let rate = metric(cell, "violation_rate");
+                assert!(rate <= 0.1, "c={c}: rate {rate}");
+            }
+            // Monotone: larger c means fewer long arcs.
+            assert!(means[0] > means[1]);
+            assert!(means[1] > means[2]);
+        }
+
+        #[test]
+        fn longest_arcs_experiment_handles_unsorted_sizes() {
+            let config = SweepConfig::new(10).with_seed(14).with_threads(1);
+            let mean_sums = |sizes: &[usize]| -> Vec<f64> {
+                let result = lemma6(512, sizes, &config, header("lemma6"));
+                result.cells.iter().map(|c| metric(c, "mean_sum")).collect()
+            };
+            let sorted = mean_sums(&[4, 16, 64]);
+            let shuffled = mean_sums(&[64, 4, 16]);
+            assert_eq!(sorted[0], shuffled[1]);
+            assert_eq!(sorted[1], shuffled[2]);
+            assert_eq!(sorted[2], shuffled[0]);
+        }
+
+        #[test]
+        fn longest_arcs_experiment_sane() {
+            let config = SweepConfig::new(40).with_seed(12).with_threads(2);
+            // (ln 1024)^2 ≈ 48; use a ∈ {1, 8, 49}.
+            let result = lemma6(1024, &[1, 8, 49], &config, header("lemma6"));
+            assert_eq!(result.cells.len(), 3);
+            // Top-a sums increase with a; all ≤ 1.
+            let means: Vec<f64> = result.cells.iter().map(|c| metric(c, "mean_sum")).collect();
+            assert!(means[0] < means[1]);
+            assert!(means[1] < means[2]);
+            for cell in &result.cells {
+                assert!(metric(cell, "max_sum") <= 1.0 + 1e-9);
+                assert!(metric(cell, "mean_sum") > 0.0);
+            }
+            // Lemma 6 bound should essentially never be violated in range
+            // (a=49 is within [ (ln n)^2 ≈ 48, n/64 = 16 ]… n/64 < (ln n)^2 here,
+            // so the range is formally empty; the bound still holds comfortably).
+            assert!(metric(&result.cells[2], "violation_rate") <= 0.05);
+        }
+
+        #[test]
+        fn experiment_is_deterministic() {
+            let one = SweepConfig::new(20).with_seed(13).with_threads(1);
+            let run = |config: &SweepConfig| lemma4_5(256, &[3.0], config, header("lemma4_5"));
+            assert_eq!(run(&one), run(&one.with_threads(4)));
+        }
+    }
+
+    /// The `lemma8_9` body (Lemmas 8 and 9, the Voronoi cell tail).
+    mod sector {
+        use super::*;
+
+        #[test]
+        fn z_dominates_large_cell_count() {
+            // Lemma 8 implies #large cells ≤ Z for every instance.
+            let config = SweepConfig::new(10).with_seed(52).with_threads(2);
+            let result = lemma8_9(64, &[3.0, 6.0], &config, header("lemma8_9"));
+            for cell in &result.cells {
+                assert_eq!(metric(cell, "lemma8_violations"), 0.0);
+                let (large, z) = (metric(cell, "mean_large_cells"), metric(cell, "mean_z"));
+                let c = coord(cell, "c");
+                assert!(large <= z + 1e-9, "c={c}: large {large} > Z {z}");
+            }
+        }
+
+        #[test]
+        fn tail_experiment_monotone_in_c() {
+            let config = SweepConfig::new(10).with_seed(53).with_threads(2);
+            let result = lemma8_9(128, &[2.0, 6.0, 12.0], &config, header("lemma8_9"));
+            let large: Vec<f64> = result
+                .cells
+                .iter()
+                .map(|c| metric(c, "mean_large_cells"))
+                .collect();
+            assert!(large[0] >= large[1]);
+            assert!(large[1] >= large[2]);
+            // Z tracks its expectation loosely.
+            for cell in &result.cells {
+                let (z, expected) = (metric(cell, "mean_z"), metric(cell, "expected_z"));
+                let c = coord(cell, "c");
+                assert!(z <= 2.0 * expected + 5.0, "c={c}: Z {z} vs E[Z] {expected}");
+            }
+        }
+
+        #[test]
+        fn experiment_deterministic_across_thread_counts() {
+            let one = SweepConfig::new(6).with_seed(54).with_threads(1);
+            let run = |config: &SweepConfig| lemma8_9(32, &[4.0], config, header("lemma8_9"));
+            assert_eq!(run(&one), run(&one.with_threads(3)));
         }
     }
 

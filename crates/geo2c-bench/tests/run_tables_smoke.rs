@@ -5,7 +5,7 @@
 
 use geo2c_bench::experiments::{Scale, SUITE};
 use geo2c_bench::perf::{FULL, QUICK};
-use geo2c_report::{Json, ResultSet};
+use geo2c_report::{Cell, Json, ResultSet};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -248,12 +248,79 @@ fn only_flag_rejects_unknown_experiment_ids() {
         &["--check"],
         &["--check", "--against", "results/v1"],
         &["--only", "table1"],
+        &["--seed", "5"],
+        &["--threads", "1"],
     ] {
         let args: Vec<&str> = ["--render"].iter().chain(extra).copied().collect();
         assert!(
             rejected(&args).contains("--render runs nothing"),
             "{args:?}"
         );
+    }
+}
+
+/// The repository root, where the committed `results/` and
+/// `EXPERIMENTS.md` live.
+fn repo_root() -> PathBuf {
+    [env!("CARGO_MANIFEST_DIR"), "..", ".."].iter().collect()
+}
+
+#[test]
+fn render_passes_on_the_committed_results() {
+    // The flags --render refuses above must not make it refuse everything.
+    let output = Command::new(env!("CARGO_BIN_EXE_run_tables"))
+        .arg("--render")
+        .arg("--dir")
+        .arg(repo_root())
+        .output()
+        .expect("run_tables executes");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{output:?}");
+    assert!(stdout.contains("render OK"), "{stdout}");
+}
+
+/// The number stored under `key` in a cell's or spec's key/value pairs.
+fn value(pairs: &[(String, Json)], key: &str) -> f64 {
+    let found = pairs.iter().find(|(k, _)| k == key);
+    found.and_then(|(_, v)| v.as_f64()).expect(key)
+}
+
+#[test]
+fn committed_lemma_columns_are_the_closed_forms() {
+    // The analytic columns of the committed lemma tables are exactly the
+    // ring and torus crates' closed forms, bit for bit: a change to one
+    // of those formulas shows here without a suite run.
+    use geo2c_ring::spacings::{arc_survival, expected_top_a_sum};
+    use geo2c_torus::sector::expected_empty_sectors;
+    // (member id, metric column, its closed form at `n` for a cell).
+    type ClosedForm = (&'static str, &'static str, fn(usize, &Cell) -> f64);
+    let closed_forms: [ClosedForm; 4] = [
+        ("lemma3", "marginal_product", |n, cell| {
+            let (c, k) = (value(&cell.coords, "c"), value(&cell.coords, "k"));
+            arc_survival(n, c / n as f64).powi(k as i32)
+        }),
+        ("lemma4_5", "expected_count", |n, cell| {
+            n as f64 * arc_survival(n, value(&cell.coords, "c") / n as f64)
+        }),
+        ("lemma6", "exact_expected_sum", |n, cell| {
+            expected_top_a_sum(n, value(&cell.coords, "a") as usize)
+        }),
+        ("lemma8_9", "expected_z", |n, cell| {
+            expected_empty_sectors(n, value(&cell.coords, "c"))
+        }),
+    ];
+    let results = repo_root().join("results");
+    for dir in [results.join("quick"), results.clone()] {
+        for (id, column, closed_form) in closed_forms {
+            let path = dir.join(format!("{id}.json"));
+            let set = ResultSet::load(&path).expect("committed file");
+            let experiment = set.experiment(id).expect("experiment present");
+            let n = value(&experiment.spec.params, "n") as usize;
+            for cell in &experiment.cells {
+                let committed = value(&cell.metrics, column);
+                assert_eq!(committed, closed_form(n, cell), "{id} {column} at n = {n}");
+            }
+        }
     }
 }
 
@@ -282,9 +349,7 @@ fn quick_expectations_in_the_repository_match_the_current_scale() {
     // spec. (The full comparison runs in CI; this test just pins the
     // committed spec shape so drift is caught even when tests run
     // without the CI script.)
-    let results: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", "..", "results"]
-        .iter()
-        .collect();
+    let results = repo_root().join("results");
     for (scale, dir) in [
         (Scale::Quick, results.join("quick")),
         (Scale::Reference, results.clone()),
@@ -328,16 +393,7 @@ fn quick_expectations_in_the_repository_match_the_current_scale() {
 /// The `group/name/2^k` ids of a committed `results/bench/` file's
 /// cells, after checking that its spec's `benches` list names the same.
 fn committed_bench_ids(file: &str) -> Vec<String> {
-    let path: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "..",
-        "..",
-        "results",
-        "bench",
-        file,
-    ]
-    .iter()
-    .collect();
+    let path = repo_root().join("results").join("bench").join(file);
     let set = ResultSet::load(&path)
         .unwrap_or_else(|e| panic!("{} must exist and parse: {e}", path.display()));
     let result = set.experiment("bench").expect("bench experiment");

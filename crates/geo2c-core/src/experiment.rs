@@ -9,6 +9,9 @@
 //! deterministic stream, so any cell of any table is reproducible from
 //! `(seed, label, trial index)` alone, independent of thread count.
 //! [`sweep_max_load`] and [`sweep_kind`] are its space-building fronts.
+//! An experiment whose trials report something other than a maximum load
+//! (the lemma tables, the load profile) calls `run_trials` itself, in its
+//! member of the `run_tables` suite (`geo2c_bench::experiments`).
 
 use crate::sim::run_trial;
 use crate::space::{Space, SpaceKind};
@@ -143,44 +146,6 @@ pub fn sweep_kind(
         &label,
         config,
     )
-}
-
-/// Mean per-height profile across trials: `profile[i]` is the average
-/// number of servers with load ≥ `i+1`. Used to compare against the
-/// fluid-limit predictor (theory module) on uniform bins.
-#[must_use]
-pub fn mean_load_profile<S, F>(
-    space_factory: F,
-    strategy: Strategy,
-    m: usize,
-    label: &str,
-    config: &SweepConfig,
-) -> Vec<f64>
-where
-    S: Space,
-    F: Fn(&mut Xoshiro256pp) -> S + Sync,
-{
-    let seeder = StreamSeeder::new(config.seed).child(label);
-    let profiles: Vec<Vec<u32>> = run_trials(&seeder, config.trials, config.threads, |rng| {
-        let space = space_factory(rng);
-        let result = run_trial(&space, &strategy, m, rng);
-        let max = result.max_load;
-        (1..=max)
-            .map(|i| result.bins_with_load_at_least(i) as u32)
-            .collect()
-    });
-
-    let depth = profiles.iter().map(Vec::len).max().unwrap_or(0);
-    let mut mean = vec![0.0; depth];
-    for profile in &profiles {
-        for (i, &count) in profile.iter().enumerate() {
-            mean[i] += f64::from(count);
-        }
-    }
-    for v in &mut mean {
-        *v /= config.trials as f64;
-    }
-    mean
 }
 
 /// Sample a non-uniform ("clustered") probe model: a mixture of uniform
@@ -331,25 +296,6 @@ mod tests {
         // m/n + O(log log n) — generous check.
         let slack = rows[2].0 - rows[2].1;
         assert!(slack < 10.0, "slack {slack}");
-    }
-
-    #[test]
-    fn mean_profile_is_decreasing() {
-        let config = quick_config();
-        let profile = mean_load_profile(
-            |_rng: &mut Xoshiro256pp| UniformSpace::new(256),
-            Strategy::two_choice(),
-            256,
-            "profile-test",
-            &config,
-        );
-        assert!(!profile.is_empty());
-        for w in profile.windows(2) {
-            assert!(w[0] >= w[1], "ν_i must be non-increasing: {profile:?}");
-        }
-        // ν_1 ≤ n and ≥ n/4 (with m=n, a constant fraction of bins is hit).
-        assert!(profile[0] <= 256.0);
-        assert!(profile[0] >= 64.0);
     }
 
     #[test]

@@ -32,9 +32,8 @@
 //!   max-load distributions (Tables 1–3) and the `m ≠ n` extension (E9).
 //! * [`theory`] — closed-form predictors: the `log log n / log d` band,
 //!   Vöcking's `log log n / (d ln φ_d)`, the one-choice
-//!   `Θ(log n / log log n)` growth, the layered-induction recursions
-//!   (both the classical and the paper's geometric variant), and the
-//!   fluid-limit load profile for the uniform case.
+//!   `Θ(log n / log log n)` growth, and the fluid-limit load profile for
+//!   the uniform case.
 //!
 //! One Table-1 cell, end to end — a parallel multi-trial sweep whose
 //! result is a pure function of `(seed, configuration)`:

@@ -11,11 +11,6 @@
 //! * [`voecking_phi`] / [`voecking_band`] — Vöcking's improved
 //!   `log log n / (d ln φ_d)` bound for the split always-go-left scheme,
 //!   with `φ_d` the generalized golden ratio (`φ_2 = 1.618…`).
-//! * [`uniform_layered_recursion`] — the classical layered-induction
-//!   recursion `β_{i+1} = 2n (β_i/n)^d`.
-//! * [`geometric_layered_recursion`] — the paper's non-uniform recursion
-//!   `β_{i+1} = 2n (2 (β_i/n) ln(n/β_i))^d` (equation (1)), evaluated in
-//!   log space so it survives the doubly-exponential collapse.
 //! * [`fluid_limit_profile`] — the differential-equation (mean-field)
 //!   predictor for the uniform `d`-choice load profile mentioned in the
 //!   paper's conclusion (`s_i' = s_{i-1}^d − s_i^d`).
@@ -99,60 +94,6 @@ pub fn voecking_band(n: usize, d: usize) -> f64 {
         return 0.0;
     }
     nf.ln().ln().max(0.0) / (d as f64 * voecking_phi(d).ln())
-}
-
-/// Runs the classical layered-induction recursion
-/// `p_{i+1} = 2 p_i^d` from `p = 1/4` (at level 4) and returns the level
-/// at which the expected count `n·p` first drops below 1 — a heuristic
-/// integer prediction of the maximum load for uniform bins (the true
-/// statement carries an `O(1)` additive slack).
-///
-/// # Panics
-/// Panics if `d < 2` or `n < 2`.
-#[must_use]
-pub fn uniform_layered_recursion(n: usize, d: usize) -> u32 {
-    assert!(d >= 2 && n >= 2);
-    let nf = n as f64;
-    // Work in log space: y = ln p. y' = ln 2 + d·y.
-    let mut y = (0.25f64).ln();
-    let mut level = 4u32;
-    let target = -(nf.ln()); // n·p < 1 ⟺ y < −ln n
-    while y >= target && level < 64 {
-        y = std::f64::consts::LN_2 + d as f64 * y;
-        level += 1;
-    }
-    level
-}
-
-/// Runs the paper's geometric recursion (equation (1)):
-/// `β_{i+1} = 2n (2 (β_i/n) ln(n/β_i))^d`, from `β = n/256`, in log space.
-/// Returns the number of levels until the per-ball probability
-/// `p_i = (2 (β_i/n) ln(n/β_i))^d` drops below `6 ln n / n` — the paper's
-/// `i*` (up to the 256 offset), which it proves is
-/// `log log n / log d + O(1)`.
-///
-/// # Panics
-/// Panics if `d < 2` or `n < 512` (the recursion needs `β₀ = n/256 ≥ 2`).
-#[must_use]
-pub fn geometric_layered_recursion(n: usize, d: usize) -> u32 {
-    assert!(d >= 2, "the recursion needs d >= 2");
-    assert!(n >= 512, "the recursion starts at beta = n/256");
-    let nf = n as f64;
-    let df = d as f64;
-    // x = β/n; y = ln x. Level p_i = exp(d(ln2 + y + ln(−y))).
-    let mut y = (1.0f64 / 256.0).ln();
-    let threshold = (6.0 * nf.ln() / nf).ln();
-    let mut levels = 0u32;
-    while levels < 64 {
-        let ln_p = df * (std::f64::consts::LN_2 + y + (-y).ln());
-        if ln_p < threshold {
-            break;
-        }
-        // β_{i+1}/n = 2·p_i  ⇒  y ← ln 2 + ln p.
-        y = std::f64::consts::LN_2 + ln_p;
-        levels += 1;
-    }
-    levels
 }
 
 /// Integrates the uniform-bins fluid limit `s_i'(t) = s_{i-1}(t)^d − s_i(t)^d`
@@ -247,45 +188,6 @@ mod tests {
         for d in 2..=4 {
             assert!(voecking_band(n, d) < two_choice_band(n, d));
         }
-    }
-
-    #[test]
-    fn uniform_recursion_matches_loglog_scale() {
-        // Levels ≈ 4 + loglog n / log d: grows very slowly with n,
-        // decreases with d.
-        let l2_20 = uniform_layered_recursion(1 << 20, 2);
-        let l2_8 = uniform_layered_recursion(1 << 8, 2);
-        assert!(l2_20 >= l2_8);
-        assert!(l2_20 <= l2_8 + 3, "doubly-log growth: {l2_8} → {l2_20}");
-        let l4_20 = uniform_layered_recursion(1 << 20, 4);
-        assert!(l4_20 <= l2_20);
-        // Absolute scale sanity: observed Table-1 uniform values are ~4-6.
-        assert!((4..=10).contains(&l2_20), "{l2_20}");
-    }
-
-    #[test]
-    fn geometric_recursion_terminates_and_tracks_d() {
-        // The paper's constants are asymptotic: at n = 2^12 the starting
-        // probability (β = n/256) is already below 6 ln n / n, so i* − 256
-        // is 0; at n = 2^24 the recursion runs for several (but O(log log
-        // n)) levels. What must hold at every size: termination well below
-        // the cap, monotone decrease in d, monotone increase in n.
-        for n in [1usize << 12, 1 << 20, 1 << 24] {
-            let i2 = geometric_layered_recursion(n, 2);
-            let i4 = geometric_layered_recursion(n, 4);
-            assert!(i2 >= i4, "more choices, fewer levels: {i2} vs {i4}");
-            assert!(i2 < 64, "i* stays bounded: {i2}");
-        }
-        let a = geometric_layered_recursion(1 << 12, 2);
-        let b = geometric_layered_recursion(1 << 24, 2);
-        assert!(b >= a, "{a} → {b}");
-        assert!(b > 0, "at n = 2^24 the recursion must actually iterate");
-    }
-
-    #[test]
-    #[should_panic(expected = "beta = n/256")]
-    fn geometric_recursion_domain() {
-        let _ = geometric_layered_recursion(256, 2);
     }
 
     #[test]

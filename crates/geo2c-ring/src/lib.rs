@@ -15,11 +15,19 @@
 //!   used by the region-aware tie-breaking strategies of the paper's
 //!   Table 3. (The nearest-site circle, 1-D Voronoi cells, is
 //!   `geo2c_torus::KdSites<1>`.)
-//! * [`tail`] — executable versions of the paper's Lemmas 4, 5 and 6:
-//!   tail bounds on the number of long arcs and on the total length of the
-//!   `a` longest arcs. These are the load-bearing probabilistic facts behind
-//!   Theorem 1, and the `lemma4_5` and `lemma6` members of the `run_tables`
-//!   suite validate them empirically.
+//! * [`negdep`] — the forward gap of each placed point, the object of
+//!   Lemma 3's negative dependence.
+//! * [`spacings`] — the exact law of the arcs (survival function, order
+//!   statistics), the closed forms the lemma tables are read against.
+//! * [`tail`] — the paper's Lemmas 4, 5 and 6 as formulas: tail bounds on
+//!   the number of long arcs and on the total length of the `a` longest
+//!   arcs. These are the load-bearing probabilistic facts behind
+//!   Theorem 1.
+//!
+//! The crate holds the geometry, the closed forms and the bounds; it runs
+//! no trials. The `lemma3`, `lemma4_5` and `lemma6` members of the
+//! `run_tables` suite (`geo2c_bench::experiments`) validate the lemmas
+//! empirically on top of it.
 //!
 //! The same structure doubles as the consistent-hashing ring for the
 //! Chord-style DHT application crate (`geo2c-dht`).

@@ -5,10 +5,11 @@
 //! marginally `Beta(1, n−1)`, the maximum has expectation `H_n / n`
 //! (harmonic number), and the `k`-th longest has expectation
 //! `(H_n − H_{k−1}) / n` — the Rényi representation. These closed forms
-//! are the analytic ground truth behind the paper's Lemmas 4–6:
+//! are the analytic ground truth behind the paper's Lemmas 3–6:
 //!
-//! * Lemma 4/5 bound the *count* of arcs with survival
-//!   `S(x) = (1 − x)^{n−1}` past `x = c/n`;
+//! * Lemma 3's indicator marginal is the survival `S(x) = (1 − x)^{n−1}`
+//!   at `x = c/n` ([`arc_survival`], the one place it is written), and
+//!   Lemmas 4/5 bound the *count* of such arcs, whose mean is `n·S(c/n)`;
 //! * Lemma 6 bounds the *top-`a` sum*, whose exact expectation
 //!   `(a·H_n − Σ_{k<a} H_k)/n ≈ (a/n)(ln(n/a) + 1)` shows the paper's
 //!   `2(a/n)ln(n/a)` carries ≈ 2× slack;
@@ -35,15 +36,23 @@ pub fn harmonic(n: u64) -> f64 {
     x.ln() + EULER_MASCHERONI + 1.0 / (2.0 * x) - 1.0 / (12.0 * x * x)
 }
 
-/// Survival function of a single arc: `Pr(L ≥ x) = (1 − x)^{n−1}` for
-/// `x ∈ [0, 1]`.
+/// Survival function of a single arc: `Pr(L ≥ x) = (1 − x)^{n−1}`, and
+/// 0 from `x = 1` on (no arc of `n ≥ 2` points spans the whole circle).
+///
+/// It is the probability that the other `n − 1` uniform points all miss
+/// a region of measure `x`. With `x = c/n` that is a placed point's arc
+/// being long in the sense of Lemmas 3–5, and `n · arc_survival(n, c/n)`
+/// is the expected number of such arcs.
 ///
 /// # Panics
-/// Panics unless `n ≥ 1` and `x ∈ [0, 1]`.
+/// Panics unless `n ≥ 1` and `x ≥ 0`.
 #[must_use]
 pub fn arc_survival(n: usize, x: f64) -> f64 {
     assert!(n >= 1, "need at least one point");
-    assert!((0.0..=1.0).contains(&x), "x must be in [0,1]");
+    assert!(x >= 0.0, "x must be non-negative");
+    if x >= 1.0 {
+        return 0.0;
+    }
     (1.0 - x).powi(n as i32 - 1)
 }
 
@@ -77,17 +86,6 @@ pub fn expected_top_a_sum(n: usize, a: usize) -> f64 {
     // Σ_{k=0}^{a-1} H_k = Σ_{k=1}^{a-1} H_k = a·H_{a−1} − (a−1).
     let sum_h = a as f64 * harmonic(a as u64 - 1) - (a as f64 - 1.0);
     (a as f64 * hn - sum_h) / n as f64
-}
-
-/// Expected number of arcs of length ≥ `c/n`: `n (1 − c/n)^{n−1}` — the
-/// same closed form as [`crate::tail::expected_long_arcs`], re-derived
-/// from the survival function (kept as a consistency cross-check).
-#[must_use]
-pub fn expected_count_at_least(n: usize, c: f64) -> f64 {
-    if c >= n as f64 {
-        return 0.0;
-    }
-    n as f64 * arc_survival(n, c / n as f64)
 }
 
 #[cfg(test)]
@@ -199,13 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn count_expectation_consistent_with_tail_module() {
-        let n = 4096;
-        for c in [2.0, 4.0, 8.0] {
-            let a = expected_count_at_least(n, c);
-            let b = crate::tail::expected_long_arcs(n, c);
-            assert!((a - b).abs() < 1e-9, "c={c}: {a} vs {b}");
-        }
+    fn no_arc_is_as_long_as_the_circle() {
+        // c >= n: the survival is 0 rather than a domain panic.
+        assert_eq!(arc_survival(8, 1.0), 0.0);
+        assert_eq!(arc_survival(8, 1.5), 0.0);
+        assert_eq!(arc_survival(1, 1.0), 0.0);
+        // Just inside the circle the closed form still applies.
+        assert!(arc_survival(2, 0.999) > 0.0);
     }
 
     #[test]

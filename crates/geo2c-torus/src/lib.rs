@@ -21,7 +21,9 @@
 //!   neighbouring sites and their relevant periodic images), validated
 //!   against Monte-Carlo areas.
 //! * [`sector`] — the six-sector geometric argument of Lemma 8 / Figure 1
-//!   and the Lemma 9 tail-bound experiment on the number of large cells.
+//!   and the Lemma 9 threshold on the number of large cells. The crate
+//!   runs no trials: the `lemma8_9` member of the `run_tables` suite
+//!   (`geo2c_bench::experiments`) measures the tail on top of it.
 //!
 //! The paper's argument generalizes to any constant dimension; this crate
 //! implements the 2-D case the paper evaluates (Table 2) with exact

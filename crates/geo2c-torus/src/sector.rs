@@ -1,5 +1,5 @@
 //! The six-sector argument (Lemma 8 / Figure 1) and the Voronoi tail bound
-//! (Lemma 9), as executable experiments.
+//! (Lemma 9), as executable geometry and formulas.
 //!
 //! **Lemma 8.** Divide the disc of area `c/n` centred at site `u` into six
 //! 60° sectors (sector 1 spans 0°–60° from the positive x-axis, etc.). If
@@ -16,14 +16,13 @@
 //! `Pr(#cells ≥ c/n > 12 n e^{−c/6}) = o(1/n⁴)` for `ln n ≥ c ≥ 12`
 //! (via a Doob martingale with an `ln³n` Lipschitz correction).
 //!
-//! This module provides the sector-occupancy primitive, a direct check of
-//! Lemma 8 on random instances, and the Lemma 9 Monte-Carlo experiment
-//! (E4 and E7 in DESIGN.md).
+//! This module provides the sector-occupancy primitive, the Lemma 9
+//! threshold and the expectation of `Z`, and a direct check of Lemma 8 on
+//! random instances. The `lemma8_9` member of the `run_tables` suite runs
+//! the Lemma 9 Monte-Carlo experiment on top of them.
 
 use crate::kd::KdSites;
-use geo2c_util::parallel::run_trials;
-use geo2c_util::rng::StreamSeeder;
-use geo2c_util::stats::RunningStats;
+use geo2c_ring::spacings::arc_survival;
 
 /// Radius of the disc of area `a`: `√(a/π)`.
 #[must_use]
@@ -79,102 +78,13 @@ pub fn lemma9_threshold(n: usize, c: f64) -> f64 {
 }
 
 /// Expected value of the sector-based upper bound `Z`:
-/// `6n (1 − c/(6n))^{n−1}` (< `6n e^{−c/6}`).
+/// `6n (1 − c/(6n))^{n−1}` (< `6n e^{−c/6}`). Each of the `6n` sectors
+/// has area `c/(6n)` and is empty when the other `n − 1` sites all miss
+/// it, which is the ring's arc survival function at that measure.
 #[must_use]
 pub fn expected_empty_sectors(n: usize, c: f64) -> f64 {
-    let nf = n as f64;
-    if c / 6.0 >= nf {
-        return 0.0;
-    }
-    6.0 * nf * (1.0 - c / (6.0 * nf)).powi(n as i32 - 1)
-}
-
-/// One `c`-row of the Lemma 9 Monte-Carlo experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct VoronoiTail {
-    /// Cells of area ≥ `c/n` are "large".
-    pub c: f64,
-    /// The count threshold `12 n e^{−c/6}`.
-    pub threshold: f64,
-    /// Analytic `E[Z] = 6n(1 − c/6n)^{n−1}`.
-    pub expected_z: f64,
-    /// Observed mean number of large cells.
-    pub mean_large_cells: f64,
-    /// Observed mean of the sector upper bound `Z`.
-    pub mean_z: f64,
-    /// Fraction of trials where `#large cells > 12 n e^{−c/6}`.
-    pub violation_rate: f64,
-    /// Fraction of (trial, large cell) pairs violating Lemma 8, i.e. a
-    /// cell of area ≥ `c/n` with all six sectors occupied. Must be 0.
-    pub lemma8_violations: u64,
-}
-
-/// Runs `trials` random placements of `n` sites and measures, for each `c`:
-/// the number of Voronoi cells of area ≥ `c/n`, the sector bound `Z`, and
-/// direct Lemma 8 compliance (experiments E4 + E7).
-#[must_use]
-pub fn voronoi_tail_experiment(
-    n: usize,
-    cs: &[f64],
-    trials: usize,
-    seeder: &StreamSeeder,
-    threads: usize,
-) -> Vec<VoronoiTail> {
-    // Per trial, per c: (large_cell_count, z_count, lemma8_violations).
-    let per_trial: Vec<Vec<(usize, usize, u64)>> = run_trials(seeder, trials, threads, |rng| {
-        let sites = KdSites::<2>::random(n, rng);
-        let areas = sites.cell_areas();
-        cs.iter()
-            .map(|&c| {
-                let cutoff = c / n as f64;
-                let mut large = 0usize;
-                let mut z = 0usize;
-                let mut violations = 0u64;
-                for (i, &area) in areas.iter().enumerate() {
-                    let empty = has_empty_sector(&sites, i, c);
-                    if empty {
-                        z += 1;
-                    }
-                    if area >= cutoff {
-                        large += 1;
-                        if !empty {
-                            violations += 1;
-                        }
-                    }
-                }
-                (large, z, violations)
-            })
-            .collect()
-    });
-
-    cs.iter()
-        .enumerate()
-        .map(|(ci, &c)| {
-            let threshold = lemma9_threshold(n, c);
-            let mut large_stats = RunningStats::new();
-            let mut z_stats = RunningStats::new();
-            let mut violations_of_threshold = 0usize;
-            let mut lemma8_violations = 0u64;
-            for row in &per_trial {
-                let (large, z, viol) = row[ci];
-                large_stats.push(large as f64);
-                z_stats.push(z as f64);
-                if large as f64 > threshold {
-                    violations_of_threshold += 1;
-                }
-                lemma8_violations += viol;
-            }
-            VoronoiTail {
-                c,
-                threshold,
-                expected_z: expected_empty_sectors(n, c),
-                mean_large_cells: large_stats.mean(),
-                mean_z: z_stats.mean(),
-                violation_rate: violations_of_threshold as f64 / trials as f64,
-                lemma8_violations,
-            }
-        })
-        .collect()
+    let sectors = 6.0 * n as f64;
+    sectors * arc_survival(n, c / sectors)
 }
 
 #[cfg(test)]
@@ -247,49 +157,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn z_dominates_large_cell_count() {
-        // Lemma 8 implies #large cells ≤ Z for every instance.
-        let seeder = StreamSeeder::new(52);
-        let rows = voronoi_tail_experiment(64, &[3.0, 6.0], 10, &seeder, 2);
-        for row in &rows {
-            assert_eq!(row.lemma8_violations, 0);
-            assert!(
-                row.mean_large_cells <= row.mean_z + 1e-9,
-                "c={}: large {} > Z {}",
-                row.c,
-                row.mean_large_cells,
-                row.mean_z
-            );
-        }
-    }
-
-    #[test]
-    fn tail_experiment_monotone_in_c() {
-        let seeder = StreamSeeder::new(53);
-        let rows = voronoi_tail_experiment(128, &[2.0, 6.0, 12.0], 10, &seeder, 2);
-        assert!(rows[0].mean_large_cells >= rows[1].mean_large_cells);
-        assert!(rows[1].mean_large_cells >= rows[2].mean_large_cells);
-        // Z tracks its expectation loosely.
-        for row in &rows {
-            assert!(
-                row.mean_z <= 2.0 * row.expected_z + 5.0,
-                "c={}: Z {} vs E[Z] {}",
-                row.c,
-                row.mean_z,
-                row.expected_z
-            );
-        }
-    }
-
-    #[test]
-    fn experiment_deterministic_across_thread_counts() {
-        let seeder = StreamSeeder::new(54);
-        let a = voronoi_tail_experiment(32, &[4.0], 6, &seeder, 1);
-        let b = voronoi_tail_experiment(32, &[4.0], 6, &seeder, 3);
-        assert_eq!(a[0].mean_large_cells, b[0].mean_large_cells);
-        assert_eq!(a[0].mean_z, b[0].mean_z);
     }
 }

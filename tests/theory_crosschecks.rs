@@ -198,17 +198,35 @@ fn lemma4_bound_chain_holds_empirically() {
     assert!(exact_binomial <= lemma2 + 1e-12);
 }
 
-/// The exact expected-count formula, the spacings survival function, and
-/// the tail module's closed form all agree.
+/// The expected number of long arcs three ways: the exact closed form
+/// `n·(1 − c/n)^{n−1}` (the spacings survival function), its Poisson
+/// limit `n·e^{−c}`, and the mean count the substrate produces.
 #[test]
 fn expected_count_three_ways() {
     let n = 1 << 10;
-    for c in [1.0, 2.0, 5.0] {
-        let a = spacings::expected_count_at_least(n, c);
-        let b = tail::expected_long_arcs(n, c);
-        let s = n as f64 * spacings::arc_survival(n, c / n as f64);
-        assert!((a - b).abs() < 1e-9);
-        assert!((a - s).abs() < 1e-9);
+    let trials = 200;
+    let cs = [1.0, 2.0, 5.0];
+    let mut rng = Xoshiro256pp::from_u64(19);
+    let mut totals = [0usize; 3];
+    for _ in 0..trials {
+        let arcs = RingPartition::random(n, &mut rng).arc_lengths();
+        for (total, &c) in totals.iter_mut().zip(&cs) {
+            *total += tail::count_arcs_at_least(&arcs, c / n as f64);
+        }
+    }
+    for (&total, &c) in totals.iter().zip(&cs) {
+        let exact = n as f64 * spacings::arc_survival(n, c / n as f64);
+        // (1 − c/n)^{n−1} = e^{−c} · e^{c(1 − c/2)/n + O(1/n²)}.
+        let poisson = n as f64 * (-c).exp();
+        assert!(
+            (exact / poisson - 1.0).abs() < 0.01,
+            "c={c}: {exact} vs {poisson}"
+        );
+        let observed = total as f64 / trials as f64;
+        assert!(
+            (observed - exact).abs() < 0.05 * exact + 0.5,
+            "c={c}: Monte-Carlo {observed} vs closed form {exact}"
+        );
     }
 }
 
