@@ -14,8 +14,8 @@
 //!
 //! Bad input (an unknown flag, a missing value, an unparsable number, a
 //! NaN or infinite threshold, a non-positive speedup or ratio limit,
-//! contradictory modes) prints the usage line to stderr and exits with
-//! status 2.
+//! zero repeats, contradictory modes) prints the usage line to stderr and
+//! exits with status 2.
 //!
 //! Every run uses seed 0 and ~20 ms windows. `--repeats` overrides the
 //! number of best-of windows (default 3): raise it on a noisy host. The
@@ -156,7 +156,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.min_speedup = Some(min);
             }
             "--only" => args.only = Some(value()?),
-            "--repeats" => args.repeats = number(flag, &value()?)?,
+            "--repeats" => {
+                args.repeats = number(flag, &value()?)?;
+                // The spec records the repeats as `trials`; a run times
+                // at least one window, so 0 would misstate the method.
+                if args.repeats == 0 {
+                    return Err("--repeats must be at least 1".into());
+                }
+            }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }

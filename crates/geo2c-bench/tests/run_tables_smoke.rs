@@ -178,6 +178,9 @@ fn run_benches_rejects_bad_input_without_panicking() {
     let bench = |args: &[&str]| rejected_by(env!("CARGO_BIN_EXE_run_benches"), args);
     assert!(bench(&["--quick", "--bogus"]).contains("unknown flag '--bogus'"));
     assert!(bench(&["--repeats", "x"]).contains("cannot parse 'x'"));
+    // The spec records the repeats as `trials`, and a run times at
+    // least one window.
+    assert!(bench(&["--quick", "--check", "--repeats", "0"]).contains("--repeats must be"));
     // Every run uses seed 0 and the standard window; neither is a flag.
     for flag in ["--seed", "--window-ms"] {
         assert!(bench(&[flag, "1"]).contains(&format!("unknown flag '{flag}'")));

@@ -20,7 +20,6 @@ use geo2c_util::hist::Counter;
 use geo2c_util::parallel::run_trials;
 use geo2c_util::rng::{StreamSeeder, Xoshiro256pp};
 use geo2c_util::stats::RunningStats;
-use rand::Rng;
 #[cfg(test)]
 use rand::RngCore as _;
 
@@ -68,14 +67,6 @@ pub struct MaxLoadCell {
     pub distribution: Counter,
     /// Summary statistics of the per-trial maximum load.
     pub stats: RunningStats,
-}
-
-impl MaxLoadCell {
-    /// The paper-style cell text, e.g. `"4: 88.1%  5: 11.8%  6: 0.1%"`.
-    #[must_use]
-    pub fn paper_style(&self) -> String {
-        self.distribution.paper_style()
-    }
 }
 
 /// The one max-load primitive: runs `config.trials` trials of `trial`,
@@ -146,38 +137,6 @@ pub fn sweep_kind(
         &label,
         config,
     )
-}
-
-/// Sample a non-uniform ("clustered") probe model: a mixture of uniform
-/// background and Gaussian-like clusters (the paper's footnote 2 remarks
-/// that two choices helps even when the customer distribution is not
-/// uniform; this is the executable version used by the ATM example).
-#[derive(Debug, Clone)]
-pub struct ClusterMix {
-    /// Cluster centres (on the relevant space's coordinates).
-    pub centers: Vec<(f64, f64)>,
-    /// Standard deviation of each cluster.
-    pub sigma: f64,
-    /// Probability a probe comes from a cluster (vs uniform background).
-    pub cluster_weight: f64,
-}
-
-impl ClusterMix {
-    /// Samples a torus probe location from the mixture.
-    #[must_use]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (f64, f64) {
-        if !self.centers.is_empty() && rng.gen::<f64>() < self.cluster_weight {
-            let (cx, cy) = self.centers[rng.gen_range(0..self.centers.len())];
-            // Box-Muller for a cheap Gaussian pair.
-            let u1: f64 = rng.gen::<f64>().max(1e-12);
-            let u2: f64 = rng.gen();
-            let r = (-2.0 * u1.ln()).sqrt() * self.sigma;
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            (cx + r * theta.cos(), cy + r * theta.sin())
-        } else {
-            (rng.gen(), rng.gen())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -296,40 +255,5 @@ mod tests {
         // m/n + O(log log n) — generous check.
         let slack = rows[2].0 - rows[2].1;
         assert!(slack < 10.0, "slack {slack}");
-    }
-
-    #[test]
-    fn cluster_mix_samples_cluster_and_background() {
-        let mix = ClusterMix {
-            centers: vec![(0.5, 0.5)],
-            sigma: 0.01,
-            cluster_weight: 0.8,
-        };
-        let mut rng = Xoshiro256pp::from_u64(3);
-        let mut near = 0u32;
-        let total = 10_000;
-        for _ in 0..total {
-            let (x, y) = mix.sample(&mut rng);
-            let (dx, dy) = (x - 0.5, y - 0.5);
-            if (dx * dx + dy * dy).sqrt() < 0.05 {
-                near += 1;
-            }
-        }
-        let frac = f64::from(near) / f64::from(total);
-        // ~80% cluster mass (+ tiny background contribution near centre).
-        assert!((frac - 0.8).abs() < 0.05, "cluster fraction {frac}");
-    }
-
-    #[test]
-    fn paper_style_cell_renders() {
-        let cell = sweep_kind(
-            SpaceKind::Uniform,
-            Strategy::two_choice(),
-            64,
-            64,
-            &quick_config(),
-        );
-        let text = cell.paper_style();
-        assert!(text.contains('%'));
     }
 }

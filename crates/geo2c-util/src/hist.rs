@@ -2,9 +2,9 @@
 //!
 //! The paper reports its headline results (Tables 1–3) as *distributions of
 //! the maximum load* over trials: e.g. for `n = 2^12`, `d = 2`, "4 : 88.1%,
-//! 5 : 11.8%, 6 : 0.1%". [`Counter`] collects such distributions and renders
-//! them in exactly that form, so the `geo2c-bench` table binaries can print
-//! output that is line-for-line comparable with the paper.
+//! 5 : 11.8%, 6 : 0.1%". [`Counter`] collects such distributions; the
+//! `geo2c-report` markdown renderer prints them in that form in
+//! `EXPERIMENTS.md`.
 //!
 //! [`Histogram`] is the hot-path sibling: a dense `Vec<u64>` of counts
 //! indexed by value, for order statistics (max, percentiles, mean) over
@@ -12,7 +12,6 @@
 //! sort, no per-sample allocation.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A frequency counter over `u64` values, kept in sorted order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -105,26 +104,6 @@ impl Counter {
     /// Iterates over `(value, count)` pairs in increasing value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter().map(|(&v, &c)| (v, c))
-    }
-
-    /// Renders the distribution in the paper's style:
-    /// `"4: 88.1%  5: 11.8%  6: 0.1%"`, one decimal place, increasing value.
-    ///
-    /// Values with zero recorded observations are omitted, as in the paper.
-    #[must_use]
-    pub fn paper_style(&self) -> String {
-        let mut out = String::new();
-        for (v, c) in self.iter() {
-            if !out.is_empty() {
-                out.push_str("  ");
-            }
-            let pct = 100.0 * c as f64 / self.total.max(1) as f64;
-            let _ = write!(out, "{v}: {pct:.1}%");
-        }
-        if out.is_empty() {
-            out.push('-');
-        }
-        out
     }
 }
 
@@ -284,7 +263,6 @@ mod tests {
         assert_eq!(c.mode(), None);
         assert_eq!(c.mean(), 0.0);
         assert_eq!(c.fraction(3), 0.0);
-        assert_eq!(c.paper_style(), "-");
     }
 
     #[test]
@@ -295,15 +273,6 @@ mod tests {
         assert_eq!(a.total(), 4);
         assert_eq!(a.count(2), 2);
         assert_eq!(a.count(3), 1);
-    }
-
-    #[test]
-    fn paper_style_formatting() {
-        let mut c = Counter::new();
-        c.add_n(4, 881);
-        c.add_n(5, 118);
-        c.add_n(6, 1);
-        assert_eq!(c.paper_style(), "4: 88.1%  5: 11.8%  6: 0.1%");
     }
 
     #[test]

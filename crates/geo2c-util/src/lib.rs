@@ -17,7 +17,7 @@
 //!   z statistics behind `run_tables --check`.
 //! * [`hist`] — integer-valued distributions. The paper reports *maximum
 //!   load* as a percentage distribution over trials (Tables 1–3); this module
-//!   reproduces that presentation.
+//!   collects those distributions.
 //! * [`frame`] — length-prefixed, CRC-guarded binary framing (plus
 //!   magic/version file headers) for the serving engine's durable
 //!   checkpoint and journal files, with torn-tail vs real-corruption
@@ -36,7 +36,7 @@
 //! let mut rng = seeder.stream(3);
 //! let dist: Counter = (0..100).map(|_| rng.gen_range(0u64..4)).collect();
 //! assert_eq!(dist.total(), 100);
-//! assert!(dist.paper_style().contains('%'));
+//! assert!(dist.max() < Some(4));
 //! assert_eq!(
 //!     seeder.stream(3).gen::<u64>(),
 //!     StreamSeeder::new(0).child("demo-experiment").stream(3).gen::<u64>(),

@@ -107,8 +107,8 @@ fn dht_placement_matches_abstract_simulation() {
 }
 
 /// Virtual servers and two-choices are *different mechanisms for the same
-/// goal*; verify both beat plain hashing and report the state trade-off
-/// the example advertises.
+/// goal*; verify both beat plain hashing and that two-choices at least
+/// matches virtual servers, the comparison the `dht` suite member reports.
 #[test]
 fn three_schemes_ordering() {
     let n = 256;
