@@ -2287,8 +2287,19 @@ mod tests {
             assert!(values[0] <= n as f64, "{column}");
             assert!(values.windows(2).all(|w| w[1] <= w[0]), "{column}");
         }
-        // With m = n, a constant fraction of the servers is hit: ν_1 ≥ n/4.
-        assert!(metric(&result.cells[0], "uniform") >= n as f64 / 4.0);
+    }
+
+    #[test]
+    fn mean_profile_is_decreasing() {
+        let config = SweepConfig::new(30).with_seed(42).with_threads(2);
+        let result = run("profile", &[256], &config);
+        let profile: Vec<f64> = result.cells.iter().map(|c| metric(c, "uniform")).collect();
+        for w in profile.windows(2) {
+            assert!(w[0] >= w[1], "ν_i must be non-increasing: {profile:?}");
+        }
+        // ν_1 ≤ n and ≥ n/4 (with m=n, a constant fraction of bins is hit).
+        assert!(profile[0] <= 256.0);
+        assert!(profile[0] >= 64.0);
     }
 
     #[test]
